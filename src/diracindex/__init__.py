@@ -61,7 +61,6 @@ from .polynomials import (
     is_harmonic,
     linear_form_product,
     poly_det,
-    poly_eval,
     restrict_to_hyperplane,
 )
 from .series import TruncatedSeries

@@ -20,8 +20,8 @@ from .groups import RootDatum, Weight, dot
 from .kmodules import (
     check_regular_direction,
     frequencies_to_series,
+    numerator_frequencies,
     weyl_denominator_factored,
-    weyl_numerator_frequencies,
 )
 from .series import TruncatedSeries
 
@@ -94,14 +94,7 @@ def character_series(
     module = evaluate_index(fam, lam)
     if module.is_zero():
         return LaurentSeries.zero(order)
-    freqs: dict[Fraction, int] = {}
-    for gamma, c in module.coeffs.items():
-        for f, m in weyl_numerator_frequencies(datum, gamma, y).items():
-            v = freqs.get(f, 0) + c * m
-            if v:
-                freqs[f] = v
-            else:
-                freqs.pop(f, None)
+    freqs = numerator_frequencies(module, y)
     if not freqs:
         return LaurentSeries.zero(order)
     r_g = datum.r_g

@@ -15,15 +15,7 @@ import sys
 from fractions import Fraction
 
 from .dirac import discrete_series_family, index_polynomial
-from .emit import (
-    dumps,
-    emit,
-    poly_from_obj,
-    poly_to_obj,
-    springer_rows_to_csv,
-    springer_rows_to_latex,
-    springer_row_to_obj,
-)
+from .emit import dumps, emit, poly_from_obj, poly_to_obj, springer_table_csv
 from .errors import DiracIndexError, RankCapExceeded
 from .fixtures import su_n1_ds_family
 from .groups import DEFAULT_RANK_CAP, Family, GroupId, build_root_datum
@@ -88,14 +80,7 @@ def _cmd_springer_table(args) -> int:
             tags = ", ".join(f.value for f in Family)
             raise DiracIndexError(f"unknown family tag; choose from: {tags}")
     rows = springer_table(max_param=args.max, families=families)
-    if args.format == "json":
-        sys.stdout.write(
-            dumps({"type": "springer_table", "rows": [springer_row_to_obj(r) for r in rows]})
-        )
-    elif args.format == "csv":
-        sys.stdout.write(springer_rows_to_csv(rows))
-    else:
-        sys.stdout.write(springer_rows_to_latex(rows))
+    sys.stdout.write(emit(rows, args.format))
     return 0
 
 
@@ -115,8 +100,7 @@ def _cmd_index_poly(args) -> int:
             raise DiracIndexError("provide either --chamber or --hc-param")
         datum = build_root_datum(group, max_rank=cap)
         fam = discrete_series_family(args.hc_param, datum)
-    poly = index_polynomial(fam)
-    sys.stdout.write(dumps({"type": "polynomial", **poly_to_obj(poly)}))
+    sys.stdout.write(emit(index_polynomial(fam), "json"))
     return 0
 
 
@@ -134,8 +118,7 @@ def _cmd_char_poly(args) -> int:
 
 
 def _cmd_gcd(args) -> int:
-    poly = gcd_with_index(args.n, args.i)
-    sys.stdout.write(dumps({"type": "polynomial", **poly_to_obj(poly)}))
+    sys.stdout.write(emit(gcd_with_index(args.n, args.i), "json"))
     return 0
 
 
@@ -170,25 +153,7 @@ def _cmd_emit(args) -> int:
             sys.stdout.write(dumps(obj))
             return 0
         if kind == "springer_table" and args.format == "csv":
-            # re-emit from parsed rows without recomputation
-            import csv as _csv
-            import io as _io
-
-            buf = _io.StringIO()
-            writer = _csv.writer(buf, lineterminator="\n")
-            writer.writerow(["group", "generator", "springer", "partition", "dim"])
-            for row in obj["rows"]:
-                part = row["partition"]
-                writer.writerow(
-                    [
-                        row["group"],
-                        row["generator"],
-                        "Yes" if row["springer"] else "No",
-                        "-" if part is None else "[" + ",".join(map(str, part)) + "]",
-                        row["dim"] if row["dim"] is not None else "-",
-                    ]
-                )
-            sys.stdout.write(buf.getvalue())
+            sys.stdout.write(springer_table_csv(obj["rows"]))
             return 0
     raise DiracIndexError(f"cannot emit {kind!r} as {args.format}")
 

@@ -169,21 +169,26 @@ def springer_row_to_obj(row: SpringerRow) -> dict:
     }
 
 
-def springer_rows_to_csv(rows: list[SpringerRow]) -> str:
+def springer_table_csv(rows: list[dict]) -> str:
+    """CSV of springer_table JSON row dicts (see springer_row_to_obj)."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["group", "generator", "springer", "partition", "dim"])
     for row in rows:
         writer.writerow(
             [
-                row.group.label(),
-                generator_text(row),
-                "Yes" if row.is_springer else "No",
-                partition_str(row.partition),
-                row.orbit_dim if row.orbit_dim is not None else "-",
+                row["group"],
+                row["generator"],
+                "Yes" if row["springer"] else "No",
+                partition_str(row["partition"]),
+                row["dim"] if row["dim"] is not None else "-",
             ]
         )
     return buf.getvalue()
+
+
+def springer_rows_to_csv(rows: list[SpringerRow]) -> str:
+    return springer_table_csv([springer_row_to_obj(r) for r in rows])
 
 
 def springer_rows_to_latex(rows: list[SpringerRow]) -> str:

@@ -124,10 +124,6 @@ def su21_ds_families() -> dict[int, IndexFamily]:
 # -- recorded classification table ------------------------------------
 
 
-def _ones(k: int) -> Partition:
-    return (1,) * k
-
-
 def reference_table_row(group: GroupId) -> tuple[bool, Partition | None, int | None]:
     """Recorded (Springer?, partition, complex orbit dimension) for one
     classification row; the verification suite checks the computed pipeline
@@ -136,12 +132,12 @@ def reference_table_row(group: GroupId) -> tuple[bool, Partition | None, int | N
     fam = group.family
     if fam == Family.SU:
         m = min(p, q)
-        return True, (2,) * m + _ones(abs(p - q)), 2 * p * q
+        return True, (2,) * m + (1,) * abs(p - q), 2 * p * q
     if fam == Family.SO_EVEN_ODD:
         if p >= q + 2:
             return False, None, None
         ones = 2 * (q - p) + 2
-        part = (3,) + (2,) * (2 * p - 2) + _ones(ones)
+        part = (3,) + (2,) * (2 * p - 2) + (1,) * ones
         return True, part, 2 * p * (2 * q + 1)
     if fam == Family.SP_R:
         n = group.n
@@ -150,7 +146,7 @@ def reference_table_row(group: GroupId) -> tuple[bool, Partition | None, int | N
         return False, None, None
     if fam == Family.SO_EVEN_EVEN:
         m = min(p, q)
-        part = (3,) + (2,) * (2 * m - 2) + _ones(2 * abs(p - q) + 1)
+        part = (3,) + (2,) * (2 * m - 2) + (1,) * (2 * abs(p - q) + 1)
         return True, part, 4 * p * q
     if fam == Family.SO_STAR:
         n = group.n

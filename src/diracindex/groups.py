@@ -44,10 +44,6 @@ DEFAULT_RANK_CAP = 8
 DEFAULT_WEYL_CAP = 100_000
 
 
-def as_weight(coords: Iterable) -> Weight:
-    return tuple(Fraction(c) for c in coords)
-
-
 def weight_add(a: Weight, b: Weight) -> Weight:
     if len(a) != len(b):
         raise DimensionMismatch(f"weight lengths {len(a)} != {len(b)}")

@@ -333,6 +333,19 @@ def weyl_numerator_frequencies(
     return {f: c for f, c in freqs.items() if c != 0}
 
 
+def numerator_frequencies(module: VirtualKModule, y: Weight) -> dict[Fraction, int]:
+    """Nonzero exponent frequencies of the module's Weyl numerator at exp(t y)."""
+    freqs: dict[Fraction, int] = {}
+    for gamma, c in module.coeffs.items():
+        for f, m in weyl_numerator_frequencies(module.datum, gamma, y).items():
+            v = freqs.get(f, 0) + c * m
+            if v:
+                freqs[f] = v
+            else:
+                freqs.pop(f, None)
+    return freqs
+
+
 def frequencies_to_series(freqs: Mapping[Fraction, int], order: int) -> TruncatedSeries:
     total = TruncatedSeries.zero(order)
     for rate, c in freqs.items():
@@ -374,14 +387,7 @@ def ch_series(module: VirtualKModule, y: Weight, order: int) -> TruncatedSeries:
         raise ValueError(f"order must be at least r_g = {datum.r_g}")
     if module.is_zero():
         return TruncatedSeries.zero(order)
-    freqs: dict[Fraction, int] = {}
-    for gamma, c in module.coeffs.items():
-        for f, m in weyl_numerator_frequencies(datum, gamma, y).items():
-            v = freqs.get(f, 0) + c * m
-            if v:
-                freqs[f] = v
-            else:
-                freqs.pop(f, None)
+    freqs = numerator_frequencies(module, y)
     r_k = datum.r_k
     # order past the frequency count so a nonzero sum cannot read as zero
     numerator = frequencies_to_series(freqs, max(order + r_k, len(freqs)))

@@ -186,10 +186,6 @@ class MultiPoly:
         return "MultiPoly(" + " + ".join(bits) + ")"
 
 
-def poly_eval(poly: MultiPoly, point: Sequence) -> Fraction:
-    return poly.evaluate(point)
-
-
 @dataclass(frozen=True)
 class LinearForm:
     """A nonzero linear form sum c_i X_i."""

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 
 @dataclass(frozen=True)
@@ -120,10 +119,3 @@ class TruncatedSeries:
         if k > self.order:
             raise ValueError(f"coefficient {k} beyond truncation order {self.order}")
         return self.coeffs[k]
-
-
-def product_of(series: Sequence[TruncatedSeries], order: int) -> TruncatedSeries:
-    result = TruncatedSeries.one(order)
-    for s in series:
-        result = result * s.truncate(order)
-    return result

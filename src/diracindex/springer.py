@@ -18,12 +18,15 @@ The Macdonald label of each family's compact subsystem is recorded in
 ``sigma_k_bipartition`` and is certified against this pipeline by the
 round trips exercised in the test suite: inverting the classification
 partition through the same merge recovers the label.
+
+Table rows hold no expanded polynomial: every column, the printed
+generator included, comes from the factored compact root forms of
+``generator_forms``.  ``generator_poly`` expands their product on request.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
@@ -244,10 +247,6 @@ def bipartition_dim(bp: Bipartition) -> int:
 # -- the catalog -------------------------------------------------------
 
 
-def _ones(k: int) -> Partition:
-    return (1,) * k
-
-
 def sigma_k_bipartition(group: GroupId) -> Partition | Bipartition:
     """Macdonald label of the representation generated by the compact Weyl
     dimension polynomial.  Type A labels are plain partitions; the rest
@@ -257,21 +256,21 @@ def sigma_k_bipartition(group: GroupId) -> Partition | Bipartition:
     fam = group.family
     if fam == Family.SU:
         m, d = min(p, q), abs(p - q)
-        return (2,) * m + _ones(d)
+        return (2,) * m + (1,) * d
     if fam == Family.SO_EVEN_ODD:
-        return Bipartition(_ones(p), _ones(q))
+        return Bipartition((1,) * p, (1,) * q)
     if fam == Family.SP_R:
         n = group.n
-        return Bipartition(_ones((n + 1) // 2), _ones(n // 2))
+        return Bipartition((1,) * ((n + 1) // 2), (1,) * (n // 2))
     if fam == Family.SP_PQ:
         m, d = min(p, q), abs(p - q)
-        return Bipartition((), (2,) * m + _ones(d))
+        return Bipartition((), (2,) * m + (1,) * d)
     if fam == Family.SO_EVEN_EVEN:
         m, d = min(p, q), abs(p - q)
-        return Bipartition((2,) * m + _ones(d), ())
+        return Bipartition((2,) * m + (1,) * d, ())
     if fam == Family.SO_STAR:
         n = group.n
-        return Bipartition(_ones((n + 1) // 2), _ones(n // 2))
+        return Bipartition((1,) * ((n + 1) // 2), (1,) * (n // 2))
     raise UnsupportedFamily(f"no catalog entry for {fam}")
 
 
@@ -312,32 +311,13 @@ def generator_forms(datum: RootDatum) -> list[LinearForm]:
 
 
 def generator_poly(datum: RootDatum) -> MultiPoly:
-    """Product of the compact positive root forms, expanded blockwise.
-
-    The compact blocks occupy disjoint coordinate ranges, so the block
-    products merge without exponent collisions.
-    """
-    rank = datum.rank
-    merged: dict[tuple[int, ...], Fraction] = {(0,) * rank: Fraction(1)}
-    for blk in datum.compact_blocks:
-        block_forms = [
-            LinearForm.from_weight(alpha).primitive()
-            for alpha in datum.compact_positive_roots
-            if any(alpha[i] != 0 for i in blk.indices)
-        ]
-        block_poly = linear_form_product(rank, block_forms)
-        merged = {
-            tuple(a + b for a, b in zip(e1, e2)): c1 * c2
-            for e1, c1 in merged.items()
-            for e2, c2 in block_poly.terms.items()
-        }
-    return MultiPoly(rank, merged)
+    """Expanded product of the compact positive root forms."""
+    return linear_form_product(datum.rank, generator_forms(datum))
 
 
 @dataclass(frozen=True)
 class SpringerRow:
     group: GroupId
-    generator: MultiPoly
     label: Partition | Bipartition
     is_springer: bool
     partition: Partition | None
@@ -350,8 +330,7 @@ def springer_row(group: GroupId) -> SpringerRow:
     """One classification row: label -> symbol -> partition -> validity ->
     dimension, with the structural consistency checks along the way."""
     datum = build_root_datum(group, max_rank=max(8, group.rank))
-    gen = generator_poly(datum)
-    if gen.total_degree() != datum.r_k:
+    if len(generator_forms(datum)) != datum.r_k:
         raise ValueError("generator degree must equal the number of compact roots")
     label = sigma_k_bipartition(group)
     kind, total = ambient_algebra(group)
@@ -364,7 +343,6 @@ def springer_row(group: GroupId) -> SpringerRow:
         )
     return SpringerRow(
         group=group,
-        generator=gen,
         label=label,
         is_springer=ok,
         partition=partition if ok else None,

@@ -40,7 +40,12 @@ from .groups import (
     weyl_elements,
 )
 from .kmodules import dim_virtual, weyl_denominator_factored
-from .polynomials import MultiPoly, divides_linear_form, is_harmonic
+from .polynomials import (
+    MultiPoly,
+    divides_linear_form,
+    is_harmonic,
+    restrict_to_hyperplane,
+)
 from .series import TruncatedSeries
 from .springer import (
     Bipartition,
@@ -106,12 +111,6 @@ class SuiteReport:
 # -- rank one -----------------------------------------------------------
 
 
-def _sl2_matrix_of_action() -> tuple[tuple[int, ...], ...]:
-    """Columns of the reflection action in the ordered basis (F, D+, D-, P),
-    reconstructed from the recorded relations."""
-    return SL2.s_matrix
-
-
 def sl2_suite() -> SuiteReport:
     report = SuiteReport("sl2")
     fams = sl2_families()
@@ -128,7 +127,7 @@ def sl2_suite() -> SuiteReport:
         )
 
     # The reflection action on index families matches the recorded matrix.
-    matrix = _sl2_matrix_of_action()
+    matrix = SL2.s_matrix
     for j, name in enumerate(names):
         acted = act_on_family(s, fams[name])
         combo = None
@@ -466,10 +465,7 @@ def su_n1_suite(max_n: int = 6) -> SuiteReport:
                     if ((p, qq) in block) != div_det:
                         ok = False
                     if (p, qq) not in block:
-                        from .polynomials import restrict_to_hyperplane
-
                         rest = restrict_to_hyperplane(det, form)
-                        survivors = [k for k in range(1, n + 1) if k != p]
                         vdm = vandermonde(n - 1)
                         if not (rest == vdm or rest == -vdm):
                             ok = False

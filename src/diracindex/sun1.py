@@ -78,15 +78,19 @@ def char_poly_det(n: int, i: int) -> MultiPoly:
     return poly_det(rows)
 
 
-def vandermonde(n_vars: int, indices: list[int] | None = None) -> MultiPoly:
-    """prod_{p < q} (lam_p - lam_q) over the given 1-based indices."""
+def _root_forms(n_vars: int, indices: list[int] | None = None) -> list[LinearForm]:
+    """The forms lam_p - lam_q for p before q among the given 1-based indices."""
     idx = indices if indices is not None else list(range(1, n_vars + 1))
-    forms = [
+    return [
         difference_form(n_vars, idx[a], idx[b])
         for a in range(len(idx))
         for b in range(a + 1, len(idx))
     ]
-    return linear_form_product(n_vars, forms)
+
+
+def vandermonde(n_vars: int, indices: list[int] | None = None) -> MultiPoly:
+    """prod_{p < q} (lam_p - lam_q) over the given 1-based indices."""
+    return linear_form_product(n_vars, _root_forms(n_vars, indices))
 
 
 def gcd_factor_pairs(n: int, i: int) -> list[tuple[int, int]]:
@@ -121,22 +125,18 @@ def gcd_with_index(n: int, i: int) -> MultiPoly:
     against the closed-form block product."""
     if n < 2:
         raise IndexOutOfRange("n must be at least 2")
-    det = char_poly_det(n, i)
-    index_poly = index_poly_restricted(n)
-    candidates = [
-        difference_form(n, p, q)
-        for p in range(1, n + 1)
-        for q in range(p + 1, n + 1)
-    ]
-    det_factors, _ = extract_linear_factors(det, candidates)
-    det_mult = {form: m for form, m in det_factors}
-    idx_factors, _ = extract_linear_factors(index_poly, candidates)
-    idx_mult = {form: m for form, m in idx_factors}
-    common = MultiPoly.const(n, 1)
-    for form in candidates:
-        m = min(det_mult.get(form, 0), idx_mult.get(form, 0))
-        for _ in range(m):
-            common = common * form.to_poly()
+    candidates = _root_forms(n)
+    det_factors, _ = extract_det_factors(n, i)
+    idx_factors, _ = extract_linear_factors(index_poly_restricted(n), candidates)
+    det_mult, idx_mult = dict(det_factors), dict(idx_factors)
+    common = linear_form_product(
+        n,
+        [
+            form
+            for form in candidates
+            for _ in range(min(det_mult.get(form, 0), idx_mult.get(form, 0)))
+        ],
+    )
     closed = linear_form_product(
         n, [difference_form(n, p, q) for p, q in gcd_factor_pairs(n, i)]
     )
@@ -149,13 +149,7 @@ def extract_det_factors(
     n: int, i: int
 ) -> tuple[list[tuple[LinearForm, int]], MultiPoly]:
     """Linear root-form factors of the character determinant, plus cofactor."""
-    det = char_poly_det(n, i)
-    candidates = [
-        difference_form(n, p, q)
-        for p in range(1, n + 1)
-        for q in range(p + 1, n + 1)
-    ]
-    return extract_linear_factors(det, candidates)
+    return extract_linear_factors(char_poly_det(n, i), _root_forms(n))
 
 
 def tau_invariant(n: int, i: int) -> tuple[Weight, ...]:

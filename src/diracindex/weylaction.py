@@ -12,7 +12,7 @@ from typing import Iterable, Sequence
 
 from .errors import CapExceeded, DimensionMismatch
 from .groups import RootDatum, Weight, WeylElement, dot
-from .polynomials import Exponent, MultiPoly, _gl_key
+from .polynomials import Exponent, LinearForm, MultiPoly, _gl_key, linear_form_product
 
 SPAN_COLUMN_CAP = 20_000
 
@@ -99,11 +99,11 @@ def weyl_dim_poly(datum: RootDatum) -> MultiPoly:
     D_k(gamma) is the dimension of the K-type with infinitesimal character
     gamma and D_k(rho_k) = 1.
     """
-    result = MultiPoly.const(datum.rank, 1)
+    forms = []
     for alpha in datum.compact_positive_roots:
         norm = dot(datum.rho_k, alpha)
-        result = result * MultiPoly.from_linear([c / norm for c in alpha])
-    return result
+        forms.append(LinearForm(tuple(c / norm for c in alpha)))
+    return linear_form_product(datum.rank, forms)
 
 
 def weyl_dim_value(datum: RootDatum, gamma: Weight) -> Fraction:

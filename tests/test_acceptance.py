@@ -17,6 +17,7 @@ from diracindex.springer import (
     ambient_algebra,
     bipartition_dim,
     dual_partition,
+    generator_poly,
     springer_row,
     standard_tableaux_count,
     symbol_of_bipartition,
@@ -198,7 +199,7 @@ def test_criterion_8_oracle_equivalences():
     for group in (g for g in table_groups(4) if g.rank <= 4):
         datum = build_root_datum(group)
         row = springer_row(group)
-        span = orbit_span(row.generator, weyl_elements(datum, "g"))
+        span = orbit_span(generator_poly(datum), weyl_elements(datum, "g"))
         kind, _ = ambient_algebra(group)
         if kind == "A":
             expected = standard_tableaux_count(row.label)

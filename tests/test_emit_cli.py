@@ -118,6 +118,16 @@ def test_cli_springer_table(capsys):
     assert '"Sp(1,1)",X1X2,No,-,-' in out
 
 
+def test_cli_emit_csv_of_table_json_matches_table_csv(tmp_path, capsys):
+    assert main(["springer-table", "--max", "3", "--format", "json"]) == 0
+    path = tmp_path / "table.json"
+    path.write_text(capsys.readouterr().out)
+    assert main(["springer-table", "--max", "3", "--format", "csv"]) == 0
+    direct = capsys.readouterr().out
+    assert main(["emit", "--input", str(path), "--format", "csv"]) == 0
+    assert capsys.readouterr().out == direct
+
+
 def test_cli_springer_table_json_deterministic(capsys):
     main(["springer-table", "--max", "2", "--format", "json"])
     first = capsys.readouterr().out

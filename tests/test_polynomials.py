@@ -17,7 +17,6 @@ from diracindex.polynomials import (
     is_harmonic,
     linear_form_product,
     poly_det,
-    poly_eval,
     restrict_to_hyperplane,
 )
 
@@ -58,13 +57,13 @@ def test_ring_axioms_and_eval_homomorphism(p, q, point):
 
 def test_eval_examples():
     x1, x2 = V("x1", "x2")
-    assert poly_eval(x1 - x2, (3, 1)) == 2
+    assert (x1 - x2).evaluate((3, 1)) == 2
     x, y, z = V("x", "y", "z")
     vdm = (x - y) * (x - z) * (y - z)
-    assert poly_eval(vdm, (2, 1, 0)) == 2
-    assert poly_eval(MultiPoly.zero(2), (5, 7)) == 0
+    assert vdm.evaluate((2, 1, 0)) == 2
+    assert MultiPoly.zero(2).evaluate((5, 7)) == 0
     with pytest.raises(DimensionMismatch):
-        poly_eval(x1, (1, 2, 3))
+        x1.evaluate((1, 2, 3))
 
 
 def test_sorted_terms_graded_lex():

@@ -1,4 +1,5 @@
 import random
+import time
 from collections import Counter
 from fractions import Fraction as F
 
@@ -29,6 +30,7 @@ from diracindex.springer import (
     table_groups,
     valid_nilpotent,
 )
+from diracindex.suites import springer_suite
 from diracindex.weylaction import orbit_span
 
 
@@ -237,7 +239,7 @@ def test_table_against_reference(group):
         assert row.orbit_dim == dim
         datum = build_root_datum(group, max_rank=max(8, group.rank))
         assert row.orbit_dim == 2 * (datum.r_g - datum.r_k)
-        assert row.generator.total_degree() == datum.r_k
+        assert generator_poly(datum).total_degree() == datum.r_k
 
 
 @pytest.mark.parametrize("group", table_groups(3), ids=lambda g: g.label())
@@ -264,6 +266,18 @@ def test_springer_table_deterministic_order():
     assert labels == [g.label() for g in table_groups(2)]
 
 
+def test_springer_suite_to_parameter_8_within_bound():
+    """Rows up to rank 16 stay cheap because no row expands its generator."""
+    springer_row.cache_clear()
+    t0 = time.time()
+    report = springer_suite(max_param=8)
+    elapsed = time.time() - t0
+    table_cases = [c for c in report.cases if c.id.startswith("table/")]
+    assert len(table_cases) == len(table_groups(8)) == 196
+    assert report.all_pass
+    assert elapsed < 10.0
+
+
 RANK_LE_4 = [g for g in table_groups(4) if g.rank <= 4]
 
 
@@ -275,7 +289,7 @@ def test_span_dimension_matches_label_dimension(group):
     labels of type D."""
     datum = build_root_datum(group)
     row = springer_row(group)
-    span = orbit_span(row.generator, weyl_elements(datum, "g"))
+    span = orbit_span(generator_poly(datum), weyl_elements(datum, "g"))
     label = row.label
     kind, _ = ambient_algebra(group)
     if kind == "A":

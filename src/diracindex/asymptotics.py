@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .dirac import IndexFamily, evaluate_index, index_polynomial
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, InternalInvariantError
 from .groups import RootDatum, Weight, dot
 from .kmodules import (
     check_regular_direction,
@@ -102,7 +102,8 @@ def character_series(
     # k, so this order always sees the true valuation.
     numerator = frequencies_to_series(freqs, max(order + r_g, len(freqs)))
     val = numerator.valuation()
-    assert val is not None
+    if val is None:
+        raise InternalInvariantError("nonzero character numerator has no valuation")
     shifted = numerator.shift_down(val)
     _, u = weyl_denominator_factored(datum, y, "g", shifted.order)
     quotient = shifted.divide(u)

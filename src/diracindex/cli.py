@@ -1,8 +1,11 @@
 """Command-line front end.
 
 Exit codes: 0 success / all cases pass, 1 verification failure,
-2 usage error (argparse default).  Only long option names exist.
-The environment variable DIRAC_MAX_RANK overrides the rank cap.
+2 usage error (an argparse error, or a DiracIndexError printed as one
+`error:` line), 3 internal error (an InternalInvariantError, printed as
+one `internal error:` line; a bug in the package, please report it).
+Only long option names exist.  The environment variable DIRAC_MAX_RANK
+overrides the rank cap.
 """
 
 from __future__ import annotations
@@ -15,8 +18,15 @@ import sys
 from fractions import Fraction
 
 from .dirac import discrete_series_family, index_polynomial
-from .emit import dumps, emit, poly_from_obj, poly_to_obj, springer_table_csv
-from .errors import DiracIndexError, RankCapExceeded
+from .emit import (
+    dumps,
+    emit,
+    poly_from_obj,
+    poly_to_obj,
+    springer_table_csv,
+    springer_table_latex,
+)
+from .errors import DiracIndexError, InternalInvariantError, InvalidInput, RankCapExceeded
 from .fixtures import su_n1_ds_family
 from .groups import DEFAULT_RANK_CAP, Family, GroupId, build_root_datum
 from .springer import springer_table
@@ -68,7 +78,12 @@ def parse_weight(text: str) -> tuple[Fraction, ...]:
 
 def _rank_cap() -> int:
     value = os.environ.get("DIRAC_MAX_RANK")
-    return int(value) if value else DEFAULT_RANK_CAP
+    if not value:
+        return DEFAULT_RANK_CAP
+    try:
+        return int(value)
+    except ValueError:
+        raise InvalidInput(f"DIRAC_MAX_RANK must be an integer, got {value!r}") from None
 
 
 def _cmd_springer_table(args) -> int:
@@ -140,10 +155,33 @@ def _cmd_verify(args) -> int:
     return 0 if report.all_pass else 1
 
 
+# `verify --format json` prints a suite report without a "type" tag.
+_SUITE_REPORT_KEYS = {"suite", "cases", "all_pass"}
+
+
+def _read_json_object(path: str) -> dict:
+    try:
+        if path == "-":
+            text = sys.stdin.read()
+        else:
+            with open(path) as handle:
+                text = handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InvalidInput(f"cannot read {path!r}: {exc}") from None
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InvalidInput(f"malformed JSON in {path!r}: {exc}") from None
+    if not isinstance(obj, dict):
+        raise InvalidInput(f"expected a JSON object in {path!r}, got {type(obj).__name__}")
+    return obj
+
+
 def _cmd_emit(args) -> int:
-    text = sys.stdin.read() if args.input == "-" else open(args.input).read()
-    obj = json.loads(text)
+    obj = _read_json_object(args.input)
     kind = obj.get("type")
+    if kind is None and obj.keys() == _SUITE_REPORT_KEYS:
+        kind = "suite_report"
     if kind == "polynomial":
         sys.stdout.write(emit(poly_from_obj(obj), args.format))
         return 0
@@ -154,6 +192,9 @@ def _cmd_emit(args) -> int:
             return 0
         if kind == "springer_table" and args.format == "csv":
             sys.stdout.write(springer_table_csv(obj["rows"]))
+            return 0
+        if kind == "springer_table" and args.format == "latex":
+            sys.stdout.write(springer_table_latex(obj["rows"]))
             return 0
     raise DiracIndexError(f"cannot emit {kind!r} as {args.format}")
 
@@ -217,6 +258,9 @@ def main(argv: list[str] | None = None) -> int:
     except DiracIndexError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except InternalInvariantError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

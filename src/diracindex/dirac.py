@@ -24,6 +24,7 @@ Sign conventions, pinned once and validated operationally:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from fractions import Fraction
 from itertools import combinations
 from typing import Mapping
 
@@ -45,7 +46,7 @@ from .kmodules import (
     virtual_k_type,
     weight_multiset,
 )
-from .polynomials import MultiPoly
+from .polynomials import Exponent, MultiPoly
 from .ratlinalg import solve_linear
 from .series import TruncatedSeries
 from .weylaction import act, weyl_dim_poly
@@ -183,10 +184,11 @@ def index_polynomial(fam: IndexFamily) -> MultiPoly:
     parameters and changes by sgn under the compact Weyl group.
     """
     dk = weyl_dim_poly(fam.datum)
-    out = MultiPoly.zero(fam.datum.rank)
+    acc: dict[Exponent, Fraction] = {}
     for w, a in fam.coeffs.items():
-        out = out + act(w.inverse(), dk) * a
-    return out
+        for exp, c in act(w.inverse(), dk).terms.items():
+            acc[exp] = acc.get(exp, 0) + a * c
+    return MultiPoly._trusted(fam.datum.rank, {e: c for e, c in acc.items() if c})
 
 
 def verify_translation(

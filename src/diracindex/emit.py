@@ -21,6 +21,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import re
 from fractions import Fraction
 from typing import Any
 
@@ -124,27 +125,22 @@ def _merge_quadratic_factors(forms: list[LinearForm]) -> list[tuple[str, tuple]]
     return out
 
 
-def generator_text(row: SpringerRow, latex: bool = False) -> str:
+_GENERATOR_TEXT = {
+    "var": lambda i: f"X{i + 1}",
+    "diff": lambda i, j: f"(X{i + 1}-X{j + 1})",
+    "sum": lambda i, j: f"(X{i + 1}+X{j + 1})",
+    "sqdiff": lambda i, j: f"(X{i + 1}^2-X{j + 1}^2)",
+}
+
+
+def generator_text(row: SpringerRow) -> str:
     from .groups import build_root_datum
 
     datum = build_root_datum(row.group, max_rank=max(8, row.group.rank))
-    pieces = []
-    for kind, data in _merge_quadratic_factors(generator_forms(datum)):
-        if latex:
-            fmt = {
-                "var": lambda i: f"X_{{{i + 1}}}",
-                "diff": lambda i, j: f"(X_{{{i + 1}}}-X_{{{j + 1}}})",
-                "sum": lambda i, j: f"(X_{{{i + 1}}}+X_{{{j + 1}}})",
-                "sqdiff": lambda i, j: f"(X_{{{i + 1}}}^2-X_{{{j + 1}}}^2)",
-            }
-        else:
-            fmt = {
-                "var": lambda i: f"X{i + 1}",
-                "diff": lambda i, j: f"(X{i + 1}-X{j + 1})",
-                "sum": lambda i, j: f"(X{i + 1}+X{j + 1})",
-                "sqdiff": lambda i, j: f"(X{i + 1}^2-X{j + 1}^2)",
-            }
-        pieces.append(fmt[kind](*data))
+    pieces = [
+        _GENERATOR_TEXT[kind](*data)
+        for kind, data in _merge_quadratic_factors(generator_forms(datum))
+    ]
     return "".join(pieces) if pieces else "1"
 
 
@@ -191,7 +187,8 @@ def springer_rows_to_csv(rows: list[SpringerRow]) -> str:
     return springer_table_csv([springer_row_to_obj(r) for r in rows])
 
 
-def springer_rows_to_latex(rows: list[SpringerRow]) -> str:
+def springer_table_latex(rows: list[dict]) -> str:
+    """LaTeX tabular of springer_table JSON row dicts (see springer_row_to_obj)."""
     lines = [
         r"\begin{tabular}{ccccc}",
         r"\hline",
@@ -199,17 +196,22 @@ def springer_rows_to_latex(rows: list[SpringerRow]) -> str:
         r"\hline",
     ]
     for row in rows:
-        group = row.group.label().replace("*", r"^{*}")
-        part = partition_str(row.partition)
+        group = row["group"].replace("*", r"^{*}")
+        generator = re.sub(r"X(\d+)", r"X_{\1}", row["generator"])
+        part = partition_str(row["partition"])
         if part != "-":
             part = "$" + part.replace("[", r"\lbrack ").replace("]", r"\rbrack") + "$"
-        dim = str(row.orbit_dim) if row.orbit_dim is not None else "-"
+        dim = str(row["dim"]) if row["dim"] is not None else "-"
         lines.append(
-            f"${group}$ & ${generator_text(row, latex=True)}$ & "
-            f"{'Yes' if row.is_springer else 'No'} & {part} & {dim} \\\\"
+            f"${group}$ & ${generator}$ & "
+            f"{'Yes' if row['springer'] else 'No'} & {part} & {dim} \\\\"
         )
     lines += [r"\hline", r"\end{tabular}"]
     return "\n".join(lines) + "\n"
+
+
+def springer_rows_to_latex(rows: list[SpringerRow]) -> str:
+    return springer_table_latex([springer_row_to_obj(r) for r in rows])
 
 
 def dumps(obj: dict) -> str:

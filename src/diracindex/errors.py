@@ -1,8 +1,22 @@
-"""Exception hierarchy. Everything raised on purpose derives from DiracIndexError."""
+"""Exception hierarchy.
+
+Every error a caller can provoke derives from DiracIndexError.  A failed
+self-check of the package raises InternalInvariantError instead, which is
+a bug rather than a bad input and so is not a DiracIndexError.
+"""
 
 
 class DiracIndexError(Exception):
     pass
+
+
+class InternalInvariantError(Exception):
+    """An internal consistency check failed."""
+
+
+class InvalidInput(DiracIndexError, ValueError):
+    """Command input that cannot be read: a missing file, malformed or
+    non-object JSON, or an unparsable environment setting."""
 
 
 class IllegalParams(DiracIndexError, ValueError):

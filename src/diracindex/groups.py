@@ -35,6 +35,7 @@ from .errors import (
     DimensionMismatch,
     EnumerationCapExceeded,
     IllegalParams,
+    InternalInvariantError,
     RankCapExceeded,
 )
 
@@ -438,7 +439,10 @@ def _weyl_elements_cached(
     for blk in blocks:
         blk_elems = _block_elements(blk, datum.rank)
         elems = [e.compose(b) for e in elems for b in blk_elems]
-    assert len(set(elems)) == order
+    if len(set(elems)) != order:
+        raise InternalInvariantError(
+            f"enumerated {len(set(elems))} distinct Weyl elements, expected {order}"
+        )
     return tuple(elems)
 
 

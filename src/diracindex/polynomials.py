@@ -4,6 +4,20 @@ Terms are stored sparsely as {exponent tuple: nonzero Fraction}.  The
 serialization order is graded lexicographic: ascending total degree,
 then descending lexicographic on the exponent tuple, so X1 - X2 prints
 its X1 term first.  No floating point enters anywhere.
+
+`MultiPoly(arity, terms)` validates and normalizes every term; it is the
+constructor for data from outside the package.  Kernel results (sums,
+negations, products, derivatives, Weyl translates) go through the private
+`MultiPoly._trusted`, which stores a dict the kernel has already built
+with int-tuple exponents of the right arity and nonzero `Fraction` values.
+
+`linear_form_product` never multiplies `MultiPoly`s.  It scales each form
+to a primitive integer form, multiplies the rational contents into one
+`Fraction`, and expands the integer product in a `dict[int, int]` whose
+keys pack the exponent vector into fixed-width bit fields (variable i in
+bits [i*w, (i+1)*w) with w = len(forms).bit_length(), wide enough for
+any exponent of the product, so adding keys never carries between
+fields).  The result is unpacked and scaled by the content once.
 """
 
 from __future__ import annotations
@@ -40,6 +54,18 @@ class MultiPoly:
             if c != 0:
                 clean[tuple(int(e) for e in exp)] = c
         self.terms = clean
+
+    @classmethod
+    def _trusted(cls, arity: int, terms: dict[Exponent, Fraction]) -> "MultiPoly":
+        """Wrap a kernel-built dict without validating it.
+
+        The caller guarantees int-tuple exponents of length arity and
+        nonzero Fraction values; the dict is stored, not copied.
+        """
+        poly = object.__new__(cls)
+        poly.arity = arity
+        poly.terms = terms
+        return poly
 
     # -- constructors ------------------------------------------------
 
@@ -81,8 +107,12 @@ class MultiPoly:
         self._check(other)
         terms = dict(self.terms)
         for exp, c in other.terms.items():
-            terms[exp] = terms.get(exp, Fraction(0)) + c
-        return MultiPoly(self.arity, terms)
+            total = terms.get(exp, 0) + c
+            if total:
+                terms[exp] = total
+            else:
+                del terms[exp]
+        return MultiPoly._trusted(self.arity, terms)
 
     def __sub__(self, other):
         if not isinstance(other, MultiPoly):
@@ -90,12 +120,14 @@ class MultiPoly:
         return self + (-other)
 
     def __neg__(self):
-        return MultiPoly(self.arity, {e: -c for e, c in self.terms.items()})
+        return MultiPoly._trusted(self.arity, {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other):
         if not isinstance(other, MultiPoly):
             scalar = Fraction(other)
-            return MultiPoly(
+            if not scalar:
+                return MultiPoly.zero(self.arity)
+            return MultiPoly._trusted(
                 self.arity, {e: c * scalar for e, c in self.terms.items()}
             )
         self._check(other)
@@ -103,8 +135,8 @@ class MultiPoly:
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 exp = tuple(a + b for a, b in zip(e1, e2))
-                out[exp] = out.get(exp, Fraction(0)) + c1 * c2
-        return MultiPoly(self.arity, out)
+                out[exp] = out.get(exp, 0) + c1 * c2
+        return MultiPoly._trusted(self.arity, {e: c for e, c in out.items() if c})
 
     __rmul__ = __mul__
 
@@ -162,15 +194,15 @@ class MultiPoly:
         return total
 
     def derivative(self, i: int) -> "MultiPoly":
+        # Lowering exp[i] is injective on the surviving terms: no merging.
         out: dict[Exponent, Fraction] = {}
         for exp, coeff in self.terms.items():
             if exp[i] == 0:
                 continue
             new = list(exp)
             new[i] -= 1
-            key = tuple(new)
-            out[key] = out.get(key, Fraction(0)) + coeff * exp[i]
-        return MultiPoly(self.arity, out)
+            out[tuple(new)] = coeff * exp[i]
+        return MultiPoly._trusted(self.arity, out)
 
     def __repr__(self):
         if self.is_zero():
@@ -216,15 +248,19 @@ class LinearForm:
     def to_poly(self) -> MultiPoly:
         return MultiPoly.from_linear(self.coeffs)
 
+    def _content(self) -> tuple[Fraction, list[int]]:
+        """(c, ints) with gcd(ints) = 1 and this form = c * sum ints_i X_i."""
+        lcm = math.lcm(*(c.denominator for c in self.coeffs))
+        ints = [c.numerator * (lcm // c.denominator) for c in self.coeffs]
+        g = math.gcd(*ints)
+        return Fraction(g, lcm), [k // g for k in ints]
+
     def primitive(self) -> "LinearForm":
         """Divide by the coefficient content and make the pivot positive."""
-        denoms = math.lcm(*(c.denominator for c in self.coeffs if c != 0))
-        ints = [c * denoms for c in self.coeffs]
-        g = math.gcd(*(int(c) for c in ints if c != 0))
-        scaled = [Fraction(int(c), g) for c in ints]
-        if scaled[self.pivot()] < 0:
-            scaled = [-c for c in scaled]
-        return LinearForm(tuple(scaled))
+        _, ints = self._content()
+        if ints[self.pivot()] < 0:
+            ints = [-k for k in ints]
+        return LinearForm(tuple(ints))
 
     def evaluate(self, point: Sequence) -> Fraction:
         if len(point) != self.arity:
@@ -235,13 +271,35 @@ class LinearForm:
 
 
 def linear_form_product(arity: int, forms: Iterable[LinearForm]) -> MultiPoly:
-    """Expanded product of linear forms; the empty product is the constant 1."""
-    result = MultiPoly.const(arity, 1)
+    """Expanded product of linear forms; the empty product is the constant 1.
+
+    The integer product runs on packed exponent keys (see the module
+    docstring); only the final terms become tuples and Fractions.
+    """
+    forms = list(forms)
+    width = len(forms).bit_length()
+    content = Fraction(1)
+    packed: dict[int, int] = {0: 1}
     for form in forms:
         if form.arity != arity:
             raise DimensionMismatch("form arity mismatch")
-        result = result * form.to_poly()
-    return result
+        scale, ints = form._content()
+        content *= scale
+        steps = [(1 << (width * i), k) for i, k in enumerate(ints) if k]
+        out: dict[int, int] = {}
+        for key, coeff in packed.items():
+            for step, k in steps:
+                out[key + step] = out.get(key + step, 0) + coeff * k
+        packed = {key: c for key, c in out.items() if c}
+    mask = (1 << width) - 1
+    shifts = [width * i for i in range(arity)]
+    return MultiPoly._trusted(
+        arity,
+        {
+            tuple((key >> s) & mask for s in shifts): content * c
+            for key, c in packed.items()
+        },
+    )
 
 
 def restrict_to_hyperplane(

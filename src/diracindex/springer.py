@@ -30,7 +30,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, factorial
 
-from .errors import CapExceeded, InvalidPartition, UnsupportedFamily
+from .errors import (
+    CapExceeded,
+    InternalInvariantError,
+    InvalidPartition,
+    UnsupportedFamily,
+)
 from .groups import Family, GroupId, RootDatum, build_root_datum
 from .polynomials import LinearForm, MultiPoly, linear_form_product
 
@@ -292,9 +297,11 @@ def sigma_k_partition(group: GroupId) -> Partition:
     label = sigma_k_bipartition(group)
     kind, _ = ambient_algebra(group)
     if kind == "A":
-        assert isinstance(label, tuple)
+        if not isinstance(label, tuple):
+            raise InternalInvariantError(f"type A label {label!r} is not a partition")
         return label
-    assert isinstance(label, Bipartition)
+    if not isinstance(label, Bipartition):
+        raise InternalInvariantError(f"type {kind} label {label!r} is not a bipartition")
     sym = symbol_of_bipartition(label, kind)
     partition = partition_of_symbol(sym)
     if partition is None:

@@ -22,15 +22,15 @@ def act(w: WeylElement, poly: MultiPoly) -> MultiPoly:
     if poly.arity != len(w.perm):
         raise DimensionMismatch("polynomial arity must match the Weyl element")
     inv = w.inverse()
+    # exp -> exp permuted is a bijection, so each term is assigned once.
     out: dict[Exponent, Fraction] = {}
     for exp, coeff in poly.terms.items():
-        new_exp = tuple(exp[p] for p in w.perm)
-        sign = 1
+        negate = False
         for s, e in zip(inv.signs, exp):
             if s < 0 and e % 2 == 1:
-                sign = -sign
-        out[new_exp] = out.get(new_exp, Fraction(0)) + sign * coeff
-    return MultiPoly(poly.arity, out)
+                negate = not negate
+        out[tuple(exp[p] for p in w.perm)] = -coeff if negate else coeff
+    return MultiPoly._trusted(poly.arity, out)
 
 
 @dataclass(frozen=True)

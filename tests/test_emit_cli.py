@@ -1,3 +1,4 @@
+import io
 import json
 import random
 import subprocess
@@ -17,7 +18,7 @@ from diracindex.emit import (
     springer_rows_to_latex,
     vkm_to_obj,
 )
-from diracindex.errors import UnsupportedFormat
+from diracindex.errors import InternalInvariantError, UnsupportedFormat
 from diracindex.fixtures import sl2_families
 from diracindex.groups import GroupId, build_root_datum
 from diracindex.kmodules import virtual_k_type
@@ -230,3 +231,68 @@ def test_cli_unknown_family_tag(capsys):
     code = main(["springer-table", "--families", "E8", "--max", "2"])
     assert code == 2
     assert "unknown family tag" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, env, content",
+    [
+        (["emit", "--input", "{missing}"], None, None),
+        (["emit", "--input", "{path}"], None, '{"type": "polynomial",'),
+        (["emit", "--input", "{path}"], None, "[1,2]"),
+        (["index-poly", "--group", "SU(2,1)", "--chamber", "5"], None, None),
+        (["index-poly", "--group", "SU(2,1)", "--chamber", "0"], "x", None),
+    ],
+    ids=["missing-file", "malformed-json", "json-array", "chamber-range", "rank-cap-env"],
+)
+def test_cli_bad_input_exits_2_with_one_error_line(
+    argv, env, content, tmp_path, monkeypatch, capsys
+):
+    path = tmp_path / "input.json"
+    if content is not None:
+        path.write_text(content)
+    argv = [a.format(missing=tmp_path / "missing.json", path=path) for a in argv]
+    if env is not None:
+        monkeypatch.setenv("DIRAC_MAX_RANK", env)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+
+
+def _pipe(monkeypatch, capsys, first, second):
+    """stdout of main(second) with stdout of main(first) on stdin."""
+    assert main(first) == 0
+    monkeypatch.setattr(sys, "stdin", io.StringIO(capsys.readouterr().out))
+    assert main(second) == 0
+    return capsys.readouterr().out
+
+
+def test_cli_emit_reads_verify_json(monkeypatch, capsys):
+    verify = ["verify", "--suite", "sl2", "--format", "json"]
+    assert main(verify) == 0
+    direct = capsys.readouterr().out
+    assert _pipe(monkeypatch, capsys, verify, ["emit"]) == direct
+
+
+def test_cli_emit_latex_of_table_json_matches_table_latex(monkeypatch, capsys):
+    assert main(["springer-table", "--max", "5", "--format", "latex"]) == 0
+    direct = capsys.readouterr().out
+    piped = _pipe(
+        monkeypatch,
+        capsys,
+        ["springer-table", "--max", "5", "--format", "json"],
+        ["emit", "--format", "latex"],
+    )
+    assert piped == direct
+
+
+def test_cli_internal_invariant_exits_3(monkeypatch, capsys):
+    def broken(n, i):
+        raise InternalInvariantError("self-check failed")
+
+    monkeypatch.setattr("diracindex.cli.gcd_with_index", broken)
+    assert main(["gcd", "--n", "4", "--i", "2"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: self-check failed\n"

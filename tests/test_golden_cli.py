@@ -1,0 +1,96 @@
+"""Golden CLI gate: stdout of fixed commands must stay byte-identical.
+
+`golden_cli.json` maps each command line to the sha256 and byte length of
+its stdout.  The `emit` example reads `table.json`, the output of
+`springer-table --max 5 --format json`, from the working directory.
+
+Re-record only when an output change is intended:
+
+    PYTHONPATH=src python tests/test_golden_cli.py
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import shlex
+import sys
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from diracindex.cli import main
+
+DIGESTS = Path(__file__).with_name("golden_cli.json")
+TABLE_JSON = "springer-table --max 5 --format json"
+
+COMMANDS = [
+    # README examples
+    "springer-table --max 5 --format csv",
+    "index-poly --group 'SU(2,1)' --chamber 0",
+    "index-poly --group 'Sp(4,R)' --hc-param 2,1",
+    "char-poly --n 4 --i 2 --factor",
+    "gcd --n 5 --i 2",
+    "verify --suite sl2",
+    "emit --input table.json --format csv",
+    # the table in every format
+    TABLE_JSON,
+    "springer-table --max 5 --format latex",
+    # every suite report
+    *(
+        f"verify --suite {suite} --format json"
+        for suite in ("sl2", "translation", "ind-eq-char", "harmonic", "su-n1", "springer")
+    ),
+    # larger kernels
+    "index-poly --group 'Sp(14,R)' --hc-param 7,6,5,4,3,2,1",
+    "char-poly --n 6 --i 3 --factor",
+    "gcd --n 6 --i 3",
+]
+
+
+def _run(command: str) -> tuple[int, bytes]:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(shlex.split(command))
+    return code, buf.getvalue().encode()
+
+
+def _digest(out: bytes) -> dict:
+    return {"sha256": hashlib.sha256(out).hexdigest(), "bytes": len(out)}
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("golden")
+    _, table = _run(TABLE_JSON)
+    (path / "table.json").write_bytes(table)
+    return path
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_cli_stdout_matches_golden_digest(command, workdir, monkeypatch):
+    monkeypatch.chdir(workdir)
+    code, out = _run(command)
+    assert code == 0
+    assert _digest(out) == json.loads(DIGESTS.read_text())[command]
+
+
+def test_digest_file_lists_exactly_the_commands():
+    assert list(json.loads(DIGESTS.read_text())) == COMMANDS
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        Path("table.json").write_bytes(_run(TABLE_JSON)[1])
+        digests = {}
+        for command in COMMANDS:
+            code, out = _run(command)
+            if code != 0:
+                sys.exit(f"{command!r} exited {code}")
+            digests[command] = _digest(out)
+    DIGESTS.write_text(json.dumps(digests, indent=1) + "\n")

@@ -1,3 +1,4 @@
+import functools
 import random
 from fractions import Fraction as F
 from itertools import permutations
@@ -89,6 +90,67 @@ def test_linear_form_product_examples():
     y1, y2, y3, y4 = V("a", "b", "c", "d")
     displayed = (y1 * y1 - y2 * y2) * (y3 * y3 - y4 * y4) * y3 * y4
     assert linear_form_product(4, forms) == displayed
+
+
+def assert_normalized(poly, arity):
+    """The MultiPoly invariants the trusted constructor relies on."""
+    assert poly.arity == arity
+    for exp, c in poly.terms.items():
+        assert type(exp) is tuple and len(exp) == arity
+        assert all(type(e) is int and e >= 0 for e in exp)
+        assert type(c) is F and c != 0
+
+
+# Unit coefficients make products like (X1 - X2)(X1 + X2) that cancel.
+form_coeffs = st.one_of(st.sampled_from([F(-1), F(0), F(1)]), coeffs)
+
+
+@st.composite
+def linear_forms(draw, arity):
+    values = draw(st.lists(form_coeffs, min_size=arity, max_size=arity))
+    if not any(values):
+        values[draw(st.integers(0, arity - 1))] = draw(coeffs.filter(bool))
+    return LinearForm(tuple(values))
+
+
+@st.composite
+def form_products(draw):
+    arity = draw(st.integers(1, 5))
+    return arity, draw(st.lists(linear_forms(arity), max_size=8))
+
+
+@settings(max_examples=150, deadline=None)
+@given(form_products())
+def test_linear_form_product_matches_naive_fold(case):
+    arity, forms = case
+    naive = functools.reduce(
+        MultiPoly.__mul__, (f.to_poly() for f in forms), MultiPoly.const(arity, 1)
+    )
+    product = linear_form_product(arity, forms)
+    assert product == naive
+    assert product.sorted_terms() == naive.sorted_terms()
+    assert_normalized(product, arity)
+
+
+def test_linear_form_product_cancels():
+    x1, x2 = V("x1", "x2")
+    forms = [LinearForm((F(1), F(-1))), LinearForm((F(1), F(1)))]
+    product = linear_form_product(2, forms)
+    assert product == x1 * x1 - x2 * x2
+    assert set(product.terms) == {(2, 0), (0, 2)}
+    assert_normalized(product, 2)
+    halves = [LinearForm((F(1, 2), F(-3, 2))), LinearForm((F(-2, 3), F(2)))]
+    assert linear_form_product(2, halves) == MultiPoly(
+        2, {(2, 0): F(-1, 3), (1, 1): 2, (0, 2): -3}
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(polys(), polys(), coeffs)
+def test_kernel_results_stay_normalized(p, q, c):
+    for result in (p + q, p - q, p + (-p), -p, p * q, p * c, p * 0, p.derivative(1)):
+        assert_normalized(result, 3)
+    assert (p + (-p)).terms == {}
 
 
 def test_restrict_examples():

@@ -23,6 +23,7 @@ from .emit import (
     emit,
     poly_from_obj,
     poly_to_obj,
+    springer_rows_from_obj,
     springer_table_csv,
     springer_table_latex,
 )
@@ -190,11 +191,9 @@ def _cmd_emit(args) -> int:
         if args.format == "json":
             sys.stdout.write(dumps(obj))
             return 0
-        if kind == "springer_table" and args.format == "csv":
-            sys.stdout.write(springer_table_csv(obj["rows"]))
-            return 0
-        if kind == "springer_table" and args.format == "latex":
-            sys.stdout.write(springer_table_latex(obj["rows"]))
+        if kind == "springer_table":
+            render = springer_table_csv if args.format == "csv" else springer_table_latex
+            sys.stdout.write(render(springer_rows_from_obj(obj)))
             return 0
     raise DiracIndexError(f"cannot emit {kind!r} as {args.format}")
 

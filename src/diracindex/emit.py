@@ -27,7 +27,7 @@ from typing import Any
 
 from .asymptotics import LimitReport
 from .dirac import IndexFamily, canonical_coeffs
-from .errors import UnsupportedFormat
+from .errors import InvalidInput, UnsupportedFormat
 from .groups import Weight
 from .kmodules import VirtualKModule
 from .polynomials import LinearForm, MultiPoly
@@ -52,11 +52,43 @@ def poly_to_obj(poly: MultiPoly) -> dict:
     }
 
 
+def _field(obj: Any, key: str, types, where: str) -> Any:
+    """obj[key], checked to be present and of one of the given types."""
+    if not (isinstance(obj, dict) and key in obj and isinstance(obj[key], types)):
+        raise InvalidInput(f"{where} has a missing or malformed {key!r} field")
+    return obj[key]
+
+
 def poly_from_obj(obj: dict) -> MultiPoly:
-    return MultiPoly(
-        obj["vars"],
-        {tuple(t["exp"]): Fraction(t["coeff"]) for t in obj["terms"]},
-    )
+    """Inverse of poly_to_obj; InvalidInput names a malformed field."""
+    arity = _field(obj, "vars", int, "polynomial")
+    if arity < 0:
+        raise InvalidInput(f"polynomial has a malformed 'vars' {arity}")
+    terms = {}
+    for term in _field(obj, "terms", list, "polynomial"):
+        exp = _field(term, "exp", list, "polynomial term")
+        coeff = _field(term, "coeff", (str, int), "polynomial term")
+        if not all(type(e) is int and e >= 0 for e in exp):
+            raise InvalidInput(f"polynomial term has a malformed 'exp' {exp}")
+        try:
+            terms[tuple(exp)] = Fraction(coeff)
+        except (ValueError, ZeroDivisionError):
+            msg = f"polynomial term has a malformed 'coeff' {coeff!r}"
+            raise InvalidInput(msg) from None
+    return MultiPoly(arity, terms)
+
+
+_ROW_FIELDS = {"group": str, "generator": str, "springer": bool,
+               "partition": (list, type(None)), "dim": (int, type(None))}
+
+
+def springer_rows_from_obj(obj: dict) -> list[dict]:
+    """The rows of a springer_table object; InvalidInput names a malformed field."""
+    rows = _field(obj, "rows", list, "springer_table")
+    for row in rows:
+        for key, types in _ROW_FIELDS.items():
+            _field(row, key, types, "springer_table row")
+    return rows
 
 
 def vkm_to_obj(module: VirtualKModule) -> dict:

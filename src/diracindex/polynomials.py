@@ -7,9 +7,10 @@ its X1 term first.  No floating point enters anywhere.
 
 `MultiPoly(arity, terms)` validates and normalizes every term; it is the
 constructor for data from outside the package.  Kernel results (sums,
-negations, products, derivatives, Weyl translates) go through the private
-`MultiPoly._trusted`, which stores a dict the kernel has already built
-with int-tuple exponents of the right arity and nonzero `Fraction` values.
+negations, products, derivatives, Weyl translates, restrictions and
+quotients) go through the private `MultiPoly._trusted`, which stores a
+dict the kernel has already built with int-tuple exponents of the right
+arity and nonzero `Fraction` values.
 
 `linear_form_product` never multiplies `MultiPoly`s.  It scales each form
 to a primitive integer form, multiplies the rational contents into one
@@ -18,6 +19,14 @@ keys pack the exponent vector into fixed-width bit fields (variable i in
 bits [i*w, (i+1)*w) with w = len(forms).bit_length(), wide enough for
 any exponent of the product, so adding keys never carries between
 fields).  The result is unpacked and scaled by the content once.
+
+Hyperplane restriction, divisibility, exact division and factor
+extraction share one Horner pass.  For a form L = sum c_i X_i with pivot
+X_j (its first nonzero coefficient), write P = sum_d P_d X_j^d and
+S = -sum_{i != j} (c_i / c_j) X_i; set H_top = P_top and
+H_d = P_d + S * H_{d+1} down to d = 0.  H_0 = P(X_j = S) is the
+restriction to L = 0, zero exactly when L divides P, and H_{d+1} / c_j is
+the X_j^d layer of P / L.
 """
 
 from __future__ import annotations
@@ -31,6 +40,7 @@ from .errors import DimensionMismatch, ZeroForm
 from .groups import RootDatum, Weight
 
 Exponent = tuple[int, ...]
+Terms = dict[Exponent, Fraction]
 
 
 def _gl_key(exp: Exponent):
@@ -302,82 +312,63 @@ def linear_form_product(arity: int, forms: Iterable[LinearForm]) -> MultiPoly:
     )
 
 
-def restrict_to_hyperplane(
-    poly: MultiPoly, form: LinearForm, pivot: int | None = None
-) -> MultiPoly:
-    """Substitute the solution of form = 0 for its pivot variable.
-
-    The pivot variable X_j is eliminated via
-    X_j = -sum_{i != j} (c_i / c_j) X_i and the remaining variables are
-    renumbered in order, so the result has arity reduced by one.
-    """
-    if poly.arity != form.arity:
-        raise DimensionMismatch("polynomial and form arities differ")
-    j = form.pivot() if pivot is None else pivot
-    cj = form.coeffs[j]
-    if cj == 0:
-        raise ZeroForm(f"pivot coefficient at index {j} is zero")
-    new_arity = poly.arity - 1
-    sub_coeffs = [
-        -form.coeffs[i] / cj for i in range(poly.arity) if i != j
-    ]
-    substitution = MultiPoly.from_linear(sub_coeffs)
-    sub_powers: dict[int, MultiPoly] = {0: MultiPoly.const(new_arity, 1)}
-
-    def power(d: int) -> MultiPoly:
-        if d not in sub_powers:
-            sub_powers[d] = power(d - 1) * substitution
-        return sub_powers[d]
-
-    acc: dict[Exponent, Fraction] = {}
-    for exp, coeff in poly.terms.items():
-        rest = tuple(e for i, e in enumerate(exp) if i != j)
-        for sexp, scoeff in power(exp[j]).terms.items():
-            key = tuple(a + b for a, b in zip(sexp, rest))
-            acc[key] = acc.get(key, Fraction(0)) + coeff * scoeff
-    return MultiPoly(new_arity, acc)
-
-
-def divides_linear_form(poly: MultiPoly, form: LinearForm) -> bool:
-    """True iff the linear form divides the polynomial exactly."""
-    return restrict_to_hyperplane(poly, form).is_zero()
-
-
-def divide_by_linear_form(poly: MultiPoly, form: LinearForm) -> MultiPoly:
-    """Exact quotient poly / form; raises ValueError when not divisible."""
+def _horner(poly: MultiPoly, form: LinearForm) -> list[Terms]:
+    """[H_0, ..., H_top] of the Horner pass (module docstring) as term
+    dicts over the variables other than the pivot, renumbered in order."""
     if poly.arity != form.arity:
         raise DimensionMismatch("polynomial and form arities differ")
     j = form.pivot()
     cj = form.coeffs[j]
-    rest_coeffs = list(form.coeffs)
-    rest_coeffs[j] = Fraction(0)
-    rest = (
-        MultiPoly.from_linear(rest_coeffs)
-        if any(c != 0 for c in rest_coeffs)
-        else MultiPoly.zero(poly.arity)
-    )
-    # Group by the pivot exponent and do synthetic division from the top.
-    by_degree: dict[int, dict[Exponent, Fraction]] = {}
+    # X_i with i > j is variable i - 1 of H; every c_i with i < j is zero.
+    steps = [(k, -c / cj) for k, c in enumerate(form.coeffs[j + 1 :], j) if c]
+    layers: dict[int, Terms] = {}
     for exp, coeff in poly.terms.items():
-        d = exp[j]
-        stripped = list(exp)
-        stripped[j] = 0
-        by_degree.setdefault(d, {})[tuple(stripped)] = coeff
-    top = max(by_degree, default=0)
-    layers = [
-        MultiPoly(poly.arity, by_degree.get(d, {})) for d in range(top + 1)
-    ]
-    quotient = MultiPoly.zero(poly.arity)
-    xj = MultiPoly.variable(poly.arity, j)
-    carry = MultiPoly.zero(poly.arity)
-    for d in range(top, 0, -1):
-        q_layer = (layers[d] + carry) * (Fraction(1) / cj)
-        quotient = quotient + q_layer * xj ** (d - 1)
-        carry = -(q_layer * rest)
-    remainder = layers[0] + carry
-    if not remainder.is_zero():
+        layers.setdefault(exp[j], {})[exp[:j] + exp[j + 1 :]] = coeff
+    top = max(layers, default=0)
+    hs = [layers.get(top, {})]
+    for d in range(top - 1, -1, -1):
+        acc = layers.pop(d, {})
+        for exp, c in hs[-1].items():
+            for k, s in steps:
+                key = exp[:k] + (exp[k] + 1,) + exp[k + 1 :]
+                term = c * s
+                acc[key] = acc[key] + term if key in acc else term
+        hs.append({e: c for e, c in acc.items() if c})
+    hs.reverse()
+    return hs
+
+
+def _quotient(poly: MultiPoly, form: LinearForm, hs: list[Terms]) -> MultiPoly:
+    """poly / form assembled from the Horner layers hs[1:]."""
+    j = form.pivot()
+    inv = 1 / form.coeffs[j]
+    return MultiPoly._trusted(
+        poly.arity,
+        {
+            exp[:j] + (d,) + exp[j:]: c * inv
+            for d, layer in enumerate(hs[1:])
+            for exp, c in layer.items()
+        },
+    )
+
+
+def restrict_to_hyperplane(poly: MultiPoly, form: LinearForm) -> MultiPoly:
+    """Substitute X_j = -sum_{i != j} (c_i / c_j) X_i for the pivot X_j of
+    form; the other variables are renumbered in order (arity one less)."""
+    return MultiPoly._trusted(poly.arity - 1, _horner(poly, form)[0])
+
+
+def divides_linear_form(poly: MultiPoly, form: LinearForm) -> bool:
+    """True iff the linear form divides the polynomial exactly."""
+    return not _horner(poly, form)[0]
+
+
+def divide_by_linear_form(poly: MultiPoly, form: LinearForm) -> MultiPoly:
+    """Exact quotient poly / form; raises ValueError when not divisible."""
+    hs = _horner(poly, form)
+    if hs[0]:
         raise ValueError("polynomial is not divisible by the linear form")
-    return quotient
+    return _quotient(poly, form, hs)
 
 
 def extract_linear_factors(
@@ -388,14 +379,17 @@ def extract_linear_factors(
     Returns the factor list and the remaining cofactor.  Candidates are
     processed in the given order; the result is independent of the order
     because Q[X] is a UFD and the candidates are pairwise non-proportional
-    in every use here.
+    in every use here.  Each attempt is one Horner pass.
     """
     factors: list[tuple[LinearForm, int]] = []
     current = poly
     for form in candidates:
         mult = 0
-        while not current.is_zero() and divides_linear_form(current, form):
-            current = divide_by_linear_form(current, form)
+        while not current.is_zero():
+            hs = _horner(current, form)
+            if hs[0]:
+                break
+            current = _quotient(current, form, hs)
             mult += 1
         if mult:
             factors.append((form, mult))

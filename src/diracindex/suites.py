@@ -449,26 +449,25 @@ def su_n1_suite(max_n: int = 6) -> SuiteReport:
     # pairs divide neither the determinant nor drop from the gcd, and the
     # crossing restriction is a (signed) Vandermonde in the leftovers.
     for n in range(2, max_n + 1):
+        forms = {
+            (p, qq): difference_form(n, p, qq)
+            for p in range(1, n + 1)
+            for qq in range(p + 1, n + 1)
+        }
+        # the index polynomial contains every factor, whatever the chamber
         idxpoly = index_poly_restricted(n)
+        idx_ok = all(divides_linear_form(idxpoly, form) for form in forms.values())
+        vdm = vandermonde(n - 1)
         for i in range(1, n):
             det = char_poly_det(n, i)
             block = set(gcd_factor_pairs(n, i))
-            tau_pairs = set(tau_generated_pairs(n, i))
-            ok = tau_pairs == block
-            for p in range(1, n + 1):
-                for qq in range(p + 1, n + 1):
-                    form = difference_form(n, p, qq)
-                    div_det = divides_linear_form(det, form)
-                    div_idx = divides_linear_form(idxpoly, form)
-                    if not div_idx:
-                        ok = False  # the index polynomial contains every factor
-                    if ((p, qq) in block) != div_det:
-                        ok = False
-                    if (p, qq) not in block:
-                        rest = restrict_to_hyperplane(det, form)
-                        vdm = vandermonde(n - 1)
-                        if not (rest == vdm or rest == -vdm):
-                            ok = False
+            ok = idx_ok and set(tau_generated_pairs(n, i)) == block
+            for pair, form in forms.items():
+                rest = restrict_to_hyperplane(det, form)
+                if (pair in block) != rest.is_zero():
+                    ok = False
+                if pair not in block and not (rest == vdm or rest == -vdm):
+                    ok = False
             report.add(f"divisibility/{n},{i}", ok)
 
     for n in range(4, max_n + 1):

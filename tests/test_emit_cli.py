@@ -241,8 +241,46 @@ def test_cli_unknown_family_tag(capsys):
         (["emit", "--input", "{path}"], None, "[1,2]"),
         (["index-poly", "--group", "SU(2,1)", "--chamber", "5"], None, None),
         (["index-poly", "--group", "SU(2,1)", "--chamber", "0"], "x", None),
+        (["emit", "--input", "{path}"], None, '{"type": "polynomial"}'),
+        (
+            ["emit", "--input", "{path}"],
+            None,
+            '{"type": "polynomial", "vars": "x", "terms": 5}',
+        ),
+        (
+            ["emit", "--input", "{path}"],
+            None,
+            '{"type": "polynomial", "vars": 2, "terms": [{"exp": [1, 0], "coeff": "1/0"}]}',
+        ),
+        (
+            ["emit", "--input", "{path}"],
+            None,
+            '{"type": "polynomial", "vars": -1, "terms": []}',
+        ),
+        (
+            ["emit", "--input", "{path}", "--format", "csv"],
+            None,
+            '{"type": "springer_table"}',
+        ),
+        (
+            ["emit", "--input", "{path}", "--format", "latex"],
+            None,
+            '{"type": "springer_table", "rows": [{}]}',
+        ),
     ],
-    ids=["missing-file", "malformed-json", "json-array", "chamber-range", "rank-cap-env"],
+    ids=[
+        "missing-file",
+        "malformed-json",
+        "json-array",
+        "chamber-range",
+        "rank-cap-env",
+        "poly-no-vars",
+        "poly-field-types",
+        "poly-zero-denominator",
+        "poly-negative-vars",
+        "table-csv-no-rows",
+        "table-latex-empty-row",
+    ],
 )
 def test_cli_bad_input_exits_2_with_one_error_line(
     argv, env, content, tmp_path, monkeypatch, capsys

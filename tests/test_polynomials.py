@@ -179,6 +179,62 @@ def test_restrict_kills_products():
         assert restrict_to_hyperplane(p * form.to_poly(), form).is_zero()
 
 
+def _restrict_by_substitution(poly: MultiPoly, form: LinearForm) -> MultiPoly:
+    """Reference restriction: multiply every term by the matching power of
+    the substitution S = -sum_{i != j} (c_i / c_j) X_i, memoized."""
+    j = form.pivot()
+    cj = form.coeffs[j]
+    new_arity = poly.arity - 1
+    sub_coeffs = [-form.coeffs[i] / cj for i in range(poly.arity) if i != j]
+    substitution = MultiPoly.from_linear(sub_coeffs)
+    sub_powers = {0: MultiPoly.const(new_arity, 1)}
+
+    def power(d):
+        if d not in sub_powers:
+            sub_powers[d] = power(d - 1) * substitution
+        return sub_powers[d]
+
+    acc = {}
+    for exp, coeff in poly.terms.items():
+        rest = tuple(e for i, e in enumerate(exp) if i != j)
+        for sexp, scoeff in power(exp[j]).terms.items():
+            key = tuple(a + b for a, b in zip(sexp, rest))
+            acc[key] = acc.get(key, F(0)) + coeff * scoeff
+    return MultiPoly(new_arity, acc)
+
+
+@st.composite
+def polys_and_forms(draw):
+    """A polynomial and a form whose pivot may follow zero coefficients."""
+    arity = draw(st.integers(1, 5))
+    pivot = draw(st.integers(0, arity - 1))
+    tail = arity - pivot - 1
+    values = [F(0)] * pivot + [draw(coeffs.filter(bool))]
+    values += draw(st.lists(form_coeffs, min_size=tail, max_size=tail))
+    poly = draw(polys(arity=arity, max_degree=4, max_terms=8))
+    return poly, LinearForm(tuple(values))
+
+
+@settings(max_examples=200, deadline=None)
+@given(polys_and_forms())
+def test_horner_pass_matches_substitution_and_division(case):
+    poly, form = case
+    arity, j = poly.arity, form.pivot()
+    rest = restrict_to_hyperplane(poly, form)
+    assert rest == _restrict_by_substitution(poly, form)
+    assert_normalized(rest, arity - 1)
+    assert divides_linear_form(poly, form) == rest.is_zero()
+    if not rest.is_zero():
+        with pytest.raises(ValueError):
+            divide_by_linear_form(poly, form)
+    lifted = MultiPoly(arity, {e[:j] + (0,) + e[j:]: c for e, c in rest.terms.items()})
+    divisible = poly - lifted
+    assert divides_linear_form(divisible, form)
+    quotient = divide_by_linear_form(divisible, form)
+    assert_normalized(quotient, arity)
+    assert quotient * form.to_poly() + lifted == poly
+
+
 def _univariate_division_oracle(p: MultiPoly, form: LinearForm) -> bool:
     """Divisibility via a full linear change of coordinates: map the form
     to the first new variable and check the univariate remainder there."""

@@ -47,6 +47,7 @@ from .kmodules import (
     WeightMultiset,
     ch_series,
     dim_virtual,
+    k_type_sum,
     tensor_virtual,
     virtual_k_type,
     weight_multiset,

@@ -19,11 +19,12 @@ from fractions import Fraction
 
 from .dirac import discrete_series_family, index_polynomial
 from .emit import (
+    TAGGED_SHAPES,
+    check_tagged,
     dumps,
     emit,
     poly_from_obj,
     poly_to_obj,
-    springer_rows_from_obj,
     springer_table_csv,
     springer_table_latex,
 )
@@ -186,14 +187,14 @@ def _cmd_emit(args) -> int:
     if kind == "polynomial":
         sys.stdout.write(emit(poly_from_obj(obj), args.format))
         return 0
-    if kind in ("springer_table", "suite_report", "limit_report", "virtual_module",
-                "index_family"):
+    if isinstance(kind, str) and kind in TAGGED_SHAPES:
+        check_tagged(kind, obj)
         if args.format == "json":
             sys.stdout.write(dumps(obj))
             return 0
         if kind == "springer_table":
             render = springer_table_csv if args.format == "csv" else springer_table_latex
-            sys.stdout.write(render(springer_rows_from_obj(obj)))
+            sys.stdout.write(render(obj["rows"]))
             return 0
     raise DiracIndexError(f"cannot emit {kind!r} as {args.format}")
 

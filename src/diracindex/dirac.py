@@ -42,8 +42,9 @@ from .groups import (
 from .kmodules import (
     VirtualKModule,
     WeightMultiset,
+    frequencies_to_series,
+    k_type_sum,
     tensor_virtual,
-    virtual_k_type,
     weight_multiset,
 )
 from .polynomials import Exponent, MultiPoly
@@ -91,12 +92,12 @@ def spin_character_series(
 ) -> TruncatedSeries:
     """ch(S+ - S-)(exp ty) as an exact series in t."""
     sw = spin_weights(datum)
-    total = TruncatedSeries.zero(order)
-    for w, m in sw.plus.items():
-        total = total + TruncatedSeries.exponential(dot(w, y), order).scale(m)
-    for w, m in sw.minus.items():
-        total = total - TruncatedSeries.exponential(dot(w, y), order).scale(m)
-    return total
+    freqs: dict[Fraction, int] = {}
+    for sign, weights in ((1, sw.plus), (-1, sw.minus)):
+        for w, m in weights.items():
+            f = dot(w, y)
+            freqs[f] = freqs.get(f, 0) + sign * m
+    return frequencies_to_series(freqs, order)
 
 
 def chamber_sign(lam: Weight, datum: RootDatum) -> int:
@@ -109,7 +110,7 @@ def index_discrete_series(lam: Weight, datum: RootDatum) -> VirtualKModule:
     """Dirac index of the discrete series with Harish-Chandra parameter lam."""
     if not datum.is_g_regular(lam):
         raise SingularParameter(f"{lam} is singular")
-    return virtual_k_type(lam, datum).scale(chamber_sign(lam, datum))
+    return k_type_sum(datum, [(lam, chamber_sign(lam, datum))])
 
 
 @dataclass(frozen=True)
@@ -170,10 +171,7 @@ def evaluate_index(fam: IndexFamily, lam: Weight) -> VirtualKModule:
         raise DimensionMismatch("parameter length must equal the rank")
     if not datum.on_lattice(weight_sub(lam, fam.base)):
         raise OffLattice(f"{lam} is not in base + Lambda")
-    out = VirtualKModule.zero(datum)
-    for w, a in fam.coeffs.items():
-        out = out + virtual_k_type(w.apply(lam), datum).scale(a)
-    return out
+    return k_type_sum(datum, ((w.apply(lam), a) for w, a in fam.coeffs.items()))
 
 
 def index_polynomial(fam: IndexFamily) -> MultiPoly:
@@ -197,10 +195,9 @@ def verify_translation(
     """Check I(X_lam) (x) F = sum_{mu in Delta(F)} I(X_{lam+mu}) exactly."""
     delta = weight_multiset(f_highest, fam.datum)
     left = tensor_virtual(evaluate_index(fam, lam), delta)
-    right = VirtualKModule.zero(fam.datum)
-    for mu, m in delta.items():
-        right = right + evaluate_index(fam, weight_add(lam, mu)).scale(m)
-    return left == right
+    right = [(gamma, m * c) for mu, m in delta.items()
+             for gamma, c in evaluate_index(fam, weight_add(lam, mu)).coeffs.items()]
+    return left == k_type_sum(fam.datum, right)
 
 
 def is_integral_weyl(w: WeylElement, base: Weight, datum: RootDatum) -> bool:

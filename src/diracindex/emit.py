@@ -52,9 +52,16 @@ def poly_to_obj(poly: MultiPoly) -> dict:
     }
 
 
+def _is_a(value: Any, types) -> bool:
+    """isinstance(value, types), except that JSON true and false are not ints."""
+    if type(value) is bool:
+        return bool in (types if isinstance(types, tuple) else (types,))
+    return isinstance(value, types)
+
+
 def _field(obj: Any, key: str, types, where: str) -> Any:
     """obj[key], checked to be present and of one of the given types."""
-    if not (isinstance(obj, dict) and key in obj and isinstance(obj[key], types)):
+    if not (isinstance(obj, dict) and key in obj and _is_a(obj[key], types)):
         raise InvalidInput(f"{where} has a missing or malformed {key!r} field")
     return obj[key]
 
@@ -78,17 +85,43 @@ def poly_from_obj(obj: dict) -> MultiPoly:
     return MultiPoly(arity, terms)
 
 
-_ROW_FIELDS = {"group": str, "generator": str, "springer": bool,
-               "partition": (list, type(None)), "dim": (int, type(None))}
+_OPT_STR = (str, type(None))
+
+# The fields of each tagged object that emit writes: a type (or tuple of
+# types) per field, [item] for a list of items and a dict for an object.
+TAGGED_SHAPES = {
+    "springer_table": {"rows": [{
+        "group": str, "generator": str, "springer": bool,
+        "partition": (list, type(None)), "dim": (int, type(None)),
+    }]},
+    "limit_report": {"d": int, "value": _OPT_STR, "expected": _OPT_STR,
+                     "match": bool, "underflow": bool},
+    "virtual_module": {"terms": [{"gamma": [str], "coeff": int}]},
+    "index_family": {"base": [str],
+                     "coeffs": [{"w": {"perm": [int], "signs": [int]}, "a": int}]},
+    "suite_report": {"suite": str, "all_pass": bool,
+                     "cases": [{"id": str, "pass": bool, "detail": str}]},
+}
 
 
-def springer_rows_from_obj(obj: dict) -> list[dict]:
-    """The rows of a springer_table object; InvalidInput names a malformed field."""
-    rows = _field(obj, "rows", list, "springer_table")
-    for row in rows:
-        for key, types in _ROW_FIELDS.items():
-            _field(row, key, types, "springer_table row")
-    return rows
+def _check_shape(obj: Any, shape: dict, where: str) -> None:
+    for key, want in shape.items():
+        if isinstance(want, dict):
+            _check_shape(_field(obj, key, dict, where), want, f"{where}.{key}")
+        elif isinstance(want, list):
+            for item in _field(obj, key, list, where):
+                if isinstance(want[0], dict):
+                    _check_shape(item, want[0], f"{where}.{key}[]")
+                elif not _is_a(item, want[0]):
+                    raise InvalidInput(f"{where} has a malformed {key!r} item {item!r}")
+        else:
+            _field(obj, key, want, where)
+
+
+def check_tagged(kind: str, obj: dict) -> None:
+    """Check obj against the fields emit writes for a tagged object of this
+    kind; InvalidInput names the first malformed field."""
+    _check_shape(obj, TAGGED_SHAPES[kind], kind)
 
 
 def vkm_to_obj(module: VirtualKModule) -> dict:

@@ -7,6 +7,10 @@ highest weight gamma - rho_k when gamma is strictly dominant regular for
 the compact positive system; a W_k-translate contributes with the sign of
 the translating element; compactly singular or off-lattice parameters
 contribute zero.  The allowed parameters form the coset Lambda + rho_g.
+
+Sums collect in one dict: k_type_sum normalizes every (gamma, c) pair into
+one dictionary and validates the module once, and frequencies_to_series
+builds every sum of exponentials from running integer power sums.
 """
 
 from __future__ import annotations
@@ -14,7 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Mapping
+from math import lcm
+from typing import Iterable, Mapping
 
 from .errors import (
     DimensionMismatch,
@@ -108,21 +113,27 @@ class VirtualKModule:
         return "VirtualKModule(" + " ".join(bits) + ")"
 
 
-def virtual_k_type(gamma: Weight, datum: RootDatum) -> VirtualKModule:
-    """Sign-normalized virtual K-type with infinitesimal character gamma.
+def k_type_sum(datum: RootDatum, terms: Iterable[tuple[Weight, int]]) -> VirtualKModule:
+    """sum c * E(gamma) over the (gamma, c) pairs, collected in one dict.
 
-    Zero when gamma is off the shifted lattice or singular for a compact
-    root; otherwise sgn(x) times the dominant representative x.gamma.
+    E(gamma) is zero when gamma is off the shifted lattice or singular for a
+    compact root; otherwise sgn(x) times the dominant representative x.gamma.
     """
-    if len(gamma) != datum.rank:
-        raise DimensionMismatch("parameter length must equal the rank")
-    if not datum.on_shifted_lattice(gamma):
-        return VirtualKModule.zero(datum)
-    normalized = normalize_k_dominant(datum, gamma)
-    if normalized is None:
-        return VirtualKModule.zero(datum)
-    sign, dom = normalized
-    return VirtualKModule(datum, {dom: sign})
+    acc: dict[Weight, int] = {}
+    for gamma, c in terms:
+        if len(gamma) != datum.rank:
+            raise DimensionMismatch("parameter length must equal the rank")
+        if datum.on_shifted_lattice(gamma):
+            normalized = normalize_k_dominant(datum, gamma)
+            if normalized is not None:
+                sign, dom = normalized
+                acc[dom] = acc.get(dom, 0) + sign * c
+    return VirtualKModule(datum, acc)
+
+
+def virtual_k_type(gamma: Weight, datum: RootDatum) -> VirtualKModule:
+    """Sign-normalized virtual K-type E(gamma) with infinitesimal character gamma."""
+    return k_type_sum(datum, [(gamma, 1)])
 
 
 def dim_virtual(module: VirtualKModule) -> int:
@@ -303,12 +314,9 @@ def weight_multiset(highest: Weight, datum: RootDatum) -> WeightMultiset:
 
 def tensor_virtual(module: VirtualKModule, delta: WeightMultiset) -> VirtualKModule:
     """Tensor by the weight multiset of a finite-dimensional module."""
-    datum = module.datum
-    out = VirtualKModule.zero(datum)
-    for gamma, c in module.coeffs.items():
-        for mu, m in delta.items():
-            out = out + virtual_k_type(weight_add(gamma, mu), datum).scale(c * m)
-    return out
+    shifted = [(weight_add(gamma, mu), c * m)
+               for gamma, c in module.coeffs.items() for mu, m in delta.items()]
+    return k_type_sum(module.datum, shifted)
 
 
 # -- exact character series on the compact torus ----------------------
@@ -338,19 +346,24 @@ def numerator_frequencies(module: VirtualKModule, y: Weight) -> dict[Fraction, i
     freqs: dict[Fraction, int] = {}
     for gamma, c in module.coeffs.items():
         for f, m in weyl_numerator_frequencies(module.datum, gamma, y).items():
-            v = freqs.get(f, 0) + c * m
-            if v:
-                freqs[f] = v
-            else:
-                freqs.pop(f, None)
-    return freqs
+            freqs[f] = freqs.get(f, 0) + c * m
+    return {f: c for f, c in freqs.items() if c}
 
 
 def frequencies_to_series(freqs: Mapping[Fraction, int], order: int) -> TruncatedSeries:
-    total = TruncatedSeries.zero(order)
-    for rate, c in freqs.items():
-        total = total + TruncatedSeries.exponential(rate, order).scale(c)
-    return total
+    """sum c * e^{rate t} to the given order; the t^k coefficient is the
+    integer moment sum c * (D rate)^k over D^k k!, D the rates' denominator."""
+    den = lcm(*(Fraction(rate).denominator for rate in freqs))
+    nums = [int(rate * den) for rate in freqs]
+    moments = list(freqs.values())
+    scale = 1
+    coeffs = []
+    for k in range(order + 1):
+        if k:
+            moments = [m * n for m, n in zip(moments, nums)]
+            scale *= den * k
+        coeffs.append(Fraction(sum(moments), scale))
+    return TruncatedSeries(tuple(coeffs))
 
 
 def weyl_denominator_factored(
@@ -366,11 +379,9 @@ def weyl_denominator_factored(
     )
     u = TruncatedSeries.one(order)
     for alpha in roots:
-        a = dot(alpha, y)
-        half = TruncatedSeries.exponential(Fraction(a, 2), order + 1)
-        mhalf = TruncatedSeries.exponential(Fraction(-a, 2), order + 1)
-        factor = (half - mhalf).shift_down(1)
-        u = u * factor.truncate(order)
+        half = Fraction(dot(alpha, y), 2)
+        freqs = {half: 1, -half: -1} if half else {}
+        u = u * frequencies_to_series(freqs, order + 1).shift_down(1)
     return len(roots), u
 
 

@@ -50,15 +50,6 @@ class TruncatedSeries:
             tuple(self.coeffs[k] + other.coeffs[k] for k in range(n + 1))
         )
 
-    def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        n = self._matched(other)
-        return TruncatedSeries(
-            tuple(self.coeffs[k] - other.coeffs[k] for k in range(n + 1))
-        )
-
-    def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries(tuple(-c for c in self.coeffs))
-
     def scale(self, c) -> "TruncatedSeries":
         c = Fraction(c)
         return TruncatedSeries(tuple(c * x for x in self.coeffs))

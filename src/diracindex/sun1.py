@@ -119,6 +119,14 @@ def index_poly_restricted(n: int) -> MultiPoly:
 
 
 @lru_cache(maxsize=None)
+def _index_factors(n: int) -> tuple[tuple[LinearForm, int], ...]:
+    """Root-form factors of the restricted index polynomial; they do not
+    depend on the chamber, so every gcd_with_index(n, i) shares them."""
+    factors, _ = extract_linear_factors(index_poly_restricted(n), _root_forms(n))
+    return tuple(factors)
+
+
+@lru_cache(maxsize=None)
 def gcd_with_index(n: int, i: int) -> MultiPoly:
     """Greatest common linear-divisor product of the character determinant
     and the index polynomial, computed by factor extraction and checked
@@ -127,8 +135,7 @@ def gcd_with_index(n: int, i: int) -> MultiPoly:
         raise IndexOutOfRange("n must be at least 2")
     candidates = _root_forms(n)
     det_factors, _ = extract_det_factors(n, i)
-    idx_factors, _ = extract_linear_factors(index_poly_restricted(n), candidates)
-    det_mult, idx_mult = dict(det_factors), dict(idx_factors)
+    det_mult, idx_mult = dict(det_factors), dict(_index_factors(n))
     common = linear_form_product(
         n,
         [

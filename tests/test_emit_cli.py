@@ -7,7 +7,9 @@ from fractions import Fraction as F
 
 import pytest
 
+from diracindex.asymptotics import leading_limit
 from diracindex.cli import main, parse_group
+from diracindex.dirac import evaluate_index
 from diracindex.emit import (
     dumps,
     emit,
@@ -267,6 +269,18 @@ def test_cli_unknown_family_tag(capsys):
             None,
             '{"type": "springer_table", "rows": [{}]}',
         ),
+        (["emit", "--input", "{path}"], None, '{"type":"limit_report"}'),
+        (["emit", "--input", "{path}"], None, '{"type":"virtual_module","terms":5}'),
+        (["emit", "--input", "{path}"], None, '{"type":"index_family"}'),
+        (["emit", "--input", "{path}"], None, '{"suite":1,"cases":2,"all_pass":3}'),
+        (
+            ["emit", "--input", "{path}"],
+            None,
+            '{"type": "limit_report", "d": true, "value": null, "expected": null,'
+            ' "match": false, "underflow": true}',
+        ),
+        (["emit", "--input", "{path}"], None, '{"type": "polynomial", "vars": true, "terms": []}'),
+        (["emit", "--input", "{path}"], None, '{"type": []}'),
     ],
     ids=[
         "missing-file",
@@ -280,6 +294,13 @@ def test_cli_unknown_family_tag(capsys):
         "poly-negative-vars",
         "table-csv-no-rows",
         "table-latex-empty-row",
+        "limit-report-no-fields",
+        "virtual-module-terms-int",
+        "index-family-no-fields",
+        "suite-report-field-types",
+        "limit-report-bool-d",
+        "poly-bool-vars",
+        "type-unhashable",
     ],
 )
 def test_cli_bad_input_exits_2_with_one_error_line(
@@ -296,6 +317,28 @@ def test_cli_bad_input_exits_2_with_one_error_line(
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert captured.err.count("\n") == 1
+
+
+def _tagged_objects():
+    fams = sl2_families()
+    lam = (F(5), F(0))
+    return {
+        "limit_report": leading_limit(fams["D+"], lam, (F(1), F(-1)), 1),
+        "underflow_report": leading_limit(fams["D+"], lam, (F(1), F(-1)), 0),
+        "virtual_module": evaluate_index(fams["F"], lam),
+        "index_family": fams["F"],
+    }
+
+
+@pytest.mark.parametrize(
+    "name", ["limit_report", "underflow_report", "virtual_module", "index_family"]
+)
+def test_cli_emit_reemits_tagged_object_byte_identically(name, tmp_path, capsys):
+    text = emit(_tagged_objects()[name], "json")
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    assert main(["emit", "--input", str(path)]) == 0
+    assert capsys.readouterr().out == text
 
 
 def _pipe(monkeypatch, capsys, first, second):

@@ -2,11 +2,13 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from diracindex.errors import NotDominantIntegral, SingularDirection
+from diracindex.errors import DimensionMismatch, NotDominantIntegral, SingularDirection
 from diracindex.groups import (
     GroupId,
     build_root_datum,
+    normalize_k_dominant,
     weight_add,
     weyl_elements,
 )
@@ -15,11 +17,14 @@ from diracindex.kmodules import (
     WeightMultiset,
     ch_series,
     dim_virtual,
+    frequencies_to_series,
+    k_type_sum,
     tensor_virtual,
     virtual_k_type,
     weight_multiset,
     weyl_orbit,
 )
+from diracindex.series import TruncatedSeries
 from diracindex.weylaction import weyl_dim_value
 
 
@@ -266,3 +271,98 @@ def test_ch_series_linear():
     lhs = ch_series(a + b.scale(3), y, 6)
     rhs = ch_series(a, y, 6) + ch_series(b, y, 6).scale(3)
     assert lhs == rhs
+
+
+def _k_type_by_fold(gamma, datum):
+    """Reference E(gamma), normalized one parameter at a time: the body
+    virtual_k_type had before sums collected in one dict."""
+    if len(gamma) != datum.rank:
+        raise DimensionMismatch("parameter length must equal the rank")
+    if not datum.on_shifted_lattice(gamma):
+        return VirtualKModule.zero(datum)
+    normalized = normalize_k_dominant(datum, gamma)
+    if normalized is None:
+        return VirtualKModule.zero(datum)
+    sign, dom = normalized
+    return VirtualKModule(datum, {dom: sign})
+
+
+def _series_by_exponential_fold(freqs, order):
+    """Reference sum c * e^{rate t}: one truncated exponential per rate."""
+    total = TruncatedSeries.zero(order)
+    for rate, c in freqs.items():
+        total = total + TruncatedSeries.exponential(rate, order).scale(c)
+    return total
+
+
+rates = st.builds(F, st.integers(-12, 12), st.integers(1, 4))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(rates, st.integers(-3, 3)), max_size=10), st.integers(0, 12))
+@example([], 0)
+@example([], 12)
+@example([(F(3, 4), 2), (F(0), 1), (F(3, 4), -2), (F(-1, 2), 3)], 9)
+def test_frequencies_to_series_matches_exponential_fold(pairs, order):
+    freqs = {}
+    for rate, c in pairs:  # repeated rates add up and may cancel to 0
+        freqs[rate] = freqs.get(rate, 0) + c
+    series = frequencies_to_series(freqs, order)
+    assert series == _series_by_exponential_fold(freqs, order)
+    assert series.order == order
+    assert all(type(c) is F for c in series.coeffs)
+
+
+K_SUM_DATA = [
+    build_root_datum(g)
+    for g in (GroupId.su(2, 1), GroupId.sp_r(2), GroupId.so_even_odd(2, 1))
+]
+
+
+@st.composite
+def k_type_terms(draw):
+    """A datum and (gamma, c) pairs with off-lattice, compactly singular and
+    cancelling parameters among them."""
+    datum = draw(st.sampled_from(K_SUM_DATA))
+    rank = datum.rank
+    terms = []
+    for _ in range(draw(st.integers(0, 6))):
+        shift = draw(st.lists(st.integers(-3, 3), min_size=rank, max_size=rank))
+        gamma = weight_add(datum.rho_g, W(*shift))
+        c = draw(st.integers(-3, 3))
+        kind = draw(st.sampled_from(["plain", "off-lattice", "singular", "cancel"]))
+        if kind == "off-lattice":
+            gamma = weight_add(gamma, W(F(1, 2), *[0] * (rank - 1)))
+        elif kind == "singular":
+            alpha = draw(st.sampled_from(datum.compact_positive_roots))
+            support = [k for k, a in enumerate(alpha) if a]
+            coords = list(gamma)
+            if len(support) == 1:
+                coords[support[0]] = F(0)
+            else:
+                i, j = support
+                coords[j] = -alpha[i] * coords[i] / alpha[j]
+            gamma = tuple(coords)
+        elif kind == "cancel":
+            w = draw(st.sampled_from(weyl_elements(datum, "k")))
+            terms.append((w.apply(gamma), -w.sign() * c))
+        terms.append((gamma, c))
+    return datum, terms
+
+
+@settings(max_examples=150, deadline=None)
+@given(k_type_terms())
+def test_k_type_sum_matches_fold(case):
+    datum, terms = case
+    expected = VirtualKModule.zero(datum)
+    for gamma, c in terms:
+        expected = expected + _k_type_by_fold(gamma, datum).scale(c)
+    assert k_type_sum(datum, terms) == expected
+    if len(terms) == 1:
+        assert virtual_k_type(terms[0][0], datum).scale(terms[0][1]) == expected
+
+
+def test_k_type_sum_checks_every_parameter_length():
+    d = build_root_datum(GroupId.su(2, 1))
+    with pytest.raises(DimensionMismatch):
+        k_type_sum(d, [(d.rho_g, 1), (W(1, 0), 0)])

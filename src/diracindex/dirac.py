@@ -33,8 +33,8 @@ from .groups import (
     RootDatum,
     Weight,
     WeylElement,
+    dominate,
     dot,
-    normalize_k_dominant,
     simple_roots,
     weight_add,
     weight_sub,
@@ -226,19 +226,13 @@ def canonical_coeffs(fam: IndexFamily) -> dict[WeylElement, int]:
     """Coefficients folded onto coset representatives making w(base)
     dominant for the compact positive system.  Families that differ only
     by the compact-coset ambiguity fold to the same dictionary."""
-    datum = fam.datum
     out: dict[WeylElement, int] = {}
     for w, a in fam.coeffs.items():
-        gamma = w.apply(fam.base)
-        normalized = normalize_k_dominant(datum, gamma)
-        if normalized is None:
-            # Compactly singular translate: keep the raw representative.
-            out[w] = out.get(w, 0) + a
-            continue
-        sign, dom = normalized
-        u = _k_element_sending(datum, gamma, dom)
-        folded = u.compose(w)
-        out[folded] = out.get(folded, 0) + sign * a
+        x, regular = dominate(fam.datum.compact_blocks, w.apply(fam.base))
+        if regular:
+            w, a = x.compose(w), x.sign() * a
+        # A compactly singular translate keeps its raw representative.
+        out[w] = out.get(w, 0) + a
     return {w: a for w, a in out.items() if a != 0}
 
 
@@ -248,46 +242,3 @@ def families_equivalent(fam: IndexFamily, other: IndexFamily) -> bool:
         return False
     return canonical_coeffs(fam) == canonical_coeffs(other)
 
-
-def _k_element_sending(
-    datum: RootDatum, source: Weight, target: Weight
-) -> WeylElement:
-    """Some u in W_k with u(source) = target, found blockwise by matching
-    sorted coordinates (source is assumed compactly regular)."""
-    rank = datum.rank
-    perm = list(range(rank))
-    signs = [1] * rank
-    for blk in datum.compact_blocks:
-        idx = list(blk.indices)
-        src = [source[i] for i in idx]
-        tgt = [target[i] for i in idx]
-        used = [False] * len(idx)
-        for a, t in enumerate(tgt):
-            found = False
-            for b, s in enumerate(src):
-                if used[b]:
-                    continue
-                if blk.kind == "A" and s == t:
-                    perm[idx[a]], signs[idx[a]], used[b] = idx[b], 1, True
-                    found = True
-                elif blk.kind in ("B", "C", "D") and (s == t or s == -t):
-                    perm[idx[a]] = idx[b]
-                    signs[idx[a]] = 1 if s == t else -1
-                    used[b] = True
-                    found = True
-                if found:
-                    break
-            if not found:
-                raise ValueError("no compact Weyl element maps source to target")
-        if blk.kind == "D":
-            flips = sum(1 for i in idx if signs[i] < 0)
-            if flips % 2 == 1:
-                # Sign flips come in pairs in a D block; absorb the odd one
-                # on a zero coordinate, where it acts trivially.
-                for i in idx:
-                    if source[perm[i]] == 0:
-                        signs[i] = -signs[i]
-                        break
-                else:
-                    raise ValueError("no compact Weyl element maps source to target")
-    return WeylElement(tuple(perm), tuple(signs))

@@ -15,7 +15,11 @@ their compact/noncompact splits:
 * ``SO*(2n)``        -- type D_n; compact part {e_i - e_j} (K = U(n)).
 
 Weyl group elements are signed permutations: all signs +1 in type A, an
-even number of -1 signs in type D.  SU(p,q) weights are *not* quotiented
+even number of -1 signs in type D.  ``dominate(blocks, gamma)`` is the one
+chamber routine: it returns the element x of the blocks' Weyl group with
+x.gamma dominant, found blockwise by sorting, and whether gamma is regular
+for the blocks' roots.  Pass ``datum.compact_blocks`` for W_k and
+``(datum.ambient,)`` for W_g.  SU(p,q) weights are *not* quotiented
 by the trace line; every quantity computed downstream is invariant under
 adding a multiple of (1,...,1), and the SU lattice accordingly contains
 all vectors with pairwise integral coordinate differences.
@@ -463,51 +467,44 @@ def simple_roots(datum: RootDatum) -> tuple[Weight, ...]:
     return tuple(r for r in datum.positive_roots if r not in sums)
 
 
+def dominate(blocks: tuple[Block, ...], gamma: Weight) -> tuple[WeylElement, bool]:
+    """(x, regular): x in the Weyl group of the blocks with x.gamma dominant,
+    and whether gamma is regular for the roots of the blocks.
+
+    Works blockwise.  An A block sorts its coordinates in descending order;
+    B, C and D blocks sort absolute values in descending order and make
+    every sign positive.  Sign flips come in pairs in a D block, so an odd
+    flip count flips the last slot back: a no-op on a zero coordinate,
+    otherwise the last coordinate of x.gamma ends up negative.  gamma is
+    regular when the sort keys are pairwise distinct and, in a B or C
+    block, none is zero; x is then the unique element with x.gamma dominant.
+    """
+    rank = len(gamma)
+    if sum(blk.size for blk in blocks) != rank:
+        raise DimensionMismatch(f"weight length {rank} does not match the blocks")
+    perm = list(range(rank))
+    signs = [1] * rank
+    regular = True
+    for blk in blocks:
+        idx = blk.indices
+        signed = blk.kind != "A"
+        keys = [abs(gamma[i]) if signed else gamma[i] for i in idx]
+        order = sorted(range(blk.size), key=keys.__getitem__, reverse=True)
+        for slot, b in zip(idx, order):
+            perm[slot] = blk.start + b
+            if signed and gamma[perm[slot]] < 0:
+                signs[slot] = -1
+        if blk.kind == "D" and signs[idx.start:idx.stop].count(-1) % 2:
+            signs[idx[-1]] = -signs[idx[-1]]
+        if len(set(keys)) != len(keys) or (blk.kind in ("B", "C") and 0 in keys):
+            regular = False
+    return WeylElement(tuple(perm), tuple(signs)), regular
+
+
 def normalize_k_dominant(
     datum: RootDatum, gamma: Weight
 ) -> tuple[int, Weight] | None:
-    """Unique (sign(x), x.gamma) with x in W_k and x.gamma strictly k-dominant.
-
-    Returns None when gamma is singular for some compact root.  Works
-    blockwise: sort descending for A blocks, sort absolute values (all
-    signs made positive) for B/C blocks, same for D blocks except that
-    sign flips must come in pairs, so an odd flip count either lands on a
-    zero coordinate or leaves the last coordinate negative.
-    """
-    coords = list(gamma)
-    total_sign = 1
-    for blk in datum.compact_blocks:
-        idx = list(blk.indices)
-        vals = [coords[i] for i in idx]
-        if blk.kind == "A":
-            if len(set(vals)) != len(vals):
-                return None
-            order = sorted(range(len(vals)), key=lambda a: vals[a], reverse=True)
-            total_sign *= _perm_parity(tuple(order))
-            new_vals = [vals[a] for a in order]
-        elif blk.kind in ("B", "C"):
-            if any(v == 0 for v in vals):
-                return None
-            flips = sum(1 for v in vals if v < 0)
-            avals = [abs(v) for v in vals]
-            if len(set(avals)) != len(avals):
-                return None
-            order = sorted(range(len(avals)), key=lambda a: avals[a], reverse=True)
-            total_sign *= _perm_parity(tuple(order)) * ((-1) ** flips)
-            new_vals = [avals[a] for a in order]
-        else:  # D
-            zeros = sum(1 for v in vals if v == 0)
-            if zeros >= 2:
-                return None
-            avals = [abs(v) for v in vals]
-            if len(set(avals)) != len(avals):
-                return None
-            flips = sum(1 for v in vals if v < 0)
-            order = sorted(range(len(avals)), key=lambda a: avals[a], reverse=True)
-            total_sign *= _perm_parity(tuple(order))
-            new_vals = [avals[a] for a in order]
-            if flips % 2 == 1 and zeros == 0 and new_vals:
-                new_vals[-1] = -new_vals[-1]
-        for i, v in zip(idx, new_vals):
-            coords[i] = v
-    return total_sign, tuple(coords)
+    """Unique (sign(x), x.gamma) with x in W_k and x.gamma strictly k-dominant;
+    None when gamma is singular for some compact root."""
+    x, regular = dominate(datum.compact_blocks, gamma)
+    return (x.sign(), x.apply(gamma)) if regular else None

@@ -23,12 +23,14 @@ from typing import Iterable, Mapping
 
 from .errors import (
     DimensionMismatch,
+    InternalInvariantError,
     NotDominantIntegral,
     SingularDirection,
 )
 from .groups import (
     RootDatum,
     Weight,
+    dominate,
     dot,
     normalize_k_dominant,
     pairing,
@@ -173,24 +175,9 @@ class WeightMultiset:
 
 
 def _dominant_rep_g(datum: RootDatum, mu: Weight) -> Weight:
-    """Dominant representative of mu under the full Weyl group, blockwise."""
-    blk = datum.ambient
-    vals = list(mu)
-    if blk.kind == "A":
-        vals.sort(reverse=True)
-    elif blk.kind in ("B", "C"):
-        vals = sorted((abs(v) for v in vals), reverse=True)
-    else:  # D: even sign flips
-        negs = sum(1 for v in vals if v < 0)
-        has_zero = any(v == 0 for v in vals)
-        vals = sorted((abs(v) for v in vals), reverse=True)
-        if negs % 2 == 1 and not has_zero:
-            vals[-1] = -vals[-1]
-    return tuple(vals)
-
-
-def _is_g_dominant(datum: RootDatum, mu: Weight) -> bool:
-    return all(dot(mu, a) >= 0 for a in simple_roots(datum))
+    """Dominant representative of mu under the full Weyl group."""
+    x, _ = dominate((datum.ambient,), mu)
+    return x.apply(mu)
 
 
 @lru_cache(maxsize=None)
@@ -200,7 +187,7 @@ def _height_functional(datum: RootDatum) -> Weight:
     simples = simple_roots(datum)
     x = solve_linear(simples, [Fraction(1)] * len(simples))
     if x is None:
-        raise ValueError("simple roots admit no height functional")
+        raise InternalInvariantError("simple roots admit no height functional")
     return tuple(x)
 
 
@@ -229,7 +216,7 @@ def _dominant_character(datum: RootDatum, highest: Weight) -> tuple:
                     nxt.append(child)
         frontier = nxt
 
-    dominants = [mu for mu in seen if _is_g_dominant(datum, mu)]
+    dominants = [mu for mu in seen if _dominant_rep_g(datum, mu) == mu]
     # Order by the height of highest - mu in the simple-root basis; every
     # parameter the recursion consults dominates the one being computed.
     height = _height_functional(datum)
@@ -300,13 +287,13 @@ def weight_multiset(highest: Weight, datum: RootDatum) -> WeightMultiset:
     out: dict[Weight, int] = {}
     for mu, m in dom.items():
         if m.denominator != 1:
-            raise ValueError("non-integral weight multiplicity")
+            raise InternalInvariantError("non-integral weight multiplicity")
         for nu in weyl_orbit(datum, mu):
             out[nu] = int(m)
     total = sum(out.values())
     expected = weyl_dim_value_g(datum, weight_add(highest, datum.rho_g))
     if total != expected:
-        raise ValueError(
+        raise InternalInvariantError(
             f"weight multiset mass {total} disagrees with Weyl dimension {expected}"
         )
     return WeightMultiset(out)

@@ -305,7 +305,7 @@ def sigma_k_partition(group: GroupId) -> Partition:
     sym = symbol_of_bipartition(label, kind)
     partition = partition_of_symbol(sym)
     if partition is None:
-        raise ValueError("symbol merge collided; catalog entry is inconsistent")
+        raise InternalInvariantError("symbol merge collided; catalog entry is inconsistent")
     return partition
 
 
@@ -338,14 +338,14 @@ def springer_row(group: GroupId) -> SpringerRow:
     dimension, with the structural consistency checks along the way."""
     datum = build_root_datum(group, max_rank=max(8, group.rank))
     if len(generator_forms(datum)) != datum.r_k:
-        raise ValueError("generator degree must equal the number of compact roots")
+        raise InternalInvariantError("generator degree must equal the number of compact roots")
     label = sigma_k_bipartition(group)
     kind, total = ambient_algebra(group)
     partition = sigma_k_partition(group)
     ok = valid_nilpotent(partition, kind, total)
     dim = orbit_dim(partition, kind, total) if ok else None
     if ok and dim != 2 * (datum.r_g - datum.r_k):
-        raise ValueError(
+        raise InternalInvariantError(
             f"orbit dimension {dim} disagrees with 2(r_g - r_k) for {group.label()}"
         )
     return SpringerRow(

@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
-from .errors import IndexOutOfRange, NotInC
+from .errors import IndexOutOfRange, InternalInvariantError, NotInC
 from .groups import GroupId, RootDatum, Weight, build_root_datum
 from .polynomials import (
     LinearForm,
@@ -113,7 +113,7 @@ def index_poly_restricted(n: int) -> MultiPoly:
     terms = {}
     for exp, c in full.terms.items():
         if exp[n] != 0:
-            raise ValueError("index polynomial unexpectedly involves lam_{n+1}")
+            raise InternalInvariantError("index polynomial unexpectedly involves lam_{n+1}")
         terms[exp[:n]] = c
     return MultiPoly(n, terms)
 

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from diracindex.dirac import (
     IndexFamily,
@@ -375,3 +376,98 @@ def test_family_action_identity_su21_all_weyl():
                 assert evaluate_index(moved, lam) == evaluate_index(
                     fam, winv.apply(lam)
                 )
+
+
+def _k_dominant_by_scan(datum, gamma):
+    """(sign(x), x.gamma) for the x in W_k making gamma strictly dominant."""
+    for x in weyl_elements(datum, "k"):
+        image = x.apply(gamma)
+        if datum.is_k_dominant_regular(image):
+            return x.sign(), image
+    return None
+
+
+def _k_element_sending(datum, source, target):
+    """Some u in W_k with u(source) = target, found blockwise by matching
+    sorted coordinates (source is assumed compactly regular): the matcher
+    canonical_coeffs used before groups.dominate returned the element."""
+    rank = datum.rank
+    perm = list(range(rank))
+    signs = [1] * rank
+    for blk in datum.compact_blocks:
+        idx = list(blk.indices)
+        src = [source[i] for i in idx]
+        tgt = [target[i] for i in idx]
+        used = [False] * len(idx)
+        for a, t in enumerate(tgt):
+            found = False
+            for b, s in enumerate(src):
+                if used[b]:
+                    continue
+                if blk.kind == "A" and s == t:
+                    perm[idx[a]], signs[idx[a]], used[b] = idx[b], 1, True
+                    found = True
+                elif blk.kind in ("B", "C", "D") and (s == t or s == -t):
+                    perm[idx[a]] = idx[b]
+                    signs[idx[a]] = 1 if s == t else -1
+                    used[b] = True
+                    found = True
+                if found:
+                    break
+            if not found:
+                raise ValueError("no compact Weyl element maps source to target")
+        if blk.kind == "D":
+            flips = sum(1 for i in idx if signs[i] < 0)
+            if flips % 2 == 1:
+                # Sign flips come in pairs in a D block; absorb the odd one
+                # on a zero coordinate, where it acts trivially.
+                for i in idx:
+                    if source[perm[i]] == 0:
+                        signs[i] = -signs[i]
+                        break
+                else:
+                    raise ValueError("no compact Weyl element maps source to target")
+    return WeylElement(tuple(perm), tuple(signs))
+
+
+def _canonical_coeffs_by_matching(fam):
+    """Reference canonical_coeffs: the dominant image by a scan of W_k and
+    the element reaching it by coordinate matching."""
+    out = {}
+    for w, a in fam.coeffs.items():
+        gamma = w.apply(fam.base)
+        normalized = _k_dominant_by_scan(fam.datum, gamma)
+        if normalized is None:
+            out[w] = out.get(w, 0) + a
+            continue
+        sign, dom = normalized
+        folded = _k_element_sending(fam.datum, gamma, dom).compose(w)
+        out[folded] = out.get(folded, 0) + sign * a
+    return {w: a for w, a in out.items() if a != 0}
+
+
+@st.composite
+def zero_coordinate_families(draw):
+    """Families on SOe(4,3), SOe(4,4) and Sp(1,2); the base often has a zero
+    in the first compact block (a D block for the two orthogonal groups)."""
+    group = draw(st.sampled_from(
+        [GroupId.so_even_odd(2, 1), GroupId.so_even_even(2, 2), GroupId.sp_pq(1, 2)]
+    ))
+    datum = build_root_datum(group)
+    den = draw(st.sampled_from((1, 2)))
+    nums = draw(st.lists(st.integers(-5, 5), min_size=group.rank, max_size=group.rank))
+    if draw(st.booleans()):
+        nums[draw(st.integers(0, group.p - 1))] = 0
+    elements = weyl_elements(datum, "g")
+    coeffs = {}
+    for i, a in draw(st.lists(
+        st.tuples(st.integers(0, len(elements) - 1), st.integers(-3, 3)), max_size=8
+    )):
+        coeffs[elements[i]] = coeffs.get(elements[i], 0) + a
+    return IndexFamily(datum, tuple(F(n, den) for n in nums), coeffs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(zero_coordinate_families())
+def test_canonical_coeffs_matches_coordinate_matching(fam):
+    assert canonical_coeffs(fam) == _canonical_coeffs_by_matching(fam)

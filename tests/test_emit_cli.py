@@ -377,3 +377,12 @@ def test_cli_internal_invariant_exits_3(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "internal error: self-check failed\n"
+
+
+def test_cli_failed_weight_multiset_check_exits_3(monkeypatch, capsys):
+    monkeypatch.setattr("diracindex.kmodules.weyl_dim_value_g", lambda datum, gamma: 0)
+    assert main(["verify", "--suite", "translation"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal error: weight multiset mass ")
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")

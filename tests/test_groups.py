@@ -1,6 +1,7 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from diracindex.errors import (
     DimensionMismatch,
@@ -13,6 +14,8 @@ from diracindex.groups import (
     GroupId,
     WeylElement,
     build_root_datum,
+    dominate,
+    dot,
     normalize_k_dominant,
     pairing,
     reflection,
@@ -192,3 +195,64 @@ def test_normalize_k_dominant_matches_brute_force(group):
             assert fast is None
         else:
             assert fast == brute
+
+
+def test_normalize_k_dominant_rejects_wrong_length():
+    d = build_root_datum(GroupId.sp_r(2))
+    for gamma in [(F(1),), (F(2), F(1), F(5))]:
+        with pytest.raises(DimensionMismatch):
+            normalize_k_dominant(d, gamma)
+        with pytest.raises(DimensionMismatch):
+            dominate(d.compact_blocks, gamma)
+        with pytest.raises(DimensionMismatch):
+            dominate((d.ambient,), gamma)
+
+
+# Every family, with size-one D blocks (SOe(2,4), SOe(2,3)), an empty B
+# block (SOe(4,1)) and D blocks of size two and three.
+CHAMBER_GROUPS = [
+    GroupId.su(2, 1),
+    GroupId.su(2, 2),
+    GroupId.so_even_odd(1, 1),
+    GroupId.so_even_odd(2, 0),
+    GroupId.so_even_odd(2, 1),
+    GroupId.so_even_odd(3, 1),
+    GroupId.sp_r(3),
+    GroupId.sp_pq(1, 2),
+    GroupId.sp_pq(2, 1),
+    GroupId.so_even_even(1, 2),
+    GroupId.so_even_even(2, 2),
+    GroupId.so_star(3),
+    GroupId.so_star(4),
+]
+
+
+@st.composite
+def chamber_cases(draw):
+    group = draw(st.sampled_from(CHAMBER_GROUPS))
+    which = draw(st.sampled_from(("g", "k")))
+    den = draw(st.sampled_from((1, 2)))
+    nums = draw(st.lists(st.integers(-4, 4), min_size=group.rank, max_size=group.rank))
+    return build_root_datum(group), which, tuple(F(n, den) for n in nums)
+
+
+@settings(max_examples=400, deadline=None)
+@given(chamber_cases())
+def test_dominate_matches_weyl_scan(case):
+    """Oracle: scan the whole Weyl group of the blocks."""
+    d, which, gamma = case
+    blocks = (d.ambient,) if which == "g" else d.compact_blocks
+    roots = d.positive_roots if which == "g" else d.compact_positive_roots
+    elements = weyl_elements(d, which)
+    x, regular = dominate(blocks, gamma)
+    assert x in set(elements)
+    image = x.apply(gamma)
+    assert all(dot(image, alpha) >= 0 for alpha in roots)
+    assert regular == all(dot(gamma, alpha) != 0 for alpha in roots)
+    if regular:
+        strict = [w for w in elements
+                  if all(dot(w.apply(gamma), alpha) > 0 for alpha in roots)]
+        assert strict == [x]
+    if which == "k":
+        expected = (x.sign(), image) if regular else None
+        assert normalize_k_dominant(d, gamma) == expected

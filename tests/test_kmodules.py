@@ -4,7 +4,12 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from diracindex.errors import DimensionMismatch, NotDominantIntegral, SingularDirection
+from diracindex.errors import (
+    DimensionMismatch,
+    InternalInvariantError,
+    NotDominantIntegral,
+    SingularDirection,
+)
 from diracindex.groups import (
     GroupId,
     build_root_datum,
@@ -14,6 +19,7 @@ from diracindex.groups import (
 )
 from diracindex.kmodules import (
     VirtualKModule,
+    _height_functional,
     WeightMultiset,
     ch_series,
     dim_virtual,
@@ -366,3 +372,24 @@ def test_k_type_sum_checks_every_parameter_length():
     d = build_root_datum(GroupId.su(2, 1))
     with pytest.raises(DimensionMismatch):
         k_type_sum(d, [(d.rho_g, 1), (W(1, 0), 0)])
+
+
+def test_weight_multiset_non_integral_multiplicity_is_internal(monkeypatch):
+    monkeypatch.setattr(
+        "diracindex.kmodules._dominant_character",
+        lambda datum, highest: ((highest, F(1, 2)),),
+    )
+    with pytest.raises(InternalInvariantError, match="non-integral"):
+        weight_multiset(W(1, 0, 0), build_root_datum(GroupId.su(2, 1)))
+
+
+def test_weight_multiset_mass_mismatch_is_internal(monkeypatch):
+    monkeypatch.setattr("diracindex.kmodules.weyl_dim_value_g", lambda datum, gamma: 0)
+    with pytest.raises(InternalInvariantError, match="Weyl dimension"):
+        weight_multiset(W(1, 0, 0), build_root_datum(GroupId.su(2, 1)))
+
+
+def test_height_functional_without_solution_is_internal(monkeypatch):
+    monkeypatch.setattr("diracindex.kmodules.solve_linear", lambda rows, rhs: None)
+    with pytest.raises(InternalInvariantError, match="height functional"):
+        _height_functional.__wrapped__(build_root_datum(GroupId.sp_r(2)))

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from diracindex.errors import InvalidPartition
+from diracindex.errors import InternalInvariantError, InvalidPartition
 from diracindex.fixtures import reference_table_row
 from diracindex.groups import GroupId, build_root_datum, weyl_elements
 from diracindex.springer import (
@@ -352,3 +352,21 @@ def test_symbol_partition_roundtrip_on_valid_partitions(p, kind):
     # and the bipartition read off the symbol rebuilds an equivalent symbol
     bp = bipartition_of_symbol(sym)
     assert symbols_equivalent(symbol_of_bipartition(bp, kind), sym)
+
+
+def test_springer_row_generator_degree_is_internal(monkeypatch):
+    monkeypatch.setattr("diracindex.springer.generator_forms", lambda datum: [])
+    with pytest.raises(InternalInvariantError, match="generator degree"):
+        springer_row.__wrapped__(GroupId.sp_r(2))
+
+
+def test_springer_row_orbit_dimension_is_internal(monkeypatch):
+    monkeypatch.setattr("diracindex.springer.orbit_dim", lambda partition, kind, total: -1)
+    with pytest.raises(InternalInvariantError, match="orbit dimension"):
+        springer_row.__wrapped__(GroupId.sp_r(2))
+
+
+def test_sigma_k_partition_symbol_collision_is_internal(monkeypatch):
+    monkeypatch.setattr("diracindex.springer.partition_of_symbol", lambda sym: None)
+    with pytest.raises(InternalInvariantError, match="symbol merge collided"):
+        sigma_k_partition(GroupId.sp_r(2))

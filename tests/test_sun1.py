@@ -3,7 +3,7 @@ from math import comb
 
 import pytest
 
-from diracindex.errors import IndexOutOfRange, NotInC
+from diracindex.errors import IndexOutOfRange, InternalInvariantError, NotInC
 from diracindex.polynomials import (
     MultiPoly,
     divides_linear_form,
@@ -222,3 +222,11 @@ def test_degree_report_consistent_with_gk_dimension():
         assert fam.gk_dim == 2 * n - 1
         r_g = comb(n + 1, 2)
         assert degree_report(n, 2)["deg_P"] == r_g - fam.gk_dim
+
+
+def test_index_poly_restricted_with_last_variable_is_internal(monkeypatch):
+    monkeypatch.setattr(
+        "diracindex.sun1.weyl_dim_poly", lambda datum: MultiPoly(3, {(0, 0, 1): F(1)})
+    )
+    with pytest.raises(InternalInvariantError, match="lam_"):
+        index_poly_restricted.__wrapped__(2)

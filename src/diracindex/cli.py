@@ -75,7 +75,10 @@ def parse_group(text: str) -> GroupId:
 
 
 def parse_weight(text: str) -> tuple[Fraction, ...]:
-    return tuple(Fraction(part) for part in text.split(","))
+    try:
+        return tuple(Fraction(part) for part in text.split(","))
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"not comma-separated rationals: {text!r}") from None
 
 
 def _rank_cap() -> int:

@@ -35,7 +35,6 @@ from .groups import (
     WeylElement,
     dominate,
     dot,
-    simple_roots,
     weight_add,
     weight_sub,
 )
@@ -48,7 +47,6 @@ from .kmodules import (
     weight_multiset,
 )
 from .polynomials import Exponent, MultiPoly
-from .ratlinalg import solve_linear
 from .series import TruncatedSeries
 from .weylaction import act, weyl_dim_poly
 
@@ -201,14 +199,18 @@ def verify_translation(
 
 
 def is_integral_weyl(w: WeylElement, base: Weight, datum: RootDatum) -> bool:
-    """True iff base - w(base) is an integer combination of roots."""
+    """True iff base - w(base) is an integer combination of roots: integral
+    coordinates summing to 0 (type A), any integral vector (B), or integral
+    coordinates with an even sum (C, D; only 0 for the rootless D_1)."""
     diff = weight_sub(base, w.apply(base))
-    simples = simple_roots(datum)
-    rows = [[alpha[i] for alpha in simples] for i in range(datum.rank)]
-    sol = solve_linear(rows, list(diff))
-    if sol is None:
+    kind = datum.ambient.kind
+    if any(c.denominator != 1 for c in diff):
         return False
-    return all(c.denominator == 1 for c in sol)
+    if kind == "D" and datum.rank == 1:
+        return not any(diff)
+    if kind == "A":
+        return sum(diff) == 0
+    return kind == "B" or sum(diff) % 2 == 0
 
 
 def act_on_family(

@@ -21,6 +21,7 @@ from .dirac import IndexFamily, discrete_series_family
 from .errors import IndexOutOfRange
 from .groups import Family, GroupId, RootDatum, Weight, WeylElement, build_root_datum
 from .springer import Partition
+from .sun1 import su_n1_datum
 
 
 def sl2_datum() -> RootDatum:
@@ -112,7 +113,7 @@ def su_n1_chamber_base(n: int, i: int) -> Weight:
 def su_n1_ds_family(n: int, i: int, name: str | None = None) -> IndexFamily:
     if not 0 <= i <= n:
         raise IndexOutOfRange(f"chamber index {i} out of range for SU({n},1)")
-    datum = build_root_datum(GroupId.su(n, 1), max_rank=max(8, n + 1))
+    datum = su_n1_datum(n)
     base = su_n1_chamber_base(n, i)
     label = name if name is not None else f"SU({n},1) DS chamber {i}"
     return discrete_series_family(base, datum, gk_dim=2 * n - 1, name=label)

@@ -8,6 +8,9 @@ the compact positive system; a W_k-translate contributes with the sign of
 the translating element; compactly singular or off-lattice parameters
 contribute zero.  The allowed parameters form the coset Lambda + rho_g.
 
+Freudenthal's recursion visits only the dominant weights, found by
+positive-root steps that stay dominant, in descending order of |mu + rho|^2.
+
 Sums collect in one dict: k_type_sum normalizes every (gamma, c) pair into
 one dictionary and validates the module once, and frequencies_to_series
 builds every sum of exponentials from running integer power sums.
@@ -40,7 +43,6 @@ from .groups import (
     weight_sub,
     weyl_elements,
 )
-from .ratlinalg import solve_linear
 from .series import TruncatedSeries
 from .weylaction import weyl_dim_value, weyl_dim_value_g
 
@@ -181,46 +183,31 @@ def _dominant_rep_g(datum: RootDatum, mu: Weight) -> Weight:
 
 
 @lru_cache(maxsize=None)
-def _height_functional(datum: RootDatum) -> Weight:
-    """Vector x with <alpha_i, x> = 1 for every simple root alpha_i, so that
-    dot(beta, x) is the coefficient sum of beta in the simple-root basis."""
-    simples = simple_roots(datum)
-    x = solve_linear(simples, [Fraction(1)] * len(simples))
-    if x is None:
-        raise InternalInvariantError("simple roots admit no height functional")
-    return tuple(x)
-
-
-@lru_cache(maxsize=None)
 def _dominant_character(datum: RootDatum, highest: Weight) -> tuple:
     """Freudenthal multiplicities at the dominant weights of V(highest)."""
     rho = datum.rho_g
     pos = datum.positive_roots
-    simples = simple_roots(datum)
     top_norm = dot(weight_add(highest, rho), weight_add(highest, rho))
 
-    # BFS over the weight diagram by simple-root steps; the norm bound
-    # |mu + rho|^2 <= |highest + rho|^2 holds for every weight of V.
+    # Each dominant weight of V below highest is a positive root below another
+    # (Stembridge, "The partial order of dominant weights", Adv. Math. 1998),
+    # so positive-root steps that stay dominant find them all.
     seen = {highest}
     frontier = [highest]
     while frontier:
         nxt = []
         for mu in frontier:
-            for alpha in simples:
+            for alpha in pos:
                 child = weight_sub(mu, alpha)
-                if child in seen:
-                    continue
-                cr = weight_add(child, rho)
-                if dot(cr, cr) <= top_norm:
+                if child not in seen and _dominant_rep_g(datum, child) == child:
                     seen.add(child)
                     nxt.append(child)
         frontier = nxt
 
-    dominants = [mu for mu in seen if _dominant_rep_g(datum, mu) == mu]
-    # Order by the height of highest - mu in the simple-root basis; every
-    # parameter the recursion consults dominates the one being computed.
-    height = _height_functional(datum)
-    dominants.sort(key=lambda mu: dot(weight_sub(highest, mu), height))
+    # For alpha > 0 and k >= 1, mu + k alpha and its dominant representative
+    # have larger |. + rho|^2 than mu, so descending order computes them first.
+    dominants = sorted(seen, reverse=True,
+                       key=lambda mu: dot(weight_add(mu, rho), weight_add(mu, rho)))
 
     mult: dict[Weight, Fraction] = {}
 

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from diracindex.dirac import (
     IndexFamily,
@@ -27,6 +27,7 @@ from diracindex.groups import (
     WeylElement,
     build_root_datum,
     dot,
+    simple_roots,
     weight_add,
     weight_sub,
     weyl_elements,
@@ -41,6 +42,7 @@ from diracindex.kmodules import (
 from diracindex.polynomials import MultiPoly, is_harmonic
 from diracindex.series import TruncatedSeries
 from diracindex.weylaction import act, orbit_span, weyl_dim_poly
+from test_kmodules import _solve_linear
 
 
 def W(*coords):
@@ -471,3 +473,54 @@ def zero_coordinate_families(draw):
 @given(zero_coordinate_families())
 def test_canonical_coeffs_matches_coordinate_matching(fam):
     assert canonical_coeffs(fam) == _canonical_coeffs_by_matching(fam)
+
+
+def _integral_by_solver(w, base, datum):
+    """Reference root-lattice test: solve for base - w(base) over the simple
+    roots and ask for integral coefficients."""
+    diff = weight_sub(base, w.apply(base))
+    simples = simple_roots(datum)
+    rows = [[alpha[i] for alpha in simples] for i in range(datum.rank)]
+    sol = _solve_linear(rows, list(diff))
+    return sol is not None and all(c.denominator == 1 for c in sol)
+
+
+LATTICE_DATA = [
+    build_root_datum(g)
+    for g in (
+        GroupId.su(1, 1), GroupId.su(2, 1), GroupId.su(2, 2),
+        GroupId.so_even_odd(1, 0), GroupId.so_even_odd(2, 1),
+        GroupId.sp_r(1), GroupId.sp_r(3), GroupId.sp_pq(1, 2),
+        GroupId.so_even_even(1, 1), GroupId.so_even_even(2, 2),
+        GroupId.so_star(1), GroupId.so_star(3),
+    )
+]
+
+
+@st.composite
+def signed_permutations_and_bases(draw):
+    """A datum, any signed permutation of its rank (W_g or not) and a base
+    with denominators up to 4."""
+    datum = draw(st.sampled_from(LATTICE_DATA))
+    rank = datum.rank
+    perm = tuple(draw(st.permutations(range(rank))))
+    signs = tuple(draw(st.lists(st.sampled_from((1, -1)), min_size=rank, max_size=rank)))
+    den = draw(st.sampled_from((1, 1, 2, 3, 4)))
+    nums = draw(st.lists(st.integers(-8, 8), min_size=rank, max_size=rank))
+    return WeylElement(perm, signs), tuple(F(n, den) for n in nums), datum
+
+
+SO_STAR_2 = build_root_datum(GroupId.so_star(1))
+
+
+@settings(max_examples=400, deadline=None)
+@given(signed_permutations_and_bases())
+@example((WeylElement((0,), (-1,)), W(F(1, 2)), SO_STAR_2))
+@example((WeylElement((0,), (-1,)), W(1), SO_STAR_2))
+@example((WeylElement((0,), (-1,)), W(0), SO_STAR_2))
+@example((WeylElement((0, 1), (-1, 1)), W(F(1, 2), 0), build_root_datum(GroupId.sp_r(2))))
+@example((WeylElement((0, 1), (-1, 1)), W(1, 0), build_root_datum(GroupId.so_even_odd(1, 1))))
+@example((WeylElement((1, 0, 2), (1, 1, -1)), W(2, 1, 1), build_root_datum(GroupId.su(2, 1))))
+def test_is_integral_weyl_matches_solver(case):
+    w, base, datum = case
+    assert is_integral_weyl(w, base, datum) == _integral_by_solver(w, base, datum)

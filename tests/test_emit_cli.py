@@ -186,6 +186,15 @@ def test_cli_usage_error_exit_2():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("text", ["1/0,1", "a,1", "1,,2"])
+def test_cli_bad_hc_param_is_usage_error(text, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["index-poly", "--group", "Sp(4,R)", "--hc-param", text])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--hc-param" in err and "Traceback" not in err
+
+
 def test_cli_chamber_on_wrong_group_errors(capsys):
     code = main(["index-poly", "--group", "Sp(4,R)", "--chamber", "0"])
     assert code == 2

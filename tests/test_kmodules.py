@@ -2,7 +2,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from diracindex.errors import (
     DimensionMismatch,
@@ -13,13 +13,18 @@ from diracindex.errors import (
 from diracindex.groups import (
     GroupId,
     build_root_datum,
+    dot,
     normalize_k_dominant,
+    pairing,
+    simple_roots,
     weight_add,
+    weight_sub,
     weyl_elements,
 )
 from diracindex.kmodules import (
     VirtualKModule,
-    _height_functional,
+    _dominant_character,
+    _dominant_rep_g,
     WeightMultiset,
     ch_series,
     dim_virtual,
@@ -389,7 +394,143 @@ def test_weight_multiset_mass_mismatch_is_internal(monkeypatch):
         weight_multiset(W(1, 0, 0), build_root_datum(GroupId.su(2, 1)))
 
 
-def test_height_functional_without_solution_is_internal(monkeypatch):
-    monkeypatch.setattr("diracindex.kmodules.solve_linear", lambda rows, rhs: None)
-    with pytest.raises(InternalInvariantError, match="height functional"):
-        _height_functional.__wrapped__(build_root_datum(GroupId.sp_r(2)))
+def _solve_linear(rows, rhs):
+    """Reference exact solver: one solution x of rows x = rhs with free
+    variables set to zero, or None if the system is inconsistent."""
+    m = len(rows)
+    if m == 0:
+        return []
+    n = len(rows[0])
+    a = [[F(v) for v in row] + [F(rhs[i])] for i, row in enumerate(rows)]
+    pivots = []
+    row = 0
+    for col in range(n):
+        sel = next((r for r in range(row, m) if a[r][col] != 0), None)
+        if sel is None:
+            continue
+        a[row], a[sel] = a[sel], a[row]
+        pv = a[row][col]
+        a[row] = [v / pv for v in a[row]]
+        for r in range(m):
+            if r != row and a[r][col] != 0:
+                f = a[r][col]
+                a[r] = [v - f * w for v, w in zip(a[r], a[row])]
+        pivots.append((row, col))
+        row += 1
+        if row == m:
+            break
+    if any(a[r][n] != 0 for r in range(row, m)):
+        return None
+    x = [F(0)] * n
+    for r, c in pivots:
+        x[c] = a[r][n]
+    return x
+
+
+def _dominant_character_by_norm_ball(datum, highest):
+    """Reference Freudenthal multiplicities: every lattice point of the ball
+    |mu + rho|^2 <= |highest + rho|^2 reached by simple-root steps, filtered
+    to the dominant ones and ordered by height in the simple-root basis."""
+    rho = datum.rho_g
+    pos = datum.positive_roots
+    simples = simple_roots(datum)
+    top_norm = dot(weight_add(highest, rho), weight_add(highest, rho))
+    seen = {highest}
+    frontier = [highest]
+    while frontier:
+        nxt = []
+        for mu in frontier:
+            for alpha in simples:
+                child = weight_sub(mu, alpha)
+                if child in seen:
+                    continue
+                cr = weight_add(child, rho)
+                if dot(cr, cr) <= top_norm:
+                    seen.add(child)
+                    nxt.append(child)
+        frontier = nxt
+    dominants = [mu for mu in seen if _dominant_rep_g(datum, mu) == mu]
+    height = tuple(_solve_linear(simples, [F(1)] * len(simples)))
+    dominants.sort(key=lambda mu: dot(weight_sub(highest, mu), height))
+    mult = {}
+    for mu in dominants:
+        if mu == highest:
+            mult[mu] = F(1)
+            continue
+        mu_rho = weight_add(mu, rho)
+        denom = top_norm - dot(mu_rho, mu_rho)
+        acc = F(0)
+        for alpha in pos:
+            norm2 = dot(alpha, alpha)
+            k = 1
+            while True:
+                nu = weight_add(mu, tuple(k * a for a in alpha))
+                nr = weight_add(nu, rho)
+                if dot(nr, nr) > top_norm:
+                    if k * norm2 > -dot(mu_rho, alpha):
+                        break
+                else:
+                    m = mult.get(_dominant_rep_g(datum, nu), F(0))
+                    if m:
+                        acc += m * dot(nu, alpha)
+                k += 1
+        value = 2 * acc / denom
+        if value:
+            mult[mu] = value
+    return tuple(sorted(mult.items()))
+
+
+# The recursion sees only the ambient block, so Sp(p,q) stops at rank 3:
+# Sp(8,R) covers C_4, where each reference call takes about a second.
+# SO*(2) is left out: its D_1 block has no roots, and the reference height
+# functional is then an empty vector that fails to pair with any weight.
+FREUDENTHAL_GROUPS = [
+    GroupId.su(1, 1), GroupId.su(2, 1), GroupId.su(2, 2), GroupId.su(3, 1),
+    GroupId.so_even_odd(1, 0), GroupId.so_even_odd(1, 1), GroupId.so_even_odd(2, 1),
+    GroupId.so_even_odd(2, 2),
+    GroupId.sp_r(1), GroupId.sp_r(2), GroupId.sp_r(3), GroupId.sp_r(4),
+    GroupId.sp_pq(1, 1), GroupId.sp_pq(2, 1),
+    GroupId.so_even_even(1, 1), GroupId.so_even_even(2, 1), GroupId.so_even_even(2, 2),
+    GroupId.so_star(2), GroupId.so_star(3), GroupId.so_star(4),
+]
+
+
+@st.composite
+def dominant_integral_weights(draw):
+    """A datum of rank <= 4 and a dominant-integral highest weight, with
+    integral or (outside type C) half-integral coordinates."""
+    datum = build_root_datum(draw(st.sampled_from(FREUDENTHAL_GROUPS)))
+    half = datum.ambient.kind != "C" and draw(st.booleans())
+    top = 5 - datum.rank  # keeps the reference's norm ball small in rank 4
+    coords = draw(st.lists(st.integers(-top, top), min_size=datum.rank, max_size=datum.rank))
+    highest = _dominant_rep_g(datum, W(*(c + F(1, 2) * half for c in coords)))
+    for alpha in datum.positive_roots:
+        p = pairing(highest, alpha)
+        assume(p >= 0 and p.denominator == 1)
+    return datum, highest
+
+
+@settings(max_examples=40, deadline=None)
+@given(dominant_integral_weights())
+@example((build_root_datum(GroupId.sp_r(3)), W(2, 1, 0)))
+@example((build_root_datum(GroupId.so_even_odd(2, 1)), W(F(3, 2), F(1, 2), F(1, 2))))
+@example((build_root_datum(GroupId.so_even_even(2, 2)), W(F(3, 2), F(1, 2), F(1, 2), F(-1, 2))))
+@example((build_root_datum(GroupId.su(2, 2)), W(1, 1, -1, -1)))
+def test_dominant_character_matches_norm_ball(case):
+    datum, highest = case
+    expected = _dominant_character_by_norm_ball(datum, highest)
+    assert _dominant_character.__wrapped__(datum, highest) == expected
+
+
+def test_weight_multiset_sp10_standard():
+    d = build_root_datum(GroupId.sp_r(5))
+    unit = [W(*(int(i == j) for j in range(5))) for i in range(5)]
+    expected = {u: 1 for u in unit} | {tuple(-c for c in u): 1 for u in unit}
+    assert weight_multiset(W(1, 0, 0, 0, 0), d).mults == expected
+
+
+def test_weight_multiset_rootless_d1():
+    # SO*(2): no roots, so every weight is dominant integral and alone.
+    d = build_root_datum(GroupId.so_star(1))
+    assert weight_multiset(W(F(1, 2)), d).mults == {W(F(1, 2)): 1}
+    assert weight_multiset(W(-3), d).mults == {W(-3): 1}

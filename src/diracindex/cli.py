@@ -1,11 +1,13 @@
 """Command-line front end.
 
-Exit codes: 0 success / all cases pass, 1 verification failure,
+Exit codes: 0 success / all cases pass, 1 verification failure (a
+failed suite case, or a ClaimMismatch printed as one `error:` line),
 2 usage error (an argparse error, or a DiracIndexError printed as one
 `error:` line), 3 internal error (an InternalInvariantError, printed as
 one `internal error:` line; a bug in the package, please report it).
 Only long option names exist.  The environment variable DIRAC_MAX_RANK
-overrides the rank cap.
+overrides the rank cap, which also bounds the `--n` of `char-poly` and
+`gcd`.
 """
 
 from __future__ import annotations
@@ -28,7 +30,13 @@ from .emit import (
     springer_table_csv,
     springer_table_latex,
 )
-from .errors import DiracIndexError, InternalInvariantError, InvalidInput, RankCapExceeded
+from .errors import (
+    ClaimMismatch,
+    DiracIndexError,
+    InternalInvariantError,
+    InvalidInput,
+    RankCapExceeded,
+)
 from .fixtures import su_n1_ds_family
 from .groups import DEFAULT_RANK_CAP, Family, GroupId, build_root_datum
 from .springer import springer_table
@@ -91,6 +99,16 @@ def _rank_cap() -> int:
         raise InvalidInput(f"DIRAC_MAX_RANK must be an integer, got {value!r}") from None
 
 
+def _capped_rank(label: str, rank: int) -> int:
+    """The rank cap, after checking that rank (named by label) is within it."""
+    cap = _rank_cap()
+    if rank > cap:
+        raise RankCapExceeded(
+            f"{label} {rank} exceeds the cap {cap}; set DIRAC_MAX_RANK to raise it"
+        )
+    return cap
+
+
 def _cmd_springer_table(args) -> int:
     families = None
     if args.families != "all":
@@ -105,12 +123,8 @@ def _cmd_springer_table(args) -> int:
 
 
 def _cmd_index_poly(args) -> int:
-    cap = _rank_cap()
     group = args.group
-    if group.rank > cap:
-        raise RankCapExceeded(
-            f"rank {group.rank} exceeds the cap {cap}; set DIRAC_MAX_RANK to raise it"
-        )
+    cap = _capped_rank("rank", group.rank)
     if args.chamber is not None:
         if group.family != Family.SU or group.q != 1:
             raise DiracIndexError("--chamber applies to SU(n,1) groups only")
@@ -125,6 +139,8 @@ def _cmd_index_poly(args) -> int:
 
 
 def _cmd_char_poly(args) -> int:
+    # The determinant has up to i(n-i)(n-2)! terms; refuse before expanding.
+    _capped_rank("--n", args.n)
     poly = char_poly_det(args.n, args.i)
     obj = {"type": "polynomial", **poly_to_obj(poly)}
     if args.factor:
@@ -138,6 +154,7 @@ def _cmd_char_poly(args) -> int:
 
 
 def _cmd_gcd(args) -> int:
+    _capped_rank("--n", args.n)
     sys.stdout.write(emit(gcd_with_index(args.n, args.i), "json"))
     return 0
 
@@ -261,6 +278,9 @@ def main(argv: list[str] | None = None) -> int:
     except DiracIndexError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ClaimMismatch as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except InternalInvariantError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3

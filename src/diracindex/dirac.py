@@ -142,9 +142,15 @@ class IndexFamily:
 def discrete_series_family(
     lam0: Weight, datum: RootDatum, gk_dim: int | None = None, name: str = ""
 ) -> IndexFamily:
-    """The index family through a discrete series at regular parameter lam0."""
+    """The index family through a discrete series at regular parameter lam0,
+    which must lie on the shifted lattice Lambda + rho_g."""
+    if len(lam0) != datum.rank:
+        raise DimensionMismatch("parameter length must equal the rank")
+    text = "(" + ",".join(str(Fraction(c)) for c in lam0) + ")"
+    if not datum.on_shifted_lattice(lam0):
+        raise OffLattice(f"{text} is not on the shifted lattice Lambda + rho_g")
     if not datum.is_g_regular(lam0):
-        raise SingularParameter(f"{lam0} is singular")
+        raise SingularParameter(f"{text} is singular")
     eps = chamber_sign(lam0, datum)
     e = WeylElement.identity(datum.rank)
     return IndexFamily(datum, lam0, {e: eps}, gk_dim=gk_dim, name=name)

@@ -2,7 +2,9 @@
 
 Every error a caller can provoke derives from DiracIndexError.  A failed
 self-check of the package raises InternalInvariantError instead, which is
-a bug rather than a bad input and so is not a DiracIndexError.
+a bug rather than a bad input and so is not a DiracIndexError.  A paper
+claim that the computation does not confirm raises ClaimMismatch, a
+verification failure that is neither.
 """
 
 
@@ -12,6 +14,10 @@ class DiracIndexError(Exception):
 
 class InternalInvariantError(Exception):
     """An internal consistency check failed."""
+
+
+class ClaimMismatch(ValueError):
+    """A computed result disagrees with the closed form the paper claims."""
 
 
 class InvalidInput(DiracIndexError, ValueError):

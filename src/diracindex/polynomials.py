@@ -21,12 +21,21 @@ any exponent of the product, so adding keys never carries between
 fields).  The result is unpacked and scaled by the content once.
 
 Hyperplane restriction, divisibility, exact division and factor
-extraction share one Horner pass.  For a form L = sum c_i X_i with pivot
-X_j (its first nonzero coefficient), write P = sum_d P_d X_j^d and
-S = -sum_{i != j} (c_i / c_j) X_i; set H_top = P_top and
-H_d = P_d + S * H_{d+1} down to d = 0.  H_0 = P(X_j = S) is the
-restriction to L = 0, zero exactly when L divides P, and H_{d+1} / c_j is
-the X_j^d layer of P / L.
+extraction share one Horner pass, run on integers.  Write P = N / D with
+N an int-valued term dict over one common denominator D, and a form as
+L = c * L' with L' = a X_j + sum_{i > j} a_i X_i primitive, X_j its pivot
+(first nonzero coefficient) and a > 0.  Split N = sum_d N_d X_j^d and set
+
+    H'_top = N_top,   H'_d = a^(top-d) N_d - (sum_{i != j} a_i X_i) H'_{d+1}
+
+down to d = 0.  Each H'_d is a^(top-d) D times the rational Horner layer
+H_d = P_d + S H_{d+1} of the substitution X_j = S = -sum (a_i / a) X_i,
+so the pass never leaves Z[X].  H'_0 / (a^top D) = P(X_j = S) is the
+restriction to L = 0, and L divides P exactly when H'_0 is empty.  Then
+N = L' * Q with Q integral by Gauss's lemma (L' is primitive), the X_j^d
+layer of Q is H'_{d+1} // a^(top-d), an exact division, and
+P / L = Q / (c D).  Factor extraction carries (scale, int dict) from one
+candidate to the next and builds `Fraction`s only for the cofactor.
 """
 
 from __future__ import annotations
@@ -40,7 +49,7 @@ from .errors import DimensionMismatch, ZeroForm
 from .groups import RootDatum, Weight
 
 Exponent = tuple[int, ...]
-Terms = dict[Exponent, Fraction]
+IntTerms = dict[Exponent, int]
 
 
 def _gl_key(exp: Exponent):
@@ -259,18 +268,18 @@ class LinearForm:
         return MultiPoly.from_linear(self.coeffs)
 
     def _content(self) -> tuple[Fraction, list[int]]:
-        """(c, ints) with gcd(ints) = 1 and this form = c * sum ints_i X_i."""
+        """(c, ints) with gcd(ints) = 1, ints positive at the pivot and
+        this form = c * sum ints_i X_i."""
         lcm = math.lcm(*(c.denominator for c in self.coeffs))
         ints = [c.numerator * (lcm // c.denominator) for c in self.coeffs]
         g = math.gcd(*ints)
+        if ints[self.pivot()] < 0:
+            g = -g
         return Fraction(g, lcm), [k // g for k in ints]
 
     def primitive(self) -> "LinearForm":
         """Divide by the coefficient content and make the pivot positive."""
-        _, ints = self._content()
-        if ints[self.pivot()] < 0:
-            ints = [-k for k in ints]
-        return LinearForm(tuple(ints))
+        return LinearForm(tuple(self._content()[1]))
 
     def evaluate(self, point: Sequence) -> Fraction:
         if len(point) != self.arity:
@@ -280,6 +289,41 @@ class LinearForm:
         )
 
 
+def _scaled(arity: int, num: IntTerms, scale: Fraction) -> MultiPoly:
+    """The polynomial scale * num, for a nonzero scale."""
+    p, q = scale.numerator, scale.denominator
+    if q == 1:
+        return MultiPoly._trusted(arity, {e: Fraction(p * c) for e, c in num.items()})
+    return MultiPoly._trusted(arity, {e: Fraction(p * c, q) for e, c in num.items()})
+
+
+def _packed_product(
+    packed: dict[int, int], rows: Iterable[Sequence[int]], width: int
+) -> dict[int, int]:
+    """packed times the integer forms sum_i row_i X_i, on keys packed with
+    fields of the given width (module docstring)."""
+    for row in rows:
+        steps = [(1 << (width * i), k) for i, k in enumerate(row) if k]
+        out: dict[int, int] = {}
+        for key, coeff in packed.items():
+            for step, k in steps:
+                out[key + step] = out.get(key + step, 0) + coeff * k
+        packed = {key: c for key, c in out.items() if c}
+    return packed
+
+
+def _unpacked(
+    arity: int, width: int, packed: dict[int, int], scale: Fraction
+) -> MultiPoly:
+    mask = (1 << width) - 1
+    shifts = [width * i for i in range(arity)]
+    return _scaled(
+        arity,
+        {tuple((key >> s) & mask for s in shifts): c for key, c in packed.items()},
+        scale,
+    )
+
+
 def linear_form_product(arity: int, forms: Iterable[LinearForm]) -> MultiPoly:
     """Expanded product of linear forms; the empty product is the constant 1.
 
@@ -287,88 +331,99 @@ def linear_form_product(arity: int, forms: Iterable[LinearForm]) -> MultiPoly:
     docstring); only the final terms become tuples and Fractions.
     """
     forms = list(forms)
-    width = len(forms).bit_length()
     content = Fraction(1)
-    packed: dict[int, int] = {0: 1}
+    rows = []
     for form in forms:
         if form.arity != arity:
             raise DimensionMismatch("form arity mismatch")
         scale, ints = form._content()
         content *= scale
-        steps = [(1 << (width * i), k) for i, k in enumerate(ints) if k]
-        out: dict[int, int] = {}
-        for key, coeff in packed.items():
-            for step, k in steps:
-                out[key + step] = out.get(key + step, 0) + coeff * k
-        packed = {key: c for key, c in out.items() if c}
-    mask = (1 << width) - 1
-    shifts = [width * i for i in range(arity)]
-    return MultiPoly._trusted(
-        arity,
-        {
-            tuple((key >> s) & mask for s in shifts): content * c
-            for key, c in packed.items()
-        },
-    )
+        rows.append(ints)
+    width = len(forms).bit_length()
+    return _unpacked(arity, width, _packed_product({0: 1}, rows, width), content)
 
 
-def _horner(poly: MultiPoly, form: LinearForm) -> list[Terms]:
-    """[H_0, ..., H_top] of the Horner pass (module docstring) as term
-    dicts over the variables other than the pivot, renumbered in order."""
-    if poly.arity != form.arity:
-        raise DimensionMismatch("polynomial and form arities differ")
-    j = form.pivot()
-    cj = form.coeffs[j]
-    # X_i with i > j is variable i - 1 of H; every c_i with i < j is zero.
-    steps = [(k, -c / cj) for k, c in enumerate(form.coeffs[j + 1 :], j) if c]
-    layers: dict[int, Terms] = {}
-    for exp, coeff in poly.terms.items():
-        layers.setdefault(exp[j], {})[exp[:j] + exp[j + 1 :]] = coeff
-    top = max(layers, default=0)
-    hs = [layers.get(top, {})]
-    for d in range(top - 1, -1, -1):
-        acc = layers.pop(d, {})
-        for exp, c in hs[-1].items():
-            for k, s in steps:
-                key = exp[:k] + (exp[k] + 1,) + exp[k + 1 :]
-                term = c * s
-                acc[key] = acc[key] + term if key in acc else term
-        hs.append({e: c for e, c in acc.items() if c})
-    hs.reverse()
-    return hs
+def _numerator(poly: MultiPoly) -> tuple[int, IntTerms]:
+    """(D, N) with poly = N / D and N an int-valued term dict."""
+    den = math.lcm(*(c.denominator for c in poly.terms.values()))
+    return den, {e: c.numerator * (den // c.denominator) for e, c in poly.terms.items()}
 
 
-def _quotient(poly: MultiPoly, form: LinearForm, hs: list[Terms]) -> MultiPoly:
-    """poly / form assembled from the Horner layers hs[1:]."""
-    j = form.pivot()
-    inv = 1 / form.coeffs[j]
-    return MultiPoly._trusted(
-        poly.arity,
-        {
-            exp[:j] + (d,) + exp[j:]: c * inv
+class _Pivot:
+    """A form L = c * L', split for the integer Horner pass: the pivot index
+    j, the pivot coefficient a > 0 of the primitive L', and the steps
+    (i - 1, -a_i) that multiply a layer by -sum_{i > j} a_i X_i, with X_i
+    renumbered as variable i - 1 of the layer."""
+
+    __slots__ = ("content", "j", "a", "steps")
+
+    def __init__(self, arity: int, form: LinearForm):
+        if arity != form.arity:
+            raise DimensionMismatch("polynomial and form arities differ")
+        self.content, ints = form._content()
+        self.j = j = form.pivot()
+        self.a = ints[j]
+        # every a_i with i < j is zero
+        self.steps = [(k, -c) for k, c in enumerate(ints[j + 1 :], j) if c]
+
+    def horner(self, num: IntTerms) -> list[IntTerms]:
+        """[H'_0, ..., H'_top] of the integer Horner pass (module docstring),
+        over the variables other than the pivot, renumbered in order."""
+        j, a, steps = self.j, self.a, self.steps
+        layers: dict[int, IntTerms] = {}
+        for exp, coeff in num.items():
+            layers.setdefault(exp[j], {})[exp[:j] + exp[j + 1 :]] = coeff
+        top = max(layers, default=0)
+        hs = [layers.get(top, {})]
+        for d in range(top - 1, -1, -1):
+            acc = layers.pop(d, {})
+            if a != 1:
+                power = a ** (top - d)
+                acc = {e: c * power for e, c in acc.items()}
+            for exp, c in hs[-1].items():
+                for k, s in steps:
+                    key = exp[:k] + (exp[k] + 1,) + exp[k + 1 :]
+                    term = c * s
+                    acc[key] = acc[key] + term if key in acc else term
+            hs.append({e: c for e, c in acc.items() if c})
+        hs.reverse()
+        return hs
+
+    def quotient(self, hs: list[IntTerms]) -> IntTerms:
+        """The integer numerator Q = N / L' from the layers hs[1:]."""
+        j, top = self.j, len(hs) - 1
+        powers = [self.a ** (top - d) for d in range(top)]
+        return {
+            exp[:j] + (d,) + exp[j:]: c // powers[d]
             for d, layer in enumerate(hs[1:])
             for exp, c in layer.items()
-        },
-    )
+        }
 
 
 def restrict_to_hyperplane(poly: MultiPoly, form: LinearForm) -> MultiPoly:
     """Substitute X_j = -sum_{i != j} (c_i / c_j) X_i for the pivot X_j of
     form; the other variables are renumbered in order (arity one less)."""
-    return MultiPoly._trusted(poly.arity - 1, _horner(poly, form)[0])
+    pivot = _Pivot(poly.arity, form)
+    den, num = _numerator(poly)
+    hs = pivot.horner(num)
+    return _scaled(
+        poly.arity - 1, hs[0], Fraction(1, pivot.a ** (len(hs) - 1) * den)
+    )
 
 
 def divides_linear_form(poly: MultiPoly, form: LinearForm) -> bool:
     """True iff the linear form divides the polynomial exactly."""
-    return not _horner(poly, form)[0]
+    return not _Pivot(poly.arity, form).horner(_numerator(poly)[1])[0]
 
 
 def divide_by_linear_form(poly: MultiPoly, form: LinearForm) -> MultiPoly:
     """Exact quotient poly / form; raises ValueError when not divisible."""
-    hs = _horner(poly, form)
+    pivot = _Pivot(poly.arity, form)
+    den, num = _numerator(poly)
+    hs = pivot.horner(num)
     if hs[0]:
         raise ValueError("polynomial is not divisible by the linear form")
-    return _quotient(poly, form, hs)
+    return _scaled(poly.arity, pivot.quotient(hs), 1 / (pivot.content * den))
 
 
 def extract_linear_factors(
@@ -379,21 +434,25 @@ def extract_linear_factors(
     Returns the factor list and the remaining cofactor.  Candidates are
     processed in the given order; the result is independent of the order
     because Q[X] is a UFD and the candidates are pairwise non-proportional
-    in every use here.  Each attempt is one Horner pass.
+    in every use here.  Each attempt is one integer Horner pass; the
+    cofactor is kept as a scale over an integer numerator throughout.
     """
     factors: list[tuple[LinearForm, int]] = []
-    current = poly
+    den, num = _numerator(poly)
+    scale = Fraction(1, den)
     for form in candidates:
+        pivot = _Pivot(poly.arity, form)
         mult = 0
-        while not current.is_zero():
-            hs = _horner(current, form)
+        while num:
+            hs = pivot.horner(num)
             if hs[0]:
                 break
-            current = _quotient(current, form, hs)
+            num = pivot.quotient(hs)
+            scale /= pivot.content
             mult += 1
         if mult:
             factors.append((form, mult))
-    return factors, current
+    return factors, _scaled(poly.arity, num, scale)
 
 
 def poly_det(matrix: Sequence[Sequence[MultiPoly]]) -> MultiPoly:

@@ -15,13 +15,16 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
-from .errors import IndexOutOfRange, InternalInvariantError, NotInC
+from .errors import ClaimMismatch, IndexOutOfRange, InternalInvariantError, NotInC
 from .groups import GroupId, RootDatum, Weight, build_root_datum
 from .polynomials import (
     LinearForm,
     MultiPoly,
+    _packed_product,
+    _unpacked,
     extract_linear_factors,
     linear_form_product,
+    # Unused: test_tracer_wraps_every_alias_and_restores_the_originals reads it; ROADMAP item 7
     poly_det,
 )
 from .weylaction import weyl_dim_poly
@@ -62,20 +65,35 @@ def char_poly_det(n: int, i: int) -> MultiPoly:
     """Exact expansion of the n x n character determinant in lam_1..lam_n.
 
     Rows are the power rows lam^(n-2), ..., lam^1 followed by the two
-    indicator rows of the split {1..n-i} | {n-i+1..n}.
+    indicator rows of the split {1..n-i} | {n-i+1..n}.  Laplace expansion
+    along the indicator rows keeps only the column pairs j < n-i <= k
+    (0-based), whose 2 x 2 indicator minor is 1; the complementary power
+    minor is the monomial prod_{l != j,k} lam_l times a Vandermonde, so
+
+        det = sum_{j < n-i <= k} (-1)^(j+k+1) (prod_{l != j,k} lam_l)
+                  prod_{a < b; a,b not in {j,k}} (lam_a - lam_b).
+
+    The sum runs on packed integer keys (see `polynomials`).  No exponent
+    exceeds n - 2, which fixes the field width.
     """
     if n < 2 or not 1 <= i <= n - 1:
         raise IndexOutOfRange(f"need n >= 2 and 1 <= i <= n-1, got n={n}, i={i}")
-    rows: list[list[MultiPoly]] = []
-    for power in range(n - 2, 0, -1):
-        rows.append([MultiPoly.variable(n, j) ** power for j in range(n)])
-    rows.append(
-        [MultiPoly.const(n, 1 if j < n - i else 0) for j in range(n)]
-    )
-    rows.append(
-        [MultiPoly.const(n, 1 if j >= n - i else 0) for j in range(n)]
-    )
-    return poly_det(rows)
+    width = max(1, (n - 2).bit_length())
+    total: dict[int, int] = {}
+    for j in range(n - i):
+        for k in range(n - i, n):
+            rest = [l for l in range(n) if l != j and l != k]
+            monomial = sum(1 << (width * l) for l in rest)
+            rows = []
+            for pos, a in enumerate(rest):
+                for b in rest[pos + 1 :]:
+                    row = [0] * n
+                    row[a], row[b] = 1, -1
+                    rows.append(row)
+            start = {monomial: -1 if (j + k) % 2 == 0 else 1}
+            for key, c in _packed_product(start, rows, width).items():
+                total[key] = total.get(key, 0) + c
+    return _unpacked(n, width, {key: c for key, c in total.items() if c}, Fraction(1))
 
 
 def _root_forms(n_vars: int, indices: list[int] | None = None) -> list[LinearForm]:
@@ -148,7 +166,7 @@ def gcd_with_index(n: int, i: int) -> MultiPoly:
         n, [difference_form(n, p, q) for p, q in gcd_factor_pairs(n, i)]
     )
     if common != closed:
-        raise ValueError("extracted common factor disagrees with the closed form")
+        raise ClaimMismatch("extracted common factor disagrees with the closed form")
     return closed
 
 
@@ -225,5 +243,5 @@ def degree_report(n: int, i: int) -> dict[str, int]:
         "deg_Q_over_R": i * (n - i),
     }
     if report != expected:
-        raise ValueError(f"degree identities fail: {report} != {expected}")
+        raise ClaimMismatch(f"degree identities fail: {report} != {expected}")
     return report

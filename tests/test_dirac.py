@@ -185,6 +185,15 @@ def test_evaluate_off_lattice():
         evaluate_index(fams["D+"], (F(1, 2), F(0)))
 
 
+def test_discrete_series_family_rejects_off_lattice_parameter():
+    # Regular, but (5/2, 1/2) - rho_g is not integral: the family's index
+    # is zero while its index polynomial would read 2 there.
+    datum = build_root_datum(GroupId.sp_r(2))
+    with pytest.raises(OffLattice, match=r"^\(5/2,1/2\) is not on"):
+        discrete_series_family((F(5, 2), F(1, 2)), datum)
+    assert discrete_series_family((F(3), F(1)), datum).base == (F(3), F(1))
+
+
 def test_index_polynomials_sl2():
     fams = sl2_families()
     assert index_polynomial(fams["D+"]) == MultiPoly.const(2, 1)

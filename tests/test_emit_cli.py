@@ -3,6 +3,7 @@ import json
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -290,6 +291,10 @@ def test_cli_unknown_family_tag(capsys):
         ),
         (["emit", "--input", "{path}"], None, '{"type": "polynomial", "vars": true, "terms": []}'),
         (["emit", "--input", "{path}"], None, '{"type": []}'),
+        (["index-poly", "--group", "SU(2,1)", "--hc-param", "1/2,0,-1/2"], None, None),
+        (["char-poly", "--n", "12", "--i", "6"], None, None),
+        (["gcd", "--n", "12", "--i", "6"], None, None),
+        (["char-poly", "--n", "9", "--i", "1"], "8", None),
     ],
     ids=[
         "missing-file",
@@ -310,6 +315,10 @@ def test_cli_unknown_family_tag(capsys):
         "limit-report-bool-d",
         "poly-bool-vars",
         "type-unhashable",
+        "hc-param-off-lattice",
+        "char-poly-n-over-cap",
+        "gcd-n-over-cap",
+        "char-poly-n-over-env-cap",
     ],
 )
 def test_cli_bad_input_exits_2_with_one_error_line(
@@ -395,3 +404,37 @@ def test_cli_failed_weight_multiset_check_exits_3(monkeypatch, capsys):
     assert captured.out == ""
     assert captured.err.startswith("internal error: weight multiset mass ")
     assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+
+
+def test_cli_off_lattice_hc_param_message(capsys):
+    assert main(["index-poly", "--group", "SU(2,1)", "--hc-param", "1/2,0,-1/2"]) == 2
+    assert capsys.readouterr().err == (
+        "error: (1/2,0,-1/2) is not on the shifted lattice Lambda + rho_g\n"
+    )
+
+
+def test_cli_n_cap_refuses_before_expanding(monkeypatch, capsys):
+    start = time.perf_counter()
+    assert main(["char-poly", "--n", "12", "--i", "6"]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert "DIRAC_MAX_RANK" in capsys.readouterr().err
+    monkeypatch.setenv("DIRAC_MAX_RANK", "9")
+    assert main(["char-poly", "--n", "9", "--i", "1"]) == 0
+    obj = json.loads(capsys.readouterr().out)
+    assert obj["vars"] == 9 and obj["terms"]
+
+
+def test_cli_failed_claim_exits_1(monkeypatch, capsys):
+    from diracindex import sun1
+
+    sun1.gcd_with_index.cache_clear()
+    monkeypatch.setattr("diracindex.sun1.gcd_factor_pairs", lambda n, i: [(1, 2)])
+    assert main(["gcd", "--n", "4", "--i", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: extracted common factor disagrees with the closed form\n"
+    )
+    assert main(["verify", "--suite", "su-n1"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert "[FAIL] su-n1/gcd/4,2" in lines and lines[-1] == "su-n1: FAILURES"

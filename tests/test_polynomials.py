@@ -4,7 +4,7 @@ from fractions import Fraction as F
 from itertools import permutations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from diracindex.errors import DimensionMismatch, ZeroForm
 from diracindex.groups import GroupId, build_root_datum
@@ -331,6 +331,116 @@ def test_extract_linear_factors():
     factors, cofactor = extract_linear_factors(p, [f12, f13])
     assert dict(factors) == {f12: 2, f13: 1}
     assert cofactor == x2 + x3
+
+
+# The Fraction Horner pass that the integer pass replaced, kept verbatim as
+# the reference: restriction, divisibility, division and factor extraction
+# must agree with it term for term.
+
+
+def _fraction_horner(poly: MultiPoly, form: LinearForm) -> list[dict]:
+    """[H_0, ..., H_top] of the Horner pass (module docstring) as term
+    dicts over the variables other than the pivot, renumbered in order."""
+    if poly.arity != form.arity:
+        raise DimensionMismatch("polynomial and form arities differ")
+    j = form.pivot()
+    cj = form.coeffs[j]
+    # X_i with i > j is variable i - 1 of H; every c_i with i < j is zero.
+    steps = [(k, -c / cj) for k, c in enumerate(form.coeffs[j + 1 :], j) if c]
+    layers: dict[int, dict] = {}
+    for exp, coeff in poly.terms.items():
+        layers.setdefault(exp[j], {})[exp[:j] + exp[j + 1 :]] = coeff
+    top = max(layers, default=0)
+    hs = [layers.get(top, {})]
+    for d in range(top - 1, -1, -1):
+        acc = layers.pop(d, {})
+        for exp, c in hs[-1].items():
+            for k, s in steps:
+                key = exp[:k] + (exp[k] + 1,) + exp[k + 1 :]
+                term = c * s
+                acc[key] = acc[key] + term if key in acc else term
+        hs.append({e: c for e, c in acc.items() if c})
+    hs.reverse()
+    return hs
+
+
+def _fraction_quotient(poly: MultiPoly, form: LinearForm, hs: list[dict]) -> MultiPoly:
+    """poly / form assembled from the Horner layers hs[1:]."""
+    j = form.pivot()
+    inv = 1 / form.coeffs[j]
+    return MultiPoly._trusted(
+        poly.arity,
+        {
+            exp[:j] + (d,) + exp[j:]: c * inv
+            for d, layer in enumerate(hs[1:])
+            for exp, c in layer.items()
+        },
+    )
+
+
+def _fraction_extract(poly: MultiPoly, candidates):
+    factors = []
+    current = poly
+    for form in candidates:
+        mult = 0
+        while not current.is_zero():
+            hs = _fraction_horner(current, form)
+            if hs[0]:
+                break
+            current = _fraction_quotient(current, form, hs)
+            mult += 1
+        if mult:
+            factors.append((form, mult))
+    return factors, current
+
+
+@st.composite
+def kernel_cases(draw):
+    """A polynomial with rational coefficients, possibly zero, times some
+    of up to three forms, and those forms as candidates.  Pivots range over
+    +-1/3 .. +-7, so they are often negative or of magnitude above one, and
+    often follow leading zero coefficients."""
+    arity = draw(st.integers(1, 4))
+    forms = []
+    for _ in range(draw(st.integers(1, 3))):
+        pivot = draw(st.integers(0, arity - 1))
+        lead = draw(st.fractions(min_value=-7, max_value=7, max_denominator=3).filter(bool))
+        tail = draw(st.lists(form_coeffs, min_size=arity - pivot - 1, max_size=arity - pivot - 1))
+        forms.append(LinearForm((F(0),) * pivot + (lead,) + tuple(tail)))
+    poly = draw(polys(arity=arity, max_degree=3, max_terms=5))
+    for k in draw(st.lists(st.integers(0, len(forms) - 1), max_size=3)):
+        poly = poly * forms[k].to_poly()
+    return poly, forms
+
+
+@settings(max_examples=300, deadline=None)
+@given(kernel_cases())
+@example((MultiPoly(2, {}), [LinearForm((F(-3), F(2)))]))
+@example(
+    (
+        MultiPoly(3, {(0, 2, 1): F(-6, 5), (0, 1, 2): F(4, 5), (1, 0, 0): F(1, 2)})
+        * LinearForm((F(0), F(-3), F(2))).to_poly(),
+        [LinearForm((F(0), F(-3), F(2))), LinearForm((F(0), F(6), F(-4)))],
+    )
+)
+def test_integer_horner_matches_fraction_oracle(case):
+    poly, forms = case
+    for form in forms:
+        hs = _fraction_horner(poly, form)
+        rest = restrict_to_hyperplane(poly, form)
+        assert rest == MultiPoly(poly.arity - 1, hs[0])
+        assert_normalized(rest, poly.arity - 1)
+        assert divides_linear_form(poly, form) == (not hs[0])
+        if hs[0]:
+            with pytest.raises(ValueError):
+                divide_by_linear_form(poly, form)
+        else:
+            quotient = divide_by_linear_form(poly, form)
+            assert quotient == _fraction_quotient(poly, form, hs)
+            assert_normalized(quotient, poly.arity)
+    factors, cofactor = extract_linear_factors(poly, forms)
+    assert (factors, cofactor) == _fraction_extract(poly, forms)
+    assert_normalized(cofactor, poly.arity)
 
 
 def test_primitive_forms():

@@ -3,10 +3,17 @@ from math import comb
 
 import pytest
 
-from diracindex.errors import IndexOutOfRange, InternalInvariantError, NotInC
+from diracindex.errors import (
+    ClaimMismatch,
+    DiracIndexError,
+    IndexOutOfRange,
+    InternalInvariantError,
+    NotInC,
+)
 from diracindex.polynomials import (
     MultiPoly,
     divides_linear_form,
+    poly_det,
     restrict_to_hyperplane,
 )
 from diracindex.sun1 import (
@@ -230,3 +237,34 @@ def test_index_poly_restricted_with_last_variable_is_internal(monkeypatch):
     )
     with pytest.raises(InternalInvariantError, match="lam_"):
         index_poly_restricted.__wrapped__(2)
+
+
+def _explicit_char_matrix(n, i):
+    """Power rows lam^(n-2), ..., lam^1, then the two indicator rows."""
+    rows = [[L(n, j) ** power for j in range(n)] for power in range(n - 2, 0, -1)]
+    rows.append([MultiPoly.const(n, 1 if j < n - i else 0) for j in range(n)])
+    rows.append([MultiPoly.const(n, 1 if j >= n - i else 0) for j in range(n)])
+    return rows
+
+
+def test_laplace_det_matches_poly_det_of_explicit_matrix():
+    for n in range(2, 9):
+        for i in range(1, n):
+            assert char_poly_det.__wrapped__(n, i) == poly_det(_explicit_char_matrix(n, i))
+
+
+def test_failed_gcd_claim_is_claim_mismatch(monkeypatch):
+    assert issubclass(ClaimMismatch, ValueError)
+    assert not issubclass(ClaimMismatch, DiracIndexError)
+    gcd_with_index.cache_clear()
+    monkeypatch.setattr("diracindex.sun1.gcd_factor_pairs", lambda n, i: [(1, 2)])
+    with pytest.raises(ClaimMismatch, match="closed form"):
+        gcd_with_index(4, 2)
+    with pytest.raises(ClaimMismatch):
+        degree_report(4, 2)
+
+
+def test_failed_degree_claim_is_claim_mismatch(monkeypatch):
+    monkeypatch.setattr("diracindex.sun1.comb", lambda a, b: 0)
+    with pytest.raises(ClaimMismatch, match="degree identities"):
+        degree_report(4, 2)

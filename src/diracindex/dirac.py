@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import combinations
 from typing import Mapping
 
 from .errors import CapExceeded, DimensionMismatch, OffLattice, SingularParameter
@@ -65,23 +64,22 @@ class SpinWeights:
 def spin_weights(datum: RootDatum, cap: int = SPIN_SUBSET_CAP) -> SpinWeights:
     """The 2^(r_g - r_k) spin weights -rho_g + rho_k + (subset sums),
     split by subset parity, with the parity labels chosen so that
-    ch(S+ - S-) = d_g/d_k holds exactly."""
+    ch(S+ - S-) = d_g/d_k holds exactly.  Each noncompact root carries the
+    even subset sums into odd ones and back; equal weights merge."""
     noncompact = datum.noncompact_positive_roots
     q = len(noncompact)
     if q > cap:
         raise CapExceeded(f"{q} noncompact roots exceeds the subset cap {cap}")
-    base = weight_sub(datum.rho_k, datum.rho_g)
-    plus: dict[Weight, int] = {}
-    minus: dict[Weight, int] = {}
-    flip = q % 2 == 1
-    for size in range(q + 1):
-        even = size % 2 == 0
-        bucket = plus if (even != flip) else minus
-        for subset in combinations(noncompact, size):
-            w = base
-            for beta in subset:
+    even: dict[Weight, int] = {weight_sub(datum.rho_k, datum.rho_g): 1}
+    odd: dict[Weight, int] = {}
+    for beta in noncompact:
+        new_even, new_odd = dict(even), dict(odd)
+        for source, target in ((odd, new_even), (even, new_odd)):
+            for w, m in source.items():
                 w = weight_add(w, beta)
-            bucket[w] = bucket.get(w, 0) + 1
+                target[w] = target.get(w, 0) + m
+        even, odd = new_even, new_odd
+    plus, minus = (odd, even) if q % 2 == 1 else (even, odd)
     return SpinWeights(WeightMultiset(plus), WeightMultiset(minus))
 
 

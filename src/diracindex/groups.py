@@ -426,6 +426,8 @@ def _block_elements(block: Block, rank: int) -> list[WeylElement]:
 
 
 def weyl_order(datum: RootDatum, which: str = "g") -> int:
+    if which not in ("g", "k"):
+        raise ValueError("which must be 'g' or 'k'")
     blocks = (datum.ambient,) if which == "g" else datum.compact_blocks
     return math.prod(b.weyl_order() for b in blocks)
 
@@ -454,8 +456,6 @@ def weyl_elements(
     datum: RootDatum, which: str = "g", cap: int = DEFAULT_WEYL_CAP
 ) -> tuple[WeylElement, ...]:
     """Complete, duplicate-free list of W_g or W_k as signed permutations."""
-    if which not in ("g", "k"):
-        raise ValueError("which must be 'g' or 'k'")
     return _weyl_elements_cached(datum.group, which, cap)
 
 

@@ -13,7 +13,7 @@ positive-root steps that stay dominant, in descending order of |mu + rho|^2.
 
 Sums collect in one dict: k_type_sum normalizes every (gamma, c) pair into
 one dictionary and validates the module once, and frequencies_to_series
-builds every sum of exponentials from running integer power sums.
+builds every exponential sum, Weyl denominators too, from integer moments.
 """
 
 from __future__ import annotations
@@ -345,18 +345,24 @@ def weyl_denominator_factored(
 ) -> tuple[int, TruncatedSeries]:
     """d(exp ty) = t^r * U(t) with U(0) = prod alpha(y) != 0; returns (r, U).
 
-    Each factor e^{a t/2} - e^{-a t/2} contributes one power of t and a
-    series 2*sinh(at/2)/t with constant term a.
+    The r factors e^{a t/2} - e^{-a t/2} multiply out as one sum of
+    exponentials on integer rates over the common denominator of the a/2.
     """
-    roots = (
-        datum.positive_roots if which == "g" else datum.compact_positive_roots
-    )
-    u = TruncatedSeries.one(order)
-    for alpha in roots:
-        half = Fraction(dot(alpha, y), 2)
-        freqs = {half: 1, -half: -1} if half else {}
-        u = u * frequencies_to_series(freqs, order + 1).shift_down(1)
-    return len(roots), u
+    if which not in ("g", "k"):
+        raise ValueError("which must be 'g' or 'k'")
+    roots = datum.positive_roots if which == "g" else datum.compact_positive_roots
+    halves = [Fraction(dot(alpha, y), 2) for alpha in roots]
+    den = lcm(*(half.denominator for half in halves))
+    freqs = {0: 1}
+    for half in halves:
+        k = int(half * den)
+        expanded = {f + k: c for f, c in freqs.items()}
+        for f, c in freqs.items():
+            expanded[f - k] = expanded.get(f - k, 0) - c
+        freqs = {f: c for f, c in expanded.items() if c}
+    r = len(roots)
+    rates = {Fraction(f, den): c for f, c in freqs.items()}
+    return r, frequencies_to_series(rates, order + r).shift_down(r)
 
 
 def ch_series(module: VirtualKModule, y: Weight, order: int) -> TruncatedSeries:

@@ -29,10 +29,6 @@ class TruncatedSeries:
         return cls((Fraction(0),) * (order + 1))
 
     @classmethod
-    def one(cls, order: int) -> "TruncatedSeries":
-        return cls((Fraction(1),) + (Fraction(0),) * order)
-
-    @classmethod
     def exponential(cls, rate, order: int) -> "TruncatedSeries":
         """e^{rate * t} truncated at the given order."""
         rate = Fraction(rate)

@@ -68,22 +68,31 @@ def test_spin_weights_su21_count():
     assert sw.plus.total() == sw.minus.total() == 2
 
 
-def test_spin_weights_sp4():
-    """Oracle: enumerate subset sums directly and check the parity split."""
-    d = build_root_datum(GroupId.sp_r(2))
+def _spin_weights_by_subsets(d):
+    """Reference (plus, minus): every subset of the noncompact roots summed
+    separately and bucketed by parity (the body spin_weights had before
+    the one-pass subset sum)."""
     noncompact = d.noncompact_positive_roots
-    assert len(noncompact) == 3
     base = weight_sub(d.rho_k, d.rho_g)
     expected_plus = {}
     expected_minus = {}
-    for size in range(4):
+    flip = len(noncompact) % 2 == 1
+    for size in range(len(noncompact) + 1):
+        # odd noncompact count: flip the naive parity labels
+        bucket = expected_plus if (size % 2 == 0) != flip else expected_minus
         for subset in combinations(noncompact, size):
             w = base
             for beta in subset:
                 w = weight_add(w, beta)
-            # odd noncompact count: flip the naive parity labels
-            bucket = expected_minus if size % 2 == 0 else expected_plus
             bucket[w] = bucket.get(w, 0) + 1
+    return expected_plus, expected_minus
+
+
+def test_spin_weights_sp4():
+    """Oracle: enumerate subset sums directly and check the parity split."""
+    d = build_root_datum(GroupId.sp_r(2))
+    assert len(d.noncompact_positive_roots) == 3
+    expected_plus, expected_minus = _spin_weights_by_subsets(d)
     sw = spin_weights(d)
     assert dict(sw.plus.items()) == expected_plus
     assert dict(sw.minus.items()) == expected_minus
@@ -109,6 +118,16 @@ RANK_LE_4 = [
     GroupId.so_even_even(2, 2),
     GroupId.so_star(4),
 ]
+
+
+@pytest.mark.parametrize("group", RANK_LE_4, ids=lambda g: g.label())
+def test_spin_weights_match_subset_enumeration(group):
+    d = build_root_datum(group)
+    expected_plus, expected_minus = _spin_weights_by_subsets(d)
+    sw = spin_weights(d)
+    assert dict(sw.plus.items()) == expected_plus
+    assert dict(sw.minus.items()) == expected_minus
+    assert sw.total() == 2 ** len(d.noncompact_positive_roots)
 
 
 @pytest.mark.parametrize("group", RANK_LE_4, ids=lambda g: g.label())

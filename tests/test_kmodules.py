@@ -20,6 +20,7 @@ from diracindex.groups import (
     weight_add,
     weight_sub,
     weyl_elements,
+    weyl_order,
 )
 from diracindex.kmodules import (
     VirtualKModule,
@@ -33,9 +34,11 @@ from diracindex.kmodules import (
     tensor_virtual,
     virtual_k_type,
     weight_multiset,
+    weyl_denominator_factored,
     weyl_orbit,
 )
 from diracindex.series import TruncatedSeries
+from diracindex.springer import table_groups
 from diracindex.weylaction import weyl_dim_value
 
 
@@ -322,6 +325,91 @@ def test_frequencies_to_series_matches_exponential_fold(pairs, order):
     assert series == _series_by_exponential_fold(freqs, order)
     assert series.order == order
     assert all(type(c) is F for c in series.coeffs)
+
+
+def _denominator_by_root_product(datum, y, which, order):
+    """Reference (r, U): one 2*sinh(a t/2)/t series per positive root,
+    multiplied as truncated series (the body weyl_denominator_factored had
+    before the product became one exponential sum)."""
+    roots = (
+        datum.positive_roots if which == "g" else datum.compact_positive_roots
+    )
+    u = TruncatedSeries((F(1),) + (F(0),) * order)
+    for alpha in roots:
+        half = F(dot(alpha, y), 2)
+        freqs = {half: 1, -half: -1} if half else {}
+        u = u * frequencies_to_series(freqs, order + 1).shift_down(1)
+    return len(roots), u
+
+
+DENOMINATOR_GROUPS = [g for g in table_groups(4) if g.rank <= 4]
+# thirds, quarters and sixths as well as half-integers
+magnitudes = st.builds(F, st.integers(1, 12), st.sampled_from([1, 2, 3, 4, 6]))
+
+
+@st.composite
+def regular_directions(draw):
+    """A datum of rank <= 4 and a direction y with alpha(y) != 0 for every
+    root: distinct nonzero magnitudes, each with a sign, in any order."""
+    datum = build_root_datum(draw(st.sampled_from(DENOMINATOR_GROUPS)))
+    mags = draw(st.lists(magnitudes, min_size=datum.rank, max_size=datum.rank, unique=True))
+    signs = draw(st.lists(st.sampled_from([1, -1]), min_size=datum.rank, max_size=datum.rank))
+    y = tuple(s * m for s, m in zip(signs, draw(st.permutations(mags))))
+    return datum, y
+
+
+@settings(max_examples=200, deadline=None)
+@given(regular_directions(), st.sampled_from(["g", "k"]), st.integers(0, 40))
+@example((build_root_datum(GroupId.sp_pq(1, 3)), W(F(7, 3), F(-1, 2), 5, F(1, 6))), "g", 40)
+@example((build_root_datum(GroupId.so_star(1)), W(F(1, 3))), "g", 0)
+def test_weyl_denominator_matches_root_product(case, which, order):
+    datum, y = case
+    assert all(dot(alpha, y) != 0 for alpha in datum.positive_roots)
+    r, u = weyl_denominator_factored(datum, y, which, order)
+    assert (r, u) == _denominator_by_root_product(datum, y, which, order)
+    assert u.order == order and all(type(c) is F for c in u.coeffs)
+    roots = datum.positive_roots if which == "g" else datum.compact_positive_roots
+    u0 = 1
+    for alpha in roots:
+        u0 *= dot(alpha, y)
+    assert r == len(roots) and u.coeff(0) == u0 != 0
+
+
+@pytest.mark.parametrize(
+    "group, y",
+    [
+        pytest.param(GroupId.su(2, 1), W(1, 1, -2), id="SU(2,1)-compact-root"),
+        pytest.param(GroupId.su(2, 1), W(1, -2, 1), id="SU(2,1)-noncompact-root"),
+        pytest.param(GroupId.sp_r(2), W(F(1, 3), 0), id="Sp(4,R)-long-root"),
+        pytest.param(GroupId.so_even_odd(2, 2), W(0, 0, 0, 0), id="SOe(4,5)-zero"),
+    ],
+)
+@pytest.mark.parametrize("order", [0, 5])
+def test_weyl_denominator_singular_direction_is_zero(group, y, order):
+    """With alpha(y) = 0 for some root the exponential sum cancels to the
+    empty dict, and (r, U) is r with the zero series of the given order."""
+    d = build_root_datum(group)
+    for which in ("g", "k"):
+        roots = d.positive_roots if which == "g" else d.compact_positive_roots
+        r, u = weyl_denominator_factored(d, y, which, order)
+        assert (r, u) == _denominator_by_root_product(d, y, which, order)
+        assert r == len(roots) and u.order == order
+        assert u.is_zero() == any(dot(alpha, y) == 0 for alpha in roots)
+    assert weyl_denominator_factored(d, y, "g", order) == (
+        len(d.positive_roots),
+        TruncatedSeries.zero(order),
+    )
+
+
+def test_unknown_which_is_rejected():
+    d = build_root_datum(GroupId.sp_r(2))
+    for call in (
+        lambda: weyl_order(d, "x"),
+        lambda: weyl_elements(d, "x"),
+        lambda: weyl_denominator_factored(d, W(2, 1), "x", 3),
+    ):
+        with pytest.raises(ValueError, match="which must be 'g' or 'k'"):
+            call()
 
 
 K_SUM_DATA = [

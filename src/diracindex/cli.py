@@ -109,7 +109,15 @@ def _capped_rank(label: str, rank: int) -> int:
     return cap
 
 
+def _max_param(value: int) -> int:
+    """The --max parameter bound; a bound below 1 selects no group at all."""
+    if value < 1:
+        raise DiracIndexError(f"--max must be at least 1, got {value}")
+    return value
+
+
 def _cmd_springer_table(args) -> int:
+    max_param = _max_param(args.max)
     families = None
     if args.families != "all":
         try:
@@ -117,7 +125,7 @@ def _cmd_springer_table(args) -> int:
         except ValueError:
             tags = ", ".join(f.value for f in Family)
             raise DiracIndexError(f"unknown family tag; choose from: {tags}")
-    rows = springer_table(max_param=args.max, families=families)
+    rows = springer_table(max_param=max_param, families=families)
     sys.stdout.write(emit(rows, args.format))
     return 0
 
@@ -161,8 +169,12 @@ def _cmd_gcd(args) -> int:
 
 def _cmd_verify(args) -> int:
     kwargs = {}
-    if args.suite == "springer" and args.max is not None:
-        kwargs["max_param"] = args.max
+    if args.max is not None:
+        if args.suite != "springer":
+            raise DiracIndexError(
+                f"--max applies to the springer suite only, not {args.suite}"
+            )
+        kwargs["max_param"] = _max_param(args.max)
     report = run_suite(args.suite, **kwargs)
     if args.format == "json":
         sys.stdout.write(dumps(report.to_obj()))
@@ -230,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_table = sub.add_parser("springer-table", help="emit the classification table")
     p_table.add_argument("--families", default="all",
                          help="comma-separated family tags or 'all'")
-    p_table.add_argument("--max", type=int, default=5, help="parameter bound")
+    p_table.add_argument("--max", type=int, default=5, help="parameter bound, at least 1")
     p_table.add_argument("--format", choices=("json", "csv", "latex"), default="json")
     p_table.set_defaults(func=_cmd_springer_table)
 
@@ -258,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run a verification suite")
     p_verify.add_argument("--suite", choices=SUITE_NAMES, required=True)
     p_verify.add_argument("--max", type=int, default=None,
-                          help="parameter bound (springer suite)")
+                          help="parameter bound, at least 1 (springer suite only)")
     p_verify.add_argument("--format", choices=("text", "json"), default="text")
     p_verify.set_defaults(func=_cmd_verify)
 

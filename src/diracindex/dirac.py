@@ -45,9 +45,9 @@ from .kmodules import (
     tensor_virtual,
     weight_multiset,
 )
-from .polynomials import Exponent, MultiPoly
+from .polynomials import Exponent, MultiPoly, _numerator, _scaled
 from .series import TruncatedSeries
-from .weylaction import act, weyl_dim_poly
+from .weylaction import _act_terms, weyl_dim_poly
 
 SPIN_SUBSET_CAP = 20
 
@@ -183,12 +183,12 @@ def index_polynomial(fam: IndexFamily) -> MultiPoly:
     of evaluate_index, because D_k vanishes at compactly singular
     parameters and changes by sgn under the compact Weyl group.
     """
-    dk = weyl_dim_poly(fam.datum)
-    acc: dict[Exponent, Fraction] = {}
+    den, dk = _numerator(weyl_dim_poly(fam.datum))
+    acc: dict[Exponent, int] = {}
     for w, a in fam.coeffs.items():
-        for exp, c in act(w.inverse(), dk).terms.items():
+        for exp, c in _act_terms(w.inverse(), dk).items():
             acc[exp] = acc.get(exp, 0) + a * c
-    return MultiPoly._trusted(fam.datum.rank, {e: c for e, c in acc.items() if c})
+    return _scaled(fam.datum.rank, {e: c for e, c in acc.items() if c}, Fraction(1, den))
 
 
 def verify_translation(

@@ -34,8 +34,9 @@ from .polynomials import LinearForm, MultiPoly
 from .springer import SpringerRow, generator_forms
 
 
-def frac_str(x: Fraction) -> str:
-    return str(Fraction(x))
+def frac_str(x: int | Fraction) -> str:
+    """Reduced text "a" or "a/b"; a Fraction is always stored reduced."""
+    return str(x)
 
 
 def weight_strs(w: Weight) -> list[str]:

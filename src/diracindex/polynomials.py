@@ -18,7 +18,15 @@ to a primitive integer form, multiplies the rational contents into one
 keys pack the exponent vector into fixed-width bit fields (variable i in
 bits [i*w, (i+1)*w) with w = len(forms).bit_length(), wide enough for
 any exponent of the product, so adding keys never carries between
-fields).  The result is unpacked and scaled by the content once.
+fields).  The result is unpacked and scaled by the content once.  The
+rows are multiplied in order of their last nonzero variable: the product
+commutes, and this order keeps the partial products in the fewest
+variables for longest, so they have fewer terms.
+
+Graded-lex order is two sorts: exponents descending, then a stable sort
+by degree.  Code that sums many Weyl translates (`dirac.index_polynomial`)
+works on the integer numerator from `_numerator` and builds `Fraction`s
+once, through `_scaled`.
 
 Hyperplane restriction, divisibility, exact division and factor
 extraction share one Horner pass, run on integers.  Write P = N / D with
@@ -195,7 +203,12 @@ class MultiPoly:
         return len(degrees) <= 1
 
     def sorted_terms(self) -> list[tuple[Exponent, Fraction]]:
-        return sorted(self.terms.items(), key=lambda t: _gl_key(t[0]))
+        """Terms in graded-lex order, as `_gl_key` sorts them: exponents
+        descending, then a stable sort by degree."""
+        exps = sorted(self.terms, reverse=True)
+        exps.sort(key=sum)
+        terms = self.terms
+        return [(e, terms[e]) for e in exps]
 
     def evaluate(self, point: Sequence) -> Fraction:
         if len(point) != self.arity:
@@ -301,13 +314,16 @@ def _packed_product(
     packed: dict[int, int], rows: Iterable[Sequence[int]], width: int
 ) -> dict[int, int]:
     """packed times the integer forms sum_i row_i X_i, on keys packed with
-    fields of the given width (module docstring)."""
-    for row in rows:
-        steps = [(1 << (width * i), k) for i, k in enumerate(row) if k]
-        out: dict[int, int] = {}
-        for key, coeff in packed.items():
-            for step, k in steps:
-                out[key + step] = out.get(key + step, 0) + coeff * k
+    fields of the given width, rows taken in order of their last nonzero
+    variable (module docstring).  Every row is nonzero."""
+    for row in sorted(rows, key=lambda row: max(i for i, k in enumerate(row) if k)):
+        (step, k), *rest = [(1 << (width * i), k) for i, k in enumerate(row) if k]
+        # One step maps distinct keys to distinct keys: no merging.
+        out = {key + step: c * k for key, c in packed.items()}
+        for step, k in rest:
+            for key, c in packed.items():
+                key += step
+                out[key] = out.get(key, 0) + c * k
         packed = {key: c for key, c in out.items() if c}
     return packed
 
@@ -319,7 +335,7 @@ def _unpacked(
     shifts = [width * i for i in range(arity)]
     return _scaled(
         arity,
-        {tuple((key >> s) & mask for s in shifts): c for key, c in packed.items()},
+        {tuple([(key >> s) & mask for s in shifts]): c for key, c in packed.items()},
         scale,
     )
 

@@ -8,7 +8,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from operator import itemgetter
+from typing import Callable, Iterable, Sequence, TypeVar
 
 from .errors import CapExceeded, DimensionMismatch
 from .groups import RootDatum, Weight, WeylElement, dot
@@ -16,21 +17,41 @@ from .polynomials import Exponent, LinearForm, MultiPoly, _gl_key, linear_form_p
 
 SPAN_COLUMN_CAP = 20_000
 
+Coeff = TypeVar("Coeff", int, Fraction)
+
+
+def _picker(indices: Sequence[int]) -> Callable[[Exponent], Exponent]:
+    """exp -> tuple(exp[i] for i in indices).  itemgetter is the fast way,
+    but it returns a bare item for one index and needs at least one."""
+    if len(indices) > 1:
+        return itemgetter(*indices)
+    if indices:
+        (i,) = indices
+        return lambda exp: (exp[i],)
+    return lambda exp: ()
+
+
+def _act_terms(w: WeylElement, terms: dict[Exponent, Coeff]) -> dict[Exponent, Coeff]:
+    """The term dict of w.P from the term dict of P.
+
+    Exponent k of w.P is exponent perm[k] of P, and a monomial changes
+    sign when its exponents over the coordinates perm[k] with signs[k] < 0
+    sum to an odd number.  Values are only negated, so they may be ints
+    or Fractions.
+    """
+    permuted = _picker(w.perm)
+    negated = _picker([p for p, s in zip(w.perm, w.signs) if s < 0])
+    # exp -> exp permuted is a bijection, so each term is assigned once.
+    return {
+        permuted(exp): -c if sum(negated(exp)) & 1 else c for exp, c in terms.items()
+    }
+
 
 def act(w: WeylElement, poly: MultiPoly) -> MultiPoly:
     """(w.P)(lam) = P(w^{-1} lam)."""
     if poly.arity != len(w.perm):
         raise DimensionMismatch("polynomial arity must match the Weyl element")
-    inv = w.inverse()
-    # exp -> exp permuted is a bijection, so each term is assigned once.
-    out: dict[Exponent, Fraction] = {}
-    for exp, coeff in poly.terms.items():
-        negate = False
-        for s, e in zip(inv.signs, exp):
-            if s < 0 and e % 2 == 1:
-                negate = not negate
-        out[tuple(exp[p] for p in w.perm)] = -coeff if negate else coeff
-    return MultiPoly._trusted(poly.arity, out)
+    return MultiPoly._trusted(poly.arity, _act_terms(w, poly.terms))
 
 
 @dataclass(frozen=True)
@@ -78,16 +99,23 @@ def echelonize(polys: Iterable[MultiPoly]) -> list[MultiPoly]:
     return basis
 
 
+def _check_span_size(columns: int, rows: int, cap: int, qualifier: str = "") -> None:
+    if columns > cap or columns * rows > 50 * cap:
+        raise CapExceeded(
+            f"{qualifier}{columns} columns x {rows} rows exceeds the span cap {cap}"
+        )
+
+
 def orbit_span(
     poly: MultiPoly, elements: Sequence[WeylElement], cap: int = SPAN_COLUMN_CAP
 ) -> PolySpan:
     """Echelonized span of {w.P : w in W}; dimension is exact."""
+    # act is a bijection on monomials, so each translate has len(poly.terms)
+    # terms: a lower bound on the columns, checked before any translate.
+    _check_span_size(len(poly.terms), len(elements), cap, "at least ")
     translates = [act(w, poly) for w in elements]
     monomials = sorted({e for t in translates for e in t.terms}, key=_gl_key)
-    if len(monomials) > cap or len(monomials) * len(translates) > 50 * cap:
-        raise CapExceeded(
-            f"{len(monomials)} columns x {len(translates)} rows exceeds the span cap"
-        )
+    _check_span_size(len(monomials), len(translates), cap)
     basis = echelonize(translates)
     return PolySpan(tuple(basis), tuple(monomials))
 

@@ -13,6 +13,7 @@ from diracindex.dirac import (
     discrete_series_family,
     evaluate_index,
     families_equivalent,
+    family_combination,
     index_discrete_series,
     index_polynomial,
     is_integral_weyl,
@@ -41,6 +42,7 @@ from diracindex.kmodules import (
 )
 from diracindex.polynomials import MultiPoly, is_harmonic
 from diracindex.series import TruncatedSeries
+from diracindex.springer import table_groups
 from diracindex.weylaction import act, orbit_span, weyl_dim_poly
 from test_kmodules import _solve_linear
 
@@ -552,3 +554,71 @@ SO_STAR_2 = build_root_datum(GroupId.so_star(1))
 def test_is_integral_weyl_matches_solver(case):
     w, base, datum = case
     assert is_integral_weyl(w, base, datum) == _integral_by_solver(w, base, datum)
+
+
+def _fraction_act(w, poly):
+    """The Fraction Weyl action term by term, flipping the sign once per
+    odd exponent on a negated coordinate; the reference for act."""
+    inv = w.inverse()
+    out = {}
+    for exp, coeff in poly.terms.items():
+        negate = False
+        for s, e in zip(inv.signs, exp):
+            if s < 0 and e % 2 == 1:
+                negate = not negate
+        out[tuple(exp[p] for p in w.perm)] = -coeff if negate else coeff
+    return MultiPoly(poly.arity, out)
+
+
+def _index_polynomial_by_fractions(fam):
+    """sum_w a_w (w^{-1}.D_k) with one Fraction product and sum per term."""
+    dk = weyl_dim_poly(fam.datum)
+    acc = {}
+    for w, a in fam.coeffs.items():
+        for exp, c in _fraction_act(w.inverse(), dk).terms.items():
+            acc[exp] = acc.get(exp, 0) + a * c
+    return MultiPoly(fam.datum.rank, acc)
+
+
+# Every group of the six families up to rank 4, the rootless SO*(2) included.
+INDEX_DATA = [build_root_datum(g) for g in table_groups(4) if g.rank <= 4]
+SP4 = build_root_datum(GroupId.sp_r(2))
+
+
+@st.composite
+def family_recipes(draw):
+    """(datum, base, [(i, c), ...]): the family sum_i c * (w_i . X) for the
+    discrete series X at base and w_i the i-th element of W_g."""
+    datum = draw(st.sampled_from(INDEX_DATA))
+    elements = weyl_elements(datum, "g")
+    # (2k + 1) rho_g and its W_g translates are regular points of Lambda + rho_g.
+    w = elements[draw(st.integers(0, len(elements) - 1))]
+    odd = 2 * draw(st.integers(0, 2)) + 1
+    base = w.apply(tuple(odd * r for r in datum.rho_g))
+    terms = draw(st.lists(
+        st.tuples(st.integers(0, len(elements) - 1), st.integers(-3, 3)), max_size=6
+    ))
+    return datum, base, terms
+
+
+@settings(max_examples=200, deadline=None)
+@given(family_recipes())
+@example((SO_STAR_2, SO_STAR_2.rho_g, [(0, 2)]))
+@example((SO_STAR_2, SO_STAR_2.rho_g, [(0, 1), (0, -1)]))
+@example((SP4, SP4.rho_g, [(0, 3), (5, 1), (0, -3), (5, -1)]))
+# Element 4 of W_g(Sp(4,R)) swaps the coordinates, the compact reflection:
+# two nonzero coefficients whose translates of D_k cancel.
+@example((SP4, SP4.rho_g, [(0, 1), (4, 1)]))
+def test_index_polynomial_matches_fraction_oracle(recipe):
+    datum, base, terms = recipe
+    elements = weyl_elements(datum, "g")
+    source = discrete_series_family(base, datum)
+    fam = IndexFamily(datum, base, {})
+    for i, c in terms:
+        fam = family_combination(fam, act_on_family(elements[i], source), 1, c)
+    q = index_polynomial(fam)
+    assert q == _index_polynomial_by_fractions(fam)
+    assert all(type(c) is F for c in q.terms.values())
+    dk = weyl_dim_poly(datum)
+    for w in fam.coeffs:
+        assert act(w, dk) == _fraction_act(w, dk)

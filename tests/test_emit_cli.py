@@ -239,6 +239,25 @@ def test_suites_deterministic_across_runs():
     assert run_suite("translation").to_obj() == run_suite("translation").to_obj()
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify", "--suite", "translation", "--max", "-3"], "springer suite only"),
+        (["verify", "--suite", "harmonic", "--max", "0"], "springer suite only"),
+        (["verify", "--suite", "springer", "--max", "0"], "at least 1"),
+        (["springer-table", "--max", "-1"], "at least 1"),
+        (["springer-table", "--max", "0", "--format", "csv"], "at least 1"),
+    ],
+)
+def test_cli_misused_max_is_usage_error(argv, message, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --max ")
+    assert message in captured.err
+    assert captured.err.count("\n") == 1
+
+
 def test_cli_unknown_family_tag(capsys):
     code = main(["springer-table", "--families", "E8", "--max", "2"])
     assert code == 2

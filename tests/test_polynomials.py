@@ -11,6 +11,7 @@ from diracindex.groups import GroupId, build_root_datum
 from diracindex.polynomials import (
     LinearForm,
     MultiPoly,
+    _gl_key,
     divide_by_linear_form,
     divides_linear_form,
     extract_linear_factors,
@@ -74,6 +75,14 @@ def test_sorted_terms_graded_lex():
     assert order == [(0, 0), (1, 0), (0, 1)]
 
 
+@settings(max_examples=100, deadline=None)
+@given(polys(arity=4, max_degree=4, max_terms=12))
+@example(MultiPoly(3, {(0, 0, 0): 1, (0, 0, 2): 2, (1, 1, 0): 3, (2, 0, 0): 4, (0, 1, 0): 5}))
+def test_sorted_terms_matches_gl_key_sort(poly):
+    expected = sorted(poly.terms.items(), key=lambda t: _gl_key(t[0]))
+    assert poly.sorted_terms() == expected
+
+
 def test_linear_form_product_examples():
     f = LinearForm((F(1), F(-1)))
     assert linear_form_product(2, [f]) == MultiPoly(2, {(1, 0): 1, (0, 1): -1})
@@ -130,6 +139,15 @@ def test_linear_form_product_matches_naive_fold(case):
     assert product == naive
     assert product.sorted_terms() == naive.sorted_terms()
     assert_normalized(product, arity)
+
+
+@settings(max_examples=100, deadline=None)
+@given(form_products(), st.data())
+def test_linear_form_product_ignores_form_order(case, data):
+    arity, forms = case
+    shuffled = data.draw(st.permutations(forms))
+    expected = linear_form_product(arity, forms).sorted_terms()
+    assert linear_form_product(arity, shuffled).sorted_terms() == expected
 
 
 def test_linear_form_product_cancels():

@@ -3,6 +3,8 @@ from fractions import Fraction as F
 
 import pytest
 
+from diracindex import weylaction
+from diracindex.errors import CapExceeded
 from diracindex.groups import (
     GroupId,
     WeylElement,
@@ -81,6 +83,27 @@ def test_orbit_span_dims():
 
     span = orbit_span(MultiPoly.const(2, 5), weyl_elements(sp4, "g"))
     assert span.dim == 1
+
+
+def test_orbit_span_refuses_before_translating(monkeypatch):
+    # Two terms already exceed one column: no translate is built.
+    sp4 = build_root_datum(GroupId.sp_r(2))
+    x1, x2 = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
+
+    def no_act(w, poly):
+        raise AssertionError("act called before the lower-bound check")
+
+    monkeypatch.setattr(weylaction, "act", no_act)
+    with pytest.raises(CapExceeded, match=r"^at least 2 columns x 8 rows .* cap 1$"):
+        orbit_span(x1 - x2, weyl_elements(sp4, "g"), cap=1)
+
+
+def test_orbit_span_refuses_on_exact_column_count():
+    # X1 has one term, but its translates +-X1, +-X2 fill two columns.
+    sp4 = build_root_datum(GroupId.sp_r(2))
+    with pytest.raises(CapExceeded, match=r"^2 columns x 8 rows .* cap 1$"):
+        orbit_span(MultiPoly.variable(2, 0), weyl_elements(sp4, "g"), cap=1)
+    assert orbit_span(MultiPoly.variable(2, 0), weyl_elements(sp4, "g"), cap=2).dim == 2
 
 
 def test_orbit_span_conjugation_invariant():

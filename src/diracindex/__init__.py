@@ -37,7 +37,6 @@ from .groups import (
     simple_roots,
     weight_add,
     weight_neg,
-    weight_scale,
     weight_sub,
     weyl_elements,
     weyl_order,
@@ -45,18 +44,15 @@ from .groups import (
 from .kmodules import (
     VirtualKModule,
     WeightMultiset,
-    ch_series,
     dim_virtual,
     k_type_sum,
     tensor_virtual,
-    virtual_k_type,
     weight_multiset,
     weyl_orbit,
 )
 from .polynomials import (
     LinearForm,
     MultiPoly,
-    divide_by_linear_form,
     divides_linear_form,
     extract_linear_factors,
     is_harmonic,

@@ -45,9 +45,6 @@ class LaurentSeries:
             return 0
         return max(0, -(self.low + val))
 
-    def is_zero(self) -> bool:
-        return self.series.is_zero()
-
     def coeff(self, power: int) -> Fraction:
         k = power - self.low
         if k < 0:

@@ -53,12 +53,17 @@ def parse_group(text: str) -> GroupId:
         raise argparse.ArgumentTypeError(f"cannot parse group {text!r}")
     head, args = m.groups()
     parts = args.split(",")
+    arity = 1 if head == "SO*" else 2
+    if len(parts) != arity:
+        raise argparse.ArgumentTypeError(
+            f"cannot parse group {text!r}: {head} takes {arity} argument(s)"
+        )
     try:
         if head == "SU":
             p, q = int(parts[0]), int(parts[1])
             return GroupId.su(p, q)
         if head == "SO*":
-            (n2,) = (int(parts[0]),)
+            n2 = int(parts[0])
             if n2 % 2:
                 raise ValueError("SO*(2n) needs an even argument")
             return GroupId.so_star(n2 // 2)
@@ -70,14 +75,14 @@ def parse_group(text: str) -> GroupId:
                 return GroupId.so_even_odd(a // 2, (b - 1) // 2)
             return GroupId.so_even_even(a // 2, b // 2)
         if head == "Sp":
-            if parts[-1] == "R":
+            if parts[1] == "R":
                 n2 = int(parts[0])
                 if n2 % 2:
                     raise ValueError("Sp(2n,R) needs an even argument")
                 return GroupId.sp_r(n2 // 2)
             p, q = int(parts[0]), int(parts[1])
             return GroupId.sp_pq(p, q)
-    except (ValueError, IndexError) as exc:
+    except ValueError as exc:
         raise argparse.ArgumentTypeError(f"cannot parse group {text!r}: {exc}")
     raise argparse.ArgumentTypeError(f"cannot parse group {text!r}")
 

@@ -57,9 +57,6 @@ class SpinWeights:
     plus: WeightMultiset
     minus: WeightMultiset
 
-    def total(self) -> int:
-        return self.plus.total() + self.minus.total()
-
 
 def spin_weights(datum: RootDatum, cap: int = SPIN_SUBSET_CAP) -> SpinWeights:
     """The 2^(r_g - r_k) spin weights -rho_g + rho_k + (subset sums),
@@ -127,14 +124,6 @@ class IndexFamily:
         )
         if len(self.base) != self.datum.rank:
             raise DimensionMismatch("base length must equal the rank")
-
-    def support(self) -> list[tuple[WeylElement, int]]:
-        return sorted(
-            self.coeffs.items(), key=lambda t: (t[0].perm, t[0].signs)
-        )
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
 
 
 def discrete_series_family(

@@ -5,11 +5,6 @@ JSON schemas (bit-exact across platforms; fractions as reduced strings):
 * polynomial     {"vars": n, "terms": [{"exp": [...], "coeff": "a/b"}]}
                  terms sorted graded-lex (degree ascending, then exponent
                  tuple descending lexicographically);
-* virtual module {"terms": [{"gamma": ["a/b", ...], "coeff": n}]}
-                 sorted by gamma lexicographically;
-* index family   {"base": [...], "coeffs": [{"w": {"perm": [...],
-                 "signs": [...]}, "a": n}]} with coefficients folded onto
-                 canonical compact-coset representatives;
 * limit report   {"d": n, "value": "a/b"|null, "expected": "a/b"|null,
                  "match": bool, "underflow": bool};
 * suite report   {"suite": name, "cases": [{"id", "pass", "detail"}],
@@ -26,10 +21,7 @@ from fractions import Fraction
 from typing import Any
 
 from .asymptotics import LimitReport
-from .dirac import IndexFamily, canonical_coeffs
 from .errors import InvalidInput, UnsupportedFormat
-from .groups import Weight
-from .kmodules import VirtualKModule
 from .polynomials import LinearForm, MultiPoly
 from .springer import SpringerRow, generator_forms
 
@@ -37,10 +29,6 @@ from .springer import SpringerRow, generator_forms
 def frac_str(x: int | Fraction) -> str:
     """Reduced text "a" or "a/b"; a Fraction is always stored reduced."""
     return str(x)
-
-
-def weight_strs(w: Weight) -> list[str]:
-    return [frac_str(c) for c in w]
 
 
 def poly_to_obj(poly: MultiPoly) -> dict:
@@ -78,6 +66,8 @@ def poly_from_obj(obj: dict) -> MultiPoly:
         coeff = _field(term, "coeff", (str, int), "polynomial term")
         if not all(type(e) is int and e >= 0 for e in exp):
             raise InvalidInput(f"polynomial term has a malformed 'exp' {exp}")
+        if tuple(exp) in terms:
+            raise InvalidInput(f"polynomial has a repeated 'exp' {exp}")
         try:
             terms[tuple(exp)] = Fraction(coeff)
         except (ValueError, ZeroDivisionError):
@@ -97,9 +87,6 @@ TAGGED_SHAPES = {
     }]},
     "limit_report": {"d": int, "value": _OPT_STR, "expected": _OPT_STR,
                      "match": bool, "underflow": bool},
-    "virtual_module": {"terms": [{"gamma": [str], "coeff": int}]},
-    "index_family": {"base": [str],
-                     "coeffs": [{"w": {"perm": [int], "signs": [int]}, "a": int}]},
     "suite_report": {"suite": str, "all_pass": bool,
                      "cases": [{"id": str, "pass": bool, "detail": str}]},
 }
@@ -123,29 +110,6 @@ def check_tagged(kind: str, obj: dict) -> None:
     """Check obj against the fields emit writes for a tagged object of this
     kind; InvalidInput names the first malformed field."""
     _check_shape(obj, TAGGED_SHAPES[kind], kind)
-
-
-def vkm_to_obj(module: VirtualKModule) -> dict:
-    return {
-        "terms": [
-            {"gamma": weight_strs(g), "coeff": c}
-            for g, c in module.sorted_terms()
-        ]
-    }
-
-
-def family_to_obj(fam: IndexFamily) -> dict:
-    folded = canonical_coeffs(fam)
-    entries = sorted(
-        ((w.perm, w.signs, a) for w, a in folded.items()),
-    )
-    return {
-        "base": weight_strs(fam.base),
-        "coeffs": [
-            {"w": {"perm": list(p), "signs": list(s)}, "a": a}
-            for p, s, a in entries
-        ],
-    }
 
 
 def limit_report_to_obj(report: LimitReport) -> dict:
@@ -292,14 +256,6 @@ def emit(obj: Any, fmt: str) -> str:
         if fmt == "json":
             return dumps({"type": "polynomial", **poly_to_obj(obj)})
         raise UnsupportedFormat(f"polynomials only serialize to json, not {fmt}")
-    if isinstance(obj, VirtualKModule):
-        if fmt == "json":
-            return dumps({"type": "virtual_module", **vkm_to_obj(obj)})
-        raise UnsupportedFormat(f"virtual modules only serialize to json, not {fmt}")
-    if isinstance(obj, IndexFamily):
-        if fmt == "json":
-            return dumps({"type": "index_family", **family_to_obj(obj)})
-        raise UnsupportedFormat(f"index families only serialize to json, not {fmt}")
     if isinstance(obj, LimitReport):
         if fmt == "json":
             return dumps({"type": "limit_report", **limit_report_to_obj(obj)})

@@ -65,11 +65,6 @@ def weight_neg(a: Weight) -> Weight:
     return tuple(-x for x in a)
 
 
-def weight_scale(c, a: Weight) -> Weight:
-    c = Fraction(c)
-    return tuple(c * x for x in a)
-
-
 def dot(a: Weight, b: Weight) -> Fraction:
     if len(a) != len(b):
         raise DimensionMismatch(f"weight lengths {len(a)} != {len(b)}")
@@ -313,18 +308,6 @@ def build_root_datum(group: GroupId, max_rank: int = DEFAULT_RANK_CAP) -> RootDa
     )
 
 
-def with_lattice(datum: RootDatum, predicate: Callable[[Weight], bool]) -> RootDatum:
-    """Copy of the datum with a substituted weight-lattice predicate.
-
-    The default per-family lattices (integral coordinates, or integral
-    differences for the special unitary family) fit the fixtures here;
-    covers with other character lattices can swap in their own test.
-    """
-    from dataclasses import replace
-
-    return replace(datum, lattice=predicate)
-
-
 @dataclass(frozen=True)
 class WeylElement:
     """Signed permutation; (w.lam)_i = signs[i] * lam[perm[i]]."""
@@ -358,11 +341,6 @@ class WeylElement:
 
     def sign(self) -> int:
         return _perm_parity(self.perm) * math.prod(self.signs)
-
-    def is_identity(self) -> bool:
-        return all(p == i for i, p in enumerate(self.perm)) and all(
-            s == 1 for s in self.signs
-        )
 
 
 def _perm_parity(perm: tuple[int, ...]) -> int:

@@ -68,31 +68,8 @@ class VirtualKModule:
             clean[gamma] = c
         self.coeffs = clean
 
-    @classmethod
-    def zero(cls, datum: RootDatum) -> "VirtualKModule":
-        return cls(datum, {})
-
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def _check(self, other: "VirtualKModule"):
-        if self.datum.group != other.datum.group:
-            raise ValueError("modules live over different groups")
-
-    def __add__(self, other: "VirtualKModule") -> "VirtualKModule":
-        self._check(other)
-        out = dict(self.coeffs)
-        for g, c in other.coeffs.items():
-            out[g] = out.get(g, 0) + c
-        return VirtualKModule(self.datum, out)
-
-    def __sub__(self, other: "VirtualKModule") -> "VirtualKModule":
-        return self + other.scale(-1)
-
-    def scale(self, c: int) -> "VirtualKModule":
-        return VirtualKModule(
-            self.datum, {g: c * v for g, v in self.coeffs.items()}
-        )
 
     def __eq__(self, other) -> bool:
         return (
@@ -103,19 +80,6 @@ class VirtualKModule:
 
     def __hash__(self):
         return hash((self.datum.group, frozenset(self.coeffs.items())))
-
-    def sorted_terms(self) -> list[tuple[Weight, int]]:
-        return sorted(self.coeffs.items(), key=lambda t: t[0])
-
-    def __repr__(self):
-        if self.is_zero():
-            return "VirtualKModule(0)"
-        bits = [
-            f"{c:+d}*E[{','.join(str(x) for x in g)}]"
-            for g, c in self.sorted_terms()
-        ]
-        return "VirtualKModule(" + " ".join(bits) + ")"
-
 
 def k_type_sum(datum: RootDatum, terms: Iterable[tuple[Weight, int]]) -> VirtualKModule:
     """sum c * E(gamma) over the (gamma, c) pairs, collected in one dict.
@@ -133,11 +97,6 @@ def k_type_sum(datum: RootDatum, terms: Iterable[tuple[Weight, int]]) -> Virtual
                 sign, dom = normalized
                 acc[dom] = acc.get(dom, 0) + sign * c
     return VirtualKModule(datum, acc)
-
-
-def virtual_k_type(gamma: Weight, datum: RootDatum) -> VirtualKModule:
-    """Sign-normalized virtual K-type E(gamma) with infinitesimal character gamma."""
-    return k_type_sum(datum, [(gamma, 1)])
 
 
 def dim_virtual(module: VirtualKModule) -> int:
@@ -161,19 +120,8 @@ class WeightMultiset:
         if any(m <= 0 for m in self.mults.values()):
             raise ValueError("multiplicities must be positive")
 
-    def total(self) -> int:
-        return sum(self.mults.values())
-
     def items(self):
         return self.mults.items()
-
-    def __contains__(self, w: Weight) -> bool:
-        return w in self.mults
-
-    def __eq__(self, other):
-        return isinstance(other, WeightMultiset) and dict(self.mults) == dict(
-            other.mults
-        )
 
 
 def _dominant_rep_g(datum: RootDatum, mu: Weight) -> Weight:
@@ -364,24 +312,3 @@ def weyl_denominator_factored(
     rates = {Fraction(f, den): c for f, c in freqs.items()}
     return r, frequencies_to_series(rates, order + r).shift_down(r)
 
-
-def ch_series(module: VirtualKModule, y: Weight, order: int) -> TruncatedSeries:
-    """Taylor series in t of the character of the module at exp(t y).
-
-    The Weyl numerator vanishes to order r_k at t = 0, matching the zero
-    of the compact Weyl denominator, so the quotient is a power series;
-    its constant term is the virtual dimension.
-    """
-    datum = module.datum
-    check_regular_direction(datum, y)
-    if order < datum.r_g:
-        raise ValueError(f"order must be at least r_g = {datum.r_g}")
-    if module.is_zero():
-        return TruncatedSeries.zero(order)
-    freqs = numerator_frequencies(module, y)
-    r_k = datum.r_k
-    # order past the frequency count so a nonzero sum cannot read as zero
-    numerator = frequencies_to_series(freqs, max(order + r_k, len(freqs)))
-    shifted = numerator.shift_down(r_k)  # checks exact vanishing to order r_k
-    _, u = weyl_denominator_factored(datum, y, "k", order)
-    return shifted.truncate(order).divide(u)

@@ -294,13 +294,6 @@ class LinearForm:
         """Divide by the coefficient content and make the pivot positive."""
         return LinearForm(tuple(self._content()[1]))
 
-    def evaluate(self, point: Sequence) -> Fraction:
-        if len(point) != self.arity:
-            raise DimensionMismatch("point arity mismatch")
-        return sum(
-            (c * Fraction(x) for c, x in zip(self.coeffs, point)), Fraction(0)
-        )
-
 
 def _scaled(arity: int, num: IntTerms, scale: Fraction) -> MultiPoly:
     """The polynomial scale * num, for a nonzero scale."""
@@ -430,16 +423,6 @@ def restrict_to_hyperplane(poly: MultiPoly, form: LinearForm) -> MultiPoly:
 def divides_linear_form(poly: MultiPoly, form: LinearForm) -> bool:
     """True iff the linear form divides the polynomial exactly."""
     return not _Pivot(poly.arity, form).horner(_numerator(poly)[1])[0]
-
-
-def divide_by_linear_form(poly: MultiPoly, form: LinearForm) -> MultiPoly:
-    """Exact quotient poly / form; raises ValueError when not divisible."""
-    pivot = _Pivot(poly.arity, form)
-    den, num = _numerator(poly)
-    hs = pivot.horner(num)
-    if hs[0]:
-        raise ValueError("polynomial is not divisible by the linear form")
-    return _scaled(poly.arity, pivot.quotient(hs), 1 / (pivot.content * den))
 
 
 def extract_linear_factors(

@@ -40,16 +40,6 @@ class TruncatedSeries:
     def _matched(self, other: "TruncatedSeries") -> int:
         return min(self.order, other.order)
 
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        n = self._matched(other)
-        return TruncatedSeries(
-            tuple(self.coeffs[k] + other.coeffs[k] for k in range(n + 1))
-        )
-
-    def scale(self, c) -> "TruncatedSeries":
-        c = Fraction(c)
-        return TruncatedSeries(tuple(c * x for x in self.coeffs))
-
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         n = self._matched(other)
         out = [Fraction(0)] * (n + 1)
@@ -96,9 +86,6 @@ class TruncatedSeries:
             if c != 0:
                 return k
         return None
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
 
     def coeff(self, k: int) -> Fraction:
         if k < 0:

@@ -21,7 +21,7 @@ partition through the same merge recovers the label.
 
 Table rows hold no expanded polynomial: every column, the printed
 generator included, comes from the factored compact root forms of
-``generator_forms``.  ``generator_poly`` expands their product on request.
+``generator_forms``.
 """
 
 from __future__ import annotations
@@ -37,7 +37,11 @@ from .errors import (
     UnsupportedFamily,
 )
 from .groups import Family, GroupId, RootDatum, build_root_datum
-from .polynomials import LinearForm, MultiPoly, linear_form_product
+from .polynomials import (
+    LinearForm,
+    # Unused: test_tracer_wraps_every_alias_and_restores_the_originals reads it; ROADMAP item 9
+    linear_form_product,
+)
 
 Partition = tuple[int, ...]  # weakly decreasing positive parts
 
@@ -59,13 +63,6 @@ class Bipartition:
     def __post_init__(self):
         object.__setattr__(self, "alpha", check_partition(self.alpha) if self.alpha else ())
         object.__setattr__(self, "beta", check_partition(self.beta) if self.beta else ())
-
-    @property
-    def n(self) -> int:
-        return sum(self.alpha) + sum(self.beta)
-
-    def __repr__(self):
-        return f"Bipartition({list(self.alpha)},{list(self.beta)})"
 
 
 @dataclass(frozen=True)
@@ -239,7 +236,7 @@ BIPARTITION_DIM_CAP = 12
 def bipartition_dim(bp: Bipartition) -> int:
     """Dimension of the hyperoctahedral-group representation labelled by
     (alpha, beta): binomial(n, |alpha|) * f^alpha * f^beta."""
-    n = bp.n
+    n = sum(bp.alpha) + sum(bp.beta)
     if n > BIPARTITION_DIM_CAP:
         raise CapExceeded(f"bipartition size {n} exceeds {BIPARTITION_DIM_CAP}")
     return (
@@ -315,11 +312,6 @@ def generator_forms(datum: RootDatum) -> list[LinearForm]:
         LinearForm.from_weight(alpha).primitive()
         for alpha in datum.compact_positive_roots
     ]
-
-
-def generator_poly(datum: RootDatum) -> MultiPoly:
-    """Expanded product of the compact positive root forms."""
-    return linear_form_product(datum.rank, generator_forms(datum))
 
 
 @dataclass(frozen=True)

@@ -10,14 +10,19 @@ import time
 from fractions import Fraction as F
 
 from diracindex.groups import build_root_datum, weyl_elements
-from diracindex.polynomials import LinearForm, MultiPoly, divides_linear_form
+from diracindex.polynomials import (
+    LinearForm,
+    MultiPoly,
+    divides_linear_form,
+    linear_form_product,
+)
 from diracindex.springer import (
     Bipartition,
     Symbol,
     ambient_algebra,
     bipartition_dim,
     dual_partition,
-    generator_poly,
+    generator_forms,
     springer_row,
     standard_tableaux_count,
     symbol_of_bipartition,
@@ -199,7 +204,8 @@ def test_criterion_8_oracle_equivalences():
     for group in (g for g in table_groups(4) if g.rank <= 4):
         datum = build_root_datum(group)
         row = springer_row(group)
-        span = orbit_span(generator_poly(datum), weyl_elements(datum, "g"))
+        generator = linear_form_product(datum.rank, generator_forms(datum))
+        span = orbit_span(generator, weyl_elements(datum, "g"))
         kind, _ = ambient_algebra(group)
         if kind == "A":
             expected = standard_tableaux_count(row.label)

@@ -10,21 +10,17 @@ import pytest
 
 from diracindex.asymptotics import leading_limit
 from diracindex.cli import main, parse_group
-from diracindex.dirac import evaluate_index
 from diracindex.emit import (
     dumps,
     emit,
-    family_to_obj,
     poly_from_obj,
     poly_to_obj,
     springer_rows_to_csv,
     springer_rows_to_latex,
-    vkm_to_obj,
 )
 from diracindex.errors import InternalInvariantError, UnsupportedFormat
 from diracindex.fixtures import sl2_families
-from diracindex.groups import GroupId, build_root_datum
-from diracindex.kmodules import virtual_k_type
+from diracindex.groups import GroupId
 from diracindex.polynomials import MultiPoly
 from diracindex.springer import springer_row
 from diracindex.suites import run_suite
@@ -50,23 +46,6 @@ def test_poly_json_roundtrip_random():
         }
         p = MultiPoly(arity, terms)
         assert poly_from_obj(json.loads(dumps(poly_to_obj(p)))) == p
-
-
-def test_vkm_json_sorted():
-    d = build_root_datum(GroupId.su(2, 1))
-    v = virtual_k_type(d.rho_g, d) + virtual_k_type(
-        (F(3), F(1), F(-4)), d
-    ).scale(-2)
-    obj = vkm_to_obj(v)
-    gammas = [tuple(t["gamma"]) for t in obj["terms"]]
-    assert gammas == sorted(gammas)
-
-
-def test_family_json_canonical():
-    fams = sl2_families()
-    obj = family_to_obj(fams["F"])
-    assert obj["base"] == ["1", "0"]
-    assert len(obj["coeffs"]) == 2
 
 
 def test_springer_csv_line():
@@ -196,6 +175,17 @@ def test_cli_bad_hc_param_is_usage_error(text, capsys):
     assert "--hc-param" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "label", ["SU(2,1,9)", "SO*(6,4)", "SOe(4,5,7)", "Sp(4,R,1)", "Sp(1,2,3)"]
+)
+def test_cli_group_with_extra_arguments_is_usage_error(label, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["index-poly", "--group", label, "--chamber", "0"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--group" in err and "Traceback" not in err
+
+
 def test_cli_chamber_on_wrong_group_errors(capsys):
     code = main(["index-poly", "--group", "Sp(4,R)", "--chamber", "0"])
     assert code == 2
@@ -301,6 +291,8 @@ def test_cli_unknown_family_tag(capsys):
         (["emit", "--input", "{path}"], None, '{"type":"limit_report"}'),
         (["emit", "--input", "{path}"], None, '{"type":"virtual_module","terms":5}'),
         (["emit", "--input", "{path}"], None, '{"type":"index_family"}'),
+        (["emit", "--input", "{path}"], None, '{"type":"virtual_module","terms":[]}'),
+        (["emit", "--input", "{path}"], None, '{"type":"index_family","base":[],"coeffs":[]}'),
         (["emit", "--input", "{path}"], None, '{"suite":1,"cases":2,"all_pass":3}'),
         (
             ["emit", "--input", "{path}"],
@@ -309,6 +301,12 @@ def test_cli_unknown_family_tag(capsys):
             ' "match": false, "underflow": true}',
         ),
         (["emit", "--input", "{path}"], None, '{"type": "polynomial", "vars": true, "terms": []}'),
+        (
+            ["emit", "--input", "{path}"],
+            None,
+            '{"type":"polynomial","vars":1,"terms":[{"exp":[1],"coeff":"1"},'
+            '{"exp":[1],"coeff":"-1"}]}',
+        ),
         (["emit", "--input", "{path}"], None, '{"type": []}'),
         (["index-poly", "--group", "SU(2,1)", "--hc-param", "1/2,0,-1/2"], None, None),
         (["char-poly", "--n", "12", "--i", "6"], None, None),
@@ -330,9 +328,12 @@ def test_cli_unknown_family_tag(capsys):
         "limit-report-no-fields",
         "virtual-module-terms-int",
         "index-family-no-fields",
+        "virtual-module-not-emittable",
+        "index-family-not-emittable",
         "suite-report-field-types",
         "limit-report-bool-d",
         "poly-bool-vars",
+        "poly-repeated-exp",
         "type-unhashable",
         "hc-param-off-lattice",
         "char-poly-n-over-cap",
@@ -362,14 +363,10 @@ def _tagged_objects():
     return {
         "limit_report": leading_limit(fams["D+"], lam, (F(1), F(-1)), 1),
         "underflow_report": leading_limit(fams["D+"], lam, (F(1), F(-1)), 0),
-        "virtual_module": evaluate_index(fams["F"], lam),
-        "index_family": fams["F"],
     }
 
 
-@pytest.mark.parametrize(
-    "name", ["limit_report", "underflow_report", "virtual_module", "index_family"]
-)
+@pytest.mark.parametrize("name", ["limit_report", "underflow_report"])
 def test_cli_emit_reemits_tagged_object_byte_identically(name, tmp_path, capsys):
     text = emit(_tagged_objects()[name], "json")
     path = tmp_path / "input.json"

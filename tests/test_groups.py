@@ -21,7 +21,6 @@ from diracindex.groups import (
     reflection,
     simple_roots,
     weight_add,
-    weight_scale,
     weyl_elements,
     weyl_order,
 )
@@ -109,11 +108,11 @@ def test_positive_roots_sum_to_twice_rho(group):
     total = (F(0),) * d.rank
     for alpha in d.positive_roots:
         total = weight_add(total, alpha)
-    assert total == weight_scale(2, d.rho_g)
+    assert total == tuple(2 * c for c in d.rho_g)
     total_k = (F(0),) * d.rank
     for alpha in d.compact_positive_roots:
         total_k = weight_add(total_k, alpha)
-    assert total_k == weight_scale(2, d.rho_k)
+    assert total_k == tuple(2 * c for c in d.rho_k)
 
 
 @pytest.mark.parametrize("group", SMALL_GROUPS, ids=lambda g: g.label())
@@ -144,7 +143,7 @@ def test_weyl_element_algebra():
     for _ in range(50):
         a, b = rng.choice(elements), rng.choice(elements)
         assert a.compose(b).apply(lam) == a.apply(b.apply(lam))
-        assert a.compose(a.inverse()).is_identity()
+        assert a.compose(a.inverse()) == WeylElement.identity(d.rank)
         assert a.sign() * b.sign() == a.compose(b).sign()
 
 

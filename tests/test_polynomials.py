@@ -12,7 +12,6 @@ from diracindex.polynomials import (
     LinearForm,
     MultiPoly,
     _gl_key,
-    divide_by_linear_form,
     divides_linear_form,
     extract_linear_factors,
     invariant_operator_images,
@@ -243,14 +242,16 @@ def test_horner_pass_matches_substitution_and_division(case):
     assert_normalized(rest, arity - 1)
     assert divides_linear_form(poly, form) == rest.is_zero()
     if not rest.is_zero():
-        with pytest.raises(ValueError):
-            divide_by_linear_form(poly, form)
+        assert extract_linear_factors(poly, [form]) == ([], poly)
     lifted = MultiPoly(arity, {e[:j] + (0,) + e[j:]: c for e, c in rest.terms.items()})
     divisible = poly - lifted
     assert divides_linear_form(divisible, form)
-    quotient = divide_by_linear_form(divisible, form)
-    assert_normalized(quotient, arity)
-    assert quotient * form.to_poly() + lifted == poly
+    factors, cofactor = extract_linear_factors(divisible, [form])
+    assert_normalized(cofactor, arity)
+    assert bool(factors) == (not divisible.is_zero())
+    for factor, mult in factors:
+        cofactor = cofactor * factor.to_poly() ** mult
+    assert cofactor + lifted == poly
 
 
 def _univariate_division_oracle(p: MultiPoly, form: LinearForm) -> bool:
@@ -317,6 +318,7 @@ def test_divides_agrees_with_univariate_oracle():
 
 
 def test_divide_by_linear_form_roundtrip():
+    """Exact division by a linear form, as extract_linear_factors peels it."""
     rng = random.Random(99)
     for _ in range(20):
         arity = rng.randint(2, 4)
@@ -330,10 +332,14 @@ def test_divide_by_linear_form_roundtrip():
         }
         q = MultiPoly(arity, terms)
         product = q * form.to_poly()
-        assert divide_by_linear_form(product, form) == q
-    with pytest.raises(ValueError):
-        x1, x2 = V("x1", "x2")
-        divide_by_linear_form(x1 + x2, LinearForm((F(1), F(-1))))
+        factors, cofactor = extract_linear_factors(product, [form])
+        if q.is_zero():
+            assert (factors, cofactor) == ([], product)
+            continue
+        [(factor, mult)] = factors
+        assert factor == form and cofactor * form.to_poly() ** (mult - 1) == q
+    x1, x2 = V("x1", "x2")
+    assert extract_linear_factors(x1 + x2, [LinearForm((F(1), F(-1)))]) == ([], x1 + x2)
 
 
 def test_divides_examples():
@@ -449,13 +455,6 @@ def test_integer_horner_matches_fraction_oracle(case):
         assert rest == MultiPoly(poly.arity - 1, hs[0])
         assert_normalized(rest, poly.arity - 1)
         assert divides_linear_form(poly, form) == (not hs[0])
-        if hs[0]:
-            with pytest.raises(ValueError):
-                divide_by_linear_form(poly, form)
-        else:
-            quotient = divide_by_linear_form(poly, form)
-            assert quotient == _fraction_quotient(poly, form, hs)
-            assert_normalized(quotient, poly.arity)
     factors, cofactor = extract_linear_factors(poly, forms)
     assert (factors, cofactor) == _fraction_extract(poly, forms)
     assert_normalized(cofactor, poly.arity)

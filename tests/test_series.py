@@ -39,5 +39,5 @@ def test_valuation_and_coeff():
 def test_truncation_matching():
     a = TruncatedSeries.exponential(F(1), 10)
     b = TruncatedSeries.exponential(F(1), 4)
-    assert (a + b).order == 4
+    assert a.divide(b).order == 4
     assert (a * b).order == 4

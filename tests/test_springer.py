@@ -8,6 +8,7 @@ import pytest
 from diracindex.errors import InternalInvariantError, InvalidPartition
 from diracindex.fixtures import reference_table_row
 from diracindex.groups import GroupId, build_root_datum, weyl_elements
+from diracindex.polynomials import linear_form_product
 from diracindex.springer import (
     Bipartition,
     Symbol,
@@ -15,7 +16,7 @@ from diracindex.springer import (
     bipartition_dim,
     bipartition_of_symbol,
     dual_partition,
-    generator_poly,
+    generator_forms,
     is_very_even,
     orbit_dim,
     partition_of_symbol,
@@ -239,7 +240,8 @@ def test_table_against_reference(group):
         assert row.orbit_dim == dim
         datum = build_root_datum(group, max_rank=max(8, group.rank))
         assert row.orbit_dim == 2 * (datum.r_g - datum.r_k)
-        assert generator_poly(datum).total_degree() == datum.r_k
+        generator = linear_form_product(datum.rank, generator_forms(datum))
+        assert generator.total_degree() == datum.r_k
 
 
 @pytest.mark.parametrize("group", table_groups(3), ids=lambda g: g.label())
@@ -289,7 +291,8 @@ def test_span_dimension_matches_label_dimension(group):
     labels of type D."""
     datum = build_root_datum(group)
     row = springer_row(group)
-    span = orbit_span(generator_poly(datum), weyl_elements(datum, "g"))
+    generator = linear_form_product(datum.rank, generator_forms(datum))
+    span = orbit_span(generator, weyl_elements(datum, "g"))
     label = row.label
     kind, _ = ambient_algebra(group)
     if kind == "A":

@@ -1,0 +1,179 @@
+"""Census of the functions that the command line reaches.
+
+    python -I -S tools/census.py
+
+Imports every module of the package, then runs through ``cli.main``
+every subcommand in each ``--format`` choice, every suite in text and
+json, and ``emit --input`` of each JSON output in json, csv and latex,
+all under ``sys.setprofile``.  It compares the code objects called, keyed
+by (file, first line), with the ``ast`` definitions of ``src/diracindex``:
+module-level functions and the methods of module-level classes.
+
+It exits 1, naming each culprit, when a definition is unreached and not
+in ALLOWED, when an entry of ALLOWED is reached or no longer exists, or
+when a command exits with another code than the table expects.  It uses
+only the standard library, so under ``-I -S`` a third-party import
+anywhere in the package fails it too.
+"""
+
+from __future__ import annotations
+
+import ast
+import contextlib
+import importlib
+import io
+import json
+import pkgutil
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+PACKAGE = SRC / "diracindex"
+
+# (argv, expected exit code) for every subcommand; emit runs are added for
+# each JSON output in each of EMIT_FORMATS.
+COMMANDS = [
+    (["springer-table", "--max", "5", "--format", "json"], 0),
+    (["springer-table", "--max", "5", "--format", "csv"], 0),
+    (["springer-table", "--max", "5", "--format", "latex"], 0),
+    (["index-poly", "--group", "SU(2,1)", "--chamber", "0"], 0),
+    (["index-poly", "--group", "Sp(4,R)", "--hc-param", "2,1"], 0),
+    (["char-poly", "--n", "4", "--i", "2"], 0),
+    (["char-poly", "--n", "4", "--i", "2", "--factor"], 0),
+    (["gcd", "--n", "5", "--i", "2"], 0),
+] + [
+    (["verify", "--suite", suite, "--format", fmt], 0)
+    for suite in ("sl2", "translation", "ind-eq-char", "harmonic", "su-n1", "springer")
+    for fmt in ("text", "json")
+]
+
+EMIT_FORMATS = ("json", "csv", "latex")
+
+# Unreached definitions that stay: the reason, and the ROADMAP item that
+# either reaches or deletes them.
+ALLOWED = {
+    "polynomials.poly_det": "bench/tests names sun1.poly_det; item 9",
+    "series.TruncatedSeries.exponential": "bench/spans.py wraps it by name; item 9",
+    "series.TruncatedSeries.__mul__": "bench/spans.py wraps it by name; item 9",
+    "groups.RootDatum.is_k_regular": "only bench jobs call it; item 9",
+    "polynomials.MultiPoly.from_linear": "only bench jobs call it; item 9",
+    "polynomials.MultiPoly.__pow__": "only bench jobs call it; item 9",
+    "polynomials.LinearForm.to_poly": "only bench jobs call it; item 9",
+    "dirac.index_discrete_series": "paper object no suite checks yet; item 3",
+    "dirac.is_integral_weyl": "paper object no suite checks yet; item 3",
+    "dirac.canonical_coeffs": "paper object no suite checks yet; item 3",
+    "dirac.families_equivalent": "paper object no suite checks yet; item 3",
+    "springer.normalize_symbol": "Springer-label computation; item 3",
+    "springer.symbols_equivalent": "Springer-label computation; item 3",
+    "springer.bipartition_dim": "label dimension check; item 3",
+    "springer.standard_tableaux_count": "label dimension check; item 3",
+    "springer.hook_product": "label dimension check; item 3",
+    "polynomials._product_derivative": "type-D harmonic operator; item 3",
+    "weylaction.PolySpan.dim": "span dimension of the label check; item 3",
+    "sun1.tau_invariant": "paper object no suite checks yet; item 4",
+    "sun1.chamber_of": "paper object no suite checks yet; item 4",
+    "polynomials.MultiPoly.__hash__": "eq/hash contract of a value type",
+    "kmodules.VirtualKModule.__hash__": "eq/hash contract of a value type",
+}
+
+
+def definitions() -> dict[tuple[str, int], str]:
+    """{(file, first line): 'module.qualname'} for module-level functions and
+    the methods of module-level classes; a decorated function starts at its
+    first decorator, as its code object does."""
+    out = {}
+
+    def first_line(node) -> int:
+        return min([node.lineno] + [d.lineno for d in node.decorator_list])
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for node in tree.body:
+            members = [(node, "")]
+            if isinstance(node, ast.ClassDef):
+                members = [(item, node.name + ".") for item in node.body]
+            for item, prefix in members:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    out[(str(path), first_line(item))] = f"{path.stem}.{prefix}{item.name}"
+    return out
+
+
+def run(main, argv: list[str], stdin: str = "") -> tuple[int, str, str]:
+    """main(argv) with stdin given and stdout and stderr captured."""
+    out, err = io.StringIO(), io.StringIO()
+    saved = sys.stdin
+    sys.stdin = io.StringIO(stdin)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+    finally:
+        sys.stdin = saved
+    return code, out.getvalue(), err.getvalue()
+
+
+def census() -> tuple[set, list[str]]:
+    """Run every command under the profiler; return the (file, first line)
+    of each code object called, and one line per command whose exit code
+    was not the expected one."""
+    called = set()
+
+    def record(frame, event, arg):
+        if event == "call":
+            called.add(frame.f_code)
+
+    wrong = []
+    sys.setprofile(record)
+    try:
+        import diracindex
+
+        for info in pkgutil.iter_modules(diracindex.__path__):
+            importlib.import_module(f"diracindex.{info.name}")
+        from diracindex.cli import main
+
+        outputs = []
+        for argv, expected in COMMANDS:
+            code, out, err = run(main, argv)
+            if code != expected:
+                wrong.append(f"{' '.join(argv)}: exit {code}, expected {expected}\n{err}")
+            elif out.startswith("{"):
+                outputs.append((argv, out))
+        for source, text in outputs:
+            kind = json.loads(text).get("type")
+            for fmt in EMIT_FORMATS:
+                argv = ["emit", "--input", "-", "--format", fmt]
+                # only the springer table renders as csv and latex
+                expected = 0 if fmt == "json" or kind == "springer_table" else 2
+                code, _, err = run(main, argv, text)
+                if code != expected:
+                    wrong.append(f"{' '.join(argv)} < {' '.join(source)}: "
+                                 f"exit {code}, expected {expected}\n{err}")
+    finally:
+        sys.setprofile(None)
+    return {(c.co_filename, c.co_firstlineno) for c in called}, wrong
+
+
+def main() -> int:
+    sys.path.insert(0, str(SRC))
+    reached, wrong = census()
+    defs = definitions()
+    names = set(defs.values())
+    problems = list(wrong)
+    for key, name in sorted(defs.items()):
+        if key not in reached and name not in ALLOWED:
+            problems.append(f"unreached: {name} ({Path(key[0]).name}:{key[1]})")
+        if key in reached and name in ALLOWED:
+            problems.append(f"allowed but reached: {name}; remove it from ALLOWED")
+    for name in sorted(set(ALLOWED) - names):
+        problems.append(f"allowed but not defined: {name}; remove it from ALLOWED")
+    for line in problems:
+        print(line)
+    print(f"census: {len(defs)} definitions, {len(ALLOWED)} allowed unreached, "
+          f"{len(problems)} problems")
+    return 1 if problems else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -25,6 +25,8 @@ from .emit import (
     check_tagged,
     dumps,
     emit,
+    factored_from_obj,
+    factored_to_obj,
     poly_from_obj,
     poly_to_obj,
     springer_table_csv,
@@ -36,6 +38,7 @@ from .errors import (
     InternalInvariantError,
     InvalidInput,
     RankCapExceeded,
+    UnsupportedFormat,
 )
 from .fixtures import su_n1_ds_family
 from .groups import DEFAULT_RANK_CAP, Family, GroupId, build_root_datum
@@ -155,13 +158,10 @@ def _cmd_char_poly(args) -> int:
     # The determinant has up to i(n-i)(n-2)! terms; refuse before expanding.
     _capped_rank("--n", args.n)
     poly = char_poly_det(args.n, args.i)
-    obj = {"type": "polynomial", **poly_to_obj(poly)}
     if args.factor:
-        factors, cofactor = extract_det_factors(args.n, args.i)
-        obj["factors"] = [
-            {"form": [str(c) for c in form.coeffs], "mult": m} for form, m in factors
-        ]
-        obj["cofactor"] = poly_to_obj(cofactor)
+        obj = factored_to_obj(poly, *extract_det_factors(args.n, args.i))
+    else:
+        obj = {"type": "polynomial", **poly_to_obj(poly)}
     sys.stdout.write(dumps(obj))
     return 0
 
@@ -221,6 +221,13 @@ def _cmd_emit(args) -> int:
     kind = obj.get("type")
     if kind is None and obj.keys() == _SUITE_REPORT_KEYS:
         kind = "suite_report"
+    if kind == "polynomial" and ("factors" in obj or "cofactor" in obj):
+        factored = factored_to_obj(*factored_from_obj(obj))
+        if args.format != "json":
+            msg = f"factored polynomials only serialize to json, not {args.format}"
+            raise UnsupportedFormat(msg)
+        sys.stdout.write(dumps(factored))
+        return 0
     if kind == "polynomial":
         sys.stdout.write(emit(poly_from_obj(obj), args.format))
         return 0

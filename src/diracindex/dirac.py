@@ -45,9 +45,9 @@ from .kmodules import (
     tensor_virtual,
     weight_multiset,
 )
-from .polynomials import Exponent, MultiPoly, _numerator, _scaled
+from .polynomials import MultiPoly
 from .series import TruncatedSeries
-from .weylaction import _act_terms, weyl_dim_poly
+from .weylaction import _act_packed, weyl_dim_poly
 
 SPIN_SUBSET_CAP = 20
 
@@ -170,14 +170,19 @@ def index_polynomial(fam: IndexFamily) -> MultiPoly:
 
     On every lattice point of the coset this equals the virtual dimension
     of evaluate_index, because D_k vanishes at compactly singular
-    parameters and changes by sgn under the compact Weyl group.
+    parameters and changes by sgn under the compact Weyl group.  The sum
+    runs on the integer form of D_k; D_k is homogeneous of degree the
+    number of compact positive roots, and so is every nonzero sum of its
+    translates.
     """
-    den, dk = _numerator(weyl_dim_poly(fam.datum))
-    acc: dict[Exponent, int] = {}
+    den, width, dk = weyl_dim_poly(fam.datum)._int_form()
+    acc: dict[int, int] = {}
     for w, a in fam.coeffs.items():
-        for exp, c in _act_terms(w.inverse(), dk).items():
-            acc[exp] = acc.get(exp, 0) + a * c
-    return _scaled(fam.datum.rank, {e: c for e, c in acc.items() if c}, Fraction(1, den))
+        for key, c in _act_packed(w.inverse(), width, dk).items():
+            acc[key] = acc.get(key, 0) + a * c
+    acc = {key: c for key, c in acc.items() if c}
+    degree = len(fam.datum.compact_positive_roots)
+    return MultiPoly._from_ints(fam.datum.rank, width, acc, Fraction(1, den), degree)
 
 
 def verify_translation(

@@ -55,25 +55,61 @@ def _field(obj: Any, key: str, types, where: str) -> Any:
     return obj[key]
 
 
-def poly_from_obj(obj: dict) -> MultiPoly:
-    """Inverse of poly_to_obj; InvalidInput names a malformed field."""
-    arity = _field(obj, "vars", int, "polynomial")
+def poly_from_obj(obj: dict, where: str = "polynomial") -> MultiPoly:
+    """Inverse of poly_to_obj; InvalidInput names a malformed field of the
+    object, which error messages call where."""
+    arity = _field(obj, "vars", int, where)
     if arity < 0:
-        raise InvalidInput(f"polynomial has a malformed 'vars' {arity}")
+        raise InvalidInput(f"{where} has a malformed 'vars' {arity}")
     terms = {}
-    for term in _field(obj, "terms", list, "polynomial"):
-        exp = _field(term, "exp", list, "polynomial term")
-        coeff = _field(term, "coeff", (str, int), "polynomial term")
+    for term in _field(obj, "terms", list, where):
+        exp = _field(term, "exp", list, f"{where} term")
+        coeff = _field(term, "coeff", (str, int), f"{where} term")
         if not all(type(e) is int and e >= 0 for e in exp):
-            raise InvalidInput(f"polynomial term has a malformed 'exp' {exp}")
+            raise InvalidInput(f"{where} term has a malformed 'exp' {exp}")
         if tuple(exp) in terms:
-            raise InvalidInput(f"polynomial has a repeated 'exp' {exp}")
+            raise InvalidInput(f"{where} has a repeated 'exp' {exp}")
         try:
             terms[tuple(exp)] = Fraction(coeff)
         except (ValueError, ZeroDivisionError):
-            msg = f"polynomial term has a malformed 'coeff' {coeff!r}"
+            msg = f"{where} term has a malformed 'coeff' {coeff!r}"
             raise InvalidInput(msg) from None
     return MultiPoly(arity, terms)
+
+
+def factored_to_obj(
+    poly: MultiPoly, factors: list[tuple[LinearForm, int]], cofactor: MultiPoly
+) -> dict:
+    """A polynomial with its linear factors, as `char-poly --factor` writes it."""
+    return {
+        "type": "polynomial",
+        **poly_to_obj(poly),
+        "factors": [
+            {"form": [frac_str(c) for c in form.coeffs], "mult": m} for form, m in factors
+        ],
+        "cofactor": poly_to_obj(cofactor),
+    }
+
+
+def factored_from_obj(obj: dict) -> tuple[MultiPoly, list[tuple[LinearForm, int]], MultiPoly]:
+    """Inverse of factored_to_obj; InvalidInput names a malformed field."""
+    poly = poly_from_obj(obj)
+    factors = []
+    for item in _field(obj, "factors", list, "polynomial"):
+        form = _field(item, "form", list, "factor")
+        mult = _field(item, "mult", int, "factor")
+        try:
+            if len(form) != poly.arity or not all(_is_a(c, (str, int)) for c in form):
+                raise ValueError
+            factors.append((LinearForm(tuple(Fraction(c) for c in form)), mult))
+        except (ValueError, ZeroDivisionError):
+            raise InvalidInput(f"factor has a malformed 'form' {form!r}") from None
+        if mult < 1:
+            raise InvalidInput(f"factor has a malformed 'mult' {mult}")
+    cofactor = poly_from_obj(_field(obj, "cofactor", dict, "polynomial"), "cofactor")
+    if cofactor.arity != poly.arity:
+        raise InvalidInput(f"cofactor has {cofactor.arity} 'vars', not {poly.arity}")
+    return poly, factors, cofactor
 
 
 _OPT_STR = (str, type(None))

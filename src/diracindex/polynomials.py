@@ -1,71 +1,76 @@
 """Exact multivariate polynomials over Q.
 
-Terms are stored sparsely as {exponent tuple: nonzero Fraction}.  The
-serialization order is graded lexicographic: ascending total degree,
-then descending lexicographic on the exponent tuple, so X1 - X2 prints
-its X1 term first.  No floating point enters anywhere.
+A `MultiPoly` holds its value in one or both of two forms, and builds the
+missing one on first use and keeps it:
 
-`MultiPoly(arity, terms)` validates and normalizes every term; it is the
-constructor for data from outside the package.  Kernel results (sums,
-negations, products, derivatives, Weyl translates, restrictions and
-quotients) go through the private `MultiPoly._trusted`, which stores a
-dict the kernel has already built with int-tuple exponents of the right
-arity and nonzero `Fraction` values.
+* the Fraction form {exponent tuple: nonzero Fraction}, which
+  `MultiPoly(arity, terms)` validates and the ring operations build;
+* the integer form num / den: den > 0 is coprime to the content of num, a
+  `dict[int, int]` on packed exponent keys, variable i in bits
+  [i*w, (i+1)*w) with w the bit length of the total degree (at least 1).
+  No exponent sum of a term reaches 2^w, so adding keys never carries
+  between fields.
 
-`linear_form_product` never multiplies `MultiPoly`s.  It scales each form
-to a primitive integer form, multiplies the rational contents into one
-`Fraction`, and expands the integer product in a `dict[int, int]` whose
-keys pack the exponent vector into fixed-width bit fields (variable i in
-bits [i*w, (i+1)*w) with w = len(forms).bit_length(), wide enough for
-any exponent of the product, so adding keys never carries between
-fields).  The result is unpacked and scaled by the content once.  The
-rows are multiplied in order of their last nonzero variable: the product
-commutes, and this order keeps the partial products in the fewest
-variables for longest, so they have fewer terms.
+Both forms are unique, so `==` compares integers unless neither side has
+its integer form, and the hash is that of the integer form; `terms` is a
+read-only view of the Fraction form.  Products of linear forms, the
+SU(n,1) determinant, index polynomials, restrictions and quotients are
+built in the integer form, without a `Fraction` per term.  Terms
+serialize in graded-lex order: ascending total degree, then descending
+lexicographic on the exponent tuple, so X1 - X2 prints its X1 term first.
 
-Graded-lex order is two sorts: exponents descending, then a stable sort
-by degree.  Code that sums many Weyl translates (`dirac.index_polynomial`)
-works on the integer numerator from `_numerator` and builds `Fraction`s
-once, through `_scaled`.
+`linear_form_product` scales each form to a primitive integer form and
+expands their product on packed keys, rows in order of their last nonzero
+variable, which keeps the partial products in the fewest variables for
+longest.  Restriction, divisibility, exact division and factor extraction
+share one Horner pass on P = N / D.  Write a form as L = c * L' with
+L' = a X_j + sum_{i > j} a_i X_i primitive, X_j its pivot and a > 0, split
+N = sum_d N_d X_j^d and set
 
-Hyperplane restriction, divisibility, exact division and factor
-extraction share one Horner pass, run on integers.  Write P = N / D with
-N an int-valued term dict over one common denominator D, and a form as
-L = c * L' with L' = a X_j + sum_{i > j} a_i X_i primitive, X_j its pivot
-(first nonzero coefficient) and a > 0.  Split N = sum_d N_d X_j^d and set
+    H'_top = N_top,   H'_d = a^(top-d) N_d - (sum_{i > j} a_i X_i) H'_{d+1}
 
-    H'_top = N_top,   H'_d = a^(top-d) N_d - (sum_{i != j} a_i X_i) H'_{d+1}
-
-down to d = 0.  Each H'_d is a^(top-d) D times the rational Horner layer
-H_d = P_d + S H_{d+1} of the substitution X_j = S = -sum (a_i / a) X_i,
-so the pass never leaves Z[X].  H'_0 / (a^top D) = P(X_j = S) is the
-restriction to L = 0, and L divides P exactly when H'_0 is empty.  Then
-N = L' * Q with Q integral by Gauss's lemma (L' is primitive), the X_j^d
-layer of Q is H'_{d+1} // a^(top-d), an exact division, and
-P / L = Q / (c D).  Factor extraction carries (scale, int dict) from one
-candidate to the next and builds `Fraction`s only for the cofactor.
+down to d = 0, on packed keys with the pivot field at zero: multiplying
+by X_i adds 1 << (i*w).  H'_d is a^(top-d) D times the rational Horner
+layer of the substitution X_j = -sum (a_i / a) X_i, so H'_0 / (a^top D),
+its pivot field dropped by shifts and masks, is the restriction to L = 0,
+and L divides P exactly when H'_0 is empty.  Then N = L' * Q with Q
+integral (Gauss's lemma), the X_j^d layer of Q is H'_{d+1} // a^(top-d)
+and P / L = Q / (c D).
 """
 
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
+from functools import reduce
 from fractions import Fraction
-from typing import Iterable, Sequence
+from operator import lshift
+from types import MappingProxyType
+from typing import Iterable, Mapping, Sequence
 
 from .errors import DimensionMismatch, ZeroForm
 from .groups import RootDatum, Weight
 
 Exponent = tuple[int, ...]
-IntTerms = dict[Exponent, int]
+IntTerms = dict[int, int]
 
 
 def _gl_key(exp: Exponent):
     return (sum(exp), tuple(-e for e in exp))
 
 
+def _degree(arity: int, width: int, num: Iterable[int]) -> int:
+    """Total degree of nonempty packed keys: field arity - 1 of key * ones
+    is the sum of every field of key, which fits a field."""
+    mask = (1 << width) - 1
+    ones = ((1 << (width * arity)) - 1) // mask
+    shift = width * max(arity - 1, 0)
+    return max((key * ones >> shift) & mask for key in num)
+
+
 class MultiPoly:
-    __slots__ = ("arity", "terms")
+    __slots__ = ("arity", "_terms", "_den", "_width", "_num")
 
     def __init__(self, arity: int, terms: dict[Exponent, Fraction] | None = None):
         self.arity = int(arity)
@@ -80,19 +85,71 @@ class MultiPoly:
             c = Fraction(coeff)
             if c != 0:
                 clean[tuple(int(e) for e in exp)] = c
-        self.terms = clean
+        self._terms = MappingProxyType(clean)
+        self._num = None
 
     @classmethod
     def _trusted(cls, arity: int, terms: dict[Exponent, Fraction]) -> "MultiPoly":
-        """Wrap a kernel-built dict without validating it.
-
-        The caller guarantees int-tuple exponents of length arity and
-        nonzero Fraction values; the dict is stored, not copied.
-        """
+        """Wrap, not copy, a Fraction form with int-tuple exponents of the
+        given arity and nonzero values, without validating it."""
         poly = object.__new__(cls)
-        poly.arity = arity
-        poly.terms = terms
+        poly.arity, poly._terms, poly._num = arity, MappingProxyType(terms), None
         return poly
+
+    @classmethod
+    def _packed(cls, arity: int, den: int, width: int, num: IntTerms) -> "MultiPoly":
+        """Wrap an integer form that is already normalized (module docstring)."""
+        poly = object.__new__(cls)
+        poly.arity, poly._terms = arity, None
+        poly._den, poly._width, poly._num = den, width, num
+        return poly
+
+    @classmethod
+    def _from_ints(cls, arity, width, num, scale=Fraction(1), degree=None) -> "MultiPoly":
+        """scale * num, for nonzero values on keys of a width that fits the
+        total degree (computed unless given); normalizes width and scale."""
+        if not num:
+            return cls._packed(arity, 1, 1, {})
+        new = max(_degree(arity, width, num) if degree is None else degree, 1).bit_length()
+        if new != width:
+            mask = (1 << width) - 1
+            pairs = [(width * i, new * i) for i in range(arity)]
+            num = {sum((key >> s & mask) << t for s, t in pairs): c for key, c in num.items()}
+        p, q = scale.numerator, scale.denominator
+        g = math.gcd(q, *num.values()) if q != 1 else 1
+        if g != 1 or p != 1:
+            num = {key: c // g * p for key, c in num.items()}
+        return cls._packed(arity, q // g, new, num)
+
+    # -- the two forms -------------------------------------------------
+
+    @property
+    def terms(self) -> Mapping[Exponent, Fraction]:
+        """Read-only {exponent tuple: nonzero Fraction}."""
+        if self._terms is None:
+            width, den = self._width, self._den
+            mask, shifts = (1 << width) - 1, range(0, self.arity * width, width)
+            # one Fraction per distinct value, shared by the terms
+            value = {c: Fraction(c, den) for c in set(self._num.values())}
+            self._terms = MappingProxyType({
+                tuple([key >> s & mask for s in shifts]): value[c]
+                for key, c in self._num.items()
+            })
+        return self._terms
+
+    def _int_form(self) -> tuple[int, int, IntTerms]:
+        """(den, width, num) of the integer form; read-only."""
+        if self._num is None:
+            terms = self._terms
+            den = math.lcm(*(c.denominator for c in terms.values()))
+            width = max(1, max(map(sum, terms), default=0)).bit_length()
+            shifts = range(0, self.arity * width, width)
+            self._den, self._width = den, width
+            self._num = {
+                sum(map(lshift, exp, shifts)): c.numerator * (den // c.denominator)
+                for exp, c in terms.items()
+            }
+        return self._den, self._width, self._num
 
     # -- constructors ------------------------------------------------
 
@@ -106,21 +163,12 @@ class MultiPoly:
 
     @classmethod
     def variable(cls, arity: int, i: int) -> "MultiPoly":
-        exp = [0] * arity
-        exp[i] = 1
-        return cls(arity, {tuple(exp): Fraction(1)})
+        return cls(arity, {tuple(int(k == i) for k in range(arity)): Fraction(1)})
 
     @classmethod
     def from_linear(cls, coeffs: Sequence) -> "MultiPoly":
-        arity = len(coeffs)
-        terms = {}
-        for i, c in enumerate(coeffs):
-            c = Fraction(c)
-            if c != 0:
-                exp = [0] * arity
-                exp[i] = 1
-                terms[tuple(exp)] = c
-        return cls(arity, terms)
+        n = len(coeffs)
+        return cls(n, {tuple(int(k == i) for k in range(n)): c for i, c in enumerate(coeffs)})
 
     # -- ring operations ----------------------------------------------
 
@@ -142,11 +190,12 @@ class MultiPoly:
         return MultiPoly._trusted(self.arity, terms)
 
     def __sub__(self, other):
-        if not isinstance(other, MultiPoly):
-            other = MultiPoly.const(self.arity, other)
         return self + (-other)
 
     def __neg__(self):
+        if self._num is not None:
+            num = {key: -c for key, c in self._num.items()}
+            return MultiPoly._packed(self.arity, self._den, self._width, num)
         return MultiPoly._trusted(self.arity, {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other):
@@ -180,34 +229,36 @@ class MultiPoly:
         return result
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, MultiPoly)
-            and self.arity == other.arity
-            and self.terms == other.terms
-        )
+        if not isinstance(other, MultiPoly) or self.arity != other.arity:
+            return False
+        if self._num is None and other._num is None:
+            return self._terms == other._terms
+        return self._int_form() == other._int_form()
 
     def __hash__(self):
-        return hash((self.arity, frozenset(self.terms.items())))
+        den, _, num = self._int_form()
+        return hash((self.arity, den, frozenset(num.items())))
 
     # -- queries -------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not (self._terms if self._num is None else self._num)
 
     def total_degree(self) -> int:
         """Degree of the zero polynomial is reported as -1."""
-        return max((sum(e) for e in self.terms), default=-1)
+        if self._num is None:
+            return max(map(sum, self._terms), default=-1)
+        return _degree(self.arity, self._width, self._num) if self._num else -1
 
     def is_homogeneous(self) -> bool:
-        degrees = {sum(e) for e in self.terms}
-        return len(degrees) <= 1
+        return len({sum(e) for e in self.terms}) <= 1
 
     def sorted_terms(self) -> list[tuple[Exponent, Fraction]]:
         """Terms in graded-lex order, as `_gl_key` sorts them: exponents
         descending, then a stable sort by degree."""
-        exps = sorted(self.terms, reverse=True)
-        exps.sort(key=sum)
         terms = self.terms
+        exps = sorted(terms, reverse=True)
+        exps.sort(key=sum)
         return [(e, terms[e]) for e in exps]
 
     def evaluate(self, point: Sequence) -> Fraction:
@@ -216,24 +267,18 @@ class MultiPoly:
                 f"point has {len(point)} coordinates, expected {self.arity}"
             )
         pt = [Fraction(x) for x in point]
-        total = Fraction(0)
-        for exp, coeff in self.terms.items():
-            val = coeff
-            for x, e in zip(pt, exp):
-                if e:
-                    val *= x**e
-            total += val
-        return total
+        return sum(
+            (c * math.prod(x**e for x, e in zip(pt, exp) if e) for exp, c in self.terms.items()),
+            Fraction(0),
+        )
 
-    def derivative(self, i: int) -> "MultiPoly":
+    def derivative(self, i: int, k: int = 1) -> "MultiPoly":
+        """The k-th partial derivative in X_i."""
         # Lowering exp[i] is injective on the surviving terms: no merging.
         out: dict[Exponent, Fraction] = {}
         for exp, coeff in self.terms.items():
-            if exp[i] == 0:
-                continue
-            new = list(exp)
-            new[i] -= 1
-            out[tuple(new)] = coeff * exp[i]
+            if exp[i] >= k:
+                out[exp[:i] + (exp[i] - k,) + exp[i + 1 :]] = coeff * math.perm(exp[i], k)
         return MultiPoly._trusted(self.arity, out)
 
     def __repr__(self):
@@ -295,17 +340,9 @@ class LinearForm:
         return LinearForm(tuple(self._content()[1]))
 
 
-def _scaled(arity: int, num: IntTerms, scale: Fraction) -> MultiPoly:
-    """The polynomial scale * num, for a nonzero scale."""
-    p, q = scale.numerator, scale.denominator
-    if q == 1:
-        return MultiPoly._trusted(arity, {e: Fraction(p * c) for e, c in num.items()})
-    return MultiPoly._trusted(arity, {e: Fraction(p * c, q) for e, c in num.items()})
-
-
 def _packed_product(
-    packed: dict[int, int], rows: Iterable[Sequence[int]], width: int
-) -> dict[int, int]:
+    packed: IntTerms, rows: Iterable[Sequence[int]], width: int
+) -> IntTerms:
     """packed times the integer forms sum_i row_i X_i, on keys packed with
     fields of the given width, rows taken in order of their last nonzero
     variable (module docstring).  Every row is nonzero."""
@@ -321,24 +358,9 @@ def _packed_product(
     return packed
 
 
-def _unpacked(
-    arity: int, width: int, packed: dict[int, int], scale: Fraction
-) -> MultiPoly:
-    mask = (1 << width) - 1
-    shifts = [width * i for i in range(arity)]
-    return _scaled(
-        arity,
-        {tuple([(key >> s) & mask for s in shifts]): c for key, c in packed.items()},
-        scale,
-    )
-
-
 def linear_form_product(arity: int, forms: Iterable[LinearForm]) -> MultiPoly:
-    """Expanded product of linear forms; the empty product is the constant 1.
-
-    The integer product runs on packed exponent keys (see the module
-    docstring); only the final terms become tuples and Fractions.
-    """
+    """Expanded product of linear forms, in the integer form (module
+    docstring); the empty product is the constant 1."""
     forms = list(forms)
     content = Fraction(1)
     rows = []
@@ -348,21 +370,15 @@ def linear_form_product(arity: int, forms: Iterable[LinearForm]) -> MultiPoly:
         scale, ints = form._content()
         content *= scale
         rows.append(ints)
-    width = len(forms).bit_length()
-    return _unpacked(arity, width, _packed_product({0: 1}, rows, width), content)
-
-
-def _numerator(poly: MultiPoly) -> tuple[int, IntTerms]:
-    """(D, N) with poly = N / D and N an int-valued term dict."""
-    den = math.lcm(*(c.denominator for c in poly.terms.values()))
-    return den, {e: c.numerator * (den // c.denominator) for e, c in poly.terms.items()}
+    width = max(len(forms), 1).bit_length()
+    product = _packed_product({0: 1}, rows, width)
+    return MultiPoly._from_ints(arity, width, product, content, len(forms))
 
 
 class _Pivot:
     """A form L = c * L', split for the integer Horner pass: the pivot index
-    j, the pivot coefficient a > 0 of the primitive L', and the steps
-    (i - 1, -a_i) that multiply a layer by -sum_{i > j} a_i X_i, with X_i
-    renumbered as variable i - 1 of the layer."""
+    j, the pivot coefficient a > 0 of the primitive L', and the pairs
+    (i, -a_i) for the variables X_i, i > j, of L'."""
 
     __slots__ = ("content", "j", "a", "steps")
 
@@ -373,39 +389,42 @@ class _Pivot:
         self.j = j = form.pivot()
         self.a = ints[j]
         # every a_i with i < j is zero
-        self.steps = [(k, -c) for k, c in enumerate(ints[j + 1 :], j) if c]
+        self.steps = [(i, -c) for i, c in enumerate(ints[j + 1 :], j + 1) if c]
 
-    def horner(self, num: IntTerms) -> list[IntTerms]:
-        """[H'_0, ..., H'_top] of the integer Horner pass (module docstring),
-        over the variables other than the pivot, renumbered in order."""
-        j, a, steps = self.j, self.a, self.steps
-        layers: dict[int, IntTerms] = {}
-        for exp, coeff in num.items():
-            layers.setdefault(exp[j], {})[exp[:j] + exp[j + 1 :]] = coeff
+    def horner(self, width: int, num: IntTerms) -> list[IntTerms]:
+        """[H'_0, ..., H'_top] of the integer Horner pass (module docstring)
+        on keys of the given width; only H'_0 is cleared of zero values."""
+        shift, mask, a = self.j * width, (1 << width) - 1, self.a
+        steps = [(1 << (i * width), s) for i, s in self.steps]
+        layers: dict[int, IntTerms] = defaultdict(dict)
+        for key, c in num.items():
+            d = key >> shift & mask
+            layers[d][key - (d << shift)] = c
         top = max(layers, default=0)
-        hs = [layers.get(top, {})]
+        hs = [layers.pop(top, {})]
         for d in range(top - 1, -1, -1):
             acc = layers.pop(d, {})
             if a != 1:
                 power = a ** (top - d)
-                acc = {e: c * power for e, c in acc.items()}
-            for exp, c in hs[-1].items():
-                for k, s in steps:
-                    key = exp[:k] + (exp[k] + 1,) + exp[k + 1 :]
-                    term = c * s
-                    acc[key] = acc[key] + term if key in acc else term
-            hs.append({e: c for e, c in acc.items() if c})
+                acc = {key: c * power for key, c in acc.items()}
+            for step, s in steps:
+                for key, c in hs[-1].items():
+                    key += step
+                    acc[key] = acc.get(key, 0) + c * s
+            hs.append(acc)
+        hs[-1] = {key: c for key, c in hs[-1].items() if c}
         hs.reverse()
         return hs
 
-    def quotient(self, hs: list[IntTerms]) -> IntTerms:
+    def quotient(self, width: int, hs: list[IntTerms]) -> IntTerms:
         """The integer numerator Q = N / L' from the layers hs[1:]."""
-        j, top = self.j, len(hs) - 1
+        unit, top = 1 << (self.j * width), len(hs) - 1
         powers = [self.a ** (top - d) for d in range(top)]
         return {
-            exp[:j] + (d,) + exp[j:]: c // powers[d]
+            key + d * unit: c // powers[d]
             for d, layer in enumerate(hs[1:])
-            for exp, c in layer.items()
+            for key, c in layer.items()
+            if c
         }
 
 
@@ -413,16 +432,18 @@ def restrict_to_hyperplane(poly: MultiPoly, form: LinearForm) -> MultiPoly:
     """Substitute X_j = -sum_{i != j} (c_i / c_j) X_i for the pivot X_j of
     form; the other variables are renumbered in order (arity one less)."""
     pivot = _Pivot(poly.arity, form)
-    den, num = _numerator(poly)
-    hs = pivot.horner(num)
-    return _scaled(
-        poly.arity - 1, hs[0], Fraction(1, pivot.a ** (len(hs) - 1) * den)
-    )
+    den, width, num = poly._int_form()
+    hs = pivot.horner(width, num)
+    low, high = (1 << (pivot.j * width)) - 1, (pivot.j + 1) * width
+    rest = {key & low | key >> high << (high - width): c for key, c in hs[0].items()}
+    scale = Fraction(1, pivot.a ** (len(hs) - 1) * den)
+    return MultiPoly._from_ints(poly.arity - 1, width, rest, scale)
 
 
 def divides_linear_form(poly: MultiPoly, form: LinearForm) -> bool:
     """True iff the linear form divides the polynomial exactly."""
-    return not _Pivot(poly.arity, form).horner(_numerator(poly)[1])[0]
+    _, width, num = poly._int_form()
+    return not _Pivot(poly.arity, form).horner(width, num)[0]
 
 
 def extract_linear_factors(
@@ -433,25 +454,25 @@ def extract_linear_factors(
     Returns the factor list and the remaining cofactor.  Candidates are
     processed in the given order; the result is independent of the order
     because Q[X] is a UFD and the candidates are pairwise non-proportional
-    in every use here.  Each attempt is one integer Horner pass; the
-    cofactor is kept as a scale over an integer numerator throughout.
+    in every use here.  Each attempt is one integer Horner pass on the
+    packed numerator; the cofactor is normalized once, at the end.
     """
     factors: list[tuple[LinearForm, int]] = []
-    den, num = _numerator(poly)
+    den, width, num = poly._int_form()
     scale = Fraction(1, den)
     for form in candidates:
         pivot = _Pivot(poly.arity, form)
         mult = 0
         while num:
-            hs = pivot.horner(num)
+            hs = pivot.horner(width, num)
             if hs[0]:
                 break
-            num = pivot.quotient(hs)
+            num = pivot.quotient(width, hs)
             scale /= pivot.content
             mult += 1
         if mult:
             factors.append((form, mult))
-    return factors, _scaled(poly.arity, num, scale)
+    return factors, MultiPoly._from_ints(poly.arity, width, num, scale)
 
 
 def poly_det(matrix: Sequence[Sequence[MultiPoly]]) -> MultiPoly:
@@ -484,23 +505,6 @@ def poly_det(matrix: Sequence[Sequence[MultiPoly]]) -> MultiPoly:
     return minor(0, tuple(range(n)))
 
 
-def _power_sum_operator(poly: MultiPoly, k: int) -> MultiPoly:
-    out = MultiPoly.zero(poly.arity)
-    for i in range(poly.arity):
-        p = poly
-        for _ in range(k):
-            p = p.derivative(i)
-        out = out + p
-    return out
-
-
-def _product_derivative(poly: MultiPoly) -> MultiPoly:
-    p = poly
-    for i in range(poly.arity):
-        p = p.derivative(i)
-    return p
-
-
 def invariant_operator_images(poly: MultiPoly, datum: RootDatum) -> list[MultiPoly]:
     """Apply generators of the W-invariant constant-coefficient operators.
 
@@ -510,19 +514,15 @@ def invariant_operator_images(poly: MultiPoly, datum: RootDatum) -> list[MultiPo
     """
     if poly.arity != datum.rank:
         raise DimensionMismatch("polynomial arity must equal the rank")
-    r = datum.rank
-    kind = datum.ambient.kind
-    images = []
+    r, kind = datum.rank, datum.ambient.kind
     if kind == "A":
         degrees = range(1, r + 1)
-    elif kind in ("B", "C"):
-        degrees = range(2, 2 * r + 1, 2)
     else:
-        degrees = range(2, 2 * r - 1, 2)
-    for k in degrees:
-        images.append(_power_sum_operator(poly, k))
+        degrees = range(2, 2 * r - 1 if kind == "D" else 2 * r + 1, 2)
+    zero = MultiPoly.zero(r)
+    images = [sum((poly.derivative(i, k) for i in range(r)), zero) for k in degrees]
     if kind == "D":
-        images.append(_product_derivative(poly))
+        images.append(reduce(MultiPoly.derivative, range(r), poly))
     return images
 
 

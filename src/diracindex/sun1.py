@@ -21,7 +21,6 @@ from .polynomials import (
     LinearForm,
     MultiPoly,
     _packed_product,
-    _unpacked,
     extract_linear_factors,
     linear_form_product,
     # Unused: test_tracer_wraps_every_alias_and_restores_the_originals reads it; ROADMAP item 7
@@ -73,12 +72,13 @@ def char_poly_det(n: int, i: int) -> MultiPoly:
         det = sum_{j < n-i <= k} (-1)^(j+k+1) (prod_{l != j,k} lam_l)
                   prod_{a < b; a,b not in {j,k}} (lam_a - lam_b).
 
-    The sum runs on packed integer keys (see `polynomials`).  No exponent
-    exceeds n - 2, which fixes the field width.
+    The sum runs on packed integer keys (see `polynomials`), with the
+    field width of the total degree n - 2 + C(n-2, 2) = C(n-1, 2).
     """
     if n < 2 or not 1 <= i <= n - 1:
         raise IndexOutOfRange(f"need n >= 2 and 1 <= i <= n-1, got n={n}, i={i}")
-    width = max(1, (n - 2).bit_length())
+    degree = comb(n - 1, 2)
+    width = max(degree, 1).bit_length()
     total: dict[int, int] = {}
     for j in range(n - i):
         for k in range(n - i, n):
@@ -93,7 +93,8 @@ def char_poly_det(n: int, i: int) -> MultiPoly:
             start = {monomial: -1 if (j + k) % 2 == 0 else 1}
             for key, c in _packed_product(start, rows, width).items():
                 total[key] = total.get(key, 0) + c
-    return _unpacked(n, width, {key: c for key, c in total.items() if c}, Fraction(1))
+    total = {key: c for key, c in total.items() if c}
+    return MultiPoly._from_ints(n, width, total, degree=degree)
 
 
 def _root_forms(n_vars: int, indices: list[int] | None = None) -> list[LinearForm]:
@@ -125,15 +126,14 @@ def index_poly_restricted(n: int) -> MultiPoly:
     """The SU(n,1) index polynomial in the first n variables only.
 
     The compact Weyl dimension polynomial never involves lam_{n+1}, so
-    dropping that variable is exact.
+    dropping that variable is exact: its integer form is the one of n
+    variables once the top field is checked empty.
     """
-    full = weyl_dim_poly(su_n1_datum(n))
-    terms = {}
-    for exp, c in full.terms.items():
-        if exp[n] != 0:
-            raise InternalInvariantError("index polynomial unexpectedly involves lam_{n+1}")
-        terms[exp[:n]] = c
-    return MultiPoly(n, terms)
+    den, width, num = weyl_dim_poly(su_n1_datum(n))._int_form()
+    top = ((1 << width) - 1) << (n * width)
+    if any(key & top for key in num):
+        raise InternalInvariantError("index polynomial unexpectedly involves lam_{n+1}")
+    return MultiPoly._packed(n, den, width, num)
 
 
 @lru_cache(maxsize=None)

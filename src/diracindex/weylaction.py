@@ -8,8 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Iterable, Sequence
 
 from .errors import CapExceeded, DimensionMismatch
 from .groups import RootDatum, Weight, WeylElement, dot
@@ -17,41 +16,43 @@ from .polynomials import Exponent, LinearForm, MultiPoly, _gl_key, linear_form_p
 
 SPAN_COLUMN_CAP = 20_000
 
-Coeff = TypeVar("Coeff", int, Fraction)
 
-
-def _picker(indices: Sequence[int]) -> Callable[[Exponent], Exponent]:
-    """exp -> tuple(exp[i] for i in indices).  itemgetter is the fast way,
-    but it returns a bare item for one index and needs at least one."""
-    if len(indices) > 1:
-        return itemgetter(*indices)
-    if indices:
-        (i,) = indices
-        return lambda exp: (exp[i],)
-    return lambda exp: ()
-
-
-def _act_terms(w: WeylElement, terms: dict[Exponent, Coeff]) -> dict[Exponent, Coeff]:
-    """The term dict of w.P from the term dict of P.
+def _act_packed(w: WeylElement, width: int, num: dict[int, int]) -> dict[int, int]:
+    """The integer numerator of w.P from that of P, on packed keys of the
+    given width (see `polynomials`).
 
     Exponent k of w.P is exponent perm[k] of P, and a monomial changes
     sign when its exponents over the coordinates perm[k] with signs[k] < 0
-    sum to an odd number.  Values are only negated, so they may be ints
-    or Fractions.
+    sum to an odd number.  Fields that move by the same distance move
+    together under one mask, and the parity of that sum is the parity of
+    the ones among the low bits of the negated fields.  The map is a
+    bijection on keys, so each term is assigned once.
     """
-    permuted = _picker(w.perm)
-    negated = _picker([p for p, s in zip(w.perm, w.signs) if s < 0])
-    # exp -> exp permuted is a bijection, so each term is assigned once.
-    return {
-        permuted(exp): -c if sum(negated(exp)) & 1 else c for exp, c in terms.items()
-    }
+    field = (1 << width) - 1
+    moves: dict[int, int] = {}
+    for k, p in enumerate(w.perm):
+        moves[k - p] = moves.get(k - p, 0) | field << (p * width)
+    left = [(d * width, mask) for d, mask in moves.items() if d >= 0]
+    right = [(-d * width, mask) for d, mask in moves.items() if d < 0]
+    odd = sum(1 << (p * width) for p, s in zip(w.perm, w.signs) if s < 0)
+    out = {}
+    for key, c in num.items():
+        new = 0
+        for shift, mask in left:
+            new |= (key & mask) << shift
+        for shift, mask in right:
+            new |= (key & mask) >> shift
+        out[new] = -c if (key & odd).bit_count() & 1 else c
+    return out
 
 
 def act(w: WeylElement, poly: MultiPoly) -> MultiPoly:
-    """(w.P)(lam) = P(w^{-1} lam)."""
+    """(w.P)(lam) = P(w^{-1} lam), on the integer form: a signed permutation
+    keeps the degree and the content, so the result is normalized."""
     if poly.arity != len(w.perm):
         raise DimensionMismatch("polynomial arity must match the Weyl element")
-    return MultiPoly._trusted(poly.arity, _act_terms(w, poly.terms))
+    den, width, num = poly._int_form()
+    return MultiPoly._packed(poly.arity, den, width, _act_packed(w, width, num))
 
 
 @dataclass(frozen=True)

@@ -375,6 +375,76 @@ def test_cli_emit_reemits_tagged_object_byte_identically(name, tmp_path, capsys)
     assert capsys.readouterr().out == text
 
 
+def _factored_text(capsys, n=4, i=2):
+    assert main(["char-poly", "--n", str(n), "--i", str(i), "--factor"]) == 0
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("n, i", [(4, 2), (5, 1), (6, 3)])
+def test_cli_emit_reemits_factored_char_poly_byte_identically(n, i, tmp_path, capsys):
+    text = _factored_text(capsys, n, i)
+    assert {"factors", "cofactor"} <= json.loads(text).keys()
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    assert main(["emit", "--input", str(path), "--format", "json"]) == 0
+    assert capsys.readouterr().out == text
+
+
+def _set(path, value):
+    """A mutation of a char-poly --factor object: set obj[path] = value."""
+    def mutate(obj):
+        *head, last = path
+        for key in head:
+            obj = obj[key]
+        obj[last] = value
+    return mutate
+
+
+def _drop(key):
+    return lambda obj: obj.pop(key)
+
+
+@pytest.mark.parametrize(
+    "mutate, field",
+    [
+        (_drop("factors"), "'factors'"),
+        (_drop("cofactor"), "'cofactor'"),
+        (_set(["factors"], {}), "'factors'"),
+        (_set(["factors", 0, "form"], ["1", "x", "0", "0"]), "'form'"),
+        (_set(["factors", 0, "form"], ["0", "0", "0", "0"]), "'form'"),
+        (_set(["factors", 0, "form"], ["1", "-1"]), "'form'"),
+        (_set(["factors", 0, "form"], [True, 0, 0, 0]), "'form'"),
+        (_set(["factors", 0, "mult"], 0), "'mult'"),
+        (_set(["factors", 0, "mult"], "1"), "'mult'"),
+        (_set(["cofactor"], {"vars": 3, "terms": []}), "'vars'"),
+        (_set(["cofactor", "terms", 0, "coeff"], "1/0"), "cofactor term has a malformed 'coeff'"),
+    ],
+    ids=[
+        "no-factors", "no-cofactor", "factors-not-list", "form-not-rational",
+        "form-zero", "form-arity", "form-bool", "mult-zero", "mult-str",
+        "cofactor-arity", "cofactor-coeff",
+    ],
+)
+def test_cli_emit_rejects_malformed_factor_fields(mutate, field, tmp_path, capsys):
+    obj = json.loads(_factored_text(capsys))
+    mutate(obj)
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(obj))
+    assert main(["emit", "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert field in captured.err
+
+
+@pytest.mark.parametrize("fmt", ["csv", "latex"])
+def test_cli_emit_factored_char_poly_only_as_json(fmt, tmp_path, capsys):
+    path = tmp_path / "input.json"
+    path.write_text(_factored_text(capsys))
+    assert main(["emit", "--input", str(path), "--format", fmt]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def _pipe(monkeypatch, capsys, first, second):
     """stdout of main(second) with stdout of main(first) on stdin."""
     assert main(first) == 0

@@ -1,4 +1,5 @@
 import functools
+import math
 import random
 from fractions import Fraction as F
 from itertools import permutations
@@ -458,6 +459,182 @@ def test_integer_horner_matches_fraction_oracle(case):
     factors, cofactor = extract_linear_factors(poly, forms)
     assert (factors, cofactor) == _fraction_extract(poly, forms)
     assert_normalized(cofactor, poly.arity)
+
+
+# The tuple-key integer Horner pass that the packed pass replaced, kept
+# verbatim as a second reference: it took the integer numerator apart into
+# exponent tuples on every call and built a new tuple per term and step.
+
+
+def _numerator(poly: MultiPoly):
+    """(D, N) with poly = N / D and N an int-valued dict on exponent tuples."""
+    den = math.lcm(*(c.denominator for c in poly.terms.values()))
+    return den, {e: c.numerator * (den // c.denominator) for e, c in poly.terms.items()}
+
+
+class _TuplePivot:
+    def __init__(self, arity, form):
+        self.content, ints = form._content()
+        self.j = j = form.pivot()
+        self.a = ints[j]
+        self.steps = [(k, -c) for k, c in enumerate(ints[j + 1 :], j) if c]
+
+    def horner(self, num):
+        j, a, steps = self.j, self.a, self.steps
+        layers = {}
+        for exp, coeff in num.items():
+            layers.setdefault(exp[j], {})[exp[:j] + exp[j + 1 :]] = coeff
+        top = max(layers, default=0)
+        hs = [layers.get(top, {})]
+        for d in range(top - 1, -1, -1):
+            acc = layers.pop(d, {})
+            if a != 1:
+                power = a ** (top - d)
+                acc = {e: c * power for e, c in acc.items()}
+            for exp, c in hs[-1].items():
+                for k, s in steps:
+                    key = exp[:k] + (exp[k] + 1,) + exp[k + 1 :]
+                    term = c * s
+                    acc[key] = acc[key] + term if key in acc else term
+            hs.append({e: c for e, c in acc.items() if c})
+        hs.reverse()
+        return hs
+
+    def quotient(self, hs):
+        j, top = self.j, len(hs) - 1
+        powers = [self.a ** (top - d) for d in range(top)]
+        return {
+            exp[:j] + (d,) + exp[j:]: c // powers[d]
+            for d, layer in enumerate(hs[1:])
+            for exp, c in layer.items()
+        }
+
+
+def _tuple_restrict(poly, form):
+    pivot = _TuplePivot(poly.arity, form)
+    den, num = _numerator(poly)
+    hs = pivot.horner(num)
+    scale = F(1, pivot.a ** (len(hs) - 1) * den)
+    return MultiPoly(poly.arity - 1, {e: c * scale for e, c in hs[0].items()})
+
+
+def _tuple_divides(poly, form):
+    return not _TuplePivot(poly.arity, form).horner(_numerator(poly)[1])[0]
+
+
+def _tuple_extract(poly, candidates):
+    factors = []
+    den, num = _numerator(poly)
+    scale = F(1, den)
+    for form in candidates:
+        pivot = _TuplePivot(poly.arity, form)
+        mult = 0
+        while num:
+            hs = pivot.horner(num)
+            if hs[0]:
+                break
+            num = pivot.quotient(hs)
+            scale /= pivot.content
+            mult += 1
+        if mult:
+            factors.append((form, mult))
+    return factors, MultiPoly(poly.arity, {e: c * scale for e, c in num.items()})
+
+
+def _assert_same_kernel_results(poly, forms):
+    for form in forms:
+        rest = restrict_to_hyperplane(poly, form)
+        expected = _tuple_restrict(poly, form)
+        assert rest == expected and rest.sorted_terms() == expected.sorted_terms()
+        assert_normalized(rest, poly.arity - 1)
+        assert divides_linear_form(poly, form) == _tuple_divides(poly, form)
+    factors, cofactor = extract_linear_factors(poly, forms)
+    expected_factors, expected_cofactor = _tuple_extract(poly, forms)
+    assert factors == expected_factors
+    assert cofactor == expected_cofactor
+    assert cofactor.sorted_terms() == expected_cofactor.sorted_terms()
+    assert_normalized(cofactor, poly.arity)
+
+
+@settings(max_examples=300, deadline=None)
+@given(kernel_cases())
+@example((MultiPoly(1, {(3,): F(2, 3)}), [LinearForm((F(-2),))]))
+# Degree 8 drops to 7 on division, so the cofactor's fields narrow.
+@example((
+    linear_form_product(2, [LinearForm((F(1), F(-1)))] * 8),
+    [LinearForm((F(1), F(-1))), LinearForm((F(2), F(3)))],
+))
+def test_packed_horner_matches_tuple_key_oracle(case):
+    poly, forms = case
+    _assert_same_kernel_results(poly, forms)
+    # the same value as a kernel result, built in the integer form
+    kernel = extract_linear_factors(poly, [])[1]
+    assert kernel._terms is None and kernel == poly
+    _assert_same_kernel_results(kernel, forms)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_char_poly_det_kernels_match_tuple_key_oracle(n):
+    from diracindex.sun1 import _root_forms, char_poly_det
+
+    forms = _root_forms(n)
+    for i in range(1, n):
+        det = char_poly_det.__wrapped__(n, i)
+        # the Fraction form of the same value, without its integer form
+        fractions = MultiPoly(n, dict(det.terms))
+        assert det == fractions and hash(det) == hash(fractions)
+        _assert_same_kernel_results(det, forms)
+
+
+# -- the eq/hash contract between the two forms -----------------------------
+
+
+@st.composite
+def unnormalized_numerators(draw):
+    """(poly, (width, num, scale)): poly = scale * num, num on packed keys of
+    a width at or above the canonical one, times a common factor k that
+    scale divides back out."""
+    poly = draw(polys(arity=draw(st.integers(0, 4)), max_degree=4, max_terms=6))
+    degree = max(poly.total_degree(), 1)
+    width = degree.bit_length() + draw(st.integers(0, 2))
+    k = draw(st.integers(-12, 12).filter(bool))
+    den, num = _numerator(poly) if not poly.is_zero() else (1, {})
+    packed = {
+        sum(e << (i * width) for i, e in enumerate(exp)): c * k for exp, c in num.items()
+    }
+    return poly, (width, packed, F(1, den * k))
+
+
+@settings(max_examples=300, deadline=None)
+@given(unnormalized_numerators())
+@example((MultiPoly(2, {(1, 1): F(3, 4), (2, 0): F(-3, 2)}), (3, {9: -18, 2: 36}, F(-1, 24))))
+def test_kernel_and_public_constructor_agree_on_eq_and_hash(case):
+    poly, (width, num, scale) = case
+    kernel = MultiPoly._from_ints(poly.arity, width, num, scale)
+    public = MultiPoly(poly.arity, dict(poly.terms))
+    assert kernel == public and public == kernel
+    assert hash(kernel) == hash(public)
+    # normalized integer forms: equal values, equal (den, width, numerator)
+    assert kernel._int_form() == public._int_form()
+    assert kernel.terms == public.terms
+    assert all(type(c) is F for c in kernel.terms.values())
+    assert_normalized(kernel, poly.arity)
+    # the Fraction view is cached and read-only
+    assert kernel.terms is kernel.terms
+    with pytest.raises(TypeError):
+        kernel.terms[(0,) * poly.arity] = F(1)
+    # negation stays in the integer form and keeps the contract
+    assert -kernel == -public and hash(-kernel) == hash(-public)
+    assert kernel.total_degree() == public.total_degree()
+
+
+def test_forms_of_different_values_differ():
+    x1, x2 = V("x1", "x2")
+    kernel = linear_form_product(2, [LinearForm((F(1), F(-1)))])
+    assert kernel == x1 - x2
+    assert kernel != x2 - x1 and kernel != 2 * (x1 - x2)
+    assert kernel != MultiPoly(3, {(1, 0, 0): 1, (0, 1, 0): -1})
+    assert len({kernel, x1 - x2, -(x2 - x1)}) == 1
 
 
 def test_primitive_forms():

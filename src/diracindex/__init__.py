@@ -36,8 +36,6 @@ from .groups import (
     reflection,
     simple_roots,
     weight_add,
-    weight_neg,
-    weight_sub,
     weyl_elements,
     weyl_order,
 )

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .dirac import IndexFamily, evaluate_index, index_polynomial
 from .errors import DimensionMismatch, InternalInvariantError
-from .groups import RootDatum, Weight, dot
+from .groups import RootDatum, Weight, idot
 from .kmodules import (
     check_regular_direction,
     frequencies_to_series,
@@ -64,14 +64,17 @@ class LimitReport:
 
 
 def root_ratio(datum: RootDatum, y: Weight) -> Fraction:
-    """prod_{alpha in R_k+} alpha(y) / prod_{alpha in R_g+} alpha(y)."""
-    num = Fraction(1)
+    """prod_{alpha in R_k+} alpha(y) / prod_{alpha in R_g+} alpha(y); with
+    y = n / d each alpha(y) is (alpha, n) / d, and r_g - r_k factors of d
+    stay."""
+    y_den, y_nums = datum.form(y)
+    num = 1
     for alpha in datum.compact_positive_roots:
-        num *= dot(alpha, y)
-    den = Fraction(1)
+        num *= idot(alpha, y_nums)
+    den = 1
     for alpha in datum.positive_roots:
-        den *= dot(alpha, y)
-    return num / den
+        den *= idot(alpha, y_nums)
+    return Fraction(num * y_den ** (datum.r_g - datum.r_k), den)
 
 
 def character_series(
@@ -91,13 +94,13 @@ def character_series(
     module = evaluate_index(fam, lam)
     if module.is_zero():
         return LaurentSeries.zero(order)
-    freqs = numerator_frequencies(module, y)
+    den, freqs = numerator_frequencies(module, y)
     if not freqs:
         return LaurentSeries.zero(order)
     r_g = datum.r_g
     # A nonzero sum of k exponentials has a nonzero moment among the first
     # k, so this order always sees the true valuation.
-    numerator = frequencies_to_series(freqs, max(order + r_g, len(freqs)))
+    numerator = frequencies_to_series(freqs, den, max(order + r_g, len(freqs)))
     val = numerator.valuation()
     if val is None:
         raise InternalInvariantError("nonzero character numerator has no valuation")

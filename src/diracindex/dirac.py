@@ -23,23 +23,30 @@ Sign conventions, pinned once and validated operationally:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping
 
 from .errors import CapExceeded, DimensionMismatch, OffLattice, SingularParameter
 from .groups import (
+    IntWeight,
     RootDatum,
     Weight,
     WeylElement,
     dominate,
-    dot,
-    weight_add,
-    weight_sub,
+    from_int_form,
+    idot,
+    int_add,
+    int_form,
+    over,
+    reduced,
 )
 from .kmodules import (
     VirtualKModule,
     WeightMultiset,
+    _k_type_sum,
     frequencies_to_series,
     k_type_sum,
     tensor_virtual,
@@ -67,35 +74,43 @@ def spin_weights(datum: RootDatum, cap: int = SPIN_SUBSET_CAP) -> SpinWeights:
     q = len(noncompact)
     if q > cap:
         raise CapExceeded(f"{q} noncompact roots exceeds the subset cap {cap}")
-    even: dict[Weight, int] = {weight_sub(datum.rho_k, datum.rho_g): 1}
-    odd: dict[Weight, int] = {}
+    # Numerators over 2: every spin weight is rho_k - rho_g plus a root sum.
+    start = tuple(k - g for k, g in zip(over(datum.rho_k_form, 2), over(datum.rho_g_form, 2)))
+    even: dict[tuple[int, ...], int] = {start: 1}
+    odd: dict[tuple[int, ...], int] = {}
     for beta in noncompact:
         new_even, new_odd = dict(even), dict(odd)
         for source, target in ((odd, new_even), (even, new_odd)):
             for w, m in source.items():
-                w = weight_add(w, beta)
+                w = tuple(c + 2 * b for c, b in zip(w, beta))
                 target[w] = target.get(w, 0) + m
         even, odd = new_even, new_odd
     plus, minus = (odd, even) if q % 2 == 1 else (even, odd)
-    return SpinWeights(WeightMultiset(plus), WeightMultiset(minus))
+    return SpinWeights(
+        WeightMultiset(forms={reduced(2, w): m for w, m in plus.items()}),
+        WeightMultiset(forms={reduced(2, w): m for w, m in minus.items()}),
+    )
 
 
 def spin_character_series(
     datum: RootDatum, y: Weight, order: int
 ) -> TruncatedSeries:
     """ch(S+ - S-)(exp ty) as an exact series in t."""
+    y_den, y_nums = datum.form(y)
     sw = spin_weights(datum)
-    freqs: dict[Fraction, int] = {}
+    # A spin weight has denominator 1 or 2, so every rate is f / (2 y_den).
+    freqs: dict[int, int] = {}
     for sign, weights in ((1, sw.plus), (-1, sw.minus)):
-        for w, m in weights.items():
-            f = dot(w, y)
+        for (w_den, w), m in weights.forms.items():
+            f = idot(w, y_nums) * (2 // w_den)
             freqs[f] = freqs.get(f, 0) + sign * m
-    return frequencies_to_series(freqs, order)
+    return frequencies_to_series(freqs, 2 * y_den, order)
 
 
 def chamber_sign(lam: Weight, datum: RootDatum) -> int:
     """(-1)^(number of positive noncompact roots made negative by lam)."""
-    flips = sum(1 for beta in datum.noncompact_positive_roots if dot(lam, beta) < 0)
+    _, nums = datum.form(lam)
+    flips = sum(1 for beta in datum.noncompact_positive_roots if idot(nums, beta) < 0)
     return -1 if flips % 2 else 1
 
 
@@ -125,6 +140,10 @@ class IndexFamily:
         if len(self.base) != self.datum.rank:
             raise DimensionMismatch("base length must equal the rank")
 
+    @cached_property
+    def base_form(self) -> IntWeight:
+        return int_form(self.base)
+
 
 def discrete_series_family(
     lam0: Weight, datum: RootDatum, gk_dim: int | None = None, name: str = ""
@@ -133,11 +152,12 @@ def discrete_series_family(
     which must lie on the shifted lattice Lambda + rho_g."""
     if len(lam0) != datum.rank:
         raise DimensionMismatch("parameter length must equal the rank")
-    text = "(" + ",".join(str(Fraction(c)) for c in lam0) + ")"
     if not datum.on_shifted_lattice(lam0):
-        raise OffLattice(f"{text} is not on the shifted lattice Lambda + rho_g")
+        text = ",".join(str(Fraction(c)) for c in lam0)
+        raise OffLattice(f"({text}) is not on the shifted lattice Lambda + rho_g")
     if not datum.is_g_regular(lam0):
-        raise SingularParameter(f"{text} is singular")
+        text = ",".join(str(Fraction(c)) for c in lam0)
+        raise SingularParameter(f"({text}) is singular")
     eps = chamber_sign(lam0, datum)
     e = WeylElement.identity(datum.rank)
     return IndexFamily(datum, lam0, {e: eps}, gk_dim=gk_dim, name=name)
@@ -155,14 +175,19 @@ def family_combination(
     return IndexFamily(fam.datum, fam.base, coeffs)
 
 
+def _on_coset(fam: IndexFamily, lam: IntWeight) -> IntWeight:
+    """lam, checked to lie on the base coset base + Lambda."""
+    den = math.lcm(lam[0], fam.base_form[0])
+    diff = tuple(a - b for a, b in zip(over(lam, den), over(fam.base_form, den)))
+    if not fam.datum.lattice(den, diff):
+        raise OffLattice(f"{from_int_form(*lam)} is not in base + Lambda")
+    return lam
+
+
 def evaluate_index(fam: IndexFamily, lam: Weight) -> VirtualKModule:
     """I(X_lam) = sum_w a_w E(w lam); lam must lie on the base coset."""
-    datum = fam.datum
-    if len(lam) != datum.rank:
-        raise DimensionMismatch("parameter length must equal the rank")
-    if not datum.on_lattice(weight_sub(lam, fam.base)):
-        raise OffLattice(f"{lam} is not in base + Lambda")
-    return k_type_sum(datum, ((w.apply(lam), a) for w, a in fam.coeffs.items()))
+    _on_coset(fam, fam.datum.form(lam))
+    return k_type_sum(fam.datum, ((w.apply(lam), a) for w, a in fam.coeffs.items()))
 
 
 def index_polynomial(fam: IndexFamily) -> MultiPoly:
@@ -190,17 +215,23 @@ def verify_translation(
 ) -> bool:
     """Check I(X_lam) (x) F = sum_{mu in Delta(F)} I(X_{lam+mu}) exactly."""
     delta = weight_multiset(f_highest, fam.datum)
-    left = tensor_virtual(evaluate_index(fam, lam), delta)
-    right = [(gamma, m * c) for mu, m in delta.items()
-             for gamma, c in evaluate_index(fam, weight_add(lam, mu)).coeffs.items()]
-    return left == k_type_sum(fam.datum, right)
+
+    def index_terms(lam: IntWeight, m: int = 1) -> list[tuple[IntWeight, int]]:
+        """The terms (w lam, m a_w) of m I(X_lam), before normalization."""
+        den, nums = _on_coset(fam, lam)
+        return [((den, w.apply(nums)), m * a) for w, a in fam.coeffs.items()]
+
+    lam = fam.datum.form(lam)
+    left = tensor_virtual(_k_type_sum(fam.datum, index_terms(lam)), delta)
+    right = [term for mu, m in delta.forms.items() for term in index_terms(int_add(lam, mu), m)]
+    return left == _k_type_sum(fam.datum, right)
 
 
 def is_integral_weyl(w: WeylElement, base: Weight, datum: RootDatum) -> bool:
     """True iff base - w(base) is an integer combination of roots: integral
     coordinates summing to 0 (type A), any integral vector (B), or integral
     coordinates with an even sum (C, D; only 0 for the rootless D_1)."""
-    diff = weight_sub(base, w.apply(base))
+    diff = [b - c for b, c in zip(base, w.apply(base))]
     kind = datum.ambient.kind
     if any(c.denominator != 1 for c in diff):
         return False

@@ -1,8 +1,13 @@
 """Root data and Weyl groups for the equal-rank classical real families.
 
-All weights live in ambient epsilon-coordinates, as tuples of exact
-rationals of length equal to the rank.  The six supported families and
-their compact/noncompact splits:
+All weights live in ambient epsilon-coordinates and have length equal to
+the rank.  The exchange type ``Weight`` is a tuple of exact rationals; the
+kernels work on its integer form ``(den, nums)``, the numerators over one
+denominator, the lcm of the entries' denominators (``int_form``).  That
+denominator is coprime to the content, so equal weights have equal forms,
+which hash as plain integer tuples.  Roots are integral and stored as
+integer tuples; rho_g and rho_k are integer root sums halved once.  The
+six supported families and their compact/noncompact splits:
 
 * ``SU(p,q)``        -- type A_{p+q-1} in Q^{p+q}; roots e_i - e_j; a root is
                         compact iff i, j <= p or i, j > p.
@@ -18,11 +23,13 @@ Weyl group elements are signed permutations: all signs +1 in type A, an
 even number of -1 signs in type D.  ``dominate(blocks, gamma)`` is the one
 chamber routine: it returns the element x of the blocks' Weyl group with
 x.gamma dominant, found blockwise by sorting, and whether gamma is regular
-for the blocks' roots.  Pass ``datum.compact_blocks`` for W_k and
-``(datum.ambient,)`` for W_g.  SU(p,q) weights are *not* quotiented
-by the trace line; every quantity computed downstream is invariant under
-adding a multiple of (1,...,1), and the SU lattice accordingly contains
-all vectors with pairwise integral coordinate differences.
+for the blocks' roots; it and ``WeylElement.apply`` act alike on a
+weight and on the numerators of its integer form.  Pass
+``datum.compact_blocks`` for W_k and ``(datum.ambient,)`` for W_g.
+SU(p,q) weights are *not* quotiented by the trace line; every quantity
+computed downstream is invariant under adding a multiple of (1,...,1),
+and the SU lattice accordingly contains all vectors with pairwise
+integral coordinate differences.
 """
 
 from __future__ import annotations
@@ -31,8 +38,9 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import permutations, product
+from operator import mul
 from typing import Callable, Iterable
 
 from .errors import (
@@ -44,6 +52,8 @@ from .errors import (
 )
 
 Weight = tuple[Fraction, ...]
+Root = tuple[int, ...]
+IntWeight = tuple[int, tuple[int, ...]]  # (den, nums): the weight nums / den
 
 DEFAULT_RANK_CAP = 8
 DEFAULT_WEYL_CAP = 100_000
@@ -55,25 +65,58 @@ def weight_add(a: Weight, b: Weight) -> Weight:
     return tuple(x + y for x, y in zip(a, b))
 
 
-def weight_sub(a: Weight, b: Weight) -> Weight:
-    if len(a) != len(b):
-        raise DimensionMismatch(f"weight lengths {len(a)} != {len(b)}")
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def weight_neg(a: Weight) -> Weight:
-    return tuple(-x for x in a)
-
-
 def dot(a: Weight, b: Weight) -> Fraction:
     if len(a) != len(b):
         raise DimensionMismatch(f"weight lengths {len(a)} != {len(b)}")
-    return sum((x * y for x, y in zip(a, b)), Fraction(0))
+    return Fraction(sum(map(mul, a, b)))
 
 
 def pairing(lam: Weight, alpha: Weight) -> Fraction:
-    """Coroot pairing <alpha^vee, lam> = 2(lam, alpha)/(alpha, alpha)."""
-    return 2 * dot(lam, alpha) / dot(alpha, alpha)
+    """Coroot pairing <alpha^vee, lam> = 2(lam, alpha)/(alpha, alpha); one
+    Fraction when lam and alpha are integer tuples."""
+    if len(lam) != len(alpha):
+        raise DimensionMismatch(f"weight lengths {len(lam)} != {len(alpha)}")
+    return Fraction(2 * sum(map(mul, lam, alpha)), sum(map(mul, alpha, alpha)))
+
+
+def int_form(w: Weight) -> IntWeight:
+    """(den, nums) with w = nums / den and den the lcm of the denominators."""
+    den = math.lcm(*(c.denominator for c in w))
+    return den, tuple(c.numerator * (den // c.denominator) for c in w)
+
+
+def from_int_form(den: int, nums: Iterable[int]) -> Weight:
+    """The weight nums / den, as a tuple of Fractions."""
+    return tuple(Fraction(n, den) for n in nums)
+
+
+def reduced(den: int, nums: tuple[int, ...]) -> IntWeight:
+    """The integer form of the weight nums / den."""
+    g = math.gcd(den, *nums)
+    return (den, nums) if g == 1 else (den // g, tuple(n // g for n in nums))
+
+
+def int_add(a: IntWeight, b: IntWeight) -> IntWeight:
+    """The integer form of the sum of two weights given by their forms."""
+    (da, na), (db, nb) = a, b
+    if len(na) != len(nb):
+        raise DimensionMismatch(f"weight lengths {len(na)} != {len(nb)}")
+    if da == db == 1:
+        return 1, tuple(x + y for x, y in zip(na, nb))
+    den = math.lcm(da, db)
+    sa, sb = den // da, den // db
+    return reduced(den, tuple(x * sa + y * sb for x, y in zip(na, nb)))
+
+
+def over(form: IntWeight, den: int) -> tuple[int, ...]:
+    """The numerators of a weight over den, a multiple of its denominator."""
+    scale = den // form[0]
+    return tuple(n * scale for n in form[1])
+
+
+def idot(a: tuple[int, ...], b: tuple[int, ...]) -> int:
+    """Integer dot product; the caller has checked that the lengths agree."""
+    return sum(map(mul, a, b))
 
 
 class Family(Enum):
@@ -177,36 +220,49 @@ class Block:
         raise ValueError(f"unknown block kind {self.kind!r}")
 
 
-def _lattice_integral(w: Weight) -> bool:
-    return all(c.denominator == 1 for c in w)
+# Lattice predicates on integer forms; den need not be the least one.
+def _lattice_integral(den: int, nums: tuple[int, ...]) -> bool:
+    return all(n % den == 0 for n in nums)
 
 
-def _lattice_integral_differences(w: Weight) -> bool:
-    return all((c - w[0]).denominator == 1 for c in w[1:])
+def _lattice_integral_differences(den: int, nums: tuple[int, ...]) -> bool:
+    return all((n - nums[0]) % den == 0 for n in nums)
 
 
 @dataclass(frozen=True)
 class RootDatum:
     group: GroupId
     rank: int
-    pos_roots: tuple[tuple[Weight, bool], ...]  # (root, compact?)
+    pos_roots: tuple[tuple[Root, bool], ...]  # (root, compact?)
     rho_g: Weight
     rho_k: Weight
     ambient: Block
     compact_blocks: tuple[Block, ...]
-    lattice: Callable[[Weight], bool] = field(compare=False)
+    # lattice(den, nums): is the weight nums / den in the lattice?
+    lattice: Callable[[int, tuple[int, ...]], bool] = field(compare=False)
 
-    @property
-    def positive_roots(self) -> tuple[Weight, ...]:
+    def __hash__(self) -> int:
+        return hash(self.group)
+
+    @cached_property
+    def positive_roots(self) -> tuple[Root, ...]:
         return tuple(r for r, _ in self.pos_roots)
 
-    @property
-    def compact_positive_roots(self) -> tuple[Weight, ...]:
+    @cached_property
+    def compact_positive_roots(self) -> tuple[Root, ...]:
         return tuple(r for r, c in self.pos_roots if c)
 
-    @property
-    def noncompact_positive_roots(self) -> tuple[Weight, ...]:
+    @cached_property
+    def noncompact_positive_roots(self) -> tuple[Root, ...]:
         return tuple(r for r, c in self.pos_roots if not c)
+
+    @cached_property
+    def rho_g_form(self) -> IntWeight:
+        return int_form(self.rho_g)
+
+    @cached_property
+    def rho_k_form(self) -> IntWeight:
+        return int_form(self.rho_k)
 
     @property
     def r_g(self) -> int:
@@ -214,45 +270,53 @@ class RootDatum:
 
     @property
     def r_k(self) -> int:
-        return sum(1 for _, c in self.pos_roots if c)
+        return len(self.compact_positive_roots)
 
-    def on_lattice(self, w: Weight) -> bool:
-        return len(w) == self.rank and self.lattice(w)
+    def form(self, w: Weight) -> IntWeight:
+        """int_form(w), for a weight w whose length is the rank."""
+        if len(w) != self.rank:
+            raise DimensionMismatch(f"weight length {len(w)} != rank {self.rank}")
+        return int_form(w)
 
     def on_shifted_lattice(self, gamma: Weight) -> bool:
         """Membership in Lambda + rho_g, the allowed spectral parameters."""
-        return len(gamma) == self.rank and self.lattice(weight_sub(gamma, self.rho_g))
+        return len(gamma) == self.rank and self.on_shifted_lattice_form(int_form(gamma))
+
+    def on_shifted_lattice_form(self, form: IntWeight) -> bool:
+        """on_shifted_lattice on an integer form of length the rank."""
+        den = math.lcm(form[0], self.rho_g_form[0])
+        rho = over(self.rho_g_form, den)
+        return self.lattice(den, tuple(n - r for n, r in zip(over(form, den), rho)))
 
     def is_g_regular(self, lam: Weight) -> bool:
-        return all(dot(lam, a) != 0 for a in self.positive_roots)
+        nums = self.form(lam)[1]
+        return all(idot(nums, a) for a in self.positive_roots)
 
     def is_k_regular(self, lam: Weight) -> bool:
-        return all(dot(lam, a) != 0 for a in self.compact_positive_roots)
-
-    def is_k_dominant_regular(self, lam: Weight) -> bool:
-        return all(dot(lam, a) > 0 for a in self.compact_positive_roots)
+        nums = self.form(lam)[1]
+        return all(idot(nums, a) for a in self.compact_positive_roots)
 
 
-def _block_roots(block: Block, rank: int) -> list[Weight]:
-    """Positive roots of one block, as ambient-rank weights."""
+def _block_roots(block: Block, rank: int) -> list[Root]:
+    """Positive roots of one block, as ambient-rank integer tuples."""
 
-    def e(i: int, c=1) -> Weight:
-        v = [Fraction(0)] * rank
-        v[i] = Fraction(c)
+    def root(*entries: tuple[int, int]) -> Root:
+        v = [0] * rank
+        for i, c in entries:
+            v[i] = c
         return tuple(v)
 
-    idx = list(block.indices)
-    roots: list[Weight] = []
-    for a in range(len(idx)):
-        for b in range(a + 1, len(idx)):
-            i, j = idx[a], idx[b]
-            roots.append(weight_add(e(i), weight_neg(e(j))))  # e_i - e_j
-            if block.kind in ("B", "C", "D"):
-                roots.append(weight_add(e(i), e(j)))  # e_i + e_j
+    idx = block.indices
+    roots: list[Root] = []
+    for a, i in enumerate(idx):
+        for j in idx[a + 1:]:
+            roots.append(root((i, 1), (j, -1)))
+            if block.kind != "A":
+                roots.append(root((i, 1), (j, 1)))
     if block.kind == "B":
-        roots.extend(e(i) for i in idx)
+        roots.extend(root((i, 1)) for i in idx)
     elif block.kind == "C":
-        roots.extend(e(i, 2) for i in idx)
+        roots.extend(root((i, 2)) for i in idx)
     return roots
 
 
@@ -286,13 +350,9 @@ def build_root_datum(group: GroupId, max_rank: int = DEFAULT_RANK_CAP) -> RootDa
     for blk in compact_blocks:
         compact_set.update(_block_roots(blk, rank))
     pos_roots = tuple((root, root in compact_set) for root in all_roots)
-    half = Fraction(1, 2)
-    rho_g = tuple(
-        sum((root[i] for root in all_roots), Fraction(0)) * half for i in range(rank)
-    )
-    rho_k = tuple(
-        sum((root[i] for root in compact_set), Fraction(0)) * half for i in range(rank)
-    )
+    # Half the root sums: one integer sum per coordinate, halved once.
+    rho_g = tuple(Fraction(sum(col), 2) for col in zip((0,) * rank, *all_roots))
+    rho_k = tuple(Fraction(sum(col), 2) for col in zip((0,) * rank, *compact_set))
     lattice = (
         _lattice_integral_differences if group.family == Family.SU else _lattice_integral
     )

@@ -11,17 +11,23 @@ contribute zero.  The allowed parameters form the coset Lambda + rho_g.
 Freudenthal's recursion visits only the dominant weights, found by
 positive-root steps that stay dominant, in descending order of |mu + rho|^2.
 
-Sums collect in one dict: k_type_sum normalizes every (gamma, c) pair into
-one dictionary and validates the module once, and frequencies_to_series
-builds every exponential sum, Weyl denominators too, from integer moments.
+Modules and multisets store their weights as integer forms (see
+`groups`): `forms` maps (den, nums) to a coefficient or multiplicity, and
+`VirtualKModule.coeffs` and `WeightMultiset.mults` are its `Weight` view,
+built on first read.  k_type_sum normalizes every (gamma, c) pair
+into one dictionary on integer numerators and builds its module through
+the trusted constructor, since normalization already guarantees what the
+public constructor checks.  frequencies_to_series builds every
+exponential sum, Weyl denominators too, from integer rates over one
+denominator.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .errors import (
@@ -31,55 +37,97 @@ from .errors import (
     SingularDirection,
 )
 from .groups import (
+    IntWeight,
     RootDatum,
     Weight,
     dominate,
-    dot,
+    from_int_form,
+    idot,
+    int_add,
+    int_form,
     normalize_k_dominant,
+    over,
     pairing,
     reflection,
     simple_roots,
     weight_add,
-    weight_sub,
     weyl_elements,
 )
 from .series import TruncatedSeries
 from .weylaction import weyl_dim_value, weyl_dim_value_g
 
 
-class VirtualKModule:
+class _OnForms:
+    """Integers keyed by the integer forms of weights (`forms`), with the
+    read-only `Weight`-keyed view built on first read."""
+
+    __slots__ = ("forms", "_view")
+
+    def _weights(self) -> Mapping[Weight, int]:
+        if self._view is None:
+            self._view = MappingProxyType(
+                {from_int_form(*form): c for form, c in self.forms.items()})
+        return self._view
+
+
+class VirtualKModule(_OnForms):
     """Finitely supported integer combination of dominant-regular parameters."""
 
-    __slots__ = ("datum", "coeffs")
+    __slots__ = ("datum",)
+
+    coeffs = property(_OnForms._weights)
 
     def __init__(self, datum: RootDatum, coeffs: Mapping[Weight, int] | None = None):
-        self.datum = datum
-        clean: dict[Weight, int] = {}
+        forms: dict[IntWeight, int] = {}
         for gamma, c in (coeffs or {}).items():
             c = int(c)
             if c == 0:
                 continue
-            if len(gamma) != datum.rank:
-                raise DimensionMismatch("parameter length must equal the rank")
-            if not datum.is_k_dominant_regular(gamma):
+            form = datum.form(gamma)
+            if not all(idot(form[1], a) > 0 for a in datum.compact_positive_roots):
                 raise ValueError("stored parameters must be dominant regular for K")
-            if not datum.on_shifted_lattice(gamma):
+            if not datum.on_shifted_lattice_form(form):
                 raise ValueError("stored parameters must lie on the shifted lattice")
-            clean[gamma] = c
-        self.coeffs = clean
+            forms[form] = c
+        self.datum, self.forms, self._view = datum, forms, None
+
+    @classmethod
+    def _trusted(cls, datum: RootDatum, forms: dict[IntWeight, int]) -> "VirtualKModule":
+        """Wrap nonzero coefficients on canonical forms of strictly
+        k-dominant parameters of the shifted lattice, unchecked."""
+        module = object.__new__(cls)
+        module.datum, module.forms, module._view = datum, forms, None
+        return module
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.forms
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, VirtualKModule)
             and self.datum.group == other.datum.group
-            and self.coeffs == other.coeffs
+            and self.forms == other.forms
         )
 
     def __hash__(self):
-        return hash((self.datum.group, frozenset(self.coeffs.items())))
+        return hash((self.datum.group, frozenset(self.forms.items())))
+
+
+def _k_type_sum(datum: RootDatum, terms: Iterable[tuple[IntWeight, int]]) -> VirtualKModule:
+    """k_type_sum on canonical integer forms; a signed permutation keeps a
+    form canonical, so the dominant representatives need no reduction."""
+    acc: dict[IntWeight, int] = {}
+    for form, c in terms:
+        if len(form[1]) != datum.rank:
+            raise DimensionMismatch("parameter length must equal the rank")
+        if datum.on_shifted_lattice_form(form):
+            normalized = normalize_k_dominant(datum, form[1])
+            if normalized is not None:
+                sign, dom = normalized
+                key = (form[0], dom)
+                acc[key] = acc.get(key, 0) + sign * c
+    return VirtualKModule._trusted(datum, {key: c for key, c in acc.items() if c})
+
 
 def k_type_sum(datum: RootDatum, terms: Iterable[tuple[Weight, int]]) -> VirtualKModule:
     """sum c * E(gamma) over the (gamma, c) pairs, collected in one dict.
@@ -87,16 +135,7 @@ def k_type_sum(datum: RootDatum, terms: Iterable[tuple[Weight, int]]) -> Virtual
     E(gamma) is zero when gamma is off the shifted lattice or singular for a
     compact root; otherwise sgn(x) times the dominant representative x.gamma.
     """
-    acc: dict[Weight, int] = {}
-    for gamma, c in terms:
-        if len(gamma) != datum.rank:
-            raise DimensionMismatch("parameter length must equal the rank")
-        if datum.on_shifted_lattice(gamma):
-            normalized = normalize_k_dominant(datum, gamma)
-            if normalized is not None:
-                sign, dom = normalized
-                acc[dom] = acc.get(dom, 0) + sign * c
-    return VirtualKModule(datum, acc)
+    return _k_type_sum(datum, ((int_form(gamma), c) for gamma, c in terms))
 
 
 def dim_virtual(module: VirtualKModule) -> int:
@@ -109,44 +148,58 @@ def dim_virtual(module: VirtualKModule) -> int:
     return int(total)
 
 
-@dataclass(frozen=True)
-class WeightMultiset:
-    """Finite multiset of weights with positive integer multiplicities."""
+class WeightMultiset(_OnForms):
+    """Finite multiset of weights with positive integer multiplicities,
+    given as {Weight: mult} or, by the kernels, as {integer form: mult}."""
 
-    mults: Mapping[Weight, int]
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "mults", dict(self.mults))
-        if any(m <= 0 for m in self.mults.values()):
+    mults = property(_OnForms._weights)
+
+    def __init__(self, mults: Mapping[Weight, int] | None = None, *,
+                 forms: Mapping[IntWeight, int] | None = None):
+        if forms is None:
+            forms = {int_form(w): m for w, m in (mults or {}).items()}
+        self.forms, self._view = dict(forms), None
+        if any(m <= 0 for m in self.forms.values()):
             raise ValueError("multiplicities must be positive")
-
-    def items(self):
-        return self.mults.items()
 
 
 def _dominant_rep_g(datum: RootDatum, mu: Weight) -> Weight:
-    """Dominant representative of mu under the full Weyl group."""
+    """Dominant representative of mu, or of integer numerators, under the
+    full Weyl group."""
     x, _ = dominate((datum.ambient,), mu)
     return x.apply(mu)
 
 
 @lru_cache(maxsize=None)
 def _dominant_character(datum: RootDatum, highest: Weight) -> tuple:
-    """Freudenthal multiplicities at the dominant weights of V(highest)."""
-    rho = datum.rho_g
-    pos = datum.positive_roots
-    top_norm = dot(weight_add(highest, rho), weight_add(highest, rho))
+    """Freudenthal multiplicities at the dominant weights of V(highest).
+
+    Runs on the numerators of highest and rho_g over their common
+    denominator D, with the roots scaled by D too, so every norm and
+    pairing is D^2 times the true one."""
+    form = int_form(highest)
+    den = lcm(form[0], datum.rho_g_form[0])
+    top, rho = over(form, den), over(datum.rho_g_form, den)
+    pos = [tuple(den * c for c in alpha) for alpha in datum.positive_roots]
+
+    def norm(mu):
+        shifted = [m + r for m, r in zip(mu, rho)]
+        return idot(shifted, shifted)
+
+    top_norm = norm(top)
 
     # Each dominant weight of V below highest is a positive root below another
     # (Stembridge, "The partial order of dominant weights", Adv. Math. 1998),
     # so positive-root steps that stay dominant find them all.
-    seen = {highest}
-    frontier = [highest]
+    seen = {top}
+    frontier = [top]
     while frontier:
         nxt = []
         for mu in frontier:
             for alpha in pos:
-                child = weight_sub(mu, alpha)
+                child = tuple(m - a for m, a in zip(mu, alpha))
                 if child not in seen and _dominant_rep_g(datum, child) == child:
                     seen.add(child)
                     nxt.append(child)
@@ -154,44 +207,45 @@ def _dominant_character(datum: RootDatum, highest: Weight) -> tuple:
 
     # For alpha > 0 and k >= 1, mu + k alpha and its dominant representative
     # have larger |. + rho|^2 than mu, so descending order computes them first.
-    dominants = sorted(seen, reverse=True,
-                       key=lambda mu: dot(weight_add(mu, rho), weight_add(mu, rho)))
+    dominants = sorted(seen, key=norm, reverse=True)
 
-    mult: dict[Weight, Fraction] = {}
+    mult: dict[tuple[int, ...], Fraction] = {}
 
-    def mult_of(nu: Weight) -> Fraction:
-        return mult.get(_dominant_rep_g(datum, nu), Fraction(0))
+    def mult_of(nu):
+        return mult.get(_dominant_rep_g(datum, nu), 0)
 
     for mu in dominants:
-        if mu == highest:
+        if mu == top:
             mult[mu] = Fraction(1)
             continue
-        mu_rho = weight_add(mu, rho)
-        denom = top_norm - dot(mu_rho, mu_rho)
-        acc = Fraction(0)
+        mu_rho = [m + r for m, r in zip(mu, rho)]
+        mu_norm = idot(mu_rho, mu_rho)
+        acc = 0
         for alpha in pos:
-            norm2 = dot(alpha, alpha)
+            norm2 = idot(alpha, alpha)
+            mu_alpha = idot(mu_rho, alpha)
             k = 1
             while True:
-                nu = weight_add(mu, tuple(k * a for a in alpha))
-                nr = weight_add(nu, rho)
-                if dot(nr, nr) > top_norm:
+                nu = tuple(m + k * a for m, a in zip(mu, alpha))
+                if mu_norm + 2 * k * mu_alpha + k * k * norm2 > top_norm:
                     # Past the vertex of the norm parabola the bound is final.
-                    if k * norm2 > -dot(mu_rho, alpha):
+                    if k * norm2 > -mu_alpha:
                         break
                 else:
                     m = mult_of(nu)
                     if m:
-                        acc += m * dot(nu, alpha)
+                        acc += m * idot(nu, alpha)
                 k += 1
-        value = 2 * acc / denom
+        # 2 sum m (nu, alpha) / (|highest + rho|^2 - |mu + rho|^2): D^2 cancels
+        value = Fraction(2 * acc, top_norm - mu_norm)
         if value:
             mult[mu] = value
-    return tuple(sorted(mult.items()))
+    return tuple(sorted((from_int_form(den, mu), m) for mu, m in mult.items()))
 
 
 def weyl_orbit(datum: RootDatum, mu: Weight) -> set[Weight]:
-    """Full Weyl group orbit of mu, generated by simple reflections."""
+    """Full Weyl group orbit of mu, generated by simple reflections; mu may
+    also be the numerators of an integer form."""
     gens = [reflection(alpha) for alpha in simple_roots(datum)]
     orbit = {mu}
     frontier = [mu]
@@ -210,73 +264,70 @@ def weyl_orbit(datum: RootDatum, mu: Weight) -> set[Weight]:
 def weight_multiset(highest: Weight, datum: RootDatum) -> WeightMultiset:
     """All weights of the finite-dimensional module with the given highest
     weight, with multiplicities (Freudenthal recursion, exact rationals)."""
-    if len(highest) != datum.rank:
-        raise DimensionMismatch("highest weight length must equal the rank")
+    den, top = datum.form(highest)
     for alpha in datum.positive_roots:
-        p = pairing(highest, alpha)
+        p = pairing(top, alpha) / den
         if p < 0 or p.denominator != 1:
             raise NotDominantIntegral(
                 f"<{alpha}, {highest}> = {p} is not a nonnegative integer"
             )
-    dom = dict(_dominant_character(datum, tuple(highest)))
-    out: dict[Weight, int] = {}
-    for mu, m in dom.items():
+    forms: dict[IntWeight, int] = {}
+    for mu, m in _dominant_character(datum, tuple(highest)):
         if m.denominator != 1:
             raise InternalInvariantError("non-integral weight multiplicity")
-        for nu in weyl_orbit(datum, mu):
-            out[nu] = int(m)
-    total = sum(out.values())
+        mu_den, mu_nums = int_form(mu)
+        for nu in weyl_orbit(datum, mu_nums):
+            forms[mu_den, nu] = int(m)
+    total = sum(forms.values())
     expected = weyl_dim_value_g(datum, weight_add(highest, datum.rho_g))
     if total != expected:
         raise InternalInvariantError(
             f"weight multiset mass {total} disagrees with Weyl dimension {expected}"
         )
-    return WeightMultiset(out)
+    return WeightMultiset(forms=forms)
 
 
 def tensor_virtual(module: VirtualKModule, delta: WeightMultiset) -> VirtualKModule:
     """Tensor by the weight multiset of a finite-dimensional module."""
-    shifted = [(weight_add(gamma, mu), c * m)
-               for gamma, c in module.coeffs.items() for mu, m in delta.items()]
-    return k_type_sum(module.datum, shifted)
+    shifted = [(int_add(gamma, mu), c * m)
+               for gamma, c in module.forms.items() for mu, m in delta.forms.items()]
+    return _k_type_sum(module.datum, shifted)
 
 
 # -- exact character series on the compact torus ----------------------
 
 
 def check_regular_direction(datum: RootDatum, y: Weight) -> None:
-    if len(y) != datum.rank:
-        raise DimensionMismatch("direction length must equal the rank")
+    _, nums = datum.form(y)
     for alpha in datum.positive_roots:
-        if dot(alpha, y) == 0:
+        if idot(alpha, nums) == 0:
             raise SingularDirection(f"direction is singular for root {alpha}")
 
 
-def weyl_numerator_frequencies(
-    datum: RootDatum, gamma: Weight, y: Weight
-) -> dict[Fraction, int]:
-    """Exponent frequencies of sum_{w in W_k} sgn(w) e^{(w gamma)(y) t}."""
-    freqs: dict[Fraction, int] = {}
-    for w in weyl_elements(datum, "k"):
-        f = dot(w.apply(gamma), y)
-        freqs[f] = freqs.get(f, 0) + w.sign()
-    return {f: c for f, c in freqs.items() if c != 0}
+def numerator_frequencies(module: VirtualKModule, y: Weight) -> tuple[int, dict[int, int]]:
+    """(D, freqs): the Weyl numerator sum_gamma c_gamma sum_{w in W_k}
+    sgn(w) e^{(w gamma)(y) t} of the module at exp(t y) is
+    sum freqs[f] e^{(f / D) t}, over its nonzero frequencies.
+
+    (w gamma)(y) = gamma(w^-1 y), so the W_k-orbit of y is built once."""
+    datum = module.datum
+    y_den, y_nums = datum.form(y)
+    orbit = [(w.sign(), w.apply(y_nums)) for w in weyl_elements(datum, "k")]
+    den = y_den * lcm(*(form[0] for form in module.forms))
+    freqs: dict[int, int] = {}
+    for (gamma_den, gamma), c in module.forms.items():
+        scale = den // (gamma_den * y_den)
+        for sign, wy in orbit:
+            f = idot(gamma, wy) * scale
+            freqs[f] = freqs.get(f, 0) + sign * c
+    return den, {f: c for f, c in freqs.items() if c}
 
 
-def numerator_frequencies(module: VirtualKModule, y: Weight) -> dict[Fraction, int]:
-    """Nonzero exponent frequencies of the module's Weyl numerator at exp(t y)."""
-    freqs: dict[Fraction, int] = {}
-    for gamma, c in module.coeffs.items():
-        for f, m in weyl_numerator_frequencies(module.datum, gamma, y).items():
-            freqs[f] = freqs.get(f, 0) + c * m
-    return {f: c for f, c in freqs.items() if c}
-
-
-def frequencies_to_series(freqs: Mapping[Fraction, int], order: int) -> TruncatedSeries:
-    """sum c * e^{rate t} to the given order; the t^k coefficient is the
-    integer moment sum c * (D rate)^k over D^k k!, D the rates' denominator."""
-    den = lcm(*(Fraction(rate).denominator for rate in freqs))
-    nums = [int(rate * den) for rate in freqs]
+def frequencies_to_series(freqs: Mapping[int, int], den: int, order: int) -> TruncatedSeries:
+    """sum c * e^{(f / den) t} over the pairs (f, c) of freqs, to the given
+    order; the t^k coefficient is the integer moment sum c * f^k over
+    den^k k!."""
+    nums = list(freqs)
     moments = list(freqs.values())
     scale = 1
     coeffs = []
@@ -294,21 +345,18 @@ def weyl_denominator_factored(
     """d(exp ty) = t^r * U(t) with U(0) = prod alpha(y) != 0; returns (r, U).
 
     The r factors e^{a t/2} - e^{-a t/2} multiply out as one sum of
-    exponentials on integer rates over the common denominator of the a/2.
+    exponentials on the integer rates alpha(y) * y_den over 2 * y_den.
     """
     if which not in ("g", "k"):
         raise ValueError("which must be 'g' or 'k'")
+    y_den, y_nums = datum.form(y)
     roots = datum.positive_roots if which == "g" else datum.compact_positive_roots
-    halves = [Fraction(dot(alpha, y), 2) for alpha in roots]
-    den = lcm(*(half.denominator for half in halves))
     freqs = {0: 1}
-    for half in halves:
-        k = int(half * den)
+    for alpha in roots:
+        k = idot(alpha, y_nums)
         expanded = {f + k: c for f, c in freqs.items()}
         for f, c in freqs.items():
             expanded[f - k] = expanded.get(f - k, 0) - c
         freqs = {f: c for f, c in expanded.items() if c}
     r = len(roots)
-    rates = {Fraction(f, den): c for f, c in freqs.items()}
-    return r, frequencies_to_series(rates, order + r).shift_down(r)
-
+    return r, frequencies_to_series(freqs, 2 * y_den, order + r).shift_down(r)

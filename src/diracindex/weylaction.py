@@ -11,7 +11,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import CapExceeded, DimensionMismatch
-from .groups import RootDatum, Weight, WeylElement, dot
+from .groups import IntWeight, RootDatum, Weight, WeylElement, dot, idot
 from .polynomials import Exponent, LinearForm, MultiPoly, _gl_key, linear_form_product
 
 SPAN_COLUMN_CAP = 20_000
@@ -135,17 +135,22 @@ def weyl_dim_poly(datum: RootDatum) -> MultiPoly:
     return linear_form_product(datum.rank, forms)
 
 
+def _weyl_product(roots, rho: IntWeight, gamma: IntWeight) -> Fraction:
+    """prod (gamma, alpha) / (rho, alpha) over the roots, on integer forms:
+    with gamma = n / d and rho = r / e it is prod (n, alpha) e / ((r, alpha) d)."""
+    (den, nums), (rho_den, rho_nums) = gamma, rho
+    num = scale = 1
+    for alpha in roots:
+        num *= idot(nums, alpha)
+        scale *= idot(rho_nums, alpha)
+    return Fraction(num * rho_den ** len(roots), scale * den ** len(roots))
+
+
 def weyl_dim_value(datum: RootDatum, gamma: Weight) -> Fraction:
     """D_k(gamma) evaluated directly (same normalization as weyl_dim_poly)."""
-    value = Fraction(1)
-    for alpha in datum.compact_positive_roots:
-        value *= dot(gamma, alpha) / dot(datum.rho_k, alpha)
-    return value
+    return _weyl_product(datum.compact_positive_roots, datum.rho_k_form, datum.form(gamma))
 
 
 def weyl_dim_value_g(datum: RootDatum, lam_plus_rho: Weight) -> Fraction:
     """Full-group Weyl dimension at a rho-shifted parameter."""
-    value = Fraction(1)
-    for alpha in datum.positive_roots:
-        value *= dot(lam_plus_rho, alpha) / dot(datum.rho_g, alpha)
-    return value
+    return _weyl_product(datum.positive_roots, datum.rho_g_form, datum.form(lam_plus_rho))

@@ -1,3 +1,4 @@
+import math
 import random
 from dataclasses import replace
 from fractions import Fraction as F
@@ -18,7 +19,6 @@ from diracindex.groups import (
     pairing,
     simple_roots,
     weight_add,
-    weight_sub,
     weyl_elements,
     weyl_order,
 )
@@ -42,6 +42,10 @@ from diracindex.weylaction import weyl_dim_value
 
 def W(*coords):
     return tuple(F(c) for c in coords)
+
+
+def weight_sub(a, b):
+    return tuple(x - y for x, y in zip(a, b, strict=True))
 
 
 def test_virtual_k_type_normalization():
@@ -122,7 +126,7 @@ def test_dim_matches_weyl_dimension_signed(group):
 def test_weight_multiset_sl2_adjoint():
     d = build_root_datum(GroupId.su(1, 1))
     delta = weight_multiset(W(1, -1), d)
-    assert dict(delta.items()) == {W(1, -1): 1, W(0, 0): 1, W(-1, 1): 1}
+    assert dict(delta.mults) == {W(1, -1): 1, W(0, 0): 1, W(-1, 1): 1}
 
 
 def test_weight_multiset_su21_adjoint():
@@ -133,14 +137,14 @@ def test_weight_multiset_su21_adjoint():
     }
     expected = {r: 1 for r in roots}
     expected[W(0, 0, 0)] = 2
-    assert dict(delta.items()) == expected
+    assert dict(delta.mults) == expected
     assert sum(delta.mults.values()) == 8
 
 
 def test_weight_multiset_sp4_standard():
     d = build_root_datum(GroupId.sp_r(2))
     delta = weight_multiset(W(1, 0), d)
-    assert dict(delta.items()) == {
+    assert dict(delta.mults) == {
         W(1, 0): 1,
         W(-1, 0): 1,
         W(0, 1): 1,
@@ -164,7 +168,7 @@ def test_weight_multiset_is_weyl_stable():
     d = build_root_datum(GroupId.su(2, 1))
     delta = weight_multiset(W(2, 1, -3), d)
     for w in weyl_elements(d, "g"):
-        assert {w.apply(mu): m for mu, m in delta.items()} == dict(delta.items())
+        assert {w.apply(mu): m for mu, m in delta.mults.items()} == dict(delta.mults)
 
 
 def test_weight_multiset_rejects_nondominant():
@@ -203,7 +207,7 @@ def test_tensor_drops_singular_terms():
     # the surviving support is exactly the nonsingular dominant translates
     total_terms = sum(
         0 if k_type_sum(su21, [(weight_add(gamma, mu), 1)]).is_zero() else m
-        for mu, m in adj.items()
+        for mu, m in adj.mults.items()
     )
     assert sum(abs(c) for c in out.coeffs.values()) <= total_terms
 
@@ -225,7 +229,8 @@ def test_tensor_bilinear():
 def test_custom_lattice_predicate():
     d = build_root_datum(GroupId.sp_r(2))
     # restrict to the even sublattice: parameters off it become zero
-    even = replace(d, lattice=lambda w: all(c.denominator == 1 and c % 2 == 0 for c in w))
+    # the predicate reads the weight's integer form nums / den
+    even = replace(d, lattice=lambda den, nums: all(n % (2 * den) == 0 for n in nums))
     gamma = weight_add(even.rho_g, W(1, 1))  # (3, 2): shift (1, 1) is odd
     assert k_type_sum(even, [(gamma, 1)]).is_zero()
     assert not k_type_sum(even, [(weight_add(even.rho_g, W(2, 0)), 1)]).is_zero()
@@ -274,7 +279,8 @@ def test_frequencies_to_series_matches_exponential_fold(pairs, order):
     freqs = {}
     for rate, c in pairs:  # repeated rates add up and may cancel to 0
         freqs[rate] = freqs.get(rate, 0) + c
-    series = frequencies_to_series(freqs, order)
+    den = math.lcm(*(rate.denominator for rate in freqs))
+    series = frequencies_to_series({int(rate * den): c for rate, c in freqs.items()}, den, order)
     assert series == _series_by_exponential_fold(freqs, order)
     assert series.order == order
     assert all(type(c) is F for c in series.coeffs)
@@ -290,8 +296,8 @@ def _denominator_by_root_product(datum, y, which, order):
     u = TruncatedSeries((F(1),) + (F(0),) * order)
     for alpha in roots:
         half = F(dot(alpha, y), 2)
-        freqs = {half: 1, -half: -1} if half else {}
-        u = u * frequencies_to_series(freqs, order + 1).shift_down(1)
+        freqs = {half.numerator: 1, -half.numerator: -1} if half else {}
+        u = u * frequencies_to_series(freqs, half.denominator, order + 1).shift_down(1)
     return len(roots), u
 
 

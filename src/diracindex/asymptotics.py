@@ -7,6 +7,13 @@ order never exceeds r_g - r_k, and the coefficient at exactly that order
 is (prod_{compact} alpha(y) / prod_{all} alpha(y)) * Q(lam) with Q the
 index polynomial.  Everything here is rational arithmetic; the limit
 checks are exact equalities.
+
+The order contract: `character_series(..., order)` returns order + 1
+coefficients from the lowest power of t, and builds nothing past them.
+The numerator's valuation is found by stepping its integer moments, its
+moments are built only up to valuation + order, and the Weyl denominator
+and the series division stop at `order`.  leading_limit reads t^-d with
+order max(8, d + 2).
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .dirac import IndexFamily, evaluate_index, index_polynomial
-from .errors import DimensionMismatch, InternalInvariantError
+from .errors import DimensionMismatch
 from .groups import RootDatum, Weight, idot
 from .kmodules import (
     check_regular_direction,
@@ -80,12 +87,15 @@ def root_ratio(datum: RootDatum, y: Weight) -> Fraction:
 def character_series(
     fam: IndexFamily, lam: Weight, y: Weight, order: int = 8
 ) -> LaurentSeries:
-    """Exact Laurent expansion of the family character at exp(t y).
+    """Exact Laurent expansion of the family character at exp(t y), with
+    order + 1 coefficients from the lowest power of t.
 
     The numerator sum_w a_w N_{w lam} is assembled from the normalized
     index (so off-lattice or compactly singular translates drop out the
-    same way they do in evaluation), then divided by d_g with its zero of
-    order r_g at t = 0 factored analytically.
+    same way they do in evaluation).  Its moments are built from the
+    valuation val to val + order and no further, and it is divided by d_g
+    with its zero of order r_g at t = 0 factored analytically, both at
+    `order`.
     """
     datum = fam.datum
     check_regular_direction(datum, y)
@@ -97,17 +107,9 @@ def character_series(
     den, freqs = numerator_frequencies(module, y)
     if not freqs:
         return LaurentSeries.zero(order)
-    r_g = datum.r_g
-    # A nonzero sum of k exponentials has a nonzero moment among the first
-    # k, so this order always sees the true valuation.
-    numerator = frequencies_to_series(freqs, den, max(order + r_g, len(freqs)))
-    val = numerator.valuation()
-    if val is None:
-        raise InternalInvariantError("nonzero character numerator has no valuation")
-    shifted = numerator.shift_down(val)
-    _, u = weyl_denominator_factored(datum, y, "g", shifted.order)
-    quotient = shifted.divide(u)
-    return LaurentSeries(val - r_g, quotient.truncate(order))
+    val, numerator = frequencies_to_series(freqs, den, order, start=None)
+    r_g, u = weyl_denominator_factored(datum, y, "g", order)
+    return LaurentSeries(val - r_g, numerator.divide(u))
 
 
 def leading_limit(fam: IndexFamily, lam: Weight, y: Weight, d: int) -> LimitReport:

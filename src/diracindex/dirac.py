@@ -104,7 +104,7 @@ def spin_character_series(
         for (w_den, w), m in weights.forms.items():
             f = idot(w, y_nums) * (2 // w_den)
             freqs[f] = freqs.get(f, 0) + sign * m
-    return frequencies_to_series(freqs, 2 * y_den, order)
+    return frequencies_to_series(freqs, 2 * y_den, order)[1]
 
 
 def chamber_sign(lam: Weight, datum: RootDatum) -> int:

@@ -19,7 +19,9 @@ into one dictionary on integer numerators and builds its module through
 the trusted constructor, since normalization already guarantees what the
 public constructor checks.  frequencies_to_series builds every
 exponential sum, Weyl denominators too, from integer rates over one
-denominator.
+denominator; it divides out a known power of t exactly, or finds the
+valuation by stepping the integer moments, and builds only the
+coefficients it returns.
 """
 
 from __future__ import annotations
@@ -323,20 +325,42 @@ def numerator_frequencies(module: VirtualKModule, y: Weight) -> tuple[int, dict[
     return den, {f: c for f, c in freqs.items() if c}
 
 
-def frequencies_to_series(freqs: Mapping[int, int], den: int, order: int) -> TruncatedSeries:
-    """sum c * e^{(f / den) t} over the pairs (f, c) of freqs, to the given
-    order; the t^k coefficient is the integer moment sum c * f^k over
-    den^k k!."""
+def frequencies_to_series(
+    freqs: Mapping[int, int], den: int, order: int, start: int | None = 0
+) -> tuple[int, TruncatedSeries]:
+    """(v, S) with sum c * e^{(f / den) t} = t^v * S(t) over the pairs (f, c)
+    of freqs, and S to the given order; the t^k coefficient of the sum is
+    the integer moment sum c * f^k over den^k k!.
+
+    With an integer start, v is start and the moments below it must
+    vanish (ValueError otherwise).  With start None, v is the valuation:
+    the first nonzero moment, which a sum of n exponentials with distinct
+    rates and nonzero coefficients has among its first n (Vandermonde).
+    Only the moments 0 .. v + order are built.
+    """
     nums = list(freqs)
     moments = list(freqs.values())
     scale = 1
+    v = start
     coeffs = []
-    for k in range(order + 1):
-        if k:
-            moments = [m * n for m, n in zip(moments, nums)]
-            scale *= den * k
-        coeffs.append(Fraction(sum(moments), scale))
-    return TruncatedSeries(tuple(coeffs))
+    k = 0
+    while True:
+        total = sum(moments)
+        if v is None and total:
+            v = k
+        if v is not None and k >= v:
+            coeffs.append(Fraction(total, scale))
+            if k == v + order:
+                return v, TruncatedSeries(tuple(coeffs))
+        elif total:
+            raise ValueError(f"sum of exponentials is not divisible by t^{start}")
+        elif v is None and k + 1 >= len(nums):
+            raise InternalInvariantError(
+                f"no nonzero moment among the first {len(nums)} of a sum of exponentials"
+            )
+        k += 1
+        moments = [m * n for m, n in zip(moments, nums)]
+        scale *= den * k
 
 
 def weyl_denominator_factored(
@@ -358,5 +382,4 @@ def weyl_denominator_factored(
         for f, c in freqs.items():
             expanded[f - k] = expanded.get(f - k, 0) - c
         freqs = {f: c for f, c in expanded.items() if c}
-    r = len(roots)
-    return r, frequencies_to_series(freqs, 2 * y_den, order + r).shift_down(r)
+    return frequencies_to_series(freqs, 2 * y_den, order, len(roots))

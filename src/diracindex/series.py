@@ -67,19 +67,6 @@ class TruncatedSeries:
             out[k] = acc * inv0
         return TruncatedSeries(tuple(out))
 
-    def truncate(self, order: int) -> "TruncatedSeries":
-        if order >= self.order:
-            return self
-        return TruncatedSeries(self.coeffs[: order + 1])
-
-    def shift_down(self, k: int) -> "TruncatedSeries":
-        """Divide by t^k, checking exactly that the low coefficients vanish."""
-        if any(c != 0 for c in self.coeffs[:k]):
-            raise ValueError(f"series is not divisible by t^{k}")
-        if k > self.order:
-            raise ValueError("shift exceeds truncation order")
-        return TruncatedSeries(self.coeffs[k:])
-
     def valuation(self) -> int | None:
         """Index of the first nonzero coefficient, None if all stored are zero."""
         for k, c in enumerate(self.coeffs):

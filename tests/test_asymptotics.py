@@ -3,11 +3,14 @@ from fractions import Fraction as F
 
 import pytest
 
+from diracindex import asymptotics
 from diracindex.asymptotics import character_series, leading_limit, root_ratio
-from diracindex.dirac import index_polynomial
+from diracindex.dirac import discrete_series_family, index_polynomial
 from diracindex.errors import SingularDirection
 from diracindex.fixtures import sl2_families, sl2_weight, su21_ds_families
 from diracindex.groups import GroupId, build_root_datum, dot, weight_add
+from diracindex.kmodules import numerator_frequencies
+from diracindex.series import TruncatedSeries
 
 
 def W(*coords):
@@ -92,3 +95,59 @@ def test_random_limits_exact(key):
         assert rep.value == root_ratio(datum, y) * q.evaluate(lam)
         assert leading_limit(fam, lam, y, gap + 1).value == 0
         assert leading_limit(fam, lam, y, gap + 2).value == 0
+
+
+class _CountingRate(int):
+    """A frequency that counts the moment products m * f taken with it."""
+
+    products = 0
+
+    def __rmul__(self, other):
+        _CountingRate.products += 1
+        return other * int(self)
+
+
+@pytest.mark.parametrize("order", [0, 8, 12])
+def test_character_series_builds_only_to_order(monkeypatch, order):
+    """On Sp(1,3), with 58 numerator frequencies, the numerator's moments
+    stop at valuation + order, the Weyl denominator is asked for `order`,
+    and both operands of the division have order `order`."""
+    datum = build_root_datum(GroupId.sp_pq(1, 3))
+    fam = discrete_series_family(W(-1, 4, -2, -3), datum)
+    lam, y = W(-2, 6, -2, -3), W(-1, -6, 3, 10)
+    _, freqs = numerator_frequencies(asymptotics.evaluate_index(fam, lam), y)
+    assert len(freqs) == 58
+    calls = {"numerator": [], "denominator": [], "divide": []}
+
+    real_numerator = asymptotics.frequencies_to_series
+
+    def numerator(freqs, den, n, start=0):
+        _CountingRate.products = 0
+        v, series = real_numerator({_CountingRate(f): c for f, c in freqs.items()}, den, n, start)
+        calls["numerator"].append((n, start, v, series.order, _CountingRate.products // len(freqs)))
+        return v, series
+
+    real_denominator = asymptotics.weyl_denominator_factored
+
+    def denominator(datum, y, which, n):
+        calls["denominator"].append(n)
+        return real_denominator(datum, y, which, n)
+
+    real_divide = TruncatedSeries.divide
+
+    def divide(self, other):
+        calls["divide"].append((self.order, other.order))
+        return real_divide(self, other)
+
+    monkeypatch.setattr(asymptotics, "frequencies_to_series", numerator)
+    monkeypatch.setattr(asymptotics, "weyl_denominator_factored", denominator)
+    monkeypatch.setattr(TruncatedSeries, "divide", divide)
+    series = character_series(fam, lam, y, order)
+    [(n, start, val, numerator_order, steps)] = calls["numerator"]
+    assert (n, start, numerator_order) == (order, None, order)
+    # moments 0 .. val + order, one product per frequency and step
+    assert steps == val + order
+    assert val - datum.r_g == series.low == -6
+    assert calls["denominator"] == [order]
+    assert calls["divide"] == [(order, order)]
+    assert series.series.order == order

@@ -18,6 +18,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from diracindex.asymptotics import (
     LaurentSeries,
+    LimitReport,
     character_series,
     leading_limit,
     root_ratio,
@@ -26,6 +27,7 @@ from diracindex.dirac import (
     chamber_sign,
     discrete_series_family,
     evaluate_index,
+    index_polynomial,
     spin_character_series,
     spin_weights,
     verify_translation,
@@ -214,7 +216,13 @@ def oracle_weyl_denominator_factored(datum, y, which, order):
         freqs = {f: c for f, c in expanded.items() if c}
     r = len(roots)
     rates = {F(f, den): c for f, c in freqs.items()}
-    return r, oracle_frequencies_to_series(rates, order + r).shift_down(r)
+    return r, _shift_down(oracle_frequencies_to_series(rates, order + r), r)
+
+
+def _shift_down(series, k):
+    """series / t^k, checking exactly that the low coefficients vanish."""
+    assert k <= series.order and not any(series.coeffs[:k])
+    return TruncatedSeries(series.coeffs[k:])
 
 
 def oracle_evaluate_index(fam, lam):
@@ -233,9 +241,30 @@ def oracle_character_series(fam, lam, y, order=8):
     r_g = datum.r_g
     numerator = oracle_frequencies_to_series(freqs, max(order + r_g, len(freqs)))
     val = numerator.valuation()
-    shifted = numerator.shift_down(val)
+    shifted = _shift_down(numerator, val)
     _, u = oracle_weyl_denominator_factored(datum, y, "g", shifted.order)
-    return LaurentSeries(val - r_g, shifted.divide(u).truncate(order))
+    return LaurentSeries(val - r_g, TruncatedSeries(shifted.divide(u).coeffs[: order + 1]))
+
+
+def oracle_leading_limit(fam, lam, y, d):
+    datum = fam.datum
+    gap = datum.r_g - datum.r_k
+    series = oracle_character_series(fam, lam, y, order=max(8, d + 2))
+    if d < series.pole_order:
+        return LimitReport(d=d, value=None, expected=None, match=False, underflow=True)
+    value = series.coeff(-d)
+    expected = None
+    if d > gap:
+        expected = F(0)
+    elif d == gap:
+        ratio = F(1)
+        for alpha in datum.compact_positive_roots:
+            ratio *= _fdot(alpha, y)
+        for alpha in datum.positive_roots:
+            ratio /= _fdot(alpha, y)
+        expected = ratio * index_polynomial(fam).evaluate(lam)
+    match = expected is not None and value == expected
+    return LimitReport(d=d, value=value, expected=expected, match=match)
 
 
 def oracle_verify_translation(fam, f_highest, lam):
@@ -382,6 +411,43 @@ def test_character_series_and_translation_match_fraction_oracle(data):
     holds, left = oracle_verify_translation(fam, highest, lam)
     assert verify_translation(fam, highest, lam) == holds
     assert tensor_virtual(evaluate_index(fam, lam), weight_multiset(highest, datum)).coeffs == left
+
+
+# The seven groups of the benchmark's character workload, where the
+# numerator has up to about 80 frequencies (Sp(1,3)).
+CHARACTER_BENCH_GROUPS = [
+    GroupId.su(1, 2),
+    GroupId.su(2, 1),
+    GroupId.so_even_odd(2, 1),
+    GroupId.sp_r(4),
+    GroupId.sp_pq(1, 3),
+    GroupId.so_even_even(2, 2),
+    GroupId.so_star(4),
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_character_series_and_limits_match_fraction_oracle_on_bench_groups(data):
+    """character_series builds its numerator from the valuation and
+    divides at `order`; the oracle builds the numerator to
+    max(order + r_g, len(freqs)) and divides at that length.  They agree
+    through `order`, and so do the limits that leading_limit reads."""
+    datum = build_root_datum(data.draw(st.sampled_from(CHARACTER_BENCH_GROUPS)))
+    fam = discrete_series_family(data.draw(regular_parameters(datum)), datum)
+    lam = _add(fam.base, tuple(F(data.draw(st.integers(-2, 2))) for _ in range(datum.rank)))
+    y = data.draw(directions(datum))
+    order = data.draw(st.integers(6, 14))
+    series = character_series(fam, lam, y, order)
+    oracle = oracle_character_series(fam, lam, y, order)
+    assert series.series.order == order
+    assert series.low == oracle.low
+    # the oracle stops short of `order` only when its valuation is above
+    # max(order + r_g, len(freqs)) - order
+    assert series.series.coeffs[: oracle.series.order + 1] == oracle.series.coeffs
+    gap = datum.r_g - datum.r_k
+    for d in (gap, gap + 1, gap + 2):
+        assert leading_limit(fam, lam, y, d) == oracle_leading_limit(fam, lam, y, d)
 
 
 # -- the constructors --------------------------------------------------------------

@@ -280,10 +280,67 @@ def test_frequencies_to_series_matches_exponential_fold(pairs, order):
     for rate, c in pairs:  # repeated rates add up and may cancel to 0
         freqs[rate] = freqs.get(rate, 0) + c
     den = math.lcm(*(rate.denominator for rate in freqs))
-    series = frequencies_to_series({int(rate * den): c for rate, c in freqs.items()}, den, order)
+    v, series = frequencies_to_series({int(rate * den): c for rate, c in freqs.items()}, den, order)
+    assert v == 0
     assert series == _series_by_exponential_fold(freqs, order)
     assert series.order == order
     assert all(type(c) is F for c in series.coeffs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(rates, st.integers(-3, 3)), max_size=10), st.integers(0, 12))
+@example([(F(1, 2), 1), (F(-1, 2), -1), (F(3, 2), -1), (F(-3, 2), 1)], 0)
+def test_frequencies_to_series_from_the_valuation(pairs, order):
+    """start=None steps the moments to the first nonzero one, and returns
+    the coefficients valuation .. valuation + order of the fold."""
+    freqs = {}
+    for rate, c in pairs:
+        freqs[rate] = freqs.get(rate, 0) + c
+    freqs = {rate: c for rate, c in freqs.items() if c}
+    assume(freqs)
+    den = math.lcm(*(rate.denominator for rate in freqs))
+    nums = {int(rate * den): c for rate, c in freqs.items()}
+    fold = _series_by_exponential_fold(freqs, len(freqs) + order)
+    val = fold.valuation()
+    assert val is not None and val < len(freqs)
+    v, series = frequencies_to_series(nums, den, order, start=None)
+    assert (v, series.coeffs) == (val, fold.coeffs[val : val + order + 1])
+    # an explicit start at the valuation reads the same coefficients
+    assert frequencies_to_series(nums, den, order, start=val) == (v, series)
+
+
+def test_frequencies_to_series_first_moments_cancel():
+    """(e^t - 1)^3 = e^3t - 3e^2t + 3e^t - 1 has moments 0, 0, 0, 6: the
+    valuation is 3 and t^3 has coefficient 1."""
+    cube = {3: 1, 2: -3, 1: 3, 0: -1}
+    v, series = frequencies_to_series(cube, 1, 2, start=None)
+    assert v == 3
+    assert series.coeffs == (F(1), F(3, 2), F(5, 4))
+    # a start below the valuation keeps the zero coefficients
+    assert frequencies_to_series(cube, 1, 3, start=1) == (1, TruncatedSeries((0, 0, 1, F(3, 2))))
+
+
+def test_frequencies_to_series_start_divides_out_low_moments():
+    """An integer start is an exact zero-of-order-start check: a sum whose
+    moments below it do not all vanish raises, as the Weyl denominator's
+    zero of order r would if it failed."""
+    cube = {3: 1, 2: -3, 1: 3, 0: -1}
+    with pytest.raises(ValueError, match="not divisible by t\\^4"):
+        frequencies_to_series(cube, 1, 2, start=4)
+    with pytest.raises(ValueError, match="not divisible by t\\^1"):
+        frequencies_to_series({1: 1}, 2, 0, start=1)  # e^{t/2} is 1 at t = 0
+    sinh = {1: 1, -1: -1}  # e^{t/2} - e^{-t/2} = t + t^3/24 + ...
+    assert frequencies_to_series(sinh, 2, 2, start=1) == (1, TruncatedSeries((1, 0, F(1, 24))))
+    # the empty sum is divisible by any power of t
+    assert frequencies_to_series({}, 1, 2, start=5) == (5, TruncatedSeries.zero(2))
+
+
+def test_frequencies_to_series_zero_sum_has_no_valuation():
+    """A sum of n exponentials whose first n moments vanish is zero; the
+    valuation search refuses it instead of stepping on."""
+    for freqs in ({}, {2: 0}, {1: 0, -1: 0}):
+        with pytest.raises(InternalInvariantError, match="no nonzero moment"):
+            frequencies_to_series(freqs, 1, 3, start=None)
 
 
 def _denominator_by_root_product(datum, y, which, order):
@@ -297,7 +354,9 @@ def _denominator_by_root_product(datum, y, which, order):
     for alpha in roots:
         half = F(dot(alpha, y), 2)
         freqs = {half.numerator: 1, -half.numerator: -1} if half else {}
-        u = u * frequencies_to_series(freqs, half.denominator, order + 1).shift_down(1)
+        _, sinh = frequencies_to_series(freqs, half.denominator, order + 1)
+        assert sinh.coeffs[0] == 0
+        u = u * TruncatedSeries(sinh.coeffs[1:])
     return len(roots), u
 
 

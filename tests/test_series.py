@@ -19,13 +19,6 @@ def test_divide_roundtrip():
         a.divide(TruncatedSeries.zero(8))
 
 
-def test_shift_down():
-    s = TruncatedSeries((F(0), F(0), F(3), F(5)))
-    assert s.shift_down(2) == TruncatedSeries((F(3), F(5)))
-    with pytest.raises(ValueError):
-        s.shift_down(3)  # coefficient of t^2 is nonzero
-
-
 def test_valuation_and_coeff():
     s = TruncatedSeries((F(0), F(4), F(0)))
     assert s.valuation() == 1

@@ -146,8 +146,6 @@ def _cmd_index_poly(args) -> int:
             raise DiracIndexError("--chamber applies to SU(n,1) groups only")
         fam = su_n1_ds_family(group.p, args.chamber)
     else:
-        if args.hc_param is None:
-            raise DiracIndexError("provide either --chamber or --hc-param")
         datum = build_root_datum(group, max_rank=cap)
         fam = discrete_series_family(args.hc_param, datum)
     sys.stdout.write(emit(index_polynomial(fam), "json"))
@@ -261,10 +259,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_ip = sub.add_parser("index-poly", help="index polynomial of a discrete-series family")
     p_ip.add_argument("--group", type=parse_group, required=True,
                       help="e.g. 'SU(2,1)', 'Sp(4,R)', 'SOe(4,5)', 'SO*(6)'")
-    p_ip.add_argument("--chamber", type=int, default=None,
-                      help="chamber index for SU(n,1)")
-    p_ip.add_argument("--hc-param", type=parse_weight, default=None,
-                      help="regular Harish-Chandra parameter, comma-separated rationals")
+    family = p_ip.add_mutually_exclusive_group(required=True)
+    family.add_argument("--chamber", type=int, help="chamber index for SU(n,1)")
+    family.add_argument("--hc-param", type=parse_weight,
+                        help="regular Harish-Chandra parameter, comma-separated rationals")
     p_ip.set_defaults(func=_cmd_index_poly)
 
     p_cp = sub.add_parser("char-poly", help="character determinant polynomial for SU(n,1)")

@@ -22,8 +22,9 @@ from typing import Any
 
 from .asymptotics import LimitReport
 from .errors import InvalidInput, UnsupportedFormat
+from .groups import build_root_datum
 from .polynomials import LinearForm, MultiPoly
-from .springer import SpringerRow, generator_forms
+from .springer import Bipartition, SpringerRow, generator_forms
 
 
 def frac_str(x: int | Fraction) -> str:
@@ -200,8 +201,6 @@ _GENERATOR_TEXT = {
 
 
 def generator_text(row: SpringerRow) -> str:
-    from .groups import build_root_datum
-
     datum = build_root_datum(row.group, max_rank=max(8, row.group.rank))
     pieces = [
         _GENERATOR_TEXT[kind](*data)
@@ -211,8 +210,6 @@ def generator_text(row: SpringerRow) -> str:
 
 
 def springer_row_to_obj(row: SpringerRow) -> dict:
-    from .springer import Bipartition
-
     label = row.label
     if isinstance(label, Bipartition):
         label_obj: Any = {"alpha": list(label.alpha), "beta": list(label.beta)}

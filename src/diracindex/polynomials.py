@@ -1,23 +1,21 @@
 """Exact multivariate polynomials over Q.
 
-A `MultiPoly` holds its value in one or both of two forms, and builds the
-missing one on first use and keeps it:
-
-* the Fraction form {exponent tuple: nonzero Fraction}, which
-  `MultiPoly(arity, terms)` validates and the ring operations build;
-* the integer form num / den: den > 0 is coprime to the content of num, a
-  `dict[int, int]` on packed exponent keys, variable i in bits
-  [i*w, (i+1)*w) with w the bit length of the total degree (at least 1).
-  No exponent sum of a term reaches 2^w, so adding keys never carries
-  between fields.
-
-Both forms are unique, so `==` compares integers unless neither side has
-its integer form, and the hash is that of the integer form; `terms` is a
-read-only view of the Fraction form.  Products of linear forms, the
-SU(n,1) determinant, index polynomials, restrictions and quotients are
-built in the integer form, without a `Fraction` per term.  Terms
-serialize in graded-lex order: ascending total degree, then descending
-lexicographic on the exponent tuple, so X1 - X2 prints its X1 term first.
+A `MultiPoly` stores its value in one form, the integer numerator num / den:
+den > 0 is coprime to the content of num, a `dict[int, int]` on packed
+exponent keys, variable i in bits [i*w, (i+1)*w) with w the bit length of
+the total degree (at least 1).  No exponent sum of a term reaches 2^w, so
+adding keys never carries between fields.  `terms` is a read-only view,
+{exponent tuple: nonzero Fraction}, built on first read and cached;
+`MultiPoly(arity, terms)` validates its Fraction terms, packs them at once
+and keeps them as that view.  The form is unique, so `==` and the hash
+compare (den, width, num) whichever way a value was built.  Every ring
+operation, product of linear forms, the SU(n,1) determinant, index
+polynomials, restrictions and quotients work on packed keys, without a
+`Fraction` per term, and normalize through `MultiPoly._from_ints`, which
+may keep the dict it is given: no kernel changes a `_num` dict in place.
+Terms serialize in graded-lex order: ascending total degree, then
+descending lexicographic on the exponent tuple, so X1 - X2 prints its X1
+term first.
 
 `linear_form_product` scales each form to a primitive integer form and
 expands their product on packed keys, rows in order of their last nonzero
@@ -69,6 +67,16 @@ def _degree(arity: int, width: int, num: Iterable[int]) -> int:
     return max((key * ones >> shift) & mask for key in num)
 
 
+def _repack(arity: int, width: int, new: int, num: IntTerms) -> IntTerms:
+    """num with its keys moved from fields of the given width to fields of
+    width new; num itself when the widths agree."""
+    if new == width:
+        return num
+    mask = (1 << width) - 1
+    pairs = [(width * i, new * i) for i in range(arity)]
+    return {sum((key >> s & mask) << t for s, t in pairs): c for key, c in num.items()}
+
+
 class MultiPoly:
     __slots__ = ("arity", "_terms", "_den", "_width", "_num")
 
@@ -85,16 +93,15 @@ class MultiPoly:
             c = Fraction(coeff)
             if c != 0:
                 clean[tuple(int(e) for e in exp)] = c
+        # the validated dict is the view; the integer form is what is stored
         self._terms = MappingProxyType(clean)
-        self._num = None
-
-    @classmethod
-    def _trusted(cls, arity: int, terms: dict[Exponent, Fraction]) -> "MultiPoly":
-        """Wrap, not copy, a Fraction form with int-tuple exponents of the
-        given arity and nonzero values, without validating it."""
-        poly = object.__new__(cls)
-        poly.arity, poly._terms, poly._num = arity, MappingProxyType(terms), None
-        return poly
+        self._den = den = math.lcm(*(c.denominator for c in clean.values()))
+        self._width = width = max(1, max(map(sum, clean), default=0)).bit_length()
+        shifts = range(0, self.arity * width, width)
+        self._num = {
+            sum(map(lshift, exp, shifts)): c.numerator * (den // c.denominator)
+            for exp, c in clean.items()
+        }
 
     @classmethod
     def _packed(cls, arity: int, den: int, width: int, num: IntTerms) -> "MultiPoly":
@@ -107,21 +114,19 @@ class MultiPoly:
     @classmethod
     def _from_ints(cls, arity, width, num, scale=Fraction(1), degree=None) -> "MultiPoly":
         """scale * num, for nonzero values on keys of a width that fits the
-        total degree (computed unless given); normalizes width and scale."""
+        total degree (computed unless given); normalizes width and scale.
+        The result may keep num itself (module docstring)."""
         if not num:
             return cls._packed(arity, 1, 1, {})
         new = max(_degree(arity, width, num) if degree is None else degree, 1).bit_length()
-        if new != width:
-            mask = (1 << width) - 1
-            pairs = [(width * i, new * i) for i in range(arity)]
-            num = {sum((key >> s & mask) << t for s, t in pairs): c for key, c in num.items()}
+        num = _repack(arity, width, new, num)
         p, q = scale.numerator, scale.denominator
         g = math.gcd(q, *num.values()) if q != 1 else 1
         if g != 1 or p != 1:
             num = {key: c // g * p for key, c in num.items()}
         return cls._packed(arity, q // g, new, num)
 
-    # -- the two forms -------------------------------------------------
+    # -- the stored form and its view ------------------------------------
 
     @property
     def terms(self) -> Mapping[Exponent, Fraction]:
@@ -139,16 +144,6 @@ class MultiPoly:
 
     def _int_form(self) -> tuple[int, int, IntTerms]:
         """(den, width, num) of the integer form; read-only."""
-        if self._num is None:
-            terms = self._terms
-            den = math.lcm(*(c.denominator for c in terms.values()))
-            width = max(1, max(map(sum, terms), default=0)).bit_length()
-            shifts = range(0, self.arity * width, width)
-            self._den, self._width = den, width
-            self._num = {
-                sum(map(lshift, exp, shifts)): c.numerator * (den // c.denominator)
-                for exp, c in terms.items()
-            }
         return self._den, self._width, self._num
 
     # -- constructors ------------------------------------------------
@@ -170,7 +165,7 @@ class MultiPoly:
         n = len(coeffs)
         return cls(n, {tuple(int(k == i) for k in range(n)): c for i, c in enumerate(coeffs)})
 
-    # -- ring operations ----------------------------------------------
+    # -- ring operations, on packed keys ----------------------------------
 
     def _check(self, other: "MultiPoly"):
         if self.arity != other.arity:
@@ -180,39 +175,40 @@ class MultiPoly:
         if not isinstance(other, MultiPoly):
             other = MultiPoly.const(self.arity, other)
         self._check(other)
-        terms = dict(self.terms)
-        for exp, c in other.terms.items():
-            total = terms.get(exp, 0) + c
-            if total:
-                terms[exp] = total
-            else:
-                del terms[exp]
-        return MultiPoly._trusted(self.arity, terms)
+        width, den = max(self._width, other._width), math.lcm(self._den, other._den)
+        out = {}
+        for poly in (self, other):
+            k = den // poly._den
+            for key, c in _repack(self.arity, poly._width, width, poly._num).items():
+                out[key] = out.get(key, 0) + c * k
+        out = {key: c for key, c in out.items() if c}
+        return MultiPoly._from_ints(self.arity, width, out, Fraction(1, den))
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        if self._num is not None:
-            num = {key: -c for key, c in self._num.items()}
-            return MultiPoly._packed(self.arity, self._den, self._width, num)
-        return MultiPoly._trusted(self.arity, {e: -c for e, c in self.terms.items()})
+        num = {key: -c for key, c in self._num.items()}
+        return MultiPoly._packed(self.arity, self._den, self._width, num)
 
     def __mul__(self, other):
         if not isinstance(other, MultiPoly):
             scalar = Fraction(other)
             if not scalar:
                 return MultiPoly.zero(self.arity)
-            return MultiPoly._trusted(
-                self.arity, {e: c * scalar for e, c in self.terms.items()}
-            )
+            return MultiPoly._from_ints(self.arity, self._width, self._num, scalar / self._den)
         self._check(other)
-        out: dict[Exponent, Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exp = tuple(a + b for a, b in zip(e1, e2))
-                out[exp] = out.get(exp, 0) + c1 * c2
-        return MultiPoly._trusted(self.arity, {e: c for e, c in out.items() if c})
+        # each factor's degree is below 2^w for its width w, so their sum
+        # fits one bit more than the wider field
+        width = max(self._width, other._width) + 1
+        right = _repack(self.arity, other._width, width, other._num).items()
+        out: IntTerms = {}
+        for k1, c1 in _repack(self.arity, self._width, width, self._num).items():
+            for k2, c2 in right:
+                key = k1 + k2
+                out[key] = out.get(key, 0) + c1 * c2
+        out = {key: c for key, c in out.items() if c}
+        return MultiPoly._from_ints(self.arity, width, out, Fraction(1, self._den * other._den))
 
     __rmul__ = __mul__
 
@@ -231,23 +227,18 @@ class MultiPoly:
     def __eq__(self, other) -> bool:
         if not isinstance(other, MultiPoly) or self.arity != other.arity:
             return False
-        if self._num is None and other._num is None:
-            return self._terms == other._terms
         return self._int_form() == other._int_form()
 
     def __hash__(self):
-        den, _, num = self._int_form()
-        return hash((self.arity, den, frozenset(num.items())))
+        return hash((self.arity, self._den, frozenset(self._num.items())))
 
     # -- queries -------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not (self._terms if self._num is None else self._num)
+        return not self._num
 
     def total_degree(self) -> int:
         """Degree of the zero polynomial is reported as -1."""
-        if self._num is None:
-            return max(map(sum, self._terms), default=-1)
         return _degree(self.arity, self._width, self._num) if self._num else -1
 
     def is_homogeneous(self) -> bool:
@@ -274,12 +265,16 @@ class MultiPoly:
 
     def derivative(self, i: int, k: int = 1) -> "MultiPoly":
         """The k-th partial derivative in X_i."""
-        # Lowering exp[i] is injective on the surviving terms: no merging.
-        out: dict[Exponent, Fraction] = {}
-        for exp, coeff in self.terms.items():
-            if exp[i] >= k:
-                out[exp[:i] + (exp[i] - k,) + exp[i + 1 :]] = coeff * math.perm(exp[i], k)
-        return MultiPoly._trusted(self.arity, out)
+        if not 0 <= i < self.arity:
+            raise IndexError(f"variable {i} out of range for arity {self.arity}")
+        shift, mask = i * self._width, (1 << self._width) - 1
+        # Lowering field i is injective on the surviving terms: no merging.
+        out: IntTerms = {}
+        for key, c in self._num.items():
+            e = key >> shift & mask
+            if e >= k:
+                out[key - (k << shift)] = c * math.perm(e, k)
+        return MultiPoly._from_ints(self.arity, self._width, out, Fraction(1, self._den))
 
     def __repr__(self):
         if self.is_zero():

@@ -16,12 +16,14 @@ from .asymptotics import leading_limit
 from .dirac import (
     IndexFamily,
     act_on_family,
+    discrete_series_family,
     evaluate_index,
     family_combination,
     index_polynomial,
     spin_character_series,
     verify_translation,
 )
+from .emit import dumps, limit_report_to_obj
 from .errors import UnknownSuite
 from .fixtures import (
     SL2,
@@ -268,8 +270,6 @@ def translation_suite() -> SuiteReport:
 
 
 def _limit_json(report) -> str:
-    from .emit import dumps, limit_report_to_obj
-
     return dumps(limit_report_to_obj(report)).strip()
 
 
@@ -357,8 +357,6 @@ def fixture_families() -> dict[str, IndexFamily]:
     for i, fam in su21_ds_families().items():
         out[f"su21/D{i}"] = fam
     # extra coverage for C and B types
-    from .dirac import discrete_series_family
-
     sp4 = build_root_datum(GroupId.sp_r(2))
     out["sp4/hol"] = discrete_series_family(
         (Fraction(2), Fraction(1)), sp4, gk_dim=None, name="Sp(4,R) DS"

@@ -23,7 +23,7 @@ from .polynomials import (
     _packed_product,
     extract_linear_factors,
     linear_form_product,
-    # Unused: test_tracer_wraps_every_alias_and_restores_the_originals reads it; ROADMAP item 7
+    # Unused here: bench/tests names sun1.poly_det; tools/census.py allows it, ROADMAP item 9
     poly_det,
 )
 from .weylaction import weyl_dim_poly

@@ -191,6 +191,21 @@ def test_cli_chamber_on_wrong_group_errors(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "options",
+    [["--chamber", "0", "--hc-param", "5,0,-5"], ["--hc-param", "5,0,-5", "--chamber", "0"], []],
+    ids=["both", "both-reversed", "neither"],
+)
+def test_cli_index_poly_needs_exactly_one_of_chamber_and_hc_param(options, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["index-poly", "--group", "SU(2,1)", *options])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--chamber" in captured.err and "--hc-param" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_cli_emit_roundtrip(tmp_path, capsys):
     main(["char-poly", "--n", "4", "--i", "1"])
     text = capsys.readouterr().out

@@ -171,6 +171,103 @@ def test_kernel_results_stay_normalized(p, q, c):
     assert (p + (-p)).terms == {}
 
 
+# The Fraction-dict ring operations that the packed ones replaced, kept
+# verbatim as the reference: every operation must agree with them by `==`,
+# by hash and term for term.  `==` compares (den, width, num) with a value
+# the public constructor packed, so agreement also means the kernel result
+# is normalized.
+
+
+def _fraction_add(p: MultiPoly, q: MultiPoly) -> MultiPoly:
+    terms = dict(p.terms)
+    for exp, c in q.terms.items():
+        total = terms.get(exp, 0) + c
+        if total:
+            terms[exp] = total
+        else:
+            del terms[exp]
+    return MultiPoly(p.arity, terms)
+
+
+def _fraction_mul(p: MultiPoly, other) -> MultiPoly:
+    if not isinstance(other, MultiPoly):
+        scalar = F(other)
+        if not scalar:
+            return MultiPoly.zero(p.arity)
+        return MultiPoly(p.arity, {e: c * scalar for e, c in p.terms.items()})
+    out = {}
+    for e1, c1 in p.terms.items():
+        for e2, c2 in other.terms.items():
+            exp = tuple(a + b for a, b in zip(e1, e2))
+            out[exp] = out.get(exp, 0) + c1 * c2
+    return MultiPoly(p.arity, {e: c for e, c in out.items() if c})
+
+
+def _fraction_derivative(p: MultiPoly, i: int, k: int) -> MultiPoly:
+    out = {}
+    for exp, coeff in p.terms.items():
+        if exp[i] >= k:
+            out[exp[:i] + (exp[i] - k,) + exp[i + 1 :]] = coeff * math.perm(exp[i], k)
+    return MultiPoly(p.arity, out)
+
+
+def _fraction_pow(p: MultiPoly, n: int) -> MultiPoly:
+    return functools.reduce(_fraction_mul, [p] * n, MultiPoly.const(p.arity, 1))
+
+
+@st.composite
+def operand_pairs(draw):
+    """Two polynomials of one arity 0-3, each under its own degree bound
+    0-9, so their field widths (1-4 bits) often differ."""
+    arity = draw(st.integers(0, 3))
+    p, q = (
+        draw(polys(arity=arity, max_degree=draw(st.integers(0, 9)), max_terms=5))
+        for _ in range(2)
+    )
+    return p, q
+
+
+def _assert_same(result: MultiPoly, expected: MultiPoly):
+    assert result == expected and hash(result) == hash(expected)
+    assert result.terms == expected.terms
+    assert_normalized(result, expected.arity)
+
+
+@settings(max_examples=300, deadline=None)
+@given(operand_pairs(), coeffs.filter(bool), st.integers(0, 3), st.integers(0, 2), st.integers(0, 4))
+# X^8 + X minus X^8 narrows the fields from 4 bits to 1
+@example(
+    (MultiPoly(1, {(8,): F(1), (1,): F(1)}), MultiPoly(1, {(8,): F(1)})),
+    F(-2, 3), 2, 0, 1,
+)
+@example((MultiPoly.const(0, F(3, 2)), MultiPoly.zero(0)), F(4), 3, 0, 1)
+def test_ring_operations_match_fraction_dict_oracle(case, c, n, i, k):
+    public = case
+    # the same operands as kernel results, without a Fraction view
+    kernel = tuple(extract_linear_factors(x, [])[1] for x in case)
+    assert all(x._terms is None for x in kernel)
+    for p, q in (public, kernel):
+        arity = p.arity
+        minus_q = _fraction_mul(q, -1)
+        _assert_same(p + q, _fraction_add(p, q))
+        _assert_same(p - q, _fraction_add(p, minus_q))
+        _assert_same(-q, minus_q)
+        _assert_same(p + c, _fraction_add(p, MultiPoly.const(arity, c)))
+        _assert_same(p * q, _fraction_mul(p, q))
+        _assert_same(p * c, _fraction_mul(p, c))
+        _assert_same(c * p, _fraction_mul(p, c))
+        _assert_same(p * 0, _fraction_mul(p, 0))
+        _assert_same(0 * p, MultiPoly.zero(arity))
+        _assert_same(p**n, _fraction_pow(p, n))
+        # a cancellation down to q, whose fields may be narrower
+        _assert_same((p + q) - p, case[1])
+        if arity:
+            j = i % arity
+            _assert_same(p.derivative(j, k), _fraction_derivative(p, j, k))
+        with pytest.raises(IndexError):
+            p.derivative(arity)
+
+
 def test_restrict_examples():
     x1, x2 = V("x1", "x2")
     f = LinearForm((F(1), F(-1)))
@@ -393,7 +490,7 @@ def _fraction_quotient(poly: MultiPoly, form: LinearForm, hs: list[dict]) -> Mul
     """poly / form assembled from the Horner layers hs[1:]."""
     j = form.pivot()
     inv = 1 / form.coeffs[j]
-    return MultiPoly._trusted(
+    return MultiPoly(
         poly.arity,
         {
             exp[:j] + (d,) + exp[j:]: c * inv
@@ -580,13 +677,13 @@ def test_char_poly_det_kernels_match_tuple_key_oracle(n):
     forms = _root_forms(n)
     for i in range(1, n):
         det = char_poly_det.__wrapped__(n, i)
-        # the Fraction form of the same value, without its integer form
+        # the same value through the public constructor
         fractions = MultiPoly(n, dict(det.terms))
         assert det == fractions and hash(det) == hash(fractions)
         _assert_same_kernel_results(det, forms)
 
 
-# -- the eq/hash contract between the two forms -----------------------------
+# -- the eq/hash contract between kernel results and the constructor -------
 
 
 @st.composite

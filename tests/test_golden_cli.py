@@ -47,6 +47,12 @@ COMMANDS = [
     ),
     # larger kernels
     "index-poly --group 'Sp(14,R)' --hc-param 7,6,5,4,3,2,1",
+    # rank-7 index polynomials over every compact block kind and layout
+    "index-poly --group 'SO*(14)' --hc-param 6,5,4,3,2,1,0",
+    "index-poly --group 'SOe(12,3)' --hc-param 13/2,11/2,9/2,7/2,5/2,3/2,1/2",
+    "index-poly --group 'Sp(1,6)' --hc-param 7,6,5,4,3,2,1",
+    "index-poly --group 'SOe(6,8)' --hc-param 6,5,4,3,2,1,0",
+    "index-poly --group 'SU(1,6)' --hc-param 3,2,1,0,-1,-2,-3",
     "char-poly --n 6 --i 3 --factor",
     "gcd --n 6 --i 3",
 ]

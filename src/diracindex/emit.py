@@ -33,12 +33,13 @@ def frac_str(x: int | Fraction) -> str:
 
 
 def poly_to_obj(poly: MultiPoly) -> dict:
+    """The polynomial object, read from the packed numerator: each distinct
+    numerator is printed once, and no `Fraction` view is built."""
+    den, rows = poly._int_form()[0], poly.graded_rows()
+    coeff = {c: frac_str(Fraction(c, den)) for c in {c for _, c in rows}}
     return {
         "vars": poly.arity,
-        "terms": [
-            {"exp": list(exp), "coeff": frac_str(c)}
-            for exp, c in poly.sorted_terms()
-        ],
+        "terms": [{"exp": exp, "coeff": coeff[c]} for exp, c in rows],
     }
 
 

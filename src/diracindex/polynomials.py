@@ -15,13 +15,21 @@ polynomials, restrictions and quotients work on packed keys, without a
 may keep the dict it is given: no kernel changes a `_num` dict in place.
 Terms serialize in graded-lex order: ascending total degree, then
 descending lexicographic on the exponent tuple, so X1 - X2 prints its X1
-term first.
+term first.  `MultiPoly.graded_rows` gives that order straight from the
+packed numerator, each key unpacked once into its exponent list, and
+emission prints from it without building the `Fraction` view.
 
 `linear_form_product` scales each form to a primitive integer form and
 expands their product on packed keys, rows in order of their last nonzero
 variable, which keeps the partial products in the fewest variables for
-longest.  Restriction, divisibility, exact division and factor extraction
-share one Horner pass on P = N / D.  Write a form as L = c * L' with
+longest.  A product that is an alternant, as the positive roots of a
+classical block are by Weyl's denominator identity, is expanded directly
+by `_alternant`: det(X_{v_i}^{e_j}) has one term of coefficient +-1 per
+permutation, with no cancellation, so a Laplace expansion memoized on
+the set of columns used writes each term once.
+
+Restriction, divisibility, exact division and factor extraction share
+one Horner pass on P = N / D.  Write a form as L = c * L' with
 L' = a X_j + sum_{i > j} a_i X_i primitive, X_j its pivot and a > 0, split
 N = sum_d N_d X_j^d and set
 
@@ -43,9 +51,9 @@ from collections import defaultdict
 from dataclasses import dataclass
 from functools import reduce
 from fractions import Fraction
-from operator import lshift
+from operator import itemgetter, lshift
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import DimensionMismatch, ZeroForm
 from .groups import RootDatum, Weight
@@ -58,13 +66,13 @@ def _gl_key(exp: Exponent):
     return (sum(exp), tuple(-e for e in exp))
 
 
-def _degree(arity: int, width: int, num: Iterable[int]) -> int:
-    """Total degree of nonempty packed keys: field arity - 1 of key * ones
-    is the sum of every field of key, which fits a field."""
+def _degrees(arity: int, width: int, num: Iterable[int]) -> Iterator[int]:
+    """Total degree of each packed key: field arity - 1 of key * ones is
+    the sum of every field of key, which fits a field."""
     mask = (1 << width) - 1
     ones = ((1 << (width * arity)) - 1) // mask
     shift = width * max(arity - 1, 0)
-    return max((key * ones >> shift) & mask for key in num)
+    return ((key * ones >> shift) & mask for key in num)
 
 
 def _repack(arity: int, width: int, new: int, num: IntTerms) -> IntTerms:
@@ -118,7 +126,9 @@ class MultiPoly:
         The result may keep num itself (module docstring)."""
         if not num:
             return cls._packed(arity, 1, 1, {})
-        new = max(_degree(arity, width, num) if degree is None else degree, 1).bit_length()
+        if degree is None:
+            degree = max(_degrees(arity, width, num))
+        new = max(degree, 1).bit_length()
         num = _repack(arity, width, new, num)
         p, q = scale.numerator, scale.denominator
         g = math.gcd(q, *num.values()) if q != 1 else 1
@@ -239,18 +249,20 @@ class MultiPoly:
 
     def total_degree(self) -> int:
         """Degree of the zero polynomial is reported as -1."""
-        return _degree(self.arity, self._width, self._num) if self._num else -1
+        return max(_degrees(self.arity, self._width, self._num), default=-1)
 
     def is_homogeneous(self) -> bool:
-        return len({sum(e) for e in self.terms}) <= 1
+        return len(set(_degrees(self.arity, self._width, self._num))) <= 1
 
-    def sorted_terms(self) -> list[tuple[Exponent, Fraction]]:
-        """Terms in graded-lex order, as `_gl_key` sorts them: exponents
-        descending, then a stable sort by degree."""
-        terms = self.terms
-        exps = sorted(terms, reverse=True)
-        exps.sort(key=sum)
-        return [(e, terms[e]) for e in exps]
+    def graded_rows(self) -> list[tuple[list[int], int]]:
+        """(exponent list, numerator over den) of every term in graded-lex
+        order, as `_gl_key` sorts the exponents: rows descending, then a
+        stable sort by degree."""
+        mask, shifts = (1 << self._width) - 1, range(0, self.arity * self._width, self._width)
+        rows = [([key >> s & mask for s in shifts], c) for key, c in self._num.items()]
+        rows.sort(key=itemgetter(0), reverse=True)
+        rows.sort(key=lambda row: sum(row[0]))
+        return rows
 
     def evaluate(self, point: Sequence) -> Fraction:
         if len(point) != self.arity:
@@ -280,7 +292,8 @@ class MultiPoly:
         if self.is_zero():
             return "MultiPoly(0)"
         bits = []
-        for exp, coeff in self.sorted_terms():
+        for exp, c in self.graded_rows():
+            coeff = Fraction(c, self._den)
             mono = "*".join(
                 f"X{i + 1}" + (f"^{e}" if e > 1 else "")
                 for i, e in enumerate(exp)
@@ -351,6 +364,35 @@ def _packed_product(
                 out[key] = out.get(key, 0) + c * k
         packed = {key: c for key, c in out.items() if c}
     return packed
+
+
+def _alternant(width: int, variables: Sequence[int], exponents: Sequence[int]) -> IntTerms:
+    """det(X_{v_i}^{e_j}) for distinct variables v_i (rows) and distinct
+    exponents e_j (columns), on keys packed with fields of the given width.
+
+    Laplace expansion from the last row, memoized on the set of columns
+    used: minors[cols] is the minor of the first popcount(cols) rows on
+    those columns, and row r on column c of a minor sits at (r, p) with p
+    the number of its columns below c.  No two permutations give the same
+    key, so each step is one comprehension merged without addition and
+    every coefficient is +-1.
+    """
+    minors: dict[int, IntTerms] = {0: {0: 1}}
+    for row, v in enumerate(variables):
+        shift, grown = v * width, {}
+        for cols, minor in minors.items():
+            for c, e in enumerate(exponents):
+                bit = 1 << c
+                if cols & bit:
+                    continue
+                step = e << shift
+                out = grown.setdefault(cols | bit, {})
+                if (row + (cols & (bit - 1)).bit_count()) & 1:
+                    out.update({key + step: -k for key, k in minor.items()})
+                else:
+                    out.update({key + step: k for key, k in minor.items()})
+        minors = grown
+    return minors[(1 << len(exponents)) - 1]
 
 
 def linear_form_product(arity: int, forms: Iterable[LinearForm]) -> MultiPoly:

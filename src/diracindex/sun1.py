@@ -20,6 +20,7 @@ from .groups import GroupId, RootDatum, Weight, build_root_datum
 from .polynomials import (
     LinearForm,
     MultiPoly,
+    _alternant,
     _packed_product,
     extract_linear_factors,
     linear_form_product,
@@ -108,8 +109,16 @@ def _root_forms(n_vars: int, indices: list[int] | None = None) -> list[LinearFor
 
 
 def vandermonde(n_vars: int, indices: list[int] | None = None) -> MultiPoly:
-    """prod_{p < q} (lam_p - lam_q) over the given 1-based indices."""
-    return linear_form_product(n_vars, _root_forms(n_vars, indices))
+    """prod_{p before q} (lam_p - lam_q) over the given distinct 1-based
+    indices: the type-A alternant det(lam_{idx_a}^{m-1-b}), m = len(idx)."""
+    idx = indices if indices is not None else list(range(1, n_vars + 1))
+    if len(set(idx)) != len(idx) or not set(idx) <= set(range(1, n_vars + 1)):
+        raise IndexOutOfRange(f"need distinct indices in 1..{n_vars}, got {idx}")
+    m = len(idx)
+    degree = comb(m, 2)
+    width = max(degree, 1).bit_length()
+    num = _alternant(width, [p - 1 for p in idx], range(m - 1, -1, -1))
+    return MultiPoly._from_ints(n_vars, width, num, degree=degree)
 
 
 def gcd_factor_pairs(n: int, i: int) -> list[tuple[int, int]]:

@@ -6,13 +6,15 @@ permutation this is a monomial-level remap, no general composition needed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from typing import Iterable, Sequence
 
 from .errors import CapExceeded, DimensionMismatch
-from .groups import IntWeight, RootDatum, Weight, WeylElement, dot, idot
-from .polynomials import Exponent, LinearForm, MultiPoly, _gl_key, linear_form_product
+from .groups import IntWeight, RootDatum, Weight, WeylElement, idot
+from .polynomials import Exponent, MultiPoly, _alternant, _gl_key
 
 SPAN_COLUMN_CAP = 20_000
 
@@ -121,18 +123,54 @@ def orbit_span(
     return PolySpan(tuple(basis), tuple(monomials))
 
 
+# (a, b) by block kind: column j = 0..m-1 of the alternant of an m-block
+# has exponent a (m - 1 - j) + b (see weyl_dim_poly).
+_ALTERNANT_EXPONENTS = {"A": (1, 0), "B": (2, 1), "C": (2, 1), "D": (2, 0)}
+
+
+def _disjoint_product(left: dict[int, int], right: dict[int, int]) -> dict[int, int]:
+    """Product of integer numerators in disjoint variables: no two pairs of
+    terms give the same key."""
+    return {k1 + k2: c1 * c2 for k1, c1 in left.items() for k2, c2 in right.items()}
+
+
 def weyl_dim_poly(datum: RootDatum) -> MultiPoly:
     """Weyl dimension polynomial for the compact subgroup.
 
     D_k(lam) = prod_{alpha in R_k^+} <lam, alpha> / <rho_k, alpha>, so that
     D_k(gamma) is the dimension of the K-type with infinitesimal character
     gamma and D_k(rho_k) = 1.
+
+    By Weyl's denominator identity the product of the primitive forms
+    alpha / gcd(alpha) over the positive roots of one compact block in
+    x_1..x_m is an alternant det(x_i^{e_j}), j = 1..m, the Vandermonde
+    determinant in x_i or x_i^2:
+
+        type A      prod_{i<j} (x_i - x_j)                  e_j = m - j
+        type D      prod_{i<j} (x_i^2 - x_j^2)              e_j = 2(m - j)
+        types B, C  prod_i x_i prod_{i<j} (x_i^2 - x_j^2)   e_j = 2(m - j) + 1
+
+    Each is expanded by `polynomials._alternant`, and the blocks, having
+    disjoint variables, multiply by adding keys.  The scale is one integer
+    quotient: with rho_k = nums / den and N compact positive roots,
+
+        D_k = prod gcd(alpha) den^N / prod (nums, alpha) * prod_blocks alternant.
     """
-    forms = []
-    for alpha in datum.compact_positive_roots:
-        norm = dot(datum.rho_k, alpha)
-        forms.append(LinearForm(tuple(c / norm for c in alpha)))
-    return linear_form_product(datum.rank, forms)
+    roots = datum.compact_positive_roots
+    degree = len(roots)
+    width = max(degree, 1).bit_length()
+    alternants = []
+    for block in datum.compact_blocks:
+        a, b = _ALTERNANT_EXPONENTS[block.kind]
+        exponents = [a * (block.size - 1 - j) + b for j in range(block.size)]
+        alternants.append(_alternant(width, block.indices, exponents))
+    num = reduce(_disjoint_product, alternants)
+    den, nums = datum.rho_k_form
+    scale = Fraction(
+        math.prod(math.gcd(*alpha) for alpha in roots) * den**degree,
+        math.prod(idot(nums, alpha) for alpha in roots),
+    )
+    return MultiPoly._from_ints(datum.rank, width, num, scale, degree)
 
 
 def _weyl_product(roots, rho: IntWeight, gamma: IntWeight) -> Fraction:

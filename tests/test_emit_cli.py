@@ -7,12 +7,15 @@ import time
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from diracindex import dirac
 from diracindex.asymptotics import leading_limit
 from diracindex.cli import main, parse_group
 from diracindex.emit import (
     dumps,
     emit,
+    frac_str,
     poly_from_obj,
     poly_to_obj,
     springer_rows_to_csv,
@@ -20,8 +23,13 @@ from diracindex.emit import (
 )
 from diracindex.errors import InternalInvariantError, UnsupportedFormat
 from diracindex.fixtures import sl2_families
-from diracindex.groups import GroupId
-from diracindex.polynomials import MultiPoly
+from diracindex.groups import GroupId, build_root_datum
+from diracindex.polynomials import (
+    LinearForm,
+    MultiPoly,
+    linear_form_product,
+    restrict_to_hyperplane,
+)
 from diracindex.springer import springer_row
 from diracindex.suites import run_suite
 
@@ -46,6 +54,75 @@ def test_poly_json_roundtrip_random():
         }
         p = MultiPoly(arity, terms)
         assert poly_from_obj(json.loads(dumps(poly_to_obj(p)))) == p
+
+
+def _view_poly_to_obj(poly):
+    """poly_to_obj as it read the Fraction view: exponents sorted
+    descending, then stably by degree, and one frac_str per term."""
+    terms = poly.terms
+    exps = sorted(terms, reverse=True)
+    exps.sort(key=sum)
+    return {
+        "vars": poly.arity,
+        "terms": [{"exp": list(exp), "coeff": frac_str(terms[exp])} for exp in exps],
+    }
+
+
+_coeffs = st.fractions(min_value=-7, max_value=7, max_denominator=6)
+
+
+@st.composite
+def _view_built(draw):
+    """MultiPoly(arity, terms), of any degrees: non-homogeneous, zero or of
+    arity 0 included."""
+    arity = draw(st.integers(0, 4))
+    exps = st.tuples(*[st.integers(0, 5)] * arity)
+    return MultiPoly(arity, draw(st.dictionaries(exps, _coeffs, max_size=8)))
+
+
+@st.composite
+def _kernel_built(draw):
+    """Products of linear forms, with a sum, a scalar multiple or a
+    restriction on top, which never build the Fraction view."""
+    arity = draw(st.integers(1, 4))
+    forms = st.lists(_coeffs, min_size=arity, max_size=arity).filter(any).map(
+        lambda c: LinearForm(tuple(c))
+    )
+    poly = linear_form_product(arity, draw(st.lists(forms, max_size=5)))
+    step = draw(st.sampled_from(["none", "add", "scale", "restrict"]))
+    if step == "add":
+        poly = poly + linear_form_product(arity, draw(st.lists(forms, max_size=3)))
+    elif step == "scale":
+        poly = poly * draw(_coeffs)
+    elif step == "restrict" and arity > 1:
+        poly = restrict_to_hyperplane(poly, draw(forms))
+    return poly
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_view_built(), _kernel_built()))
+@example(MultiPoly.zero(3))
+@example(MultiPoly(0, {}))
+@example(MultiPoly(0, {(): F(-5, 3)}))
+@example(MultiPoly(2, {(0, 0): F(1, 2), (2, 0): F(-3), (1, 1): F(-3), (0, 3): F(7, 4)}))
+def test_poly_to_obj_matches_fraction_view_oracle(poly):
+    obj = poly_to_obj(poly)
+    assert obj == _view_poly_to_obj(poly)
+    assert dumps(obj) == dumps(_view_poly_to_obj(poly))
+    assert poly_from_obj(obj) == poly
+
+
+@pytest.mark.parametrize("label", ["Sp(14,R)", "SU(2,1)", "SOe(4,3)"])
+def test_emit_index_polynomial_builds_no_fraction_view(label):
+    datum = build_root_datum(parse_group(label))
+    poly = dirac.index_polynomial(dirac.discrete_series_family(datum.rho_g, datum))
+    text = emit(poly, "json")
+    assert poly._terms is None
+    obj = json.loads(text)
+    assert obj["type"] == "polynomial"
+    del obj["type"]
+    assert obj == _view_poly_to_obj(poly)
+    assert poly_from_obj(obj) == poly
 
 
 def test_springer_csv_line():

@@ -12,6 +12,7 @@ from diracindex.groups import GroupId, build_root_datum
 from diracindex.polynomials import (
     LinearForm,
     MultiPoly,
+    _alternant,
     _gl_key,
     divides_linear_form,
     extract_linear_factors,
@@ -68,19 +69,61 @@ def test_eval_examples():
         x1.evaluate((1, 2, 3))
 
 
-def test_sorted_terms_graded_lex():
+def graded_terms(poly):
+    """(exponent tuple, Fraction) of each term, in `graded_rows` order."""
+    den = poly._int_form()[0]
+    return [(tuple(exp), F(c, den)) for exp, c in poly.graded_rows()]
+
+
+def test_graded_rows_graded_lex():
     x1, x2 = V("x1", "x2")
     p = (x1 - x2) + MultiPoly.const(2, 7)
-    order = [exp for exp, _ in p.sorted_terms()]
-    assert order == [(0, 0), (1, 0), (0, 1)]
+    assert p.graded_rows() == [([0, 0], 7), ([1, 0], 1), ([0, 1], -1)]
+    assert repr(p) == "MultiPoly(7 + 1*X1 + -1*X2)"
 
 
 @settings(max_examples=100, deadline=None)
 @given(polys(arity=4, max_degree=4, max_terms=12))
 @example(MultiPoly(3, {(0, 0, 0): 1, (0, 0, 2): 2, (1, 1, 0): 3, (2, 0, 0): 4, (0, 1, 0): 5}))
-def test_sorted_terms_matches_gl_key_sort(poly):
+def test_graded_rows_matches_gl_key_sort(poly):
     expected = sorted(poly.terms.items(), key=lambda t: _gl_key(t[0]))
-    assert poly.sorted_terms() == expected
+    assert graded_terms(poly) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 4).flatmap(lambda n: polys(arity=n, max_degree=4, max_terms=8)))
+@example(MultiPoly(0, {(): F(3)}))
+@example(MultiPoly(2, {(3, 0): 1, (1, 2): F(-1, 2)}))
+@example(MultiPoly(2, {(3, 0): 1, (1, 1): 1}))
+def test_is_homogeneous_matches_view(poly):
+    assert poly.is_homogeneous() == (len({sum(e) for e in poly.terms}) <= 1)
+
+
+def _sign(perm):
+    inversions = sum(a > b for i, a in enumerate(perm) for b in perm[i + 1 :])
+    return -1 if inversions % 2 else 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 5).flatmap(lambda m: st.tuples(
+    st.permutations(range(5)).map(lambda v: v[:m]),
+    st.lists(st.integers(0, 6), min_size=m, max_size=m, unique=True),
+)))
+def test_alternant_matches_leibniz_expansion(case):
+    variables, exponents = case
+    m = len(exponents)
+    x = [MultiPoly.variable(5, i) for i in range(5)]
+    leibniz = MultiPoly.zero(5)
+    for perm in permutations(range(m)):
+        term = MultiPoly.const(5, _sign(perm))
+        for row, col in enumerate(perm):
+            term = term * x[variables[row]] ** exponents[col]
+        leibniz = leibniz + term
+    degree = sum(exponents)
+    width = max(degree, 1).bit_length()
+    num = _alternant(width, variables, exponents)
+    assert len(num) == math.factorial(m) and set(num.values()) <= {1, -1}
+    assert MultiPoly._from_ints(5, width, num, degree=degree) == leibniz
 
 
 def test_linear_form_product_examples():
@@ -137,7 +180,7 @@ def test_linear_form_product_matches_naive_fold(case):
     )
     product = linear_form_product(arity, forms)
     assert product == naive
-    assert product.sorted_terms() == naive.sorted_terms()
+    assert graded_terms(product) == graded_terms(naive)
     assert_normalized(product, arity)
 
 
@@ -146,8 +189,8 @@ def test_linear_form_product_matches_naive_fold(case):
 def test_linear_form_product_ignores_form_order(case, data):
     arity, forms = case
     shuffled = data.draw(st.permutations(forms))
-    expected = linear_form_product(arity, forms).sorted_terms()
-    assert linear_form_product(arity, shuffled).sorted_terms() == expected
+    expected = graded_terms(linear_form_product(arity, forms))
+    assert graded_terms(linear_form_product(arity, shuffled)) == expected
 
 
 def test_linear_form_product_cancels():
@@ -642,14 +685,14 @@ def _assert_same_kernel_results(poly, forms):
     for form in forms:
         rest = restrict_to_hyperplane(poly, form)
         expected = _tuple_restrict(poly, form)
-        assert rest == expected and rest.sorted_terms() == expected.sorted_terms()
+        assert rest == expected and graded_terms(rest) == graded_terms(expected)
         assert_normalized(rest, poly.arity - 1)
         assert divides_linear_form(poly, form) == _tuple_divides(poly, form)
     factors, cofactor = extract_linear_factors(poly, forms)
     expected_factors, expected_cofactor = _tuple_extract(poly, forms)
     assert factors == expected_factors
     assert cofactor == expected_cofactor
-    assert cofactor.sorted_terms() == expected_cofactor.sorted_terms()
+    assert graded_terms(cofactor) == graded_terms(expected_cofactor)
     assert_normalized(cofactor, poly.arity)
 
 

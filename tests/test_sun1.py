@@ -13,10 +13,12 @@ from diracindex.errors import (
 from diracindex.polynomials import (
     MultiPoly,
     divides_linear_form,
+    linear_form_product,
     poly_det,
     restrict_to_hyperplane,
 )
 from diracindex.sun1 import (
+    _root_forms,
     chamber_of,
     char_poly_det,
     degree_report,
@@ -80,6 +82,21 @@ def test_det_extreme_chambers_are_vandermonde(n):
     tail = vandermonde(n, list(range(2, n + 1)))
     sign = 1 if n % 2 == 0 else -1
     assert char_poly_det(n, n - 1) == tail * sign
+
+
+@pytest.mark.parametrize(
+    "n_vars,indices",
+    [(1, None), (4, None), (7, None), (5, [3, 1, 4]), (6, [6, 2, 5, 1]), (3, []), (3, [2])],
+)
+def test_vandermonde_matches_root_form_product(n_vars, indices):
+    oracle = linear_form_product(n_vars, _root_forms(n_vars, indices))
+    assert vandermonde(n_vars, indices) == oracle
+
+
+@pytest.mark.parametrize("indices", [[1, 1], [0, 2], [2, 4]])
+def test_vandermonde_rejects_repeated_or_out_of_range_indices(indices):
+    with pytest.raises(IndexOutOfRange):
+        vandermonde(3, indices)
 
 
 @pytest.mark.parametrize("n,i", [(4, 2), (5, 2), (6, 3)])

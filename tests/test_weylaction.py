@@ -1,18 +1,20 @@
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
 
-from diracindex import weylaction
+from diracindex import springer, weylaction
 from diracindex.errors import CapExceeded
 from diracindex.groups import (
     GroupId,
     WeylElement,
     build_root_datum,
+    dot,
     reflection,
     weyl_elements,
 )
-from diracindex.polynomials import MultiPoly
+from diracindex.polynomials import LinearForm, MultiPoly, linear_form_product
 from diracindex.weylaction import (
     act,
     echelonize,
@@ -140,6 +142,33 @@ def test_weyl_dim_poly_su31_proportional_to_vandermonde():
     lifted = MultiPoly(4, {e + (0,): c for e, c in vdm3.terms.items()})
     # D_k = V / prod <rho_k, alpha>; the normalizing constant here is 1*1*2
     assert dk * 2 == lifted
+    assert dk.evaluate(d.rho_k) == 1
+
+
+def _product_form_dim_poly(datum):
+    """D_k as the expanded product of the compact root forms
+    alpha / <rho_k, alpha>: the oracle for the block alternants."""
+    forms = [
+        LinearForm(tuple(c / dot(datum.rho_k, alpha) for c in alpha))
+        for alpha in datum.compact_positive_roots
+    ]
+    return linear_form_product(datum.rank, forms)
+
+
+DK_GROUPS = [g for g in springer.table_groups(7) if g.rank <= 7] + [GroupId.sp_r(8)]
+
+
+@pytest.mark.parametrize("group", DK_GROUPS, ids=lambda g: g.label())
+def test_weyl_dim_poly_matches_product_of_root_forms(group):
+    d = build_root_datum(group)
+    dk = weyl_dim_poly(d)
+    oracle = _product_form_dim_poly(d)
+    assert dk == oracle and hash(dk) == hash(oracle)
+    # one term per permutation of each block's alternant, and every
+    # numerator is the same scale times +-1
+    _, _, num = dk._int_form()
+    assert len(num) == math.prod(math.factorial(b.size) for b in d.compact_blocks)
+    assert len({abs(c) for c in num.values()}) == 1
     assert dk.evaluate(d.rho_k) == 1
 
 

@@ -26,7 +26,9 @@ longest.  A product that is an alternant, as the positive roots of a
 classical block are by Weyl's denominator identity, is expanded directly
 by `_alternant`: det(X_{v_i}^{e_j}) has one term of coefficient +-1 per
 permutation, with no cancellation, so a Laplace expansion memoized on
-the set of columns used writes each term once.
+the set of columns used writes each term once.  Entries may be zero, by
+one row bitmask per column, if columns of equal exponent cover disjoint
+rows: the SU(n,1) character determinant is such an alternant.
 
 Restriction, divisibility, exact division and factor extraction share
 one Horner pass on P = N / D.  Write a form as L = c * L' with
@@ -42,6 +44,11 @@ its pivot field dropped by shifts and masks, is the restriction to L = 0,
 and L divides P exactly when H'_0 is empty.  Then N = L' * Q with Q
 integral (Gauss's lemma), the X_j^d layer of Q is H'_{d+1} // a^(top-d)
 and P / L = Q / (c D).
+
+Factor extraction runs in sweeps: each probes every live candidate once,
+on the quotient so far, dividing on success, and only the candidates
+that divided stay live.  A form that does not divide N divides no
+quotient of N, and the probes for a second power run on the cofactor.
 """
 
 from __future__ import annotations
@@ -55,7 +62,7 @@ from operator import itemgetter, lshift
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .errors import DimensionMismatch, ZeroForm
+from .errors import DimensionMismatch, InternalInvariantError, ZeroForm
 from .groups import RootDatum, Weight
 
 Exponent = tuple[int, ...]
@@ -366,24 +373,33 @@ def _packed_product(
     return packed
 
 
-def _alternant(width: int, variables: Sequence[int], exponents: Sequence[int]) -> IntTerms:
-    """det(X_{v_i}^{e_j}) for distinct variables v_i (rows) and distinct
-    exponents e_j (columns), on keys packed with fields of the given width.
+def _alternant(
+    width: int, variables: Sequence[int], exponents: Sequence[int], support: Sequence[int] = ()
+) -> IntTerms:
+    """det(M), M[i][j] = X_{v_i}^{e_j} where bit i of support[j] is set (every
+    bit when support is empty) and 0 elsewhere, for distinct variables v_i
+    (rows), on keys packed with fields of the given width.  Columns of equal
+    exponent must cover disjoint rows: then a key gives each row its
+    exponent and that exponent one column on the row, so no two
+    permutations share a key and every coefficient is +-1.
 
     Laplace expansion from the last row, memoized on the set of columns
     used: minors[cols] is the minor of the first popcount(cols) rows on
     those columns, and row r on column c of a minor sits at (r, p) with p
-    the number of its columns below c.  No two permutations give the same
-    key, so each step is one comprehension merged without addition and
-    every coefficient is +-1.
+    the number of its columns below c.  Each step is one comprehension,
+    merged without addition.
     """
+    support = support or [(1 << len(variables)) - 1] * len(exponents)
+    for c, (e, rows) in enumerate(zip(exponents, support)):
+        if any(f == e and s & rows for f, s in zip(exponents[:c], support[:c])):
+            raise InternalInvariantError(f"two columns of exponent {e} share a row")
     minors: dict[int, IntTerms] = {0: {0: 1}}
     for row, v in enumerate(variables):
         shift, grown = v * width, {}
         for cols, minor in minors.items():
-            for c, e in enumerate(exponents):
+            for c, (e, rows) in enumerate(zip(exponents, support)):
                 bit = 1 << c
-                if cols & bit:
+                if cols & bit or not rows >> row & 1:
                     continue
                 step = e << shift
                 out = grown.setdefault(cols | bit, {})
@@ -392,7 +408,7 @@ def _alternant(width: int, variables: Sequence[int], exponents: Sequence[int]) -
                 else:
                     out.update({key + step: k for key, k in minor.items()})
         minors = grown
-    return minors[(1 << len(exponents)) - 1]
+    return minors.get((1 << len(exponents)) - 1, {})
 
 
 def linear_form_product(arity: int, forms: Iterable[LinearForm]) -> MultiPoly:
@@ -488,27 +504,31 @@ def extract_linear_factors(
 ) -> tuple[list[tuple[LinearForm, int]], MultiPoly]:
     """Peel off every candidate linear factor, with multiplicity.
 
-    Returns the factor list and the remaining cofactor.  Candidates are
-    processed in the given order; the result is independent of the order
-    because Q[X] is a UFD and the candidates are pairwise non-proportional
-    in every use here.  Each attempt is one integer Horner pass on the
-    packed numerator; the cofactor is normalized once, at the end.
+    Returns the factors in candidate order and the remaining cofactor,
+    skipping a candidate proportional to an earlier one: sweeps of integer
+    Horner passes (module docstring), the cofactor normalized once.  As Q[X]
+    is a UFD, the order changes neither the multiplicities nor the cofactor.
     """
-    factors: list[tuple[LinearForm, int]] = []
     den, width, num = poly._int_form()
     scale = Fraction(1, den)
+    distinct: dict[tuple, list] = {}  # [form, pivot, multiplicity]
     for form in candidates:
         pivot = _Pivot(poly.arity, form)
-        mult = 0
-        while num:
+        # proportional forms share their primitive form: (j, a, steps)
+        distinct.setdefault((pivot.j, pivot.a, tuple(pivot.steps)), [form, pivot, 0])
+    live = list(distinct.values()) if num else []
+    while live:
+        divided = []
+        for entry in live:
+            pivot = entry[1]
             hs = pivot.horner(width, num)
-            if hs[0]:
-                break
-            num = pivot.quotient(width, hs)
-            scale /= pivot.content
-            mult += 1
-        if mult:
-            factors.append((form, mult))
+            if not hs[0]:
+                num = pivot.quotient(width, hs)
+                scale /= pivot.content
+                entry[2] += 1
+                divided.append(entry)
+        live = divided
+    factors = [(form, mult) for form, _, mult in distinct.values() if mult]
     return factors, MultiPoly._from_ints(poly.arity, width, num, scale)
 
 

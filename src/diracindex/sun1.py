@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 from math import comb
 
 from .errors import ClaimMismatch, IndexOutOfRange, InternalInvariantError, NotInC
@@ -21,9 +22,7 @@ from .polynomials import (
     LinearForm,
     MultiPoly,
     _alternant,
-    _packed_product,
     extract_linear_factors,
-    linear_form_product,
     # Unused here: bench/tests names sun1.poly_det; tools/census.py allows it, ROADMAP item 9
     poly_det,
 )
@@ -65,47 +64,28 @@ def char_poly_det(n: int, i: int) -> MultiPoly:
     """Exact expansion of the n x n character determinant in lam_1..lam_n.
 
     Rows are the power rows lam^(n-2), ..., lam^1 followed by the two
-    indicator rows of the split {1..n-i} | {n-i+1..n}.  Laplace expansion
-    along the indicator rows keeps only the column pairs j < n-i <= k
-    (0-based), whose 2 x 2 indicator minor is 1; the complementary power
-    minor is the monomial prod_{l != j,k} lam_l times a Vandermonde, so
-
-        det = sum_{j < n-i <= k} (-1)^(j+k+1) (prod_{l != j,k} lam_l)
-                  prod_{a < b; a,b not in {j,k}} (lam_a - lam_b).
-
-    The sum runs on packed integer keys (see `polynomials`), with the
-    field width of the total degree n - 2 + C(n-2, 2) = C(n-1, 2).
+    indicator rows of the split {1..n-i} | {n-i+1..n}.  Its transpose is
+    one alternant with zero entries (`polynomials._alternant`), lam_l on
+    row l: columns of exponents n-2, ..., 1 on every row, then two of
+    exponent 0 on the disjoint rows {1..n-i} and {n-i+1..n}.  Each of its
+    i (n-i) (n-2)! terms has coefficient +-1, on keys of the field width
+    of the total degree C(n-1, 2).
     """
     if n < 2 or not 1 <= i <= n - 1:
         raise IndexOutOfRange(f"need n >= 2 and 1 <= i <= n-1, got n={n}, i={i}")
     degree = comb(n - 1, 2)
     width = max(degree, 1).bit_length()
-    total: dict[int, int] = {}
-    for j in range(n - i):
-        for k in range(n - i, n):
-            rest = [l for l in range(n) if l != j and l != k]
-            monomial = sum(1 << (width * l) for l in rest)
-            rows = []
-            for pos, a in enumerate(rest):
-                for b in rest[pos + 1 :]:
-                    row = [0] * n
-                    row[a], row[b] = 1, -1
-                    rows.append(row)
-            start = {monomial: -1 if (j + k) % 2 == 0 else 1}
-            for key, c in _packed_product(start, rows, width).items():
-                total[key] = total.get(key, 0) + c
-    total = {key: c for key, c in total.items() if c}
-    return MultiPoly._from_ints(n, width, total, degree=degree)
+    every, low = (1 << n) - 1, (1 << (n - i)) - 1
+    exponents = [*range(n - 2, 0, -1), 0, 0]
+    num = _alternant(width, range(n), exponents, [every] * (n - 2) + [low, every ^ low])
+    return MultiPoly._from_ints(n, width, num, degree=degree)
 
 
-def _root_forms(n_vars: int, indices: list[int] | None = None) -> list[LinearForm]:
-    """The forms lam_p - lam_q for p before q among the given 1-based indices."""
-    idx = indices if indices is not None else list(range(1, n_vars + 1))
-    return [
-        difference_form(n_vars, idx[a], idx[b])
-        for a in range(len(idx))
-        for b in range(a + 1, len(idx))
-    ]
+@lru_cache(maxsize=None)
+def _root_forms(n: int) -> tuple[LinearForm, ...]:
+    """The forms lam_p - lam_q for 1 <= p < q <= n, in the order of
+    `combinations(range(1, n + 1), 2)`."""
+    return tuple(difference_form(n, p, q) for p, q in combinations(range(1, n + 1), 2))
 
 
 def vandermonde(n_vars: int, indices: list[int] | None = None) -> MultiPoly:
@@ -156,34 +136,34 @@ def _index_factors(n: int) -> tuple[tuple[LinearForm, int], ...]:
 @lru_cache(maxsize=None)
 def gcd_with_index(n: int, i: int) -> MultiPoly:
     """Greatest common linear-divisor product of the character determinant
-    and the index polynomial, computed by factor extraction and checked
-    against the closed-form block product."""
+    and the index polynomial: the Vandermonde of {1..n-i} times that of
+    {n-i+1..n}.  Checked by factor extraction: each form's smaller
+    multiplicity in the two must be 1 on the pairs of `gcd_factor_pairs`
+    and 0 elsewhere, which compares the products, as the forms are
+    primitive with a positive pivot."""
     if n < 2:
         raise IndexOutOfRange("n must be at least 2")
-    candidates = _root_forms(n)
-    det_factors, _ = extract_det_factors(n, i)
-    det_mult, idx_mult = dict(det_factors), dict(_index_factors(n))
-    common = linear_form_product(
-        n,
-        [
-            form
-            for form in candidates
-            for _ in range(min(det_mult.get(form, 0), idx_mult.get(form, 0)))
-        ],
-    )
-    closed = linear_form_product(
-        n, [difference_form(n, p, q) for p, q in gcd_factor_pairs(n, i)]
-    )
-    if common != closed:
+    idx_mult = dict(_index_factors(n))
+    common = {f: min(m, idx_mult[f]) for f, m in extract_det_factors(n, i)[0] if f in idx_mult}
+    forms = dict(zip(combinations(range(1, n + 1), 2), _root_forms(n)))
+    if common != {forms[p]: 1 for p in gcd_factor_pairs(n, i)}:
         raise ClaimMismatch("extracted common factor disagrees with the closed form")
-    return closed
+    return vandermonde(n, list(range(1, n - i + 1))) * vandermonde(n, list(range(n - i + 1, n + 1)))
 
 
 def extract_det_factors(
     n: int, i: int
 ) -> tuple[list[tuple[LinearForm, int]], MultiPoly]:
-    """Linear root-form factors of the character determinant, plus cofactor."""
-    return extract_linear_factors(char_poly_det(n, i), _root_forms(n))
+    """Linear root-form factors of the character determinant, in `_root_forms`
+    order, plus cofactor.  Probing the in-block forms of `gcd_factor_pairs`
+    first, so that the others meet a small cofactor, changes only the cost."""
+    det = char_poly_det(n, i)
+    forms = dict(zip(combinations(range(1, n + 1), 2), _root_forms(n)))
+    first = set(gcd_factor_pairs(n, i))
+    order = sorted(forms, key=lambda pair: pair not in first)
+    factors, cofactor = extract_linear_factors(det, [forms[pair] for pair in order])
+    mult = dict(factors)
+    return [(form, mult[form]) for form in forms.values() if form in mult], cofactor
 
 
 def tau_invariant(n: int, i: int) -> tuple[Weight, ...]:

@@ -7,7 +7,7 @@ from itertools import permutations
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from diracindex.errors import DimensionMismatch, ZeroForm
+from diracindex.errors import DimensionMismatch, InternalInvariantError, ZeroForm
 from diracindex.groups import GroupId, build_root_datum
 from diracindex.polynomials import (
     LinearForm,
@@ -124,6 +124,51 @@ def test_alternant_matches_leibniz_expansion(case):
     num = _alternant(width, variables, exponents)
     assert len(num) == math.factorial(m) and set(num.values()) <= {1, -1}
     assert MultiPoly._from_ints(5, width, num, degree=degree) == leibniz
+
+
+@st.composite
+def supported_alternants(draw):
+    """(variables, exponents, support) with m <= 5 columns: exponents may
+    repeat, and columns of equal exponent cover disjoint rows."""
+    m = draw(st.integers(0, 5))
+    variables = draw(st.permutations(range(5)))[:m]
+    exponents = draw(st.lists(st.integers(0, 3), min_size=m, max_size=m))
+    support = draw(st.lists(st.integers(0, (1 << m) - 1), min_size=m, max_size=m))
+    for b in range(m):
+        for a in range(b):
+            if exponents[a] == exponents[b]:
+                support[b] &= ~support[a]
+    return variables, exponents, support
+
+
+@settings(max_examples=200, deadline=None)
+@given(supported_alternants())
+@example(([0, 1, 2, 3], [2, 1, 0, 0], [15, 15, 3, 12]))
+def test_alternant_with_zero_entries_matches_leibniz_sum(case):
+    variables, exponents, support = case
+    m = len(exponents)
+    x = [MultiPoly.variable(5, i) for i in range(5)]
+    leibniz, nonzero = MultiPoly.zero(5), 0
+    for perm in permutations(range(m)):
+        if all(support[col] >> row & 1 for row, col in enumerate(perm)):
+            term = MultiPoly.const(5, _sign(perm))
+            for row, col in enumerate(perm):
+                term = term * x[variables[row]] ** exponents[col]
+            leibniz, nonzero = leibniz + term, nonzero + 1
+    width = max(sum(exponents), 1).bit_length()
+    num = _alternant(width, variables, exponents, support)
+    # one term per nonzero permutation: no two of them merge or cancel
+    assert len(num) == nonzero and set(num.values()) <= {1, -1}
+    assert MultiPoly._from_ints(5, width, num) == leibniz
+
+
+@pytest.mark.parametrize(
+    "exponents,support",
+    [([1, 1], ()), ([0, 2, 0], [0b011, 0b111, 0b110]), ([3, 0, 3], [0b100, 0b011, 0b101])],
+)
+def test_alternant_rejects_equal_exponents_on_a_shared_row(exponents, support):
+    with pytest.raises(InternalInvariantError, match="share a row"):
+        _alternant(2, range(len(exponents)), exponents, support)
 
 
 def test_linear_form_product_examples():
@@ -588,6 +633,14 @@ def kernel_cases(draw):
         [LinearForm((F(0), F(-3), F(2))), LinearForm((F(0), F(6), F(-4)))],
     )
 )
+# a duplicate candidate, and a proportional one after a squared factor
+@example((MultiPoly.variable(1, 0), [LinearForm((F(1),)), LinearForm((F(1),))]))
+@example(
+    (
+        linear_form_product(2, [LinearForm((F(2), F(-3)))] * 2 + [LinearForm((F(0), F(1)))]),
+        [LinearForm((F(0), F(1))), LinearForm((F(2), F(-3))), LinearForm((F(-4), F(6)))],
+    )
+)
 def test_integer_horner_matches_fraction_oracle(case):
     poly, forms = case
     for form in forms:
@@ -599,6 +652,19 @@ def test_integer_horner_matches_fraction_oracle(case):
     factors, cofactor = extract_linear_factors(poly, forms)
     assert (factors, cofactor) == _fraction_extract(poly, forms)
     assert_normalized(cofactor, poly.arity)
+
+
+@settings(max_examples=200, deadline=None)
+@given(kernel_cases(), st.randoms(use_true_random=False))
+def test_extraction_ignores_the_order_of_distinct_candidates(case, rng):
+    poly, forms = case
+    distinct = list({tuple(form.primitive().coeffs): form for form in forms}.values())
+    factors, cofactor = extract_linear_factors(poly, distinct)
+    shuffled = rng.sample(distinct, len(distinct))
+    got, got_cofactor = extract_linear_factors(poly, shuffled)
+    assert dict(got) == dict(factors) and got_cofactor == cofactor
+    # the factors come back in candidate order
+    assert [form for form, _ in got] == [form for form in shuffled if form in dict(got)]
 
 
 # The tuple-key integer Horner pass that the packed pass replaced, kept

@@ -1,5 +1,6 @@
 from fractions import Fraction as F
-from math import comb
+from itertools import combinations
+from math import comb, factorial
 
 import pytest
 
@@ -12,7 +13,9 @@ from diracindex.errors import (
 )
 from diracindex.polynomials import (
     MultiPoly,
+    _packed_product,
     divides_linear_form,
+    extract_linear_factors,
     linear_form_product,
     poly_det,
     restrict_to_hyperplane,
@@ -89,7 +92,9 @@ def test_det_extreme_chambers_are_vandermonde(n):
     [(1, None), (4, None), (7, None), (5, [3, 1, 4]), (6, [6, 2, 5, 1]), (3, []), (3, [2])],
 )
 def test_vandermonde_matches_root_form_product(n_vars, indices):
-    oracle = linear_form_product(n_vars, _root_forms(n_vars, indices))
+    idx = range(1, n_vars + 1) if indices is None else indices
+    forms = [difference_form(n_vars, p, q) for p, q in combinations(idx, 2)]
+    oracle = linear_form_product(n_vars, forms)
     assert vandermonde(n_vars, indices) == oracle
 
 
@@ -202,6 +207,14 @@ def test_extract_det_factors():
     assert cofactor == -(l1 + l2 - l3 - l4)
 
 
+@pytest.mark.parametrize("n", range(2, 8))
+def test_det_factors_match_extraction_in_root_form_order(n):
+    # probing the in-block forms first changes the cost, not the result
+    for i in range(1, n):
+        expected = extract_linear_factors(char_poly_det(n, i), _root_forms(n))
+        assert extract_det_factors(n, i) == expected
+
+
 def _det_oracle_4x4(i):
     """Independent construction of the 4x4 determinant by cofactor
     expansion along the first row, written out directly."""
@@ -262,6 +275,52 @@ def _explicit_char_matrix(n, i):
     rows.append([MultiPoly.const(n, 1 if j < n - i else 0) for j in range(n)])
     rows.append([MultiPoly.const(n, 1 if j >= n - i else 0) for j in range(n)])
     return rows
+
+
+def _laplace_char_poly_det(n: int, i: int) -> MultiPoly:
+    """Exact expansion of the n x n character determinant in lam_1..lam_n.
+
+    Rows are the power rows lam^(n-2), ..., lam^1 followed by the two
+    indicator rows of the split {1..n-i} | {n-i+1..n}.  Laplace expansion
+    along the indicator rows keeps only the column pairs j < n-i <= k
+    (0-based), whose 2 x 2 indicator minor is 1; the complementary power
+    minor is the monomial prod_{l != j,k} lam_l times a Vandermonde, so
+
+        det = sum_{j < n-i <= k} (-1)^(j+k+1) (prod_{l != j,k} lam_l)
+                  prod_{a < b; a,b not in {j,k}} (lam_a - lam_b).
+
+    The sum runs on packed integer keys (see `polynomials`), with the
+    field width of the total degree n - 2 + C(n-2, 2) = C(n-1, 2).
+    """
+    if n < 2 or not 1 <= i <= n - 1:
+        raise IndexOutOfRange(f"need n >= 2 and 1 <= i <= n-1, got n={n}, i={i}")
+    degree = comb(n - 1, 2)
+    width = max(degree, 1).bit_length()
+    total: dict[int, int] = {}
+    for j in range(n - i):
+        for k in range(n - i, n):
+            rest = [l for l in range(n) if l != j and l != k]
+            monomial = sum(1 << (width * l) for l in rest)
+            rows = []
+            for pos, a in enumerate(rest):
+                for b in rest[pos + 1 :]:
+                    row = [0] * n
+                    row[a], row[b] = 1, -1
+                    rows.append(row)
+            start = {monomial: -1 if (j + k) % 2 == 0 else 1}
+            for key, c in _packed_product(start, rows, width).items():
+                total[key] = total.get(key, 0) + c
+    total = {key: c for key, c in total.items() if c}
+    return MultiPoly._from_ints(n, width, total, degree=degree)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_alternant_det_matches_laplace_sum_oracle(n):
+    # The Laplace sum over indicator column pairs that the alternant replaced.
+    for i in range(1, n):
+        det = char_poly_det.__wrapped__(n, i)
+        assert det == _laplace_char_poly_det(n, i)
+        assert len(det._int_form()[2]) == i * (n - i) * factorial(n - 2)
 
 
 def test_laplace_det_matches_poly_det_of_explicit_matrix():

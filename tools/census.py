@@ -54,6 +54,8 @@ EMIT_FORMATS = ("json", "csv", "latex")
 # either reaches or deletes them.
 ALLOWED = {
     "polynomials.poly_det": "bench/tests names sun1.poly_det; item 9",
+    "polynomials.linear_form_product": "bench/tests names it; item 9",
+    "polynomials._packed_product": "bench/tests names it; item 9",
     "series.TruncatedSeries.exponential": "bench/spans.py wraps it by name; item 9",
     "series.TruncatedSeries.__mul__": "bench/spans.py wraps it by name; item 9",
     "groups.RootDatum.is_k_regular": "only bench jobs call it; item 9",

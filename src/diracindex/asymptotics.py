@@ -9,11 +9,15 @@ index polynomial.  Everything here is rational arithmetic; the limit
 checks are exact equalities.
 
 The order contract: `character_series(..., order)` returns order + 1
-coefficients from the lowest power of t, and builds nothing past them.
-The numerator's valuation is found by stepping its integer moments, its
-moments are built only up to valuation + order, and the Weyl denominator
-and the series division stop at `order`.  leading_limit reads t^-d with
-order max(8, d + 2).
+coefficients from the lowest power of t, as integer numerators over one
+denominator.  The numerator's valuation is found by stepping its integer
+moments, and its moments are built only up to valuation + order.  The
+Weyl denominator U is built once per (datum, y), to the largest order any
+call has asked for, and each call gets it sliced to `order`; the
+fraction-free division stops at `order`.  leading_limit asks for order
+max(8, d + 2), so the three limits d = gap, gap + 1, gap + 2 at one
+(datum, y) share one U, and reads the pole order from the integers and
+t^-d as the one `Fraction` it builds.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from .series import TruncatedSeries
 @dataclass(frozen=True)
 class LaurentSeries:
     """Finitely many negative powers: coefficient of t^(low + k) is
-    series.coeffs[k]."""
+    series.coeff(k), built from the integers when read."""
 
     low: int
     series: TruncatedSeries

@@ -26,7 +26,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
+from types import MappingProxyType
 from typing import Mapping
 
 from .errors import CapExceeded, DimensionMismatch, OffLattice, SingularParameter
@@ -68,12 +69,21 @@ class SpinWeights:
 def spin_weights(datum: RootDatum, cap: int = SPIN_SUBSET_CAP) -> SpinWeights:
     """The 2^(r_g - r_k) spin weights -rho_g + rho_k + (subset sums),
     split by subset parity, with the parity labels chosen so that
-    ch(S+ - S-) = d_g/d_k holds exactly.  Each noncompact root carries the
-    even subset sums into odd ones and back; equal weights merge."""
-    noncompact = datum.noncompact_positive_roots
-    q = len(noncompact)
+    ch(S+ - S-) = d_g/d_k holds exactly.  The weights are built once per
+    datum, and each call gets new multisets."""
+    q = len(datum.noncompact_positive_roots)
     if q > cap:
         raise CapExceeded(f"{q} noncompact roots exceeds the subset cap {cap}")
+    plus, minus = _spin_forms(datum)
+    return SpinWeights(WeightMultiset(forms=plus), WeightMultiset(forms=minus))
+
+
+@lru_cache(maxsize=None)
+def _spin_forms(datum: RootDatum) -> tuple[Mapping[IntWeight, int], Mapping[IntWeight, int]]:
+    """The integer forms of the S+ and S- weights with their
+    multiplicities; read-only.  Each noncompact root carries the even
+    subset sums into odd ones and back; equal weights merge."""
+    noncompact = datum.noncompact_positive_roots
     # Numerators over 2: every spin weight is rho_k - rho_g plus a root sum.
     start = tuple(k - g for k, g in zip(over(datum.rho_k_form, 2), over(datum.rho_g_form, 2)))
     even: dict[tuple[int, ...], int] = {start: 1}
@@ -85,10 +95,10 @@ def spin_weights(datum: RootDatum, cap: int = SPIN_SUBSET_CAP) -> SpinWeights:
                 w = tuple(c + 2 * b for c, b in zip(w, beta))
                 target[w] = target.get(w, 0) + m
         even, odd = new_even, new_odd
-    plus, minus = (odd, even) if q % 2 == 1 else (even, odd)
-    return SpinWeights(
-        WeightMultiset(forms={reduced(2, w): m for w, m in plus.items()}),
-        WeightMultiset(forms={reduced(2, w): m for w, m in minus.items()}),
+    plus, minus = (odd, even) if len(noncompact) % 2 == 1 else (even, odd)
+    return (
+        MappingProxyType({reduced(2, w): m for w, m in plus.items()}),
+        MappingProxyType({reduced(2, w): m for w, m in minus.items()}),
     )
 
 

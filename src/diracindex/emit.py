@@ -18,7 +18,7 @@ import io
 import json
 import re
 from fractions import Fraction
-from typing import Any
+from typing import Any, Sequence
 
 from .asymptotics import LimitReport
 from .errors import InvalidInput, UnsupportedFormat
@@ -166,7 +166,7 @@ def partition_str(partition) -> str:
     return "[" + ",".join(str(x) for x in partition) + "]"
 
 
-def _merge_quadratic_factors(forms: list[LinearForm]) -> list[tuple[str, tuple]]:
+def _merge_quadratic_factors(forms: Sequence[LinearForm]) -> list[tuple[str, tuple]]:
     """Group (X_i - X_j) with (X_i + X_j) into (X_i^2 - X_j^2) for display."""
     singles: list[tuple[str, tuple]] = []
     diffs: set[tuple[int, int]] = set()

@@ -21,14 +21,22 @@ public constructor checks.  frequencies_to_series builds every
 exponential sum, Weyl denominators too, from integer rates over one
 denominator; it divides out a known power of t exactly, or finds the
 valuation by stepping the integer moments, and builds only the
-coefficients it returns.
+coefficients it returns, as integer numerators over one denominator.
+
+What depends only on the datum, or on the datum and a direction y, is
+built once in a module-level cache: the weights of V(highest) per
+(datum, highest), the signed W_k-orbit of y, and the moments of the Weyl
+denominator U per (datum, y, g or k), stepped to the largest order asked
+so far.  Inputs are still checked on every call, and every call gets new
+objects: a multiset of its own, and a series sliced from the cached
+integers.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import factorial, lcm
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
@@ -263,18 +271,13 @@ def weyl_orbit(datum: RootDatum, mu: Weight) -> set[Weight]:
     return orbit
 
 
-def weight_multiset(highest: Weight, datum: RootDatum) -> WeightMultiset:
-    """All weights of the finite-dimensional module with the given highest
-    weight, with multiplicities (Freudenthal recursion, exact rationals)."""
-    den, top = datum.form(highest)
-    for alpha in datum.positive_roots:
-        p = pairing(top, alpha) / den
-        if p < 0 or p.denominator != 1:
-            raise NotDominantIntegral(
-                f"<{alpha}, {highest}> = {p} is not a nonnegative integer"
-            )
+@lru_cache(maxsize=None)
+def _weight_forms(datum: RootDatum, highest: Weight) -> Mapping[IntWeight, int]:
+    """The weights of V(highest) with their multiplicities, on integer
+    forms: the W-orbits of the dominant weights, checked integral and
+    against the Weyl dimension; read-only."""
     forms: dict[IntWeight, int] = {}
-    for mu, m in _dominant_character(datum, tuple(highest)):
+    for mu, m in _dominant_character(datum, highest):
         if m.denominator != 1:
             raise InternalInvariantError("non-integral weight multiplicity")
         mu_den, mu_nums = int_form(mu)
@@ -286,7 +289,22 @@ def weight_multiset(highest: Weight, datum: RootDatum) -> WeightMultiset:
         raise InternalInvariantError(
             f"weight multiset mass {total} disagrees with Weyl dimension {expected}"
         )
-    return WeightMultiset(forms=forms)
+    return MappingProxyType(forms)
+
+
+def weight_multiset(highest: Weight, datum: RootDatum) -> WeightMultiset:
+    """All weights of the finite-dimensional module with the given highest
+    weight, with multiplicities (Freudenthal recursion, exact rationals).
+    The weights are built once per (datum, highest), and each call gets a
+    new multiset."""
+    den, top = datum.form(highest)
+    for alpha in datum.positive_roots:
+        p = pairing(top, alpha) / den
+        if p < 0 or p.denominator != 1:
+            raise NotDominantIntegral(
+                f"<{alpha}, {highest}> = {p} is not a nonnegative integer"
+            )
+    return WeightMultiset(forms=_weight_forms(datum, tuple(highest)))
 
 
 def tensor_virtual(module: VirtualKModule, delta: WeightMultiset) -> VirtualKModule:
@@ -306,15 +324,24 @@ def check_regular_direction(datum: RootDatum, y: Weight) -> None:
             raise SingularDirection(f"direction is singular for root {alpha}")
 
 
+@lru_cache(maxsize=None)
+def _signed_orbit(
+    datum: RootDatum, y_nums: tuple[int, ...]
+) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """(sgn w, w y) over W_k, on the numerators of y."""
+    return tuple((w.sign(), w.apply(y_nums)) for w in weyl_elements(datum, "k"))
+
+
 def numerator_frequencies(module: VirtualKModule, y: Weight) -> tuple[int, dict[int, int]]:
     """(D, freqs): the Weyl numerator sum_gamma c_gamma sum_{w in W_k}
     sgn(w) e^{(w gamma)(y) t} of the module at exp(t y) is
     sum freqs[f] e^{(f / D) t}, over its nonzero frequencies.
 
-    (w gamma)(y) = gamma(w^-1 y), so the W_k-orbit of y is built once."""
+    (w gamma)(y) = gamma(w^-1 y), so the signed W_k-orbit of y is read
+    from a cache per (datum, y)."""
     datum = module.datum
     y_den, y_nums = datum.form(y)
-    orbit = [(w.sign(), w.apply(y_nums)) for w in weyl_elements(datum, "k")]
+    orbit = _signed_orbit(datum, y_nums)
     den = y_den * lcm(*(form[0] for form in module.forms))
     freqs: dict[int, int] = {}
     for (gamma_den, gamma), c in module.forms.items():
@@ -325,55 +352,79 @@ def numerator_frequencies(module: VirtualKModule, y: Weight) -> tuple[int, dict[
     return den, {f: c for f, c in freqs.items() if c}
 
 
+class _Moments:
+    """sum c * e^{(f / den) t} over the pairs (f, c) of freqs, as t^v S(t).
+
+    The t^k coefficient of the sum is the integer moment M_k = sum c f^k
+    over den^k k!.  With an integer start, v is start and the moments
+    below it must vanish (ValueError otherwise).  With start None, v is
+    the valuation: the first nonzero moment, which a sum of n
+    exponentials with distinct rates and nonzero coefficients has among
+    its first n (Vandermonde).  The moments from v on are stepped only as
+    far as an order asks, and kept: `series(order)` extends them when it
+    asks for more than any call before, and otherwise slices the series
+    of the largest order built so far, whose one denominator serves every
+    shorter prefix.
+    """
+
+    __slots__ = ("v", "_den", "_rates", "_powers", "_moments", "_nums", "_scale")
+
+    def __init__(self, freqs: Mapping[int, int], den: int, start: int | None):
+        rates, powers = list(freqs), list(freqs.values())
+        k, total = 0, sum(powers)
+        while not (total if start is None else k >= start):
+            if total:
+                raise ValueError(f"sum of exponentials is not divisible by t^{start}")
+            if start is None and k + 1 >= len(rates):
+                raise InternalInvariantError(
+                    f"no nonzero moment among the first {len(rates)} of a sum of exponentials"
+                )
+            k += 1
+            powers = [p * f for p, f in zip(powers, rates)]
+            total = sum(powers)
+        self.v, self._den, self._rates, self._powers = k, den, rates, powers
+        self._moments = [total]  # M_v, M_(v+1), ...
+        self._nums: tuple[int, ...] = ()
+        self._scale = 1
+
+    def series(self, order: int) -> TruncatedSeries:
+        """S to the given order; M_(v+j) / (den^(v+j) (v+j)!) is
+        M_(v+j) den^(N-j) (v+N)! / (v+j)! over den^(v+N) (v+N)!."""
+        if order >= len(self._nums):
+            moments, rates, powers = self._moments, self._rates, self._powers
+            while len(moments) <= order:
+                powers = [p * f for p, f in zip(powers, rates)]
+                moments.append(sum(powers))
+            self._powers = powers
+            den, v = self._den, self.v
+            nums, mult = [0] * (order + 1), 1
+            for j in range(order, -1, -1):
+                nums[j] = moments[j] * mult
+                if j:
+                    mult *= den * (v + j)
+            # mult is now den^N (v+N)! / v!
+            self._nums, self._scale = tuple(nums), mult * den**v * factorial(v)
+        return TruncatedSeries._from_ints(self._nums[: order + 1], self._scale)
+
+
 def frequencies_to_series(
     freqs: Mapping[int, int], den: int, order: int, start: int | None = 0
 ) -> tuple[int, TruncatedSeries]:
     """(v, S) with sum c * e^{(f / den) t} = t^v * S(t) over the pairs (f, c)
-    of freqs, and S to the given order; the t^k coefficient of the sum is
-    the integer moment sum c * f^k over den^k k!.
-
-    With an integer start, v is start and the moments below it must
-    vanish (ValueError otherwise).  With start None, v is the valuation:
-    the first nonzero moment, which a sum of n exponentials with distinct
-    rates and nonzero coefficients has among its first n (Vandermonde).
-    Only the moments 0 .. v + order are built.
+    of freqs, and S to the given order, as integer numerators over one
+    denominator (see `_Moments` for v and start).  Only the moments
+    0 .. v + order are built.
     """
-    nums = list(freqs)
-    moments = list(freqs.values())
-    scale = 1
-    v = start
-    coeffs = []
-    k = 0
-    while True:
-        total = sum(moments)
-        if v is None and total:
-            v = k
-        if v is not None and k >= v:
-            coeffs.append(Fraction(total, scale))
-            if k == v + order:
-                return v, TruncatedSeries(tuple(coeffs))
-        elif total:
-            raise ValueError(f"sum of exponentials is not divisible by t^{start}")
-        elif v is None and k + 1 >= len(nums):
-            raise InternalInvariantError(
-                f"no nonzero moment among the first {len(nums)} of a sum of exponentials"
-            )
-        k += 1
-        moments = [m * n for m, n in zip(moments, nums)]
-        scale *= den * k
+    moments = _Moments(freqs, den, start)
+    return moments.v, moments.series(order)
 
 
-def weyl_denominator_factored(
-    datum: RootDatum, y: Weight, which: str, order: int
-) -> tuple[int, TruncatedSeries]:
-    """d(exp ty) = t^r * U(t) with U(0) = prod alpha(y) != 0; returns (r, U).
-
-    The r factors e^{a t/2} - e^{-a t/2} multiply out as one sum of
-    exponentials on the integer rates alpha(y) * y_den over 2 * y_den.
-    """
-    if which not in ("g", "k"):
-        raise ValueError("which must be 'g' or 'k'")
-    y_den, y_nums = datum.form(y)
+@lru_cache(maxsize=None)
+def _weyl_denominator(datum: RootDatum, y: IntWeight, which: str) -> _Moments:
+    """The moments of d(exp ty) over the positive roots of g or k: the r
+    factors e^{a t/2} - e^{-a t/2} multiply out as one sum of
+    exponentials on the integer rates alpha(y) * y_den over 2 * y_den."""
+    y_den, y_nums = y
     roots = datum.positive_roots if which == "g" else datum.compact_positive_roots
     freqs = {0: 1}
     for alpha in roots:
@@ -382,4 +433,17 @@ def weyl_denominator_factored(
         for f, c in freqs.items():
             expanded[f - k] = expanded.get(f - k, 0) - c
         freqs = {f: c for f, c in expanded.items() if c}
-    return frequencies_to_series(freqs, 2 * y_den, order, len(roots))
+    return _Moments(freqs, 2 * y_den, len(roots))
+
+
+def weyl_denominator_factored(
+    datum: RootDatum, y: Weight, which: str, order: int
+) -> tuple[int, TruncatedSeries]:
+    """d(exp ty) = t^r * U(t) with U(0) = prod alpha(y) != 0; returns (r, U).
+
+    U is built once per (datum, y, which), to the largest order asked so
+    far, and each call gets a new series of its order."""
+    if which not in ("g", "k"):
+        raise ValueError("which must be 'g' or 'k'")
+    moments = _weyl_denominator(datum, datum.form(y), which)
+    return moments.v, moments.series(order)

@@ -272,15 +272,28 @@ class MultiPoly:
         return rows
 
     def evaluate(self, point: Sequence) -> Fraction:
+        """The value at a point, from the packed numerator: with the point
+        over one denominator q, x_i = a_i / q, a term of degree e is
+        scaled by q^(top - e), so the sum is one integer over den q^top."""
         if len(point) != self.arity:
             raise DimensionMismatch(
                 f"point has {len(point)} coordinates, expected {self.arity}"
             )
         pt = [Fraction(x) for x in point]
-        return sum(
-            (c * math.prod(x**e for x, e in zip(pt, exp) if e) for exp, c in self.terms.items()),
-            Fraction(0),
-        )
+        q = math.lcm(*(x.denominator for x in pt))
+        ints = [x.numerator * (q // x.denominator) for x in pt]
+        degrees = list(_degrees(self.arity, self._width, self._num))
+        top = max(degrees, default=0)
+        width, mask = self._width, (1 << self._width) - 1
+        total = 0
+        for (key, c), e in zip(self._num.items(), degrees):
+            term = c * q ** (top - e)
+            for a in ints:
+                if key & mask:
+                    term *= a ** (key & mask)
+                key >>= width
+            total += term
+        return Fraction(total, self._den * q**top)
 
     def derivative(self, i: int, k: int = 1) -> "MultiPoly":
         """The k-th partial derivative in X_i."""

@@ -306,12 +306,14 @@ def sigma_k_partition(group: GroupId) -> Partition:
     return partition
 
 
-def generator_forms(datum: RootDatum) -> list[LinearForm]:
-    """Primitive linear forms of the compact positive roots."""
-    return [
+@lru_cache(maxsize=None)
+def generator_forms(datum: RootDatum) -> tuple[LinearForm, ...]:
+    """Primitive linear forms of the compact positive roots, built once
+    per datum."""
+    return tuple(
         LinearForm.from_weight(alpha).primitive()
         for alpha in datum.compact_positive_roots
-    ]
+    )
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 from typing import Iterable, Sequence
 
 from .errors import CapExceeded, DimensionMismatch
@@ -134,6 +134,7 @@ def _disjoint_product(left: dict[int, int], right: dict[int, int]) -> dict[int, 
     return {k1 + k2: c1 * c2 for k1, c1 in left.items() for k2, c2 in right.items()}
 
 
+@lru_cache(maxsize=None)
 def weyl_dim_poly(datum: RootDatum) -> MultiPoly:
     """Weyl dimension polynomial for the compact subgroup.
 
@@ -155,6 +156,8 @@ def weyl_dim_poly(datum: RootDatum) -> MultiPoly:
     quotient: with rho_k = nums / den and N compact positive roots,
 
         D_k = prod gcd(alpha) den^N / prod (nums, alpha) * prod_blocks alternant.
+
+    D_k is built once per datum; a `MultiPoly` is never changed in place.
     """
     roots = datum.compact_positive_roots
     degree = len(roots)

@@ -576,6 +576,9 @@ def test_cli_internal_invariant_exits_3(monkeypatch, capsys):
 
 
 def test_cli_failed_weight_multiset_check_exits_3(monkeypatch, capsys):
+    from diracindex import kmodules
+
+    kmodules._weight_forms.cache_clear()
     monkeypatch.setattr("diracindex.kmodules.weyl_dim_value_g", lambda datum, gamma: 0)
     assert main(["verify", "--suite", "translation"]) == 3
     captured = capsys.readouterr()

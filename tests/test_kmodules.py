@@ -26,6 +26,7 @@ from diracindex.kmodules import (
     VirtualKModule,
     _dominant_character,
     _dominant_rep_g,
+    _weight_forms,
     WeightMultiset,
     dim_virtual,
     frequencies_to_series,
@@ -485,6 +486,7 @@ def test_k_type_sum_checks_every_parameter_length():
 
 
 def test_weight_multiset_non_integral_multiplicity_is_internal(monkeypatch):
+    _weight_forms.cache_clear()
     monkeypatch.setattr(
         "diracindex.kmodules._dominant_character",
         lambda datum, highest: ((highest, F(1, 2)),),
@@ -494,6 +496,7 @@ def test_weight_multiset_non_integral_multiplicity_is_internal(monkeypatch):
 
 
 def test_weight_multiset_mass_mismatch_is_internal(monkeypatch):
+    _weight_forms.cache_clear()
     monkeypatch.setattr("diracindex.kmodules.weyl_dim_value_g", lambda datum, gamma: 0)
     with pytest.raises(InternalInvariantError, match="Weyl dimension"):
         weight_multiset(W(1, 0, 0), build_root_datum(GroupId.su(2, 1)))

@@ -69,6 +69,44 @@ def test_eval_examples():
         x1.evaluate((1, 2, 3))
 
 
+def _view_evaluate(poly: MultiPoly, point) -> F:
+    """The evaluate that read the Fraction view, before the integer one."""
+    pt = [F(x) for x in point]
+    return sum(
+        (c * math.prod(x**e for x, e in zip(pt, exp) if e) for exp, c in poly.terms.items()),
+        F(0),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_integer_evaluate_matches_view_oracle(data):
+    """Non-homogeneous, zero and arity-0 polynomials at integer and
+    fractional points; the integer form is read without building the view."""
+    arity = data.draw(st.integers(0, 3))
+    poly = data.draw(polys(arity=arity, max_degree=data.draw(st.integers(0, 7)), max_terms=6))
+    point = tuple(data.draw(st.lists(st.one_of(coeffs, st.integers(-6, 6)),
+                                     min_size=arity, max_size=arity)))
+    kernel = extract_linear_factors(poly, [])[1]
+    value = kernel.evaluate(point)
+    assert kernel._terms is None
+    assert type(value) is F and value == _view_evaluate(poly, point)
+    with pytest.raises(DimensionMismatch):
+        kernel.evaluate(point + (1,))
+
+
+@pytest.mark.parametrize("poly, point, value", [
+    (MultiPoly.zero(0), (), 0),
+    (MultiPoly.const(0, F(-7, 3)), (), F(-7, 3)),
+    (MultiPoly.zero(2), (F(1, 2), 3), 0),
+    (MultiPoly(2, {(2, 0): F(1), (0, 1): F(-1, 2), (0, 0): F(3)}), (F(1, 2), F(-2, 3)), F(43, 12)),
+])
+def test_integer_evaluate_examples(poly, point, value):
+    kernel = extract_linear_factors(poly, [])[1]
+    assert kernel.evaluate(point) == value and type(kernel.evaluate(point)) is F
+    assert kernel._terms is None
+
+
 def graded_terms(poly):
     """(exponent tuple, Fraction) of each term, in `graded_rows` order."""
     den = poly._int_form()[0]

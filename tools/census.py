@@ -75,6 +75,7 @@ ALLOWED = {
     "sun1.tau_invariant": "paper object no suite checks yet; item 4",
     "sun1.chamber_of": "paper object no suite checks yet; item 4",
     "polynomials.MultiPoly.__hash__": "eq/hash contract of a value type",
+    "series.TruncatedSeries.__hash__": "eq/hash contract of a value type",
     "kmodules.VirtualKModule.__hash__": "eq/hash contract of a value type",
     "kmodules.VirtualKModule.__init__":
         "validated public constructor; k_type_sum builds through the trusted one",

@@ -55,6 +55,10 @@ COMMANDS = [
     "index-poly --group 'SU(1,6)' --hc-param 3,2,1,0,-1,-2,-3",
     "char-poly --n 6 --i 3 --factor",
     "gcd --n 6 --i 3",
+    # gcd at the smallest n and at the ranks of the benchmark and suite
+    "gcd --n 2 --i 1",
+    "gcd --n 7 --i 3",
+    "gcd --n 8 --i 4",
 ]
 
 

@@ -7,6 +7,10 @@ The closed dominant chamber C for K is lam_1 >= ... >= lam_n; it splits
 into n+1 chambers D_0, ..., D_n according to where lam_{n+1} interleaves,
 with D_0 the holomorphic one (lam_{n+1} <= lam_n) and D_n the
 antiholomorphic one (lam_{n+1} >= lam_1).
+
+The index polynomial is D_k for K = U(n), the Vandermonde of lam_1..lam_n
+over a constant, so every root form lam_p - lam_q divides it exactly once;
+only the character determinant goes through factor extraction.
 """
 
 from __future__ import annotations
@@ -14,9 +18,9 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import comb
+from math import comb, factorial, prod
 
-from .errors import ClaimMismatch, IndexOutOfRange, InternalInvariantError, NotInC
+from .errors import ClaimMismatch, IndexOutOfRange, NotInC
 from .groups import GroupId, RootDatum, Weight, build_root_datum
 from .polynomials import (
     LinearForm,
@@ -26,7 +30,6 @@ from .polynomials import (
     # Unused here: bench/tests names sun1.poly_det; tools/census.py allows it, ROADMAP item 9
     poly_det,
 )
-from .weylaction import weyl_dim_poly
 
 
 def su_n1_datum(n: int) -> RootDatum:
@@ -114,39 +117,28 @@ def gcd_factor_pairs(n: int, i: int) -> list[tuple[int, int]]:
 def index_poly_restricted(n: int) -> MultiPoly:
     """The SU(n,1) index polynomial in the first n variables only.
 
-    The compact Weyl dimension polynomial never involves lam_{n+1}, so
-    dropping that variable is exact: its integer form is the one of n
-    variables once the top field is checked empty.
+    It is D_k for K = U(n), which never involves lam_{n+1}:
+    prod_{p<q} (lam_p - lam_q) / (q - p), the Vandermonde of n variables
+    over 0! 1! ... (n-1)!.
     """
-    den, width, num = weyl_dim_poly(su_n1_datum(n))._int_form()
-    top = ((1 << width) - 1) << (n * width)
-    if any(key & top for key in num):
-        raise InternalInvariantError("index polynomial unexpectedly involves lam_{n+1}")
-    return MultiPoly._packed(n, den, width, num)
-
-
-@lru_cache(maxsize=None)
-def _index_factors(n: int) -> tuple[tuple[LinearForm, int], ...]:
-    """Root-form factors of the restricted index polynomial; they do not
-    depend on the chamber, so every gcd_with_index(n, i) shares them."""
-    factors, _ = extract_linear_factors(index_poly_restricted(n), _root_forms(n))
-    return tuple(factors)
+    if n < 1:
+        raise IndexOutOfRange("n must be at least 1")
+    return vandermonde(n) * Fraction(1, prod(factorial(k) for k in range(n)))
 
 
 @lru_cache(maxsize=None)
 def gcd_with_index(n: int, i: int) -> MultiPoly:
     """Greatest common linear-divisor product of the character determinant
     and the index polynomial: the Vandermonde of {1..n-i} times that of
-    {n-i+1..n}.  Checked by factor extraction: each form's smaller
-    multiplicity in the two must be 1 on the pairs of `gcd_factor_pairs`
-    and 0 elsewhere, which compares the products, as the forms are
-    primitive with a positive pivot."""
+    {n-i+1..n}.  Every root form divides the index polynomial, a multiple
+    of the Vandermonde, exactly once, so the claim is checked by factor
+    extraction from the determinant alone: the root forms dividing it must
+    be those of the pairs of `gcd_factor_pairs`."""
     if n < 2:
         raise IndexOutOfRange("n must be at least 2")
-    idx_mult = dict(_index_factors(n))
-    common = {f: min(m, idx_mult[f]) for f, m in extract_det_factors(n, i)[0] if f in idx_mult}
     forms = dict(zip(combinations(range(1, n + 1), 2), _root_forms(n)))
-    if common != {forms[p]: 1 for p in gcd_factor_pairs(n, i)}:
+    found = {form for form, _ in extract_det_factors(n, i)[0]}
+    if found != {forms[p] for p in gcd_factor_pairs(n, i)}:
         raise ClaimMismatch("extracted common factor disagrees with the closed form")
     return vandermonde(n, list(range(1, n - i + 1))) * vandermonde(n, list(range(n - i + 1, n + 1)))
 

@@ -62,7 +62,6 @@ class PolySpan:
     """Echelonized basis of a Q-span of polynomials of one arity."""
 
     basis: tuple[MultiPoly, ...]
-    monomials: tuple[Exponent, ...]  # pivotless column order, graded-lex
 
     @property
     def dim(self) -> int:
@@ -113,14 +112,14 @@ def orbit_span(
     poly: MultiPoly, elements: Sequence[WeylElement], cap: int = SPAN_COLUMN_CAP
 ) -> PolySpan:
     """Echelonized span of {w.P : w in W}; dimension is exact."""
-    # act is a bijection on monomials, so each translate has len(poly.terms)
-    # terms: a lower bound on the columns, checked before any translate.
-    _check_span_size(len(poly.terms), len(elements), cap, "at least ")
+    # act is a bijection on monomials, so each translate has as many terms
+    # as poly: a lower bound on the columns, checked before any translate.
+    _check_span_size(len(poly._int_form()[2]), len(elements), cap, "at least ")
     translates = [act(w, poly) for w in elements]
-    monomials = sorted({e for t in translates for e in t.terms}, key=_gl_key)
-    _check_span_size(len(monomials), len(translates), cap)
-    basis = echelonize(translates)
-    return PolySpan(tuple(basis), tuple(monomials))
+    # act keeps the field width, so equal monomials have equal packed keys
+    columns = len({key for t in translates for key in t._int_form()[2]})
+    _check_span_size(columns, len(translates), cap)
+    return PolySpan(tuple(echelonize(translates)))
 
 
 # (a, b) by block kind: column j = 0..m-1 of the alternant of an m-block

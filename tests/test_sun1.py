@@ -1,6 +1,6 @@
 from fractions import Fraction as F
 from itertools import combinations
-from math import comb, factorial
+from math import comb, factorial, prod
 
 import pytest
 
@@ -8,7 +8,6 @@ from diracindex.errors import (
     ClaimMismatch,
     DiracIndexError,
     IndexOutOfRange,
-    InternalInvariantError,
     NotInC,
 )
 from diracindex.polynomials import (
@@ -30,10 +29,12 @@ from diracindex.sun1 import (
     gcd_factor_pairs,
     gcd_with_index,
     index_poly_restricted,
+    su_n1_datum,
     tau_generated_pairs,
     tau_invariant,
     vandermonde,
 )
+from diracindex.weylaction import weyl_dim_poly
 
 
 def W(*coords):
@@ -184,16 +185,33 @@ def test_degree_report_values():
         degree_report(3, 2)
 
 
-def test_index_poly_restricted_is_vandermonde_multiple():
-    idx = index_poly_restricted(4)
-    vdm = vandermonde(4)
-    # proportional with a positive rational constant
-    ratio = None
-    for exp, c in vdm.terms.items():
-        ratio = idx.terms[exp] / c
-        break
-    assert ratio > 0
-    assert idx == vdm * ratio
+def _weyl_dim_index_poly(n):
+    """The index polynomial as D_k of the SU(n,1) datum, repacked to the
+    first n variables once the lam_{n+1} field is checked empty."""
+    den, width, num = weyl_dim_poly(su_n1_datum(n))._int_form()
+    top = ((1 << width) - 1) << (n * width)
+    assert not any(key & top for key in num)
+    return MultiPoly._packed(n, den, width, num)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_index_poly_restricted_is_scaled_vandermonde(n):
+    idx = index_poly_restricted.__wrapped__(n)
+    assert idx == vandermonde(n) * F(1, prod(factorial(k) for k in range(n)))
+    assert idx == _weyl_dim_index_poly(n)
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_index_poly_restricted_has_every_root_form_once(n):
+    factors, cofactor = extract_linear_factors(index_poly_restricted(n), _root_forms(n))
+    assert factors == [(form, 1) for form in _root_forms(n)]
+    assert cofactor.total_degree() == 0 and not cofactor.is_zero()
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_index_poly_restricted_refuses_small_n(n):
+    with pytest.raises(IndexOutOfRange):
+        index_poly_restricted(n)
 
 
 def test_extract_det_factors():
@@ -259,14 +277,6 @@ def test_degree_report_consistent_with_gk_dimension():
         assert fam.gk_dim == 2 * n - 1
         r_g = comb(n + 1, 2)
         assert degree_report(n, 2)["deg_P"] == r_g - fam.gk_dim
-
-
-def test_index_poly_restricted_with_last_variable_is_internal(monkeypatch):
-    monkeypatch.setattr(
-        "diracindex.sun1.weyl_dim_poly", lambda datum: MultiPoly(3, {(0, 0, 1): F(1)})
-    )
-    with pytest.raises(InternalInvariantError, match="lam_"):
-        index_poly_restricted.__wrapped__(2)
 
 
 def _explicit_char_matrix(n, i):
@@ -338,6 +348,15 @@ def test_failed_gcd_claim_is_claim_mismatch(monkeypatch):
         gcd_with_index(4, 2)
     with pytest.raises(ClaimMismatch):
         degree_report(4, 2)
+
+
+def test_extra_det_factor_is_claim_mismatch(monkeypatch):
+    # one crossing form reported as a determinant factor breaks the claim
+    factors, cofactor = extract_det_factors(4, 2)
+    extra = factors + [(difference_form(4, 1, 3), 1)]
+    monkeypatch.setattr("diracindex.sun1.extract_det_factors", lambda n, i: (extra, cofactor))
+    with pytest.raises(ClaimMismatch, match="closed form"):
+        gcd_with_index.__wrapped__(4, 2)
 
 
 def test_failed_degree_claim_is_claim_mismatch(monkeypatch):

@@ -40,6 +40,8 @@ COMMANDS = [
     # the table in every format
     TABLE_JSON,
     "springer-table --max 5 --format latex",
+    # the rows of rank <= 11 that the benchmark emits
+    "springer-table --max 6 --format csv",
     # every suite report
     *(
         f"verify --suite {suite} --format json"
@@ -47,6 +49,8 @@ COMMANDS = [
     ),
     # larger kernels
     "index-poly --group 'Sp(14,R)' --hc-param 7,6,5,4,3,2,1",
+    # chamber sign -1: the index polynomial is -D_k
+    "index-poly --group 'Sp(14,R)' --hc-param 7,6,5,4,3,2,-1",
     # rank-7 index polynomials over every compact block kind and layout
     "index-poly --group 'SO*(14)' --hc-param 6,5,4,3,2,1,0",
     "index-poly --group 'SOe(12,3)' --hc-param 13/2,11/2,9/2,7/2,5/2,3/2,1/2",

@@ -208,14 +208,23 @@ def index_polynomial(fam: IndexFamily) -> MultiPoly:
     parameters and changes by sgn under the compact Weyl group.  The sum
     runs on the integer form of D_k; D_k is homogeneous of degree the
     number of compact positive roots, and so is every nonzero sum of its
-    translates.
+    translates.  The first translate seeds the sum.  A discrete-series
+    family has one coefficient +-1 on the identity, so Q = +-D_k keeps or
+    negates the numerator of D_k, with no accumulation: a single signed
+    permutation of the keys merges no terms and cancels none.
     """
+    if not fam.coeffs:
+        return MultiPoly.zero(fam.datum.rank)
     den, width, dk = weyl_dim_poly(fam.datum)._int_form()
-    acc: dict[int, int] = {}
-    for w, a in fam.coeffs.items():
+    (w, a), *rest = fam.coeffs.items()
+    first = _act_packed(w.inverse(), width, dk)
+    # the cached D_k is never changed in place: a sum starts from a copy
+    acc = first if a == 1 and not rest else {key: a * c for key, c in first.items()}
+    for w, a in rest:
         for key, c in _act_packed(w.inverse(), width, dk).items():
             acc[key] = acc.get(key, 0) + a * c
-    acc = {key: c for key, c in acc.items() if c}
+    if rest:
+        acc = {key: c for key, c in acc.items() if c}
     degree = len(fam.datum.compact_positive_roots)
     return MultiPoly._from_ints(fam.datum.rank, width, acc, Fraction(1, den), degree)
 

@@ -278,8 +278,15 @@ def springer_rows_to_latex(rows: list[SpringerRow]) -> str:
     return springer_table_latex([springer_row_to_obj(r) for r in rows])
 
 
+_ENCODER = json.JSONEncoder(separators=(",", ":"), check_circular=False)
+
+
 def dumps(obj: dict) -> str:
-    return json.dumps(obj, separators=(",", ":"), sort_keys=False) + "\n"
+    """Compact JSON text of obj and a newline, byte for byte what
+    `json.dumps(obj, separators=(",", ":"))` writes: the one encoder skips
+    the cycle check, which no object written here needs, since emitters
+    build fresh trees and `emit` re-reads what `json.loads` built."""
+    return _ENCODER.encode(obj) + "\n"
 
 
 def emit(obj: Any, fmt: str) -> str:

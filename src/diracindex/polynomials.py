@@ -16,8 +16,12 @@ may keep the dict it is given: no kernel changes a `_num` dict in place.
 Terms serialize in graded-lex order: ascending total degree, then
 descending lexicographic on the exponent tuple, so X1 - X2 prints its X1
 term first.  `MultiPoly.graded_rows` gives that order straight from the
-packed numerator, each key unpacked once into its exponent list, and
-emission prints from it without building the `Fraction` view.
+packed numerator: it unpacks the keys one field at a time, sorts the
+rows once by exponent list, descending, and sorts them stably by degree
+only when the terms have more than one degree; index polynomials,
+determinants and cofactors are homogeneous, and for them graded-lex
+order is lex order.  Emission prints from it without building the
+`Fraction` view.
 
 `linear_form_product` scales each form to a primitive integer form and
 expands their product on packed keys, rows in order of their last nonzero
@@ -63,7 +67,7 @@ from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import DimensionMismatch, InternalInvariantError, ZeroForm
-from .groups import RootDatum, Weight
+from .groups import RootDatum
 
 Exponent = tuple[int, ...]
 IntTerms = dict[int, int]
@@ -263,12 +267,15 @@ class MultiPoly:
 
     def graded_rows(self) -> list[tuple[list[int], int]]:
         """(exponent list, numerator over den) of every term in graded-lex
-        order, as `_gl_key` sorts the exponents: rows descending, then a
-        stable sort by degree."""
-        mask, shifts = (1 << self._width) - 1, range(0, self.arity * self._width, self._width)
-        rows = [([key >> s & mask for s in shifts], c) for key, c in self._num.items()]
-        rows.sort(key=itemgetter(0), reverse=True)
-        rows.sort(key=lambda row: sum(row[0]))
+        order, as `_gl_key` sorts the exponents (module docstring)."""
+        width, num = self._width, self._num
+        if not self.arity:
+            return [([], c) for c in num.values()]
+        mask = (1 << width) - 1
+        columns = [[key >> s & mask for key in num] for s in range(0, self.arity * width, width)]
+        rows = sorted(zip(map(list, zip(*columns)), num.values()), key=itemgetter(0), reverse=True)
+        if len(set(map(sum, zip(*columns)))) > 1:
+            rows.sort(key=lambda row: sum(row[0]))
         return rows
 
     def evaluate(self, point: Sequence) -> Fraction:
@@ -336,10 +343,6 @@ class LinearForm:
         if all(c == 0 for c in self.coeffs):
             raise ZeroForm("linear form is identically zero")
 
-    @classmethod
-    def from_weight(cls, w: Weight) -> "LinearForm":
-        return cls(tuple(w))
-
     @property
     def arity(self) -> int:
         return len(self.coeffs)
@@ -362,10 +365,6 @@ class LinearForm:
         if ints[self.pivot()] < 0:
             g = -g
         return Fraction(g, lcm), [k // g for k in ints]
-
-    def primitive(self) -> "LinearForm":
-        """Divide by the coefficient content and make the pivot positive."""
-        return LinearForm(tuple(self._content()[1]))
 
 
 def _packed_product(

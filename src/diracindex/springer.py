@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, gcd
 
 from .errors import (
     CapExceeded,
@@ -309,11 +309,15 @@ def sigma_k_partition(group: GroupId) -> Partition:
 @lru_cache(maxsize=None)
 def generator_forms(datum: RootDatum) -> tuple[LinearForm, ...]:
     """Primitive linear forms of the compact positive roots, built once
-    per datum."""
-    return tuple(
-        LinearForm.from_weight(alpha).primitive()
-        for alpha in datum.compact_positive_roots
-    )
+    per datum: each integer root divided by its content, signed so that
+    its first nonzero coefficient, the pivot, is positive."""
+    forms = []
+    for alpha in datum.compact_positive_roots:
+        g = gcd(*alpha)
+        if next(c for c in alpha if c) < 0:
+            g = -g
+        forms.append(LinearForm(tuple(c // g for c in alpha)))
+    return tuple(forms)
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,9 @@ def _act_packed(w: WeylElement, width: int, num: dict[int, int]) -> dict[int, in
     sum to an odd number.  Fields that move by the same distance move
     together under one mask, and the parity of that sum is the parity of
     the ones among the low bits of the negated fields.  The map is a
-    bijection on keys, so each term is assigned once.
+    bijection on keys, so each term is assigned once.  The identity moves
+    and negates no field, and its numerator is num itself, which no kernel
+    changes in place.
     """
     field = (1 << width) - 1
     moves: dict[int, int] = {}
@@ -37,6 +39,8 @@ def _act_packed(w: WeylElement, width: int, num: dict[int, int]) -> dict[int, in
     left = [(d * width, mask) for d, mask in moves.items() if d >= 0]
     right = [(-d * width, mask) for d, mask in moves.items() if d < 0]
     odd = sum(1 << (p * width) for p, s in zip(w.perm, w.signs) if s < 0)
+    if not odd and moves.keys() <= {0}:
+        return num
     out = {}
     for key, c in num.items():
         new = 0

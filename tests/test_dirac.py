@@ -42,7 +42,7 @@ from diracindex.kmodules import (
 from diracindex.polynomials import MultiPoly, is_harmonic
 from diracindex.series import TruncatedSeries
 from diracindex.springer import table_groups
-from diracindex.weylaction import act, orbit_span, weyl_dim_poly
+from diracindex.weylaction import _act_packed, act, orbit_span, weyl_dim_poly
 from test_kmodules import _solve_linear, weight_sub
 
 
@@ -578,6 +578,19 @@ def _index_polynomial_by_fractions(fam):
     return MultiPoly(fam.datum.rank, acc)
 
 
+def _index_polynomial_by_accumulation(fam):
+    """index_polynomial as it summed every translate of the integer D_k
+    into one dict and dropped the zeros, one coefficient or many."""
+    den, width, dk = weyl_dim_poly(fam.datum)._int_form()
+    acc = {}
+    for w, a in fam.coeffs.items():
+        for key, c in _act_packed(w.inverse(), width, dk).items():
+            acc[key] = acc.get(key, 0) + a * c
+    acc = {key: c for key, c in acc.items() if c}
+    degree = len(fam.datum.compact_positive_roots)
+    return MultiPoly._from_ints(fam.datum.rank, width, acc, F(1, den), degree)
+
+
 # Every group of the six families up to rank 4, the rootless SO*(2) included.
 INDEX_DATA = [build_root_datum(g) for g in table_groups(4) if g.rank <= 4]
 SP4 = build_root_datum(GroupId.sp_r(2))
@@ -607,6 +620,11 @@ def family_recipes(draw):
 # Element 4 of W_g(Sp(4,R)) swaps the coordinates, the compact reflection:
 # two nonzero coefficients whose translates of D_k cancel.
 @example((SP4, SP4.rho_g, [(0, 1), (4, 1)]))
+# One coefficient +-1 or +-2, on the identity and on another element.
+@example((SP4, SP4.rho_g, [(0, 1)]))
+@example((SP4, SP4.rho_g, [(0, -1)]))
+@example((SP4, SP4.rho_g, [(5, 2)]))
+@example((SP4, SP4.rho_g, [(5, -2)]))
 def test_index_polynomial_matches_fraction_oracle(recipe):
     datum, base, terms = recipe
     elements = weyl_elements(datum, "g")
@@ -614,8 +632,14 @@ def test_index_polynomial_matches_fraction_oracle(recipe):
     fam = IndexFamily(datum, base, {})
     for i, c in terms:
         fam = family_combination(fam, act_on_family(elements[i], source), 1, c)
+    den, width, num = weyl_dim_poly(datum)._int_form()
+    before = (den, width, dict(num))
     q = index_polynomial(fam)
     assert q == _index_polynomial_by_fractions(fam)
+    assert q == _index_polynomial_by_accumulation(fam)
+    # the cached D_k, which a one-term Q may share, is unchanged
+    den, width, num = weyl_dim_poly(datum)._int_form()
+    assert (den, width, num) == before
     assert all(type(c) is F for c in q.terms.values())
     dk = weyl_dim_poly(datum)
     for w in fam.coeffs:

@@ -15,9 +15,12 @@ from diracindex.cli import main, parse_group
 from diracindex.emit import (
     dumps,
     emit,
+    factored_to_obj,
     frac_str,
+    limit_report_to_obj,
     poly_from_obj,
     poly_to_obj,
+    springer_row_to_obj,
     springer_rows_to_csv,
     springer_rows_to_latex,
 )
@@ -30,7 +33,8 @@ from diracindex.polynomials import (
     linear_form_product,
     restrict_to_hyperplane,
 )
-from diracindex.springer import springer_row
+from diracindex.springer import springer_row, table_groups
+from diracindex.sun1 import char_poly_det, extract_det_factors
 from diracindex.suites import run_suite
 
 
@@ -619,3 +623,36 @@ def test_cli_failed_claim_exits_1(monkeypatch, capsys):
     assert main(["verify", "--suite", "su-n1"]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert "[FAIL] su-n1/gcd/4,2" in lines and lines[-1] == "su-n1: FAILURES"
+
+
+def _emitted_objects():
+    """One object of every kind that emit writes as JSON, by kind."""
+    fams = sl2_families()
+    lam = (F(5), F(0))
+    sp4 = build_root_datum(GroupId.sp_r(2))
+    poly = dirac.index_polynomial(dirac.discrete_series_family((F(2), F(-1)), sp4))
+    return {
+        "polynomial": {"type": "polynomial", **poly_to_obj(poly)},
+        "zero polynomial": {"type": "polynomial", **poly_to_obj(MultiPoly.zero(0))},
+        "factored polynomial": factored_to_obj(
+            char_poly_det(4, 2), *extract_det_factors(4, 2)
+        ),
+        "limit_report": {
+            "type": "limit_report",
+            **limit_report_to_obj(leading_limit(fams["D+"], lam, (F(1), F(-1)), 1)),
+        },
+        "springer_table": {
+            "type": "springer_table",
+            "rows": [springer_row_to_obj(springer_row(g)) for g in table_groups(2)],
+        },
+        "suite_report": run_suite("sl2").to_obj(),
+    }
+
+
+@pytest.mark.parametrize("kind", list(_emitted_objects()))
+def test_dumps_matches_json_dumps_with_cycle_check(kind):
+    obj = _emitted_objects()[kind]
+    text = json.dumps(obj, separators=(",", ":")) + "\n"
+    assert dumps(obj) == text
+    # emit re-reads what json.loads builds
+    assert dumps(json.loads(text)) == text

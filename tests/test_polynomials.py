@@ -3,6 +3,7 @@ import math
 import random
 from fractions import Fraction as F
 from itertools import permutations
+from operator import itemgetter
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -120,12 +121,29 @@ def test_graded_rows_graded_lex():
     assert repr(p) == "MultiPoly(7 + 1*X1 + -1*X2)"
 
 
-@settings(max_examples=100, deadline=None)
-@given(polys(arity=4, max_degree=4, max_terms=12))
+def _graded_rows_two_sorts(poly):
+    """graded_rows as it unpacked each key into its own list and sorted
+    twice, by exponents and then by degree; the reference for the
+    column-wise pass."""
+    _, width, num = poly._int_form()
+    mask, shifts = (1 << width) - 1, range(0, poly.arity * width, width)
+    rows = [([key >> s & mask for s in shifts], c) for key, c in num.items()]
+    rows.sort(key=itemgetter(0), reverse=True)
+    rows.sort(key=lambda row: sum(row[0]))
+    return rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 4).flatmap(lambda n: polys(arity=n, max_degree=4, max_terms=12)))
 @example(MultiPoly(3, {(0, 0, 0): 1, (0, 0, 2): 2, (1, 1, 0): 3, (2, 0, 0): 4, (0, 1, 0): 5}))
+@example(MultiPoly(3, {(2, 0, 0): 1, (1, 1, 0): F(-2, 3), (0, 0, 2): 3, (0, 2, 0): 1}))
+@example(MultiPoly(0, {(): F(-7, 3)}))
+@example(MultiPoly.zero(0))
+@example(MultiPoly.zero(3))
 def test_graded_rows_matches_gl_key_sort(poly):
     expected = sorted(poly.terms.items(), key=lambda t: _gl_key(t[0]))
     assert graded_terms(poly) == expected
+    assert poly.graded_rows() == _graded_rows_two_sorts(poly)
 
 
 @settings(max_examples=100, deadline=None)
@@ -216,12 +234,12 @@ def test_linear_form_product_examples():
 
     # compact-root products match the displayed generators
     sp4 = build_root_datum(GroupId.sp_r(2))
-    forms = [LinearForm.from_weight(a) for a in sp4.compact_positive_roots]
+    forms = [LinearForm(tuple(a)) for a in sp4.compact_positive_roots]
     x1, x2 = V("x1", "x2")
     assert linear_form_product(2, forms) == x1 - x2
 
     so45 = build_root_datum(GroupId.so_even_odd(2, 2))
-    forms = [LinearForm.from_weight(a) for a in so45.compact_positive_roots]
+    forms = [LinearForm(tuple(a)) for a in so45.compact_positive_roots]
     y1, y2, y3, y4 = V("a", "b", "c", "d")
     displayed = (y1 * y1 - y2 * y2) * (y3 * y3 - y4 * y4) * y3 * y4
     assert linear_form_product(4, forms) == displayed
@@ -696,7 +714,7 @@ def test_integer_horner_matches_fraction_oracle(case):
 @given(kernel_cases(), st.randoms(use_true_random=False))
 def test_extraction_ignores_the_order_of_distinct_candidates(case, rng):
     poly, forms = case
-    distinct = list({tuple(form.primitive().coeffs): form for form in forms}.values())
+    distinct = list({primitive(form).coeffs: form for form in forms}.values())
     factors, cofactor = extract_linear_factors(poly, distinct)
     shuffled = rng.sample(distinct, len(distinct))
     got, got_cofactor = extract_linear_factors(poly, shuffled)
@@ -881,11 +899,17 @@ def test_forms_of_different_values_differ():
     assert len({kernel, x1 - x2, -(x2 - x1)}) == 1
 
 
+def primitive(form):
+    """form divided by the content of its coefficients, its pivot made
+    positive."""
+    return LinearForm(tuple(form._content()[1]))
+
+
 def test_primitive_forms():
     f = LinearForm((F(2), F(0)))
-    assert f.primitive() == LinearForm((F(1), F(0)))
+    assert primitive(f) == LinearForm((F(1), F(0)))
     g = LinearForm((F(-1, 2), F(1, 2)))
-    assert g.primitive() == LinearForm((F(1), F(-1)))
+    assert primitive(g) == LinearForm((F(1), F(-1)))
 
 
 def _apply_power_sum(poly, k):

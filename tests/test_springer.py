@@ -8,7 +8,7 @@ import pytest
 from diracindex.errors import InternalInvariantError, InvalidPartition
 from diracindex.fixtures import reference_table_row
 from diracindex.groups import GroupId, build_root_datum, weyl_elements
-from diracindex.polynomials import linear_form_product
+from diracindex.polynomials import LinearForm, linear_form_product
 from diracindex.springer import (
     Bipartition,
     Symbol,
@@ -33,6 +33,7 @@ from diracindex.springer import (
 )
 from diracindex.suites import springer_suite
 from diracindex.weylaction import orbit_span
+from test_polynomials import primitive
 
 
 # -- symbols -------------------------------------------------------------
@@ -242,6 +243,16 @@ def test_table_against_reference(group):
         assert row.orbit_dim == 2 * (datum.r_g - datum.r_k)
         generator = linear_form_product(datum.rank, generator_forms(datum))
         assert generator.total_degree() == datum.r_k
+
+
+def test_generator_forms_match_primitive_fraction_forms():
+    """Each form is the root's Fraction form divided by its content with a
+    positive pivot, as LinearForm.primitive built it, on every row of the
+    rank <= 11 table."""
+    for group in table_groups(6):
+        datum = build_root_datum(group, max_rank=max(8, group.rank))
+        expected = tuple(primitive(LinearForm(tuple(a))) for a in datum.compact_positive_roots)
+        assert generator_forms(datum) == expected, group.label()
 
 
 @pytest.mark.parametrize("group", table_groups(3), ids=lambda g: g.label())

@@ -172,6 +172,40 @@ def test_weyl_dim_poly_matches_product_of_root_forms(group):
     assert dk.evaluate(d.rho_k) == 1
 
 
+def _act_packed_by_masks(w, width, num):
+    """_act_packed as it ran every element through the field masks, the
+    identity included; the reference for its identity shortcut."""
+    field = (1 << width) - 1
+    moves = {}
+    for k, p in enumerate(w.perm):
+        moves[k - p] = moves.get(k - p, 0) | field << (p * width)
+    left = [(d * width, mask) for d, mask in moves.items() if d >= 0]
+    right = [(-d * width, mask) for d, mask in moves.items() if d < 0]
+    odd = sum(1 << (p * width) for p, s in zip(w.perm, w.signs) if s < 0)
+    out = {}
+    for key, c in num.items():
+        new = 0
+        for shift, mask in left:
+            new |= (key & mask) << shift
+        for shift, mask in right:
+            new |= (key & mask) >> shift
+        out[new] = -c if (key & odd).bit_count() & 1 else c
+    return out
+
+
+@pytest.mark.parametrize(
+    "group", [GroupId.so_star(1), GroupId.su(2, 1), GroupId.sp_r(3)], ids=lambda g: g.label()
+)
+def test_act_packed_matches_mask_pass_and_returns_num_at_identity(group):
+    d = build_root_datum(group)
+    _, width, num = weyl_dim_poly(d)._int_form()
+    identity = WeylElement.identity(d.rank)
+    for w in weyl_elements(d, "g"):
+        out = weylaction._act_packed(w, width, num)
+        assert out == _act_packed_by_masks(w, width, num)
+        assert (out is num) == (w == identity)
+
+
 GROUPS_RANK_LE_4 = [
     GroupId.su(1, 1),
     GroupId.su(2, 2),

@@ -2,6 +2,7 @@ import random
 import time
 from collections import Counter
 from fractions import Fraction as F
+from types import SimpleNamespace
 
 import pytest
 
@@ -253,6 +254,11 @@ def test_generator_forms_match_primitive_fraction_forms():
         datum = build_root_datum(group, max_rank=max(8, group.rank))
         expected = tuple(primitive(LinearForm(tuple(a))) for a in datum.compact_positive_roots)
         assert generator_forms(datum) == expected, group.label()
+    # no table root has a negative pivot; the uncached function on bare roots
+    roots = ((0, -2, 2), (-3, 0, 6), (0, 0, -1))
+    stub = SimpleNamespace(compact_positive_roots=roots)
+    expected = tuple(primitive(LinearForm(a)) for a in roots)
+    assert generator_forms.__wrapped__(stub) == expected
 
 
 @pytest.mark.parametrize("group", table_groups(3), ids=lambda g: g.label())

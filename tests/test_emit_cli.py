@@ -486,6 +486,33 @@ def test_cli_emit_reemits_factored_char_poly_byte_identically(n, i, tmp_path, ca
     assert capsys.readouterr().out == text
 
 
+def test_cli_emit_prints_rational_forms_reduced(tmp_path, capsys):
+    """Forms with fractions, a negative pivot, content 3 and integral
+    fractions re-emit as reduced text, byte for byte."""
+    obj = {
+        "type": "polynomial",
+        "vars": 3,
+        "terms": [{"exp": [1, 0, 0], "coeff": "1/2"}, {"exp": [0, 1, 0], "coeff": "-1/2"}],
+        "factors": [
+            {"form": ["1/2", "-1/2", "0"], "mult": 1},
+            {"form": ["-2", "0", "2"], "mult": 2},
+            {"form": [3, "0", "-6/2"], "mult": 1},
+            {"form": ["0", "2/4", 0], "mult": 3},
+        ],
+        "cofactor": {"vars": 3, "terms": [{"exp": [0, 0, 0], "coeff": "2/6"}]},
+    }
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(obj))
+    assert main(["emit", "--input", str(path)]) == 0
+    assert capsys.readouterr().out == (
+        '{"type":"polynomial","vars":3,"terms":[{"exp":[1,0,0],"coeff":"1/2"},'
+        '{"exp":[0,1,0],"coeff":"-1/2"}],"factors":[{"form":["1/2","-1/2","0"],"mult":1},'
+        '{"form":["-2","0","2"],"mult":2},{"form":["3","0","-3"],"mult":1},'
+        '{"form":["0","1/2","0"],"mult":3}],'
+        '"cofactor":{"vars":3,"terms":[{"exp":[0,0,0],"coeff":"1/3"}]}}\n'
+    )
+
+
 def _set(path, value):
     """A mutation of a char-poly --factor object: set obj[path] = value."""
     def mutate(obj):

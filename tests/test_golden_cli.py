@@ -63,6 +63,10 @@ COMMANDS = [
     "gcd --n 2 --i 1",
     "gcd --n 7 --i 3",
     "gcd --n 8 --i 4",
+    # the heaviest factor extractions of the benchmark; i = 1 leaves a
+    # constant cofactor
+    "char-poly --n 7 --i 3 --factor",
+    "char-poly --n 7 --i 1 --factor",
 ]
 
 

@@ -103,7 +103,10 @@ def factored_from_obj(obj: dict) -> tuple[MultiPoly, list[tuple[LinearForm, int]
         try:
             if len(form) != poly.arity or not all(_is_a(c, (str, int)) for c in form):
                 raise ValueError
-            factors.append((LinearForm(tuple(Fraction(c) for c in form)), mult))
+            coeffs = [Fraction(c) for c in form]
+            # integers stay ints, as in the forms the package builds
+            coeffs = [c.numerator if c.denominator == 1 else c for c in coeffs]
+            factors.append((LinearForm(tuple(coeffs)), mult))
         except (ValueError, ZeroDivisionError):
             raise InvalidInput(f"factor has a malformed 'form' {form!r}") from None
         if mult < 1:

@@ -23,6 +23,18 @@ determinants and cofactors are homogeneous, and for them graded-lex
 order is lex order.  Emission prints from it without building the
 `Fraction` view.
 
+A `LinearForm` keeps its coefficients as given: the package builds every
+form from ints, and only parsed input (`emit.factored_from_obj`) holds a
+`Fraction`, for a coefficient that is not an integer.  `Fraction(k)`
+equals k and hashes like it, so equality and the hash do not depend on
+which was given.  The form's integer data is built once, on construction:
+with q the lcm of the denominators and p the gcd of the integers q c_i,
+signed like the pivot coefficient, the content is the pair (p, q) and the
+primitive tuple is q c_i / p, with gcd 1 and a positive pivot.  This is
+exact, term by term, and p/q is reduced: a prime dividing q divides the
+denominator of some c_i to the full power it has in q, so q c_i is prime
+to it.  Pivot and pivot coefficient are stored with them.
+
 `linear_form_product` scales each form to a primitive integer form and
 expands their product on packed keys, rows in order of their last nonzero
 variable, which keeps the partial products in the fewest variables for
@@ -49,6 +61,15 @@ and L divides P exactly when H'_0 is empty.  Then N = L' * Q with Q
 integral (Gauss's lemma), the X_j^d layer of Q is H'_{d+1} // a^(top-d)
 and P / L = Q / (c D).
 
+When L' = X_j - s X_q with s = +-1, so a = 1 and there is one step,
+restriction and divisibility substitute instead: each key moves its
+field j into field q, negated when s = -1 and e_j is odd, and the terms
+merge.  That is exact: with a = 1 the recursion is H'_d = N_d + s X_q
+H'_{d+1}, so H'_0 = sum_d N_d (s X_q)^d = N(X_j = s X_q) and no power of
+a scales it.  No field overflows, because the width holds the total
+degree and the new exponent of X_q is at most that.  Factor extraction
+keeps the Horner pass, which gives the quotient.
+
 Factor extraction runs in sweeps: each probes every live candidate once,
 on the quotient so far, dividing on success, and only the candidates
 that divided stay live.  A form that does not divide N divides no
@@ -59,7 +80,7 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import reduce
 from fractions import Fraction
 from operator import itemgetter, lshift
@@ -332,39 +353,47 @@ class MultiPoly:
 
 @dataclass(frozen=True)
 class LinearForm:
-    """A nonzero linear form sum c_i X_i."""
+    """A nonzero linear form sum c_i X_i, its coefficients ints, or
+    Fractions where they are not integers.  Built once, outside equality,
+    hash and repr: the primitive integer tuple, positive at the pivot; the
+    content (p, q), this form being p/q times the primitive one; the pivot
+    index; and the pivot coefficient of the primitive form."""
 
-    coeffs: tuple[Fraction, ...]
+    coeffs: tuple[int | Fraction, ...]
+    _ints: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    _scale: tuple[int, int] = field(init=False, compare=False, repr=False)
+    _pivot: int = field(init=False, compare=False, repr=False)
+    _lead: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "coeffs", tuple(Fraction(c) for c in self.coeffs)
-        )
-        if all(c == 0 for c in self.coeffs):
+        coeffs = tuple(self.coeffs)
+        den = math.lcm(*(c.denominator for c in coeffs))
+        ints = [c.numerator * (den // c.denominator) for c in coeffs]
+        g = math.gcd(*ints)
+        if not g:
             raise ZeroForm("linear form is identically zero")
+        j = next(i for i, k in enumerate(ints) if k)
+        if ints[j] < 0:
+            g = -g
+        prim = tuple(k // g for k in ints)
+        stored = {"_ints": prim, "_scale": (g, den), "_pivot": j, "_lead": prim[j]}
+        for name, value in {"coeffs": coeffs, **stored}.items():
+            object.__setattr__(self, name, value)
 
     @property
     def arity(self) -> int:
         return len(self.coeffs)
 
     def pivot(self) -> int:
-        for i, c in enumerate(self.coeffs):
-            if c != 0:
-                return i
-        raise ZeroForm("linear form is identically zero")
+        return self._pivot
 
     def to_poly(self) -> MultiPoly:
         return MultiPoly.from_linear(self.coeffs)
 
-    def _content(self) -> tuple[Fraction, list[int]]:
-        """(c, ints) with gcd(ints) = 1, ints positive at the pivot and
-        this form = c * sum ints_i X_i."""
-        lcm = math.lcm(*(c.denominator for c in self.coeffs))
-        ints = [c.numerator * (lcm // c.denominator) for c in self.coeffs]
-        g = math.gcd(*ints)
-        if ints[self.pivot()] < 0:
-            g = -g
-        return Fraction(g, lcm), [k // g for k in ints]
+    def _content(self) -> tuple[tuple[int, int], tuple[int, ...]]:
+        """((p, q), ints) with p/q reduced, q > 0, gcd(ints) = 1, ints
+        positive at the pivot and this form = p/q * sum ints_i X_i."""
+        return self._scale, self._ints
 
 
 def _packed_product(
@@ -427,23 +456,24 @@ def linear_form_product(arity: int, forms: Iterable[LinearForm]) -> MultiPoly:
     """Expanded product of linear forms, in the integer form (module
     docstring); the empty product is the constant 1."""
     forms = list(forms)
-    content = Fraction(1)
+    p = q = 1
     rows = []
     for form in forms:
         if form.arity != arity:
             raise DimensionMismatch("form arity mismatch")
-        scale, ints = form._content()
-        content *= scale
+        (cp, cq), ints = form._content()
+        p, q = p * cp, q * cq
         rows.append(ints)
     width = max(len(forms), 1).bit_length()
     product = _packed_product({0: 1}, rows, width)
-    return MultiPoly._from_ints(arity, width, product, content, len(forms))
+    return MultiPoly._from_ints(arity, width, product, Fraction(p, q), len(forms))
 
 
 class _Pivot:
-    """A form L = c * L', split for the integer Horner pass: the pivot index
-    j, the pivot coefficient a > 0 of the primitive L', and the pairs
-    (i, -a_i) for the variables X_i, i > j, of L'."""
+    """A form L = c * L', split for the integer Horner pass: the content
+    c = p/q as the pair (p, q), the pivot index j, the pivot coefficient
+    a > 0 of the primitive L', and the pairs (i, -a_i) for the variables
+    X_i, i > j, of L'."""
 
     __slots__ = ("content", "j", "a", "steps")
 
@@ -452,7 +482,7 @@ class _Pivot:
             raise DimensionMismatch("polynomial and form arities differ")
         self.content, ints = form._content()
         self.j = j = form.pivot()
-        self.a = ints[j]
+        self.a = form._lead
         # every a_i with i < j is zero
         self.steps = [(i, -c) for i, c in enumerate(ints[j + 1 :], j + 1) if c]
 
@@ -481,6 +511,26 @@ class _Pivot:
         hs.reverse()
         return hs
 
+    def restriction(self, width: int, num: IntTerms) -> tuple[IntTerms, int]:
+        """(H'_0, a^top), H'_0 cleared of zero values.  For L' = X_j - s X_q,
+        s = +-1, H'_0 is N(X_j = s X_q), by substitution (module
+        docstring); otherwise it comes from the Horner pass."""
+        if self.a != 1 or len(self.steps) != 1 or abs(self.steps[0][1]) != 1:
+            hs = self.horner(width, num)
+            return hs[0], self.a ** (len(hs) - 1)
+        ((q, s),) = self.steps
+        shift, mask = self.j * width, (1 << width) - 1
+        spread = (1 << ((q - self.j) * width)) - 1
+        out: IntTerms = {}
+        for key, c in num.items():
+            e = key >> shift & mask
+            if e:
+                key += (e << shift) * spread
+                if s < 0 and e & 1:
+                    c = -c
+            out[key] = out.get(key, 0) + c
+        return {key: c for key, c in out.items() if c}, 1
+
     def quotient(self, width: int, hs: list[IntTerms]) -> IntTerms:
         """The integer numerator Q = N / L' from the layers hs[1:]."""
         unit, top = 1 << (self.j * width), len(hs) - 1
@@ -498,17 +548,16 @@ def restrict_to_hyperplane(poly: MultiPoly, form: LinearForm) -> MultiPoly:
     form; the other variables are renumbered in order (arity one less)."""
     pivot = _Pivot(poly.arity, form)
     den, width, num = poly._int_form()
-    hs = pivot.horner(width, num)
+    rest, power = pivot.restriction(width, num)
     low, high = (1 << (pivot.j * width)) - 1, (pivot.j + 1) * width
-    rest = {key & low | key >> high << (high - width): c for key, c in hs[0].items()}
-    scale = Fraction(1, pivot.a ** (len(hs) - 1) * den)
-    return MultiPoly._from_ints(poly.arity - 1, width, rest, scale)
+    rest = {key & low | key >> high << (high - width): c for key, c in rest.items()}
+    return MultiPoly._from_ints(poly.arity - 1, width, rest, Fraction(1, power * den))
 
 
 def divides_linear_form(poly: MultiPoly, form: LinearForm) -> bool:
     """True iff the linear form divides the polynomial exactly."""
     _, width, num = poly._int_form()
-    return not _Pivot(poly.arity, form).horner(width, num)[0]
+    return not _Pivot(poly.arity, form).restriction(width, num)[0]
 
 
 def extract_linear_factors(
@@ -522,12 +571,12 @@ def extract_linear_factors(
     is a UFD, the order changes neither the multiplicities nor the cofactor.
     """
     den, width, num = poly._int_form()
-    scale = Fraction(1, den)
+    p, q = 1, den  # the scale p/q of the cofactor's numerator
     distinct: dict[tuple, list] = {}  # [form, pivot, multiplicity]
     for form in candidates:
         pivot = _Pivot(poly.arity, form)
-        # proportional forms share their primitive form: (j, a, steps)
-        distinct.setdefault((pivot.j, pivot.a, tuple(pivot.steps)), [form, pivot, 0])
+        # proportional forms share their primitive form
+        distinct.setdefault(form._content()[1], [form, pivot, 0])
     live = list(distinct.values()) if num else []
     while live:
         divided = []
@@ -536,12 +585,12 @@ def extract_linear_factors(
             hs = pivot.horner(width, num)
             if not hs[0]:
                 num = pivot.quotient(width, hs)
-                scale /= pivot.content
+                p, q = p * pivot.content[1], q * pivot.content[0]
                 entry[2] += 1
                 divided.append(entry)
         live = divided
     factors = [(form, mult) for form, _, mult in distinct.values() if mult]
-    return factors, MultiPoly._from_ints(poly.arity, width, num, scale)
+    return factors, MultiPoly._from_ints(poly.arity, width, num, Fraction(p, q))
 
 
 def poly_det(matrix: Sequence[Sequence[MultiPoly]]) -> MultiPoly:

@@ -56,9 +56,8 @@ def chamber_of(lam: Weight, n: int) -> int:
 
 def difference_form(n_vars: int, p: int, q: int) -> LinearForm:
     """The form lam_p - lam_q in n_vars variables (1-based indices)."""
-    coeffs = [Fraction(0)] * n_vars
-    coeffs[p - 1] = Fraction(1)
-    coeffs[q - 1] = Fraction(-1)
+    coeffs = [0] * n_vars
+    coeffs[p - 1], coeffs[q - 1] = 1, -1
     return LinearForm(tuple(coeffs))
 
 

@@ -10,9 +10,11 @@ from hypothesis import example, given, settings, strategies as st
 
 from diracindex.errors import DimensionMismatch, InternalInvariantError, ZeroForm
 from diracindex.groups import GroupId, build_root_datum
+from diracindex.emit import frac_str
 from diracindex.polynomials import (
     LinearForm,
     MultiPoly,
+    _Pivot,
     _alternant,
     _gl_key,
     divides_linear_form,
@@ -736,7 +738,8 @@ def _numerator(poly: MultiPoly):
 
 class _TuplePivot:
     def __init__(self, arity, form):
-        self.content, ints = form._content()
+        (p, q), ints = form._content()
+        self.content = F(p, q)
         self.j = j = form.pivot()
         self.a = ints[j]
         self.steps = [(k, -c) for k, c in enumerate(ints[j + 1 :], j) if c]
@@ -910,6 +913,118 @@ def test_primitive_forms():
     assert primitive(f) == LinearForm((F(1), F(0)))
     g = LinearForm((F(-1, 2), F(1, 2)))
     assert primitive(g) == LinearForm((F(1), F(-1)))
+
+
+# -- the integer data of a form, and restriction by substitution -----------
+
+
+def _fraction_content(form):
+    """The Fraction `_content` and `pivot` that the stored integer data
+    replaced, kept verbatim as the reference: (c, ints, pivot)."""
+    coeffs = tuple(F(c) for c in form.coeffs)
+    pivot = next(i for i, c in enumerate(coeffs) if c != 0)
+    lcm = math.lcm(*(c.denominator for c in coeffs))
+    ints = [c.numerator * (lcm // c.denominator) for c in coeffs]
+    g = math.gcd(*ints)
+    if ints[pivot] < 0:
+        g = -g
+    return F(g, lcm), [k // g for k in ints], pivot
+
+
+@st.composite
+def form_values(draw):
+    """Nonzero coefficient lists of ints, Fractions or both, often scaled by
+    a content other than one and often with a negative pivot."""
+    arity = draw(st.integers(1, 5))
+    entry = st.one_of(st.integers(-6, 6), coeffs, st.sampled_from([F(3), F(-2), F(0)]))
+    values = draw(st.lists(entry, min_size=arity, max_size=arity))
+    if not any(values):
+        values[draw(st.integers(0, arity - 1))] = draw(st.sampled_from([1, -2, F(-1, 2)]))
+    scale = draw(st.sampled_from([1, -1, 3, -6, F(1, 2), F(-2, 3)]))
+    return [v * scale if type(v) is int and type(scale) is int else F(v) * scale for v in values]
+
+
+@settings(max_examples=300, deadline=None)
+@given(form_values())
+@example([F(-2), 0, F(2)])
+@example([3, 0, -6])
+@example([F(1, 2), F(-1, 2)])
+def test_stored_form_data_matches_fraction_oracle(values):
+    form = LinearForm(tuple(values))
+    content, ints, pivot = _fraction_content(form)
+    assert form._content() == ((content.numerator, content.denominator), tuple(ints))
+    assert form.pivot() == pivot and form._lead == ints[pivot] > 0
+    assert all(type(k) is int for k in form._content()[1])
+    assert form.coeffs == tuple(values)
+
+
+@pytest.mark.parametrize("values", [(), (0,), (0, 0), (F(0), 0, F(0))])
+def test_zero_form_raises(values):
+    with pytest.raises(ZeroForm):
+        LinearForm(values)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-6, 6), min_size=1, max_size=5).filter(any))
+def test_int_and_fraction_forms_agree(values):
+    ints, fractions = LinearForm(tuple(values)), LinearForm(tuple(F(v) for v in values))
+    assert ints == fractions and hash(ints) == hash(fractions)
+    assert [frac_str(c) for c in ints.coeffs] == [frac_str(c) for c in fractions.coeffs]
+    assert ints._content() == fractions._content() and ints.pivot() == fractions.pivot()
+
+
+def _horner_restrict(poly, form):
+    """The Horner-only restriction that substitution shortcuts, kept
+    verbatim as the reference."""
+    pivot = _Pivot(poly.arity, form)
+    den, width, num = poly._int_form()
+    hs = pivot.horner(width, num)
+    low, high = (1 << (pivot.j * width)) - 1, (pivot.j + 1) * width
+    rest = {key & low | key >> high << (high - width): c for key, c in hs[0].items()}
+    scale = F(1, pivot.a ** (len(hs) - 1) * den)
+    return MultiPoly._from_ints(poly.arity - 1, width, rest, scale)
+
+
+def _horner_divides(poly, form):
+    _, width, num = poly._int_form()
+    return not _Pivot(poly.arity, form).horner(width, num)[0]
+
+
+@st.composite
+def unit_form_cases(draw):
+    """A polynomial of arity 2-5 (zero, a constant, random terms, or a
+    multiple of the form) and c (X_p + s X_q) with s = +-1, c in
+    {1, 3, -1, 1/2}."""
+    arity = draw(st.integers(2, 5))
+    p, q = draw(st.permutations(range(arity)))[:2]
+    values = [0] * arity
+    values[p], values[q] = 1, draw(st.sampled_from([1, -1]))
+    c = draw(st.sampled_from([1, 3, -1, F(1, 2)]))
+    form = LinearForm(tuple(v * c for v in values))
+    poly = draw(st.one_of(
+        polys(arity=arity, max_degree=4, max_terms=8),
+        coeffs.map(lambda k: MultiPoly.const(arity, k)),
+    ))
+    if draw(st.booleans()):
+        poly = poly * form.to_poly()
+    return poly, form
+
+
+@settings(max_examples=300, deadline=None)
+@given(unit_form_cases())
+@example((MultiPoly(2, {}), LinearForm((1, 1))))
+@example((MultiPoly.const(3, F(2, 3)), LinearForm((0, F(1, 2), F(-1, 2)))))
+def test_substitution_matches_horner_oracle(case):
+    poly, form = case
+    expected, expected_divides = _horner_restrict(poly, form), _horner_divides(poly, form)
+    with pytest.MonkeyPatch.context() as patch:
+        # the substitution branch runs no Horner pass
+        patch.setattr(_Pivot, "horner", None)
+        rest = restrict_to_hyperplane(poly, form)
+        divides = divides_linear_form(poly, form)
+    assert rest == expected and rest._int_form() == expected._int_form()
+    assert_normalized(rest, poly.arity - 1)
+    assert divides == expected_divides == rest.is_zero()
 
 
 def _apply_power_sum(poly, k):

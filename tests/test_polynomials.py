@@ -941,7 +941,7 @@ def form_values(draw):
     if not any(values):
         values[draw(st.integers(0, arity - 1))] = draw(st.sampled_from([1, -2, F(-1, 2)]))
     scale = draw(st.sampled_from([1, -1, 3, -6, F(1, 2), F(-2, 3)]))
-    return [v * scale if type(v) is int and type(scale) is int else F(v) * scale for v in values]
+    return [v * scale for v in values]
 
 
 @settings(max_examples=300, deadline=None)

@@ -430,7 +430,7 @@ def _displayed_det_5_2() -> MultiPoly:
     return -((l1 - l2) * (l1 - l3) * (l2 - l3) * (l4 - l5) * quad)
 
 
-def su_n1_suite(max_n: int = 6) -> SuiteReport:
+def su_n1_suite(max_n: int = 7) -> SuiteReport:
     report = SuiteReport("su-n1")
     report.add("det/4,2", char_poly_det(4, 2) == _displayed_det_4_2())
     report.add("det/5,2", char_poly_det(5, 2) == _displayed_det_5_2())

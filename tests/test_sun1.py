@@ -363,3 +363,13 @@ def test_failed_degree_claim_is_claim_mismatch(monkeypatch):
     monkeypatch.setattr("diracindex.sun1.comb", lambda a, b: 0)
     with pytest.raises(ClaimMismatch, match="degree identities"):
         degree_report(4, 2)
+
+
+def test_default_su_n1_suite_runs_to_n_7():
+    from diracindex.suites import su_n1_suite
+
+    report = su_n1_suite()
+    ids = [case.id for case in report.cases]
+    assert report.all_pass and len(ids) == 57
+    assert {"gcd/7,6", "divisibility/7,6", "degrees/7,5"} <= set(ids)
+    assert not any(case_id.endswith(("/8", "/8,1")) for case_id in ids)

@@ -22,7 +22,7 @@ from typing import Any, Sequence
 
 from .asymptotics import LimitReport
 from .errors import InvalidInput, UnsupportedFormat
-from .groups import build_root_datum
+from .groups import DEFAULT_RANK_CAP, build_root_datum
 from .polynomials import LinearForm, MultiPoly
 from .springer import Bipartition, SpringerRow, generator_forms
 
@@ -205,7 +205,7 @@ _GENERATOR_TEXT = {
 
 
 def generator_text(row: SpringerRow) -> str:
-    datum = build_root_datum(row.group, max_rank=max(8, row.group.rank))
+    datum = build_root_datum(row.group, max_rank=max(DEFAULT_RANK_CAP, row.group.rank))
     pieces = [
         _GENERATOR_TEXT[kind](*data)
         for kind, data in _merge_quadratic_factors(generator_forms(datum))

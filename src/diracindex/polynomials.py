@@ -21,7 +21,10 @@ rows once by exponent list, descending, and sorts them stably by degree
 only when the terms have more than one degree; index polynomials,
 determinants and cofactors are homogeneous, and for them graded-lex
 order is lex order.  Emission prints from it without building the
-`Fraction` view.
+`Fraction` view.  A numerator whose dict already iterates in descending
+lex order, as the alternants below and the index polynomials and
+determinants built from them do, makes that sort one linear run: the
+rows come out in the order they were built.
 
 A `LinearForm` keeps its coefficients as given: the package builds every
 form from ints, and only parsed input (`emit.factored_from_obj`) holds a
@@ -44,7 +47,16 @@ by `_alternant`: det(X_{v_i}^{e_j}) has one term of coefficient +-1 per
 permutation, with no cancellation, so a Laplace expansion memoized on
 the set of columns used writes each term once.  Entries may be zero, by
 one row bitmask per column, if columns of equal exponent cover disjoint
-rows: the SU(n,1) character determinant is such an alternant.
+rows: the SU(n,1) character determinant is such an alternant.  The
+expansion runs along the first row, adding rows from the last to the
+first, so the first variable's exponent is chosen last, column by
+column.  When the variables ascend and the exponents do not increase,
+the columns that reach a row have strictly falling exponents (equal
+ones cover disjoint rows), and by induction on the rows the terms are
+written in descending lex order on the exponent tuples, the order
+emission wants.  Every caller passes such input.  A product of such
+alternants in disjoint, contiguous and ascending blocks of variables,
+left block outermost, keeps the order, and so do negation and scaling.
 
 Restriction, divisibility, exact division and factor extraction share
 one Horner pass on P = N / D.  Write a form as L = c * L' with
@@ -288,7 +300,9 @@ class MultiPoly:
 
     def graded_rows(self) -> list[tuple[list[int], int]]:
         """(exponent list, numerator over den) of every term in graded-lex
-        order, as `_gl_key` sorts the exponents (module docstring)."""
+        order, as `_gl_key` sorts the exponents (module docstring).  The
+        sort makes the order right for any numerator; on one that already
+        iterates in descending lex order it is a single linear run."""
         width, num = self._width, self._num
         if not self.arity:
             return [([], c) for c in num.values()]
@@ -424,27 +438,32 @@ def _alternant(
     exponent and that exponent one column on the row, so no two
     permutations share a key and every coefficient is +-1.
 
-    Laplace expansion from the last row, memoized on the set of columns
-    used: minors[cols] is the minor of the first popcount(cols) rows on
-    those columns, and row r on column c of a minor sits at (r, p) with p
-    the number of its columns below c.  Each step is one comprehension,
-    merged without addition.
+    Laplace expansion along the first row, memoized on the set of columns
+    used: minors[cols] is the minor of the last popcount(cols) rows on
+    those columns, rows are added from the last to the first, and the new
+    top row on column c sits at (0, p) with p the number of the minor's
+    columns below c.  Each step is one comprehension, merged without
+    addition, and the column loop is the outer one, so every minor gets
+    its pieces in ascending column order.  When the variables ascend and
+    the exponents do not increase, the result iterates in descending lex
+    order on the exponent tuples (module docstring).
     """
     support = support or [(1 << len(variables)) - 1] * len(exponents)
     for c, (e, rows) in enumerate(zip(exponents, support)):
         if any(f == e and s & rows for f, s in zip(exponents[:c], support[:c])):
             raise InternalInvariantError(f"two columns of exponent {e} share a row")
     minors: dict[int, IntTerms] = {0: {0: 1}}
-    for row, v in enumerate(variables):
-        shift, grown = v * width, {}
-        for cols, minor in minors.items():
-            for c, (e, rows) in enumerate(zip(exponents, support)):
-                bit = 1 << c
-                if cols & bit or not rows >> row & 1:
+    for row in range(len(variables) - 1, -1, -1):
+        shift, grown = variables[row] * width, {}
+        for c, (e, rows) in enumerate(zip(exponents, support)):
+            if not rows >> row & 1:
+                continue
+            bit, step = 1 << c, e << shift
+            for cols, minor in minors.items():
+                if cols & bit:
                     continue
-                step = e << shift
                 out = grown.setdefault(cols | bit, {})
-                if (row + (cols & (bit - 1)).bit_count()) & 1:
+                if (cols & (bit - 1)).bit_count() & 1:
                     out.update({key + step: -k for key, k in minor.items()})
                 else:
                     out.update({key + step: k for key, k in minor.items()})

@@ -36,7 +36,7 @@ from .errors import (
     InvalidPartition,
     UnsupportedFamily,
 )
-from .groups import Family, GroupId, RootDatum, build_root_datum
+from .groups import DEFAULT_RANK_CAP, Family, GroupId, RootDatum, build_root_datum
 from .polynomials import (
     LinearForm,
     # Unused: test_tracer_wraps_every_alias_and_restores_the_originals reads it; ROADMAP item 9
@@ -334,7 +334,7 @@ class SpringerRow:
 def springer_row(group: GroupId) -> SpringerRow:
     """One classification row: label -> symbol -> partition -> validity ->
     dimension, with the structural consistency checks along the way."""
-    datum = build_root_datum(group, max_rank=max(8, group.rank))
+    datum = build_root_datum(group, max_rank=max(DEFAULT_RANK_CAP, group.rank))
     if len(generator_forms(datum)) != datum.r_k:
         raise InternalInvariantError("generator degree must equal the number of compact roots")
     label = sigma_k_bipartition(group)

@@ -155,8 +155,13 @@ def weyl_dim_poly(datum: RootDatum) -> MultiPoly:
         types B, C  prod_i x_i prod_{i<j} (x_i^2 - x_j^2)   e_j = 2(m - j) + 1
 
     Each is expanded by `polynomials._alternant`, and the blocks, having
-    disjoint variables, multiply by adding keys.  The scale is one integer
-    quotient: with rho_k = nums / den and N compact positive roots,
+    disjoint variables, multiply by adding keys.  Each alternant has
+    ascending variables and falling exponents, so its terms come out in
+    descending lex order; the blocks of `groups._family_layout` are
+    contiguous and ascending, so the product, left block outermost, keeps
+    that order, and `MultiPoly.graded_rows` sorts D_k in one linear run.
+    The scale is one integer quotient: with rho_k = nums / den and N
+    compact positive roots,
 
         D_k = prod gcd(alpha) den^N / prod (nums, alpha) * prod_blocks alternant.
 

@@ -229,6 +229,74 @@ def test_alternant_rejects_equal_exponents_on_a_shared_row(exponents, support):
         _alternant(2, range(len(exponents)), exponents, support)
 
 
+def _alternant_last_row(width, variables, exponents, support=()):
+    """_alternant as it expanded along the last row, adding rows from the
+    first to the last with the column loop inside: the oracle for the
+    first-row expansion, which writes the same terms in another order."""
+    support = support or [(1 << len(variables)) - 1] * len(exponents)
+    minors = {0: {0: 1}}
+    for row, v in enumerate(variables):
+        shift, grown = v * width, {}
+        for cols, minor in minors.items():
+            for c, (e, rows) in enumerate(zip(exponents, support)):
+                bit = 1 << c
+                if cols & bit or not rows >> row & 1:
+                    continue
+                step = e << shift
+                sign = -1 if (row + (cols & (bit - 1)).bit_count()) & 1 else 1
+                grown.setdefault(cols | bit, {}).update(
+                    {key + step: sign * k for key, k in minor.items()}
+                )
+        minors = grown
+    return minors.get((1 << len(exponents)) - 1, {})
+
+
+@st.composite
+def alternant_cases(draw, masked, ordered=False):
+    """(variables, exponents, support, width) in 5 variables: masked, as
+    `supported_alternants` draws them, or with no support and distinct
+    exponents.  Ordered cases have ascending variables and non-increasing
+    exponents, each support moved with its column; the field width fits
+    the total degree, with up to 2 spare bits."""
+    if masked:
+        variables, exponents, support = draw(supported_alternants())
+    else:
+        m = draw(st.integers(0, 5))
+        variables = draw(st.permutations(range(5)))[:m]
+        exponents = draw(st.lists(st.integers(0, 6), min_size=m, max_size=m, unique=True))
+        support = []
+    if ordered:
+        order = sorted(range(len(exponents)), key=lambda c: -exponents[c])
+        variables = sorted(variables)
+        exponents = [exponents[c] for c in order]
+        support = [support[c] for c in order] if support else support
+    width = max(sum(exponents), 1).bit_length() + draw(st.integers(0, 2))
+    return variables, exponents, support, width
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(alternant_cases(masked=False), alternant_cases(masked=True)))
+def test_alternant_matches_last_row_expansion(case):
+    variables, exponents, support, width = case
+    assert _alternant(width, variables, exponents, support) == _alternant_last_row(
+        width, variables, exponents, support
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    alternant_cases(masked=False, ordered=True), alternant_cases(masked=True, ordered=True)
+))
+@example(([0, 1, 2], [2, 1, 0], [], 2))
+@example(([0, 1, 2, 3], [2, 1, 0, 0], [15, 15, 3, 12], 3))
+def test_alternant_of_ordered_input_iterates_in_descending_lex_order(case):
+    variables, exponents, support, width = case
+    num = _alternant(width, variables, exponents, support)
+    mask = (1 << width) - 1
+    exps = [tuple(key >> s & mask for s in range(0, 5 * width, width)) for key in num]
+    assert all(a > b for a, b in zip(exps, exps[1:]))
+
+
 def test_linear_form_product_examples():
     f = LinearForm((F(1), F(-1)))
     assert linear_form_product(2, [f]) == MultiPoly(2, {(1, 0): 1, (0, 1): -1})

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from diracindex import springer, weylaction
+from diracindex.dirac import IndexFamily, index_polynomial
 from diracindex.errors import CapExceeded
 from diracindex.groups import (
     GroupId,
@@ -15,6 +16,7 @@ from diracindex.groups import (
     weyl_elements,
 )
 from diracindex.polynomials import LinearForm, MultiPoly, linear_form_product
+from diracindex.sun1 import char_poly_det
 from diracindex.weylaction import (
     act,
     echelonize,
@@ -204,6 +206,27 @@ def test_act_packed_matches_mask_pass_and_returns_num_at_identity(group):
         out = weylaction._act_packed(w, width, num)
         assert out == _act_packed_by_masks(w, width, num)
         assert (out is num) == (w == identity)
+
+
+def _dict_order_exponents(poly):
+    """The exponent lists of the packed keys, in the numerator's dict order."""
+    _, width, num = poly._int_form()
+    mask, shifts = (1 << width) - 1, range(0, poly.arity * width, width)
+    return [[key >> s & mask for s in shifts] for key in num]
+
+
+def test_kernels_write_dk_and_determinants_in_emission_order():
+    """Q = +-D_k of a discrete-series family (coefficient +-1 on the
+    identity) and the SU(n,1) character determinant come out of their
+    kernels in `graded_rows` order, so that sort is one linear run."""
+    polys = [char_poly_det(n, i) for n in range(2, 8) for i in range(1, n)]
+    for group in springer.table_groups(6):
+        if group.rank <= 6:
+            d = build_root_datum(group)
+            identity = WeylElement.identity(d.rank)
+            polys += [index_polynomial(IndexFamily(d, d.rho_g, {identity: a})) for a in (1, -1)]
+    for poly in polys:
+        assert _dict_order_exponents(poly) == [exp for exp, _ in poly.graded_rows()]
 
 
 GROUPS_RANK_LE_4 = [

@@ -207,7 +207,7 @@ def _read_json_object(path: str) -> dict:
         raise InvalidInput(f"cannot read {path!r}: {exc}") from None
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise InvalidInput(f"malformed JSON in {path!r}: {exc}") from None
     if not isinstance(obj, dict):
         raise InvalidInput(f"expected a JSON object in {path!r}, got {type(obj).__name__}")

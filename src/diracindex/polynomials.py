@@ -106,10 +106,6 @@ Exponent = tuple[int, ...]
 IntTerms = dict[int, int]
 
 
-def _gl_key(exp: Exponent):
-    return (sum(exp), tuple(-e for e in exp))
-
-
 def _degrees(arity: int, width: int, num: Iterable[int]) -> Iterator[int]:
     """Total degree of each packed key: field arity - 1 of key * ones is
     the sum of every field of key, which fits a field."""
@@ -299,12 +295,12 @@ class MultiPoly:
         return len(set(_degrees(self.arity, self._width, self._num))) <= 1
 
     def graded_rows(self) -> list[tuple[list[int], int]]:
-        """(exponent list, numerator over den) of every term in graded-lex
-        order, as `_gl_key` sorts the exponents (module docstring).  The
-        sort makes the order right for any numerator; on one that already
-        iterates in descending lex order it is a single linear run."""
+        """(exponent list, numerator over den) of every term, by ascending
+        total degree, then descending lex order on the exponents; zero has
+        none, whatever its arity.  The sort is right for any numerator, and
+        one linear run on one that iterates in descending lex order."""
         width, num = self._width, self._num
-        if not self.arity:
+        if not self.arity or not num:
             return [([], c) for c in num.values()]
         mask = (1 << width) - 1
         columns = [[key >> s & mask for key in num] for s in range(0, self.arity * width, width)]

@@ -378,7 +378,7 @@ def harmonic_suite() -> SuiteReport:
             q.is_homogeneous() and q.total_degree() == datum.r_k
         )
         report.add(f"{name}/degree", hom_ok, f"deg {q.total_degree()}")
-        span = orbit_span(weyl_dim_poly(datum), weyl_elements(datum, "g"))
+        span = orbit_span(weyl_dim_poly(datum), datum)
         report.add(f"{name}/span-membership", span.contains(q))
         equi_ok = True
         for w in weyl_elements(datum, "g"):

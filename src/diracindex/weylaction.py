@@ -2,6 +2,9 @@
 
 The action is (w.P)(lam) = P(w^{-1} lam); since every w is a signed
 permutation this is a monomial-level remap, no general composition needed.
+
+Orbit spans close P under the simple reflections on integer numerators: a
+span that holds P and is stable under generators of W is the orbit span.
 """
 
 from __future__ import annotations
@@ -10,11 +13,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
-from typing import Iterable, Sequence
+from types import MappingProxyType
+from typing import Mapping
 
 from .errors import CapExceeded, DimensionMismatch
-from .groups import IntWeight, RootDatum, Weight, WeylElement, idot
-from .polynomials import Exponent, MultiPoly, _alternant, _gl_key
+from .groups import IntWeight, RootDatum, Weight, WeylElement, idot, reflection, simple_roots
+from .polynomials import IntTerms, MultiPoly, _alternant, _repack
 
 SPAN_COLUMN_CAP = 20_000
 
@@ -63,67 +67,67 @@ def act(w: WeylElement, poly: MultiPoly) -> MultiPoly:
 
 @dataclass(frozen=True)
 class PolySpan:
-    """Echelonized basis of a Q-span of polynomials of one arity."""
+    """An exact Q-span: primitive integer numerators on packed keys of one
+    width, keyed by pivot, the largest key; distinct pivots are independent."""
 
-    basis: tuple[MultiPoly, ...]
+    arity: int
+    width: int
+    rows: Mapping[int, IntTerms]
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.rows)
 
     def contains(self, poly: MultiPoly) -> bool:
-        return _reduce_against(poly, self.basis).is_zero()
+        if poly.arity != self.arity:
+            raise DimensionMismatch("polynomial arity must match the span")
+        _, width, num = poly._int_form()
+        # a wider polynomial has a degree above all in the span, and is not 0
+        return width <= self.width and not _reduce(
+            _repack(self.arity, width, self.width, num), self.rows)
 
 
-def _leading(poly: MultiPoly) -> Exponent:
-    return min(poly.terms, key=_gl_key) if poly.terms else ()
+def _reduce(row: IntTerms, rows: Mapping[int, IntTerms]) -> IntTerms:
+    """row less a combination of the rows, primitive, with no pivot among its
+    keys: pivot p, a row's largest key, goes by b row - row[p] rows[p] with
+    b = rows[p][p], which adds only smaller keys.  A nonzero combination of
+    rows has its largest pivot as a key, so row is in the span iff the
+    result is empty.  It may be row itself; no dict is changed in place."""
+    for lead, basis in sorted(rows.items(), reverse=True):
+        if lead in row:
+            b, c = basis[lead], row[lead]
+            out = {key: b * v for key, v in row.items()}
+            for key, v in basis.items():
+                out[key] = out.get(key, 0) - c * v
+            row = {key: v for key, v in out.items() if v}
+    g = math.gcd(*row.values())
+    return row if g <= 1 else {key: v // g for key, v in row.items()}
 
 
-def _reduce_against(poly: MultiPoly, echelon: Sequence[MultiPoly]) -> MultiPoly:
-    current = poly
-    for b in echelon:
-        lead = _leading(b)
-        if not current.terms:
-            break
-        c = current.terms.get(lead)
-        if c is not None:
-            current = current - b * (c / b.terms[lead])
-    return current
-
-
-def echelonize(polys: Iterable[MultiPoly]) -> list[MultiPoly]:
-    """Gaussian elimination over Q; leading monomials in graded-lex order."""
-    basis: list[MultiPoly] = []
-    for p in polys:
-        r = _reduce_against(p, basis)
-        if not r.is_zero():
-            lead = _leading(r)
-            r = r * (Fraction(1) / r.terms[lead])
-            basis = [b - r * b.terms.get(lead, Fraction(0)) for b in basis]
-            basis.append(r)
-            basis.sort(key=lambda b: _gl_key(_leading(b)))
-    return basis
-
-
-def _check_span_size(columns: int, rows: int, cap: int, qualifier: str = "") -> None:
-    if columns > cap or columns * rows > 50 * cap:
-        raise CapExceeded(
-            f"{qualifier}{columns} columns x {rows} rows exceeds the span cap {cap}"
-        )
-
-
-def orbit_span(
-    poly: MultiPoly, elements: Sequence[WeylElement], cap: int = SPAN_COLUMN_CAP
-) -> PolySpan:
-    """Echelonized span of {w.P : w in W}; dimension is exact."""
-    # act is a bijection on monomials, so each translate has as many terms
-    # as poly: a lower bound on the columns, checked before any translate.
-    _check_span_size(len(poly._int_form()[2]), len(elements), cap, "at least ")
-    translates = [act(w, poly) for w in elements]
-    # act keeps the field width, so equal monomials have equal packed keys
-    columns = len({key for t in translates for key in t._int_form()[2]})
-    _check_span_size(columns, len(translates), cap)
-    return PolySpan(tuple(echelonize(translates)))
+def orbit_span(poly: MultiPoly, datum: RootDatum, cap: int = SPAN_COLUMN_CAP) -> PolySpan:
+    """The span of {w.P : w in W_g}, exactly: each row that survives
+    `_reduce` is kept and its images under the simple reflections queued.
+    Every row lies in the orbit span, and once the queue is empty the rows
+    span a space that contains P and is stable under generators of W_g.
+    Columns (keys of the rows) and rows are checked against the cap at
+    each new row, P's own first, so a refusal precedes any image."""
+    if poly.arity != datum.rank:
+        raise DimensionMismatch("polynomial arity must match the root datum")
+    gens = [reflection(alpha) for alpha in simple_roots(datum)]
+    _, width, num = poly._int_form()
+    rows: dict[int, IntTerms] = {}
+    columns: set[int] = set()
+    queue = [num]
+    while queue:
+        row = _reduce(queue.pop(), rows)
+        if row:
+            rows[max(row)] = row
+            columns.update(row)
+            if len(columns) > cap or len(columns) * len(rows) > 50 * cap:
+                raise CapExceeded(
+                    f"{len(columns)} columns x {len(rows)} rows exceeds the span cap {cap}")
+            queue += [_act_packed(s, width, row) for s in gens]
+    return PolySpan(poly.arity, width, MappingProxyType(rows))
 
 
 # (a, b) by block kind: column j = 0..m-1 of the alternant of an m-block

@@ -40,6 +40,7 @@ EMIT_INPUTS = [
     '{"type":"virtual_module","terms":[]}',
     '{"type":"index_family","base":[],"coeffs":[]}',
     '{"type":7}',
+    "[" * 100_000,
 ]
 
 

@@ -404,6 +404,7 @@ def test_cli_unknown_family_tag(capsys):
             '{"exp":[1],"coeff":"-1"}]}',
         ),
         (["emit", "--input", "{path}"], None, '{"type": []}'),
+        (["emit", "--input", "{path}"], None, "[" * 100_000),
         (["index-poly", "--group", "SU(2,1)", "--hc-param", "1/2,0,-1/2"], None, None),
         (["char-poly", "--n", "12", "--i", "6"], None, None),
         (["gcd", "--n", "12", "--i", "6"], None, None),
@@ -431,6 +432,7 @@ def test_cli_unknown_family_tag(capsys):
         "poly-bool-vars",
         "poly-repeated-exp",
         "type-unhashable",
+        "deeply-nested-json",
         "hc-param-off-lattice",
         "char-poly-n-over-cap",
         "gcd-n-over-cap",
@@ -623,6 +625,16 @@ def test_cli_off_lattice_hc_param_message(capsys):
     assert capsys.readouterr().err == (
         "error: (1/2,0,-1/2) is not on the shifted lattice Lambda + rho_g\n"
     )
+
+
+def test_cli_emits_a_wide_zero_polynomial_at_once(monkeypatch, capsys):
+    # zero has no rows, so nothing is built per variable
+    text = '{"type":"polynomial","vars":1000000000000,"terms":[]}'
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    start = time.perf_counter()
+    assert main(["emit", "--input", "-"]) == 0
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().out == text + "\n"
 
 
 def test_cli_n_cap_refuses_before_expanding(monkeypatch, capsys):

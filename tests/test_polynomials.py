@@ -16,7 +16,6 @@ from diracindex.polynomials import (
     MultiPoly,
     _Pivot,
     _alternant,
-    _gl_key,
     divides_linear_form,
     extract_linear_factors,
     invariant_operator_images,
@@ -25,6 +24,11 @@ from diracindex.polynomials import (
     poly_det,
     restrict_to_hyperplane,
 )
+
+
+def _gl_key(exp):
+    """Graded-lex order: ascending total degree, then descending lex."""
+    return (sum(exp), tuple(-e for e in exp))
 
 
 def V(*names):

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from diracindex import springer, weylaction
 from diracindex.dirac import IndexFamily, index_polynomial
@@ -19,11 +20,11 @@ from diracindex.polynomials import LinearForm, MultiPoly, linear_form_product
 from diracindex.sun1 import char_poly_det
 from diracindex.weylaction import (
     act,
-    echelonize,
     orbit_span,
     weyl_dim_poly,
     weyl_dim_value,
 )
+from test_polynomials import _gl_key
 
 
 def _rank_oracle(polys):
@@ -48,6 +49,64 @@ def _rank_oracle(polys):
         rank += 1
         col += 1
     return rank
+
+
+def _oracle_leading(poly):
+    return min(poly.terms, key=_gl_key) if poly.terms else ()
+
+
+def _oracle_reduce(poly, echelon):
+    current = poly
+    for b in echelon:
+        lead = _oracle_leading(b)
+        if not current.terms:
+            break
+        c = current.terms.get(lead)
+        if c is not None:
+            current = current - b * (c / b.terms[lead])
+    return current
+
+
+def oracle_echelonize(polys):
+    """Gaussian elimination over Q on the Fraction terms: the reduced
+    echelon basis, sorted by leading exponent in graded-lex order."""
+    basis = []
+    for p in polys:
+        r = _oracle_reduce(p, basis)
+        if not r.is_zero():
+            lead = _oracle_leading(r)
+            r = r * (F(1) / r.terms[lead])
+            basis = [b - r * b.terms.get(lead, F(0)) for b in basis]
+            basis.append(r)
+            basis.sort(key=lambda b: _gl_key(_oracle_leading(b)))
+    return basis
+
+
+def oracle_orbit_span(poly, datum):
+    """The echelon basis of all |W_g| translates of poly."""
+    return oracle_echelonize([act(w, poly) for w in weyl_elements(datum, "g")])
+
+
+def oracle_contains(basis, poly):
+    return _oracle_reduce(poly, basis).is_zero()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(
+    st.dictionaries(
+        st.tuples(st.integers(0, 2), st.integers(0, 2)),
+        st.fractions(-3, 3, max_denominator=3),
+        max_size=4,
+    ).map(lambda terms: MultiPoly(2, terms)),
+    max_size=5,
+))
+@example([MultiPoly.variable(2, 0) + MultiPoly.variable(2, 1),
+          MultiPoly.variable(2, 0) - MultiPoly.variable(2, 1), MultiPoly.variable(2, 0)])
+def test_oracle_echelonize_has_dense_rank_and_ignores_order(polys):
+    basis = oracle_echelonize(polys)
+    assert len(basis) == _rank_oracle(polys)
+    assert oracle_echelonize(polys[::-1]) == basis
+    assert all(oracle_contains(basis, p) for p in polys)
 
 
 def test_act_examples():
@@ -76,55 +135,121 @@ def test_orbit_span_dims():
     x1 = MultiPoly.variable(2, 0)
     x2 = MultiPoly.variable(2, 1)
     su11 = build_root_datum(GroupId.su(1, 1))
-    span = orbit_span(x1 - x2, weyl_elements(su11, "g"))
+    span = orbit_span(x1 - x2, su11)
     assert span.dim == 1
 
     sp4 = build_root_datum(GroupId.sp_r(2))
     translates = [act(w, x1 - x2) for w in weyl_elements(sp4, "g")]
     assert _rank_oracle(translates) == 2
-    span = orbit_span(x1 - x2, weyl_elements(sp4, "g"))
+    span = orbit_span(x1 - x2, sp4)
     assert span.dim == 2
 
-    span = orbit_span(MultiPoly.const(2, 5), weyl_elements(sp4, "g"))
+    span = orbit_span(MultiPoly.const(2, 5), sp4)
     assert span.dim == 1
 
 
 def test_orbit_span_refuses_before_translating(monkeypatch):
-    # Two terms already exceed one column: no translate is built.
+    # P's own row has two columns, over a cap of one: no image is built.
     sp4 = build_root_datum(GroupId.sp_r(2))
     x1, x2 = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
 
-    def no_act(w, poly):
-        raise AssertionError("act called before the lower-bound check")
+    def no_act(w, width, num):
+        raise AssertionError("an image built before the check of P's row")
 
-    monkeypatch.setattr(weylaction, "act", no_act)
-    with pytest.raises(CapExceeded, match=r"^at least 2 columns x 8 rows .* cap 1$"):
-        orbit_span(x1 - x2, weyl_elements(sp4, "g"), cap=1)
+    monkeypatch.setattr(weylaction, "_act_packed", no_act)
+    with pytest.raises(CapExceeded, match=r"^2 columns x 1 rows .* cap 1$"):
+        orbit_span(x1 - x2, sp4, cap=1)
 
 
 def test_orbit_span_refuses_on_exact_column_count():
-    # X1 has one term, but its translates +-X1, +-X2 fill two columns.
+    # X1 has one term, but the span of its images +-X1, +-X2 has two columns.
     sp4 = build_root_datum(GroupId.sp_r(2))
-    with pytest.raises(CapExceeded, match=r"^2 columns x 8 rows .* cap 1$"):
-        orbit_span(MultiPoly.variable(2, 0), weyl_elements(sp4, "g"), cap=1)
-    assert orbit_span(MultiPoly.variable(2, 0), weyl_elements(sp4, "g"), cap=2).dim == 2
+    with pytest.raises(CapExceeded, match=r"^2 columns x 2 rows .* cap 1$"):
+        orbit_span(MultiPoly.variable(2, 0), sp4, cap=1)
+    assert orbit_span(MultiPoly.variable(2, 0), sp4, cap=2).dim == 2
 
 
 def test_orbit_span_conjugation_invariant():
     d = build_root_datum(GroupId.sp_r(2))
-    elements = weyl_elements(d, "g")
     p = MultiPoly(2, {(2, 0): F(1), (0, 1): F(1)})
-    dims = {orbit_span(act(w, p), elements).dim for w in elements}
+    dims = {orbit_span(act(w, p), d).dim for w in weyl_elements(d, "g")}
     assert len(dims) == 1
 
 
 def test_span_contains():
     d = build_root_datum(GroupId.su(2, 1))
     dk = weyl_dim_poly(d)
-    span = orbit_span(dk, weyl_elements(d, "g"))
+    span = orbit_span(dk, d)
     assert span.contains(dk)
     assert span.contains(MultiPoly.zero(3))
     assert not span.contains(MultiPoly.const(3, 1))
+
+
+def _assert_span_matches_oracle(datum, poly, other):
+    """orbit_span and the Fraction echelon over all of W_g agree on the
+    dimension and on membership of translates, their sums, other, zero,
+    constants and a polynomial wider than poly."""
+    span, basis = orbit_span(poly, datum), oracle_orbit_span(poly, datum)
+    assert span.dim == len(basis)
+    # each row is primitive, with its largest key as its pivot
+    assert all(max(row) == p and math.gcd(*row.values()) == 1 for p, row in span.rows.items())
+    n = datum.rank
+    translates = [act(w, poly) for w in weyl_elements(datum, "g")[:6]]
+    _, width, _ = poly._int_form()
+    wider = MultiPoly.variable(n, 0) ** (1 << width)
+    candidates = translates + [
+        translates[0] + translates[-1],
+        translates[1 % len(translates)] * 2 - translates[-1] * F(1, 3),
+        other,
+        other + translates[-1],
+        MultiPoly.zero(n),
+        MultiPoly.const(n, 1),
+        MultiPoly.const(n, F(-7, 2)),
+        wider,
+        wider + poly,
+    ]
+    for q in candidates:
+        assert span.contains(q) == oracle_contains(basis, q), q
+
+
+RANK_LE_3 = [g for g in springer.table_groups(3) if g.rank <= 3]
+
+
+@st.composite
+def group_polys(draw):
+    """(datum, P, other) on a table group of rank <= 3: P homogeneous or
+    not, zero or constant included, and another polynomial of that arity."""
+    datum = build_root_datum(draw(st.sampled_from(RANK_LE_3)))
+    n = datum.rank
+    exps = st.lists(st.integers(0, 3), min_size=n, max_size=n).map(tuple)
+    if draw(st.booleans()):  # homogeneous of one degree
+        d = draw(st.integers(0, 3))
+        exps = st.lists(st.integers(0, d), min_size=n - 1, max_size=n - 1).filter(
+            lambda e: sum(e) <= d).map(lambda e: (*e, d - sum(e)))
+    values = st.fractions(-4, 4, max_denominator=3)
+    polys = st.dictionaries(exps, values, max_size=5).map(lambda t: MultiPoly(n, t))
+    return datum, draw(polys), draw(polys)
+
+
+@settings(max_examples=100, deadline=None)
+@given(group_polys())
+@example((build_root_datum(GroupId.sp_r(3)), MultiPoly.zero(3), MultiPoly.variable(3, 2)))
+@example((build_root_datum(GroupId.su(2, 1)), MultiPoly.const(3, 5), MultiPoly.zero(3)))
+@example((build_root_datum(GroupId.so_star(3)),
+          MultiPoly(3, {(2, 1, 0): 1, (0, 0, 1): F(-1, 2), (0, 0, 0): 3}),
+          MultiPoly(3, {(0, 1, 2): 1})))
+def test_orbit_span_matches_fraction_echelon(case):
+    _assert_span_matches_oracle(*case)
+
+
+@pytest.mark.parametrize(
+    "group", [g for g in springer.table_groups(4) if g.rank <= 4], ids=lambda g: g.label()
+)
+def test_orbit_span_of_dk_matches_fraction_echelon(group):
+    datum = build_root_datum(group)
+    n = datum.rank
+    other = MultiPoly.variable(n, 0) ** datum.r_k if datum.r_k else MultiPoly.variable(n, 0)
+    _assert_span_matches_oracle(datum, weyl_dim_poly(datum), other)
 
 
 def test_weyl_dim_poly_su21():
@@ -264,12 +389,3 @@ def _dominate_compact(datum, gamma):
 
     norm = normalize_k_dominant(datum, gamma)
     return None if norm is None else norm[1]
-
-
-def test_echelonize_deterministic():
-    x1 = MultiPoly.variable(2, 0)
-    x2 = MultiPoly.variable(2, 1)
-    basis1 = echelonize([x1 + x2, x1 - x2, x1])
-    basis2 = echelonize([x1, x1 + x2, x1 - x2])
-    assert basis1 == basis2
-    assert len(basis1) == 2

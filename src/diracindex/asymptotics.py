@@ -22,7 +22,6 @@ t^-d as the one `Fraction` it builds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .dirac import IndexFamily, evaluate_index, index_polynomial
@@ -35,15 +34,18 @@ from .kmodules import (
     weyl_denominator_factored,
 )
 from .series import TruncatedSeries
+from .value import Value
 
 
-@dataclass(frozen=True)
-class LaurentSeries:
+class LaurentSeries(Value):
     """Finitely many negative powers: coefficient of t^(low + k) is
     series.coeff(k), built from the integers when read."""
 
-    low: int
-    series: TruncatedSeries
+    __slots__ = _fields = ("low", "series")
+
+    def __init__(self, low: int, series: TruncatedSeries):
+        object.__setattr__(self, "low", low)
+        object.__setattr__(self, "series", series)
 
     @classmethod
     def zero(cls, order: int) -> "LaurentSeries":
@@ -63,15 +65,24 @@ class LaurentSeries:
         return self.series.coeff(k)
 
 
-@dataclass(frozen=True)
-class LimitReport:
+class LimitReport(Value):
     """One exact limit check of t^d * character at t -> 0+."""
 
-    d: int
-    value: Fraction | None
-    expected: Fraction | None
-    match: bool
-    underflow: bool = False
+    __slots__ = _fields = ("d", "value", "expected", "match", "underflow")
+
+    def __init__(
+        self,
+        d: int,
+        value: Fraction | None,
+        expected: Fraction | None,
+        match: bool,
+        underflow: bool = False,
+    ):
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "expected", expected)
+        object.__setattr__(self, "match", match)
+        object.__setattr__(self, "underflow", underflow)
 
 
 def root_ratio(datum: RootDatum, y: Weight) -> Fraction:

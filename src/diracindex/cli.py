@@ -194,6 +194,8 @@ def _cmd_verify(args) -> int:
 
 # `verify --format json` prints a suite report without a "type" tag.
 _SUITE_REPORT_KEYS = {"suite", "cases", "all_pass"}
+# An unknown "type" value is echoed in at most this many characters.
+_ECHO_LIMIT = 40
 
 
 def _read_json_object(path: str) -> dict:
@@ -238,7 +240,10 @@ def _cmd_emit(args) -> int:
             render = springer_table_csv if args.format == "csv" else springer_table_latex
             sys.stdout.write(render(obj["rows"]))
             return 0
-    raise DiracIndexError(f"cannot emit {kind!r} as {args.format}")
+    shown = repr(kind)
+    if len(shown) > _ECHO_LIMIT:
+        shown = shown[:_ECHO_LIMIT - 3] + "..."
+    raise DiracIndexError(f"cannot emit {shown} as {args.format}")
 
 
 def build_parser() -> argparse.ArgumentParser:

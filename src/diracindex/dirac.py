@@ -24,11 +24,10 @@ Sign conventions, pinned once and validated operationally:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from collections.abc import Mapping
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from types import MappingProxyType
-from typing import Mapping
 
 from .errors import CapExceeded, DimensionMismatch, OffLattice, SingularParameter
 from .groups import (
@@ -55,15 +54,18 @@ from .kmodules import (
 )
 from .polynomials import MultiPoly
 from .series import TruncatedSeries
+from .value import Value
 from .weylaction import _act_packed, weyl_dim_poly
 
 SPIN_SUBSET_CAP = 20
 
 
-@dataclass(frozen=True)
-class SpinWeights:
-    plus: WeightMultiset
-    minus: WeightMultiset
+class SpinWeights(Value):
+    __slots__ = _fields = ("plus", "minus")
+
+    def __init__(self, plus: WeightMultiset, minus: WeightMultiset):
+        object.__setattr__(self, "plus", plus)
+        object.__setattr__(self, "minus", minus)
 
 
 def spin_weights(datum: RootDatum, cap: int = SPIN_SUBSET_CAP) -> SpinWeights:
@@ -131,24 +133,27 @@ def index_discrete_series(lam: Weight, datum: RootDatum) -> VirtualKModule:
     return k_type_sum(datum, [(lam, chamber_sign(lam, datum))])
 
 
-@dataclass(frozen=True)
-class IndexFamily:
+class IndexFamily(Value):
     """Index data of one coherent family: I(X_lam) = sum_w a_w E(w lam)."""
 
-    datum: RootDatum
-    base: Weight
-    coeffs: Mapping[WeylElement, int]
-    gk_dim: int | None = None
-    name: str = ""
+    _fields = ("datum", "base", "coeffs", "gk_dim", "name")
 
-    def __post_init__(self):
-        object.__setattr__(
-            self,
-            "coeffs",
-            {w: int(a) for w, a in self.coeffs.items() if a != 0},
-        )
-        if len(self.base) != self.datum.rank:
+    def __init__(
+        self,
+        datum: RootDatum,
+        base: Weight,
+        coeffs: Mapping[WeylElement, int],
+        gk_dim: int | None = None,
+        name: str = "",
+    ):
+        coeffs = {w: int(a) for w, a in coeffs.items() if a != 0}
+        if len(base) != datum.rank:
             raise DimensionMismatch("base length must equal the rank")
+        object.__setattr__(self, "datum", datum)
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "gk_dim", gk_dim)
+        object.__setattr__(self, "name", name)
 
     @cached_property
     def base_form(self) -> IntWeight:
@@ -269,7 +274,7 @@ def act_on_family(
     if validate and not is_integral_weyl(w, fam.base, fam.datum):
         raise ValueError("Weyl element is not integral for the base parameter")
     coeffs = {u.compose(w.inverse()): a for u, a in fam.coeffs.items()}
-    return replace(fam, coeffs=coeffs)
+    return fam.replace(coeffs=coeffs)
 
 
 def canonical_coeffs(fam: IndexFamily) -> dict[WeylElement, int]:

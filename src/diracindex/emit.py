@@ -17,8 +17,8 @@ import csv
 import io
 import json
 import re
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Any, Sequence
 
 from .asymptotics import LimitReport
 from .errors import InvalidInput, UnsupportedFormat
@@ -43,14 +43,14 @@ def poly_to_obj(poly: MultiPoly) -> dict:
     }
 
 
-def _is_a(value: Any, types) -> bool:
+def _is_a(value: object, types) -> bool:
     """isinstance(value, types), except that JSON true and false are not ints."""
     if type(value) is bool:
         return bool in (types if isinstance(types, tuple) else (types,))
     return isinstance(value, types)
 
 
-def _field(obj: Any, key: str, types, where: str) -> Any:
+def _field(obj: object, key: str, types, where: str) -> object:
     """obj[key], checked to be present and of one of the given types."""
     if not (isinstance(obj, dict) and key in obj and _is_a(obj[key], types)):
         raise InvalidInput(f"{where} has a missing or malformed {key!r} field")
@@ -133,7 +133,7 @@ TAGGED_SHAPES = {
 }
 
 
-def _check_shape(obj: Any, shape: dict, where: str) -> None:
+def _check_shape(obj: object, shape: dict, where: str) -> None:
     for key, want in shape.items():
         if isinstance(want, dict):
             _check_shape(_field(obj, key, dict, where), want, f"{where}.{key}")
@@ -216,7 +216,7 @@ def generator_text(row: SpringerRow) -> str:
 def springer_row_to_obj(row: SpringerRow) -> dict:
     label = row.label
     if isinstance(label, Bipartition):
-        label_obj: Any = {"alpha": list(label.alpha), "beta": list(label.beta)}
+        label_obj: object = {"alpha": list(label.alpha), "beta": list(label.beta)}
     else:
         label_obj = list(label)
     return {
@@ -292,7 +292,7 @@ def dumps(obj: dict) -> str:
     return _ENCODER.encode(obj) + "\n"
 
 
-def emit(obj: Any, fmt: str) -> str:
+def emit(obj: object, fmt: str) -> str:
     """Serialize a recognized object to json, csv or latex text."""
     if fmt not in ("json", "csv", "latex"):
         raise UnsupportedFormat(f"unsupported format {fmt!r}")

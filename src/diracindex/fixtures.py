@@ -14,7 +14,6 @@ re-derived where a computation is available.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .dirac import IndexFamily, discrete_series_family
@@ -22,6 +21,7 @@ from .errors import IndexOutOfRange
 from .groups import Family, GroupId, RootDatum, Weight, WeylElement, build_root_datum
 from .springer import Partition
 from .sun1 import su_n1_datum
+from .value import Value
 
 
 def sl2_datum() -> RootDatum:
@@ -36,26 +36,46 @@ def _sl2_s() -> WeylElement:
     return WeylElement((1, 0), (1, 1))
 
 
-@dataclass(frozen=True)
-class SL2Fixture:
+class SL2Fixture(Value):
     """Everything the rank-one suite asserts, in one immutable record."""
 
-    base_parameter: int
-    # index polynomial values (constants) for F, D+, D-, P
-    q_values: dict[str, int]
-    # s-action matrix columns in the ordered basis (F, D+, D-, P)
-    s_matrix: tuple[tuple[int, int, int, int], ...]
-    # coherent continuation content: trivial count, sign count
-    decomposition: tuple[int, int]
-    # associated-cycle multiplicities (m1, m2) per module
-    multiplicities: dict[str, tuple[int, int]]
-    # integer coefficients making Q = c1*m1 + c2*m2 across all four modules
-    conjecture_coeffs: tuple[int, int]
-    # recorded index constants of the indecomposable extension example:
-    # weights of I(P), I(V_0), I(V_-2) with signs, as (coeff, weight) pairs
-    ps_index_constants: dict[str, tuple[int, int]]
-    gk_dims: dict[str, int]
+    __slots__ = _fields = (
+        "base_parameter",
+        # index polynomial values (constants) for F, D+, D-, P
+        "q_values",
+        # s-action matrix columns in the ordered basis (F, D+, D-, P)
+        "s_matrix",
+        # coherent continuation content: trivial count, sign count
+        "decomposition",
+        # associated-cycle multiplicities (m1, m2) per module
+        "multiplicities",
+        # integer coefficients making Q = c1*m1 + c2*m2 across all four modules
+        "conjecture_coeffs",
+        # recorded index constants of the indecomposable extension example:
+        # weights of I(P), I(V_0), I(V_-2) with signs, as (coeff, weight) pairs
+        "ps_index_constants",
+        "gk_dims",
+    )
 
+    def __init__(
+        self,
+        base_parameter: int,
+        q_values: dict[str, int],
+        s_matrix: tuple[tuple[int, int, int, int], ...],
+        decomposition: tuple[int, int],
+        multiplicities: dict[str, tuple[int, int]],
+        conjecture_coeffs: tuple[int, int],
+        ps_index_constants: dict[str, tuple[int, int]],
+        gk_dims: dict[str, int],
+    ):
+        object.__setattr__(self, "base_parameter", base_parameter)
+        object.__setattr__(self, "q_values", q_values)
+        object.__setattr__(self, "s_matrix", s_matrix)
+        object.__setattr__(self, "decomposition", decomposition)
+        object.__setattr__(self, "multiplicities", multiplicities)
+        object.__setattr__(self, "conjecture_coeffs", conjecture_coeffs)
+        object.__setattr__(self, "ps_index_constants", ps_index_constants)
+        object.__setattr__(self, "gk_dims", gk_dims)
 
 SL2 = SL2Fixture(
     base_parameter=1,

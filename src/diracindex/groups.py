@@ -35,13 +35,12 @@ integral coordinate differences.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Callable, Iterable
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import permutations, product
 from operator import mul
-from typing import Callable, Iterable
 
 from .errors import (
     DimensionMismatch,
@@ -50,6 +49,7 @@ from .errors import (
     InternalInvariantError,
     RankCapExceeded,
 )
+from .value import Value
 
 Weight = tuple[Fraction, ...]
 Root = tuple[int, ...]
@@ -128,17 +128,12 @@ class Family(Enum):
     SO_STAR = "SOstar"
 
 
-@dataclass(frozen=True)
-class GroupId:
+class GroupId(Value):
     """One classical real form; (p, q) parameters, or n stored as p (q = 0)."""
 
-    family: Family
-    p: int
-    q: int = 0
+    __slots__ = _fields = ("family", "p", "q")
 
-    def __post_init__(self):
-        p, q = self.p, self.q
-        fam = self.family
+    def __init__(self, family: Family, p: int, q: int = 0):
         ok = {
             Family.SU: p >= 1 and q >= 1,
             Family.SO_EVEN_ODD: p >= 1 and q >= 0,
@@ -146,9 +141,12 @@ class GroupId:
             Family.SP_PQ: p >= 1 and q >= 1,
             Family.SO_EVEN_EVEN: p >= 1 and q >= 1,
             Family.SO_STAR: p >= 1 and q == 0,
-        }[fam]
+        }[family]
         if not ok:
-            raise IllegalParams(f"illegal parameters ({p},{q}) for {fam.value}")
+            raise IllegalParams(f"illegal parameters ({p},{q}) for {family.value}")
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
 
     @classmethod
     def su(cls, p: int, q: int) -> "GroupId":
@@ -195,13 +193,15 @@ class GroupId:
         }[self.family]
 
 
-@dataclass(frozen=True)
-class Block:
+class Block(Value):
     """A contiguous run of coordinates carrying one irreducible root block."""
 
-    kind: str  # 'A', 'B', 'C' or 'D'
-    start: int
-    size: int
+    __slots__ = _fields = ("kind", "start", "size")
+
+    def __init__(self, kind: str, start: int, size: int):
+        object.__setattr__(self, "kind", kind)  # 'A', 'B', 'C' or 'D'
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "size", size)
 
     @property
     def indices(self) -> range:
@@ -229,17 +229,35 @@ def _lattice_integral_differences(den: int, nums: tuple[int, ...]) -> bool:
     return all((n - nums[0]) % den == 0 for n in nums)
 
 
-@dataclass(frozen=True)
-class RootDatum:
-    group: GroupId
-    rank: int
-    pos_roots: tuple[tuple[Root, bool], ...]  # (root, compact?)
-    rho_g: Weight
-    rho_k: Weight
-    ambient: Block
-    compact_blocks: tuple[Block, ...]
-    # lattice(den, nums): is the weight nums / den in the lattice?
-    lattice: Callable[[int, tuple[int, ...]], bool] = field(compare=False)
+class RootDatum(Value):
+    """The roots of G and K in the ambient coordinates; equal data are
+    equal whatever their lattice predicate, and hash as their group."""
+
+    _fields = (
+        "group", "rank", "pos_roots", "rho_g", "rho_k", "ambient", "compact_blocks", "lattice"
+    )
+    _compare = _fields[:-1]
+
+    def __init__(
+        self,
+        group: GroupId,
+        rank: int,
+        pos_roots: tuple[tuple[Root, bool], ...],
+        rho_g: Weight,
+        rho_k: Weight,
+        ambient: Block,
+        compact_blocks: tuple[Block, ...],
+        lattice: Callable[[int, tuple[int, ...]], bool],
+    ):
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "pos_roots", pos_roots)  # (root, compact?)
+        object.__setattr__(self, "rho_g", rho_g)
+        object.__setattr__(self, "rho_k", rho_k)
+        object.__setattr__(self, "ambient", ambient)
+        object.__setattr__(self, "compact_blocks", compact_blocks)
+        # lattice(den, nums): is the weight nums / den in the lattice?
+        object.__setattr__(self, "lattice", lattice)
 
     def __hash__(self) -> int:
         return hash(self.group)
@@ -368,12 +386,14 @@ def build_root_datum(group: GroupId, max_rank: int = DEFAULT_RANK_CAP) -> RootDa
     )
 
 
-@dataclass(frozen=True)
-class WeylElement:
+class WeylElement(Value):
     """Signed permutation; (w.lam)_i = signs[i] * lam[perm[i]]."""
 
-    perm: tuple[int, ...]
-    signs: tuple[int, ...]
+    __slots__ = _fields = ("perm", "signs")
+
+    def __init__(self, perm: tuple[int, ...], signs: tuple[int, ...]):
+        object.__setattr__(self, "perm", perm)
+        object.__setattr__(self, "signs", signs)
 
     @classmethod
     def identity(cls, rank: int) -> "WeylElement":

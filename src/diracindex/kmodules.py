@@ -34,11 +34,11 @@ integers.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, lcm
 from types import MappingProxyType
-from typing import Iterable, Mapping
 
 from .errors import (
     DimensionMismatch,

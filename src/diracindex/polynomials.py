@@ -92,15 +92,15 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from functools import reduce
 from fractions import Fraction
 from operator import itemgetter, lshift
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import DimensionMismatch, InternalInvariantError, ZeroForm
 from .groups import RootDatum
+from .value import Value
 
 Exponent = tuple[int, ...]
 IntTerms = dict[int, int]
@@ -361,22 +361,18 @@ class MultiPoly:
         return "MultiPoly(" + " + ".join(bits) + ")"
 
 
-@dataclass(frozen=True)
-class LinearForm:
+class LinearForm(Value):
     """A nonzero linear form sum c_i X_i, its coefficients ints, or
     Fractions where they are not integers.  Built once, outside equality,
     hash and repr: the primitive integer tuple, positive at the pivot; the
     content (p, q), this form being p/q times the primitive one; the pivot
     index; and the pivot coefficient of the primitive form."""
 
-    coeffs: tuple[int | Fraction, ...]
-    _ints: tuple[int, ...] = field(init=False, compare=False, repr=False)
-    _scale: tuple[int, int] = field(init=False, compare=False, repr=False)
-    _pivot: int = field(init=False, compare=False, repr=False)
-    _lead: int = field(init=False, compare=False, repr=False)
+    __slots__ = ("coeffs", "_ints", "_scale", "_pivot", "_lead")
+    _fields = ("coeffs",)
 
-    def __post_init__(self):
-        coeffs = tuple(self.coeffs)
+    def __init__(self, coeffs: Iterable[int | Fraction]):
+        coeffs = tuple(coeffs)
         den = math.lcm(*(c.denominator for c in coeffs))
         ints = [c.numerator * (den // c.denominator) for c in coeffs]
         g = math.gcd(*ints)
@@ -386,9 +382,11 @@ class LinearForm:
         if ints[j] < 0:
             g = -g
         prim = tuple(k // g for k in ints)
-        stored = {"_ints": prim, "_scale": (g, den), "_pivot": j, "_lead": prim[j]}
-        for name, value in {"coeffs": coeffs, **stored}.items():
-            object.__setattr__(self, name, value)
+        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "_ints", prim)
+        object.__setattr__(self, "_scale", (g, den))
+        object.__setattr__(self, "_pivot", j)
+        object.__setattr__(self, "_lead", prim[j])
 
     @property
     def arity(self) -> int:

@@ -12,8 +12,8 @@ fraction-free recurrence in `TruncatedSeries.divide`.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from fractions import Fraction
-from typing import Iterable
 
 
 class TruncatedSeries:

@@ -26,7 +26,6 @@ generator included, comes from the factored compact root forms of
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, factorial, gcd
 
@@ -42,6 +41,7 @@ from .polynomials import (
     # Unused: test_tracer_wraps_every_alias_and_restores_the_originals reads it; ROADMAP item 9
     linear_form_product,
 )
+from .value import Value
 
 Partition = tuple[int, ...]  # weakly decreasing positive parts
 
@@ -55,36 +55,34 @@ def check_partition(p: Partition) -> Partition:
     return p
 
 
-@dataclass(frozen=True)
-class Bipartition:
-    alpha: Partition
-    beta: Partition
+class Bipartition(Value):
+    __slots__ = _fields = ("alpha", "beta")
 
-    def __post_init__(self):
-        object.__setattr__(self, "alpha", check_partition(self.alpha) if self.alpha else ())
-        object.__setattr__(self, "beta", check_partition(self.beta) if self.beta else ())
+    def __init__(self, alpha: Partition, beta: Partition):
+        object.__setattr__(self, "alpha", check_partition(alpha) if alpha else ())
+        object.__setattr__(self, "beta", check_partition(beta) if beta else ())
 
 
-@dataclass(frozen=True)
-class Symbol:
-    top: tuple[int, ...]
-    bottom: tuple[int, ...]
-    kind: str  # 'B', 'C' or 'D'
+class Symbol(Value):
+    __slots__ = _fields = ("top", "bottom", "kind")
 
-    def __post_init__(self):
-        if self.kind not in ("B", "C", "D"):
-            raise ValueError(f"symbol kind must be B, C or D, not {self.kind!r}")
-        for row in (self.top, self.bottom):
+    def __init__(self, top: tuple[int, ...], bottom: tuple[int, ...], kind: str):
+        if kind not in ("B", "C", "D"):
+            raise ValueError(f"symbol kind must be B, C or D, not {kind!r}")
+        for row in (top, bottom):
             if any(row[i] >= row[i + 1] for i in range(len(row) - 1)):
                 raise ValueError(f"symbol row {row} is not strictly increasing")
             if row and row[0] < 0:
                 raise ValueError("symbol entries must be nonnegative")
-        expected = len(self.bottom) + (0 if self.kind == "D" else 1)
-        if len(self.top) != expected:
+        expected = len(bottom) + (0 if kind == "D" else 1)
+        if len(top) != expected:
             raise ValueError(
-                f"type {self.kind} symbol needs |top| = |bottom|"
-                + ("" if self.kind == "D" else " + 1")
+                f"type {kind} symbol needs |top| = |bottom|"
+                + ("" if kind == "D" else " + 1")
             )
+        object.__setattr__(self, "top", top)
+        object.__setattr__(self, "bottom", bottom)
+        object.__setattr__(self, "kind", kind)  # 'B', 'C' or 'D'
 
 
 def symbol_of_bipartition(bp: Bipartition, kind: str) -> Symbol:
@@ -320,14 +318,24 @@ def generator_forms(datum: RootDatum) -> tuple[LinearForm, ...]:
     return tuple(forms)
 
 
-@dataclass(frozen=True)
-class SpringerRow:
-    group: GroupId
-    label: Partition | Bipartition
-    is_springer: bool
-    partition: Partition | None
-    orbit_dim: int | None
-    two_orbits: bool = False
+class SpringerRow(Value):
+    __slots__ = _fields = ("group", "label", "is_springer", "partition", "orbit_dim", "two_orbits")
+
+    def __init__(
+        self,
+        group: GroupId,
+        label: Partition | Bipartition,
+        is_springer: bool,
+        partition: Partition | None,
+        orbit_dim: int | None,
+        two_orbits: bool = False,
+    ):
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "is_springer", is_springer)
+        object.__setattr__(self, "partition", partition)
+        object.__setattr__(self, "orbit_dim", orbit_dim)
+        object.__setattr__(self, "two_orbits", two_orbits)
 
 
 @lru_cache(maxsize=None)

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import random
 import zlib
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .asymptotics import leading_limit
@@ -71,6 +70,7 @@ from .sun1 import (
     tau_generated_pairs,
     vandermonde,
 )
+from .value import Value
 from .weylaction import act, orbit_span, weyl_dim_poly, weyl_dim_value
 
 SUITE_NAMES = ("sl2", "translation", "ind-eq-char", "harmonic", "su-n1", "springer")
@@ -80,17 +80,26 @@ def _stable_seed(text: str) -> int:
     return zlib.crc32(text.encode("utf-8"))
 
 
-@dataclass(frozen=True)
-class SuiteCase:
-    id: str
-    passed: bool
-    detail: str = ""
+class SuiteCase(Value):
+    __slots__ = _fields = ("id", "passed", "detail")
+
+    def __init__(self, id: str, passed: bool, detail: str = ""):
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "detail", detail)
 
 
-@dataclass
-class SuiteReport:
-    suite: str
-    cases: list[SuiteCase] = field(default_factory=list)
+class SuiteReport(Value):
+    """The cases of one suite run; mutable, so unhashable."""
+
+    __slots__ = _fields = ("suite", "cases")
+    __hash__ = None
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+
+    def __init__(self, suite: str, cases: list[SuiteCase] | None = None):
+        self.suite = suite
+        self.cases = [] if cases is None else cases
 
     @property
     def all_pass(self) -> bool:

@@ -1,0 +1,60 @@
+"""The base class of the package's immutable value types.
+
+A subclass names its constructor arguments, in order, in ``_fields``, and
+in ``_compare`` the fields that equality and the hash read, when those are
+fewer.  Its own ``__init__`` checks its arguments and stores each field
+with ``object.__setattr__``, since ordinary assignment is refused.  It
+declares ``__slots__`` unless it caches properties in its ``__dict__``.
+"""
+
+from __future__ import annotations
+
+from operator import attrgetter
+
+
+class Value:
+    """Equal when of one class with equal compared fields; hashed as the
+    tuple of those fields; shown as ``Name(field=value, ...)``; rebuilt
+    through ``__init__`` by ``replace``, and restored as it was by pickling
+    and ``copy``."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        compare = cls.__dict__.get("_compare", cls._fields)
+        get = attrgetter(*compare)
+        # A one-field key is a 1-tuple, so every key hashes as a tuple.
+        cls._key = staticmethod(get if len(compare) > 1 else lambda obj: (get(obj),))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key(self) == self._key(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({shown})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __setstate__(self, state):
+        """Restore what pickling and ``copy`` saved, unchecked: a __dict__,
+        or (__dict__ or None, slot values) for a class with slots."""
+        for part in state if isinstance(state, tuple) else (state,):
+            for name, value in (part or {}).items():
+                object.__setattr__(self, name, value)
+
+    def replace(self, **changes):
+        """A new value with the given fields changed, checked by __init__."""
+        args = {name: getattr(self, name) for name in self._fields}
+        args.update(changes)
+        return self.__class__(**args)

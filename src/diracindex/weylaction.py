@@ -10,15 +10,15 @@ span that holds P and is stable under generators of W is the orbit span.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache, reduce
 from types import MappingProxyType
-from typing import Mapping
 
 from .errors import CapExceeded, DimensionMismatch
 from .groups import IntWeight, RootDatum, Weight, WeylElement, idot, reflection, simple_roots
 from .polynomials import IntTerms, MultiPoly, _alternant, _repack
+from .value import Value
 
 SPAN_COLUMN_CAP = 20_000
 
@@ -65,14 +65,16 @@ def act(w: WeylElement, poly: MultiPoly) -> MultiPoly:
     return MultiPoly._packed(poly.arity, den, width, _act_packed(w, width, num))
 
 
-@dataclass(frozen=True)
-class PolySpan:
+class PolySpan(Value):
     """An exact Q-span: primitive integer numerators on packed keys of one
     width, keyed by pivot, the largest key; distinct pivots are independent."""
 
-    arity: int
-    width: int
-    rows: Mapping[int, IntTerms]
+    __slots__ = _fields = ("arity", "width", "rows")
+
+    def __init__(self, arity: int, width: int, rows: Mapping[int, IntTerms]):
+        object.__setattr__(self, "arity", arity)
+        object.__setattr__(self, "width", width)
+        object.__setattr__(self, "rows", rows)
 
     @property
     def dim(self) -> int:

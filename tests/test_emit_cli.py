@@ -455,6 +455,29 @@ def test_cli_bad_input_exits_2_with_one_error_line(
     assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "kind",
+    [json.dumps(list(range(200_000))), json.dumps("x" * 500_000), "[" * 950 + "]" * 950],
+    ids=["long-list", "long-string", "deep-list"],
+)
+def test_cli_emit_cuts_the_echo_of_a_long_type_value(kind, tmp_path, capsys):
+    path = tmp_path / "input.json"
+    path.write_text('{"type": ' + kind + "}")
+    assert main(["emit", "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    line = captured.err.encode()
+    assert line.startswith(b"error: cannot emit ") and line.endswith(b"... as json\n")
+    assert line.count(b"\n") == 1 and len(line) < 200
+
+
+def test_cli_emit_echoes_a_short_type_value_whole(tmp_path, capsys):
+    path = tmp_path / "input.json"
+    path.write_text('{"type": "polynomal"}')
+    assert main(["emit", "--input", str(path), "--format", "csv"]) == 2
+    assert capsys.readouterr().err == "error: cannot emit 'polynomal' as csv\n"
+
+
 def _tagged_objects():
     fams = sl2_families()
     lam = (F(5), F(0))

@@ -1,6 +1,5 @@
 import math
 import random
-from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -231,7 +230,7 @@ def test_custom_lattice_predicate():
     d = build_root_datum(GroupId.sp_r(2))
     # restrict to the even sublattice: parameters off it become zero
     # the predicate reads the weight's integer form nums / den
-    even = replace(d, lattice=lambda den, nums: all(n % (2 * den) == 0 for n in nums))
+    even = d.replace(lattice=lambda den, nums: all(n % (2 * den) == 0 for n in nums))
     gamma = weight_add(even.rho_g, W(1, 1))  # (3, 2): shift (1, 1) is odd
     assert k_type_sum(even, [(gamma, 1)]).is_zero()
     assert not k_type_sum(even, [(weight_add(even.rho_g, W(2, 0)), 1)]).is_zero()

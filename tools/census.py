@@ -80,6 +80,10 @@ ALLOWED = {
     "kmodules.VirtualKModule.__hash__": "eq/hash contract of a value type",
     "kmodules.VirtualKModule.__init__":
         "validated public constructor; k_type_sum builds through the trusted one",
+    "value.Value.__setattr__": "refuses assignment to a value; no command assigns one",
+    "value.Value.__delattr__": "refuses deletion from a value; no command deletes one",
+    "value.Value.__repr__": "repr contract of a value type; no command prints a repr",
+    "value.Value.__setstate__": "pickle and copy contract of a value type; no command copies one",
 }
 
 

@@ -43,10 +43,6 @@ class LaurentSeries(Value):
 
     __slots__ = _fields = ("low", "series")
 
-    def __init__(self, low: int, series: TruncatedSeries):
-        object.__setattr__(self, "low", low)
-        object.__setattr__(self, "series", series)
-
     @classmethod
     def zero(cls, order: int) -> "LaurentSeries":
         return cls(0, TruncatedSeries.zero(order))
@@ -69,20 +65,7 @@ class LimitReport(Value):
     """One exact limit check of t^d * character at t -> 0+."""
 
     __slots__ = _fields = ("d", "value", "expected", "match", "underflow")
-
-    def __init__(
-        self,
-        d: int,
-        value: Fraction | None,
-        expected: Fraction | None,
-        match: bool,
-        underflow: bool = False,
-    ):
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "expected", expected)
-        object.__setattr__(self, "match", match)
-        object.__setattr__(self, "underflow", underflow)
+    _defaults = {"underflow": False}
 
 
 def root_ratio(datum: RootDatum, y: Weight) -> Fraction:

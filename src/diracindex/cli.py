@@ -20,25 +20,13 @@ import sys
 from fractions import Fraction
 
 from .dirac import discrete_series_family, index_polynomial
-from .emit import (
-    TAGGED_SHAPES,
-    check_tagged,
-    dumps,
-    emit,
-    factored_from_obj,
-    factored_to_obj,
-    poly_from_obj,
-    poly_to_obj,
-    springer_table_csv,
-    springer_table_latex,
-)
+from .emit import dumps, emit, factored_to_obj, poly_to_obj
 from .errors import (
     ClaimMismatch,
     DiracIndexError,
     InternalInvariantError,
     InvalidInput,
     RankCapExceeded,
-    UnsupportedFormat,
 )
 from .fixtures import su_n1_ds_family
 from .groups import DEFAULT_RANK_CAP, Family, GroupId, build_root_datum
@@ -192,12 +180,6 @@ def _cmd_verify(args) -> int:
     return 0 if report.all_pass else 1
 
 
-# `verify --format json` prints a suite report without a "type" tag.
-_SUITE_REPORT_KEYS = {"suite", "cases", "all_pass"}
-# An unknown "type" value is echoed in at most this many characters.
-_ECHO_LIMIT = 40
-
-
 def _read_json_object(path: str) -> dict:
     try:
         if path == "-":
@@ -217,33 +199,8 @@ def _read_json_object(path: str) -> dict:
 
 
 def _cmd_emit(args) -> int:
-    obj = _read_json_object(args.input)
-    kind = obj.get("type")
-    if kind is None and obj.keys() == _SUITE_REPORT_KEYS:
-        kind = "suite_report"
-    if kind == "polynomial" and ("factors" in obj or "cofactor" in obj):
-        factored = factored_to_obj(*factored_from_obj(obj))
-        if args.format != "json":
-            msg = f"factored polynomials only serialize to json, not {args.format}"
-            raise UnsupportedFormat(msg)
-        sys.stdout.write(dumps(factored))
-        return 0
-    if kind == "polynomial":
-        sys.stdout.write(emit(poly_from_obj(obj), args.format))
-        return 0
-    if isinstance(kind, str) and kind in TAGGED_SHAPES:
-        check_tagged(kind, obj)
-        if args.format == "json":
-            sys.stdout.write(dumps(obj))
-            return 0
-        if kind == "springer_table":
-            render = springer_table_csv if args.format == "csv" else springer_table_latex
-            sys.stdout.write(render(obj["rows"]))
-            return 0
-    shown = repr(kind)
-    if len(shown) > _ECHO_LIMIT:
-        shown = shown[:_ECHO_LIMIT - 3] + "..."
-    raise DiracIndexError(f"cannot emit {shown} as {args.format}")
+    sys.stdout.write(emit(_read_json_object(args.input), args.format))
+    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -29,7 +29,13 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from types import MappingProxyType
 
-from .errors import CapExceeded, DimensionMismatch, OffLattice, SingularParameter
+from .errors import (
+    CapExceeded,
+    DimensionMismatch,
+    NonIntegralCoefficient,
+    OffLattice,
+    SingularParameter,
+)
 from .groups import (
     IntWeight,
     RootDatum,
@@ -62,10 +68,6 @@ SPIN_SUBSET_CAP = 20
 
 class SpinWeights(Value):
     __slots__ = _fields = ("plus", "minus")
-
-    def __init__(self, plus: WeightMultiset, minus: WeightMultiset):
-        object.__setattr__(self, "plus", plus)
-        object.__setattr__(self, "minus", minus)
 
 
 def spin_weights(datum: RootDatum, cap: int = SPIN_SUBSET_CAP) -> SpinWeights:
@@ -146,14 +148,12 @@ class IndexFamily(Value):
         gk_dim: int | None = None,
         name: str = "",
     ):
-        coeffs = {w: int(a) for w, a in coeffs.items() if a != 0}
+        for w, a in coeffs.items():
+            if int(a) != a:
+                raise NonIntegralCoefficient(f"coefficient {a} of {w} is not an integer")
         if len(base) != datum.rank:
             raise DimensionMismatch("base length must equal the rank")
-        object.__setattr__(self, "datum", datum)
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "gk_dim", gk_dim)
-        object.__setattr__(self, "name", name)
+        super().__init__(datum, base, {w: int(a) for w, a in coeffs.items() if a}, gk_dim, name)
 
     @cached_property
     def base_form(self) -> IntWeight:

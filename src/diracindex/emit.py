@@ -277,10 +277,6 @@ def springer_table_latex(rows: list[dict]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def springer_rows_to_latex(rows: list[SpringerRow]) -> str:
-    return springer_table_latex([springer_row_to_obj(r) for r in rows])
-
-
 _ENCODER = json.JSONEncoder(separators=(",", ":"), check_circular=False)
 
 
@@ -292,24 +288,57 @@ def dumps(obj: dict) -> str:
     return _ENCODER.encode(obj) + "\n"
 
 
+# The formats emit writes each kind of object in.
+_FORMATS = {
+    "polynomial": ("json",),
+    "limit_report": ("json",),
+    "suite_report": ("json",),
+    "springer_table": ("json", "csv", "latex"),
+}
+# `verify --format json` prints a suite report without a "type" tag.
+_SUITE_REPORT_KEYS = {"suite", "cases", "all_pass"}
+# A refused kind, such as an unknown "type" value, is echoed in at most
+# this many characters.
+_ECHO_LIMIT = 40
+
+
 def emit(obj: object, fmt: str) -> str:
-    """Serialize a recognized object to json, csv or latex text."""
-    if fmt not in ("json", "csv", "latex"):
-        raise UnsupportedFormat(f"unsupported format {fmt!r}")
+    """Serialize to json, csv or latex text a polynomial, a limit report, a
+    list of Springer rows, or a JSON object that the commands write, which
+    is checked first.  Each kind and format not in _FORMATS is refused with
+    one message."""
     if isinstance(obj, MultiPoly):
-        if fmt == "json":
-            return dumps({"type": "polynomial", **poly_to_obj(obj)})
-        raise UnsupportedFormat(f"polynomials only serialize to json, not {fmt}")
+        kind = "polynomial"
+    elif isinstance(obj, LimitReport):
+        kind = "limit_report"
+    elif isinstance(obj, list) and all(isinstance(r, SpringerRow) for r in obj):
+        kind = "springer_table"
+    elif isinstance(obj, dict):
+        kind = obj.get("type")
+        if kind is None and obj.keys() == _SUITE_REPORT_KEYS:
+            kind = "suite_report"
+    else:
+        kind = type(obj)
+    if not (isinstance(kind, str) and fmt in _FORMATS.get(kind, ())):
+        shown = repr(kind)
+        if len(shown) > _ECHO_LIMIT:
+            shown = shown[:_ECHO_LIMIT - 3] + "..."
+        raise UnsupportedFormat(f"cannot emit {shown} as {fmt}")
+    if isinstance(obj, MultiPoly):
+        return dumps({"type": "polynomial", **poly_to_obj(obj)})
     if isinstance(obj, LimitReport):
-        if fmt == "json":
-            return dumps({"type": "limit_report", **limit_report_to_obj(obj)})
-        raise UnsupportedFormat(f"limit reports only serialize to json, not {fmt}")
-    if isinstance(obj, list) and all(isinstance(r, SpringerRow) for r in obj):
-        if fmt == "json":
-            return dumps(
-                {"type": "springer_table", "rows": [springer_row_to_obj(r) for r in obj]}
-            )
+        return dumps({"type": "limit_report", **limit_report_to_obj(obj)})
+    if kind == "polynomial":
+        if "factors" in obj or "cofactor" in obj:
+            return dumps(factored_to_obj(*factored_from_obj(obj)))
+        return emit(poly_from_obj(obj), fmt)
+    if isinstance(obj, list):
         if fmt == "csv":
             return springer_rows_to_csv(obj)
-        return springer_rows_to_latex(obj)
-    raise UnsupportedFormat(f"cannot emit object of type {type(obj).__name__}")
+        obj = {"type": "springer_table", "rows": [springer_row_to_obj(r) for r in obj]}
+    else:
+        check_tagged(kind, obj)
+    if fmt == "json":
+        return dumps(obj)
+    render = springer_table_csv if fmt == "csv" else springer_table_latex
+    return render(obj["rows"])

@@ -49,6 +49,10 @@ class ZeroForm(DiracIndexError, ValueError):
     """A linear form with no nonzero coefficient was supplied."""
 
 
+class NonIntegralCoefficient(DiracIndexError, ValueError):
+    """An index family coefficient is not an integer."""
+
+
 class NotDominantIntegral(DiracIndexError, ValueError):
     """Highest weight is not dominant integral for the positive system."""
 

@@ -57,25 +57,6 @@ class SL2Fixture(Value):
         "gk_dims",
     )
 
-    def __init__(
-        self,
-        base_parameter: int,
-        q_values: dict[str, int],
-        s_matrix: tuple[tuple[int, int, int, int], ...],
-        decomposition: tuple[int, int],
-        multiplicities: dict[str, tuple[int, int]],
-        conjecture_coeffs: tuple[int, int],
-        ps_index_constants: dict[str, tuple[int, int]],
-        gk_dims: dict[str, int],
-    ):
-        object.__setattr__(self, "base_parameter", base_parameter)
-        object.__setattr__(self, "q_values", q_values)
-        object.__setattr__(self, "s_matrix", s_matrix)
-        object.__setattr__(self, "decomposition", decomposition)
-        object.__setattr__(self, "multiplicities", multiplicities)
-        object.__setattr__(self, "conjecture_coeffs", conjecture_coeffs)
-        object.__setattr__(self, "ps_index_constants", ps_index_constants)
-        object.__setattr__(self, "gk_dims", gk_dims)
 
 SL2 = SL2Fixture(
     base_parameter=1,

@@ -59,11 +59,13 @@ class Bipartition(Value):
     __slots__ = _fields = ("alpha", "beta")
 
     def __init__(self, alpha: Partition, beta: Partition):
-        object.__setattr__(self, "alpha", check_partition(alpha) if alpha else ())
-        object.__setattr__(self, "beta", check_partition(beta) if beta else ())
+        super().__init__(
+            check_partition(alpha) if alpha else (), check_partition(beta) if beta else ()
+        )
 
 
 class Symbol(Value):
+    # kind is 'B', 'C' or 'D'
     __slots__ = _fields = ("top", "bottom", "kind")
 
     def __init__(self, top: tuple[int, ...], bottom: tuple[int, ...], kind: str):
@@ -80,9 +82,7 @@ class Symbol(Value):
                 f"type {kind} symbol needs |top| = |bottom|"
                 + ("" if kind == "D" else " + 1")
             )
-        object.__setattr__(self, "top", top)
-        object.__setattr__(self, "bottom", bottom)
-        object.__setattr__(self, "kind", kind)  # 'B', 'C' or 'D'
+        super().__init__(top, bottom, kind)
 
 
 def symbol_of_bipartition(bp: Bipartition, kind: str) -> Symbol:
@@ -320,22 +320,7 @@ def generator_forms(datum: RootDatum) -> tuple[LinearForm, ...]:
 
 class SpringerRow(Value):
     __slots__ = _fields = ("group", "label", "is_springer", "partition", "orbit_dim", "two_orbits")
-
-    def __init__(
-        self,
-        group: GroupId,
-        label: Partition | Bipartition,
-        is_springer: bool,
-        partition: Partition | None,
-        orbit_dim: int | None,
-        two_orbits: bool = False,
-    ):
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "label", label)
-        object.__setattr__(self, "is_springer", is_springer)
-        object.__setattr__(self, "partition", partition)
-        object.__setattr__(self, "orbit_dim", orbit_dim)
-        object.__setattr__(self, "two_orbits", two_orbits)
+    _defaults = {"two_orbits": False}
 
 
 @lru_cache(maxsize=None)

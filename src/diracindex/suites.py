@@ -82,11 +82,7 @@ def _stable_seed(text: str) -> int:
 
 class SuiteCase(Value):
     __slots__ = _fields = ("id", "passed", "detail")
-
-    def __init__(self, id: str, passed: bool, detail: str = ""):
-        object.__setattr__(self, "id", id)
-        object.__setattr__(self, "passed", passed)
-        object.__setattr__(self, "detail", detail)
+    _defaults = {"detail": ""}
 
 
 class SuiteReport(Value):

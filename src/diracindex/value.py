@@ -1,10 +1,13 @@
 """The base class of the package's immutable value types.
 
-A subclass names its constructor arguments, in order, in ``_fields``, and
-in ``_compare`` the fields that equality and the hash read, when those are
-fewer.  Its own ``__init__`` checks its arguments and stores each field
-with ``object.__setattr__``, since ordinary assignment is refused.  It
-declares ``__slots__`` unless it caches properties in its ``__dict__``.
+A subclass names its constructor arguments, in order, in ``_fields``, the
+values of trailing ones that may be left out in ``_defaults``, and in
+``_compare`` the fields that equality and the hash read, when those are
+fewer.  ``Value.__init__`` binds its arguments to ``_fields`` as a plain
+signature would, positionally or by keyword, and stores them, since
+assignment is refused; a subclass that checks or normalizes its arguments
+ends its own ``__init__`` in ``super().__init__``.  It declares
+``__slots__`` unless it caches properties in its ``__dict__``.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ class Value:
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+    _defaults: dict[str, object] = {}
 
     def __init_subclass__(cls):
         super().__init_subclass__()
@@ -27,6 +31,26 @@ class Value:
         get = attrgetter(*compare)
         # A one-field key is a 1-tuple, so every key hashes as a tuple.
         cls._key = staticmethod(get if len(compare) > 1 else lambda obj: (get(obj),))
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if kwargs or len(args) != len(fields):
+            name = f"{self.__class__.__qualname__}()"
+            if len(args) > len(fields):
+                raise TypeError(f"{name} takes {len(fields)} arguments but {len(args)} were given")
+            bound = {**self._defaults, **dict(zip(fields, args))}
+            for key, value in kwargs.items():
+                if key not in fields:
+                    raise TypeError(f"{name} got an unexpected keyword argument {key!r}")
+                if key in fields[:len(args)]:
+                    raise TypeError(f"{name} got multiple values for argument {key!r}")
+                bound[key] = value
+            missing = [key for key in fields if key not in bound]
+            if missing:
+                raise TypeError(f"{name} missing arguments: {', '.join(missing)}")
+            args = [bound[key] for key in fields]
+        for key, value in zip(fields, args):
+            object.__setattr__(self, key, value)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:

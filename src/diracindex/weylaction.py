@@ -71,11 +71,6 @@ class PolySpan(Value):
 
     __slots__ = _fields = ("arity", "width", "rows")
 
-    def __init__(self, arity: int, width: int, rows: Mapping[int, IntTerms]):
-        object.__setattr__(self, "arity", arity)
-        object.__setattr__(self, "width", width)
-        object.__setattr__(self, "rows", rows)
-
     @property
     def dim(self) -> int:
         return len(self.rows)

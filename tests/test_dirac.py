@@ -21,7 +21,13 @@ from diracindex.dirac import (
     spin_weights,
     verify_translation,
 )
-from diracindex.errors import CapExceeded, OffLattice, SingularParameter
+from diracindex.errors import (
+    CapExceeded,
+    DiracIndexError,
+    NonIntegralCoefficient,
+    OffLattice,
+    SingularParameter,
+)
 from diracindex.fixtures import sl2_families, sl2_weight, su21_ds_families
 from diracindex.groups import (
     GroupId,
@@ -501,6 +507,27 @@ def zero_coordinate_families(draw):
 @given(zero_coordinate_families())
 def test_canonical_coeffs_matches_coordinate_matching(fam):
     assert canonical_coeffs(fam) == _canonical_coeffs_by_matching(fam)
+
+
+@settings(max_examples=100, deadline=None)
+@given(zero_coordinate_families(), st.data())
+def test_index_family_replace_rebuilds_the_same_family(fam, data):
+    assert fam.replace() == fam
+    # integral Fractions are stored as ints, zeros dropped
+    as_fractions = {w: F(2 * a, 2) for w, a in fam.coeffs.items()}
+    zero = data.draw(st.sampled_from(weyl_elements(fam.datum, "g")))
+    as_fractions.setdefault(zero, F(0))
+    assert fam.replace(coeffs=as_fractions) == fam
+
+
+def test_index_family_refuses_a_rational_coefficient():
+    d = build_root_datum(GroupId.su(2, 1))
+    e = WeylElement.identity(3)
+    with pytest.raises(NonIntegralCoefficient, match="coefficient 1/2 of ") as caught:
+        IndexFamily(d, W(3, 2, 1), {e: F(1, 2)})
+    assert isinstance(caught.value, DiracIndexError) and isinstance(caught.value, ValueError)
+    fam = IndexFamily(d, W(3, 2, 1), {e: F(4, 2)})
+    assert fam.coeffs == {e: 2} and type(fam.coeffs[e]) is int
 
 
 def _integral_by_solver(w, base, datum):

@@ -22,7 +22,6 @@ from diracindex.emit import (
     poly_to_obj,
     springer_row_to_obj,
     springer_rows_to_csv,
-    springer_rows_to_latex,
 )
 from diracindex.errors import InternalInvariantError, UnsupportedFormat
 from diracindex.fixtures import sl2_families
@@ -141,7 +140,7 @@ def test_springer_csv_line():
 
 def test_springer_latex():
     row = springer_row(GroupId.sp_r(2))
-    text = springer_rows_to_latex([row])
+    text = emit([row], "latex")
     assert r"\begin{tabular}" in text
     assert "(X_{1}-X_{2})" in text
     assert "Yes" in text
@@ -476,6 +475,35 @@ def test_cli_emit_echoes_a_short_type_value_whole(tmp_path, capsys):
     path.write_text('{"type": "polynomal"}')
     assert main(["emit", "--input", str(path), "--format", "csv"]) == 2
     assert capsys.readouterr().err == "error: cannot emit 'polynomal' as csv\n"
+
+
+def _refused_objects():
+    """(kind, Python object, JSON text) of each kind emit writes only as json."""
+    poly = char_poly_det(4, 2)
+    report = _tagged_objects()["limit_report"]
+    suite = run_suite("sl2")
+    factored = factored_to_obj(poly, *extract_det_factors(4, 2))
+    return {
+        "polynomial": ("polynomial", poly, emit(poly, "json")),
+        "factored": ("polynomial", factored, dumps(factored)),
+        "limit_report": ("limit_report", report, emit(report, "json")),
+        "suite_report": ("suite_report", suite.to_obj(), dumps(suite.to_obj())),
+    }
+
+
+@pytest.mark.parametrize("fmt", ["csv", "latex"])
+@pytest.mark.parametrize("name", ["polynomial", "factored", "limit_report", "suite_report"])
+def test_emit_refuses_each_json_only_kind_in_one_message(name, fmt, tmp_path, capsys):
+    kind, obj, text = _refused_objects()[name]
+    message = f"cannot emit {kind!r} as {fmt}"
+    with pytest.raises(UnsupportedFormat) as caught:
+        emit(obj, fmt)
+    assert str(caught.value) == message
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    assert main(["emit", "--input", str(path), "--format", fmt]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
 
 
 def _tagged_objects():

@@ -9,7 +9,9 @@ from diracindex.errors import (
     IllegalParams,
     RankCapExceeded,
 )
+from diracindex import groups
 from diracindex.groups import (
+    DEFAULT_RANK_CAP,
     Family,
     GroupId,
     WeylElement,
@@ -24,6 +26,7 @@ from diracindex.groups import (
     weyl_elements,
     weyl_order,
 )
+from diracindex.springer import springer_row
 
 SMALL_GROUPS = [
     GroupId.su(1, 1),
@@ -255,3 +258,15 @@ def test_dominate_matches_weyl_scan(case):
     if which == "k":
         expected = (x.sign(), image) if regular else None
         assert normalize_k_dominant(d, gamma) == expected
+
+
+def test_one_group_builds_one_root_datum():
+    """springer_row and weyl_elements ask for the datum under one cache key."""
+    for cached in (build_root_datum, groups._weyl_elements_cached, springer_row):
+        cached.cache_clear()
+    group = GroupId.sp_r(3)
+    springer_row(group)
+    datum = build_root_datum(group, max_rank=max(DEFAULT_RANK_CAP, group.rank))
+    weyl_elements(datum, "k")
+    info = build_root_datum.cache_info()
+    assert (info.currsize, info.misses) == (1, 1)

@@ -7,23 +7,29 @@ arguments, valid or not, each class and its twin must agree on what they
 build or raise, ``==`` and ``!=`` (also between objects that differ in one
 field and across classes), ``hash`` or its ``TypeError``, ``repr``,
 refusing assignment and deletion, ``replace`` and the pickle and copy
-round trips.
+round trips.  The IndexFamily twin refuses a coefficient that is not an
+integer, where the dataclass truncated it.  A last check keeps the store-only
+constructors out of the package.
 """
 
+import ast
 import copy
 import dataclasses
+import importlib
 import math
 import pickle
 from dataclasses import dataclass, field
 from fractions import Fraction
+from pathlib import Path
 from types import MappingProxyType
 from typing import Callable, Mapping
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import diracindex
 from diracindex import asymptotics, dirac, fixtures, groups, polynomials, springer, suites, weylaction
-from diracindex.errors import DimensionMismatch, IllegalParams, ZeroForm
+from diracindex.errors import DimensionMismatch, IllegalParams, NonIntegralCoefficient, ZeroForm
 from diracindex.groups import Family, build_root_datum, int_form
 from diracindex.series import TruncatedSeries
 from diracindex.springer import Partition, check_partition
@@ -120,10 +126,13 @@ class IndexFamily:
     name: str = ""
 
     def __post_init__(self):
+        for w, a in self.coeffs.items():
+            if Fraction(a).denominator != 1:
+                raise NonIntegralCoefficient(f"coefficient {a} of {w} is not an integer")
         object.__setattr__(
             self,
             "coeffs",
-            {w: int(a) for w, a in self.coeffs.items() if a != 0},
+            {w: int(a) for w, a in self.coeffs.items() if int(a) != 0},
         )
         if len(self.base) != self.datum.rank:
             raise DimensionMismatch("base length must equal the rank")
@@ -356,6 +365,29 @@ def test_build_and_refuse_alike(new, twin, args_st, defaults, data):
 
 
 @pytest.mark.parametrize("new,twin,args_st,defaults", CLASSES, ids=IDS)
+@settings(max_examples=5, deadline=None)
+@given(data=st.data())
+def test_wrong_argument_lists_refused_alike(new, twin, args_st, defaults, data):
+    """A missing field, an extra positional argument, an unknown keyword and
+    a field given twice each raise TypeError, as from the twin; the messages
+    differ."""
+    args = data.draw(args_st)
+    fields = new._fields
+    required = len(fields) - defaults
+    wrong = [
+        (args[:required - 1], {}),
+        ((), dict(zip(fields[1:], args[1:]))),
+        (args + (0,), {}),
+        (args, {"extra": 0}),
+        (args, {fields[0]: args[0]}),
+    ]
+    for pos, kw in wrong:
+        for cls in (new, twin):
+            with pytest.raises(TypeError):
+                cls(*pos, **kw)
+
+
+@pytest.mark.parametrize("new,twin,args_st,defaults", CLASSES, ids=IDS)
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_eq_and_hash_alike(new, twin, args_st, defaults, data):
@@ -470,3 +502,51 @@ def test_round_trip_keeps_cached_properties_working():
     fam = dirac.IndexFamily(datum, (Fraction(3), Fraction(2), Fraction(1)), {WEYL_3: 1})
     assert copy.deepcopy(fam).base_form == fam.base_form == int_form(fam.base)
 
+
+
+# Constructors left storing their own fields, each with the reason it stays.
+STORE_ONLY = {
+    "groups.WeylElement": "built about 17 times per character job, in about half the binder's time",
+}
+
+
+def is_store_only(init: ast.FunctionDef) -> bool:
+    """Whether a constructor does nothing but object.__setattr__(self, ...),
+    which Value.__init__ does for every class."""
+    body = init.body
+    if body and isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant):
+        body = body[1:]  # a docstring
+    return bool(body) and all(
+        isinstance(stmt, ast.Expr)
+        and isinstance(stmt.value, ast.Call)
+        and ast.unparse(stmt.value.func) == "object.__setattr__"
+        and ast.unparse(stmt.value.args[0]) == "self"
+        for stmt in body
+    )
+
+
+def test_store_only_check_tells_the_cases_apart():
+    def init(source):
+        return ast.parse(source).body[0]
+
+    assert is_store_only(init(
+        'def __init__(self, a):\n    "Doc."\n    object.__setattr__(self, "a", a)'
+    ))
+    assert not is_store_only(init("def __init__(self, a):\n    super().__init__(a)"))
+    assert not is_store_only(init(
+        'def __init__(self, a):\n    check(a)\n    object.__setattr__(self, "a", a)'
+    ))
+
+
+def test_no_value_class_keeps_a_store_only_constructor():
+    found = []
+    for path in sorted(Path(diracindex.__file__).parent.glob("[a-z]*.py")):
+        module = importlib.import_module(f"diracindex.{path.stem}")
+        for node in ast.parse(path.read_text()).body:
+            cls = getattr(module, node.name, None) if isinstance(node, ast.ClassDef) else None
+            if not (isinstance(cls, type) and issubclass(cls, Value)):
+                continue
+            init = next((f for f in node.body if getattr(f, "name", "") == "__init__"), None)
+            if init is not None and is_store_only(init):
+                found.append(f"{path.stem}.{node.name}")
+    assert found == sorted(STORE_ONLY)

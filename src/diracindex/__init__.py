@@ -32,7 +32,6 @@ from .groups import (
     build_root_datum,
     dot,
     normalize_k_dominant,
-    pairing,
     reflection,
     simple_roots,
     weight_add,

@@ -239,13 +239,18 @@ def verify_translation(
 ) -> bool:
     """Check I(X_lam) (x) F = sum_{mu in Delta(F)} I(X_{lam+mu}) exactly."""
     delta = weight_multiset(f_highest, fam.datum)
+    lam = _on_coset(fam, fam.datum.form(lam))
+    # lam is on the coset, so lam + mu is on it exactly when mu is in
+    # Lambda; _on_coset raises for the first lam + mu that is not.
+    for mu in delta.forms:
+        if not fam.datum.lattice(*mu):
+            _on_coset(fam, int_add(lam, mu))
 
     def index_terms(lam: IntWeight, m: int = 1) -> list[tuple[IntWeight, int]]:
         """The terms (w lam, m a_w) of m I(X_lam), before normalization."""
-        den, nums = _on_coset(fam, lam)
+        den, nums = lam
         return [((den, w.apply(nums)), m * a) for w, a in fam.coeffs.items()]
 
-    lam = fam.datum.form(lam)
     left = tensor_virtual(_k_type_sum(fam.datum, index_terms(lam)), delta)
     right = [term for mu, m in delta.forms.items() for term in index_terms(int_add(lam, mu), m)]
     return left == _k_type_sum(fam.datum, right)

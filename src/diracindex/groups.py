@@ -20,12 +20,16 @@ six supported families and their compact/noncompact splits:
 * ``SO*(2n)``        -- type D_n; compact part {e_i - e_j} (K = U(n)).
 
 Weyl group elements are signed permutations: all signs +1 in type A, an
-even number of -1 signs in type D.  ``dominate(blocks, gamma)`` is the one
-chamber routine: it returns the element x of the blocks' Weyl group with
-x.gamma dominant, found blockwise by sorting, and whether gamma is regular
-for the blocks' roots; it and ``WeylElement.apply`` act alike on a
-weight and on the numerators of its integer form.  Pass
-``datum.compact_blocks`` for W_k and ``(datum.ambient,)`` for W_g.
+even number of -1 signs in type D.  Two chamber routines sort blockwise,
+and both act alike on a weight and on the numerators of its integer form;
+pass ``datum.compact_blocks`` for W_k and ``(datum.ambient,)`` for W_g.
+``dominate(blocks, gamma)`` returns the element x of the blocks' Weyl
+group with x.gamma dominant, and whether gamma is regular for the blocks'
+roots; index-family folding and the dominant weights of the Freudenthal
+recursion read it.  ``_signed_dominant(blocks, gamma)`` returns only
+(sign(x), x.gamma), or None when gamma is singular, without building x:
+``normalize_k_dominant`` runs on it, and through it every K-type sum.
+The tests hold it to ``dominate``.
 SU(p,q) weights are *not* quotiented by the trace line; every quantity
 computed downstream is invariant under adding a multiple of (1,...,1),
 and the SU lattice accordingly contains all vectors with pairwise
@@ -40,7 +44,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import permutations, product
-from operator import mul
+from operator import mul, sub
 
 from .errors import (
     DimensionMismatch,
@@ -69,14 +73,6 @@ def dot(a: Weight, b: Weight) -> Fraction:
     if len(a) != len(b):
         raise DimensionMismatch(f"weight lengths {len(a)} != {len(b)}")
     return Fraction(sum(map(mul, a, b)))
-
-
-def pairing(lam: Weight, alpha: Weight) -> Fraction:
-    """Coroot pairing <alpha^vee, lam> = 2(lam, alpha)/(alpha, alpha); one
-    Fraction when lam and alpha are integer tuples."""
-    if len(lam) != len(alpha):
-        raise DimensionMismatch(f"weight lengths {len(lam)} != {len(alpha)}")
-    return Fraction(2 * sum(map(mul, lam, alpha)), sum(map(mul, alpha, alpha)))
 
 
 def int_form(w: Weight) -> IntWeight:
@@ -277,7 +273,10 @@ class RootDatum(Value):
 
     def on_shifted_lattice_form(self, form: IntWeight) -> bool:
         """on_shifted_lattice on an integer form of length the rank."""
-        den = math.lcm(form[0], self.rho_g_form[0])
+        rho_den, rho_nums = self.rho_g_form
+        if form[0] == rho_den:
+            return self.lattice(rho_den, tuple(map(sub, form[1], rho_nums)))
+        den = math.lcm(form[0], rho_den)
         rho = over(self.rho_g_form, den)
         return self.lattice(den, tuple(n - r for n, r in zip(over(form, den), rho)))
 
@@ -331,12 +330,17 @@ def _family_layout(group: GroupId) -> tuple[Block, tuple[Block, ...]]:
     raise IllegalParams(f"unknown family {fam}")
 
 
-@lru_cache(maxsize=None)
 def build_root_datum(group: GroupId, max_rank: int = DEFAULT_RANK_CAP) -> RootDatum:
-    """Construct the root datum with the conventions in the module docstring."""
+    """The root datum of the group, with the conventions in the module
+    docstring; one object per group, whatever the cap."""
+    if group.rank > max_rank:
+        raise RankCapExceeded(f"rank {group.rank} exceeds cap {max_rank}")
+    return _root_datum(group)
+
+
+@lru_cache(maxsize=None)
+def _root_datum(group: GroupId) -> RootDatum:
     rank = group.rank
-    if rank > max_rank:
-        raise RankCapExceeded(f"rank {rank} exceeds cap {max_rank}")
     ambient, compact_blocks = _family_layout(group)
     all_roots = _block_roots(ambient, rank)
     compact_set = set()
@@ -366,7 +370,8 @@ class WeylElement(Value):
 
     __slots__ = _fields = ("perm", "signs")
 
-    # Built about 17 times per character job, in about half the binder's time.
+    # Weyl-group enumeration builds one per element; this takes about half
+    # the binder's time.
     def __init__(self, perm: tuple[int, ...], signs: tuple[int, ...]):
         object.__setattr__(self, "perm", perm)
         object.__setattr__(self, "signs", signs)
@@ -470,7 +475,7 @@ def weyl_order(datum: RootDatum, which: str = "g") -> int:
 def _weyl_elements_cached(
     group: GroupId, which: str, cap: int
 ) -> tuple[WeylElement, ...]:
-    datum = build_root_datum(group, max_rank=max(group.rank, DEFAULT_RANK_CAP))
+    datum = _root_datum(group)
     order = weyl_order(datum, which)
     if order > cap:
         raise EnumerationCapExceeded(f"|W| = {order} exceeds cap {cap}")
@@ -535,10 +540,55 @@ def dominate(blocks: tuple[Block, ...], gamma: Weight) -> tuple[WeylElement, boo
     return WeylElement(tuple(perm), tuple(signs)), regular
 
 
+def _signed_dominant(blocks: tuple[Block, ...], gamma) -> tuple[int, tuple] | None:
+    """(sign(x), x.gamma) for the x of ``dominate(blocks, gamma)``, or None
+    when gamma is singular for the roots of the blocks; the caller has
+    checked the length.
+
+    Works blockwise on the entries, without building x.  A block sorts
+    its entries, or in B, C and D their absolute values, in descending
+    order; the sort keys must be distinct, and nonzero in B and C.  The
+    permutation's sign is (-1)^(inversions), the pairs of keys that stand
+    in ascending order; B and C add one sign flip per negative entry.  D
+    flips signs in pairs, so its sign is the permutation's alone, and an
+    odd negative count negates the last slot.
+    """
+    sign, out = 1, []
+    for blk in blocks:
+        entries = gamma[blk.start:blk.start + blk.size]
+        kind = blk.kind
+        keys = entries if kind == "A" else list(map(abs, entries))
+        ranked = sorted(keys, reverse=True)
+        if len(set(ranked)) < len(ranked):
+            return None
+        seen = []
+        for a in keys:
+            for b in seen:
+                if b < a:
+                    sign = -sign
+            seen.append(a)
+        if kind != "A":
+            negatives = 0
+            for c in entries:
+                if c < 0:
+                    negatives += 1
+            if kind == "D":
+                if negatives % 2:
+                    ranked[-1] = -ranked[-1]
+            elif ranked and not ranked[-1]:
+                return None
+            elif negatives % 2:
+                sign = -sign
+        out += ranked
+    return sign, tuple(out)
+
+
 def normalize_k_dominant(
     datum: RootDatum, gamma: Weight
 ) -> tuple[int, Weight] | None:
     """Unique (sign(x), x.gamma) with x in W_k and x.gamma strictly k-dominant;
-    None when gamma is singular for some compact root."""
-    x, regular = dominate(datum.compact_blocks, gamma)
-    return (x.sign(), x.apply(gamma)) if regular else None
+    None when gamma is singular for some compact root.  gamma may also be
+    the numerators of an integer form."""
+    if len(gamma) != datum.rank:
+        raise DimensionMismatch(f"weight length {len(gamma)} does not match the blocks")
+    return _signed_dominant(datum.compact_blocks, gamma)

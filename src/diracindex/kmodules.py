@@ -57,7 +57,6 @@ from .groups import (
     int_form,
     normalize_k_dominant,
     over,
-    pairing,
     reflection,
     simple_roots,
     weight_add,
@@ -299,10 +298,11 @@ def weight_multiset(highest: Weight, datum: RootDatum) -> WeightMultiset:
     new multiset."""
     den, top = datum.form(highest)
     for alpha in datum.positive_roots:
-        p = pairing(top, alpha) / den
-        if p < 0 or p.denominator != 1:
+        # <alpha^vee, highest> = 2 (top, alpha) / (den (alpha, alpha))
+        twice, scale = 2 * idot(top, alpha), den * idot(alpha, alpha)
+        if twice < 0 or twice % scale:
             raise NotDominantIntegral(
-                f"<{alpha}, {highest}> = {p} is not a nonnegative integer"
+                f"<{alpha}, {highest}> = {Fraction(twice, scale)} is not a nonnegative integer"
             )
     return WeightMultiset(forms=_weight_forms(datum, tuple(highest)))
 

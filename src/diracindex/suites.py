@@ -239,6 +239,9 @@ def sorted_coeff_str(fam: IndexFamily) -> str:
 
 
 def _lattice_offsets_rank(rank: int, count: int = 10) -> list[tuple[int, ...]]:
+    """count distinct seeded offsets in [-3, 3]^rank, or all 7^rank of them
+    when there are fewer."""
+    count = min(count, 7**rank)
     rng = random.Random(11 * rank + 3)
     seen: list[tuple[int, ...]] = []
     while len(seen) < count:

@@ -272,6 +272,21 @@ def test_translation_su21_adjoint():
     assert verify_translation(fam, W(1, 0, -1), fam.base)
 
 
+def test_translation_off_lattice_names_the_first_point():
+    """lam off the coset is named first; then lam + mu for the first weight
+    mu of F off the lattice, here a weight of the spin module of SOe(2,3)."""
+    datum = build_root_datum(GroupId.so_even_odd(1, 1))
+    fam = discrete_series_family(datum.rho_g, datum)
+    spin = W(F(1, 2), F(1, 2))
+    with pytest.raises(OffLattice) as info:
+        verify_translation(fam, spin, datum.rho_g)
+    assert str(info.value) == "(Fraction(1, 1), Fraction(1, 1)) is not in base + Lambda"
+    with pytest.raises(OffLattice) as info:
+        verify_translation(fam, spin, W(1, 0))
+    assert str(info.value) == "(Fraction(1, 1), Fraction(0, 1)) is not in base + Lambda"
+    assert verify_translation(fam, W(1, 0), datum.rho_g)
+
+
 def test_act_on_family():
     fams = sl2_families()
     s = WeylElement((1, 0), (1, 1))

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -315,6 +316,24 @@ def test_console_script_entry():
     )
     assert result.returncode == 0
     assert "all passed" in result.stdout
+
+
+def test_lattice_offsets_return_at_rank_one():
+    """Rank 1 has 7 offsets in [-3, 3], fewer than the 10 asked for.  The
+    call runs in a fresh interpreter with a timeout, so a hang fails the
+    test in seconds instead of holding the run."""
+    code = (
+        "import sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "from diracindex.suites import _lattice_offsets_rank\n"
+        "print(sorted(_lattice_offsets_rank(1)))\n"
+    )
+    src = str(Path(dirac.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-I", "-c", code, src], capture_output=True, text=True, timeout=30,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == f"{[(c,) for c in range(-3, 4)]}\n"
 
 
 def test_suites_deterministic_across_runs():

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -19,14 +20,15 @@ from diracindex.groups import (
     dominate,
     dot,
     normalize_k_dominant,
-    pairing,
     reflection,
     simple_roots,
     weight_add,
     weyl_elements,
     weyl_order,
 )
-from diracindex.springer import springer_row
+from diracindex.cli import main
+from diracindex.springer import springer_row, table_groups
+from diracindex.suites import _small_groups
 
 SMALL_GROUPS = [
     GroupId.su(1, 1),
@@ -92,6 +94,11 @@ def test_enumeration_cap():
     d = build_root_datum(GroupId.sp_r(2))
     with pytest.raises(EnumerationCapExceeded):
         weyl_elements(d, "g", cap=7)
+
+
+def pairing(lam, alpha):
+    """The coroot pairing <alpha^vee, lam> = 2(lam, alpha)/(alpha, alpha)."""
+    return 2 * dot(lam, alpha) / dot(alpha, alpha)
 
 
 def test_pairing_examples():
@@ -262,11 +269,77 @@ def test_dominate_matches_weyl_scan(case):
 
 def test_one_group_builds_one_root_datum():
     """springer_row and weyl_elements ask for the datum under one cache key."""
-    for cached in (build_root_datum, groups._weyl_elements_cached, springer_row):
+    for cached in (groups._root_datum, groups._weyl_elements_cached, springer_row):
         cached.cache_clear()
     group = GroupId.sp_r(3)
     springer_row(group)
     datum = build_root_datum(group, max_rank=max(DEFAULT_RANK_CAP, group.rank))
     weyl_elements(datum, "k")
-    info = build_root_datum.cache_info()
+    info = groups._root_datum.cache_info()
     assert (info.currsize, info.misses) == (1, 1)
+
+
+def test_root_datum_is_one_object_whatever_the_cap():
+    group = GroupId.su(2, 1)
+    assert build_root_datum(group) is build_root_datum(group, max_rank=12)
+    big = GroupId.su(5, 5)
+    assert build_root_datum(big, max_rank=10) is build_root_datum(big, max_rank=11)
+    with pytest.raises(RankCapExceeded, match="rank 10 exceeds cap 9"):
+        build_root_datum(big, max_rank=9)
+    with pytest.raises(RankCapExceeded, match="rank 10 exceeds cap 8"):
+        build_root_datum(big)
+
+
+def test_ind_eq_char_suite_builds_one_root_datum_per_group(capsys):
+    groups._root_datum.cache_clear()
+    assert main(["verify", "--suite", "ind-eq-char"]) == 0
+    capsys.readouterr()
+    touched = set(_small_groups(4)) | {GroupId.su(1, 1), GroupId.su(2, 1)}
+    info = groups._root_datum.cache_info()
+    assert info.currsize == info.misses == len(touched)
+
+
+# -- the K-type normalization kernel against dominate ---------------------
+
+ORACLE_GROUPS = [g for g in table_groups(5) if g.rank <= 5]
+
+
+def _dominate_oracle(blocks, gamma):
+    x, regular = dominate(blocks, gamma)
+    return (x.sign(), x.apply(gamma)) if regular else None
+
+
+@pytest.mark.parametrize("group", ORACLE_GROUPS, ids=lambda g: g.label())
+def test_signed_dominant_matches_dominate(group):
+    """Random integer numerators and half-integral weights, zeros
+    included, against (sign(x), x.gamma) of the element dominate builds."""
+    rng = random.Random(group.rank * 31 + len(group.label()))
+    d = build_root_datum(group)
+    for blocks in (d.compact_blocks, (d.ambient,)):
+        for _ in range(40):
+            nums = tuple(rng.randint(-3, 3) for _ in range(d.rank))
+            halves = tuple(F(2 * n + 1, 2) if rng.random() < 0.5 else F(n) for n in nums)
+            for gamma in (nums, halves):
+                assert groups._signed_dominant(blocks, gamma) == _dominate_oracle(blocks, gamma)
+
+
+@pytest.mark.parametrize(
+    "group, gamma, expected",
+    [
+        # D_3 x D_1: one negative and a zero in D_3; the zero takes the flip.
+        (GroupId.so_even_even(3, 1), (0, -2, 1, 5), (1, (2, 1, 0, 5))),
+        # one negative, no zero: the last slot of the block turns negative
+        (GroupId.so_even_even(3, 1), (3, -2, 1, -5), (1, (3, 2, -1, -5))),
+        # three negatives and a zero, and a repeated absolute value
+        (GroupId.so_even_even(3, 1), (-1, -2, 0, -4), (-1, (2, 1, 0, -4))),
+        (GroupId.so_even_even(3, 1), (2, -2, 0, 1), None),
+        # SOe(4,1) and SOe(6,1): D blocks beside an empty B block
+        (GroupId.so_even_odd(2, 0), (F(-1, 2), F(3, 2)), (-1, (F(3, 2), F(-1, 2)))),
+        (GroupId.so_even_odd(3, 0), (0, -3, 1), (1, (3, 1, 0))),
+        (GroupId.so_even_odd(3, 0), (1, -1, 2), None),
+    ],
+)
+def test_signed_dominant_d_blocks(group, gamma, expected):
+    d = build_root_datum(group)
+    assert normalize_k_dominant(d, gamma) == expected
+    assert _dominate_oracle(d.compact_blocks, gamma) == expected

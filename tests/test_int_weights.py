@@ -39,7 +39,6 @@ from diracindex.groups import (
     build_root_datum,
     dominate,
     normalize_k_dominant,
-    pairing,
     weyl_elements,
 )
 from diracindex.kmodules import (
@@ -57,6 +56,7 @@ from diracindex.kmodules import (
 from diracindex.series import TruncatedSeries
 from diracindex.suites import _small_groups
 from diracindex.weylaction import weyl_dim_value, weyl_dim_value_g
+from test_groups import pairing
 
 SMALL_GROUPS = _small_groups(4)
 

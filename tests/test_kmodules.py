@@ -15,7 +15,6 @@ from diracindex.groups import (
     build_root_datum,
     dot,
     normalize_k_dominant,
-    pairing,
     simple_roots,
     weight_add,
     weyl_elements,
@@ -38,6 +37,7 @@ from diracindex.kmodules import (
 from diracindex.series import TruncatedSeries
 from diracindex.springer import table_groups
 from diracindex.weylaction import weyl_dim_value
+from test_groups import pairing
 
 
 def W(*coords):
@@ -177,6 +177,25 @@ def test_weight_multiset_rejects_nondominant():
         weight_multiset(W(0, 1, -1), d)
     with pytest.raises(NotDominantIntegral):
         weight_multiset(W(F(1, 2), 0, 0), d)
+
+
+@pytest.mark.parametrize(
+    "group, highest, message",
+    [
+        (GroupId.su(2, 1), W(-1, 0, 0),
+         "<(1, -1, 0), (Fraction(-1, 1), Fraction(0, 1), Fraction(0, 1))> = -1"
+         " is not a nonnegative integer"),
+        (GroupId.sp_r(2), W(F(1, 2), F(1, 2)),
+         "<(2, 0), (Fraction(1, 2), Fraction(1, 2))> = 1/2 is not a nonnegative integer"),
+        (GroupId.so_even_odd(1, 1), W(F(1, 3), 0),
+         "<(1, -1), (Fraction(1, 3), Fraction(0, 1))> = 1/3 is not a nonnegative integer"),
+    ],
+)
+def test_weight_multiset_refusal_names_the_pairing(group, highest, message):
+    """The text the pairing check printed when it built one Fraction per root."""
+    with pytest.raises(NotDominantIntegral) as info:
+        weight_multiset(highest, build_root_datum(group))
+    assert str(info.value) == message
 
 
 def test_weyl_orbit():

@@ -540,7 +540,7 @@ def dominate(blocks: tuple[Block, ...], gamma: Weight) -> tuple[WeylElement, boo
     return WeylElement(tuple(perm), tuple(signs)), regular
 
 
-def _signed_dominant(blocks: tuple[Block, ...], gamma) -> tuple[int, tuple] | None:
+def _signed_dominant(blocks: tuple[Block, ...], gamma: Weight) -> tuple[int, Weight] | None:
     """(sign(x), x.gamma) for the x of ``dominate(blocks, gamma)``, or None
     when gamma is singular for the roots of the blocks; the caller has
     checked the length.

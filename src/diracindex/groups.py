@@ -44,7 +44,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import permutations, product
-from operator import mul, sub
+from operator import mul
 
 from .errors import (
     DimensionMismatch,
@@ -273,12 +273,10 @@ class RootDatum(Value):
 
     def on_shifted_lattice_form(self, form: IntWeight) -> bool:
         """on_shifted_lattice on an integer form of length the rank."""
-        rho_den, rho_nums = self.rho_g_form
-        if form[0] == rho_den:
-            return self.lattice(rho_den, tuple(map(sub, form[1], rho_nums)))
-        den = math.lcm(form[0], rho_den)
-        rho = over(self.rho_g_form, den)
-        return self.lattice(den, tuple(n - r for n, r in zip(over(form, den), rho)))
+        (form_den, nums), (rho_den, rho_nums) = form, self.rho_g_form
+        den = math.lcm(form_den, rho_den)
+        a, b = den // form_den, den // rho_den
+        return self.lattice(den, tuple(a * n - b * r for n, r in zip(nums, rho_nums)))
 
     def is_g_regular(self, lam: Weight) -> bool:
         nums = self.form(lam)[1]
@@ -369,12 +367,6 @@ class WeylElement(Value):
     """Signed permutation; (w.lam)_i = signs[i] * lam[perm[i]]."""
 
     __slots__ = _fields = ("perm", "signs")
-
-    # Weyl-group enumeration builds one per element; this takes about half
-    # the binder's time.
-    def __init__(self, perm: tuple[int, ...], signs: tuple[int, ...]):
-        object.__setattr__(self, "perm", perm)
-        object.__setattr__(self, "signs", signs)
 
     @classmethod
     def identity(cls, rank: int) -> "WeylElement":
@@ -557,28 +549,19 @@ def _signed_dominant(blocks: tuple[Block, ...], gamma: Weight) -> tuple[int, Wei
     for blk in blocks:
         entries = gamma[blk.start:blk.start + blk.size]
         kind = blk.kind
-        keys = entries if kind == "A" else list(map(abs, entries))
+        keys = entries if kind == "A" else [abs(c) for c in entries]
         ranked = sorted(keys, reverse=True)
-        if len(set(ranked)) < len(ranked):
+        if len(set(ranked)) < len(ranked) or (kind in ("B", "C") and ranked and not ranked[-1]):
             return None
-        seen = []
-        for a in keys:
-            for b in seen:
-                if b < a:
-                    sign = -sign
-            seen.append(a)
+        flips = sum(b < a for i, a in enumerate(keys) for b in keys[:i])
         if kind != "A":
-            negatives = 0
-            for c in entries:
-                if c < 0:
-                    negatives += 1
-            if kind == "D":
-                if negatives % 2:
-                    ranked[-1] = -ranked[-1]
-            elif ranked and not ranked[-1]:
-                return None
+            negatives = sum(c < 0 for c in entries)
+            if kind != "D":
+                flips += negatives
             elif negatives % 2:
-                sign = -sign
+                ranked[-1] = -ranked[-1]
+        if flips % 2:
+            sign = -sign
         out += ranked
     return sign, tuple(out)
 

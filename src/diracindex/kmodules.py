@@ -41,7 +41,6 @@ from math import factorial, lcm
 from types import MappingProxyType
 
 from .errors import (
-    DimensionMismatch,
     InternalInvariantError,
     NotDominantIntegral,
     SingularDirection,
@@ -124,17 +123,15 @@ class VirtualKModule(_OnForms):
 
 def _k_type_sum(datum: RootDatum, terms: Iterable[tuple[IntWeight, int]]) -> VirtualKModule:
     """k_type_sum on canonical integer forms; a signed permutation keeps a
-    form canonical, so the dominant representatives need no reduction."""
+    form canonical, so the dominant representatives need no reduction.
+    normalize_k_dominant checks each length before the lattice test."""
     acc: dict[IntWeight, int] = {}
     for form, c in terms:
-        if len(form[1]) != datum.rank:
-            raise DimensionMismatch("parameter length must equal the rank")
-        if datum.on_shifted_lattice_form(form):
-            normalized = normalize_k_dominant(datum, form[1])
-            if normalized is not None:
-                sign, dom = normalized
-                key = (form[0], dom)
-                acc[key] = acc.get(key, 0) + sign * c
+        normalized = normalize_k_dominant(datum, form[1])
+        if normalized is not None and datum.on_shifted_lattice_form(form):
+            sign, dom = normalized
+            key = (form[0], dom)
+            acc[key] = acc.get(key, 0) + sign * c
     return VirtualKModule._trusted(datum, {key: c for key, c in acc.items() if c})
 
 

@@ -504,12 +504,6 @@ def test_round_trip_keeps_cached_properties_working():
 
 
 
-# Constructors left storing their own fields, each with the reason it stays.
-STORE_ONLY = {
-    "groups.WeylElement": "built about 17 times per character job, in about half the binder's time",
-}
-
-
 def is_store_only(init: ast.FunctionDef) -> bool:
     """Whether a constructor does nothing but object.__setattr__(self, ...),
     which Value.__init__ does for every class."""
@@ -549,4 +543,4 @@ def test_no_value_class_keeps_a_store_only_constructor():
             init = next((f for f in node.body if getattr(f, "name", "") == "__init__"), None)
             if init is not None and is_store_only(init):
                 found.append(f"{path.stem}.{node.name}")
-    assert found == sorted(STORE_ONLY)
+    assert found == []

@@ -57,6 +57,10 @@ COMMANDS = [
     "index-poly --group 'Sp(1,6)' --hc-param 7,6,5,4,3,2,1",
     "index-poly --group 'SOe(6,8)' --hc-param 6,5,4,3,2,1,0",
     "index-poly --group 'SU(1,6)' --hc-param 3,2,1,0,-1,-2,-3",
+    # rank 8 at the default cap: 40,320 terms of eight fields each
+    "index-poly --group 'Sp(16,R)' --hc-param 8,7,6,5,4,3,2,1",
+    # a D4 block beside a B3 block
+    "index-poly --group 'SOe(8,7)' --hc-param 13/2,11/2,9/2,7/2,5/2,3/2,1/2",
     "char-poly --n 6 --i 3 --factor",
     "gcd --n 6 --i 3",
     # gcd at the smallest n and at the ranks of the benchmark and suite

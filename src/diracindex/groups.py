@@ -97,8 +97,11 @@ def int_add(a: IntWeight, b: IntWeight) -> IntWeight:
     (da, na), (db, nb) = a, b
     if len(na) != len(nb):
         raise DimensionMismatch(f"weight lengths {len(na)} != {len(nb)}")
-    if da == db == 1:
-        return 1, tuple(x + y for x, y in zip(na, nb))
+    # Adding multiples of d to numerators over d keeps their gcd with d at 1.
+    if db == 1:
+        return da, tuple(x + y * da for x, y in zip(na, nb))
+    if da == 1:
+        return db, tuple(x * db + y for x, y in zip(na, nb))
     den = math.lcm(da, db)
     sa, sb = den // da, den // db
     return reduced(den, tuple(x * sa + y * sb for x, y in zip(na, nb)))

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -19,7 +20,9 @@ from diracindex.groups import (
     build_root_datum,
     dominate,
     dot,
+    int_add,
     normalize_k_dominant,
+    reduced,
     reflection,
     simple_roots,
     weight_add,
@@ -343,3 +346,32 @@ def test_signed_dominant_d_blocks(group, gamma, expected):
     d = build_root_datum(group)
     assert normalize_k_dominant(d, gamma) == expected
     assert _dominate_oracle(d.compact_blocks, gamma) == expected
+
+
+@st.composite
+def int_weights(draw, length):
+    """A reduced integer form of length coordinates, integral half the time."""
+    den = draw(st.sampled_from([1, 1, 2, 3, 4, 6]))
+    nums = draw(st.lists(st.integers(-30, 30), min_size=length, max_size=length))
+    return reduced(den, tuple(nums))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 5).flatmap(lambda n: st.tuples(int_weights(n), int_weights(n))))
+def test_int_add_matches_lcm_oracle(pair):
+    (da, na), (db, nb) = a, b = pair
+    den = da * db // math.gcd(da, db)
+    oracle = reduced(den, tuple(x * (den // da) + y * (den // db) for x, y in zip(na, nb)))
+    assert int_add(a, b) == oracle == int_add(b, a)
+
+
+@pytest.mark.parametrize("a, b, total", [
+    ((2, (1, 1)), (2, (1, 1)), (1, (1, 1))),
+    ((2, (1, 3)), (1, (0, -2)), (2, (1, -1))),
+    ((1, (4, 0)), (3, (1, 2)), (3, (13, 2))),
+    ((1, (1, 2)), (1, (-1, 5)), (1, (0, 7))),
+])
+def test_int_add_examples(a, b, total):
+    assert int_add(a, b) == total
+    with pytest.raises(DimensionMismatch):
+        int_add(a, (1, (0,) * (len(a[1]) + 1)))

@@ -16,15 +16,23 @@ may keep the dict it is given: no kernel changes a `_num` dict in place.
 Terms serialize in graded-lex order: ascending total degree, then
 descending lexicographic on the exponent tuple, so X1 - X2 prints its X1
 term first.  `MultiPoly.graded_rows` gives that order straight from the
-packed numerator: it unpacks the keys one field at a time, sorts the
-rows once by exponent list, descending, and sorts them stably by degree
-only when the terms have more than one degree; index polynomials,
-determinants and cofactors are homogeneous, and for them graded-lex
-order is lex order.  Emission prints from it without building the
-`Fraction` view.  A numerator whose dict already iterates in descending
-lex order, as the alternants below and the index polynomials and
-determinants built from them do, makes that sort one linear run: the
-rows come out in the order they were built.
+packed numerator, unpacking every key at once.  It lays the keys side by
+side in one integer, a slot of arity * ceil(w/8) bytes each, takes field
+i of every key with one shift and one mask repeated per slot, and ORs it
+into byte i * ceil(w/8) of each slot of a second integer.  The bytes of
+that integer hold each exponent column as a stride slice; a field wider
+than a byte joins its byte columns by shifts.  The masked fields summed
+give every term's degree in one integer, one slot each, so the terms are
+homogeneous when that integer is the first term's degree times the one
+with a 1 at the start of every slot.  The rows are sorted once by
+exponent list, descending, and stably by degree only when the terms are
+not homogeneous; index polynomials, determinants and cofactors are
+homogeneous, and for them graded-lex order is lex order.  Emission
+prints from it without building the `Fraction` view.  A numerator whose
+dict already iterates in descending lex order, as the alternants below
+and the index polynomials and determinants built from them do, makes
+that sort one linear run: the rows come out in the order they were
+built.
 
 A `LinearForm` keeps its coefficients as given: the package builds every
 form from ints, and only parsed input (`emit.factored_from_obj`) holds a
@@ -95,7 +103,8 @@ from collections import defaultdict
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from functools import reduce
 from fractions import Fraction
-from operator import itemgetter, lshift
+from itertools import repeat
+from operator import add, itemgetter, lshift
 from types import MappingProxyType
 
 from .errors import DimensionMismatch, InternalInvariantError, ZeroForm
@@ -299,13 +308,34 @@ class MultiPoly:
         total degree, then descending lex order on the exponents; zero has
         none, whatever its arity.  The sort is right for any numerator, and
         one linear run on one that iterates in descending lex order."""
-        width, num = self._width, self._num
-        if not self.arity or not num:
+        arity, width, num = self.arity, self._width, self._num
+        if not arity or not num:
             return [([], c) for c in num.values()]
+        # Key j fills slot j of `packed`, `size` bytes a field; one shift
+        # and mask takes field i of every key at once, and `spread` holds it
+        # at byte i * size of each slot, so columns are stride slices.
+        size = -(-width // 8)
+        slot = arity * size
+        keys = b"".join(map(int.to_bytes, num, repeat(slot), repeat("little")))
+        packed = int.from_bytes(keys, "little")
+        ones = int.from_bytes((b"\x01" + bytes(slot - 1)) * len(num), "little")
         mask = (1 << width) - 1
-        columns = [[key >> s & mask for key in num] for s in range(0, self.arity * width, width)]
+        low = mask * ones
+        spread = degrees = 0
+        for i in range(arity):
+            field = packed >> (i * width) & low
+            spread |= field << (8 * size * i)
+            degrees += field
+        data = spread.to_bytes(slot * len(num), "little")
+        columns = []
+        for start in range(0, slot, size):
+            column = data[start::slot]
+            for t in range(1, size):
+                column = list(map(add, column, map(lshift, data[start + t :: slot], repeat(8 * t))))
+            columns.append(column)
         rows = sorted(zip(map(list, zip(*columns)), num.values()), key=itemgetter(0), reverse=True)
-        if len(set(map(sum, zip(*columns)))) > 1:
+        # Each slot of `degrees` holds its term's degree, which fits a field.
+        if degrees != (degrees & mask) * ones:
             rows.sort(key=lambda row: sum(row[0]))
         return rows
 

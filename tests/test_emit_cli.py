@@ -298,6 +298,18 @@ def test_cli_emit_roundtrip(tmp_path, capsys):
     assert json.loads(out) == json.loads(text)
 
 
+def test_cli_emit_wide_fields_same_bytes(tmp_path, capsys):
+    """Exponents of 2^16 to 2^33 + 1 take fields of three and five bytes."""
+    poly = MultiPoly(3, {(2**33 + 1, 0, 0): 1, (0, 65536, 2**33 - 65535): F(-3, 2), (0, 0, 1): 7})
+    text = emit(poly, "json")
+    path = tmp_path / "wide.json"
+    path.write_text(text)
+    code = main(["emit", "--input", str(path)])
+    assert code == 0
+    assert capsys.readouterr().out == text
+    assert poly_from_obj(json.loads(text)) == poly
+
+
 def test_cli_rank_cap_env(monkeypatch, capsys):
     monkeypatch.setenv("DIRAC_MAX_RANK", "4")
     code = main(["index-poly", "--group", "SU(4,1)", "--hc-param", "9,7,5,3,1"])

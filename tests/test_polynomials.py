@@ -1,4 +1,5 @@
 import functools
+import json
 import math
 import random
 from fractions import Fraction as F
@@ -10,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from diracindex.errors import DimensionMismatch, InternalInvariantError, ZeroForm
 from diracindex.groups import GroupId, build_root_datum
-from diracindex.emit import frac_str
+from diracindex.emit import dumps, frac_str, poly_from_obj, poly_to_obj
 from diracindex.polynomials import (
     LinearForm,
     MultiPoly,
@@ -150,6 +151,65 @@ def test_graded_rows_matches_gl_key_sort(poly):
     expected = sorted(poly.terms.items(), key=lambda t: _gl_key(t[0]))
     assert graded_terms(poly) == expected
     assert poly.graded_rows() == _graded_rows_two_sorts(poly)
+
+
+# Total degrees at the edges of one, two, three and five bytes a field, and
+# one past 64 bits.
+_EDGES = (255, 256, 65535, 65536, 2**33 + 3, 2**64 + 5)
+
+
+def _near_edge():
+    return st.sampled_from(_EDGES).flatmap(lambda e: st.integers(e - 2, e + 2))
+
+
+@st.composite
+def wide_polys(draw):
+    """Polynomials of arity 1-5 whose fields are wider than a byte:
+    homogeneous ones of a degree near an edge, or terms of mixed degrees
+    with exponents near an edge."""
+    arity = draw(st.integers(1, 5))
+    degree = draw(_near_edge())
+    homogeneous = draw(st.booleans())
+    terms = {}
+    for _ in range(draw(st.integers(1, 8))):
+        if homogeneous:
+            cuts = sorted(draw(st.lists(st.integers(0, degree), min_size=arity - 1,
+                                        max_size=arity - 1)))
+            exp = tuple(b - a for a, b in zip([0, *cuts], [*cuts, degree]))
+        else:
+            exp = tuple(draw(st.one_of(st.integers(0, 3), _near_edge())) for _ in range(arity))
+        terms[exp] = draw(coeffs.filter(bool))
+    if not homogeneous:
+        terms[tuple(degree if i == arity - 1 else 0 for i in range(arity))] = 1
+    return MultiPoly(arity, terms)
+
+
+def _view_repr(poly):
+    """repr built from the Fraction view in graded-lex order."""
+    if not poly.terms:
+        return "MultiPoly(0)"
+    bits = []
+    for exp, c in sorted(poly.terms.items(), key=lambda t: _gl_key(t[0])):
+        mono = "*".join(f"X{i + 1}" + (f"^{e}" if e > 1 else "") for i, e in enumerate(exp) if e)
+        bits.append(f"{c}" + (f"*{mono}" if mono else ""))
+    return "MultiPoly(" + " + ".join(bits) + ")"
+
+
+@settings(max_examples=150, deadline=None)
+@given(wide_polys())
+@example(MultiPoly(1, {(255,): 1}))
+@example(MultiPoly(1, {(256,): F(-1, 2)}))
+@example(MultiPoly(2, {(255, 0): 1, (0, 255): -1, (128, 127): 3}))
+@example(MultiPoly(3, {(65535, 0, 0): 1, (0, 65535, 0): 2, (1, 1, 65533): -4}))
+@example(MultiPoly(2, {(65536, 0): 1, (0, 1): 2, (0, 0): 3}))
+@example(MultiPoly(4, {(2**33, 0, 0, 1): 1, (0, 2**33 + 1, 0, 0): F(5, 3), (0, 0, 0, 2**33 + 1): 1}))
+@example(MultiPoly(5, {(2**64, 1, 0, 0, 7): 1, (0, 0, 2**64 + 8, 0, 0): -1, (1, 0, 0, 0, 0): 2}))
+def test_graded_rows_wide_fields_match_oracle_and_round_trip(poly):
+    assert poly._width >= 8
+    assert poly.graded_rows() == _graded_rows_two_sorts(poly)
+    assert graded_terms(poly) == sorted(poly.terms.items(), key=lambda t: _gl_key(t[0]))
+    assert poly_from_obj(json.loads(dumps(poly_to_obj(poly)))) == poly
+    assert repr(poly) == _view_repr(poly)
 
 
 @settings(max_examples=100, deadline=None)

@@ -204,6 +204,9 @@ def _view_repr(poly):
 @example(MultiPoly(2, {(65536, 0): 1, (0, 1): 2, (0, 0): 3}))
 @example(MultiPoly(4, {(2**33, 0, 0, 1): 1, (0, 2**33 + 1, 0, 0): F(5, 3), (0, 0, 0, 2**33 + 1): 1}))
 @example(MultiPoly(5, {(2**64, 1, 0, 0, 7): 1, (0, 0, 2**64 + 8, 0, 0): -1, (1, 0, 0, 0, 0): 2}))
+# more keys than one batch of 64 keys, and a partial last batch
+@example(MultiPoly(2, {(i, 300 - i): i + 1 for i in range(100)}))
+@example(MultiPoly(3, {(i, 70000 - 2 * i, i % 3): F(1, i + 1) for i in range(150)}))
 def test_graded_rows_wide_fields_match_oracle_and_round_trip(poly):
     assert poly._width >= 8
     assert poly.graded_rows() == _graded_rows_two_sorts(poly)

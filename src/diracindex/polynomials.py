@@ -317,7 +317,7 @@ class MultiPoly:
         size = -(-width // 8)
         slot = arity * size
         # Joined 64 keys at a time, so that few small bytes objects live at
-        # once: joining all of them raised the peak RSS of `expand` 0.3 MB.
+        # once: joining all of them raised the peak RSS of `expand` 0.3-0.5 MB.
         each = map(int.to_bytes, num, repeat(slot), repeat("little"))
         keys = b"".join(map(b"".join, zip_longest(*[each] * 64, fillvalue=b"")))
         packed = int.from_bytes(keys, "little")

@@ -360,7 +360,7 @@ def int_weights(draw, length):
 @given(st.integers(0, 5).flatmap(lambda n: st.tuples(int_weights(n), int_weights(n))))
 def test_int_add_matches_lcm_oracle(pair):
     (da, na), (db, nb) = a, b = pair
-    den = da * db // math.gcd(da, db)
+    den = math.lcm(da, db)
     oracle = reduced(den, tuple(x * (den // da) + y * (den // db) for x, y in zip(na, nb)))
     assert int_add(a, b) == oracle == int_add(b, a)
 

@@ -42,6 +42,9 @@ COMMANDS = [
     "springer-table --max 5 --format latex",
     # the rows of rank <= 11 that the benchmark emits
     "springer-table --max 6 --format csv",
+    # the generator text at rank <= 16, and in LaTeX with two-digit indices
+    "springer-table --max 8 --format json",
+    "springer-table --max 6 --format latex",
     # every suite report
     *(
         f"verify --suite {suite} --format json"

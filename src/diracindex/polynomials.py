@@ -104,7 +104,7 @@ from collections.abc import Iterable, Iterator, Mapping, Sequence
 from functools import reduce
 from fractions import Fraction
 from itertools import repeat, zip_longest
-from operator import add, itemgetter, lshift
+from operator import add, itemgetter, lshift, neg
 from types import MappingProxyType
 
 from .errors import DimensionMismatch, InternalInvariantError, ZeroForm
@@ -469,33 +469,34 @@ def _alternant(
     used: minors[cols] is the minor of the last popcount(cols) rows on
     those columns, rows are added from the last to the first, and the new
     top row on column c sits at (0, p) with p the number of the minor's
-    columns below c.  Each step is one comprehension, merged without
-    addition, and the column loop is the outer one, so every minor gets
-    its pieces in ascending column order.  When the variables ascend and
-    the exponents do not increase, the result iterates in descending lex
-    order on the exponent tuples (module docstring).
+    columns below c.  A minor is a pair of lists, its keys and their signs,
+    and each step extends both, since no two permutations share a key; the
+    column loop is the outer one, so every minor gets its pieces in
+    ascending column order, and one dict is built at the end.  When the
+    variables ascend and the exponents do not increase, the result iterates
+    in descending lex order on the exponent tuples (module docstring).
     """
     support = support or [(1 << len(variables)) - 1] * len(exponents)
     for c, (e, rows) in enumerate(zip(exponents, support)):
         if any(f == e and s & rows for f, s in zip(exponents[:c], support[:c])):
             raise InternalInvariantError(f"two columns of exponent {e} share a row")
-    minors: dict[int, IntTerms] = {0: {0: 1}}
+    minors: dict[int, tuple[list[int], list[int]]] = {0: ([0], [1])}
     for row in range(len(variables) - 1, -1, -1):
         shift, grown = variables[row] * width, {}
         for c, (e, rows) in enumerate(zip(exponents, support)):
             if not rows >> row & 1:
                 continue
             bit, step = 1 << c, e << shift
-            for cols, minor in minors.items():
+            for cols, (keys, signs) in minors.items():
                 if cols & bit:
                     continue
-                out = grown.setdefault(cols | bit, {})
-                if (cols & (bit - 1)).bit_count() & 1:
-                    out.update({key + step: -k for key, k in minor.items()})
-                else:
-                    out.update({key + step: k for key, k in minor.items()})
+                out_keys, out_signs = grown.setdefault(cols | bit, ([], []))
+                out_keys.extend(map(add, keys, repeat(step)))
+                odd = (cols & (bit - 1)).bit_count() & 1
+                out_signs.extend(map(neg, signs) if odd else signs)
         minors = grown
-    return minors.get((1 << len(exponents)) - 1, {})
+    keys, signs = minors.get((1 << len(exponents)) - 1, ((), ()))
+    return dict(zip(keys, signs))
 
 
 def linear_form_product(arity: int, forms: Iterable[LinearForm]) -> MultiPoly:

@@ -17,14 +17,13 @@ import csv
 import io
 import json
 import re
-from collections.abc import Sequence
 from fractions import Fraction
 
 from .asymptotics import LimitReport
 from .errors import InvalidInput, UnsupportedFormat
-from .groups import DEFAULT_RANK_CAP, build_root_datum
+from .groups import _family_layout
 from .polynomials import LinearForm, MultiPoly
-from .springer import Bipartition, SpringerRow, generator_forms
+from .springer import Bipartition, SpringerRow
 
 
 def frac_str(x: int | Fraction) -> str:
@@ -169,48 +168,23 @@ def partition_str(partition) -> str:
     return "[" + ",".join(str(x) for x in partition) + "]"
 
 
-def _merge_quadratic_factors(forms: Sequence[LinearForm]) -> list[tuple[str, tuple]]:
-    """Group (X_i - X_j) with (X_i + X_j) into (X_i^2 - X_j^2) for display."""
-    singles: list[tuple[str, tuple]] = []
-    diffs: set[tuple[int, int]] = set()
-    sums: set[tuple[int, int]] = set()
-    for form in forms:
-        support = [(k, c) for k, c in enumerate(form.coeffs) if c != 0]
-        if len(support) == 1:
-            singles.append(("var", (support[0][0],)))
-        else:
-            (i, ci), (j, cj) = support
-            if ci * cj < 0:
-                diffs.add((i, j))
-            else:
-                sums.add((i, j))
-    out: list[tuple[str, tuple]] = []
-    for i, j in sorted(diffs):
-        if (i, j) in sums:
-            out.append(("sqdiff", (i, j)))
-        else:
-            out.append(("diff", (i, j)))
-    for i, j in sorted(sums - diffs):
-        out.append(("sum", (i, j)))
-    out.extend(sorted(singles, key=lambda t: t[1]))
-    return out
-
-
-_GENERATOR_TEXT = {
-    "var": lambda i: f"X{i + 1}",
-    "diff": lambda i, j: f"(X{i + 1}-X{j + 1})",
-    "sum": lambda i, j: f"(X{i + 1}+X{j + 1})",
-    "sqdiff": lambda i, j: f"(X{i + 1}^2-X{j + 1}^2)",
-}
-
-
 def generator_text(row: SpringerRow) -> str:
-    datum = build_root_datum(row.group, max_rank=max(DEFAULT_RANK_CAP, row.group.rank))
-    pieces = [
-        _GENERATOR_TEXT[kind](*data)
-        for kind, data in _merge_quadratic_factors(generator_forms(datum))
-    ]
-    return "".join(pieces) if pieces else "1"
+    """The product of the primitive forms of the compact positive roots, as
+    printed, from the compact blocks of the group alone.  For each pair
+    i < j of a block's indices it prints (Xi-Xj), or (Xi^2-Xj^2) when the
+    block's alternant has a = 2; the blocks are contiguous and ascending, so
+    the pairs come in ascending order.  Then it prints Xi for each index i
+    of a block with b = 1 (`groups.Block.ALTERNANT`); the empty product is
+    1.  Indices print from 1."""
+    pairs, singles = [], []
+    for block in _family_layout(row.group)[1]:
+        a, b = block.ALTERNANT[block.kind]
+        idx = block.indices
+        sq = "^2" if a == 2 else ""
+        pairs += [f"(X{i + 1}{sq}-X{j + 1}{sq})" for n, i in enumerate(idx) for j in idx[n + 1:]]
+        if b:
+            singles += [f"X{i + 1}" for i in idx]
+    return "".join(pairs + singles) or "1"
 
 
 def springer_row_to_obj(row: SpringerRow) -> dict:

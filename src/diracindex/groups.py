@@ -195,10 +195,28 @@ class Block(Value):
 
     # kind is 'A', 'B', 'C' or 'D'
     __slots__ = _fields = ("kind", "start", "size")
+    # (a, b) by kind: the product of the primitive forms of the positive
+    # roots of a block of size m is the alternant det(x_i^{e_j}) with
+    # e_j = a (m - 1 - j) + b, j = 0..m-1 (weylaction.weyl_dim_poly): a = 2
+    # pairs x_i - x_j with x_i + x_j into x_i^2 - x_j^2, and b = 1 adds the
+    # factor x_i of each coordinate.
+    ALTERNANT = {"A": (1, 0), "B": (2, 1), "C": (2, 1), "D": (2, 0)}
 
     @property
     def indices(self) -> range:
         return range(self.start, self.start + self.size)
+
+    @property
+    def exponents(self) -> list[int]:
+        """The column exponents e_j of the block's alternant."""
+        a, b = self.ALTERNANT[self.kind]
+        return [a * (self.size - 1 - j) + b for j in range(self.size)]
+
+    @property
+    def root_count(self) -> int:
+        """The number of positive roots, the degree of the alternant:
+        m(m-1)/2 in type A, m^2 in types B and C, m(m-1) in type D."""
+        return sum(self.exponents)
 
     def weyl_order(self) -> int:
         m = self.size
@@ -291,25 +309,29 @@ class RootDatum(Value):
 
 
 def _block_roots(block: Block, rank: int) -> list[Root]:
-    """Positive roots of one block, as ambient-rank integer tuples."""
-
-    def root(*entries: tuple[int, int]) -> Root:
-        v = [0] * rank
-        for i, c in entries:
-            v[i] = c
-        return tuple(v)
-
-    idx = block.indices
+    """Positive roots of one block, as ambient-rank integer tuples: e_i - e_j
+    and, but in type A, e_i + e_j for each pair i < j, then e_i in type B or
+    2e_i in type C for each i.  Each root is set on one zero list and read
+    off as a tuple."""
+    idx, signed = block.indices, block.kind != "A"
+    v = [0] * rank
     roots: list[Root] = []
     for a, i in enumerate(idx):
+        v[i] = 1
         for j in idx[a + 1:]:
-            roots.append(root((i, 1), (j, -1)))
-            if block.kind != "A":
-                roots.append(root((i, 1), (j, 1)))
-    if block.kind == "B":
-        roots.extend(root((i, 1)) for i in idx)
-    elif block.kind == "C":
-        roots.extend(root((i, 2)) for i in idx)
+            v[j] = -1
+            roots.append(tuple(v))
+            if signed:
+                v[j] = 1
+                roots.append(tuple(v))
+            v[j] = 0
+        v[i] = 0
+    if block.kind in ("B", "C"):
+        c = 1 if block.kind == "B" else 2
+        for i in idx:
+            v[i] = c
+            roots.append(tuple(v))
+            v[i] = 0
     return roots
 
 

@@ -19,15 +19,16 @@ The Macdonald label of each family's compact subsystem is recorded in
 round trips exercised in the test suite: inverting the classification
 partition through the same merge recovers the label.
 
-Table rows hold no expanded polynomial: every column, the printed
-generator included, comes from the factored compact root forms of
-``generator_forms``.
+Table rows build no root datum and no polynomial: the root counts of the
+orbit-dimension check and the printed generator come from the block
+layout ``groups._family_layout`` alone, through the alternant exponents
+of each ``groups.Block``.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from math import comb, factorial, gcd
+from math import comb, factorial
 
 from .errors import (
     CapExceeded,
@@ -35,12 +36,9 @@ from .errors import (
     InvalidPartition,
     UnsupportedFamily,
 )
-from .groups import DEFAULT_RANK_CAP, Family, GroupId, RootDatum, build_root_datum
-from .polynomials import (
-    LinearForm,
-    # Unused: test_tracer_wraps_every_alias_and_restores_the_originals reads it; ROADMAP item 9
-    linear_form_product,
-)
+from .groups import Family, GroupId, _family_layout
+# Unused: test_tracer_wraps_every_alias_and_restores_the_originals reads it; ROADMAP item 9
+from .polynomials import linear_form_product
 from .value import Value
 
 Partition = tuple[int, ...]  # weakly decreasing positive parts
@@ -304,20 +302,6 @@ def sigma_k_partition(group: GroupId) -> Partition:
     return partition
 
 
-@lru_cache(maxsize=None)
-def generator_forms(datum: RootDatum) -> tuple[LinearForm, ...]:
-    """Primitive linear forms of the compact positive roots, built once
-    per datum: each integer root divided by its content, signed so that
-    its first nonzero coefficient, the pivot, is positive."""
-    forms = []
-    for alpha in datum.compact_positive_roots:
-        g = gcd(*alpha)
-        if next(c for c in alpha if c) < 0:
-            g = -g
-        forms.append(LinearForm(tuple(c // g for c in alpha)))
-    return tuple(forms)
-
-
 class SpringerRow(Value):
     __slots__ = _fields = ("group", "label", "is_springer", "partition", "orbit_dim", "two_orbits")
     _defaults = {"two_orbits": False}
@@ -326,16 +310,17 @@ class SpringerRow(Value):
 @lru_cache(maxsize=None)
 def springer_row(group: GroupId) -> SpringerRow:
     """One classification row: label -> symbol -> partition -> validity ->
-    dimension, with the structural consistency checks along the way."""
-    datum = build_root_datum(group, max_rank=max(DEFAULT_RANK_CAP, group.rank))
-    if len(generator_forms(datum)) != datum.r_k:
-        raise InternalInvariantError("generator degree must equal the number of compact roots")
+    dimension, with the structural consistency checks along the way.  The
+    numbers r_g and r_k of positive roots of G and K are read off the
+    ambient and compact blocks."""
+    ambient, compact_blocks = _family_layout(group)
+    r_g, r_k = ambient.root_count, sum(b.root_count for b in compact_blocks)
     label = sigma_k_bipartition(group)
     kind, total = ambient_algebra(group)
     partition = sigma_k_partition(group)
     ok = valid_nilpotent(partition, kind, total)
     dim = orbit_dim(partition, kind, total) if ok else None
-    if ok and dim != 2 * (datum.r_g - datum.r_k):
+    if ok and dim != 2 * (r_g - r_k):
         raise InternalInvariantError(
             f"orbit dimension {dim} disagrees with 2(r_g - r_k) for {group.label()}"
         )

@@ -127,11 +127,6 @@ def orbit_span(poly: MultiPoly, datum: RootDatum, cap: int = SPAN_COLUMN_CAP) ->
     return PolySpan(poly.arity, width, MappingProxyType(rows))
 
 
-# (a, b) by block kind: column j = 0..m-1 of the alternant of an m-block
-# has exponent a (m - 1 - j) + b (see weyl_dim_poly).
-_ALTERNANT_EXPONENTS = {"A": (1, 0), "B": (2, 1), "C": (2, 1), "D": (2, 0)}
-
-
 def _disjoint_product(left: dict[int, int], right: dict[int, int]) -> dict[int, int]:
     """Product of integer numerators in disjoint variables: no two pairs of
     terms give the same key."""
@@ -155,7 +150,8 @@ def weyl_dim_poly(datum: RootDatum) -> MultiPoly:
         type D      prod_{i<j} (x_i^2 - x_j^2)              e_j = 2(m - j)
         types B, C  prod_i x_i prod_{i<j} (x_i^2 - x_j^2)   e_j = 2(m - j) + 1
 
-    Each is expanded by `polynomials._alternant`, and the blocks, having
+    These exponents are `groups.Block.exponents`.  Each alternant is
+    expanded by `polynomials._alternant`, and the blocks, having
     disjoint variables, multiply by adding keys.  Each alternant has
     ascending variables and falling exponents, so its terms come out in
     descending lex order; the blocks of `groups._family_layout` are
@@ -171,11 +167,7 @@ def weyl_dim_poly(datum: RootDatum) -> MultiPoly:
     roots = datum.compact_positive_roots
     degree = len(roots)
     width = max(degree, 1).bit_length()
-    alternants = []
-    for block in datum.compact_blocks:
-        a, b = _ALTERNANT_EXPONENTS[block.kind]
-        exponents = [a * (block.size - 1 - j) + b for j in range(block.size)]
-        alternants.append(_alternant(width, block.indices, exponents))
+    alternants = [_alternant(width, b.indices, b.exponents) for b in datum.compact_blocks]
     num = reduce(_disjoint_product, alternants)
     den, nums = datum.rho_k_form
     scale = Fraction(

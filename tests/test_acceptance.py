@@ -22,7 +22,6 @@ from diracindex.springer import (
     ambient_algebra,
     bipartition_dim,
     dual_partition,
-    generator_forms,
     springer_row,
     standard_tableaux_count,
     symbol_of_bipartition,
@@ -38,6 +37,7 @@ from diracindex.suites import (
     translation_suite,
 )
 from diracindex.weylaction import orbit_span
+from test_springer import generator_forms
 
 
 def _report(number: int, label: str, passed: bool, elapsed: float | None = None):

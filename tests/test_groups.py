@@ -86,6 +86,44 @@ def test_rank_cap():
     assert datum.rank == 10
 
 
+def _block_roots_closure(block, rank):
+    """The block's positive roots, one closure call per root: the oracle of
+    groups._block_roots, order included."""
+
+    def root(*entries):
+        v = [0] * rank
+        for i, c in entries:
+            v[i] = c
+        return tuple(v)
+
+    idx = block.indices
+    roots = []
+    for a, i in enumerate(idx):
+        for j in idx[a + 1:]:
+            roots.append(root((i, 1), (j, -1)))
+            if block.kind != "A":
+                roots.append(root((i, 1), (j, 1)))
+    if block.kind == "B":
+        roots.extend(root((i, 1)) for i in idx)
+    elif block.kind == "C":
+        roots.extend(root((i, 2)) for i in idx)
+    return roots
+
+
+@pytest.mark.parametrize("kind", "ABCD")
+def test_block_roots_match_closure_oracle_and_root_count(kind):
+    for size in range(13):
+        for start in (0, 1, 3):
+            block = groups.Block(kind, start, size)
+            rank = start + size + 2
+            roots = groups._block_roots(block, rank)
+            assert roots == _block_roots_closure(block, rank), (kind, size, start)
+            assert block.root_count == len(roots), (kind, size)
+        m = size
+        assert block.root_count == {
+            "A": m * (m - 1) // 2, "B": m * m, "C": m * m, "D": m * (m - 1)}[kind]
+
+
 def test_weyl_orders():
     assert len(weyl_elements(build_root_datum(GroupId.su(2, 1)), "g")) == 6
     assert len(weyl_elements(build_root_datum(GroupId.sp_r(2)), "g")) == 8

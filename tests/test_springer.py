@@ -1,14 +1,18 @@
 import random
 import time
 from collections import Counter
+from collections.abc import Sequence
 from fractions import Fraction as F
+from functools import lru_cache
+from math import gcd
 from types import SimpleNamespace
 
 import pytest
 
+from diracindex.emit import generator_text
 from diracindex.errors import InternalInvariantError, InvalidPartition
 from diracindex.fixtures import reference_table_row
-from diracindex.groups import GroupId, build_root_datum
+from diracindex.groups import GroupId, RootDatum, _family_layout, _root_datum, build_root_datum
 from diracindex.polynomials import LinearForm, linear_form_product
 from diracindex.springer import (
     Bipartition,
@@ -17,7 +21,6 @@ from diracindex.springer import (
     bipartition_dim,
     bipartition_of_symbol,
     dual_partition,
-    generator_forms,
     is_very_even,
     orbit_dim,
     partition_of_symbol,
@@ -35,6 +38,97 @@ from diracindex.springer import (
 from diracindex.suites import springer_suite
 from diracindex.weylaction import orbit_span
 from test_polynomials import primitive
+
+
+# -- the generator as factored root forms, the oracle of the block layout --
+
+
+@lru_cache(maxsize=None)
+def generator_forms(datum: RootDatum) -> tuple[LinearForm, ...]:
+    """Primitive linear forms of the compact positive roots, built once
+    per datum: each integer root divided by its content, signed so that
+    its first nonzero coefficient, the pivot, is positive."""
+    forms = []
+    for alpha in datum.compact_positive_roots:
+        g = gcd(*alpha)
+        if next(c for c in alpha if c) < 0:
+            g = -g
+        forms.append(LinearForm(tuple(c // g for c in alpha)))
+    return tuple(forms)
+
+
+def _merge_quadratic_factors(forms: Sequence[LinearForm]) -> list[tuple[str, tuple]]:
+    """Group (X_i - X_j) with (X_i + X_j) into (X_i^2 - X_j^2) for display."""
+    singles: list[tuple[str, tuple]] = []
+    diffs: set[tuple[int, int]] = set()
+    sums: set[tuple[int, int]] = set()
+    for form in forms:
+        support = [(k, c) for k, c in enumerate(form.coeffs) if c != 0]
+        if len(support) == 1:
+            singles.append(("var", (support[0][0],)))
+        else:
+            (i, ci), (j, cj) = support
+            if ci * cj < 0:
+                diffs.add((i, j))
+            else:
+                sums.add((i, j))
+    out: list[tuple[str, tuple]] = []
+    for i, j in sorted(diffs):
+        if (i, j) in sums:
+            out.append(("sqdiff", (i, j)))
+        else:
+            out.append(("diff", (i, j)))
+    for i, j in sorted(sums - diffs):
+        out.append(("sum", (i, j)))
+    out.extend(sorted(singles, key=lambda t: t[1]))
+    return out
+
+
+_GENERATOR_TEXT = {
+    "var": lambda i: f"X{i + 1}",
+    "diff": lambda i, j: f"(X{i + 1}-X{j + 1})",
+    "sum": lambda i, j: f"(X{i + 1}+X{j + 1})",
+    "sqdiff": lambda i, j: f"(X{i + 1}^2-X{j + 1}^2)",
+}
+
+
+def _merged_text(forms) -> str:
+    """The generator text as the merge of the factored root forms wrote it."""
+    pieces = [_GENERATOR_TEXT[kind](*data) for kind, data in _merge_quadratic_factors(forms)]
+    return "".join(pieces) if pieces else "1"
+
+
+TABLE_12 = table_groups(12)
+
+
+def test_generator_text_is_the_merge_of_the_root_forms():
+    """On every row of rank <= 24 the text from the block layout is the
+    merge of the primitive compact root forms, and of the forms of the
+    negated roots, whose pivots are negative; no datum is cached."""
+    assert len(TABLE_12) == 414
+    for group in TABLE_12:
+        datum = _root_datum.__wrapped__(group)
+        text = generator_text(springer_row(group))
+        assert text == _merged_text(generator_forms.__wrapped__(datum)), group.label()
+        negated = tuple(tuple(-c for c in a) for a in datum.compact_positive_roots)
+        stub = SimpleNamespace(compact_positive_roots=negated)
+        assert text == _merged_text(generator_forms.__wrapped__(stub)), group.label()
+
+
+def test_generator_text_of_small_rows():
+    assert generator_text(springer_row(GroupId.su(1, 1))) == "1"
+    assert generator_text(springer_row(GroupId.su(2, 1))) == "(X1-X2)"
+    assert generator_text(springer_row(GroupId.sp_pq(1, 1))) == "X1X2"
+    assert generator_text(springer_row(GroupId.so_even_odd(2, 1))) == "(X1^2-X2^2)X3"
+    assert generator_text(springer_row(GroupId.so_even_even(1, 2))) == "(X2^2-X3^2)"
+
+
+def test_block_root_counts_are_the_datum_root_counts():
+    for group in (g for g in TABLE_12 if g.rank <= 12):
+        datum = _root_datum.__wrapped__(group)
+        ambient, compact_blocks = _family_layout(group)
+        assert ambient.root_count == datum.r_g, group.label()
+        assert sum(b.root_count for b in compact_blocks) == datum.r_k, group.label()
 
 
 # -- symbols -------------------------------------------------------------
@@ -372,12 +466,6 @@ def test_symbol_partition_roundtrip_on_valid_partitions(p, kind):
     # and the bipartition read off the symbol rebuilds an equivalent symbol
     bp = bipartition_of_symbol(sym)
     assert symbols_equivalent(symbol_of_bipartition(bp, kind), sym)
-
-
-def test_springer_row_generator_degree_is_internal(monkeypatch):
-    monkeypatch.setattr("diracindex.springer.generator_forms", lambda datum: [])
-    with pytest.raises(InternalInvariantError, match="generator degree"):
-        springer_row.__wrapped__(GroupId.sp_r(2))
 
 
 def test_springer_row_orbit_dimension_is_internal(monkeypatch):

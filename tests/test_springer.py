@@ -115,14 +115,6 @@ def test_generator_text_is_the_merge_of_the_root_forms():
         assert text == _merged_text(generator_forms.__wrapped__(stub)), group.label()
 
 
-def test_generator_text_of_small_rows():
-    assert generator_text(springer_row(GroupId.su(1, 1))) == "1"
-    assert generator_text(springer_row(GroupId.su(2, 1))) == "(X1-X2)"
-    assert generator_text(springer_row(GroupId.sp_pq(1, 1))) == "X1X2"
-    assert generator_text(springer_row(GroupId.so_even_odd(2, 1))) == "(X1^2-X2^2)X3"
-    assert generator_text(springer_row(GroupId.so_even_even(1, 2))) == "(X2^2-X3^2)"
-
-
 def test_block_root_counts_are_the_datum_root_counts():
     for group in (g for g in TABLE_12 if g.rank <= 12):
         datum = _root_datum.__wrapped__(group)

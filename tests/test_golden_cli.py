@@ -64,6 +64,8 @@ COMMANDS = [
     "index-poly --group 'Sp(16,R)' --hc-param 8,7,6,5,4,3,2,1",
     # a D4 block beside a B3 block
     "index-poly --group 'SOe(8,7)' --hc-param 13/2,11/2,9/2,7/2,5/2,3/2,1/2",
+    # a chamber family above rank 3, built on the SU(n,1) datum of sun1
+    "index-poly --group 'SU(7,1)' --chamber 3",
     "char-poly --n 6 --i 3 --factor",
     "gcd --n 6 --i 3",
     # gcd at the smallest n and at the ranks of the benchmark and suite

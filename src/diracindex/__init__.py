@@ -69,7 +69,6 @@ from .springer import (
     orbit_dim,
     partition_of_symbol,
     sigma_k_bipartition,
-    sigma_k_partition,
     springer_row,
     springer_table,
     standard_tableaux_count,

@@ -5,31 +5,24 @@ failed suite case, or a ClaimMismatch printed as one `error:` line),
 2 usage error (an argparse error, or a DiracIndexError printed as one
 `error:` line), 3 internal error (an InternalInvariantError, printed as
 one `internal error:` line; a bug in the package, please report it).
-Only long option names exist.  The environment variable DIRAC_MAX_RANK
-overrides the rank cap, which also bounds the `--n` of `char-poly` and
-`gcd`.
+Only long option names exist.  Every command that builds a root datum
+honours the rank cap of `groups.check_rank` (DIRAC_MAX_RANK, default 8),
+which also bounds the `--n` of `char-poly` and `gcd`.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
 from fractions import Fraction
 
 from .dirac import discrete_series_family, index_polynomial
 from .emit import dumps, emit, factored_to_obj, poly_to_obj
-from .errors import (
-    ClaimMismatch,
-    DiracIndexError,
-    InternalInvariantError,
-    InvalidInput,
-    RankCapExceeded,
-)
+from .errors import ClaimMismatch, DiracIndexError, InternalInvariantError, InvalidInput
 from .fixtures import su_n1_ds_family
-from .groups import DEFAULT_RANK_CAP, Family, GroupId, build_root_datum
+from .groups import Family, GroupId, build_root_datum, check_rank
 from .springer import springer_table
 from .suites import SUITE_NAMES, run_suite
 from .sun1 import char_poly_det, extract_det_factors, gcd_with_index
@@ -85,26 +78,6 @@ def parse_weight(text: str) -> tuple[Fraction, ...]:
         raise argparse.ArgumentTypeError(f"not comma-separated rationals: {text!r}") from None
 
 
-def _rank_cap() -> int:
-    value = os.environ.get("DIRAC_MAX_RANK")
-    if not value:
-        return DEFAULT_RANK_CAP
-    try:
-        return int(value)
-    except ValueError:
-        raise InvalidInput(f"DIRAC_MAX_RANK must be an integer, got {value!r}") from None
-
-
-def _capped_rank(label: str, rank: int) -> int:
-    """The rank cap, after checking that rank (named by label) is within it."""
-    cap = _rank_cap()
-    if rank > cap:
-        raise RankCapExceeded(
-            f"{label} {rank} exceeds the cap {cap}; set DIRAC_MAX_RANK to raise it"
-        )
-    return cap
-
-
 def _max_param(value: int) -> int:
     """The --max parameter bound; a bound below 1 selects no group at all."""
     if value < 1:
@@ -128,21 +101,19 @@ def _cmd_springer_table(args) -> int:
 
 def _cmd_index_poly(args) -> int:
     group = args.group
-    cap = _capped_rank("rank", group.rank)
     if args.chamber is not None:
         if group.family != Family.SU or group.q != 1:
             raise DiracIndexError("--chamber applies to SU(n,1) groups only")
         fam = su_n1_ds_family(group.p, args.chamber)
     else:
-        datum = build_root_datum(group, max_rank=cap)
-        fam = discrete_series_family(args.hc_param, datum)
+        fam = discrete_series_family(args.hc_param, build_root_datum(group))
     sys.stdout.write(emit(index_polynomial(fam), "json"))
     return 0
 
 
 def _cmd_char_poly(args) -> int:
     # The determinant has up to i(n-i)(n-2)! terms; refuse before expanding.
-    _capped_rank("--n", args.n)
+    check_rank("--n", args.n)
     poly = char_poly_det(args.n, args.i)
     if args.factor:
         obj = factored_to_obj(poly, *extract_det_factors(args.n, args.i))
@@ -153,7 +124,7 @@ def _cmd_char_poly(args) -> int:
 
 
 def _cmd_gcd(args) -> int:
-    _capped_rank("--n", args.n)
+    check_rank("--n", args.n)
     sys.stdout.write(emit(gcd_with_index(args.n, args.i), "json"))
     return 0
 

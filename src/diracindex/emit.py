@@ -307,8 +307,6 @@ def emit(obj: object, fmt: str) -> str:
             return dumps(factored_to_obj(*factored_from_obj(obj)))
         return emit(poly_from_obj(obj), fmt)
     if isinstance(obj, list):
-        if fmt == "csv":
-            return springer_rows_to_csv(obj)
         obj = {"type": "springer_table", "rows": [springer_row_to_obj(r) for r in obj]}
     else:
         check_tagged(kind, obj)

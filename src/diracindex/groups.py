@@ -34,11 +34,17 @@ SU(p,q) weights are *not* quotiented by the trace line; every quantity
 computed downstream is invariant under adding a multiple of (1,...,1),
 and the SU lattice accordingly contains all vectors with pairwise
 integral coordinate differences.
+
+The rank cap has one owner, ``check_rank``: the environment variable
+DIRAC_MAX_RANK, else ``DEFAULT_RANK_CAP``.  ``build_root_datum`` checks
+every group against it, and the command line the ``--n`` of ``char-poly``
+and ``gcd``.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from collections.abc import Iterable
 from enum import Enum
 from fractions import Fraction
@@ -51,6 +57,7 @@ from .errors import (
     EnumerationCapExceeded,
     IllegalParams,
     InternalInvariantError,
+    InvalidInput,
     RankCapExceeded,
 )
 from .value import Value
@@ -353,11 +360,24 @@ def _family_layout(group: GroupId) -> tuple[Block, tuple[Block, ...]]:
     raise IllegalParams(f"unknown family {fam}")
 
 
-def build_root_datum(group: GroupId, max_rank: int = DEFAULT_RANK_CAP) -> RootDatum:
+def check_rank(label: str, rank: int, cap: int | None = None) -> None:
+    """Refuse a rank, named by label, above the cap: cap when given, else
+    DIRAC_MAX_RANK when set, else DEFAULT_RANK_CAP."""
+    if cap is None:
+        value = os.environ.get("DIRAC_MAX_RANK")
+        try:
+            cap = int(value) if value else DEFAULT_RANK_CAP
+        except ValueError:
+            raise InvalidInput(f"DIRAC_MAX_RANK must be an integer, got {value!r}") from None
+    if rank > cap:
+        raise RankCapExceeded(f"{label} {rank} exceeds cap {cap}; set DIRAC_MAX_RANK to raise it")
+
+
+def build_root_datum(group: GroupId, max_rank: int | None = None) -> RootDatum:
     """The root datum of the group, with the conventions in the module
-    docstring; one object per group, whatever the cap."""
-    if group.rank > max_rank:
-        raise RankCapExceeded(f"rank {group.rank} exceeds cap {max_rank}")
+    docstring, once its rank passes ``check_rank``; max_rank, when given,
+    replaces the cap.  One object per group, whatever the cap."""
+    check_rank("rank", group.rank, max_rank)
     return _root_datum(group)
 
 

@@ -19,10 +19,12 @@ The Macdonald label of each family's compact subsystem is recorded in
 round trips exercised in the test suite: inverting the classification
 partition through the same merge recovers the label.
 
-Table rows build no root datum and no polynomial: the root counts of the
-orbit-dimension check and the printed generator come from the block
-layout ``groups._family_layout`` alone, through the alternant exponents
-of each ``groups.Block``.
+Table rows build no root datum and no polynomial.  The block layout
+``groups._family_layout`` alone gives the ambient algebra (its type and
+size), the root counts of the orbit-dimension check and, through the
+alternant exponents of each ``groups.Block``, the printed generator.  A
+row reads its label once, merges it into a partition once, and lets
+``orbit_dim`` decide whether that partition is a nilpotent orbit's.
 """
 
 from __future__ import annotations
@@ -273,33 +275,12 @@ def sigma_k_bipartition(group: GroupId) -> Partition | Bipartition:
 
 
 def ambient_algebra(group: GroupId) -> tuple[str, int]:
-    """(type, N) of the complexified algebra: sl(N), so(N) or sp(N)."""
-    r = group.rank
-    fam = group.family
-    if fam == Family.SU:
-        return "A", r
-    if fam == Family.SO_EVEN_ODD:
-        return "B", 2 * r + 1
-    if fam in (Family.SP_R, Family.SP_PQ):
-        return "C", 2 * r
-    return "D", 2 * r
-
-
-def sigma_k_partition(group: GroupId) -> Partition:
-    """Partition produced by the symbol pipeline for the catalog label."""
-    label = sigma_k_bipartition(group)
-    kind, _ = ambient_algebra(group)
-    if kind == "A":
-        if not isinstance(label, tuple):
-            raise InternalInvariantError(f"type A label {label!r} is not a partition")
-        return label
-    if not isinstance(label, Bipartition):
-        raise InternalInvariantError(f"type {kind} label {label!r} is not a bipartition")
-    sym = symbol_of_bipartition(label, kind)
-    partition = partition_of_symbol(sym)
-    if partition is None:
-        raise InternalInvariantError("symbol merge collided; catalog entry is inconsistent")
-    return partition
+    """(type, N) of the complexified algebra, sl(N), so(N) or sp(N), read
+    off the ambient block of ``groups._family_layout``: of size m, it has
+    N = m in type A, 2m + 1 in type B and 2m in types C and D."""
+    block = _family_layout(group)[0]
+    m = block.size
+    return block.kind, {"A": m, "B": 2 * m + 1}.get(block.kind, 2 * m)
 
 
 class SpringerRow(Value):
@@ -311,15 +292,29 @@ class SpringerRow(Value):
 def springer_row(group: GroupId) -> SpringerRow:
     """One classification row: label -> symbol -> partition -> validity ->
     dimension, with the structural consistency checks along the way.  The
-    numbers r_g and r_k of positive roots of G and K are read off the
-    ambient and compact blocks."""
+    label is read once and merged into a partition once; ``orbit_dim``
+    checks the partition, and one it refuses is not Springer.  The numbers
+    r_g and r_k of positive roots of G and K are read off the ambient and
+    compact blocks."""
     ambient, compact_blocks = _family_layout(group)
     r_g, r_k = ambient.root_count, sum(b.root_count for b in compact_blocks)
     label = sigma_k_bipartition(group)
     kind, total = ambient_algebra(group)
-    partition = sigma_k_partition(group)
-    ok = valid_nilpotent(partition, kind, total)
-    dim = orbit_dim(partition, kind, total) if ok else None
+    if kind == "A":
+        if not isinstance(label, tuple):
+            raise InternalInvariantError(f"type A label {label!r} is not a partition")
+        partition = label
+    else:
+        if not isinstance(label, Bipartition):
+            raise InternalInvariantError(f"type {kind} label {label!r} is not a bipartition")
+        partition = partition_of_symbol(symbol_of_bipartition(label, kind))
+        if partition is None:
+            raise InternalInvariantError("symbol merge collided; catalog entry is inconsistent")
+    try:
+        dim = orbit_dim(partition, kind, total)
+    except InvalidPartition:
+        dim = None
+    ok = dim is not None
     if ok and dim != 2 * (r_g - r_k):
         raise InternalInvariantError(
             f"orbit dimension {dim} disagrees with 2(r_g - r_k) for {group.label()}"

@@ -21,7 +21,7 @@ from itertools import combinations
 from math import comb, factorial, prod
 
 from .errors import ClaimMismatch, IndexOutOfRange, NotInC
-from .groups import DEFAULT_RANK_CAP, GroupId, RootDatum, Weight, build_root_datum
+from .groups import GroupId, RootDatum, Weight, build_root_datum
 from .polynomials import (
     LinearForm,
     MultiPoly,
@@ -35,7 +35,7 @@ from .polynomials import (
 def su_n1_datum(n: int) -> RootDatum:
     if n < 1:
         raise IndexOutOfRange("n must be at least 1")
-    return build_root_datum(GroupId.su(n, 1), max_rank=max(DEFAULT_RANK_CAP, n + 1))
+    return build_root_datum(GroupId.su(n, 1))
 
 
 def chamber_of(lam: Weight, n: int) -> int:

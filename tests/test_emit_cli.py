@@ -320,6 +320,19 @@ def test_cli_rank_cap_env(monkeypatch, capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize(
+    "env, suite", [("2", "translation"), ("x", "sl2")], ids=["under-cap", "not-an-integer"]
+)
+def test_cli_verify_honours_dirac_max_rank(env, suite, monkeypatch, capsys):
+    """verify builds root data, so it honours the cap as index-poly does."""
+    monkeypatch.setenv("DIRAC_MAX_RANK", env)
+    assert main(["verify", "--suite", suite]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "DIRAC_MAX_RANK" in captured.err
+
+
 def test_console_script_entry():
     result = subprocess.run(
         [sys.executable, "-m", "diracindex.cli", "verify", "--suite", "sl2"],

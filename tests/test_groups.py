@@ -9,6 +9,7 @@ from diracindex.errors import (
     DimensionMismatch,
     EnumerationCapExceeded,
     IllegalParams,
+    InvalidInput,
     RankCapExceeded,
 )
 from diracindex import groups
@@ -18,6 +19,7 @@ from diracindex.groups import (
     GroupId,
     WeylElement,
     build_root_datum,
+    check_rank,
     dominate,
     dot,
     int_add,
@@ -84,6 +86,28 @@ def test_rank_cap():
         build_root_datum(GroupId.su(5, 5))  # rank 10 > default cap 8
     datum = build_root_datum(GroupId.su(5, 5), max_rank=10)
     assert datum.rank == 10
+
+
+def test_rank_cap_reads_dirac_max_rank(monkeypatch):
+    """DIRAC_MAX_RANK replaces the default cap; a max_rank argument
+    replaces both, and a value that is not an integer is refused."""
+    group = GroupId.sp_r(9)
+    monkeypatch.delenv("DIRAC_MAX_RANK", raising=False)
+    with pytest.raises(RankCapExceeded, match="rank 9 exceeds cap 8; set DIRAC_MAX_RANK"):
+        build_root_datum(group)
+    monkeypatch.setenv("DIRAC_MAX_RANK", "9")
+    assert build_root_datum(group).rank == 9
+    with pytest.raises(RankCapExceeded, match="rank 9 exceeds cap 8"):
+        build_root_datum(group, max_rank=8)
+    monkeypatch.setenv("DIRAC_MAX_RANK", "")
+    with pytest.raises(RankCapExceeded, match="exceeds cap 8"):
+        build_root_datum(group)
+    monkeypatch.setenv("DIRAC_MAX_RANK", "x")
+    with pytest.raises(InvalidInput, match="DIRAC_MAX_RANK must be an integer, got 'x'"):
+        build_root_datum(GroupId.su(1, 1))
+    assert build_root_datum(GroupId.su(1, 1), max_rank=8).rank == 2
+    with pytest.raises(InvalidInput):
+        check_rank("--n", 3)
 
 
 def _block_roots_closure(block, rank):

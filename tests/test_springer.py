@@ -9,10 +9,11 @@ from types import SimpleNamespace
 
 import pytest
 
+from diracindex import springer as springer_module
 from diracindex.emit import generator_text
 from diracindex.errors import InternalInvariantError, InvalidPartition
 from diracindex.fixtures import reference_table_row
-from diracindex.groups import GroupId, RootDatum, _family_layout, _root_datum, build_root_datum
+from diracindex.groups import Family, GroupId, RootDatum, _family_layout, _root_datum, build_root_datum
 from diracindex.polynomials import LinearForm, linear_form_product
 from diracindex.springer import (
     Bipartition,
@@ -25,7 +26,6 @@ from diracindex.springer import (
     orbit_dim,
     partition_of_symbol,
     sigma_k_bipartition,
-    sigma_k_partition,
     springer_row,
     springer_table,
     standard_tableaux_count,
@@ -312,8 +312,9 @@ def test_invalid_pipeline_partition_is_reported():
     # p >= q + 2 in the even-odd orthogonal family: the merged partition
     # exists but fails the parity rule
     group = GroupId.so_even_odd(3, 1)
-    assert sigma_k_partition(group) == (3, 2, 2, 2)
     kind, total = ambient_algebra(group)
+    merged = partition_of_symbol(symbol_of_bipartition(sigma_k_bipartition(group), kind))
+    assert merged == (3, 2, 2, 2)
     assert not valid_nilpotent((3, 2, 2, 2), kind, total)
     assert not springer_row(group).is_springer
 
@@ -466,7 +467,58 @@ def test_springer_row_orbit_dimension_is_internal(monkeypatch):
         springer_row.__wrapped__(GroupId.sp_r(2))
 
 
-def test_sigma_k_partition_symbol_collision_is_internal(monkeypatch):
+def test_springer_row_symbol_collision_is_internal(monkeypatch):
     monkeypatch.setattr("diracindex.springer.partition_of_symbol", lambda sym: None)
     with pytest.raises(InternalInvariantError, match="symbol merge collided"):
-        sigma_k_partition(GroupId.sp_r(2))
+        springer_row.__wrapped__(GroupId.sp_r(2))
+
+
+def test_springer_row_checks_the_label_kind(monkeypatch):
+    """A type A label must be a partition, any other a bipartition."""
+    monkeypatch.setattr("diracindex.springer.sigma_k_bipartition", lambda g: Bipartition((1,), ()))
+    with pytest.raises(InternalInvariantError, match="type A label"):
+        springer_row.__wrapped__(GroupId.su(1, 1))
+    monkeypatch.setattr("diracindex.springer.sigma_k_bipartition", lambda g: (1, 1))
+    with pytest.raises(InternalInvariantError, match="type C label"):
+        springer_row.__wrapped__(GroupId.sp_r(2))
+
+
+def _ambient_algebra_by_family(group):
+    """(type, N) of the complexified algebra, one branch per family: the
+    oracle of ambient_algebra, which reads the block layout."""
+    r = group.rank
+    fam = group.family
+    if fam == Family.SU:
+        return "A", r
+    if fam == Family.SO_EVEN_ODD:
+        return "B", 2 * r + 1
+    if fam in (Family.SP_R, Family.SP_PQ):
+        return "C", 2 * r
+    return "D", 2 * r
+
+
+def test_ambient_algebra_matches_the_family_chain():
+    groups = table_groups(12)
+    assert {g.family for g in groups} == set(Family)
+    for group in groups:
+        assert ambient_algebra(group) == _ambient_algebra_by_family(group), group.label()
+
+
+def test_springer_row_reads_its_label_once(monkeypatch):
+    """One row reads the catalog once and checks validity in orbit_dim alone."""
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(f"diracindex.springer.{name}", wrapper)
+
+    for name in ("sigma_k_bipartition", "orbit_dim", "valid_nilpotent"):
+        counted(name, getattr(springer_module, name))
+    for group in table_groups(3):
+        calls.clear()
+        springer_row.__wrapped__(group)
+        # orbit_dim calls valid_nilpotent once, through the module global
+        assert calls == {"sigma_k_bipartition": 1, "orbit_dim": 1, "valid_nilpotent": 1}

@@ -9,7 +9,9 @@ from diracindex.errors import (
     DiracIndexError,
     IndexOutOfRange,
     NotInC,
+    RankCapExceeded,
 )
+from diracindex.groups import DEFAULT_RANK_CAP
 from diracindex.polynomials import (
     MultiPoly,
     _packed_product,
@@ -195,10 +197,22 @@ def _weyl_dim_index_poly(n):
 
 
 @pytest.mark.parametrize("n", range(1, 9))
-def test_index_poly_restricted_is_scaled_vandermonde(n):
+def test_index_poly_restricted_is_scaled_vandermonde(n, monkeypatch):
+    if n + 1 > DEFAULT_RANK_CAP:
+        # the SU(n,1) datum has rank n + 1
+        monkeypatch.setenv("DIRAC_MAX_RANK", str(n + 1))
     idx = index_poly_restricted.__wrapped__(n)
     assert idx == vandermonde(n) * F(1, prod(factorial(k) for k in range(n)))
     assert idx == _weyl_dim_index_poly(n)
+
+
+def test_su_n1_datum_honours_the_rank_cap(monkeypatch):
+    monkeypatch.delenv("DIRAC_MAX_RANK", raising=False)
+    assert su_n1_datum(7).rank == 8
+    with pytest.raises(RankCapExceeded, match="rank 9 exceeds cap 8; set DIRAC_MAX_RANK"):
+        su_n1_datum(8)
+    monkeypatch.setenv("DIRAC_MAX_RANK", "9")
+    assert su_n1_datum(8).rank == 9
 
 
 @pytest.mark.parametrize("n", range(2, 8))

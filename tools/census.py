@@ -62,6 +62,7 @@ ALLOWED = {
     "polynomials.MultiPoly.from_linear": "only bench jobs call it; item 9",
     "polynomials.MultiPoly.__pow__": "only bench jobs call it; item 9",
     "polynomials.LinearForm.to_poly": "only bench jobs call it; item 9",
+    "emit.springer_rows_to_csv": "only bench jobs call it; item 9",
     "polynomials.MultiPoly.terms": "bench/run.py reads len(result.terms); item 9",
     "dirac.index_discrete_series": "paper object no suite checks yet; item 3",
     "dirac.is_integral_weyl": "paper object no suite checks yet; item 3",

@@ -76,6 +76,14 @@ COMMANDS = [
     # constant cofactor
     "char-poly --n 7 --i 3 --factor",
     "char-poly --n 7 --i 1 --factor",
+    # D_k over block layouts that the block-diagonal alternant expands in
+    # one call: a D7 block beside the empty B0 block, two exponent-0
+    # columns on disjoint rows (D1 beside D6), and the balanced C4 x C4
+    "index-poly --group 'SOe(14,1)' --hc-param 13/2,11/2,9/2,7/2,5/2,3/2,1/2",
+    "index-poly --group 'SOe(2,12)' --hc-param 6,5,4,3,2,1,0",
+    "index-poly --group 'Sp(4,4)' --hc-param 8,7,6,5,4,3,2,1",
+    # the character determinant without --factor
+    "char-poly --n 6 --i 2",
 ]
 
 

@@ -19,7 +19,7 @@ import sys
 from fractions import Fraction
 
 from .dirac import discrete_series_family, index_polynomial
-from .emit import dumps, emit, factored_to_obj, poly_to_obj
+from .emit import dumps, emit, factored_to_obj
 from .errors import ClaimMismatch, DiracIndexError, InternalInvariantError, InvalidInput
 from .fixtures import su_n1_ds_family
 from .groups import Family, GroupId, build_root_datum, check_rank
@@ -116,10 +116,10 @@ def _cmd_char_poly(args) -> int:
     check_rank("--n", args.n)
     poly = char_poly_det(args.n, args.i)
     if args.factor:
-        obj = factored_to_obj(poly, *extract_det_factors(args.n, args.i))
+        text = dumps(factored_to_obj(poly, *extract_det_factors(args.n, args.i)))
     else:
-        obj = {"type": "polynomial", **poly_to_obj(poly)}
-    sys.stdout.write(dumps(obj))
+        text = emit(poly, "json")
+    sys.stdout.write(text)
     return 0
 
 

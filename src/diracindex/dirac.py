@@ -61,7 +61,7 @@ from .kmodules import (
 from .polynomials import MultiPoly
 from .series import TruncatedSeries
 from .value import Value
-from .weylaction import _act_packed, weyl_dim_poly
+from .weylaction import act, weyl_dim_poly
 
 SPIN_SUBSET_CAP = 20
 
@@ -206,32 +206,20 @@ def evaluate_index(fam: IndexFamily, lam: Weight) -> VirtualKModule:
 
 
 def index_polynomial(fam: IndexFamily) -> MultiPoly:
-    """Q(lam) = sum_w a_w D_k(w lam), as an exact polynomial.
+    """Q(lam) = sum_w a_w D_k(w^{-1} lam), as an exact polynomial: the sum
+    of the translates `act(w^{-1}, D_k) * a_w`.
 
     On every lattice point of the coset this equals the virtual dimension
     of evaluate_index, because D_k vanishes at compactly singular
-    parameters and changes by sgn under the compact Weyl group.  The sum
-    runs on the integer form of D_k; D_k is homogeneous of degree the
-    number of compact positive roots, and so is every nonzero sum of its
-    translates.  The first translate seeds the sum.  A discrete-series
-    family has one coefficient +-1 on the identity, so Q = +-D_k keeps or
-    negates the numerator of D_k, with no accumulation: a single signed
-    permutation of the keys merges no terms and cancels none.
+    parameters and changes by sgn under the compact Weyl group.  A
+    discrete-series family has one coefficient +-1 on the identity, so Q
+    is its one translate, +-D_k: a unit scalar keeps the normalized form.
     """
     if not fam.coeffs:
         return MultiPoly.zero(fam.datum.rank)
-    den, width, dk = weyl_dim_poly(fam.datum)._int_form()
-    (w, a), *rest = fam.coeffs.items()
-    first = _act_packed(w.inverse(), width, dk)
-    # the cached D_k is never changed in place: a sum starts from a copy
-    acc = first if a == 1 and not rest else {key: a * c for key, c in first.items()}
-    for w, a in rest:
-        for key, c in _act_packed(w.inverse(), width, dk).items():
-            acc[key] = acc.get(key, 0) + a * c
-    if rest:
-        acc = {key: c for key, c in acc.items() if c}
-    degree = len(fam.datum.compact_positive_roots)
-    return MultiPoly._from_ints(fam.datum.rank, width, acc, Fraction(1, den), degree)
+    dk = weyl_dim_poly(fam.datum)
+    first, *rest = (act(w.inverse(), dk) * a for w, a in fam.coeffs.items())
+    return sum(rest, first)
 
 
 def verify_translation(

@@ -362,15 +362,18 @@ def _family_layout(group: GroupId) -> tuple[Block, tuple[Block, ...]]:
 
 def check_rank(label: str, rank: int, cap: int | None = None) -> None:
     """Refuse a rank, named by label, above the cap: cap when given, else
-    DIRAC_MAX_RANK when set, else DEFAULT_RANK_CAP."""
+    DIRAC_MAX_RANK when set, else DEFAULT_RANK_CAP.  The refusal names
+    DIRAC_MAX_RANK only when no cap is given, as only then does it count."""
+    advice = ""
     if cap is None:
         value = os.environ.get("DIRAC_MAX_RANK")
         try:
             cap = int(value) if value else DEFAULT_RANK_CAP
         except ValueError:
             raise InvalidInput(f"DIRAC_MAX_RANK must be an integer, got {value!r}") from None
+        advice = "; set DIRAC_MAX_RANK to raise it"
     if rank > cap:
-        raise RankCapExceeded(f"{label} {rank} exceeds cap {cap}; set DIRAC_MAX_RANK to raise it")
+        raise RankCapExceeded(f"{label} {rank} exceeds cap {cap}{advice}")
 
 
 def build_root_datum(group: GroupId, max_rank: int | None = None) -> RootDatum:

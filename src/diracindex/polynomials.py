@@ -9,10 +9,10 @@ adding keys never carries between fields.  `terms` is a read-only view,
 `MultiPoly(arity, terms)` validates its Fraction terms, packs them at once
 and keeps them as that view.  The form is unique, so `==` and the hash
 compare (den, width, num) whichever way a value was built.  Every ring
-operation, product of linear forms, the SU(n,1) determinant, index
-polynomials, restrictions and quotients work on packed keys, without a
-`Fraction` per term, and normalize through `MultiPoly._from_ints`, which
-may keep the dict it is given: no kernel changes a `_num` dict in place.
+operation, product of linear forms, alternant, restriction and quotient
+works on packed keys, without a `Fraction` per term, and normalizes
+through `MultiPoly._from_ints`, which may keep the dict it is given: no
+kernel changes a `_num` dict in place; p * 1 is p and p * -1 is -p.
 Terms serialize in graded-lex order: ascending total degree, then
 descending lexicographic on the exponent tuple, so X1 - X2 prints its X1
 term first.  `MultiPoly.graded_rows` gives that order straight from the
@@ -55,19 +55,22 @@ by `_alternant`: det(X_{v_i}^{e_j}) has one term of coefficient +-1 per
 permutation, with no cancellation, so a Laplace expansion memoized on
 the set of columns used writes each term once.  Entries may be zero, by
 one row bitmask per column, if columns of equal exponent cover disjoint
-rows: the SU(n,1) character determinant is such an alternant.  The
-expansion runs along the first row, adding rows from the last to the
-first, so the first variable's exponent is chosen last, column by
-column.  When the variables ascend and the exponents do not increase,
+rows: the SU(n,1) character determinant and the block-diagonal D_k of
+`weylaction` are such alternants, built by `alternant`.  The expansion
+runs along the first row, adding rows from the last to the first, so
+the first variable's exponent is chosen last, column by column.  When the variables ascend and the exponents do not increase,
 the columns that reach a row have strictly falling exponents (equal
 ones cover disjoint rows), and by induction on the rows the terms are
 written in descending lex order on the exponent tuples, the order
-emission wants.  Every caller passes such input.  A product of such
-alternants in disjoint, contiguous and ascending blocks of variables,
-left block outermost, keeps the order, and so do negation and scaling.
+emission wants.  Every caller passes such input.  If each block of
+columns reaches only its own block of rows, the blocks contiguous and
+ascending, the rows of the later blocks leave one minor, their product,
+and an earlier block expands on it as on the constant 1: the terms are
+the product of the block alternants, left block outermost, in order.
 
 Restriction, divisibility, exact division and factor extraction share
-one Horner pass on P = N / D.  Write a form as L = c * L' with
+one Horner pass on P = N / D, run by methods of the form from the split
+it stores.  Write a form as L = c * L' with
 L' = a X_j + sum_{i > j} a_i X_i primitive, X_j its pivot and a > 0, split
 N = sum_d N_d X_j^d and set
 
@@ -255,6 +258,11 @@ class MultiPoly:
             scalar = Fraction(other)
             if not scalar:
                 return MultiPoly.zero(self.arity)
+            # a unit keeps the normalized form: no degree or gcd pass
+            if scalar == 1:
+                return self
+            if scalar == -1:
+                return -self
             return MultiPoly._from_ints(self.arity, self._width, self._num, scalar / self._den)
         self._check(other)
         # each factor's degree is below 2^w for its width w, so their sum
@@ -397,9 +405,10 @@ class MultiPoly:
 class LinearForm(Value):
     """A nonzero linear form sum c_i X_i, its coefficients ints, or
     Fractions where they are not integers.  Built once, outside equality,
-    hash and repr: the primitive integer tuple, positive at the pivot; the
-    content (p, q), this form being p/q times the primitive one; the pivot
-    index; and the pivot coefficient of the primitive form."""
+    hash and repr: the primitive integer tuple `_ints`, positive at the
+    pivot; the content `_scale` = (p, q), this form being p/q times the
+    primitive one; the pivot index `_pivot`; and the pivot coefficient
+    `_lead` of the primitive form.  The Horner methods read them."""
 
     __slots__ = ("coeffs", "_ints", "_scale", "_pivot", "_lead")
     _fields = ("coeffs",)
@@ -425,16 +434,68 @@ class LinearForm(Value):
     def arity(self) -> int:
         return len(self.coeffs)
 
-    def pivot(self) -> int:
-        return self._pivot
-
     def to_poly(self) -> MultiPoly:
         return MultiPoly.from_linear(self.coeffs)
 
-    def _content(self) -> tuple[tuple[int, int], tuple[int, ...]]:
-        """((p, q), ints) with p/q reduced, q > 0, gcd(ints) = 1, ints
-        positive at the pivot and this form = p/q * sum ints_i X_i."""
-        return self._scale, self._ints
+    def _horner(self, width: int, num: IntTerms) -> list[IntTerms]:
+        """[H'_0, ..., H'_top] of the integer Horner pass (module docstring)
+        on keys of the given width; only H'_0 is cleared of zero values."""
+        j, a = self._pivot, self._lead
+        shift, mask = j * width, (1 << width) - 1
+        # every a_i with i < j is zero
+        steps = [(1 << (i * width), -c) for i, c in enumerate(self._ints[j + 1 :], j + 1) if c]
+        layers: dict[int, IntTerms] = defaultdict(dict)
+        for key, c in num.items():
+            d = key >> shift & mask
+            layers[d][key - (d << shift)] = c
+        top = max(layers, default=0)
+        hs = [layers.pop(top, {})]
+        for d in range(top - 1, -1, -1):
+            acc = layers.pop(d, {})
+            if a != 1:
+                power = a ** (top - d)
+                acc = {key: c * power for key, c in acc.items()}
+            for step, s in steps:
+                for key, c in hs[-1].items():
+                    key += step
+                    acc[key] = acc.get(key, 0) + c * s
+            hs.append(acc)
+        hs[-1] = {key: c for key, c in hs[-1].items() if c}
+        hs.reverse()
+        return hs
+
+    def _restriction(self, width: int, num: IntTerms) -> tuple[IntTerms, int]:
+        """(H'_0, a^top), H'_0 cleared of zero values.  For L' = X_j - s X_q,
+        s = +-1, H'_0 is N(X_j = s X_q), by substitution (module
+        docstring); otherwise it comes from the Horner pass."""
+        j = self._pivot
+        rest = [(i, c) for i, c in enumerate(self._ints[j + 1 :], j + 1) if c]
+        if self._lead != 1 or len(rest) != 1 or abs(rest[0][1]) != 1:
+            hs = self._horner(width, num)
+            return hs[0], self._lead ** (len(hs) - 1)
+        ((q, minus_s),) = rest
+        shift, mask = j * width, (1 << width) - 1
+        spread = (1 << ((q - j) * width)) - 1
+        out: IntTerms = {}
+        for key, c in num.items():
+            e = key >> shift & mask
+            if e:
+                key += (e << shift) * spread
+                if minus_s > 0 and e & 1:
+                    c = -c
+            out[key] = out.get(key, 0) + c
+        return {key: c for key, c in out.items() if c}, 1
+
+    def _quotient(self, width: int, hs: list[IntTerms]) -> IntTerms:
+        """The integer numerator Q = N / L' from the layers hs[1:]."""
+        unit, top = 1 << (self._pivot * width), len(hs) - 1
+        powers = [self._lead ** (top - d) for d in range(top)]
+        return {
+            key + d * unit: c // powers[d]
+            for d, layer in enumerate(hs[1:])
+            for key, c in layer.items()
+            if c
+        }
 
 
 def _packed_product(
@@ -499,6 +560,18 @@ def _alternant(
     return dict(zip(keys, signs))
 
 
+def alternant(
+    arity: int, variables: Sequence[int], exponents: Sequence[int],
+    support: Sequence[int] = (), scale: int | Fraction = 1,
+) -> MultiPoly:
+    """scale * det(M) in arity variables, M as in `_alternant`: a term takes
+    one entry of each column, so its degree is the sum of the exponents."""
+    degree = sum(exponents)
+    width = max(degree, 1).bit_length()
+    num = _alternant(width, variables, exponents, support)
+    return MultiPoly._from_ints(arity, width, num, Fraction(scale), degree)
+
+
 def linear_form_product(arity: int, forms: Iterable[LinearForm]) -> MultiPoly:
     """Expanded product of linear forms, in the integer form (module
     docstring); the empty product is the constant 1."""
@@ -508,103 +581,34 @@ def linear_form_product(arity: int, forms: Iterable[LinearForm]) -> MultiPoly:
     for form in forms:
         if form.arity != arity:
             raise DimensionMismatch("form arity mismatch")
-        (cp, cq), ints = form._content()
-        p, q = p * cp, q * cq
-        rows.append(ints)
+        p, q = p * form._scale[0], q * form._scale[1]
+        rows.append(form._ints)
     width = max(len(forms), 1).bit_length()
     product = _packed_product({0: 1}, rows, width)
     return MultiPoly._from_ints(arity, width, product, Fraction(p, q), len(forms))
 
 
-class _Pivot:
-    """A form L = c * L', split for the integer Horner pass: the content
-    c = p/q as the pair (p, q), the pivot index j, the pivot coefficient
-    a > 0 of the primitive L', and the pairs (i, -a_i) for the variables
-    X_i, i > j, of L'."""
-
-    __slots__ = ("content", "j", "a", "steps")
-
-    def __init__(self, arity: int, form: LinearForm):
-        if arity != form.arity:
-            raise DimensionMismatch("polynomial and form arities differ")
-        self.content, ints = form._content()
-        self.j = j = form.pivot()
-        self.a = form._lead
-        # every a_i with i < j is zero
-        self.steps = [(i, -c) for i, c in enumerate(ints[j + 1 :], j + 1) if c]
-
-    def horner(self, width: int, num: IntTerms) -> list[IntTerms]:
-        """[H'_0, ..., H'_top] of the integer Horner pass (module docstring)
-        on keys of the given width; only H'_0 is cleared of zero values."""
-        shift, mask, a = self.j * width, (1 << width) - 1, self.a
-        steps = [(1 << (i * width), s) for i, s in self.steps]
-        layers: dict[int, IntTerms] = defaultdict(dict)
-        for key, c in num.items():
-            d = key >> shift & mask
-            layers[d][key - (d << shift)] = c
-        top = max(layers, default=0)
-        hs = [layers.pop(top, {})]
-        for d in range(top - 1, -1, -1):
-            acc = layers.pop(d, {})
-            if a != 1:
-                power = a ** (top - d)
-                acc = {key: c * power for key, c in acc.items()}
-            for step, s in steps:
-                for key, c in hs[-1].items():
-                    key += step
-                    acc[key] = acc.get(key, 0) + c * s
-            hs.append(acc)
-        hs[-1] = {key: c for key, c in hs[-1].items() if c}
-        hs.reverse()
-        return hs
-
-    def restriction(self, width: int, num: IntTerms) -> tuple[IntTerms, int]:
-        """(H'_0, a^top), H'_0 cleared of zero values.  For L' = X_j - s X_q,
-        s = +-1, H'_0 is N(X_j = s X_q), by substitution (module
-        docstring); otherwise it comes from the Horner pass."""
-        if self.a != 1 or len(self.steps) != 1 or abs(self.steps[0][1]) != 1:
-            hs = self.horner(width, num)
-            return hs[0], self.a ** (len(hs) - 1)
-        ((q, s),) = self.steps
-        shift, mask = self.j * width, (1 << width) - 1
-        spread = (1 << ((q - self.j) * width)) - 1
-        out: IntTerms = {}
-        for key, c in num.items():
-            e = key >> shift & mask
-            if e:
-                key += (e << shift) * spread
-                if s < 0 and e & 1:
-                    c = -c
-            out[key] = out.get(key, 0) + c
-        return {key: c for key, c in out.items() if c}, 1
-
-    def quotient(self, width: int, hs: list[IntTerms]) -> IntTerms:
-        """The integer numerator Q = N / L' from the layers hs[1:]."""
-        unit, top = 1 << (self.j * width), len(hs) - 1
-        powers = [self.a ** (top - d) for d in range(top)]
-        return {
-            key + d * unit: c // powers[d]
-            for d, layer in enumerate(hs[1:])
-            for key, c in layer.items()
-            if c
-        }
+def _check_arity(poly: MultiPoly, form: LinearForm) -> None:
+    if poly.arity != form.arity:
+        raise DimensionMismatch("polynomial and form arities differ")
 
 
 def restrict_to_hyperplane(poly: MultiPoly, form: LinearForm) -> MultiPoly:
     """Substitute X_j = -sum_{i != j} (c_i / c_j) X_i for the pivot X_j of
     form; the other variables are renumbered in order (arity one less)."""
-    pivot = _Pivot(poly.arity, form)
+    _check_arity(poly, form)
     den, width, num = poly._int_form()
-    rest, power = pivot.restriction(width, num)
-    low, high = (1 << (pivot.j * width)) - 1, (pivot.j + 1) * width
+    rest, power = form._restriction(width, num)
+    low, high = (1 << (form._pivot * width)) - 1, (form._pivot + 1) * width
     rest = {key & low | key >> high << (high - width): c for key, c in rest.items()}
     return MultiPoly._from_ints(poly.arity - 1, width, rest, Fraction(1, power * den))
 
 
 def divides_linear_form(poly: MultiPoly, form: LinearForm) -> bool:
     """True iff the linear form divides the polynomial exactly."""
+    _check_arity(poly, form)
     _, width, num = poly._int_form()
-    return not _Pivot(poly.arity, form).restriction(width, num)[0]
+    return not form._restriction(width, num)[0]
 
 
 def extract_linear_factors(
@@ -619,24 +623,24 @@ def extract_linear_factors(
     """
     den, width, num = poly._int_form()
     p, q = 1, den  # the scale p/q of the cofactor's numerator
-    distinct: dict[tuple, list] = {}  # [form, pivot, multiplicity]
+    distinct: dict[tuple, list] = {}  # [form, multiplicity]
     for form in candidates:
-        pivot = _Pivot(poly.arity, form)
+        _check_arity(poly, form)
         # proportional forms share their primitive form
-        distinct.setdefault(form._content()[1], [form, pivot, 0])
+        distinct.setdefault(form._ints, [form, 0])
     live = list(distinct.values()) if num else []
     while live:
         divided = []
         for entry in live:
-            pivot = entry[1]
-            hs = pivot.horner(width, num)
+            form = entry[0]
+            hs = form._horner(width, num)
             if not hs[0]:
-                num = pivot.quotient(width, hs)
-                p, q = p * pivot.content[1], q * pivot.content[0]
-                entry[2] += 1
+                num = form._quotient(width, hs)
+                p, q = p * form._scale[1], q * form._scale[0]
+                entry[1] += 1
                 divided.append(entry)
         live = divided
-    factors = [(form, mult) for form, _, mult in distinct.values() if mult]
+    factors = [(form, mult) for form, mult in distinct.values() if mult]
     return factors, MultiPoly._from_ints(poly.arity, width, num, Fraction(p, q))
 
 

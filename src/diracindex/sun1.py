@@ -15,17 +15,19 @@ only the character determinant goes through factor extraction.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import comb, factorial, prod
+from types import MappingProxyType
 
 from .errors import ClaimMismatch, IndexOutOfRange, NotInC
 from .groups import GroupId, RootDatum, Weight, build_root_datum
 from .polynomials import (
     LinearForm,
     MultiPoly,
-    _alternant,
+    alternant,
     extract_linear_factors,
     # Unused here: bench/tests names sun1.poly_det; tools/census.py allows it, ROADMAP item 9
     poly_det,
@@ -67,27 +69,25 @@ def char_poly_det(n: int, i: int) -> MultiPoly:
 
     Rows are the power rows lam^(n-2), ..., lam^1 followed by the two
     indicator rows of the split {1..n-i} | {n-i+1..n}.  Its transpose is
-    one alternant with zero entries (`polynomials._alternant`), lam_l on
+    one alternant with zero entries (`polynomials.alternant`), lam_l on
     row l: columns of exponents n-2, ..., 1 on every row, then two of
     exponent 0 on the disjoint rows {1..n-i} and {n-i+1..n}.  Each of its
-    i (n-i) (n-2)! terms has coefficient +-1, on keys of the field width
-    of the total degree C(n-1, 2).
+    i (n-i) (n-2)! terms has coefficient +-1, and its degree is C(n-1, 2).
     """
     if n < 2 or not 1 <= i <= n - 1:
         raise IndexOutOfRange(f"need n >= 2 and 1 <= i <= n-1, got n={n}, i={i}")
-    degree = comb(n - 1, 2)
-    width = max(degree, 1).bit_length()
     every, low = (1 << n) - 1, (1 << (n - i)) - 1
     exponents = [*range(n - 2, 0, -1), 0, 0]
-    num = _alternant(width, range(n), exponents, [every] * (n - 2) + [low, every ^ low])
-    return MultiPoly._from_ints(n, width, num, degree=degree)
+    return alternant(n, range(n), exponents, [every] * (n - 2) + [low, every ^ low])
 
 
 @lru_cache(maxsize=None)
-def _root_forms(n: int) -> tuple[LinearForm, ...]:
-    """The forms lam_p - lam_q for 1 <= p < q <= n, in the order of
-    `combinations(range(1, n + 1), 2)`."""
-    return tuple(difference_form(n, p, q) for p, q in combinations(range(1, n + 1), 2))
+def _root_forms(n: int) -> Mapping[tuple[int, int], LinearForm]:
+    """Read-only {(p, q): lam_p - lam_q} for 1 <= p < q <= n, in the order
+    of `combinations(range(1, n + 1), 2)`."""
+    return MappingProxyType(
+        {(p, q): difference_form(n, p, q) for p, q in combinations(range(1, n + 1), 2)}
+    )
 
 
 def vandermonde(n_vars: int, indices: list[int] | None = None) -> MultiPoly:
@@ -96,11 +96,7 @@ def vandermonde(n_vars: int, indices: list[int] | None = None) -> MultiPoly:
     idx = indices if indices is not None else list(range(1, n_vars + 1))
     if len(set(idx)) != len(idx) or not set(idx) <= set(range(1, n_vars + 1)):
         raise IndexOutOfRange(f"need distinct indices in 1..{n_vars}, got {idx}")
-    m = len(idx)
-    degree = comb(m, 2)
-    width = max(degree, 1).bit_length()
-    num = _alternant(width, [p - 1 for p in idx], range(m - 1, -1, -1))
-    return MultiPoly._from_ints(n_vars, width, num, degree=degree)
+    return alternant(n_vars, [p - 1 for p in idx], range(len(idx) - 1, -1, -1))
 
 
 def gcd_factor_pairs(n: int, i: int) -> list[tuple[int, int]]:
@@ -135,7 +131,7 @@ def gcd_with_index(n: int, i: int) -> MultiPoly:
     be those of the pairs of `gcd_factor_pairs`."""
     if n < 2:
         raise IndexOutOfRange("n must be at least 2")
-    forms = dict(zip(combinations(range(1, n + 1), 2), _root_forms(n)))
+    forms = _root_forms(n)
     found = {form for form, _ in extract_det_factors(n, i)[0]}
     if found != {forms[p] for p in gcd_factor_pairs(n, i)}:
         raise ClaimMismatch("extracted common factor disagrees with the closed form")
@@ -149,7 +145,7 @@ def extract_det_factors(
     order, plus cofactor.  Probing the in-block forms of `gcd_factor_pairs`
     first, so that the others meet a small cofactor, changes only the cost."""
     det = char_poly_det(n, i)
-    forms = dict(zip(combinations(range(1, n + 1), 2), _root_forms(n)))
+    forms = _root_forms(n)
     first = set(gcd_factor_pairs(n, i))
     order = sorted(forms, key=lambda pair: pair not in first)
     factors, cofactor = extract_linear_factors(det, [forms[pair] for pair in order])

@@ -12,12 +12,12 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache
 from types import MappingProxyType
 
 from .errors import CapExceeded, DimensionMismatch
 from .groups import IntWeight, RootDatum, Weight, WeylElement, idot, reflection, simple_roots
-from .polynomials import IntTerms, MultiPoly, _alternant, _repack
+from .polynomials import IntTerms, MultiPoly, _repack, alternant
 from .value import Value
 
 SPAN_COLUMN_CAP = 20_000
@@ -127,12 +127,6 @@ def orbit_span(poly: MultiPoly, datum: RootDatum, cap: int = SPAN_COLUMN_CAP) ->
     return PolySpan(poly.arity, width, MappingProxyType(rows))
 
 
-def _disjoint_product(left: dict[int, int], right: dict[int, int]) -> dict[int, int]:
-    """Product of integer numerators in disjoint variables: no two pairs of
-    terms give the same key."""
-    return {k1 + k2: c1 * c2 for k1, c1 in left.items() for k2, c2 in right.items()}
-
-
 @lru_cache(maxsize=None)
 def weyl_dim_poly(datum: RootDatum) -> MultiPoly:
     """Weyl dimension polynomial for the compact subgroup.
@@ -150,31 +144,33 @@ def weyl_dim_poly(datum: RootDatum) -> MultiPoly:
         type D      prod_{i<j} (x_i^2 - x_j^2)              e_j = 2(m - j)
         types B, C  prod_i x_i prod_{i<j} (x_i^2 - x_j^2)   e_j = 2(m - j) + 1
 
-    These exponents are `groups.Block.exponents`.  Each alternant is
-    expanded by `polynomials._alternant`, and the blocks, having
-    disjoint variables, multiply by adding keys.  Each alternant has
-    ascending variables and falling exponents, so its terms come out in
-    descending lex order; the blocks of `groups._family_layout` are
-    contiguous and ascending, so the product, left block outermost, keeps
-    that order, and `MultiPoly.graded_rows` sorts D_k in one linear run.
-    The scale is one integer quotient: with rho_k = nums / den and N
-    compact positive roots,
+    These exponents are `groups.Block.exponents`.  The blocks have
+    disjoint variables, so D_k is one block-diagonal alternant, each
+    block's columns on its rows only, expanded by one
+    `polynomials.alternant` call.  The blocks of `groups._family_layout`
+    are contiguous and ascending, so the terms come out in descending lex
+    order (see `polynomials`) and `MultiPoly.graded_rows` sorts D_k in one
+    linear run.  The scale is one integer quotient: with rho_k = nums / den
+    and N compact positive roots,
 
-        D_k = prod gcd(alpha) den^N / prod (nums, alpha) * prod_blocks alternant.
+        D_k = prod gcd(alpha) den^N / prod (nums, alpha) * alternant.
 
     D_k is built once per datum; a `MultiPoly` is never changed in place.
     """
     roots = datum.compact_positive_roots
-    degree = len(roots)
-    width = max(degree, 1).bit_length()
-    alternants = [_alternant(width, b.indices, b.exponents) for b in datum.compact_blocks]
-    num = reduce(_disjoint_product, alternants)
+    blocks = datum.compact_blocks
     den, nums = datum.rho_k_form
     scale = Fraction(
-        math.prod(math.gcd(*alpha) for alpha in roots) * den**degree,
+        math.prod(math.gcd(*alpha) for alpha in roots) * den ** len(roots),
         math.prod(idot(nums, alpha) for alpha in roots),
     )
-    return MultiPoly._from_ints(datum.rank, width, num, scale, degree)
+    return alternant(
+        datum.rank,
+        [i for b in blocks for i in b.indices],
+        [e for b in blocks for e in b.exponents],
+        [((1 << b.size) - 1) << b.start for b in blocks for _ in range(b.size)],
+        scale,
+    )
 
 
 def _weyl_product(roots, rho: IntWeight, gamma: IntWeight) -> Fraction:

@@ -108,7 +108,7 @@ def test_criterion_7_index_polynomial_properties():
 
 def _univariate_division_oracle(p: MultiPoly, form: LinearForm) -> bool:
     arity = p.arity
-    j = form.pivot()
+    j = form._pivot
     slots = {}
     nxt = 1
     for i in range(arity):

@@ -686,3 +686,56 @@ def test_index_polynomial_matches_fraction_oracle(recipe):
     dk = weyl_dim_poly(datum)
     for w in fam.coeffs:
         assert act(w, dk) == _fraction_act(w, dk)
+
+
+def _index_polynomial_packed(fam):
+    """index_polynomial as it summed raw packed dicts: the first translate
+    seeds the sum, and a one-term family with coefficient 1 keeps the
+    numerator of its translate."""
+    if not fam.coeffs:
+        return MultiPoly.zero(fam.datum.rank)
+    den, width, dk = weyl_dim_poly(fam.datum)._int_form()
+    (w, a), *rest = fam.coeffs.items()
+    first = _act_packed(w.inverse(), width, dk)
+    acc = first if a == 1 and not rest else {key: a * c for key, c in first.items()}
+    for w, a in rest:
+        for key, c in _act_packed(w.inverse(), width, dk).items():
+            acc[key] = acc.get(key, 0) + a * c
+    if rest:
+        acc = {key: c for key, c in acc.items() if c}
+    degree = len(fam.datum.compact_positive_roots)
+    return MultiPoly._from_ints(fam.datum.rank, width, acc, F(1, den), degree)
+
+
+RANK3_DATA = [build_root_datum(g) for g in table_groups(3) if g.rank <= 3]
+
+
+@st.composite
+def integer_families(draw):
+    """An index family on rho_g with integer coefficients, zero to six of
+    them, on elements of W_g of a table group of rank <= 3."""
+    datum = draw(st.sampled_from(RANK3_DATA))
+    elements = weyl_elements(datum, "g")
+    picks = st.tuples(st.sampled_from(elements), st.integers(-4, 4))
+    return IndexFamily(datum, datum.rho_g, dict(draw(st.lists(picks, max_size=6))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(integer_families())
+def test_index_polynomial_matches_packed_dict_oracle(fam):
+    q = index_polynomial(fam)
+    assert q._int_form() == _index_polynomial_packed(fam)._int_form()
+
+
+@pytest.mark.parametrize("datum", RANK3_DATA, ids=lambda d: d.group.label())
+def test_one_term_index_polynomial_is_its_translate(datum):
+    dk = weyl_dim_poly(datum)
+    for w in weyl_elements(datum, "g")[:4]:
+        for a in (1, -1, 3):
+            fam = IndexFamily(datum, datum.rho_g, {w: a})
+            q = index_polynomial(fam)
+            assert q._int_form() == _index_polynomial_packed(fam)._int_form()
+            assert q == act(w.inverse(), dk) * a
+    # a discrete-series family with sign +1 keeps the numerator of D_k
+    q = index_polynomial(IndexFamily(datum, datum.rho_g, {WeylElement.identity(datum.rank): 1}))
+    assert q._int_form()[2] is dk._int_form()[2]

@@ -110,6 +110,23 @@ def test_rank_cap_reads_dirac_max_rank(monkeypatch):
         check_rank("--n", 3)
 
 
+def test_rank_cap_advice_names_the_variable_only_when_it_counts(monkeypatch):
+    """A max_rank argument replaces DIRAC_MAX_RANK, so its refusal does not
+    advise setting the variable; the default and the variable's do."""
+    big = GroupId.su(5, 5)
+    monkeypatch.setenv("DIRAC_MAX_RANK", "20")
+    with pytest.raises(RankCapExceeded) as refused:
+        build_root_datum(big, max_rank=9)
+    assert str(refused.value) == "rank 10 exceeds cap 9"
+    monkeypatch.delenv("DIRAC_MAX_RANK")
+    with pytest.raises(RankCapExceeded) as refused:
+        build_root_datum(big)
+    assert str(refused.value) == "rank 10 exceeds cap 8; set DIRAC_MAX_RANK to raise it"
+    monkeypatch.setenv("DIRAC_MAX_RANK", "9")
+    with pytest.raises(RankCapExceeded, match="exceeds cap 9; set DIRAC_MAX_RANK to raise it"):
+        build_root_datum(big)
+
+
 def _block_roots_closure(block, rank):
     """The block's positive roots, one closure call per root: the oracle of
     groups._block_roots, order included."""

@@ -15,7 +15,6 @@ from diracindex.emit import dumps, frac_str, poly_from_obj, poly_to_obj
 from diracindex.polynomials import (
     LinearForm,
     MultiPoly,
-    _Pivot,
     _alternant,
     divides_linear_form,
     extract_linear_factors,
@@ -64,6 +63,18 @@ def test_ring_axioms_and_eval_homomorphism(p, q, point):
     pt = tuple(point)
     assert (p + q).evaluate(pt) == p.evaluate(pt) + q.evaluate(pt)
     assert (p * q).evaluate(pt) == p.evaluate(pt) * q.evaluate(pt)
+
+
+@settings(max_examples=200, deadline=None)
+@given(polys(), st.sampled_from([1, F(1), -1, F(-1)]))
+def test_unit_scalar_keeps_the_normalized_form(p, unit):
+    """p * 1 is p itself and p * -1 is -p, whatever the type of the unit."""
+    if unit == 1:
+        assert p * unit is p and unit * p is p
+    else:
+        assert (p * unit)._int_form() == (-p)._int_form()
+        assert (unit * p)._int_form() == (-p)._int_form()
+    assert p * unit == p * F(3 * unit, 3)
 
 
 def test_eval_examples():
@@ -578,7 +589,7 @@ def test_restrict_kills_products():
 def _restrict_by_substitution(poly: MultiPoly, form: LinearForm) -> MultiPoly:
     """Reference restriction: multiply every term by the matching power of
     the substitution S = -sum_{i != j} (c_i / c_j) X_i, memoized."""
-    j = form.pivot()
+    j = form._pivot
     cj = form.coeffs[j]
     new_arity = poly.arity - 1
     sub_coeffs = [-form.coeffs[i] / cj for i in range(poly.arity) if i != j]
@@ -599,6 +610,17 @@ def _restrict_by_substitution(poly: MultiPoly, form: LinearForm) -> MultiPoly:
     return MultiPoly(new_arity, acc)
 
 
+@pytest.mark.parametrize("kernel", [
+    restrict_to_hyperplane,
+    divides_linear_form,
+    lambda poly, form: extract_linear_factors(poly, [LinearForm((1, 0, -1)), form]),
+])
+def test_form_of_another_arity_is_refused(kernel):
+    poly = MultiPoly(3, {(1, 1, 0): F(1), (0, 0, 2): F(-2)})
+    with pytest.raises(DimensionMismatch, match="polynomial and form arities differ"):
+        kernel(poly, LinearForm((1, -1)))
+
+
 @st.composite
 def polys_and_forms(draw):
     """A polynomial and a form whose pivot may follow zero coefficients."""
@@ -615,7 +637,7 @@ def polys_and_forms(draw):
 @given(polys_and_forms())
 def test_horner_pass_matches_substitution_and_division(case):
     poly, form = case
-    arity, j = poly.arity, form.pivot()
+    arity, j = poly.arity, form._pivot
     rest = restrict_to_hyperplane(poly, form)
     assert rest == _restrict_by_substitution(poly, form)
     assert_normalized(rest, arity - 1)
@@ -637,7 +659,7 @@ def _univariate_division_oracle(p: MultiPoly, form: LinearForm) -> bool:
     """Divisibility via a full linear change of coordinates: map the form
     to the first new variable and check the univariate remainder there."""
     arity = p.arity
-    j = form.pivot()
+    j = form._pivot
     # old X_j = (Y_1 - sum_{i != j} c_i Y_slot(i)) / c_j; old X_i = Y_slot(i)
     slots = {}
     nxt = 1
@@ -746,7 +768,7 @@ def _fraction_horner(poly: MultiPoly, form: LinearForm) -> list[dict]:
     dicts over the variables other than the pivot, renumbered in order."""
     if poly.arity != form.arity:
         raise DimensionMismatch("polynomial and form arities differ")
-    j = form.pivot()
+    j = form._pivot
     cj = form.coeffs[j]
     # X_i with i > j is variable i - 1 of H; every c_i with i < j is zero.
     steps = [(k, -c / cj) for k, c in enumerate(form.coeffs[j + 1 :], j) if c]
@@ -769,7 +791,7 @@ def _fraction_horner(poly: MultiPoly, form: LinearForm) -> list[dict]:
 
 def _fraction_quotient(poly: MultiPoly, form: LinearForm, hs: list[dict]) -> MultiPoly:
     """poly / form assembled from the Horner layers hs[1:]."""
-    j = form.pivot()
+    j = form._pivot
     inv = 1 / form.coeffs[j]
     return MultiPoly(
         poly.arity,
@@ -873,9 +895,9 @@ def _numerator(poly: MultiPoly):
 
 class _TuplePivot:
     def __init__(self, arity, form):
-        (p, q), ints = form._content()
+        (p, q), ints = form._scale, form._ints
         self.content = F(p, q)
-        self.j = j = form.pivot()
+        self.j = j = form._pivot
         self.a = ints[j]
         self.steps = [(k, -c) for k, c in enumerate(ints[j + 1 :], j) if c]
 
@@ -977,7 +999,7 @@ def test_packed_horner_matches_tuple_key_oracle(case):
 def test_char_poly_det_kernels_match_tuple_key_oracle(n):
     from diracindex.sun1 import _root_forms, char_poly_det
 
-    forms = _root_forms(n)
+    forms = list(_root_forms(n).values())
     for i in range(1, n):
         det = char_poly_det.__wrapped__(n, i)
         # the same value through the public constructor
@@ -1040,7 +1062,7 @@ def test_forms_of_different_values_differ():
 def primitive(form):
     """form divided by the content of its coefficients, its pivot made
     positive."""
-    return LinearForm(tuple(form._content()[1]))
+    return LinearForm(form._ints)
 
 
 def test_primitive_forms():
@@ -1087,9 +1109,10 @@ def form_values(draw):
 def test_stored_form_data_matches_fraction_oracle(values):
     form = LinearForm(tuple(values))
     content, ints, pivot = _fraction_content(form)
-    assert form._content() == ((content.numerator, content.denominator), tuple(ints))
-    assert form.pivot() == pivot and form._lead == ints[pivot] > 0
-    assert all(type(k) is int for k in form._content()[1])
+    assert form._scale == (content.numerator, content.denominator)
+    assert form._ints == tuple(ints)
+    assert form._pivot == pivot and form._lead == ints[pivot] > 0
+    assert all(type(k) is int for k in form._ints)
     assert form.coeffs == tuple(values)
 
 
@@ -1105,24 +1128,24 @@ def test_int_and_fraction_forms_agree(values):
     ints, fractions = LinearForm(tuple(values)), LinearForm(tuple(F(v) for v in values))
     assert ints == fractions and hash(ints) == hash(fractions)
     assert [frac_str(c) for c in ints.coeffs] == [frac_str(c) for c in fractions.coeffs]
-    assert ints._content() == fractions._content() and ints.pivot() == fractions.pivot()
+    assert ints._scale == fractions._scale and ints._ints == fractions._ints
+    assert ints._pivot == fractions._pivot
 
 
 def _horner_restrict(poly, form):
     """The Horner-only restriction that substitution shortcuts, kept
     verbatim as the reference."""
-    pivot = _Pivot(poly.arity, form)
     den, width, num = poly._int_form()
-    hs = pivot.horner(width, num)
-    low, high = (1 << (pivot.j * width)) - 1, (pivot.j + 1) * width
+    hs = form._horner(width, num)
+    low, high = (1 << (form._pivot * width)) - 1, (form._pivot + 1) * width
     rest = {key & low | key >> high << (high - width): c for key, c in hs[0].items()}
-    scale = F(1, pivot.a ** (len(hs) - 1) * den)
+    scale = F(1, form._lead ** (len(hs) - 1) * den)
     return MultiPoly._from_ints(poly.arity - 1, width, rest, scale)
 
 
 def _horner_divides(poly, form):
     _, width, num = poly._int_form()
-    return not _Pivot(poly.arity, form).horner(width, num)[0]
+    return not form._horner(width, num)[0]
 
 
 @st.composite
@@ -1154,7 +1177,7 @@ def test_substitution_matches_horner_oracle(case):
     expected, expected_divides = _horner_restrict(poly, form), _horner_divides(poly, form)
     with pytest.MonkeyPatch.context() as patch:
         # the substitution branch runs no Horner pass
-        patch.setattr(_Pivot, "horner", None)
+        patch.setattr(LinearForm, "_horner", None)
         rest = restrict_to_hyperplane(poly, form)
         divides = divides_linear_form(poly, form)
     assert rest == expected and rest._int_form() == expected._int_form()

@@ -217,9 +217,20 @@ def test_su_n1_datum_honours_the_rank_cap(monkeypatch):
 
 @pytest.mark.parametrize("n", range(2, 8))
 def test_index_poly_restricted_has_every_root_form_once(n):
-    factors, cofactor = extract_linear_factors(index_poly_restricted(n), _root_forms(n))
-    assert factors == [(form, 1) for form in _root_forms(n)]
+    forms = list(_root_forms(n).values())
+    factors, cofactor = extract_linear_factors(index_poly_restricted(n), forms)
+    assert factors == [(form, 1) for form in forms]
     assert cofactor.total_degree() == 0 and not cofactor.is_zero()
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_root_forms_are_one_read_only_table_by_pair(n):
+    forms = _root_forms(n)
+    assert list(forms) == list(combinations(range(1, n + 1), 2))
+    assert all(form == difference_form(n, p, q) for (p, q), form in forms.items())
+    assert _root_forms(n) is forms
+    with pytest.raises(TypeError):
+        forms[1, 2] = difference_form(n, 1, 2)
 
 
 @pytest.mark.parametrize("n", [0, -1])
@@ -243,7 +254,7 @@ def test_extract_det_factors():
 def test_det_factors_match_extraction_in_root_form_order(n):
     # probing the in-block forms first changes the cost, not the result
     for i in range(1, n):
-        expected = extract_linear_factors(char_poly_det(n, i), _root_forms(n))
+        expected = extract_linear_factors(char_poly_det(n, i), list(_root_forms(n).values()))
         assert extract_det_factors(n, i) == expected
 
 

@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction as F
+from functools import reduce
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -10,13 +11,14 @@ from diracindex.dirac import IndexFamily, index_polynomial
 from diracindex.errors import CapExceeded
 from diracindex.groups import (
     GroupId,
+    idot,
     WeylElement,
     build_root_datum,
     dot,
     reflection,
     weyl_elements,
 )
-from diracindex.polynomials import LinearForm, MultiPoly, linear_form_product
+from diracindex.polynomials import LinearForm, MultiPoly, _alternant, linear_form_product
 from diracindex.sun1 import char_poly_det
 from diracindex.weylaction import (
     act,
@@ -270,6 +272,40 @@ def test_weyl_dim_poly_su31_proportional_to_vandermonde():
     # D_k = V / prod <rho_k, alpha>; the normalizing constant here is 1*1*2
     assert dk * 2 == lifted
     assert dk.evaluate(d.rho_k) == 1
+
+
+def _disjoint_product(left, right):
+    """Product of integer numerators in disjoint variables: no two pairs of
+    terms give the same key."""
+    return {k1 + k2: c1 * c2 for k1, c1 in left.items() for k2, c2 in right.items()}
+
+
+def _dim_poly_by_block_products(datum):
+    """weyl_dim_poly as it expanded one alternant per compact block and
+    multiplied them, left block outermost: the oracle of the one
+    block-diagonal alternant, dict order included."""
+    roots = datum.compact_positive_roots
+    degree = len(roots)
+    width = max(degree, 1).bit_length()
+    alternants = [_alternant(width, b.indices, b.exponents) for b in datum.compact_blocks]
+    num = reduce(_disjoint_product, alternants)
+    den, nums = datum.rho_k_form
+    scale = F(
+        math.prod(math.gcd(*alpha) for alpha in roots) * den**degree,
+        math.prod(idot(nums, alpha) for alpha in roots),
+    )
+    return MultiPoly._from_ints(datum.rank, width, num, scale, degree)
+
+
+@pytest.mark.parametrize(
+    "group", [g for g in springer.table_groups(8) if g.rank <= 8], ids=lambda g: g.label()
+)
+def test_weyl_dim_poly_is_the_product_of_block_alternants_in_order(group):
+    datum = build_root_datum(group)
+    dk, oracle = weyl_dim_poly.__wrapped__(datum), _dim_poly_by_block_products(datum)
+    (den, width, num), (o_den, o_width, o_num) = dk._int_form(), oracle._int_form()
+    assert (den, width) == (o_den, o_width)
+    assert list(num.items()) == list(o_num.items())
 
 
 def _product_form_dim_poly(datum):

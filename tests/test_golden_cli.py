@@ -84,6 +84,10 @@ COMMANDS = [
     "index-poly --group 'Sp(4,4)' --hc-param 8,7,6,5,4,3,2,1",
     # the character determinant without --factor
     "char-poly --n 6 --i 2",
+    # factor extractions whose compact block {n-i+1..n} is the larger one
+    "char-poly --n 7 --i 5 --factor",
+    "char-poly --n 6 --i 4 --factor",
+    "char-poly --n 8 --i 6 --factor",
 ]
 
 

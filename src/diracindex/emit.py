@@ -252,14 +252,44 @@ def springer_table_latex(rows: list[dict]) -> str:
 
 
 _ENCODER = json.JSONEncoder(separators=(",", ":"), check_circular=False)
+# A top-level list member longer than this is encoded this many items at a
+# time; see dumps.
+_SLICE = 256
 
 
 def dumps(obj: dict) -> str:
     """Compact JSON text of obj and a newline, byte for byte what
     `json.dumps(obj, separators=(",", ":"))` writes: the one encoder skips
     the cycle check, which no object written here needs, since emitters
-    build fresh trees and `emit` re-reads what `json.loads` built."""
-    return _ENCODER.encode(obj) + "\n"
+    build fresh trees and `emit` re-reads what `json.loads` built.
+
+    The C encoder keeps every fragment of its text alive until it joins
+    them, about ten strings per polynomial term.  So a dict with str keys
+    and a top-level list member longer than _SLICE (polynomial terms, table
+    rows, suite cases) is written member by member, and that list _SLICE
+    items at a time, each slice's text stripped of its brackets.  A JSON
+    list is its items joined by commas, and every piece comes from the same
+    encoder, so the bytes are the same."""
+    encode = _ENCODER.encode
+    if not (
+        type(obj) is dict
+        and any(type(v) is list and len(v) > _SLICE for v in obj.values())
+        and all(type(k) is str for k in obj)
+    ):
+        return encode(obj) + "\n"
+    parts = []
+    for key, value in obj.items():
+        parts += (",", encode(key), ":")
+        if type(value) is list and len(value) > _SLICE:
+            parts.append("[")
+            for start in range(0, len(value), _SLICE):
+                parts += (encode(value[start:start + _SLICE])[1:-1], ",")
+            parts[-1] = "]"
+        else:
+            parts.append(encode(value))
+    parts[0] = "{"
+    parts.append("}\n")
+    return "".join(parts)
 
 
 # The formats emit writes each kind of object in.

@@ -342,6 +342,7 @@ def _block_roots(block: Block, rank: int) -> list[Root]:
     return roots
 
 
+@lru_cache(maxsize=None)
 def _family_layout(group: GroupId) -> tuple[Block, tuple[Block, ...]]:
     p, q, r = group.p, group.q, group.rank
     fam = group.family

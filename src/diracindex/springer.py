@@ -168,17 +168,23 @@ def bipartition_of_symbol(sym: Symbol) -> Bipartition:
 
 
 def dual_partition(p: Partition) -> Partition:
-    if not p:
-        return ()
-    p = check_partition(p)
-    return tuple(sum(1 for x in p if x >= i) for i in range(1, p[0] + 1))
+    return _dual(check_partition(p) if p else ())
+
+
+def _dual(p: Partition) -> Partition:
+    """dual_partition of a checked partition."""
+    return tuple(sum(1 for x in p if x >= i) for i in range(1, p[0] + 1)) if p else ()
 
 
 def valid_nilpotent(p: Partition, kind: str, total: int) -> bool:
     """Parity rules for nilpotent-orbit partitions of the classical types:
     type A needs only the right size; even parts need even multiplicity in
     types B and D; odd parts need even multiplicity in type C."""
-    p = check_partition(p) if p else ()
+    return _valid_nilpotent(check_partition(p) if p else (), kind, total)
+
+
+def _valid_nilpotent(p: Partition, kind: str, total: int) -> bool:
+    """valid_nilpotent of a checked partition."""
     if sum(p) != total:
         return False
     if kind == "A":
@@ -198,10 +204,12 @@ def is_very_even(p: Partition) -> bool:
 
 
 def orbit_dim(p: Partition, kind: str, total: int) -> int:
-    """Complex dimension of the nilpotent orbit with Jordan type p."""
-    if not valid_nilpotent(p, kind, total):
+    """Complex dimension of the nilpotent orbit with Jordan type p, which
+    is checked once."""
+    p = check_partition(p) if p else ()
+    if not _valid_nilpotent(p, kind, total):
         raise InvalidPartition(f"{p} is not a type-{kind} partition of {total}")
-    dual = dual_partition(p)
+    dual = _dual(p)
     s2 = sum(x * x for x in dual)
     odd = sum(1 for x in p if x % 2 == 1)
     if kind == "A":

@@ -142,12 +142,23 @@ def extract_det_factors(
     n: int, i: int
 ) -> tuple[list[tuple[LinearForm, int]], MultiPoly]:
     """Linear root-form factors of the character determinant, in `_root_forms`
-    order, plus cofactor.  Probing the in-block forms of `gcd_factor_pairs`
-    first, so that the others meet a small cofactor, changes only the cost."""
+    order, plus cofactor.  The in-block forms of `gcd_factor_pairs` are
+    probed first, so that the others meet a small cofactor, and those of
+    the larger block {1..n-i} or {n-i+1..n} before those of the other, as
+    each division then leaves fewer terms for the next.  The factors are
+    reported in `_root_forms` order and the cofactor is unique, so the
+    order changes only the cost."""
     det = char_poly_det(n, i)
     forms = _root_forms(n)
     first = set(gcd_factor_pairs(n, i))
-    order = sorted(forms, key=lambda pair: pair not in first)
+
+    def probe_rank(pair: tuple[int, int]) -> tuple[int, int]:
+        # in-block pairs by descending block size; a tie keeps {1..n-i} first
+        if pair not in first:
+            return (1, 0)
+        return (0, -(n - i) if pair[1] <= n - i else -i)
+
+    order = sorted(forms, key=probe_rank)
     factors, cofactor = extract_linear_factors(det, [forms[pair] for pair in order])
     mult = dict(factors)
     return [(form, mult[form]) for form in forms.values() if form in mult], cofactor

@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -14,6 +15,7 @@ from diracindex import dirac
 from diracindex.asymptotics import leading_limit
 from diracindex.cli import main, parse_group
 from diracindex.emit import (
+    _SLICE,
     dumps,
     emit,
     factored_to_obj,
@@ -790,3 +792,75 @@ def test_dumps_matches_json_dumps_with_cycle_check(kind):
     assert dumps(obj) == text
     # emit re-reads what json.loads builds
     assert dumps(json.loads(text)) == text
+
+
+class _ListSubclass(list):
+    pass
+
+
+# JSON leaves, with the floats nan and inf, non-ASCII text and text that
+# needs escapes
+_json_leaves = (
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+    | st.sampled_from(["\u00e9", "\"\\/\n\t\x00\x1f", "\u2603\U0001d11e", "\ud800"])
+)
+_json_items = st.recursive(
+    _json_leaves,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def _sliced_candidates(draw):
+    """A dict with top-level list members of the lengths around _SLICE, which
+    dumps writes in slices, and beside them such lists where it must not:
+    nested in a dict member or a tuple, as a list subclass, or in a dict
+    with a key that is not a str."""
+    pool = draw(st.lists(_json_items, min_size=1, max_size=4))
+
+    def long_list():
+        n = draw(st.sampled_from([0, _SLICE - 1, _SLICE, _SLICE + 1, 2 * _SLICE + 1]))
+        return [pool[k % len(pool)] for k in range(n)]
+
+    obj = draw(st.dictionaries(st.text(max_size=3), _json_items, max_size=3))
+    for key in draw(st.lists(st.text(max_size=3), min_size=1, max_size=3)):
+        obj[key] = long_list()
+    nested = draw(st.sampled_from(["none", "dict member", "tuple", "list subclass"]))
+    if nested == "dict member":
+        obj["nested"] = {"inner": long_list()}
+    elif nested == "tuple":
+        obj["nested"] = (long_list(), tuple(long_list()))
+    elif nested == "list subclass":
+        obj["nested"] = _ListSubclass(long_list())
+    if draw(st.booleans()):
+        key = draw(st.integers() | st.booleans() | st.none() | st.floats())
+        obj[key] = long_list()
+    return obj if draw(st.booleans()) else [obj]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_sliced_candidates())
+def test_sliced_dumps_matches_json_dumps(obj):
+    assert dumps(obj) == json.dumps(obj, separators=(",", ":")) + "\n"
+
+
+def test_dumps_of_a_long_polynomial_peaks_near_its_text():
+    """The C encoder keeps every fragment of its text until it joins them:
+    on CPython 3.11, dumps in one call of the 5040-term Sp(14,R) index
+    polynomial peaked at 3.16 MB for 0.23 MB of text.  Written in slices,
+    it holds the text about twice: once in pieces and once joined."""
+    datum = build_root_datum(parse_group("Sp(14,R)"))
+    poly = dirac.index_polynomial(dirac.discrete_series_family(datum.rho_g, datum))
+    obj = {"type": "polynomial", **poly_to_obj(poly)}
+    was_tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        text = dumps(obj)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    assert len(obj["terms"]) == 5040
+    assert peak < 4 * len(text)

@@ -515,10 +515,32 @@ def test_springer_row_reads_its_label_once(monkeypatch):
 
         monkeypatch.setattr(f"diracindex.springer.{name}", wrapper)
 
-    for name in ("sigma_k_bipartition", "orbit_dim", "valid_nilpotent"):
+    for name in ("sigma_k_bipartition", "orbit_dim", "_valid_nilpotent"):
         counted(name, getattr(springer_module, name))
     for group in table_groups(3):
         calls.clear()
         springer_row.__wrapped__(group)
-        # orbit_dim calls valid_nilpotent once, through the module global
-        assert calls == {"sigma_k_bipartition": 1, "orbit_dim": 1, "valid_nilpotent": 1}
+        # orbit_dim applies the parity rules once, through the module global
+        assert calls == {"sigma_k_bipartition": 1, "orbit_dim": 1, "_valid_nilpotent": 1}
+
+
+def test_family_layout_is_built_once_per_group():
+    group = GroupId.sp_r(7)
+    assert _family_layout(group) is _family_layout(group)
+
+
+def test_orbit_dim_checks_its_partition_once(monkeypatch):
+    calls = Counter()
+    check = springer_module.check_partition
+
+    def counted(p):
+        calls[tuple(p)] += 1
+        return check(p)
+
+    monkeypatch.setattr("diracindex.springer.check_partition", counted)
+    assert orbit_dim([3, 2, 2, 1, 1], "B", 9) == 20
+    assert calls == {(3, 2, 2, 1, 1): 1}
+    # the public functions still check what they are given
+    with pytest.raises(InvalidPartition):
+        dual_partition((1, 2))
+    assert not valid_nilpotent((2, 2), "A", 5)

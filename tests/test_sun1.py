@@ -258,6 +258,25 @@ def test_det_factors_match_extraction_in_root_form_order(n):
         assert extract_det_factors(n, i) == expected
 
 
+@pytest.mark.parametrize("n, i", [(7, 5), (7, 2), (6, 3), (8, 6)])
+def test_det_factors_probe_the_larger_block_first(n, i, monkeypatch):
+    seen = []
+
+    def spy(poly, candidates):
+        seen.extend(candidates)
+        return extract_linear_factors(poly, candidates)
+
+    monkeypatch.setattr("diracindex.sun1.extract_linear_factors", spy)
+    extract_det_factors(n, i)
+    forms = _root_forms(n)
+    low = [forms[pair] for pair in combinations(range(1, n - i + 1), 2)]
+    high = [forms[pair] for pair in combinations(range(n - i + 1, n + 1), 2)]
+    # a tie keeps {1..n-i} first
+    first = high + low if i > n - i else low + high
+    assert seen[:len(first)] == first
+    assert sorted(seen, key=list(forms.values()).index) == list(forms.values())
+
+
 def _det_oracle_4x4(i):
     """Independent construction of the 4x4 determinant by cofactor
     expansion along the first row, written out directly."""

@@ -73,6 +73,10 @@ ALLOWED = {
     "springer.bipartition_dim": "label dimension check; item 3",
     "springer.standard_tableaux_count": "label dimension check; item 3",
     "springer.hook_product": "label dimension check; item 3",
+    "springer.valid_nilpotent":
+        "public entry that checks its partition; orbit_dim checks once, then runs the same rules",
+    "springer.dual_partition":
+        "public entry that checks its partition; orbit_dim checks once, then takes the same dual",
     "weylaction.PolySpan.dim": "span dimension of the label check; item 3",
     "sun1.tau_invariant": "paper object no suite checks yet; item 4",
     "sun1.chamber_of": "paper object no suite checks yet; item 4",

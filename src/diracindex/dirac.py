@@ -24,7 +24,7 @@ Sign conventions, pinned once and validated operationally:
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from types import MappingProxyType
@@ -58,7 +58,7 @@ from .kmodules import (
     tensor_virtual,
     weight_multiset,
 )
-from .polynomials import MultiPoly
+from .polynomials import MultiPoly, linear_combination
 from .series import TruncatedSeries
 from .value import Value
 from .weylaction import act, weyl_dim_poly
@@ -123,8 +123,12 @@ def spin_character_series(
 
 def chamber_sign(lam: Weight, datum: RootDatum) -> int:
     """(-1)^(number of positive noncompact roots made negative by lam)."""
-    _, nums = datum.form(lam)
-    flips = sum(1 for beta in datum.noncompact_positive_roots if idot(nums, beta) < 0)
+    return _chamber_sign(datum, datum.form(lam))
+
+
+def _chamber_sign(datum: RootDatum, lam: IntWeight) -> int:
+    """chamber_sign on the integer form of lam."""
+    flips = sum(1 for beta in datum.noncompact_positive_roots if idot(lam[1], beta) < 0)
     return -1 if flips % 2 else 1
 
 
@@ -167,15 +171,15 @@ def discrete_series_family(
     which must lie on the shifted lattice Lambda + rho_g."""
     if len(lam0) != datum.rank:
         raise DimensionMismatch("parameter length must equal the rank")
-    if not datum.on_shifted_lattice(lam0):
+    form = int_form(lam0)
+    if not datum.on_shifted_lattice_form(form):
         text = ",".join(str(Fraction(c)) for c in lam0)
         raise OffLattice(f"({text}) is not on the shifted lattice Lambda + rho_g")
-    if not datum.is_g_regular(lam0):
+    if not datum.is_g_regular_form(form):
         text = ",".join(str(Fraction(c)) for c in lam0)
         raise SingularParameter(f"({text}) is singular")
-    eps = chamber_sign(lam0, datum)
     e = WeylElement.identity(datum.rank)
-    return IndexFamily(datum, lam0, {e: eps}, gk_dim=gk_dim, name=name)
+    return IndexFamily(datum, lam0, {e: _chamber_sign(datum, form)}, gk_dim=gk_dim, name=name)
 
 
 def family_combination(
@@ -199,6 +203,15 @@ def _on_coset(fam: IndexFamily, lam: IntWeight) -> IntWeight:
     return lam
 
 
+def _index_terms(
+    coeffs: Iterable[tuple[WeylElement, int]], lam: IntWeight, m: int = 1
+) -> list[tuple[IntWeight, int]]:
+    """The terms (w lam, m a_w) of m I(X_lam), before normalization; a
+    signed permutation keeps the integer form of lam canonical."""
+    den, nums = lam
+    return [((den, w.apply(nums)), m * a) for w, a in coeffs]
+
+
 def evaluate_index(fam: IndexFamily, lam: Weight) -> VirtualKModule:
     """I(X_lam) = sum_w a_w E(w lam); lam must lie on the base coset."""
     _on_coset(fam, fam.datum.form(lam))
@@ -211,15 +224,14 @@ def index_polynomial(fam: IndexFamily) -> MultiPoly:
 
     On every lattice point of the coset this equals the virtual dimension
     of evaluate_index, because D_k vanishes at compactly singular
-    parameters and changes by sgn under the compact Weyl group.  A
+    parameters and changes by sgn under the compact Weyl group.  The
+    translates are summed on their numerators and normalized once.  A
     discrete-series family has one coefficient +-1 on the identity, so Q
     is its one translate, +-D_k: a unit scalar keeps the normalized form.
     """
-    if not fam.coeffs:
-        return MultiPoly.zero(fam.datum.rank)
     dk = weyl_dim_poly(fam.datum)
-    first, *rest = (act(w.inverse(), dk) * a for w, a in fam.coeffs.items())
-    return sum(rest, first)
+    return linear_combination(
+        fam.datum.rank, [(act(w.inverse(), dk), a) for w, a in fam.coeffs.items()])
 
 
 def verify_translation(
@@ -234,13 +246,10 @@ def verify_translation(
         if not fam.datum.lattice(*mu):
             _on_coset(fam, int_add(lam, mu))
 
-    def index_terms(lam: IntWeight, m: int = 1) -> list[tuple[IntWeight, int]]:
-        """The terms (w lam, m a_w) of m I(X_lam), before normalization."""
-        den, nums = lam
-        return [((den, w.apply(nums)), m * a) for w, a in fam.coeffs.items()]
-
-    left = tensor_virtual(_k_type_sum(fam.datum, index_terms(lam)), delta)
-    right = [term for mu, m in delta.forms.items() for term in index_terms(int_add(lam, mu), m)]
+    coeffs = fam.coeffs.items()
+    left = tensor_virtual(_k_type_sum(fam.datum, _index_terms(coeffs, lam)), delta)
+    right = [term for mu, m in delta.forms.items()
+             for term in _index_terms(coeffs, int_add(lam, mu), m)]
     return left == _k_type_sum(fam.datum, right)
 
 

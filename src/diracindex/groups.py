@@ -307,8 +307,11 @@ class RootDatum(Value):
         return self.lattice(den, tuple(a * n - b * r for n, r in zip(nums, rho_nums)))
 
     def is_g_regular(self, lam: Weight) -> bool:
-        nums = self.form(lam)[1]
-        return all(idot(nums, a) for a in self.positive_roots)
+        return self.is_g_regular_form(self.form(lam))
+
+    def is_g_regular_form(self, form: IntWeight) -> bool:
+        """is_g_regular on an integer form of length the rank."""
+        return all(idot(form[1], a) for a in self.positive_roots)
 
     def is_k_regular(self, lam: Weight) -> bool:
         nums = self.form(lam)[1]

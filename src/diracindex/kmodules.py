@@ -315,9 +315,13 @@ def tensor_virtual(module: VirtualKModule, delta: WeightMultiset) -> VirtualKMod
 
 
 def check_regular_direction(datum: RootDatum, y: Weight) -> None:
-    _, nums = datum.form(y)
+    _check_regular(datum, datum.form(y))
+
+
+def _check_regular(datum: RootDatum, y: IntWeight) -> None:
+    """check_regular_direction on the integer form of y."""
     for alpha in datum.positive_roots:
-        if idot(alpha, nums) == 0:
+        if idot(alpha, y[1]) == 0:
             raise SingularDirection(f"direction is singular for root {alpha}")
 
 
@@ -336,8 +340,13 @@ def numerator_frequencies(module: VirtualKModule, y: Weight) -> tuple[int, dict[
 
     (w gamma)(y) = gamma(w^-1 y), so the signed W_k-orbit of y is read
     from a cache per (datum, y)."""
+    return _numerator_frequencies(module, module.datum.form(y))
+
+
+def _numerator_frequencies(module: VirtualKModule, y: IntWeight) -> tuple[int, dict[int, int]]:
+    """numerator_frequencies on the integer form of y."""
     datum = module.datum
-    y_den, y_nums = datum.form(y)
+    y_den, y_nums = y
     orbit = _signed_orbit(datum, y_nums)
     den = y_den * lcm(*(form[0] for form in module.forms))
     freqs: dict[int, int] = {}

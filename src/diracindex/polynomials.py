@@ -13,6 +13,9 @@ operation, product of linear forms, alternant, restriction and quotient
 works on packed keys, without a `Fraction` per term, and normalizes
 through `MultiPoly._from_ints`, which may keep the dict it is given: no
 kernel changes a `_num` dict in place; p * 1 is p and p * -1 is -p.
+`linear_combination` sums a_1 P_1 + ... + a_k P_k with integer a_i on
+one width over one denominator and normalizes once; `+` is its two-term
+case.
 Terms serialize in graded-lex order: ascending total degree, then
 descending lexicographic on the exponent tuple, so X1 - X2 prints its X1
 term first.  `MultiPoly.graded_rows` gives that order straight from the
@@ -236,15 +239,7 @@ class MultiPoly:
     def __add__(self, other):
         if not isinstance(other, MultiPoly):
             other = MultiPoly.const(self.arity, other)
-        self._check(other)
-        width, den = max(self._width, other._width), math.lcm(self._den, other._den)
-        out = {}
-        for poly in (self, other):
-            k = den // poly._den
-            for key, c in _repack(self.arity, poly._width, width, poly._num).items():
-                out[key] = out.get(key, 0) + c * k
-        out = {key: c for key, c in out.items() if c}
-        return MultiPoly._from_ints(self.arity, width, out, Fraction(1, den))
+        return linear_combination(self.arity, [(self, 1), (other, 1)])
 
     def __sub__(self, other):
         return self + (-other)
@@ -570,6 +565,29 @@ def alternant(
     width = max(degree, 1).bit_length()
     num = _alternant(width, variables, exponents, support)
     return MultiPoly._from_ints(arity, width, num, Fraction(scale), degree)
+
+
+def linear_combination(arity: int, terms: Iterable[tuple[MultiPoly, int]]) -> MultiPoly:
+    """sum a_i P_i over the (P_i, a_i) pairs, with integer a_i: the
+    numerators are summed on one width over one denominator and the sum
+    normalized once.  One term is P * a, which keeps the normalized form
+    of P for a = +-1 (module docstring); with no terms the sum is zero."""
+    terms = list(terms)
+    for poly, _ in terms:
+        if poly.arity != arity:
+            raise DimensionMismatch(f"arity {arity} != {poly.arity}")
+    if len(terms) == 1:
+        [(poly, a)] = terms
+        return poly * a
+    width = max((poly._width for poly, _ in terms), default=1)
+    den = math.lcm(*(poly._den for poly, _ in terms))
+    out: IntTerms = {}
+    for poly, a in terms:
+        k = a * (den // poly._den)
+        for key, c in _repack(arity, poly._width, width, poly._num).items():
+            out[key] = out.get(key, 0) + c * k
+    out = {key: c for key, c in out.items() if c}
+    return MultiPoly._from_ints(arity, width, out, Fraction(1, den))
 
 
 def linear_form_product(arity: int, forms: Iterable[LinearForm]) -> MultiPoly:

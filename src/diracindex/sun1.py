@@ -125,17 +125,21 @@ def index_poly_restricted(n: int) -> MultiPoly:
 def gcd_with_index(n: int, i: int) -> MultiPoly:
     """Greatest common linear-divisor product of the character determinant
     and the index polynomial: the Vandermonde of {1..n-i} times that of
-    {n-i+1..n}.  Every root form divides the index polynomial, a multiple
-    of the Vandermonde, exactly once, so the claim is checked by factor
-    extraction from the determinant alone: the root forms dividing it must
-    be those of the pairs of `gcd_factor_pairs`."""
+    {n-i+1..n}, expanded as one block-diagonal alternant, each block's
+    columns on its own rows (`polynomials.alternant`).  Every root form
+    divides the index polynomial, a multiple of the Vandermonde, exactly
+    once, so the claim is checked by factor extraction from the
+    determinant alone: the root forms dividing it must be those of the
+    pairs of `gcd_factor_pairs`."""
     if n < 2:
         raise IndexOutOfRange("n must be at least 2")
     forms = _root_forms(n)
     found = {form for form, _ in extract_det_factors(n, i)[0]}
     if found != {forms[p] for p in gcd_factor_pairs(n, i)}:
         raise ClaimMismatch("extracted common factor disagrees with the closed form")
-    return vandermonde(n, list(range(1, n - i + 1))) * vandermonde(n, list(range(n - i + 1, n + 1)))
+    low = (1 << (n - i)) - 1
+    exponents = [*range(n - i - 1, -1, -1), *range(i - 1, -1, -1)]
+    return alternant(n, range(n), exponents, [low] * (n - i) + [low ^ ((1 << n) - 1)] * i)
 
 
 def extract_det_factors(

@@ -1,14 +1,16 @@
+import itertools
 import random
 from fractions import Fraction as F
 
 import pytest
 
-from diracindex import asymptotics
+from diracindex import asymptotics, dirac, kmodules
 from diracindex.asymptotics import character_series, leading_limit, root_ratio
-from diracindex.dirac import discrete_series_family, index_polynomial
-from diracindex.errors import SingularDirection
+from diracindex.dirac import IndexFamily, discrete_series_family, index_polynomial
+from diracindex.emit import emit
+from diracindex.errors import OffLattice, SingularDirection
 from diracindex.fixtures import sl2_families, sl2_weight, su21_ds_families
-from diracindex.groups import GroupId, build_root_datum, dot, weight_add
+from diracindex.groups import GroupId, WeylElement, build_root_datum, dot, weight_add
 from diracindex.kmodules import numerator_frequencies
 from diracindex.series import TruncatedSeries
 
@@ -107,31 +109,40 @@ class _CountingRate(int):
         return other * int(self)
 
 
-@pytest.mark.parametrize("order", [0, 8, 12])
-def test_character_series_builds_only_to_order(monkeypatch, order):
-    """On Sp(1,3), with 58 numerator frequencies, the numerator's moments
-    stop at valuation + order, the Weyl denominator is asked for `order`,
-    and both operands of the division have order `order`."""
-    datum = build_root_datum(GroupId.sp_pq(1, 3))
-    fam = discrete_series_family(W(-1, 4, -2, -3), datum)
-    lam, y = W(-2, 6, -2, -3), W(-1, -6, 3, 10)
-    _, freqs = numerator_frequencies(asymptotics.evaluate_index(fam, lam), y)
-    assert len(freqs) == 58
-    calls = {"numerator": [], "denominator": [], "divide": []}
+class _Recorded:
+    """Moments whose series calls are logged by order."""
 
-    real_numerator = asymptotics.frequencies_to_series
+    def __init__(self, moments, log):
+        self.moments, self.log, self.v = moments, log, moments.v
 
-    def numerator(freqs, den, n, start=0):
+    def series(self, n):
+        self.log.append(n)
+        return self.moments.series(n)
+
+
+def _record_builds(monkeypatch):
+    """Clear the series cache, then log what its builder asks for: the
+    numerator's moments (start, valuation, orders, products per frequency),
+    the orders asked of U, and the orders of both division operands."""
+    asymptotics._character_entry.cache_clear()
+    calls = {"numerator": [], "orders": [], "denominator": [], "divide": []}
+
+    real_frequencies = asymptotics._numerator_frequencies
+
+    def frequencies(module, y):
+        den, freqs = real_frequencies(module, y)
         _CountingRate.products = 0
-        v, series = real_numerator({_CountingRate(f): c for f, c in freqs.items()}, den, n, start)
-        calls["numerator"].append((n, start, v, series.order, _CountingRate.products // len(freqs)))
-        return v, series
+        return den, {_CountingRate(f): c for f, c in freqs.items()}
 
-    real_denominator = asymptotics.weyl_denominator_factored
+    def numerator(freqs, den, start):
+        moments = kmodules._Moments(freqs, den, start)
+        calls["numerator"].append((start, moments.v, len(freqs)))
+        return _Recorded(moments, calls["orders"])
 
-    def denominator(datum, y, which, n):
-        calls["denominator"].append(n)
-        return real_denominator(datum, y, which, n)
+    real_denominator = asymptotics._weyl_denominator
+
+    def denominator(datum, y, which):
+        return _Recorded(real_denominator(datum, y, which), calls["denominator"])
 
     real_divide = TruncatedSeries.divide
 
@@ -139,15 +150,158 @@ def test_character_series_builds_only_to_order(monkeypatch, order):
         calls["divide"].append((self.order, other.order))
         return real_divide(self, other)
 
-    monkeypatch.setattr(asymptotics, "frequencies_to_series", numerator)
-    monkeypatch.setattr(asymptotics, "weyl_denominator_factored", denominator)
+    monkeypatch.setattr(asymptotics, "_numerator_frequencies", frequencies)
+    monkeypatch.setattr(asymptotics, "_Moments", numerator)
+    monkeypatch.setattr(asymptotics, "_weyl_denominator", denominator)
     monkeypatch.setattr(TruncatedSeries, "divide", divide)
+    return calls
+
+
+SP13_FAMILY = discrete_series_family(W(-1, 4, -2, -3), build_root_datum(GroupId.sp_pq(1, 3)))
+SP13_POINT = W(-2, 6, -2, -3), W(-1, -6, 3, 10)
+
+
+@pytest.mark.parametrize("order", [0, 8, 12])
+def test_character_series_builds_only_to_order(monkeypatch, order):
+    """On Sp(1,3), with 58 numerator frequencies, the numerator's moments
+    stop at valuation + order, the Weyl denominator is asked for `order`,
+    and both operands of the division have order `order`."""
+    fam, (lam, y) = SP13_FAMILY, SP13_POINT
+    datum = fam.datum
+    _, freqs = numerator_frequencies(dirac.evaluate_index(fam, lam), y)
+    assert len(freqs) == 58
+    calls = _record_builds(monkeypatch)
     series = character_series(fam, lam, y, order)
-    [(n, start, val, numerator_order, steps)] = calls["numerator"]
-    assert (n, start, numerator_order) == (order, None, order)
+    [(start, val, n_freqs)] = calls["numerator"]
+    assert (start, n_freqs, calls["orders"]) == (None, 58, [order])
     # moments 0 .. val + order, one product per frequency and step
-    assert steps == val + order
+    assert _CountingRate.products // n_freqs == val + order
     assert val - datum.r_g == series.low == -6
     assert calls["denominator"] == [order]
     assert calls["divide"] == [(order, order)]
     assert series.series.order == order
+
+
+def test_character_series_extends_to_a_larger_order_only(monkeypatch):
+    """An order-8 call, then an order-12 call on the same (family, lam, y):
+    the moments are stepped on from val + 8 to val + 12 and no further, U
+    is asked for 8 then 12, the second call divides again at 12, and a
+    third call at order 10 builds nothing."""
+    fam, (lam, y) = SP13_FAMILY, SP13_POINT
+    calls = _record_builds(monkeypatch)
+    character_series(fam, lam, y, 8)
+    series = character_series(fam, lam, y, 12)
+    [(_, val, n_freqs)] = calls["numerator"]
+    assert calls["orders"] == [8, 12]
+    assert _CountingRate.products // n_freqs == val + 12
+    assert calls["denominator"] == [8, 12]
+    assert calls["divide"] == [(8, 8), (12, 12)]
+    assert series.series.order == 12
+    assert character_series(fam, lam, y, 10).series.order == 10
+    assert calls["orders"] == [8, 12] and calls["divide"] == [(8, 8), (12, 12)]
+
+
+# -- the series cache per (family coefficients, lam, y) ----------------
+
+
+def _character_point(group):
+    """A discrete-series family at rho_g of the group, a point of its coset
+    where the index is nonzero, and a regular direction."""
+    datum = build_root_datum(group)
+    fam = discrete_series_family(datum.rho_g, datum)
+    lam = next(
+        lam for lam in (weight_add(fam.base, W(*off[: datum.rank])) for off in
+                        [(2, 1, 0, 0), (3, 1, 1, 0), (4, 2, 1, 1)])
+        if datum.is_k_regular(lam)
+    )
+    y = W(*(1, 3, 6, 10)[: datum.rank])
+    if group.family.value == "SU":
+        y = tuple(c - sum(y, F(0)) / datum.rank for c in y)
+    return fam, lam, y
+
+
+CACHE_CASES = {
+    g.label(): _character_point(g)
+    for g in [GroupId.su(1, 2), GroupId.so_even_odd(2, 1), GroupId.sp_r(4),
+              GroupId.sp_pq(1, 3), GroupId.so_even_even(2, 2), GroupId.so_star(4)]
+}
+CACHE_CASES.update(
+    (f"sl2-{key}", (fam, sl2_weight(3), W(1, -1))) for key, fam in sl2_families().items()
+)
+CACHE_CASES.update(
+    (f"su21-D{key}", (fam, weight_add(fam.base, W(1, 0, -1)), W(2, 0, -2)))
+    for key, fam in su21_ds_families().items()
+)
+
+
+def _cold_limit(fam, lam, y, d):
+    asymptotics._character_entry.cache_clear()
+    return leading_limit(fam, lam, y, d)
+
+
+@pytest.mark.parametrize("name", list(CACHE_CASES))
+def test_limits_share_one_series_in_every_order(name):
+    """The three limits of one point, in each of the six orders with the
+    cache cleared before each order, equal cold calls, report and bytes."""
+    fam, lam, y = CACHE_CASES[name]
+    gap = fam.datum.r_g - fam.datum.r_k
+    cold = {d: _cold_limit(fam, lam, y, d) for d in (gap, gap + 1, gap + 2)}
+    assert cold[gap].match
+    for ds in itertools.permutations(cold):
+        asymptotics._character_entry.cache_clear()
+        for d in ds:
+            report = leading_limit(fam, lam, y, d)
+            assert report == cold[d]
+            assert emit(report, "json") == emit(cold[d], "json")
+        assert asymptotics._character_entry.cache_info().currsize == 1
+
+
+@pytest.mark.parametrize("name", ["Sp(8,R)", "Sp(1,3)", "su21-D0"])
+def test_smaller_order_after_a_larger_one_equals_a_cold_series(name):
+    fam, lam, y = CACHE_CASES[name]
+    asymptotics._character_entry.cache_clear()
+    character_series(fam, lam, y, 14)
+    for order in (0, 3, 8, 13, 14):
+        warm = character_series(fam, lam, y, order)
+        asymptotics._character_entry.cache_clear()
+        cold = character_series(fam, lam, y, order)
+        character_series(fam, lam, y, 14)
+        assert len(warm.series.nums) == order + 1
+        assert warm == cold
+        assert [warm.coeff(warm.low + k) for k in range(order + 1)] == list(cold.series.coeffs)
+
+
+def test_off_coset_is_refused_with_the_series_cached():
+    """The base is not in the key: a family with the same coefficients on
+    another coset still refuses lam, whatever is cached for (lam, y)."""
+    datum = build_root_datum(GroupId.sp_r(2))
+    e = WeylElement.identity(2)
+    on, off = IndexFamily(datum, W(2, 1), {e: 1}), IndexFamily(datum, W(F(5, 2), F(1, 2)), {e: 1})
+    lam, y = W(3, 1), W(1, 3)
+    asymptotics._character_entry.cache_clear()
+    assert character_series(on, lam, y).pole_order == 3
+    for _ in range(2):
+        with pytest.raises(OffLattice):
+            character_series(off, lam, y)
+        with pytest.raises(OffLattice):
+            leading_limit(off, lam, y, 3)
+    assert asymptotics._character_entry.cache_info().currsize == 1
+
+
+def test_singular_direction_raises_on_every_call():
+    fam = su21_ds_families()[0]
+    asymptotics._character_entry.cache_clear()
+    for _ in range(3):
+        with pytest.raises(SingularDirection):
+            character_series(fam, fam.base, W(1, 1, -2), order=6)
+        with pytest.raises(SingularDirection):
+            leading_limit(fam, fam.base, W(1, 1, -2), 2)
+    assert asymptotics._character_entry.cache_info().currsize == 0
+
+
+def test_series_cache_is_a_bounded_clearable_lru_cache():
+    cache = asymptotics._character_entry
+    assert callable(cache.cache_clear) and callable(cache.cache_info)
+    assert cache.cache_info().maxsize == asymptotics.SERIES_CACHE_SIZE
+    cache.cache_clear()
+    assert cache.cache_info().currsize == 0

@@ -727,6 +727,30 @@ def test_index_polynomial_matches_packed_dict_oracle(fam):
     assert q._int_form() == _index_polynomial_packed(fam)._int_form()
 
 
+@st.composite
+def multi_term_families(draw):
+    """An index family on rho_g with two to eight distinct elements of W_g
+    of a table group of rank <= 3, each with a nonzero coefficient."""
+    datum = draw(st.sampled_from([d for d in RANK3_DATA if len(weyl_elements(d, "g")) > 1]))
+    elements = draw(st.lists(
+        st.sampled_from(weyl_elements(datum, "g")), min_size=2, max_size=8, unique=True))
+    coeffs = st.integers(-9, 9).filter(bool)
+    return IndexFamily(datum, datum.rho_g, {w: draw(coeffs) for w in elements})
+
+
+@settings(max_examples=200, deadline=None)
+@given(multi_term_families())
+def test_multi_term_index_polynomial_sums_once(fam):
+    """The one-normalization sum equals the raw-dict oracle and the sum of
+    normalized translates, integer form and all."""
+    q = index_polynomial(fam)
+    assert q._int_form() == _index_polynomial_packed(fam)._int_form()
+    dk = weyl_dim_poly(fam.datum)
+    ring_sum = sum((act(w.inverse(), dk) * a for w, a in fam.coeffs.items()),
+                   MultiPoly.zero(fam.datum.rank))
+    assert q._int_form() == ring_sum._int_form()
+
+
 @pytest.mark.parametrize("datum", RANK3_DATA, ids=lambda d: d.group.label())
 def test_one_term_index_polynomial_is_its_translate(datum):
     dk = weyl_dim_poly(datum)

@@ -20,6 +20,7 @@ from diracindex.polynomials import (
     extract_linear_factors,
     invariant_operator_images,
     is_harmonic,
+    linear_combination,
     linear_form_product,
     poly_det,
     restrict_to_hyperplane,
@@ -75,6 +76,29 @@ def test_unit_scalar_keeps_the_normalized_form(p, unit):
         assert (p * unit)._int_form() == (-p)._int_form()
         assert (unit * p)._int_form() == (-p)._int_form()
     assert p * unit == p * F(3 * unit, 3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(polys(max_degree=6), st.integers(-6, 6)), max_size=5))
+def test_linear_combination_matches_the_ring_sum(terms):
+    """One normalization gives the form of the term-by-term ring sum, over
+    mixed widths and denominators; one term is P * a itself."""
+    combined = linear_combination(3, terms)
+    expected = sum((p * a for p, a in terms), MultiPoly.zero(3))
+    assert combined._int_form() == expected._int_form()
+    if len(terms) == 1 and terms[0][1] == 1:
+        assert combined is terms[0][0]
+
+
+def test_linear_combination_cancels_and_checks_arity():
+    x, y = V("x", "y")
+    p = (x - y) * F(1, 3)
+    assert linear_combination(2, [(p, 3), (x - y, -1)]).is_zero()
+    assert linear_combination(2, [])._int_form() == MultiPoly.zero(2)._int_form()
+    with pytest.raises(DimensionMismatch):
+        linear_combination(3, [(p, 1)])
+    with pytest.raises(DimensionMismatch):
+        linear_combination(2, [(p, 1), (MultiPoly.variable(3, 0), 2)])
 
 
 def test_eval_examples():

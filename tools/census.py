@@ -78,6 +78,16 @@ ALLOWED = {
     "springer.dual_partition":
         "public entry that checks its partition; orbit_dim checks once, then takes the same dual",
     "weylaction.PolySpan.dim": "span dimension of the label check; item 3",
+    "groups.RootDatum.is_g_regular":
+        "only bench jobs and the unreached index_discrete_series call it; item 9",
+    "groups.RootDatum.on_shifted_lattice":
+        "public entry on a weight; discrete_series_family tests the integer form it has",
+    "dirac.chamber_sign":
+        "public entry on a weight; discrete_series_family reads the sign from its integer form",
+    "kmodules.check_regular_direction":
+        "public entry on a weight; the character series checks the integer form of y",
+    "kmodules.numerator_frequencies":
+        "public entry on a weight; the character series passes the integer form of y",
     "sun1.tau_invariant": "paper object no suite checks yet; item 4",
     "sun1.chamber_of": "paper object no suite checks yet; item 4",
     "polynomials.MultiPoly.__hash__": "eq/hash contract of a value type",

@@ -34,7 +34,7 @@ def frac_str(x: int | Fraction) -> str:
 def poly_to_obj(poly: MultiPoly) -> dict:
     """The polynomial object, read from the packed numerator: each distinct
     numerator is printed once, and no `Fraction` view is built."""
-    den, rows = poly._int_form()[0], poly.graded_rows()
+    den, rows = poly.den, poly.graded_rows()
     coeff = {c: frac_str(Fraction(c, den)) for c in {c for _, c in rows}}
     return {
         "vars": poly.arity,

@@ -4,38 +4,42 @@ A `MultiPoly` stores its value in one form, the integer numerator num / den:
 den > 0 is coprime to the content of num, a `dict[int, int]` on packed
 exponent keys, variable i in bits [i*w, (i+1)*w) with w the bit length of
 the total degree (at least 1).  No exponent sum of a term reaches 2^w, so
-adding keys never carries between fields.  `terms` is a read-only view,
-{exponent tuple: nonzero Fraction}, built on first read and cached;
-`MultiPoly(arity, terms)` validates its Fraction terms, packs them at once
-and keeps them as that view.  The form is unique, so `==` and the hash
-compare (den, width, num) whichever way a value was built.  Every ring
-operation, product of linear forms, alternant, restriction and quotient
-works on packed keys, without a `Fraction` per term, and normalizes
-through `MultiPoly._from_ints`, which may keep the dict it is given: no
-kernel changes a `_num` dict in place; p * 1 is p and p * -1 is -p.
-`linear_combination` sums a_1 P_1 + ... + a_k P_k with integer a_i on
-one width over one denominator and normalizes once; `+` is its two-term
-case.
+adding keys never carries between fields.  This module is the only one
+that knows that layout.  `terms` is a read-only view, {exponent tuple:
+nonzero Fraction}, built on first read and cached; `MultiPoly(arity,
+terms)` validates its Fraction terms, packs them at once and keeps them as
+that view, and `den` reads the denominator.  The form is unique, so `==`
+and the hash compare (den, width, num) whichever way a value was built.
+Every ring operation, product of linear forms, alternant, restriction and
+quotient works on packed keys, without a `Fraction` per term, and
+normalizes through `MultiPoly._from_ints`, which may keep the dict it is
+given: no kernel changes a `_num` dict in place; p * 1 is p and p * -1 is
+-p.  `linear_combination` sums a_1 P_1 + ... + a_k P_k with integer a_i
+on one width over one denominator and normalizes once; `+` is its
+two-term case.
+
+One kernel, `_move_fields`, moves whole fields: field perm[k] of width w
+goes to field k of width w', and a term is negated when its exponents over
+the fields perm[k] with signs[k] < 0 sum to an odd number.  A width change
+is the identity permutation with no signs; the Weyl action is a signed
+permutation on one width, `MultiPoly.permute`, so X_{perm[k]} becomes
+signs[k] X_k.  Fields that move by the same distance move together under
+one mask, the sign is the parity of the low bits of the negated fields,
+and when nothing moves or changes sign the numerator is returned itself.
+`invariant_span` grows the span of P under signed permutations by
+fraction-free elimination on numerators of one width, as a `PolySpan` of
+primitive rows keyed by their largest key; the rows span a space that
+holds P and is stable under the generators once no new row survives, at
+a cost of dim x generators images, not the order of the group.
+
 Terms serialize in graded-lex order: ascending total degree, then
 descending lexicographic on the exponent tuple, so X1 - X2 prints its X1
 term first.  `MultiPoly.graded_rows` gives that order straight from the
-packed numerator, unpacking every key at once.  It lays the keys side by
-side in one integer, a slot of arity * ceil(w/8) bytes each, takes field
-i of every key with one shift and one mask repeated per slot, and ORs it
-into byte i * ceil(w/8) of each slot of a second integer.  The bytes of
-that integer hold each exponent column as a stride slice; a field wider
-than a byte joins its byte columns by shifts.  The masked fields summed
-give every term's degree in one integer, one slot each, so the terms are
-homogeneous when that integer is the first term's degree times the one
-with a 1 at the start of every slot.  The rows are sorted once by
-exponent list, descending, and stably by degree only when the terms are
-not homogeneous; index polynomials, determinants and cofactors are
-homogeneous, and for them graded-lex order is lex order.  Emission
-prints from it without building the `Fraction` view.  A numerator whose
-dict already iterates in descending lex order, as the alternants below
-and the index polynomials and determinants built from them do, makes
-that sort one linear run: the rows come out in the order they were
-built.
+packed numerator, every key unpacked at once, and emission prints from it
+without building the `Fraction` view.  Index polynomials, determinants
+and cofactors are homogeneous, so their order is lex order, and the
+alternants below and what is built from them iterate in it already: the
+sort is one linear run.
 
 A `LinearForm` keeps its coefficients as given: the package builds every
 form from ints, and only parsed input (`emit.factored_from_obj`) holds a
@@ -55,21 +59,17 @@ variable, which keeps the partial products in the fewest variables for
 longest.  A product that is an alternant, as the positive roots of a
 classical block are by Weyl's denominator identity, is expanded directly
 by `_alternant`: det(X_{v_i}^{e_j}) has one term of coefficient +-1 per
-permutation, with no cancellation, so a Laplace expansion memoized on
-the set of columns used writes each term once.  Entries may be zero, by
-one row bitmask per column, if columns of equal exponent cover disjoint
-rows: the SU(n,1) character determinant and the block-diagonal D_k of
-`weylaction` are such alternants, built by `alternant`.  The expansion
-runs along the first row, adding rows from the last to the first, so
-the first variable's exponent is chosen last, column by column.  When the variables ascend and the exponents do not increase,
-the columns that reach a row have strictly falling exponents (equal
-ones cover disjoint rows), and by induction on the rows the terms are
-written in descending lex order on the exponent tuples, the order
-emission wants.  Every caller passes such input.  If each block of
-columns reaches only its own block of rows, the blocks contiguous and
-ascending, the rows of the later blocks leave one minor, their product,
-and an earlier block expands on it as on the constant 1: the terms are
-the product of the block alternants, left block outermost, in order.
+permutation, with no cancellation, and a Laplace expansion along the
+first row, rows added from the last to the first, writes each term once.
+Entries may be zero, by one row bitmask per column, if columns of equal
+exponent cover disjoint rows: the SU(n,1) character determinant and the
+block-diagonal D_k of `weylaction` are such alternants.  When the
+variables ascend and the exponents do not increase, as every caller
+passes them, the columns that reach a row have strictly falling
+exponents, and by induction on the rows the terms are written in
+descending lex order, the order emission wants; block-diagonal input,
+blocks contiguous and ascending, gives the product of the block
+alternants, left block outermost.
 
 Restriction, divisibility, exact division and factor extraction share
 one Horner pass on P = N / D, run by methods of the form from the split
@@ -113,7 +113,8 @@ from itertools import repeat, zip_longest
 from operator import add, itemgetter, lshift, neg
 from types import MappingProxyType
 
-from .errors import DimensionMismatch, InternalInvariantError, ZeroForm
+from .errors import (CapExceeded, DimensionMismatch, InternalInvariantError,
+                     NonIntegralCoefficient, ZeroForm)
 from .groups import RootDatum
 from .value import Value
 
@@ -130,14 +131,30 @@ def _degrees(arity: int, width: int, num: Iterable[int]) -> Iterator[int]:
     return ((key * ones >> shift) & mask for key in num)
 
 
-def _repack(arity: int, width: int, new: int, num: IntTerms) -> IntTerms:
-    """num with its keys moved from fields of the given width to fields of
-    width new; num itself when the widths agree."""
-    if new == width:
+def _move_fields(width: int, new: int, perm: Sequence[int], signs: Sequence[int],
+                 num: IntTerms) -> IntTerms:
+    """num with field perm[k] of each key, of the given width, moved to
+    field k of width new, signs as in the module docstring; the terms keep
+    the order of num, which is returned itself when no field moves or flips."""
+    field = (1 << width) - 1
+    moves: dict[int, int] = {}
+    for k, p in enumerate(perm):
+        d = k * new - p * width
+        moves[d] = moves.get(d, 0) | field << (p * width)
+    odd = sum(1 << (p * width) for p, s in zip(perm, signs) if s < 0)
+    if not odd and moves.keys() <= {0}:
         return num
-    mask = (1 << width) - 1
-    pairs = [(width * i, new * i) for i in range(arity)]
-    return {sum((key >> s & mask) << t for s, t in pairs): c for key, c in num.items()}
+    left = [(d, mask) for d, mask in moves.items() if d >= 0]
+    right = [(-d, mask) for d, mask in moves.items() if d < 0]
+    out = {}
+    for key, c in num.items():
+        moved = 0
+        for shift, mask in left:
+            moved |= (key & mask) << shift
+        for shift, mask in right:
+            moved |= (key & mask) >> shift
+        out[moved] = -c if (key & odd).bit_count() & 1 else c
+    return out
 
 
 class MultiPoly:
@@ -184,7 +201,8 @@ class MultiPoly:
         if degree is None:
             degree = max(_degrees(arity, width, num))
         new = max(degree, 1).bit_length()
-        num = _repack(arity, width, new, num)
+        if new != width:
+            num = _move_fields(width, new, range(arity), (), num)
         p, q = scale.numerator, scale.denominator
         g = math.gcd(q, *num.values()) if q != 1 else 1
         if g != 1 or p != 1:
@@ -211,6 +229,11 @@ class MultiPoly:
         """(den, width, num) of the integer form; read-only."""
         return self._den, self._width, self._num
 
+    @property
+    def den(self) -> int:
+        """The denominator of the integer form; read-only."""
+        return self._den
+
     # -- constructors ------------------------------------------------
 
     @classmethod
@@ -231,10 +254,6 @@ class MultiPoly:
         return cls(n, {tuple(int(k == i) for k in range(n)): c for i, c in enumerate(coeffs)})
 
     # -- ring operations, on packed keys ----------------------------------
-
-    def _check(self, other: "MultiPoly"):
-        if self.arity != other.arity:
-            raise DimensionMismatch(f"arity {self.arity} != {other.arity}")
 
     def __add__(self, other):
         if not isinstance(other, MultiPoly):
@@ -259,13 +278,14 @@ class MultiPoly:
             if scalar == -1:
                 return -self
             return MultiPoly._from_ints(self.arity, self._width, self._num, scalar / self._den)
-        self._check(other)
+        if self.arity != other.arity:
+            raise DimensionMismatch(f"arity {self.arity} != {other.arity}")
         # each factor's degree is below 2^w for its width w, so their sum
         # fits one bit more than the wider field
-        width = max(self._width, other._width) + 1
-        right = _repack(self.arity, other._width, width, other._num).items()
+        width, ids = max(self._width, other._width) + 1, range(self.arity)
+        right = _move_fields(other._width, width, ids, (), other._num).items()
         out: IntTerms = {}
-        for k1, c1 in _repack(self.arity, self._width, width, self._num).items():
+        for k1, c1 in _move_fields(self._width, width, ids, (), self._num).items():
             for k2, c2 in right:
                 key = k1 + k2
                 out[key] = out.get(key, 0) + c1 * c2
@@ -381,6 +401,16 @@ class MultiPoly:
             if e >= k:
                 out[key - (k << shift)] = c * math.perm(e, k)
         return MultiPoly._from_ints(self.arity, self._width, out, Fraction(1, self._den))
+
+    def permute(self, perm: Sequence[int], signs: Sequence[int]) -> "MultiPoly":
+        """P with each X_{perm[k]} replaced by signs[k] X_k, for a signed
+        permutation: it keeps the degree and the content, so the result is
+        normalized; it shares P's numerator when nothing moves or flips."""
+        if len(perm) != self.arity or len(signs) != self.arity:
+            raise DimensionMismatch(
+                f"signed permutation of length {len(perm)} for arity {self.arity}")
+        num = _move_fields(self._width, self._width, perm, signs, self._num)
+        return MultiPoly._packed(self.arity, self._den, self._width, num)
 
     def __repr__(self):
         if self.is_zero():
@@ -571,11 +601,15 @@ def linear_combination(arity: int, terms: Iterable[tuple[MultiPoly, int]]) -> Mu
     """sum a_i P_i over the (P_i, a_i) pairs, with integer a_i: the
     numerators are summed on one width over one denominator and the sum
     normalized once.  One term is P * a, which keeps the normalized form
-    of P for a = +-1 (module docstring); with no terms the sum is zero."""
+    of P for a = +-1 (module docstring); with no terms the sum is zero.
+    A coefficient that is neither an int nor an integral Fraction raises
+    NonIntegralCoefficient, before any term is summed."""
     terms = list(terms)
-    for poly, _ in terms:
+    for poly, a in terms:
         if poly.arity != arity:
             raise DimensionMismatch(f"arity {arity} != {poly.arity}")
+        if not isinstance(a, (int, Fraction)) or a.denominator != 1:
+            raise NonIntegralCoefficient(f"coefficient {a!r} is not an integer")
     if len(terms) == 1:
         [(poly, a)] = terms
         return poly * a
@@ -583,11 +617,69 @@ def linear_combination(arity: int, terms: Iterable[tuple[MultiPoly, int]]) -> Mu
     den = math.lcm(*(poly._den for poly, _ in terms))
     out: IntTerms = {}
     for poly, a in terms:
-        k = a * (den // poly._den)
-        for key, c in _repack(arity, poly._width, width, poly._num).items():
+        k = int(a) * (den // poly._den)
+        for key, c in _move_fields(poly._width, width, range(arity), (), poly._num).items():
             out[key] = out.get(key, 0) + c * k
     out = {key: c for key, c in out.items() if c}
     return MultiPoly._from_ints(arity, width, out, Fraction(1, den))
+
+
+class PolySpan(Value):
+    """An exact Q-span: primitive integer numerators on packed keys of one
+    width, keyed by pivot, the largest key; distinct pivots are independent."""
+
+    __slots__ = _fields = ("arity", "width", "rows")
+
+    @property
+    def dim(self) -> int:
+        return len(self.rows)
+
+    def contains(self, poly: MultiPoly) -> bool:
+        if poly.arity != self.arity:
+            raise DimensionMismatch("polynomial arity must match the span")
+        # a wider polynomial has a degree above all in the span, and is not 0
+        return poly._width <= self.width and not _reduce(
+            _move_fields(poly._width, self.width, range(self.arity), (), poly._num), self.rows)
+
+
+def _reduce(row: IntTerms, rows: Mapping[int, IntTerms]) -> IntTerms:
+    """row less a combination of the rows, primitive, with no pivot among its
+    keys: pivot p, a row's largest key, goes by b row - row[p] rows[p] with
+    b = rows[p][p], which adds only smaller keys.  A nonzero combination of
+    rows has its largest pivot as a key, so row is in the span iff the
+    result is empty.  It may be row itself; no dict is changed in place."""
+    for lead, basis in sorted(rows.items(), reverse=True):
+        if lead in row:
+            b, c = basis[lead], row[lead]
+            out = {key: b * v for key, v in row.items()}
+            for key, v in basis.items():
+                out[key] = out.get(key, 0) - c * v
+            row = {key: v for key, v in out.items() if v}
+    g = math.gcd(*row.values())
+    return row if g <= 1 else {key: v // g for key, v in row.items()}
+
+
+def invariant_span(poly: MultiPoly, generators: Sequence[tuple[Sequence[int], Sequence[int]]],
+                   cap: int) -> PolySpan:
+    """The smallest span that holds P and is stable under the signed
+    permutations (perm, signs) of P's arity (module docstring): each row
+    that survives `_reduce` is kept and its images queued.  Columns (keys
+    of the rows) and rows are checked against the cap at each new row, P's
+    own first, so a refusal precedes any image."""
+    width = poly._width
+    rows: dict[int, IntTerms] = {}
+    columns: set[int] = set()
+    queue = [poly._num]
+    while queue:
+        row = _reduce(queue.pop(), rows)
+        if row:
+            rows[max(row)] = row
+            columns.update(row)
+            if len(columns) > cap or len(columns) * len(rows) > 50 * cap:
+                raise CapExceeded(
+                    f"{len(columns)} columns x {len(rows)} rows exceeds the span cap {cap}")
+            queue += [_move_fields(width, width, perm, signs, row) for perm, signs in generators]
+    return PolySpan(poly.arity, width, MappingProxyType(rows))
 
 
 def linear_form_product(arity: int, forms: Iterable[LinearForm]) -> MultiPoly:

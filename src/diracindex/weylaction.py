@@ -1,130 +1,38 @@
 """Weyl group action on polynomials, orbit spans, and Weyl dimension polynomials.
 
-The action is (w.P)(lam) = P(w^{-1} lam); since every w is a signed
-permutation this is a monomial-level remap, no general composition needed.
-
-Orbit spans close P under the simple reflections on integer numerators: a
-span that holds P and is stable under generators of W is the orbit span.
+Every w in W is a signed permutation, so the action (w.P)(lam) =
+P(w^{-1} lam) is `MultiPoly.permute` on w's (perm, signs), and the orbit
+span is `polynomials.invariant_span` under the simple reflections: a span
+that holds P and is stable under generators of W is the orbit span.  This
+module only maps W to signed permutations; it knows no packed layout.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache
-from types import MappingProxyType
 
-from .errors import CapExceeded, DimensionMismatch
+from .errors import DimensionMismatch
 from .groups import IntWeight, RootDatum, Weight, WeylElement, idot, reflection, simple_roots
-from .polynomials import IntTerms, MultiPoly, _repack, alternant
-from .value import Value
+from .polynomials import MultiPoly, PolySpan, alternant, invariant_span
 
 SPAN_COLUMN_CAP = 20_000
 
 
-def _act_packed(w: WeylElement, width: int, num: dict[int, int]) -> dict[int, int]:
-    """The integer numerator of w.P from that of P, on packed keys of the
-    given width (see `polynomials`).
-
-    Exponent k of w.P is exponent perm[k] of P, and a monomial changes
-    sign when its exponents over the coordinates perm[k] with signs[k] < 0
-    sum to an odd number.  Fields that move by the same distance move
-    together under one mask, and the parity of that sum is the parity of
-    the ones among the low bits of the negated fields.  The map is a
-    bijection on keys, so each term is assigned once.  The identity moves
-    and negates no field, and its numerator is num itself, which no kernel
-    changes in place.
-    """
-    field = (1 << width) - 1
-    moves: dict[int, int] = {}
-    for k, p in enumerate(w.perm):
-        moves[k - p] = moves.get(k - p, 0) | field << (p * width)
-    left = [(d * width, mask) for d, mask in moves.items() if d >= 0]
-    right = [(-d * width, mask) for d, mask in moves.items() if d < 0]
-    odd = sum(1 << (p * width) for p, s in zip(w.perm, w.signs) if s < 0)
-    if not odd and moves.keys() <= {0}:
-        return num
-    out = {}
-    for key, c in num.items():
-        new = 0
-        for shift, mask in left:
-            new |= (key & mask) << shift
-        for shift, mask in right:
-            new |= (key & mask) >> shift
-        out[new] = -c if (key & odd).bit_count() & 1 else c
-    return out
-
-
 def act(w: WeylElement, poly: MultiPoly) -> MultiPoly:
-    """(w.P)(lam) = P(w^{-1} lam), on the integer form: a signed permutation
-    keeps the degree and the content, so the result is normalized."""
-    if poly.arity != len(w.perm):
-        raise DimensionMismatch("polynomial arity must match the Weyl element")
-    den, width, num = poly._int_form()
-    return MultiPoly._packed(poly.arity, den, width, _act_packed(w, width, num))
-
-
-class PolySpan(Value):
-    """An exact Q-span: primitive integer numerators on packed keys of one
-    width, keyed by pivot, the largest key; distinct pivots are independent."""
-
-    __slots__ = _fields = ("arity", "width", "rows")
-
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
-
-    def contains(self, poly: MultiPoly) -> bool:
-        if poly.arity != self.arity:
-            raise DimensionMismatch("polynomial arity must match the span")
-        _, width, num = poly._int_form()
-        # a wider polynomial has a degree above all in the span, and is not 0
-        return width <= self.width and not _reduce(
-            _repack(self.arity, width, self.width, num), self.rows)
-
-
-def _reduce(row: IntTerms, rows: Mapping[int, IntTerms]) -> IntTerms:
-    """row less a combination of the rows, primitive, with no pivot among its
-    keys: pivot p, a row's largest key, goes by b row - row[p] rows[p] with
-    b = rows[p][p], which adds only smaller keys.  A nonzero combination of
-    rows has its largest pivot as a key, so row is in the span iff the
-    result is empty.  It may be row itself; no dict is changed in place."""
-    for lead, basis in sorted(rows.items(), reverse=True):
-        if lead in row:
-            b, c = basis[lead], row[lead]
-            out = {key: b * v for key, v in row.items()}
-            for key, v in basis.items():
-                out[key] = out.get(key, 0) - c * v
-            row = {key: v for key, v in out.items() if v}
-    g = math.gcd(*row.values())
-    return row if g <= 1 else {key: v // g for key, v in row.items()}
+    """(w.P)(lam) = P(w^{-1} lam), w's signed permutation of the variables;
+    P itself for the identity."""
+    return poly.permute(w.perm, w.signs)
 
 
 def orbit_span(poly: MultiPoly, datum: RootDatum, cap: int = SPAN_COLUMN_CAP) -> PolySpan:
-    """The span of {w.P : w in W_g}, exactly: each row that survives
-    `_reduce` is kept and its images under the simple reflections queued.
-    Every row lies in the orbit span, and once the queue is empty the rows
-    span a space that contains P and is stable under generators of W_g.
-    Columns (keys of the rows) and rows are checked against the cap at
-    each new row, P's own first, so a refusal precedes any image."""
+    """The span of {w.P : w in W_g}, exactly: the span of P closed under the
+    simple reflections, which generate W_g (`invariant_span`, capped)."""
     if poly.arity != datum.rank:
         raise DimensionMismatch("polynomial arity must match the root datum")
     gens = [reflection(alpha) for alpha in simple_roots(datum)]
-    _, width, num = poly._int_form()
-    rows: dict[int, IntTerms] = {}
-    columns: set[int] = set()
-    queue = [num]
-    while queue:
-        row = _reduce(queue.pop(), rows)
-        if row:
-            rows[max(row)] = row
-            columns.update(row)
-            if len(columns) > cap or len(columns) * len(rows) > 50 * cap:
-                raise CapExceeded(
-                    f"{len(columns)} columns x {len(rows)} rows exceeds the span cap {cap}")
-            queue += [_act_packed(s, width, row) for s in gens]
-    return PolySpan(poly.arity, width, MappingProxyType(rows))
+    return invariant_span(poly, [(s.perm, s.signs) for s in gens], cap)
 
 
 @lru_cache(maxsize=None)
@@ -147,11 +55,9 @@ def weyl_dim_poly(datum: RootDatum) -> MultiPoly:
     These exponents are `groups.Block.exponents`.  The blocks have
     disjoint variables, so D_k is one block-diagonal alternant, each
     block's columns on its rows only, expanded by one
-    `polynomials.alternant` call.  The blocks of `groups._family_layout`
-    are contiguous and ascending, so the terms come out in descending lex
-    order (see `polynomials`) and `MultiPoly.graded_rows` sorts D_k in one
-    linear run.  The scale is one integer quotient: with rho_k = nums / den
-    and N compact positive roots,
+    `polynomials.alternant` call, whose blocks, contiguous and ascending,
+    write D_k in emission order (see `polynomials`).  The scale is one
+    integer quotient: with rho_k = nums / den and N compact positive roots,
 
         D_k = prod gcd(alpha) den^N / prod (nums, alpha) * alternant.
 

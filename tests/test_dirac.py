@@ -45,10 +45,10 @@ from diracindex.kmodules import (
     weight_multiset,
     weyl_denominator_factored,
 )
-from diracindex.polynomials import MultiPoly, is_harmonic
+from diracindex.polynomials import MultiPoly, _move_fields, is_harmonic
 from diracindex.series import TruncatedSeries
 from diracindex.springer import table_groups
-from diracindex.weylaction import _act_packed, act, orbit_span, weyl_dim_poly
+from diracindex.weylaction import act, orbit_span, weyl_dim_poly
 from test_kmodules import _solve_linear, weight_sub
 
 
@@ -618,6 +618,11 @@ def _index_polynomial_by_fractions(fam):
         for exp, c in _fraction_act(w.inverse(), dk).terms.items():
             acc[exp] = acc.get(exp, 0) + a * c
     return MultiPoly(fam.datum.rank, acc)
+
+
+def _act_packed(w, width, num):
+    """The integer numerator of w.P from that of P, by the field-moving kernel."""
+    return _move_fields(width, width, w.perm, w.signs, num)
 
 
 def _index_polynomial_by_accumulation(fam):

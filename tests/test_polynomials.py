@@ -1,3 +1,4 @@
+import ast
 import functools
 import json
 import math
@@ -5,17 +6,24 @@ import random
 from fractions import Fraction as F
 from itertools import permutations
 from operator import itemgetter
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from diracindex.errors import DimensionMismatch, InternalInvariantError, ZeroForm
+from diracindex.errors import (
+    DimensionMismatch,
+    InternalInvariantError,
+    NonIntegralCoefficient,
+    ZeroForm,
+)
 from diracindex.groups import GroupId, build_root_datum
 from diracindex.emit import dumps, frac_str, poly_from_obj, poly_to_obj
 from diracindex.polynomials import (
     LinearForm,
     MultiPoly,
     _alternant,
+    _move_fields,
     divides_linear_form,
     extract_linear_factors,
     invariant_operator_images,
@@ -99,6 +107,161 @@ def test_linear_combination_cancels_and_checks_arity():
         linear_combination(3, [(p, 1)])
     with pytest.raises(DimensionMismatch):
         linear_combination(2, [(p, 1), (MultiPoly.variable(3, 0), 2)])
+
+
+def test_linear_combination_refuses_non_integer_coefficients():
+    """A coefficient that is not an int or an integral Fraction is refused
+    before any sum, on the one-term path too; a float is refused even when
+    it is integral, and an integral Fraction counts as its integer."""
+    x, y = V("x", "y")
+    for bad in (F(1, 2), 0.5, 2.0, float("nan"), float("inf"), "1", None):
+        with pytest.raises(NonIntegralCoefficient):
+            linear_combination(2, [(x, bad), (y, 1)])
+        with pytest.raises(NonIntegralCoefficient):
+            linear_combination(2, [(x, bad)])
+    combined = linear_combination(2, [(x, F(4, 2)), (y, True)])
+    assert combined._int_form() == (x * 2 + y)._int_form()
+    assert all(type(c) is int for c in combined._int_form()[2].values())
+    assert hash(combined) == hash(x * 2 + y)
+
+
+def _repack_oracle(arity, width, new, num):
+    """The width change as a separate routine moved every field on its own."""
+    if new == width:
+        return num
+    mask = (1 << width) - 1
+    pairs = [(width * i, new * i) for i in range(arity)]
+    return {sum((key >> s & mask) << t for s, t in pairs): c for key, c in num.items()}
+
+
+def _act_oracle(perm, signs, width, num):
+    """The signed permutation as a separate routine on one width: fields
+    grouped by distance under masks, num itself when nothing moves."""
+    field = (1 << width) - 1
+    moves = {}
+    for k, p in enumerate(perm):
+        moves[k - p] = moves.get(k - p, 0) | field << (p * width)
+    left = [(d * width, mask) for d, mask in moves.items() if d >= 0]
+    right = [(-d * width, mask) for d, mask in moves.items() if d < 0]
+    odd = sum(1 << (p * width) for p, s in zip(perm, signs) if s < 0)
+    if not odd and moves.keys() <= {0}:
+        return num
+    out = {}
+    for key, c in num.items():
+        new = 0
+        for shift, mask in left:
+            new |= (key & mask) << shift
+        for shift, mask in right:
+            new |= (key & mask) >> shift
+        out[new] = -c if (key & odd).bit_count() & 1 else c
+    return out
+
+
+@st.composite
+def packed_numerators(draw):
+    """(arity, width, new, perm, signs, num): arity 0-7, widths 1-6 with a
+    wider, narrower or equal target, a random signed permutation (the
+    identity and no signs among them) and a numerator whose fields fit both
+    widths."""
+    arity = draw(st.integers(0, 7))
+    width, new = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    perm = draw(st.permutations(range(arity)) | st.just(list(range(arity))))
+    signs = draw(st.lists(st.sampled_from([1, -1]), min_size=arity, max_size=arity)
+                 | st.just([1] * arity))
+    exps = st.lists(st.integers(0, (1 << min(width, new)) - 1), min_size=arity, max_size=arity)
+    keys = exps.map(lambda exp: sum(e << (i * width) for i, e in enumerate(exp)))
+    values = st.integers(-9, 9).filter(bool)
+    num = draw(st.dictionaries(keys, values, max_size=12))
+    return arity, width, new, tuple(perm), tuple(signs), num
+
+
+@settings(max_examples=300, deadline=None)
+@given(packed_numerators())
+@example((0, 3, 5, (), (), {0: 4}))
+@example((3, 2, 2, (0, 1, 2), (1, 1, 1), {0b110110: 1, 0b1: -2}))
+@example((3, 4, 2, (0, 1, 2), (), {0b11 << 8 | 0b10: 5}))
+@example((2, 1, 6, (1, 0), (-1, 1), {0b11: 3, 0b10: -1}))
+def test_move_fields_matches_the_repack_and_action_oracles(case):
+    """The one kernel gives the separate routines' dicts, contents and
+    iteration order: a repack is the identity permutation with no signs, a
+    signed permutation keeps the width, and both at once are the action
+    followed by the repack.  Nothing moving returns num itself."""
+    arity, width, new, perm, signs, num = case
+    ids = range(arity)
+    repacked = _move_fields(width, new, ids, (), num)
+    assert list(repacked.items()) == list(_repack_oracle(arity, width, new, num).items())
+    acted = _move_fields(width, width, perm, signs, num)
+    assert list(acted.items()) == list(_act_oracle(perm, signs, width, num).items())
+    both = _move_fields(width, new, perm, signs, num)
+    expected = _repack_oracle(arity, width, new, _act_oracle(perm, signs, width, num))
+    assert list(both.items()) == list(expected.items())
+    # a repack moves field k by k * (new - width) bits: field 0 stays
+    identity, same_width = perm == tuple(ids) and -1 not in signs, width == new or arity <= 1
+    assert (acted is num) == identity
+    assert (repacked is num) == same_width
+    assert (both is num) == (identity and same_width)
+
+
+def test_permute_checks_its_length_and_shares_the_numerator_at_the_identity():
+    x, y, z = V("x", "y", "z")
+    p = x * x * y - z * F(1, 3)
+    same = p.permute((0, 1, 2), (1, 1, 1))
+    assert same == p and same._int_form()[2] is p._int_form()[2]
+    # a new value, so a view built on p is not taken for one built on it
+    p.terms
+    assert same is not p and same._terms is None
+    # X_{perm[k]} becomes signs[k] X_k: z -> x, x -> -y, y -> z
+    assert p.permute((2, 0, 1), (1, -1, 1)) == y * y * z - x * F(1, 3)
+    assert p.permute((2, 0, 1), (-1, 1, 1)) == y * y * z + x * F(1, 3)
+    for perm, signs in [((0, 1), (1, 1)), ((0, 1, 2), (1, 1))]:
+        with pytest.raises(DimensionMismatch):
+            p.permute(perm, signs)
+    assert p.den == p._int_form()[0] == 3
+
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "diracindex"
+LAYOUT_NAMES = {"_int_form", "_repack", "IntTerms", "_move_fields", "_packed"}
+LAYOUT_ATTRS = {"_int_form", "_num", "_width", "_move_fields", "_repack"}
+
+
+def _layout_uses(tree):
+    """(line, text) of each use of the packed layout in a parsed module:
+    the names and attributes above, MultiPoly._packed and
+    MultiPoly._from_ints, and a shift that reads a name `width`."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id in LAYOUT_NAMES:
+            yield node.lineno, node.id
+        elif isinstance(node, ast.alias) and node.name in LAYOUT_NAMES:
+            yield node.lineno, f"import {node.name}"
+        elif isinstance(node, ast.Attribute):
+            owner = node.value.id if isinstance(node.value, ast.Name) else None
+            if node.attr in LAYOUT_ATTRS or (
+                    owner == "MultiPoly" and node.attr in ("_packed", "_from_ints")):
+                yield node.lineno, f".{node.attr}"
+        elif isinstance(node, ast.BinOp) and isinstance(node.op, (ast.LShift, ast.RShift)):
+            if any(isinstance(n, ast.Name) and n.id == "width" for n in ast.walk(node)):
+                yield node.lineno, "a shift by a field width"
+
+
+def test_only_polynomials_knows_the_packed_layout():
+    """No module but polynomials reads the integer form, repacks keys, builds
+    a packed MultiPoly or a field mask; kmodules and series keep their own
+    `_den` and `_from_ints`, which are not this layout."""
+    found = {}
+    for path in sorted(SRC.glob("*.py")):
+        if path.name != "polynomials.py":
+            uses = list(_layout_uses(ast.parse(path.read_text(), str(path))))
+            if uses:
+                found[path.name] = uses
+    assert found == {}
+    # the check sees what it is meant to find
+    probe = ast.parse(
+        "den, width, num = p._int_form()\nMultiPoly._packed(1, den, width, num)\n"
+        "MultiPoly._from_ints(1, width, num)\nmask = (1 << width) - 1\np._num, p._width\n"
+        "from .polynomials import IntTerms, _repack\n")
+    seen = {text for _, text in _layout_uses(probe)}
+    assert seen == {"._int_form", "._packed", "._from_ints", "a shift by a field width",
+                    "._num", "._width", "import IntTerms", "import _repack"}
 
 
 def test_eval_examples():

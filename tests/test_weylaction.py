@@ -6,7 +6,7 @@ from functools import reduce
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from diracindex import springer, weylaction
+from diracindex import polynomials, springer
 from diracindex.dirac import IndexFamily, index_polynomial
 from diracindex.errors import CapExceeded
 from diracindex.groups import (
@@ -153,14 +153,14 @@ def test_orbit_span_dims():
 def test_orbit_span_refuses_before_translating(monkeypatch):
     # P's own row has two columns, over a cap of one: no image is built.
     sp4 = build_root_datum(GroupId.sp_r(2))
-    x1, x2 = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
+    p = MultiPoly.variable(2, 0) - MultiPoly.variable(2, 1)
 
-    def no_act(w, width, num):
+    def no_move(width, new, perm, signs, num):
         raise AssertionError("an image built before the check of P's row")
 
-    monkeypatch.setattr(weylaction, "_act_packed", no_act)
+    monkeypatch.setattr(polynomials, "_move_fields", no_move)
     with pytest.raises(CapExceeded, match=r"^2 columns x 1 rows .* cap 1$"):
-        orbit_span(x1 - x2, sp4, cap=1)
+        orbit_span(p, sp4, cap=1)
 
 
 def test_orbit_span_refuses_on_exact_column_count():
@@ -336,8 +336,9 @@ def test_weyl_dim_poly_matches_product_of_root_forms(group):
 
 
 def _act_packed_by_masks(w, width, num):
-    """_act_packed as it ran every element through the field masks, the
-    identity included; the reference for its identity shortcut."""
+    """The Weyl action on packed keys as it ran every element through the
+    field masks, the identity included; the reference for the identity
+    shortcut of `polynomials._move_fields`."""
     field = (1 << width) - 1
     moves = {}
     for k, p in enumerate(w.perm):
@@ -364,7 +365,7 @@ def test_act_packed_matches_mask_pass_and_returns_num_at_identity(group):
     _, width, num = weyl_dim_poly(d)._int_form()
     identity = WeylElement.identity(d.rank)
     for w in weyl_elements(d, "g"):
-        out = weylaction._act_packed(w, width, num)
+        out = polynomials._move_fields(width, width, w.perm, w.signs, num)
         assert out == _act_packed_by_masks(w, width, num)
         assert (out is num) == (w == identity)
 

@@ -77,7 +77,7 @@ ALLOWED = {
         "public entry that checks its partition; orbit_dim checks once, then runs the same rules",
     "springer.dual_partition":
         "public entry that checks its partition; orbit_dim checks once, then takes the same dual",
-    "weylaction.PolySpan.dim": "span dimension of the label check; item 3",
+    "polynomials.PolySpan.dim": "span dimension of the irreducibility check; item 17",
     "groups.RootDatum.is_g_regular":
         "only bench jobs and the unreached index_discrete_series call it; item 9",
     "groups.RootDatum.on_shifted_lattice":

@@ -10,21 +10,13 @@ checks are exact equalities.
 
 The order contract: `character_series(..., order)` returns order + 1
 coefficients from the lowest power of t, as integer numerators over one
-denominator.  The series is built once per (family coefficients, lam, y)
-in a bounded module-level cache, from the integer forms of lam and y,
-each converted once per call: the numerator's valuation is found by
-stepping its integer moments, and the entry keeps those moments and
-their quotient by U at the largest order any call has asked for.  A
-shorter order slices that quotient; a longer one steps the moments on to
-it and divides again, with both operands at that order.  The Weyl
-denominator U is shared per (datum, y) in the same way.  So the three
-limits d = gap, gap + 1, gap + 2 that leading_limit checks at one
-(family, lam, y), at orders max(8, d + 2), share one series, and nothing
-is built past the largest order asked.  The base point is not in the
-key: the coset and length checks run on every call, and the singular
-direction check runs in the builder, whose exceptions are never cached.
-leading_limit reads the pole order from the integers and t^-d as the one
-`Fraction` it builds.
+denominator.  The numerator's integer moments are kept per (family
+coefficients, lam, y) in a bounded module-level cache, stepped from its
+valuation only as far as an order asks, and each call divides them by U,
+shared per (datum, y), both at `order`.  leading_limit asks for order 0,
+the only coefficient a limit reads.  The base point is not in the key:
+the coset and length checks run on every call, and the singular direction
+check runs in the builder, whose exceptions are never cached.
 """
 
 from __future__ import annotations
@@ -42,12 +34,10 @@ from .kmodules import (
     _numerator_frequencies,
     _weyl_denominator,
 )
-from .series import TruncatedSeries
+from .series import TruncatedSeries, _check_order
 from .value import Value
 
-# Entries of the character series cache.  The limits of one point are
-# asked together, so a few entries lose nothing, and a sweep over many
-# points holds no more than these.
+# Numerator cache entries: one point's limits come together, so few suffice.
 SERIES_CACHE_SIZE = 16
 
 
@@ -85,8 +75,9 @@ class LimitReport(Value):
 def root_ratio(datum: RootDatum, y: Weight) -> Fraction:
     """prod_{alpha in R_k+} alpha(y) / prod_{alpha in R_g+} alpha(y); with
     y = n / d each alpha(y) is (alpha, n) / d, and r_g - r_k factors of d
-    stay."""
-    y_den, y_nums = datum.form(y)
+    stay.  y must be regular (SingularDirection otherwise)."""
+    y_den, y_nums = y_form = datum.form(y)
+    _check_regular(datum, y_form)
     num = 1
     for alpha in datum.compact_positive_roots:
         num *= idot(alpha, y_nums)
@@ -96,32 +87,11 @@ def root_ratio(datum: RootDatum, y: Weight) -> Fraction:
     return Fraction(num * y_den ** (datum.r_g - datum.r_k), den)
 
 
-class _CharacterSeries:
-    """The character series t^low * N(t) / U(t) of one (family, lam, y),
-    with N and U kept as moments, and N / U at the largest order built."""
-
-    __slots__ = ("low", "_numerator", "_u", "_quotient")
-
-    def __init__(self, numerator: _Moments, u: _Moments):
-        self.low, self._numerator, self._u = numerator.v - u.v, numerator, u
-        self._quotient: TruncatedSeries | None = None
-
-    def series(self, order: int) -> TruncatedSeries:
-        """N / U to the given order: the prefix of the quotient at the
-        largest order built, since a coefficient of a quotient depends only
-        on those at or below it."""
-        quotient = self._quotient
-        if quotient is None or quotient.order < order:
-            quotient = self._numerator.series(order).divide(self._u.series(order))
-            self._quotient = quotient
-        return TruncatedSeries._from_ints(quotient.nums[: order + 1], quotient.den)
-
-
 @lru_cache(maxsize=SERIES_CACHE_SIZE)
 def _character_entry(
     datum: RootDatum, coeffs: tuple[tuple[WeylElement, int], ...], lam: IntWeight, y: IntWeight
-) -> _CharacterSeries | None:
-    """The series of sum_w a_w N_{w lam} / d_g at exp(t y), None when the
+) -> _Moments | None:
+    """The moments of sum_w a_w N_{w lam} at exp(t y), None when the
     numerator vanishes; y is checked regular first."""
     _check_regular(datum, y)
     module = _k_type_sum(datum, _index_terms(coeffs, lam))
@@ -130,7 +100,7 @@ def _character_entry(
     den, freqs = _numerator_frequencies(module, y)
     if not freqs:
         return None
-    return _CharacterSeries(_Moments(freqs, den, None), _weyl_denominator(datum, y, "g"))
+    return _Moments(freqs, den, None)
 
 
 def character_series(
@@ -141,21 +111,22 @@ def character_series(
 
     The numerator sum_w a_w N_{w lam} is assembled from the normalized
     index (so off-lattice or compactly singular translates drop out the
-    same way they do in evaluation).  Its moments are built from the
-    valuation val to val + order and no further, and it is divided by d_g
-    with its zero of order r_g at t = 0 factored analytically, both at
-    `order`; a call for no larger an order on the same (family
-    coefficients, lam, y) slices the quotient already built.
+    same way they do in evaluation).  Its moments, kept per (family
+    coefficients, lam, y), run from the valuation val to val + order and
+    no further, and are divided by d_g, with its zero of order r_g at
+    t = 0 factored analytically, both at `order`.
     """
+    _check_order(order)
     datum = fam.datum
     y_form = datum.form(y)
     if len(lam) != datum.rank:
         raise DimensionMismatch("parameter length must equal the rank")
     lam_form = _on_coset(fam, int_form(lam))
-    entry = _character_entry(datum, tuple(fam.coeffs.items()), lam_form, y_form)
-    if entry is None:
+    numerator = _character_entry(datum, tuple(fam.coeffs.items()), lam_form, y_form)
+    if numerator is None:
         return LaurentSeries.zero(order)
-    return LaurentSeries(entry.low, entry.series(order))
+    u = _weyl_denominator(datum, y_form, "g")
+    return LaurentSeries(numerator.v - u.v, numerator.series(order).divide(u.series(order)))
 
 
 def leading_limit(fam: IndexFamily, lam: Weight, y: Weight, d: int) -> LimitReport:
@@ -165,10 +136,17 @@ def leading_limit(fam: IndexFamily, lam: Weight, y: Weight, d: int) -> LimitRepo
     d = r_g - r_k, and None below that (the theorem is silent there).
     When d is smaller than the actual pole order the limit diverges; the
     report flags underflow instead of raising.
+
+    Order 0 decides every case.  With N(t) = t^v (c_v + O(t)), c_v != 0,
+    and d_g = t^r_g U(t), U(0) = prod_g alpha(y) != 0, the character is
+    t^(v - r_g) times a series with a nonzero constant term, so its pole
+    order is p = max(0, r_g - v), and d < p underflows.  For d >= p the
+    coefficient of t^-d sits at index r_g - v - d <= 0: c_v / U(0) when
+    d = r_g - v, and 0 otherwise.  A zero numerator gives p = 0.
     """
     datum = fam.datum
     gap = datum.r_g - datum.r_k
-    series = character_series(fam, lam, y, order=max(8, d + 2))
+    series = character_series(fam, lam, y, order=0)
     if d < series.pole_order:
         return LimitReport(d=d, value=None, expected=None, match=False, underflow=True)
     value = series.coeff(-d)

@@ -59,7 +59,7 @@ from .kmodules import (
     weight_multiset,
 )
 from .polynomials import MultiPoly, linear_combination
-from .series import TruncatedSeries
+from .series import TruncatedSeries, _check_order
 from .value import Value
 from .weylaction import act, weyl_dim_poly
 
@@ -110,6 +110,7 @@ def spin_character_series(
     datum: RootDatum, y: Weight, order: int
 ) -> TruncatedSeries:
     """ch(S+ - S-)(exp ty) as an exact series in t."""
+    _check_order(order)
     y_den, y_nums = datum.form(y)
     sw = spin_weights(datum)
     # A spin weight has denominator 1 or 2, so every rate is f / (2 y_den).

@@ -57,6 +57,10 @@ class NotDominantIntegral(DiracIndexError, ValueError):
     """Highest weight is not dominant integral for the positive system."""
 
 
+class NegativeOrder(DiracIndexError, ValueError):
+    """A series truncation order below zero."""
+
+
 class SingularDirection(DiracIndexError, ValueError):
     """Series evaluation direction y lies on a root hyperplane."""
 

@@ -27,9 +27,9 @@ What depends only on the datum, or on the datum and a direction y, is
 built once in a module-level cache: the weights of V(highest) per
 (datum, highest), the signed W_k-orbit of y, and the moments of the Weyl
 denominator U per (datum, y, g or k), stepped to the largest order asked
-so far.  Inputs are still checked on every call, and every call gets new
-objects: a multiset of its own, and a series sliced from the cached
-integers.
+so far; the two keyed by y keep DIRECTION_CACHE_SIZE entries at most.
+Inputs are still checked on every call, and every call gets new objects:
+a multiset of its own, and a series sliced from the cached integers.
 """
 
 from __future__ import annotations
@@ -61,8 +61,12 @@ from .groups import (
     weight_add,
     weyl_elements,
 )
-from .series import TruncatedSeries
+from .series import TruncatedSeries, _check_order
 from .weylaction import weyl_dim_value, weyl_dim_value_g
+
+# Entries of each cache keyed by a direction y: a round of the `character`
+# benchmark asks for at most 18 Weyl denominators and 6 orbits.
+DIRECTION_CACHE_SIZE = 64
 
 
 class _OnForms:
@@ -325,7 +329,7 @@ def _check_regular(datum: RootDatum, y: IntWeight) -> None:
             raise SingularDirection(f"direction is singular for root {alpha}")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=DIRECTION_CACHE_SIZE)
 def _signed_orbit(
     datum: RootDatum, y_nums: tuple[int, ...]
 ) -> tuple[tuple[int, tuple[int, ...]], ...]:
@@ -421,11 +425,12 @@ def frequencies_to_series(
     denominator (see `_Moments` for v and start).  Only the moments
     0 .. v + order are built.
     """
+    _check_order(order)
     moments = _Moments(freqs, den, start)
     return moments.v, moments.series(order)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=DIRECTION_CACHE_SIZE)
 def _weyl_denominator(datum: RootDatum, y: IntWeight, which: str) -> _Moments:
     """The moments of d(exp ty) over the positive roots of g or k: the r
     factors e^{a t/2} - e^{-a t/2} multiply out as one sum of
@@ -449,6 +454,7 @@ def weyl_denominator_factored(
 
     U is built once per (datum, y, which), to the largest order asked so
     far, and each call gets a new series of its order."""
+    _check_order(order)
     if which not in ("g", "k"):
         raise ValueError("which must be 'g' or 'k'")
     moments = _weyl_denominator(datum, datum.form(y), which)

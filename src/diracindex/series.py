@@ -15,6 +15,14 @@ import math
 from collections.abc import Iterable
 from fractions import Fraction
 
+from .errors import NegativeOrder
+
+
+def _check_order(order: int) -> None:
+    """Refuse a truncation order below zero: a series keeps c_0 .. c_order."""
+    if order < 0:
+        raise NegativeOrder(f"series order {order} is negative")
+
 
 class TruncatedSeries:
     """Coefficients c_0 .. c_N of powers of t, as nums[k] / den."""
@@ -64,12 +72,14 @@ class TruncatedSeries:
 
     @classmethod
     def zero(cls, order: int) -> "TruncatedSeries":
+        _check_order(order)
         return cls._from_ints((0,) * (order + 1), 1)
 
     @classmethod
     def exponential(cls, rate, order: int) -> "TruncatedSeries":
         """e^{rate * t} truncated at the given order: with rate = p / q the
         t^k coefficient p^k / (q^k k!) is p^k q^(N-k) N! / k! over q^N N!."""
+        _check_order(order)
         rate = Fraction(rate)
         p, q = rate.numerator, rate.denominator
         scales = [1] * (order + 1)  # q^(N-k) N! / k!

@@ -5,14 +5,37 @@ from fractions import Fraction as F
 import pytest
 
 from diracindex import asymptotics, dirac, kmodules
-from diracindex.asymptotics import character_series, leading_limit, root_ratio
-from diracindex.dirac import IndexFamily, discrete_series_family, index_polynomial
+from diracindex.asymptotics import (
+    LaurentSeries,
+    LimitReport,
+    character_series,
+    leading_limit,
+    root_ratio,
+)
+from diracindex.dirac import (
+    IndexFamily,
+    discrete_series_family,
+    index_polynomial,
+    spin_character_series,
+)
 from diracindex.emit import emit
-from diracindex.errors import OffLattice, SingularDirection
+from diracindex.errors import DiracIndexError, NegativeOrder, OffLattice, SingularDirection
 from diracindex.fixtures import sl2_families, sl2_weight, su21_ds_families
-from diracindex.groups import GroupId, WeylElement, build_root_datum, dot, weight_add
-from diracindex.kmodules import numerator_frequencies
+from diracindex.groups import (
+    GroupId,
+    WeylElement,
+    build_root_datum,
+    dot,
+    weight_add,
+    weyl_elements,
+)
+from diracindex.kmodules import (
+    frequencies_to_series,
+    numerator_frequencies,
+    weyl_denominator_factored,
+)
 from diracindex.series import TruncatedSeries
+from diracindex.springer import table_groups
 
 
 def W(*coords):
@@ -185,8 +208,8 @@ def test_character_series_builds_only_to_order(monkeypatch, order):
 def test_character_series_extends_to_a_larger_order_only(monkeypatch):
     """An order-8 call, then an order-12 call on the same (family, lam, y):
     the moments are stepped on from val + 8 to val + 12 and no further, U
-    is asked for 8 then 12, the second call divides again at 12, and a
-    third call at order 10 builds nothing."""
+    is asked for 8 then 12, and each call divides at its order; a third
+    call at order 10 divides again at 10 but steps no moment."""
     fam, (lam, y) = SP13_FAMILY, SP13_POINT
     calls = _record_builds(monkeypatch)
     character_series(fam, lam, y, 8)
@@ -197,8 +220,109 @@ def test_character_series_extends_to_a_larger_order_only(monkeypatch):
     assert calls["denominator"] == [8, 12]
     assert calls["divide"] == [(8, 8), (12, 12)]
     assert series.series.order == 12
+    products = _CountingRate.products
     assert character_series(fam, lam, y, 10).series.order == 10
-    assert calls["orders"] == [8, 12] and calls["divide"] == [(8, 8), (12, 12)]
+    assert len(calls["numerator"]) == 1 and _CountingRate.products == products
+    assert calls["orders"] == [8, 12, 10] and calls["denominator"] == [8, 12, 10]
+    assert calls["divide"] == [(8, 8), (12, 12), (10, 10)]
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1, 2])
+def test_leading_limit_reads_the_series_at_order_zero(monkeypatch, offset):
+    """On Sp(1,3), a limit below, at and above the gap asks character_series
+    for order 0 only, which steps the numerator to its valuation, asks U for
+    order 0 and divides at (0, 0)."""
+    fam, (lam, y) = SP13_FAMILY, SP13_POINT
+    gap = fam.datum.r_g - fam.datum.r_k
+    calls = _record_builds(monkeypatch)
+    orders = []
+
+    def series(fam, lam, y, order=8):
+        orders.append(order)
+        return character_series(fam, lam, y, order)
+
+    monkeypatch.setattr(asymptotics, "character_series", series)
+    report = leading_limit(fam, lam, y, gap + offset)
+    assert report.underflow == (offset < 0) and report.match == (offset >= 0)
+    [(start, val, n_freqs)] = calls["numerator"]
+    assert orders == [0] and (start, calls["orders"]) == (None, [0])
+    assert _CountingRate.products // n_freqs == val
+    assert calls["denominator"] == [0]
+    assert calls["divide"] == [(0, 0)]
+
+
+def _limit_at_the_old_order(fam, lam, y, d):
+    """leading_limit as it read the series before order 0: at order
+    max(8, d + 2), then the pole order and the coefficient of t^-d."""
+    datum = fam.datum
+    gap = datum.r_g - datum.r_k
+    series = character_series(fam, lam, y, order=max(8, d + 2))
+    if d < series.pole_order:
+        return LimitReport(d=d, value=None, expected=None, match=False, underflow=True)
+    value = series.coeff(-d)
+    if d > gap:
+        expected = F(0)
+    elif d == gap:
+        expected = root_ratio(datum, y) * index_polynomial(fam).evaluate(lam)
+    else:
+        expected = None
+    match = expected is not None and value == expected
+    return LimitReport(d=d, value=value, expected=expected, match=match)
+
+
+@pytest.mark.parametrize(
+    "group", [g for g in table_groups(4) if g.rank <= 4], ids=lambda g: g.label()
+)
+def test_order_zero_limits_match_the_old_order_rule(group):
+    """Discrete-series families at rho_g and at a W_g-translate of it, and a
+    family of up to three terms off the identity, at two points each (some
+    with a zero numerator or a zero Q): every d from -1 to gap + 3 gives the
+    report and the emitted bytes of the order max(8, d + 2) rule."""
+    datum = build_root_datum(group)
+    rng = random.Random(group.label())
+    elements = weyl_elements(datum, "g")
+    terms = rng.sample(elements, min(3, len(elements)))
+    families = [
+        discrete_series_family(datum.rho_g, datum),
+        discrete_series_family(rng.choice(elements).apply(datum.rho_g), datum),
+        IndexFamily(datum, datum.rho_g, {w: rng.choice([-2, -1, 1, 2]) for w in terms}),
+    ]
+    gap = datum.r_g - datum.r_k
+    for fam in families:
+        for _ in range(2):
+            lam = weight_add(fam.base, tuple(F(rng.randint(-2, 2)) for _ in range(datum.rank)))
+            y = _random_direction(datum, rng)
+            for d in range(-1, gap + 4):
+                report = leading_limit(fam, lam, y, d)
+                oracle = _limit_at_the_old_order(fam, lam, y, d)
+                assert report == oracle
+                assert emit(report, "json") == emit(oracle, "json")
+
+
+def test_a_negative_order_is_refused_by_every_entry():
+    """Cold, with a zero numerator, and cached: order -1 raises one error,
+    both a DiracIndexError and a ValueError, before anything is built."""
+    fam, (lam, y) = SP13_FAMILY, SP13_POINT
+    datum = fam.datum
+    asymptotics._character_entry.cache_clear()
+    entries = [
+        lambda: character_series(fam, lam, y, -1),
+        lambda: character_series(sl2_families()["P"], sl2_weight(3), W(1, -1), -1),
+        lambda: weyl_denominator_factored(datum, y, "g", -1),
+        lambda: frequencies_to_series({1: 1, -1: -1}, 2, -1),
+        lambda: spin_character_series(datum, y, -1),
+        lambda: TruncatedSeries.zero(-1),
+        lambda: TruncatedSeries.exponential(F(1, 2), -1),
+        lambda: LaurentSeries.zero(-1),
+    ]
+    for entry in entries:
+        with pytest.raises(NegativeOrder) as info:
+            entry()
+        assert isinstance(info.value, DiracIndexError) and isinstance(info.value, ValueError)
+    assert asymptotics._character_entry.cache_info().currsize == 0
+    character_series(fam, lam, y, 0)
+    with pytest.raises(NegativeOrder):
+        character_series(fam, lam, y, -1)
 
 
 # -- the series cache per (family coefficients, lam, y) ----------------
@@ -297,6 +421,34 @@ def test_singular_direction_raises_on_every_call():
         with pytest.raises(SingularDirection):
             leading_limit(fam, fam.base, W(1, 1, -2), 2)
     assert asymptotics._character_entry.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("y", [W(1, 1, -2), W(1, -2, 1), W(-2, 1, 1)])
+def test_root_ratio_refuses_a_singular_direction(y):
+    with pytest.raises(SingularDirection):
+        root_ratio(su21_ds_families()[0].datum, y)
+
+
+def test_direction_caches_stay_bounded_over_a_sweep():
+    """Eight more directions than the bound: U and the signed W_k-orbit are
+    cached per direction, both caches end at or below the bound, and every
+    limit of the sweep, some taken after an eviction, equals a cold one."""
+    fam, lam, _ = CACHE_CASES["su21-D0"]
+    gap = fam.datum.r_g - fam.datum.r_k
+    bound = kmodules.DIRECTION_CACHE_SIZE
+    caches = [kmodules._weyl_denominator, kmodules._signed_orbit, asymptotics._character_entry]
+    for cache in caches:
+        cache.cache_clear()
+    ys = [W(k, 0, -k) for k in range(1, bound + 9)]
+    swept = [leading_limit(fam, lam, y, gap) for y in ys]
+    for cache in caches[:2]:
+        info = cache.cache_info()
+        assert info.maxsize == bound and info.currsize <= bound
+        assert info.misses == len(ys)
+    for y, report in zip(ys, swept):
+        for cache in caches:
+            cache.cache_clear()
+        assert report.match and leading_limit(fam, lam, y, gap) == report
 
 
 def test_series_cache_is_a_bounded_clearable_lru_cache():

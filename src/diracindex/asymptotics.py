@@ -75,16 +75,23 @@ class LimitReport(Value):
 def root_ratio(datum: RootDatum, y: Weight) -> Fraction:
     """prod_{alpha in R_k+} alpha(y) / prod_{alpha in R_g+} alpha(y); with
     y = n / d each alpha(y) is (alpha, n) / d, and r_g - r_k factors of d
-    stay.  y must be regular (SingularDirection otherwise)."""
+    stay.  y must be regular (SingularDirection otherwise).
+
+    The compact roots are among the positive roots, so the ratio is
+    d^(r_g - r_k) over the product of (alpha, n) on the noncompact ones,
+    once the compact product shows that no compact alpha(y) is zero; a
+    zero product is the one sign of a singular y, and only then is the
+    root found and named."""
     y_den, y_nums = y_form = datum.form(y)
-    _check_regular(datum, y_form)
-    num = 1
+    compact = 1
     for alpha in datum.compact_positive_roots:
-        num *= idot(alpha, y_nums)
-    den = 1
-    for alpha in datum.positive_roots:
-        den *= idot(alpha, y_nums)
-    return Fraction(num * y_den ** (datum.r_g - datum.r_k), den)
+        compact *= idot(alpha, y_nums)
+    noncompact = 1
+    for alpha in datum.noncompact_positive_roots:
+        noncompact *= idot(alpha, y_nums)
+    if not (compact and noncompact):
+        _check_regular(datum, y_form)
+    return Fraction(y_den ** (datum.r_g - datum.r_k), noncompact)
 
 
 @lru_cache(maxsize=SERIES_CACHE_SIZE)

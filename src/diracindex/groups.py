@@ -83,8 +83,13 @@ def dot(a: Weight, b: Weight) -> Fraction:
 
 
 def int_form(w: Weight) -> IntWeight:
-    """(den, nums) with w = nums / den and den the lcm of the denominators."""
-    den = math.lcm(*(c.denominator for c in w))
+    """(den, nums) with w = nums / den and den the lcm of the denominators;
+    an entry that is not an int or a Fraction raises InvalidInput."""
+    try:
+        den = math.lcm(*(c.denominator for c in w))
+    except AttributeError:
+        bad = next(c for c in w if not hasattr(c, "denominator"))
+        raise InvalidInput(f"weight entry {bad!r} is not an integer or a fraction") from None
     return den, tuple(c.numerator * (den // c.denominator) for c in w)
 
 

@@ -17,17 +17,21 @@ Modules and multisets store their weights as integer forms (see
 built on first read.  k_type_sum normalizes every (gamma, c) pair
 into one dictionary on integer numerators and builds its module through
 the trusted constructor, since normalization already guarantees what the
-public constructor checks.  frequencies_to_series builds every
-exponential sum, Weyl denominators too, from integer rates over one
-denominator; it divides out a known power of t exactly, or finds the
-valuation by stepping the integer moments, and builds only the
-coefficients it returns, as integer numerators over one denominator.
+public constructor checks.  frequencies_to_series builds an
+exponential sum from integer rates over one denominator; it divides out
+a known power of t exactly, or finds the valuation by stepping the
+integer moments, and builds only the coefficients it returns, as integer
+numerators over one denominator.  The Weyl denominator d(exp ty) =
+t^r U(t) is never multiplied out into one sum: U is built from its r
+root factors by a binomial recurrence on integers (`_RootProduct`), and
+U(0) = prod alpha(y) takes r integer products.
 
 What depends only on the datum, or on the datum and a direction y, is
 built once in a module-level cache: the weights of V(highest) per
-(datum, highest), the signed W_k-orbit of y, and the moments of the Weyl
-denominator U per (datum, y, g or k), stepped to the largest order asked
-so far; the two keyed by y keep DIRECTION_CACHE_SIZE entries at most.
+(datum, highest), the signs and index maps of W_k per datum, the signed
+W_k-orbit of y read off them, and U per (datum, y, g or k), stepped to
+the largest order asked so far; the two keyed by y keep
+DIRECTION_CACHE_SIZE entries at most.
 Inputs are still checked on every call, and every call gets new objects:
 a multiset of its own, and a series sliced from the cached integers.
 """
@@ -37,7 +41,8 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, lcm
+from math import comb, factorial, lcm, prod
+from operator import itemgetter, mul
 from types import MappingProxyType
 
 from .errors import (
@@ -329,12 +334,29 @@ def _check_regular(datum: RootDatum, y: IntWeight) -> None:
             raise SingularDirection(f"direction is singular for root {alpha}")
 
 
+@lru_cache(maxsize=None)
+def _signed_k_getters(datum: RootDatum) -> tuple[tuple[int, itemgetter], ...]:
+    """(sgn w, get) over W_k, once per datum, with get(y + (-y)) = w y:
+    (w y)_i = signs[i] y[perm[i]] is entry perm[i] of y followed by -y,
+    or entry perm[i] + rank when signs[i] = -1."""
+    rank = datum.rank
+    out = []
+    for w in weyl_elements(datum, "k"):
+        picks = [p if s > 0 else p + rank for p, s in zip(w.perm, w.signs)]
+        # itemgetter of one index returns the entry, not a 1-tuple
+        get = itemgetter(*picks) if rank > 1 else itemgetter(slice(picks[0], picks[0] + 1))
+        out.append((w.sign(), get))
+    return tuple(out)
+
+
 @lru_cache(maxsize=DIRECTION_CACHE_SIZE)
 def _signed_orbit(
     datum: RootDatum, y_nums: tuple[int, ...]
 ) -> tuple[tuple[int, tuple[int, ...]], ...]:
-    """(sgn w, w y) over W_k, on the numerators of y."""
-    return tuple((w.sign(), w.apply(y_nums)) for w in weyl_elements(datum, "k"))
+    """(sgn w, w y) over W_k, on the numerators of y, read off the getters
+    of the datum."""
+    both = y_nums + tuple(-c for c in y_nums)
+    return tuple((sign, get(both)) for sign, get in _signed_k_getters(datum))
 
 
 def numerator_frequencies(module: VirtualKModule, y: Weight) -> tuple[int, dict[int, int]]:
@@ -430,21 +452,111 @@ def frequencies_to_series(
     return moments.v, moments.series(order)
 
 
+@lru_cache(maxsize=None)
+def _binomials(n: int, e: int) -> tuple[int, ...]:
+    """C(n, e), C(n, e + 2), C(n, e + 4), ...: entry i is C(n, e + 2i)."""
+    return tuple(comb(n, i) for i in range(e, n + 1, 2))
+
+
+def _factor_coefficients(factor: tuple[int, ...], top: int) -> tuple[int, list[int]]:
+    """(e, [c_0 .. c_top]): sinh(k s) for factor (k,), or sinh(a s) sinh(b s)
+    = (cosh((a+b) s) - cosh((a-b) s)) / 2 for factor (a, b), is
+    sum_i c_i s^(e+2i) / (e+2i)! with c_i = k^(2i+1), or
+    c_i = ((a+b)^(2i+2) - (a-b)^(2i+2)) / 2."""
+    if len(factor) == 1:
+        (k,) = factor
+        coeffs, square = [k], k * k
+        for _ in range(top):
+            coeffs.append(coeffs[-1] * square)
+        return 1, coeffs
+    a, b = factor
+    p, q = (a + b) ** 2, (a - b) ** 2
+    x, y, coeffs = p, q, []
+    for _ in range(top + 1):
+        coeffs.append((x - y) // 2)
+        x, y = x * p, y * q
+    return 2, coeffs
+
+
+class _RootProduct:
+    """prod_k (e^{k t / 2D} - e^{-k t / 2D}) over the integer rates k, as
+    t^v U(t) with v the number of rates.
+
+    With s = t / 2D a factor is 2 sinh(k s), so U is even in t.  The
+    factors are taken two at a time, one left over when v is odd (see
+    `_factor_coefficients`).  If those so far, of degree m in s, multiply
+    to sum_j N_j s^(m+2j) / (m+2j)!, one more factor of degree e gives the
+    integers
+
+        N'_j = sum_(i <= j) C(m + e + 2j, e + 2i) c_i N_(j-i),
+
+    and with the 2^v of the factors the t^2j coefficient of U is
+    N_j / ((v + 2j)! 4^j D^(v+2j)); U(0) = prod k / D^v, and a zero rate
+    zeroes every row from its factor on.  The rows N after each factor
+    are kept up to the largest j asked so far, so `series(order)` steps
+    them on only when it asks for more than any call before, and
+    otherwise slices the series of the largest order built so far.
+    """
+
+    __slots__ = ("v", "_den", "_rates", "_rows", "_nums", "_scale")
+
+    def __init__(self, rates: list[int], den: int):
+        self.v, self._den, self._rates = len(rates), den, rates
+        # The empty product, read only when there is no factor, then one
+        # row per factor.
+        self._rows: list[list[int]] = [[1]] + [[] for _ in range((len(rates) + 1) // 2)]
+        self._nums: tuple[int, ...] = ()
+        self._scale = 1
+
+    def _step(self, top: int) -> None:
+        """Extend every row to N_0 .. N_top."""
+        rows, rates = self._rows, self._rates
+        have = len(rows[-1])
+        if have > top:
+            return
+        rows[0] += [0] * (top + 1 - len(rows[0]))
+        factors = list(zip(rates[::2], rates[1::2]))
+        if len(rates) % 2:
+            factors.append((rates[-1],))
+        m = 0
+        for f, (factor, prev, row) in enumerate(zip(factors, rows, rows[1:])):
+            e, coeffs = _factor_coefficients(factor, top)
+            m += e
+            if not f:  # one factor times the empty product: N_j = c_j
+                row += coeffs[have:]
+                continue
+            for j in range(have, top + 1):
+                terms = map(mul, _binomials(m + 2 * j, e), coeffs)
+                row.append(sum(map(mul, prev[j::-1], terms)))
+
+    def series(self, order: int) -> TruncatedSeries:
+        """U to the given order; N_j / ((v+2j)! 4^j D^(v+2j)) is
+        N_j (4 D^2)^(J-j) (v+2J)! / (v+2j)! over (v+2J)! 4^J D^(v+2J)."""
+        if not self._nums:
+            # U(0) = prod k / D^v, with no row built
+            self._nums, self._scale = (prod(self._rates),), self._den**self.v
+        if order >= len(self._nums):
+            top = order // 2
+            self._step(top)
+            row, v, square = self._rows[-1], self.v, 4 * self._den**2
+            nums, mult = [0] * (order + 1), 1
+            for j in range(top, -1, -1):
+                nums[2 * j] = row[j] * mult
+                if j:
+                    mult *= square * (v + 2 * j) * (v + 2 * j - 1)
+            # mult is now 4^J D^2J (v+2J)! / v!
+            self._nums, self._scale = tuple(nums), mult * factorial(v) * self._den**v
+        return TruncatedSeries._from_ints(self._nums[: order + 1], self._scale)
+
+
 @lru_cache(maxsize=DIRECTION_CACHE_SIZE)
-def _weyl_denominator(datum: RootDatum, y: IntWeight, which: str) -> _Moments:
-    """The moments of d(exp ty) over the positive roots of g or k: the r
-    factors e^{a t/2} - e^{-a t/2} multiply out as one sum of
-    exponentials on the integer rates alpha(y) * y_den over 2 * y_den."""
+def _weyl_denominator(datum: RootDatum, y: IntWeight, which: str) -> _RootProduct:
+    """d(exp ty) over the positive roots of g or k, as the product of its
+    root factors e^{a t/2} - e^{-a t/2}, a = alpha(y): on the integer rates
+    (alpha, y_nums) over y_den."""
     y_den, y_nums = y
     roots = datum.positive_roots if which == "g" else datum.compact_positive_roots
-    freqs = {0: 1}
-    for alpha in roots:
-        k = idot(alpha, y_nums)
-        expanded = {f + k: c for f, c in freqs.items()}
-        for f, c in freqs.items():
-            expanded[f - k] = expanded.get(f - k, 0) - c
-        freqs = {f: c for f, c in expanded.items() if c}
-    return _Moments(freqs, 2 * y_den, len(roots))
+    return _RootProduct([idot(alpha, y_nums) for alpha in roots], y_den)
 
 
 def weyl_denominator_factored(
@@ -452,10 +564,11 @@ def weyl_denominator_factored(
 ) -> tuple[int, TruncatedSeries]:
     """d(exp ty) = t^r * U(t) with U(0) = prod alpha(y) != 0; returns (r, U).
 
-    U is built once per (datum, y, which), to the largest order asked so
-    far, and each call gets a new series of its order."""
+    U is built from the r root factors of d, not from their product
+    multiplied out, once per (datum, y, which), to the largest order
+    asked so far, and each call gets a new series of its order."""
     _check_order(order)
     if which not in ("g", "k"):
         raise ValueError("which must be 'g' or 'k'")
-    moments = _weyl_denominator(datum, datum.form(y), which)
-    return moments.v, moments.series(order)
+    u = _weyl_denominator(datum, datum.form(y), which)
+    return u.v, u.series(order)

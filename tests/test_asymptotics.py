@@ -1,5 +1,7 @@
 import itertools
 import random
+import re
+from decimal import Decimal
 from fractions import Fraction as F
 
 import pytest
@@ -19,7 +21,13 @@ from diracindex.dirac import (
     spin_character_series,
 )
 from diracindex.emit import emit
-from diracindex.errors import DiracIndexError, NegativeOrder, OffLattice, SingularDirection
+from diracindex.errors import (
+    DiracIndexError,
+    InvalidInput,
+    NegativeOrder,
+    OffLattice,
+    SingularDirection,
+)
 from diracindex.fixtures import sl2_families, sl2_weight, su21_ds_families
 from diracindex.groups import (
     GroupId,
@@ -32,6 +40,7 @@ from diracindex.groups import (
 from diracindex.kmodules import (
     frequencies_to_series,
     numerator_frequencies,
+    weight_multiset,
     weyl_denominator_factored,
 )
 from diracindex.series import TruncatedSeries
@@ -427,6 +436,78 @@ def test_singular_direction_raises_on_every_call():
 def test_root_ratio_refuses_a_singular_direction(y):
     with pytest.raises(SingularDirection):
         root_ratio(su21_ds_families()[0].datum, y)
+
+
+@pytest.mark.parametrize("group", [g for g in table_groups(4) if g.rank <= 4], ids=lambda g: g.label())
+def test_root_ratio_matches_the_root_products(group):
+    """prod_k alpha(y) / prod_g alpha(y) on Fractions for regular y; on a
+    singular y the refusal names a root that vanishes on it."""
+    datum = build_root_datum(group)
+    rng = random.Random(group.label())
+    for _ in range(5):
+        y = tuple(F(rng.randint(-9, 9), rng.choice([1, 2, 3])) for _ in range(datum.rank))
+        num, den = F(1), F(1)
+        for alpha in datum.compact_positive_roots:
+            num *= dot(alpha, y)
+        for alpha in datum.positive_roots:
+            den *= dot(alpha, y)
+        if den:
+            assert root_ratio(datum, y) == num / den
+            continue
+        with pytest.raises(SingularDirection) as refused:
+            root_ratio(datum, y)
+        vanishing = [str(alpha) for alpha in datum.positive_roots if dot(alpha, y) == 0]
+        assert str(refused.value).rsplit("root ", 1)[1] in vanishing
+
+
+@pytest.mark.parametrize("bad", [0.5, Decimal("0.5"), "1/2"], ids=["float", "Decimal", "str"])
+def test_weight_entries_that_are_not_rational_are_refused(bad):
+    """A float, Decimal or str entry raises InvalidInput naming it, from
+    every entry that takes a weight, instead of an AttributeError."""
+    datum = build_root_datum(GroupId.sp_r(2))
+    fam = discrete_series_family(W(2, 1), datum)
+    weight = (bad, F(1))
+    calls = [
+        lambda: weyl_denominator_factored(datum, weight, "g", 0),
+        lambda: root_ratio(datum, weight),
+        lambda: weight_multiset(weight, datum),
+        lambda: character_series(fam, weight, W(3, 1), 0),
+        lambda: character_series(fam, fam.base, weight, 0),
+        lambda: discrete_series_family(weight, datum),
+    ]
+    for call in calls:
+        with pytest.raises(InvalidInput, match=re.escape(repr(bad))):
+            call()
+
+
+def test_a_first_limit_on_a_new_direction_expands_no_sum_and_signs_nothing(monkeypatch):
+    """With the datum warm, a limit on a new direction builds moments for
+    the numerator only, none for U, and reads the W_k-orbit of y without
+    calling WeylElement.sign."""
+    fam, (lam, y) = SP13_FAMILY, SP13_POINT
+    gap = fam.datum.r_g - fam.datum.r_k
+    assert leading_limit(fam, lam, y, gap).match
+    starts, signs = [], []
+    real_moments, real_sign = kmodules._Moments, WeylElement.sign
+
+    def moments(freqs, den, start):
+        starts.append(start)
+        return real_moments(freqs, den, start)
+
+    def sign(self):
+        signs.append(self)
+        return real_sign(self)
+
+    for module in (kmodules, asymptotics):
+        monkeypatch.setattr(module, "_Moments", moments)
+    monkeypatch.setattr(WeylElement, "sign", sign)
+    new_y = W(3, -7, 2, 11)
+    for cache in (kmodules._weyl_denominator, kmodules._signed_orbit):
+        cache.cache_clear()
+    assert leading_limit(fam, lam, new_y, gap).match
+    assert kmodules._weyl_denominator.cache_info().misses == 1
+    assert kmodules._signed_orbit.cache_info().misses == 1
+    assert starts == [None] and signs == []
 
 
 def test_direction_caches_stay_bounded_over_a_sweep():

@@ -1,10 +1,12 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from diracindex import kmodules
 from diracindex.errors import (
     DimensionMismatch,
     InternalInvariantError,
@@ -436,6 +438,72 @@ def test_weyl_denominator_singular_direction_is_zero(group, y, order):
         len(d.positive_roots),
         TruncatedSeries.zero(order),
     )
+
+
+def _expanded_weyl_denominator(datum, y, which):
+    """U as it was built before it came from its root factors: the r
+    factors e^{a t/2} - e^{-a t/2} multiplied out as one sum of
+    exponentials on the integer rates alpha(y) * y_den over 2 * y_den,
+    and the moments of that sum from t^r on."""
+    y_den, y_nums = datum.form(y)
+    roots = datum.positive_roots if which == "g" else datum.compact_positive_roots
+    freqs = {0: 1}
+    for alpha in roots:
+        k = sum(a * c for a, c in zip(alpha, y_nums))
+        expanded = {f + k: c for f, c in freqs.items()}
+        for f, c in freqs.items():
+            expanded[f - k] = expanded.get(f - k, 0) - c
+        freqs = {f: c for f, c in expanded.items() if c}
+    return kmodules._Moments(freqs, 2 * y_den, len(roots))
+
+
+# Small entries with repeats and zeros: many of these directions are singular.
+small_entries = st.builds(F, st.integers(-4, 4), st.sampled_from([1, 2, 3]))
+
+
+@pytest.mark.parametrize("group", DENOMINATOR_GROUPS, ids=lambda g: g.label())
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_weyl_denominator_matches_the_expanded_sum_in_any_order(group, data):
+    """Orders 0-40 in random sequence on one cached U per (y, which): the
+    series from the root factors equals the expanded sum's, with v = r, and
+    is the zero series exactly when some root vanishes on y."""
+    datum = build_root_datum(group)
+    n = datum.rank
+    y = data.draw(st.one_of(
+        st.lists(small_entries, min_size=n, max_size=n),
+        st.lists(magnitudes, min_size=n, max_size=n, unique=True),
+    ).map(tuple))
+    orders = data.draw(st.lists(st.integers(0, 40), min_size=1, max_size=6))
+    kmodules._weyl_denominator.cache_clear()
+    for which in ("g", "k"):
+        roots = datum.positive_roots if which == "g" else datum.compact_positive_roots
+        singular = any(dot(alpha, y) == 0 for alpha in roots)
+        oracle = _expanded_weyl_denominator(datum, y, which)
+        for order in orders:
+            r, u = weyl_denominator_factored(datum, y, which, order)
+            assert r == oracle.v == len(roots)
+            assert u == oracle.series(order)
+            assert (u == TruncatedSeries.zero(order)) == singular
+    assert kmodules._weyl_denominator.cache_info().misses == 2
+
+
+@pytest.mark.parametrize("group", DENOMINATOR_GROUPS, ids=lambda g: g.label())
+def test_signed_orbit_matches_the_weyl_group(group):
+    """The orbit read off the cached picks is the multiset of
+    (sgn w, w y) over W_k, also for repeated and zero entries; the 30
+    groups include rank 1 and the rootless SO*(2)."""
+    datum = build_root_datum(group)
+    rng = random.Random(group.label())
+    n = datum.rank
+    directions = [(0,) * n, (3,) * n] + [
+        tuple(rng.randint(-9, 9) for _ in range(n)) for _ in range(4)
+    ]
+    for nums in directions:
+        expected = Counter((w.sign(), w.apply(nums)) for w in weyl_elements(datum, "k"))
+        orbit = kmodules._signed_orbit.__wrapped__(datum, nums)
+        assert len(orbit) == weyl_order(datum, "k")
+        assert Counter(orbit) == expected
 
 
 def test_unknown_which_is_rejected():

@@ -52,7 +52,8 @@ from .groups import (
 from .kmodules import (
     VirtualKModule,
     WeightMultiset,
-    _k_type_sum,
+    _column_rates,
+    _sum_on_lattice,
     frequencies_to_series,
     k_type_sum,
     tensor_virtual,
@@ -106,19 +107,39 @@ def _spin_forms(datum: RootDatum) -> tuple[Mapping[IntWeight, int], Mapping[IntW
     )
 
 
+@lru_cache(maxsize=None)
+def _spin_columns(datum: RootDatum) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """(columns, mults): the weights of S+ - S-, equal ones merged with
+    their signs, as numerator-over-2 coordinate columns (column i holds
+    twice coordinate i of every weight) and their signed multiplicities,
+    in one order."""
+    plus, minus = _spin_forms(datum)
+    signed: dict[tuple[int, ...], int] = {}
+    for sign, forms in ((1, plus), (-1, minus)):
+        for form, m in forms.items():
+            nums = over(form, 2)
+            signed[nums] = signed.get(nums, 0) + sign * m
+    signed = {nums: m for nums, m in signed.items() if m}
+    return tuple(zip(*signed)), tuple(signed.values())
+
+
 def spin_character_series(
     datum: RootDatum, y: Weight, order: int
 ) -> TruncatedSeries:
-    """ch(S+ - S-)(exp ty) as an exact series in t."""
+    """ch(S+ - S-)(exp ty) as an exact series in t.
+
+    A spin weight has denominator 1 or 2, so every rate is f / (2 y_den),
+    with f the pairing of y's numerators with twice the weight: the rates
+    are formed from the weights' coordinate columns, one map per nonzero
+    coordinate of y."""
     _check_order(order)
     y_den, y_nums = datum.form(y)
-    sw = spin_weights(datum)
-    # A spin weight has denominator 1 or 2, so every rate is f / (2 y_den).
+    spin_weights(datum)  # refuses a datum past the subset cap
+    columns, mults = _spin_columns(datum)
     freqs: dict[int, int] = {}
-    for sign, weights in ((1, sw.plus), (-1, sw.minus)):
-        for (w_den, w), m in weights.forms.items():
-            f = idot(w, y_nums) * (2 // w_den)
-            freqs[f] = freqs.get(f, 0) + sign * m
+    get = freqs.get
+    for f, m in zip(_column_rates(y_nums, columns, len(mults)), mults):
+        freqs[f] = get(f, 0) + m
     return frequencies_to_series(freqs, 2 * y_den, order)[1]
 
 
@@ -220,8 +241,9 @@ def evaluate_index(fam: IndexFamily, lam: Weight) -> VirtualKModule:
 
 
 def index_polynomial(fam: IndexFamily) -> MultiPoly:
-    """Q(lam) = sum_w a_w D_k(w^{-1} lam), as an exact polynomial: the sum
-    of the translates `act(w^{-1}, D_k) * a_w`.
+    """Q(lam) = sum_w a_w D_k(w lam), as an exact polynomial: the sum of
+    the translates `act(w^{-1}, D_k) * a_w`, since act(w^{-1}, D_k) at lam
+    is D_k(w lam).
 
     On every lattice point of the coset this equals the virtual dimension
     of evaluate_index, because D_k vanishes at compactly singular
@@ -238,20 +260,34 @@ def index_polynomial(fam: IndexFamily) -> MultiPoly:
 def verify_translation(
     fam: IndexFamily, f_highest: Weight, lam: Weight
 ) -> bool:
-    """Check I(X_lam) (x) F = sum_{mu in Delta(F)} I(X_{lam+mu}) exactly."""
-    delta = weight_multiset(f_highest, fam.datum)
-    lam = _on_coset(fam, fam.datum.form(lam))
+    """Check I(X_lam) (x) F = sum_{mu in Delta(F)} I(X_{lam+mu}) exactly.
+
+    lam must lie on the base coset, and every weight mu of F in Lambda
+    (OffLattice otherwise).  Lambda is a W-stable group, so w(lam + mu) =
+    w lam + w mu lies on Lambda + rho_g exactly when w lam does: one
+    lattice test per coefficient a_w, before normalization as E is
+    defined, decides that term on both sides, and the terms kept are
+    normalized with no other test.  When no w lam lies on it, both sides
+    are zero and the identity holds.
+    """
+    datum = fam.datum
+    delta = weight_multiset(f_highest, datum)
+    lam = _on_coset(fam, datum.form(lam))
     # lam is on the coset, so lam + mu is on it exactly when mu is in
     # Lambda; _on_coset raises for the first lam + mu that is not.
     for mu in delta.forms:
-        if not fam.datum.lattice(*mu):
+        if not datum.lattice(*mu):
             _on_coset(fam, int_add(lam, mu))
 
-    coeffs = fam.coeffs.items()
-    left = tensor_virtual(_k_type_sum(fam.datum, _index_terms(coeffs, lam)), delta)
+    den, nums = lam
+    on_lattice = datum.on_shifted_lattice_form
+    coeffs = [(w, a) for w, a in fam.coeffs.items() if on_lattice((den, w.apply(nums)))]
+    if not coeffs:
+        return True
+    left = tensor_virtual(_sum_on_lattice(datum, _index_terms(coeffs, lam)), delta)
     right = [term for mu, m in delta.forms.items()
              for term in _index_terms(coeffs, int_add(lam, mu), m)]
-    return left == _k_type_sum(fam.datum, right)
+    return left == _sum_on_lattice(datum, right)
 
 
 def is_integral_weyl(w: WeylElement, base: Weight, datum: RootDatum) -> bool:

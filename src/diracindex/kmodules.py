@@ -14,11 +14,16 @@ positive-root steps that stay dominant, in descending order of |mu + rho|^2.
 Modules and multisets store their weights as integer forms (see
 `groups`): `forms` maps (den, nums) to a coefficient or multiplicity, and
 `VirtualKModule.coeffs` and `WeightMultiset.mults` are its `Weight` view,
-built on first read.  k_type_sum normalizes every (gamma, c) pair
-into one dictionary on integer numerators and builds its module through
-the trusted constructor, since normalization already guarantees what the
-public constructor checks.  frequencies_to_series builds an
-exponential sum from integer rates over one denominator; it divides out
+built on first read.  k_type_sum tests each (gamma, c) pair against
+the lattice, normalizes the pairs on it into one dictionary on integer
+numerators and builds its module through the trusted constructor, since
+normalization already guarantees what the public constructor checks.
+Where the lattice question is decided once for many terms, the terms
+skip the test: tensor_virtual tests each weight of the multiset once,
+and verify_translation each family term once.  frequencies_to_series
+builds an exponential sum from integer rates over one denominator; the
+spin series and the Weyl numerators form their rates from coordinate
+columns, one map per nonzero coordinate.  It divides out
 a known power of t exactly, or finds the valuation by stepping the
 integer moments, and builds only the coefficients it returns, as integer
 numerators over one denominator.  The Weyl denominator d(exp ty) =
@@ -28,12 +33,16 @@ U(0) = prod alpha(y) takes r integer products.
 
 What depends only on the datum, or on the datum and a direction y, is
 built once in a module-level cache: the weights of V(highest) per
-(datum, highest), the signs and index maps of W_k per datum, the signed
-W_k-orbit of y read off them, and U per (datum, y, g or k), stepped to
-the largest order asked so far; the two keyed by y keep
-DIRECTION_CACHE_SIZE entries at most.
-Inputs are still checked on every call, and every call gets new objects:
-a multiset of its own, and a series sliced from the cached integers.
+(datum, highest), the signs and per-coordinate index maps of W_k per
+datum, the signed W_k-orbit of y read off them as coordinate columns,
+and U per (datum, y, g or k), stepped to the largest order asked so far;
+the two keyed by y keep DIRECTION_CACHE_SIZE entries at most.  The
+dominant representative and sign of each K-type parameter are kept per
+(datum, numerators), K_TYPE_CACHE_SIZE entries at most.  A cache never
+keeps an exception: a wrong length or a highest weight that is not
+dominant integral raises on every call.  Every call gets new objects: a
+module and a multiset of its own, the multiset's dict copied in one step
+from the read-only cache, and a series sliced from the cached integers.
 """
 
 from __future__ import annotations
@@ -41,11 +50,13 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
 from math import comb, factorial, lcm, prod
-from operator import itemgetter, mul
+from operator import add, itemgetter, mul
 from types import MappingProxyType
 
 from .errors import (
+    DimensionMismatch,
     InternalInvariantError,
     NotDominantIntegral,
     SingularDirection,
@@ -72,6 +83,9 @@ from .weylaction import weyl_dim_value, weyl_dim_value_g
 # Entries of each cache keyed by a direction y: a round of the `character`
 # benchmark asks for at most 18 Weyl denominators and 6 orbits.
 DIRECTION_CACHE_SIZE = 64
+# Entries of the K-type normalization cache: a seed-1 pass of the
+# `character` benchmark normalizes 656 distinct parameters.
+K_TYPE_CACHE_SIZE = 4096
 
 
 class _OnForms:
@@ -130,18 +144,34 @@ class VirtualKModule(_OnForms):
         return hash((self.datum.group, frozenset(self.forms.items())))
 
 
-def _k_type_sum(datum: RootDatum, terms: Iterable[tuple[IntWeight, int]]) -> VirtualKModule:
-    """k_type_sum on canonical integer forms; a signed permutation keeps a
-    form canonical, so the dominant representatives need no reduction.
-    normalize_k_dominant checks each length before the lattice test."""
+@lru_cache(maxsize=K_TYPE_CACHE_SIZE)
+def _k_dominant(datum: RootDatum, nums: tuple[int, ...]) -> tuple[int, tuple[int, ...]] | None:
+    """normalize_k_dominant on the numerators of an integer form, once per
+    (datum, nums): it reads only the compact blocks, which datum equality
+    compares, and a wrong length raises, uncached, on every call."""
+    return normalize_k_dominant(datum, nums)
+
+
+def _sum_on_lattice(datum: RootDatum, terms: Iterable[tuple[IntWeight, int]]) -> VirtualKModule:
+    """sum c * E(gamma) over (form, c) pairs whose canonical forms of
+    length the rank all lie on Lambda + rho_g; a signed permutation keeps a
+    form canonical, so the dominant representatives need no reduction."""
     acc: dict[IntWeight, int] = {}
-    for form, c in terms:
-        normalized = normalize_k_dominant(datum, form[1])
-        if normalized is not None and datum.on_shifted_lattice_form(form):
+    get = acc.get
+    for (den, nums), c in terms:
+        normalized = _k_dominant(datum, nums)
+        if normalized is not None:
             sign, dom = normalized
-            key = (form[0], dom)
-            acc[key] = acc.get(key, 0) + sign * c
+            key = den, dom
+            acc[key] = get(key, 0) + sign * c
     return VirtualKModule._trusted(datum, {key: c for key, c in acc.items() if c})
+
+
+def _k_type_sum(datum: RootDatum, terms: Iterable[tuple[IntWeight, int]]) -> VirtualKModule:
+    """k_type_sum on canonical integer forms of length the rank: one
+    lattice test per term drops those off Lambda + rho_g."""
+    on_lattice = datum.on_shifted_lattice_form
+    return _sum_on_lattice(datum, [(form, c) for form, c in terms if on_lattice(form)])
 
 
 def k_type_sum(datum: RootDatum, terms: Iterable[tuple[Weight, int]]) -> VirtualKModule:
@@ -149,8 +179,10 @@ def k_type_sum(datum: RootDatum, terms: Iterable[tuple[Weight, int]]) -> Virtual
 
     E(gamma) is zero when gamma is off the shifted lattice or singular for a
     compact root; otherwise sgn(x) times the dominant representative x.gamma.
+    Each length is checked before the lattice test.
     """
-    return _k_type_sum(datum, ((int_form(gamma), c) for gamma, c in terms))
+    form = datum.form
+    return _k_type_sum(datum, ((form(gamma), c) for gamma, c in terms))
 
 
 def dim_virtual(module: VirtualKModule) -> int:
@@ -175,8 +207,11 @@ class WeightMultiset(_OnForms):
                  forms: Mapping[IntWeight, int] | None = None):
         if forms is None:
             forms = {int_form(w): m for w, m in (mults or {}).items()}
-        self.forms, self._view = dict(forms), None
-        if any(m <= 0 for m in self.forms.values()):
+        # dict() reads a read-only cache key by key; its copy() is the
+        # wrapped dict's, in one step.
+        self.forms = forms.copy() if isinstance(forms, MappingProxyType) else dict(forms)
+        self._view = None
+        if min(self.forms.values(), default=1) <= 0:
             raise ValueError("multiplicities must be positive")
 
 
@@ -280,7 +315,16 @@ def weyl_orbit(datum: RootDatum, mu: Weight) -> set[Weight]:
 def _weight_forms(datum: RootDatum, highest: Weight) -> Mapping[IntWeight, int]:
     """The weights of V(highest) with their multiplicities, on integer
     forms: the W-orbits of the dominant weights, checked integral and
-    against the Weyl dimension; read-only."""
+    against the Weyl dimension; read-only.  A highest weight that is not
+    dominant integral raises NotDominantIntegral, uncached, on every call."""
+    den, top = int_form(highest)
+    for alpha in datum.positive_roots:
+        # <alpha^vee, highest> = 2 (top, alpha) / (den (alpha, alpha))
+        twice, scale = 2 * idot(top, alpha), den * idot(alpha, alpha)
+        if twice < 0 or twice % scale:
+            raise NotDominantIntegral(
+                f"<{alpha}, {highest}> = {Fraction(twice, scale)} is not a nonnegative integer"
+            )
     forms: dict[IntWeight, int] = {}
     for mu, m in _dominant_character(datum, highest):
         if m.denominator != 1:
@@ -302,22 +346,30 @@ def weight_multiset(highest: Weight, datum: RootDatum) -> WeightMultiset:
     weight, with multiplicities (Freudenthal recursion, exact rationals).
     The weights are built once per (datum, highest), and each call gets a
     new multiset."""
-    den, top = datum.form(highest)
-    for alpha in datum.positive_roots:
-        # <alpha^vee, highest> = 2 (top, alpha) / (den (alpha, alpha))
-        twice, scale = 2 * idot(top, alpha), den * idot(alpha, alpha)
-        if twice < 0 or twice % scale:
-            raise NotDominantIntegral(
-                f"<{alpha}, {highest}> = {Fraction(twice, scale)} is not a nonnegative integer"
-            )
+    datum.form(highest)  # checks the length
     return WeightMultiset(forms=_weight_forms(datum, tuple(highest)))
 
 
 def tensor_virtual(module: VirtualKModule, delta: WeightMultiset) -> VirtualKModule:
-    """Tensor by the weight multiset of a finite-dimensional module."""
-    shifted = [(int_add(gamma, mu), c * m)
-               for gamma, c in module.forms.items() for mu, m in delta.forms.items()]
-    return _k_type_sum(module.datum, shifted)
+    """Tensor by the weight multiset of a finite-dimensional module.
+
+    The module's parameters lie on Lambda + rho_g, and Lambda is a group,
+    so gamma + mu lies on it exactly when mu lies in Lambda: one test per
+    weight of delta decides every term, and the weights off Lambda drop
+    out."""
+    datum = module.datum
+    rank, lattice = datum.rank, datum.lattice
+    weights = []
+    for mu, m in delta.forms.items():
+        if len(mu[1]) != rank:
+            raise DimensionMismatch(f"weight length {len(mu[1])} != rank {rank}")
+        if lattice(*mu):
+            weights.append((mu, m))
+    # Integral forms, the common case, add entrywise.
+    return _sum_on_lattice(datum, [
+        ((1, tuple(map(add, nums, mu[1]))) if den == mu[0] == 1 else int_add((den, nums), mu),
+         c * m)
+        for (den, nums), c in module.forms.items() for mu, m in weights])
 
 
 # -- exact character series on the compact torus ----------------------
@@ -335,28 +387,42 @@ def _check_regular(datum: RootDatum, y: IntWeight) -> None:
 
 
 @lru_cache(maxsize=None)
-def _signed_k_getters(datum: RootDatum) -> tuple[tuple[int, itemgetter], ...]:
-    """(sgn w, get) over W_k, once per datum, with get(y + (-y)) = w y:
-    (w y)_i = signs[i] y[perm[i]] is entry perm[i] of y followed by -y,
-    or entry perm[i] + rank when signs[i] = -1."""
+def _signed_k_getters(datum: RootDatum) -> tuple[tuple[int, ...], tuple[itemgetter, ...]]:
+    """(signs, gets), once per datum: sgn w over W_k, and per coordinate i
+    a getter with gets[i](y + (-y)) = ((w y)_i over W_k), in the order of
+    signs.  (w y)_i = signs[i] y[perm[i]] is entry perm[i] of y followed
+    by -y, or entry perm[i] + rank when signs[i] = -1."""
     rank = datum.rank
-    out = []
-    for w in weyl_elements(datum, "k"):
-        picks = [p if s > 0 else p + rank for p, s in zip(w.perm, w.signs)]
-        # itemgetter of one index returns the entry, not a 1-tuple
-        get = itemgetter(*picks) if rank > 1 else itemgetter(slice(picks[0], picks[0] + 1))
-        out.append((w.sign(), get))
-    return tuple(out)
+    elements = weyl_elements(datum, "k")
+    picks = [[p if s > 0 else p + rank for p, s in zip(w.perm, w.signs)] for w in elements]
+    # itemgetter of one index returns the entry, not a 1-tuple
+    gets = tuple(
+        itemgetter(*column) if len(elements) > 1 else itemgetter(slice(column[0], column[0] + 1))
+        for column in zip(*picks))
+    return tuple(w.sign() for w in elements), gets
 
 
 @lru_cache(maxsize=DIRECTION_CACHE_SIZE)
 def _signed_orbit(
     datum: RootDatum, y_nums: tuple[int, ...]
-) -> tuple[tuple[int, tuple[int, ...]], ...]:
-    """(sgn w, w y) over W_k, on the numerators of y, read off the getters
-    of the datum."""
+) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """(signs, columns): sgn w over W_k, and column i the entries (w y)_i
+    in the same order, on the numerators of y, read off the getters of the
+    datum."""
     both = y_nums + tuple(-c for c in y_nums)
-    return tuple((sign, get(both)) for sign, get in _signed_k_getters(datum))
+    signs, gets = _signed_k_getters(datum)
+    return signs, tuple(get(both) for get in gets)
+
+
+def _column_rates(coords: Iterable[int], columns: tuple[tuple[int, ...], ...], size: int):
+    """sum_i coords[i] * columns[i], entrywise, as an iterator of size
+    integers: one map per nonzero coordinate."""
+    rates = None
+    for c, column in zip(coords, columns):
+        if c:
+            term = map(mul, column, repeat(c))
+            rates = term if rates is None else map(add, rates, term)
+    return repeat(0, size) if rates is None else rates
 
 
 def numerator_frequencies(module: VirtualKModule, y: Weight) -> tuple[int, dict[int, int]]:
@@ -365,7 +431,8 @@ def numerator_frequencies(module: VirtualKModule, y: Weight) -> tuple[int, dict[
     sum freqs[f] e^{(f / D) t}, over its nonzero frequencies.
 
     (w gamma)(y) = gamma(w^-1 y), so the signed W_k-orbit of y is read
-    from a cache per (datum, y)."""
+    from a cache per (datum, y), as coordinate columns: each K-type's
+    rates take one map per nonzero coordinate."""
     return _numerator_frequencies(module, module.datum.form(y))
 
 
@@ -373,14 +440,17 @@ def _numerator_frequencies(module: VirtualKModule, y: IntWeight) -> tuple[int, d
     """numerator_frequencies on the integer form of y."""
     datum = module.datum
     y_den, y_nums = y
-    orbit = _signed_orbit(datum, y_nums)
+    signs, columns = _signed_orbit(datum, y_nums)
+    size = len(signs)
     den = y_den * lcm(*(form[0] for form in module.forms))
     freqs: dict[int, int] = {}
+    get = freqs.get
     for (gamma_den, gamma), c in module.forms.items():
         scale = den // (gamma_den * y_den)
-        for sign, wy in orbit:
-            f = idot(gamma, wy) * scale
-            freqs[f] = freqs.get(f, 0) + sign * c
+        if scale != 1:
+            gamma = [g * scale for g in gamma]
+        for f, sign in zip(_column_rates(gamma, columns, size), signs):
+            freqs[f] = get(f, 0) + sign * c
     return den, {f: c for f, c in freqs.items() if c}
 
 

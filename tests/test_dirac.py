@@ -3,7 +3,7 @@ from fractions import Fraction as F
 from itertools import combinations
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from diracindex.dirac import (
     IndexFamily,
@@ -691,6 +691,37 @@ def test_index_polynomial_matches_fraction_oracle(recipe):
     dk = weyl_dim_poly(datum)
     for w in fam.coeffs:
         assert act(w, dk) == _fraction_act(w, dk)
+
+
+@settings(max_examples=100, deadline=None)
+@given(family_recipes(), st.data())
+def test_index_polynomial_evaluates_dk_at_w_lam(recipe, data):
+    """Q(lam) = sum_w a_w D_k(w lam) on multi-term families of rank <= 4,
+    at rational points: act(w^{-1}, D_k) at lam is D_k(w lam)."""
+    datum, base, terms = recipe
+    elements = weyl_elements(datum, "g")
+    source = discrete_series_family(base, datum)
+    fam = IndexFamily(datum, base, {})
+    for i, c in terms:
+        fam = family_combination(fam, act_on_family(elements[i], source), 1, c)
+    assume(len(fam.coeffs) > 1)
+    q, dk = index_polynomial(fam), weyl_dim_poly(datum)
+    for _ in range(3):
+        den = data.draw(st.integers(1, 3))
+        lam = tuple(F(data.draw(st.integers(-6, 6)), den) for _ in range(datum.rank))
+        assert q.evaluate(lam) == sum(a * dk.evaluate(w.apply(lam)) for w, a in fam.coeffs.items())
+
+
+def test_index_polynomial_is_not_dk_at_w_inverse_lam():
+    """A 3-cycle w of Sp(6,R), with w != w^-1: Q of the family a_w = 1 is
+    D_k(w lam), which differs from D_k(w^-1 lam) at a generic point."""
+    datum = build_root_datum(GroupId.sp_r(3))
+    w = WeylElement((1, 2, 0), (1, -1, 1))
+    assert w != w.inverse()
+    q = index_polynomial(IndexFamily(datum, datum.rho_g, {w: 1}))
+    dk = weyl_dim_poly(datum)
+    lam = (F(5), F(2), F(-1))
+    assert q.evaluate(lam) == dk.evaluate(w.apply(lam)) != dk.evaluate(w.inverse().apply(lam))
 
 
 def _index_polynomial_packed(fam):

@@ -490,9 +490,10 @@ def test_weyl_denominator_matches_the_expanded_sum_in_any_order(group, data):
 
 @pytest.mark.parametrize("group", DENOMINATOR_GROUPS, ids=lambda g: g.label())
 def test_signed_orbit_matches_the_weyl_group(group):
-    """The orbit read off the cached picks is the multiset of
-    (sgn w, w y) over W_k, also for repeated and zero entries; the 30
-    groups include rank 1 and the rootless SO*(2)."""
+    """The orbit read off the cached picks, rebuilt from its signs and
+    coordinate columns, is the multiset of (sgn w, w y) over W_k, also for
+    repeated and zero entries; the 30 groups include rank 1 and the
+    rootless SO*(2)."""
     datum = build_root_datum(group)
     rng = random.Random(group.label())
     n = datum.rank
@@ -501,9 +502,10 @@ def test_signed_orbit_matches_the_weyl_group(group):
     ]
     for nums in directions:
         expected = Counter((w.sign(), w.apply(nums)) for w in weyl_elements(datum, "k"))
-        orbit = kmodules._signed_orbit.__wrapped__(datum, nums)
-        assert len(orbit) == weyl_order(datum, "k")
-        assert Counter(orbit) == expected
+        signs, columns = kmodules._signed_orbit.__wrapped__(datum, nums)
+        assert len(columns) == n
+        assert all(len(column) == len(signs) == weyl_order(datum, "k") for column in columns)
+        assert Counter(zip(signs, zip(*columns))) == expected
 
 
 def test_unknown_which_is_rejected():

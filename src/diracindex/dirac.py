@@ -268,7 +268,10 @@ def verify_translation(
     lattice test per coefficient a_w, before normalization as E is
     defined, decides that term on both sides, and the terms kept are
     normalized with no other test.  When no w lam lies on it, both sides
-    are zero and the identity holds.
+    are zero and the identity holds.  On a lattice that holds no root the
+    representative of w lam can leave Lambda + rho_g; the left side still
+    tensors it, as the test of w lam decided that term (see
+    RootDatum.lattice).
     """
     datum = fam.datum
     delta = weight_multiset(f_highest, datum)

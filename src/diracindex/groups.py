@@ -257,7 +257,12 @@ class RootDatum(Value):
     equal whatever their lattice predicate, and hash as their group."""
 
     # pos_roots holds (root, compact?) pairs; lattice(den, nums) tells
-    # whether the weight nums / den is in the lattice.
+    # whether the weight nums / den is in the lattice Lambda.  Lambda must
+    # be a W_g-stable subgroup: kmodules and dirac decide whether gamma + mu
+    # lies on Lambda + rho_g by testing gamma and mu apart, and w(lam + mu)
+    # by testing w lam and mu.  The package's lattices also hold every root,
+    # so Lambda + rho_g is W_g-stable; on one that holds none, k_type_sum can
+    # return dominant representatives off Lambda + rho_g.
     _fields = (
         "group", "rank", "pos_roots", "rho_g", "rho_k", "ambient", "compact_blocks", "lattice"
     )

@@ -21,12 +21,12 @@ normalization already guarantees what the public constructor checks.
 Where the lattice question is decided once for many terms, the terms
 skip the test: tensor_virtual tests each weight of the multiset once,
 and verify_translation each family term once.  frequencies_to_series
-builds an exponential sum from integer rates over one denominator; the
-spin series and the Weyl numerators form their rates from coordinate
-columns, one map per nonzero coordinate.  It divides out
-a known power of t exactly, or finds the valuation by stepping the
-integer moments, and builds only the coefficients it returns, as integer
-numerators over one denominator.  The Weyl denominator d(exp ty) =
+builds an exponential sum from integer rates over one denominator.  It
+divides out a known power of t exactly, or finds the valuation by
+stepping the integer moments, and builds only the coefficients it
+returns, as integer numerators over one denominator.  The spin series
+and the Weyl numerators form their rates from coordinate columns, one
+map per nonzero coordinate.  The Weyl denominator d(exp ty) =
 t^r U(t) is never multiplied out into one sum: U is built from its r
 root factors by a binomial recurrence on integers (`_RootProduct`), and
 U(0) = prod alpha(y) takes r integer products.
@@ -356,20 +356,20 @@ def tensor_virtual(module: VirtualKModule, delta: WeightMultiset) -> VirtualKMod
     The module's parameters lie on Lambda + rho_g, and Lambda is a group,
     so gamma + mu lies on it exactly when mu lies in Lambda: one test per
     weight of delta decides every term, and the weights off Lambda drop
-    out."""
+    out.  A module that k_type_sum built on a lattice holding no root is
+    outside this contract: its dominant representatives need not lie on
+    Lambda + rho_g (see RootDatum.lattice)."""
     datum = module.datum
     rank, lattice = datum.rank, datum.lattice
     weights = []
     for mu, m in delta.forms.items():
+        # int_add checks the length of a kept weight only.
         if len(mu[1]) != rank:
             raise DimensionMismatch(f"weight length {len(mu[1])} != rank {rank}")
         if lattice(*mu):
             weights.append((mu, m))
-    # Integral forms, the common case, add entrywise.
-    return _sum_on_lattice(datum, [
-        ((1, tuple(map(add, nums, mu[1]))) if den == mu[0] == 1 else int_add((den, nums), mu),
-         c * m)
-        for (den, nums), c in module.forms.items() for mu, m in weights])
+    return _sum_on_lattice(datum, [(int_add(gamma, mu), c * m)
+                                   for gamma, c in module.forms.items() for mu, m in weights])
 
 
 # -- exact character series on the compact torus ----------------------

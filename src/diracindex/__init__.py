@@ -9,11 +9,9 @@ from .dirac import (
     IndexFamily,
     SpinWeights,
     act_on_family,
-    chamber_sign,
-    canonical_coeffs,
     discrete_series_family,
     evaluate_index,
-    families_equivalent,
+    evaluate_q,
     family_combination,
     index_discrete_series,
     index_polynomial,
@@ -65,7 +63,6 @@ from .springer import (
     Symbol,
     bipartition_dim,
     bipartition_of_symbol,
-    dual_partition,
     orbit_dim,
     partition_of_symbol,
     sigma_k_bipartition,
@@ -75,7 +72,6 @@ from .springer import (
     symbol_of_bipartition,
     symbol_of_partition,
     symbols_equivalent,
-    valid_nilpotent,
 )
 from .suites import SuiteReport, run_suite
 from .sun1 import (

@@ -5,8 +5,10 @@ character of its Dirac index divided by ch(S+ - S-) = d_g/d_k, so as an
 exact Laurent series in t it is (sum_w a_w N_{w lam})/d_g.  The pole
 order never exceeds r_g - r_k, and the coefficient at exactly that order
 is (prod_{compact} alpha(y) / prod_{all} alpha(y)) * Q(lam) with Q the
-index polynomial.  Everything here is rational arithmetic; the limit
-checks are exact equalities.
+index polynomial.  Q(lam) = sum_w a_w D_k(w lam) is read from the root
+products of D_k at the points w lam (`dirac.evaluate_q`); Q is never
+expanded here.  Everything here is rational arithmetic; the limit checks
+are exact equalities.
 
 The order contract: `character_series(..., order)` returns order + 1
 coefficients from the lowest power of t, as integer numerators over one
@@ -24,7 +26,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .dirac import IndexFamily, _index_terms, _on_coset, index_polynomial
+from .dirac import IndexFamily, _index_terms, _on_coset, evaluate_q
 from .errors import DimensionMismatch
 from .groups import IntWeight, RootDatum, Weight, WeylElement, idot, int_form
 from .kmodules import (
@@ -141,6 +143,8 @@ def leading_limit(fam: IndexFamily, lam: Weight, y: Weight, d: int) -> LimitRepo
 
     expected is 0 for d above r_g - r_k, the root ratio times Q(lam) at
     d = r_g - r_k, and None below that (the theorem is silent there).
+    Q(lam) comes from the root products of D_k at the points w lam
+    (`dirac.evaluate_q`), with no polynomial built.
     When d is smaller than the actual pole order the limit diverges; the
     report flags underflow instead of raising.
 
@@ -160,7 +164,7 @@ def leading_limit(fam: IndexFamily, lam: Weight, y: Weight, d: int) -> LimitRepo
     if d > gap:
         expected: Fraction | None = Fraction(0)
     elif d == gap:
-        expected = root_ratio(datum, y) * index_polynomial(fam).evaluate(lam)
+        expected = root_ratio(datum, y) * evaluate_q(fam, lam)
     else:
         expected = None
     match = expected is not None and value == expected

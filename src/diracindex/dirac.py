@@ -41,7 +41,6 @@ from .groups import (
     RootDatum,
     Weight,
     WeylElement,
-    dominate,
     from_int_form,
     idot,
     int_add,
@@ -62,7 +61,7 @@ from .kmodules import (
 from .polynomials import MultiPoly, linear_combination
 from .series import TruncatedSeries, _check_order
 from .value import Value
-from .weylaction import act, weyl_dim_poly
+from .weylaction import _weyl_product, act, weyl_dim_poly
 
 SPIN_SUBSET_CAP = 20
 
@@ -143,13 +142,9 @@ def spin_character_series(
     return frequencies_to_series(freqs, 2 * y_den, order)[1]
 
 
-def chamber_sign(lam: Weight, datum: RootDatum) -> int:
-    """(-1)^(number of positive noncompact roots made negative by lam)."""
-    return _chamber_sign(datum, datum.form(lam))
-
-
 def _chamber_sign(datum: RootDatum, lam: IntWeight) -> int:
-    """chamber_sign on the integer form of lam."""
+    """(-1)^(number of positive noncompact roots made negative by lam), on
+    the integer form of lam."""
     flips = sum(1 for beta in datum.noncompact_positive_roots if idot(lam[1], beta) < 0)
     return -1 if flips % 2 else 1
 
@@ -158,7 +153,7 @@ def index_discrete_series(lam: Weight, datum: RootDatum) -> VirtualKModule:
     """Dirac index of the discrete series with Harish-Chandra parameter lam."""
     if not datum.is_g_regular(lam):
         raise SingularParameter(f"{lam} is singular")
-    return k_type_sum(datum, [(lam, chamber_sign(lam, datum))])
+    return k_type_sum(datum, [(lam, _chamber_sign(datum, datum.form(lam)))])
 
 
 class IndexFamily(Value):
@@ -251,10 +246,21 @@ def index_polynomial(fam: IndexFamily) -> MultiPoly:
     translates are summed on their numerators and normalized once.  A
     discrete-series family has one coefficient +-1 on the identity, so Q
     is its one translate, +-D_k: a unit scalar keeps the normalized form.
+    Its value at one point is evaluate_q, which expands nothing.
     """
     dk = weyl_dim_poly(fam.datum)
     return linear_combination(
         fam.datum.rank, [(act(w.inverse(), dk), a) for w, a in fam.coeffs.items()])
+
+
+def evaluate_q(fam: IndexFamily, lam: Weight) -> Fraction:
+    """Q(lam) = sum_w a_w D_k(w lam) at one point, from the root products of
+    D_k on the integer forms w lam, with no polynomial built: the value of
+    index_polynomial(fam) at lam, at any lam of length the rank."""
+    datum = fam.datum
+    den, nums = datum.form(lam)
+    return _weyl_product(datum.compact_positive_roots, datum.rho_k_form, den,
+                         [(w.apply(nums), a) for w, a in fam.coeffs.items()])
 
 
 def verify_translation(
@@ -317,25 +323,3 @@ def act_on_family(
         raise ValueError("Weyl element is not integral for the base parameter")
     coeffs = {u.compose(w.inverse()): a for u, a in fam.coeffs.items()}
     return fam.replace(coeffs=coeffs)
-
-
-def canonical_coeffs(fam: IndexFamily) -> dict[WeylElement, int]:
-    """Coefficients folded onto coset representatives making w(base)
-    dominant for the compact positive system.  Families that differ only
-    by the compact-coset ambiguity fold to the same dictionary."""
-    out: dict[WeylElement, int] = {}
-    for w, a in fam.coeffs.items():
-        x, regular = dominate(fam.datum.compact_blocks, w.apply(fam.base))
-        if regular:
-            w, a = x.compose(w), x.sign() * a
-        # A compactly singular translate keeps its raw representative.
-        out[w] = out.get(w, 0) + a
-    return {w: a for w, a in out.items() if a != 0}
-
-
-def families_equivalent(fam: IndexFamily, other: IndexFamily) -> bool:
-    """Equality up to the compact-coset ambiguity of the coefficients."""
-    if fam.datum.group != other.datum.group or fam.base != other.base:
-        return False
-    return canonical_coeffs(fam) == canonical_coeffs(other)
-

@@ -25,9 +25,9 @@ and both act alike on a weight and on the numerators of its integer form;
 pass ``datum.compact_blocks`` for W_k and ``(datum.ambient,)`` for W_g.
 ``dominate(blocks, gamma)`` returns the element x of the blocks' Weyl
 group with x.gamma dominant, and whether gamma is regular for the blocks'
-roots; index-family folding and the dominant weights of the Freudenthal
-recursion read it.  ``_signed_dominant(blocks, gamma)`` returns only
-(sign(x), x.gamma), or None when gamma is singular, without building x:
+roots; only the dominant weights of the Freudenthal recursion read it.
+``_signed_dominant(blocks, gamma)`` returns only (sign(x), x.gamma), or
+None when gamma is singular, without building x:
 ``normalize_k_dominant`` runs on it, and through it every K-type sum.
 The tests hold it to ``dominate``.
 SU(p,q) weights are *not* quotiented by the trace line; every quantity
@@ -305,12 +305,9 @@ class RootDatum(Value):
             raise DimensionMismatch(f"weight length {len(w)} != rank {self.rank}")
         return int_form(w)
 
-    def on_shifted_lattice(self, gamma: Weight) -> bool:
-        """Membership in Lambda + rho_g, the allowed spectral parameters."""
-        return len(gamma) == self.rank and self.on_shifted_lattice_form(int_form(gamma))
-
     def on_shifted_lattice_form(self, form: IntWeight) -> bool:
-        """on_shifted_lattice on an integer form of length the rank."""
+        """Membership in Lambda + rho_g, the allowed spectral parameters, of
+        an integer form of length the rank."""
         (form_den, nums), (rho_den, rho_nums) = form, self.rho_g_form
         den = math.lcm(form_den, rho_den)
         a, b = den // form_den, den // rho_den

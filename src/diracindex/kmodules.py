@@ -78,7 +78,7 @@ from .groups import (
     weyl_elements,
 )
 from .series import TruncatedSeries, _check_order
-from .weylaction import weyl_dim_value, weyl_dim_value_g
+from .weylaction import _weyl_product, weyl_dim_value_g
 
 # Entries of each cache keyed by a direction y: a round of the `character`
 # benchmark asks for at most 18 Weyl denominators and 6 orbits.
@@ -186,12 +186,15 @@ def k_type_sum(datum: RootDatum, terms: Iterable[tuple[Weight, int]]) -> Virtual
 
 
 def dim_virtual(module: VirtualKModule) -> int:
-    """Dimension sum(coeff * WeylDim); exact and always an integer."""
-    total = Fraction(0)
-    for gamma, c in module.coeffs.items():
-        total += c * weyl_dim_value(module.datum, gamma)
+    """Dimension sum(coeff * WeylDim), exact: one root product over the
+    module's integer forms, brought to one denominator.  A sum that is not
+    an integer breaks an invariant (InternalInvariantError)."""
+    datum = module.datum
+    den = lcm(*(form[0] for form in module.forms))
+    total = _weyl_product(datum.compact_positive_roots, datum.rho_k_form, den,
+                          [(over(form, den), c) for form, c in module.forms.items()])
     if total.denominator != 1:
-        raise ValueError(f"non-integral virtual dimension {total}")
+        raise InternalInvariantError(f"non-integral virtual dimension {total}")
     return int(total)
 
 
@@ -375,12 +378,9 @@ def tensor_virtual(module: VirtualKModule, delta: WeightMultiset) -> VirtualKMod
 # -- exact character series on the compact torus ----------------------
 
 
-def check_regular_direction(datum: RootDatum, y: Weight) -> None:
-    _check_regular(datum, datum.form(y))
-
-
 def _check_regular(datum: RootDatum, y: IntWeight) -> None:
-    """check_regular_direction on the integer form of y."""
+    """Raise SingularDirection when a positive root vanishes on y, given by
+    its integer form."""
     for alpha in datum.positive_roots:
         if idot(alpha, y[1]) == 0:
             raise SingularDirection(f"direction is singular for root {alpha}")
@@ -425,19 +425,15 @@ def _column_rates(coords: Iterable[int], columns: tuple[tuple[int, ...], ...], s
     return repeat(0, size) if rates is None else rates
 
 
-def numerator_frequencies(module: VirtualKModule, y: Weight) -> tuple[int, dict[int, int]]:
+def _numerator_frequencies(module: VirtualKModule, y: IntWeight) -> tuple[int, dict[int, int]]:
     """(D, freqs): the Weyl numerator sum_gamma c_gamma sum_{w in W_k}
-    sgn(w) e^{(w gamma)(y) t} of the module at exp(t y) is
-    sum freqs[f] e^{(f / D) t}, over its nonzero frequencies.
+    sgn(w) e^{(w gamma)(y) t} of the module at exp(t y), y given by its
+    integer form, is sum freqs[f] e^{(f / D) t}, over its nonzero
+    frequencies.
 
     (w gamma)(y) = gamma(w^-1 y), so the signed W_k-orbit of y is read
     from a cache per (datum, y), as coordinate columns: each K-type's
     rates take one map per nonzero coordinate."""
-    return _numerator_frequencies(module, module.datum.form(y))
-
-
-def _numerator_frequencies(module: VirtualKModule, y: IntWeight) -> tuple[int, dict[int, int]]:
-    """numerator_frequencies on the integer form of y."""
     datum = module.datum
     y_den, y_nums = y
     signs, columns = _signed_orbit(datum, y_nums)

@@ -167,24 +167,16 @@ def bipartition_of_symbol(sym: Symbol) -> Bipartition:
     return Bipartition(alpha, beta)
 
 
-def dual_partition(p: Partition) -> Partition:
-    return _dual(check_partition(p) if p else ())
-
-
 def _dual(p: Partition) -> Partition:
-    """dual_partition of a checked partition."""
+    """The dual (transposed) partition of a checked partition."""
     return tuple(sum(1 for x in p if x >= i) for i in range(1, p[0] + 1)) if p else ()
 
 
-def valid_nilpotent(p: Partition, kind: str, total: int) -> bool:
-    """Parity rules for nilpotent-orbit partitions of the classical types:
-    type A needs only the right size; even parts need even multiplicity in
-    types B and D; odd parts need even multiplicity in type C."""
-    return _valid_nilpotent(check_partition(p) if p else (), kind, total)
-
-
 def _valid_nilpotent(p: Partition, kind: str, total: int) -> bool:
-    """valid_nilpotent of a checked partition."""
+    """Parity rules for nilpotent-orbit partitions of the classical types,
+    on a checked partition: type A needs only the right size; even parts
+    need even multiplicity in types B and D; odd parts need even
+    multiplicity in type C."""
     if sum(p) != total:
         return False
     if kind == "A":
@@ -220,8 +212,8 @@ def orbit_dim(p: Partition, kind: str, total: int) -> int:
 
 
 def hook_product(p: Partition) -> int:
-    rows = list(p)
-    dual = dual_partition(p)
+    rows = check_partition(p) if p else ()
+    dual = _dual(rows)
     prod = 1
     for r, row_len in enumerate(rows):
         for c in range(row_len):

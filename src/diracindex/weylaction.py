@@ -5,6 +5,9 @@ P(w^{-1} lam) is `MultiPoly.permute` on w's (perm, signs), and the orbit
 span is `polynomials.invariant_span` under the simple reflections: a span
 that holds P and is stable under generators of W is the orbit span.  This
 module only maps W to signed permutations; it knows no packed layout.
+
+Weyl dimension products at points have one kernel, `_weyl_product`,
+which `dirac.evaluate_q` and `kmodules.dim_virtual` read too.
 """
 
 from __future__ import annotations
@@ -79,22 +82,30 @@ def weyl_dim_poly(datum: RootDatum) -> MultiPoly:
     )
 
 
-def _weyl_product(roots, rho: IntWeight, gamma: IntWeight) -> Fraction:
-    """prod (gamma, alpha) / (rho, alpha) over the roots, on integer forms:
-    with gamma = n / d and rho = r / e it is prod (n, alpha) e / ((r, alpha) d)."""
-    (den, nums), (rho_den, rho_nums) = gamma, rho
-    num = scale = 1
+def _weyl_product(roots, rho: IntWeight, den: int, terms) -> Fraction:
+    """sum c * prod (n / den, alpha) / (rho, alpha) over the N roots, for
+    the (n, c) pairs of terms, all weights over the one denominator den:
+    with rho = r / e it is e^N sum c prod (n, alpha) over den^N prod (r,
+    alpha), summed in integers and divided once."""
+    rho_den, rho_nums = rho
+    total = 0
+    for nums, c in terms:
+        for alpha in roots:
+            c *= idot(nums, alpha)
+        total += c
+    scale = 1
     for alpha in roots:
-        num *= idot(nums, alpha)
         scale *= idot(rho_nums, alpha)
-    return Fraction(num * rho_den ** len(roots), scale * den ** len(roots))
+    return Fraction(total * rho_den ** len(roots), scale * den ** len(roots))
 
 
 def weyl_dim_value(datum: RootDatum, gamma: Weight) -> Fraction:
     """D_k(gamma) evaluated directly (same normalization as weyl_dim_poly)."""
-    return _weyl_product(datum.compact_positive_roots, datum.rho_k_form, datum.form(gamma))
+    den, nums = datum.form(gamma)
+    return _weyl_product(datum.compact_positive_roots, datum.rho_k_form, den, ((nums, 1),))
 
 
 def weyl_dim_value_g(datum: RootDatum, lam_plus_rho: Weight) -> Fraction:
     """Full-group Weyl dimension at a rho-shifted parameter."""
-    return _weyl_product(datum.positive_roots, datum.rho_g_form, datum.form(lam_plus_rho))
+    den, nums = datum.form(lam_plus_rho)
+    return _weyl_product(datum.positive_roots, datum.rho_g_form, den, ((nums, 1),))

@@ -8,11 +8,9 @@ from hypothesis import assume, example, given, settings, strategies as st
 from diracindex.dirac import (
     IndexFamily,
     act_on_family,
-    canonical_coeffs,
-    chamber_sign,
     discrete_series_family,
     evaluate_index,
-    families_equivalent,
+    evaluate_q,
     family_combination,
     index_discrete_series,
     index_polynomial,
@@ -177,14 +175,23 @@ def test_index_discrete_series_sl2():
         index_discrete_series(W(0, 0), d)
 
 
+def _ds_sign(lam, datum):
+    """The chamber sign at lam, read off the discrete-series family's one
+    coefficient, on the identity."""
+    [(w, sign)] = discrete_series_family(lam, datum).coeffs.items()
+    assert w == WeylElement.identity(datum.rank)
+    return sign
+
+
 def test_index_discrete_series_su21_chambers():
     d = build_root_datum(GroupId.su(2, 1))
-    assert chamber_sign(d.rho_g, d) == 1
+    assert _ds_sign(d.rho_g, d) == 1
     assert index_discrete_series(d.rho_g, d) == k_type_sum(d, [(d.rho_g, 1)])
     middle = W(4, 2, 3)
-    assert chamber_sign(middle, d) == -1
+    assert _ds_sign(middle, d) == -1
+    assert index_discrete_series(middle, d) == k_type_sum(d, [(middle, -1)])
     anti = W(4, 2, 5)
-    assert chamber_sign(anti, d) == 1
+    assert _ds_sign(anti, d) == 1
 
 
 # -- families -------------------------------------------------------------
@@ -328,9 +335,7 @@ def test_canonical_coset_folding():
     u = WeylElement((1, 0, 2), (1, 1, 1))  # compact reflection
     fam1 = IndexFamily(d, base, {e: 1})
     fam2 = IndexFamily(d, base, {u: -1})
-    assert families_equivalent(fam1, fam2)
-    assert canonical_coeffs(fam1) == canonical_coeffs(fam2)
-    # and the two families evaluate identically everywhere
+    # the two families differ by the compact coset, and evaluate identically
     for off in [(0, 0, 0), (1, 0, -1), (2, 2, 2)]:
         lam = weight_add(base, W(*off))
         assert evaluate_index(fam1, lam) == evaluate_index(fam2, lam)
@@ -399,7 +404,7 @@ def test_chamber_sign_matches_extreme_weight_models(n):
     lam = su_n1_chamber_base(n, 0)
     lkt = tuple(l + g - 2 * k for l, g, k in zip(lam, datum.rho_g, datum.rho_k))
     assert weight_sub(lkt, rho_n) == weight_sub(lam, datum.rho_k)
-    assert chamber_sign(lam, datum) == 1
+    assert _ds_sign(lam, datum) == 1
 
     # highest-weight extreme (chamber n): model sign (-1)^q
     lam = su_n1_chamber_base(n, n)
@@ -408,7 +413,7 @@ def test_chamber_sign_matches_extreme_weight_models(n):
     lkt = tuple(l + g - 2 * k for l, g, k in zip(lam, rho_opp, datum.rho_k))
     assert weight_add(lkt, rho_n) == weight_sub(lam, datum.rho_k)
     model_sign = (-1) ** q
-    assert chamber_sign(lam, datum) == model_sign
+    assert _ds_sign(lam, datum) == model_sign
     # the evaluated index is exactly that sign on the normalized type
     fam = discrete_series_family(lam, datum)
     assert evaluate_index(fam, lam) == k_type_sum(datum, [(lam, model_sign)])
@@ -427,74 +432,6 @@ def test_family_action_identity_su21_all_weyl():
                 assert evaluate_index(moved, lam) == evaluate_index(
                     fam, winv.apply(lam)
                 )
-
-
-def _k_dominant_by_scan(datum, gamma):
-    """(sign(x), x.gamma) for the x in W_k making gamma strictly dominant."""
-    for x in weyl_elements(datum, "k"):
-        image = x.apply(gamma)
-        if all(dot(image, a) > 0 for a in datum.compact_positive_roots):
-            return x.sign(), image
-    return None
-
-
-def _k_element_sending(datum, source, target):
-    """Some u in W_k with u(source) = target, found blockwise by matching
-    sorted coordinates (source is assumed compactly regular): the matcher
-    canonical_coeffs used before groups.dominate returned the element."""
-    rank = datum.rank
-    perm = list(range(rank))
-    signs = [1] * rank
-    for blk in datum.compact_blocks:
-        idx = list(blk.indices)
-        src = [source[i] for i in idx]
-        tgt = [target[i] for i in idx]
-        used = [False] * len(idx)
-        for a, t in enumerate(tgt):
-            found = False
-            for b, s in enumerate(src):
-                if used[b]:
-                    continue
-                if blk.kind == "A" and s == t:
-                    perm[idx[a]], signs[idx[a]], used[b] = idx[b], 1, True
-                    found = True
-                elif blk.kind in ("B", "C", "D") and (s == t or s == -t):
-                    perm[idx[a]] = idx[b]
-                    signs[idx[a]] = 1 if s == t else -1
-                    used[b] = True
-                    found = True
-                if found:
-                    break
-            if not found:
-                raise ValueError("no compact Weyl element maps source to target")
-        if blk.kind == "D":
-            flips = sum(1 for i in idx if signs[i] < 0)
-            if flips % 2 == 1:
-                # Sign flips come in pairs in a D block; absorb the odd one
-                # on a zero coordinate, where it acts trivially.
-                for i in idx:
-                    if source[perm[i]] == 0:
-                        signs[i] = -signs[i]
-                        break
-                else:
-                    raise ValueError("no compact Weyl element maps source to target")
-    return WeylElement(tuple(perm), tuple(signs))
-
-
-def _canonical_coeffs_by_matching(fam):
-    """Reference canonical_coeffs: the dominant image by a scan of W_k and
-    the element reaching it by coordinate matching."""
-    out = {}
-    for w, a in fam.coeffs.items():
-        gamma = w.apply(fam.base)
-        normalized = _k_dominant_by_scan(fam.datum, gamma)
-        if normalized is None:
-            out[w] = out.get(w, 0) + a
-            continue
-        sign, dom = normalized
-        folded = _k_element_sending(fam.datum, gamma, dom).compose(w)
-        out[folded] = out.get(folded, 0) + sign * a
-    return {w: a for w, a in out.items() if a != 0}
 
 
 @st.composite
@@ -516,12 +453,6 @@ def zero_coordinate_families(draw):
     )):
         coeffs[elements[i]] = coeffs.get(elements[i], 0) + a
     return IndexFamily(datum, tuple(F(n, den) for n in nums), coeffs)
-
-
-@settings(max_examples=300, deadline=None)
-@given(zero_coordinate_families())
-def test_canonical_coeffs_matches_coordinate_matching(fam):
-    assert canonical_coeffs(fam) == _canonical_coeffs_by_matching(fam)
 
 
 @settings(max_examples=100, deadline=None)
@@ -713,15 +644,66 @@ def test_index_polynomial_evaluates_dk_at_w_lam(recipe, data):
 
 
 def test_index_polynomial_is_not_dk_at_w_inverse_lam():
-    """A 3-cycle w of Sp(6,R), with w != w^-1: Q of the family a_w = 1 is
-    D_k(w lam), which differs from D_k(w^-1 lam) at a generic point."""
+    """A 3-cycle w of Sp(6,R), with w != w^-1: Q of the family a_w = a is
+    a D_k(w lam), which differs from a D_k(w^-1 lam) at a generic point;
+    evaluate_q reads the same value from the root products."""
     datum = build_root_datum(GroupId.sp_r(3))
     w = WeylElement((1, 2, 0), (1, -1, 1))
     assert w != w.inverse()
-    q = index_polynomial(IndexFamily(datum, datum.rho_g, {w: 1}))
     dk = weyl_dim_poly(datum)
     lam = (F(5), F(2), F(-1))
-    assert q.evaluate(lam) == dk.evaluate(w.apply(lam)) != dk.evaluate(w.inverse().apply(lam))
+    for a in (1, -1, 3):
+        fam = IndexFamily(datum, datum.rho_g, {w: a})
+        q = index_polynomial(fam)
+        assert q.evaluate(lam) == a * dk.evaluate(w.apply(lam)) != a * dk.evaluate(
+            w.inverse().apply(lam))
+        assert evaluate_q(fam, lam) == q.evaluate(lam)
+        assert type(evaluate_q(fam, lam)) is F
+
+
+@settings(max_examples=200, deadline=None)
+@given(family_recipes(), st.integers(0, 2**32))
+@example((SO_STAR_2, SO_STAR_2.rho_g, [(0, 1), (0, -1)]), 0)
+@example((SP4, SP4.rho_g, [(0, 1), (4, 1)]), 0)
+@example((SP4, SP4.rho_g, [(0, -1), (5, 2)]), 0)
+def test_evaluate_q_matches_expanded_q(recipe, seed):
+    """evaluate_q(fam, lam) is index_polynomial(fam).evaluate(lam) on
+    multi-term families of rank <= 4, at points of the base coset and at
+    rational points off it, where Q is a polynomial all the same."""
+    datum, base, terms = recipe
+    elements = weyl_elements(datum, "g")
+    source = discrete_series_family(base, datum)
+    fam = IndexFamily(datum, base, {})
+    for i, c in terms:
+        fam = family_combination(fam, act_on_family(elements[i], source), 1, c)
+    q = index_polynomial(fam)
+    rng = random.Random(seed)
+    for _ in range(3):
+        on_coset = weight_add(base, tuple(F(rng.randint(-5, 5)) for _ in base))
+        den = rng.randint(1, 4)
+        anywhere = tuple(F(rng.randint(-7, 7), den) for _ in base)
+        for lam in (on_coset, anywhere):
+            assert evaluate_q(fam, lam) == q.evaluate(lam)
+    assert evaluate_q(fam, on_coset) == dim_virtual(evaluate_index(fam, on_coset))
+
+
+# The table groups of rank <= 6, SO*(2) included.
+TABLE_DATA_6 = [build_root_datum(g) for g in table_groups(6) if g.rank <= 6]
+
+
+@pytest.mark.parametrize("datum", TABLE_DATA_6, ids=lambda d: d.group.label())
+def test_evaluate_q_matches_expanded_q_on_discrete_series(datum):
+    """The discrete-series family of rho_g has Q = +-D_k; the product
+    evaluator agrees with the expanded polynomial at a few points."""
+    fam = discrete_series_family(datum.rho_g, datum)
+    q = index_polynomial(fam)
+    rng = random.Random(datum.group.label())
+    points = [datum.rho_g]
+    for den in (1, 1, 2, 3):
+        points.append(tuple(F(rng.randint(-9, 9), den) for _ in range(datum.rank)))
+    for lam in points:
+        assert evaluate_q(fam, lam) == q.evaluate(lam)
+    assert evaluate_q(fam, datum.rho_g) == dim_virtual(evaluate_index(fam, datum.rho_g))
 
 
 def _index_polynomial_packed(fam):

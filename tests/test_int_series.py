@@ -44,7 +44,7 @@ from diracindex.errors import DimensionMismatch, InternalInvariantError
 from diracindex.groups import GroupId, RootDatum, Weight, build_root_datum, idot, weyl_elements
 from diracindex.kmodules import (
     VirtualKModule,
-    check_regular_direction,
+    _check_regular,
     frequencies_to_series,
     weight_multiset,
     weyl_denominator_factored,
@@ -201,7 +201,7 @@ def oracle_character_series(
     fam: IndexFamily, lam: Weight, y: Weight, order: int = 8
 ) -> LaurentSeries:
     datum = fam.datum
-    check_regular_direction(datum, y)
+    _check_regular(datum, datum.form(y))
     if len(lam) != datum.rank:
         raise DimensionMismatch("parameter length must equal the rank")
     module = evaluate_index(fam, lam)

@@ -24,9 +24,10 @@ from diracindex.asymptotics import (
     root_ratio,
 )
 from diracindex.dirac import (
-    chamber_sign,
+    _chamber_sign,
     discrete_series_family,
     evaluate_index,
+    evaluate_q,
     index_polynomial,
     spin_character_series,
     spin_weights,
@@ -44,10 +45,10 @@ from diracindex.groups import (
 from diracindex.kmodules import (
     VirtualKModule,
     WeightMultiset,
-    check_regular_direction,
+    _check_regular,
+    _numerator_frequencies,
     dim_virtual,
     k_type_sum,
-    numerator_frequencies,
     tensor_virtual,
     weight_multiset,
     weyl_denominator_factored,
@@ -391,7 +392,7 @@ def test_series_match_fraction_oracle(data):
             oracle_weyl_denominator_factored(datum, y, which, order)
     terms = [(data.draw(parameters(datum)), data.draw(st.integers(-3, 3))) for _ in range(3)]
     module = k_type_sum(datum, terms)
-    den, freqs = numerator_frequencies(module, y)
+    den, freqs = _numerator_frequencies(module, datum.form(y))
     assert {F(f, den): c for f, c in freqs.items()} == \
         oracle_numerator_frequencies(datum, module.coeffs, y)
 
@@ -484,8 +485,10 @@ def _wrong_length_calls():
         "spin_character_series": lambda w: spin_character_series(datum, w, 3),
         "weyl_denominator_factored": lambda w: weyl_denominator_factored(datum, w, "g", 3),
         "root_ratio": lambda w: root_ratio(datum, w),
-        "chamber_sign": lambda w: chamber_sign(w, datum),
-        "check_regular_direction": lambda w: check_regular_direction(datum, w),
+        # the private kernels take the integer form that datum.form checks
+        "chamber_sign": lambda w: _chamber_sign(datum, datum.form(w)),
+        "check_regular_direction": lambda w: _check_regular(datum, datum.form(w)),
+        "evaluate_q": lambda w: evaluate_q(fam, w),
         "character_series/lam": lambda w: character_series(fam, w, y),
         "character_series/y": lambda w: character_series(fam, lam, w),
         "leading_limit/lam": lambda w: leading_limit(fam, w, y, 1),

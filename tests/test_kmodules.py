@@ -16,6 +16,7 @@ from diracindex.groups import (
     GroupId,
     build_root_datum,
     dot,
+    int_form,
     normalize_k_dominant,
     simple_roots,
     weight_add,
@@ -269,7 +270,7 @@ def _k_type_by_fold(gamma, datum):
     parameter at a time, as before sums collected in one dict."""
     if len(gamma) != datum.rank:
         raise DimensionMismatch("parameter length must equal the rank")
-    if not datum.on_shifted_lattice(gamma):
+    if not datum.on_shifted_lattice_form(int_form(gamma)):
         return {}
     normalized = normalize_k_dominant(datum, gamma)
     if normalized is None:
@@ -581,6 +582,15 @@ def test_weight_multiset_non_integral_multiplicity_is_internal(monkeypatch):
     )
     with pytest.raises(InternalInvariantError, match="non-integral"):
         weight_multiset(W(1, 0, 0), build_root_datum(GroupId.su(2, 1)))
+
+
+def test_dim_virtual_non_integral_total_is_internal(monkeypatch):
+    datum = build_root_datum(GroupId.su(2, 1))
+    module = k_type_sum(datum, [(datum.rho_g, 1)])
+    assert dim_virtual(module) == 1
+    monkeypatch.setattr("diracindex.kmodules._weyl_product", lambda *args: F(1, 2))
+    with pytest.raises(InternalInvariantError, match="non-integral virtual dimension 1/2"):
+        dim_virtual(module)
 
 
 def test_weight_multiset_mass_mismatch_is_internal(monkeypatch):

@@ -20,8 +20,9 @@ from diracindex.springer import (
     Symbol,
     ambient_algebra,
     bipartition_dim,
+    _dual,
+    _valid_nilpotent,
     bipartition_of_symbol,
-    dual_partition,
     is_very_even,
     orbit_dim,
     partition_of_symbol,
@@ -33,7 +34,6 @@ from diracindex.springer import (
     symbol_of_partition,
     symbols_equivalent,
     table_groups,
-    valid_nilpotent,
 )
 from diracindex.suites import springer_suite
 from diracindex.weylaction import orbit_span
@@ -192,15 +192,17 @@ def _validity_oracle(p, kind, total):
 def test_validity_matches_enumeration_oracle(kind):
     for total in range(1, 15):
         for p in _partitions_of(total):
-            assert valid_nilpotent(p, kind, total) == _validity_oracle(
+            assert _valid_nilpotent(p, kind, total) == _validity_oracle(
                 p, kind, total
             )
 
 
 def test_validity_examples():
-    assert valid_nilpotent((3, 2, 2, 1, 1), "B", 9)
-    assert not valid_nilpotent((3, 1, 1, 1), "C", 6)
-    assert not valid_nilpotent((3, 2, 2, 2), "B", 9)
+    assert _valid_nilpotent((3, 2, 2, 1, 1), "B", 9)
+    assert not _valid_nilpotent((3, 1, 1, 1), "C", 6)
+    assert not _valid_nilpotent((3, 2, 2, 2), "B", 9)
+    with pytest.raises(InvalidPartition):
+        orbit_dim((3, 1, 1, 1), "C", 6)
 
 
 def _dual_oracle(p):
@@ -216,8 +218,8 @@ def test_dual_partition_involution_and_oracle():
         parts = list(_partitions_of(total))
         sample = parts if len(parts) <= 30 else rng.sample(parts, 30)
         for p in sample:
-            assert dual_partition(p) == _dual_oracle(p)
-            assert dual_partition(dual_partition(p)) == p
+            assert _dual(p) == _dual_oracle(p)
+            assert _dual(_dual(p)) == p
 
 
 def test_orbit_dims():
@@ -315,7 +317,7 @@ def test_invalid_pipeline_partition_is_reported():
     kind, total = ambient_algebra(group)
     merged = partition_of_symbol(symbol_of_bipartition(sigma_k_bipartition(group), kind))
     assert merged == (3, 2, 2, 2)
-    assert not valid_nilpotent((3, 2, 2, 2), kind, total)
+    assert not _valid_nilpotent((3, 2, 2, 2), kind, total)
     assert not springer_row(group).is_springer
 
 
@@ -452,7 +454,7 @@ def test_symbol_partition_roundtrip_on_valid_partitions(p, kind):
     if kind in ("C", "D") and total % 2 == 1:
         p = tuple(sorted(p + (1,), reverse=True))
         total = sum(p)
-    if not valid_nilpotent(p, kind, total):
+    if not _valid_nilpotent(p, kind, total):
         return
     sym = symbol_of_partition(p, kind)
     assert partition_of_symbol(sym) == p
@@ -540,7 +542,8 @@ def test_orbit_dim_checks_its_partition_once(monkeypatch):
     monkeypatch.setattr("diracindex.springer.check_partition", counted)
     assert orbit_dim([3, 2, 2, 1, 1], "B", 9) == 20
     assert calls == {(3, 2, 2, 1, 1): 1}
-    # the public functions still check what they are given
+    # orbit_dim still refuses what is not a partition, or not one of total
     with pytest.raises(InvalidPartition):
-        dual_partition((1, 2))
-    assert not valid_nilpotent((2, 2), "A", 5)
+        orbit_dim((1, 2), "A", 3)
+    with pytest.raises(InvalidPartition):
+        orbit_dim((2, 2), "A", 5)

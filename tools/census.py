@@ -63,31 +63,19 @@ ALLOWED = {
     "polynomials.MultiPoly.__pow__": "only bench jobs call it; item 9",
     "polynomials.LinearForm.to_poly": "only bench jobs call it; item 9",
     "emit.springer_rows_to_csv": "only bench jobs call it; item 9",
+    "kmodules._OnForms._weights":
+        "only bench jobs read the Weight view of a module or multiset; item 9",
     "polynomials.MultiPoly.terms": "bench/run.py reads len(result.terms); item 9",
     "dirac.index_discrete_series": "paper object no suite checks yet; item 3",
     "dirac.is_integral_weyl": "paper object no suite checks yet; item 3",
-    "dirac.canonical_coeffs": "paper object no suite checks yet; item 3",
-    "dirac.families_equivalent": "paper object no suite checks yet; item 3",
     "springer.normalize_symbol": "Springer-label computation; item 3",
     "springer.symbols_equivalent": "Springer-label computation; item 3",
     "springer.bipartition_dim": "label dimension check; item 3",
     "springer.standard_tableaux_count": "label dimension check; item 3",
     "springer.hook_product": "label dimension check; item 3",
-    "springer.valid_nilpotent":
-        "public entry that checks its partition; orbit_dim checks once, then runs the same rules",
-    "springer.dual_partition":
-        "public entry that checks its partition; orbit_dim checks once, then takes the same dual",
     "polynomials.PolySpan.dim": "span dimension of the irreducibility check; item 17",
     "groups.RootDatum.is_g_regular":
         "only bench jobs and the unreached index_discrete_series call it; item 9",
-    "groups.RootDatum.on_shifted_lattice":
-        "public entry on a weight; discrete_series_family tests the integer form it has",
-    "dirac.chamber_sign":
-        "public entry on a weight; discrete_series_family reads the sign from its integer form",
-    "kmodules.check_regular_direction":
-        "public entry on a weight; the character series checks the integer form of y",
-    "kmodules.numerator_frequencies":
-        "public entry on a weight; the character series passes the integer form of y",
     "sun1.tau_invariant": "paper object no suite checks yet; item 4",
     "sun1.chamber_of": "paper object no suite checks yet; item 4",
     "polynomials.MultiPoly.__hash__": "eq/hash contract of a value type",

@@ -7,7 +7,8 @@ failed suite case, or a ClaimMismatch printed as one `error:` line),
 one `internal error:` line; a bug in the package, please report it).
 Only long option names exist.  Every command that builds a root datum
 honours the rank cap of `groups.check_rank` (DIRAC_MAX_RANK, default 8),
-which also bounds the `--n` of `char-poly` and `gcd`.
+which also bounds the `--n` of `char-poly` and `gcd`.  A rational read
+from `--hc-param` or emit's input spells at most `emit.MAX_DIGITS` digits.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import sys
 from fractions import Fraction
 
 from .dirac import discrete_series_family, index_polynomial
-from .emit import dumps, emit, factored_to_obj
+from .emit import MAX_DIGITS, dumps, emit, factored_to_obj, parse_rational
 from .errors import ClaimMismatch, DiracIndexError, InternalInvariantError, InvalidInput
 from .fixtures import su_n1_ds_family
 from .groups import Family, GroupId, build_root_datum, check_rank
@@ -72,10 +73,12 @@ def parse_group(text: str) -> GroupId:
 
 
 def parse_weight(text: str) -> tuple[Fraction, ...]:
+    """Comma-separated rationals, each of at most MAX_DIGITS digits."""
     try:
-        return tuple(Fraction(part) for part in text.split(","))
+        return tuple(parse_rational(part) for part in text.split(","))
     except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"not comma-separated rationals: {text!r}") from None
+        raise argparse.ArgumentTypeError(
+            f"not comma-separated rationals of at most {MAX_DIGITS} digits: {text!r}") from None
 
 
 def _max_param(value: int) -> int:
@@ -162,7 +165,8 @@ def _read_json_object(path: str) -> dict:
         raise InvalidInput(f"cannot read {path!r}: {exc}") from None
     try:
         obj = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError is a ValueError, as is a number over the int-string limit.
         raise InvalidInput(f"malformed JSON in {path!r}: {exc}") from None
     if not isinstance(obj, dict):
         raise InvalidInput(f"expected a JSON object in {path!r}, got {type(obj).__name__}")

@@ -41,7 +41,6 @@ from .groups import (
     RootDatum,
     Weight,
     WeylElement,
-    from_int_form,
     idot,
     int_add,
     int_form,
@@ -216,7 +215,7 @@ def _on_coset(fam: IndexFamily, lam: IntWeight) -> IntWeight:
     den = math.lcm(lam[0], fam.base_form[0])
     diff = tuple(a - b for a, b in zip(over(lam, den), over(fam.base_form, den)))
     if not fam.datum.lattice(den, diff):
-        raise OffLattice(f"{from_int_form(*lam)} is not in base + Lambda")
+        raise OffLattice(f"{tuple(Fraction(n, lam[0]) for n in lam[1])} is not in base + Lambda")
     return lam
 
 

@@ -26,6 +26,23 @@ from .polynomials import LinearForm, MultiPoly
 from .springer import Bipartition, SpringerRow
 
 
+# The most digits a rational read from input may spell, an exponent counting as
+# the digits it adds: below the interpreter's int-string limit of 4300 digits.
+MAX_DIGITS = 4000
+
+
+def parse_rational(text: str | int) -> Fraction:
+    """Fraction(text), refused with ValueError, before any power of ten is
+    built, when the text spells more than MAX_DIGITS digits."""
+    text = str(text)
+    mantissa, _, exponent = text.upper().partition("E")
+    exponent = exponent.strip().lstrip("+-").replace("_", "")
+    digits = sum(map(str.isdecimal, mantissa)) + (int(exponent) if exponent.isdecimal() else 0)
+    if digits > MAX_DIGITS:
+        raise ValueError(f"more than {MAX_DIGITS} digits")
+    return Fraction(text)
+
+
 def frac_str(x: int | Fraction) -> str:
     """Reduced text "a" or "a/b"; a Fraction is always stored reduced."""
     return str(x)
@@ -71,7 +88,7 @@ def poly_from_obj(obj: dict, where: str = "polynomial") -> MultiPoly:
         if tuple(exp) in terms:
             raise InvalidInput(f"{where} has a repeated 'exp' {exp}")
         try:
-            terms[tuple(exp)] = Fraction(coeff)
+            terms[tuple(exp)] = parse_rational(coeff)
         except (ValueError, ZeroDivisionError):
             msg = f"{where} term has a malformed 'coeff' {coeff!r}"
             raise InvalidInput(msg) from None
@@ -102,7 +119,7 @@ def factored_from_obj(obj: dict) -> tuple[MultiPoly, list[tuple[LinearForm, int]
         try:
             if len(form) != poly.arity or not all(_is_a(c, (str, int)) for c in form):
                 raise ValueError
-            coeffs = [Fraction(c) for c in form]
+            coeffs = [parse_rational(c) for c in form]
             # integers stay ints, as in the forms the package builds
             coeffs = [c.numerator if c.denominator == 1 else c for c in coeffs]
             factors.append((LinearForm(tuple(coeffs)), mult))

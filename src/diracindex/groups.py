@@ -20,16 +20,15 @@ six supported families and their compact/noncompact splits:
 * ``SO*(2n)``        -- type D_n; compact part {e_i - e_j} (K = U(n)).
 
 Weyl group elements are signed permutations: all signs +1 in type A, an
-even number of -1 signs in type D.  Two chamber routines sort blockwise,
-and both act alike on a weight and on the numerators of its integer form;
-pass ``datum.compact_blocks`` for W_k and ``(datum.ambient,)`` for W_g.
-``dominate(blocks, gamma)`` returns the element x of the blocks' Weyl
-group with x.gamma dominant, and whether gamma is regular for the blocks'
-roots; only the dominant weights of the Freudenthal recursion read it.
-``_signed_dominant(blocks, gamma)`` returns only (sign(x), x.gamma), or
-None when gamma is singular, without building x:
-``normalize_k_dominant`` runs on it, and through it every K-type sum.
-The tests hold it to ``dominate``.
+even number of -1 signs in type D.  One chamber kernel,
+``_chamber_block``, sorts the entries of one block into its dominant
+chamber, singular weights included; it acts alike on a weight and on the
+numerators of its integer form.  ``_signed_dominant(blocks, gamma)`` runs
+it on each of the blocks and returns (sign(x), x.gamma) for the x with
+x.gamma dominant, or None when gamma is singular, without building x:
+pass ``datum.compact_blocks`` for W_k, as ``normalize_k_dominant`` and
+through it every K-type sum do.  The Freudenthal recursion of `kmodules`
+runs it on ``datum.ambient`` for the W_g representative.
 SU(p,q) weights are *not* quotiented by the trace line; every quantity
 computed downstream is invariant under adding a multiple of (1,...,1),
 and the SU lattice accordingly contains all vectors with pairwise
@@ -50,7 +49,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import permutations, product
-from operator import mul
+from operator import mul, ne
 
 from .errors import (
     DimensionMismatch,
@@ -91,11 +90,6 @@ def int_form(w: Weight) -> IntWeight:
         bad = next(c for c in w if not hasattr(c, "denominator"))
         raise InvalidInput(f"weight entry {bad!r} is not an integer or a fraction") from None
     return den, tuple(c.numerator * (den // c.denominator) for c in w)
-
-
-def from_int_form(den: int, nums: Iterable[int]) -> Weight:
-    """The weight nums / den, as a tuple of Fractions."""
-    return tuple(Fraction(n, den) for n in nums)
 
 
 def reduced(den: int, nums: tuple[int, ...]) -> IntWeight:
@@ -557,68 +551,42 @@ def simple_roots(datum: RootDatum) -> tuple[Weight, ...]:
     return tuple(r for r in datum.positive_roots if r not in sums)
 
 
-def dominate(blocks: tuple[Block, ...], gamma: Weight) -> tuple[WeylElement, bool]:
-    """(x, regular): x in the Weyl group of the blocks with x.gamma dominant,
-    and whether gamma is regular for the roots of the blocks.
-
-    Works blockwise.  An A block sorts its coordinates in descending order;
-    B, C and D blocks sort absolute values in descending order and make
-    every sign positive.  Sign flips come in pairs in a D block, so an odd
-    flip count flips the last slot back: a no-op on a zero coordinate,
-    otherwise the last coordinate of x.gamma ends up negative.  gamma is
-    regular when the sort keys are pairwise distinct and, in a B or C
-    block, none is zero; x is then the unique element with x.gamma dominant.
-    """
-    rank = len(gamma)
-    if sum(blk.size for blk in blocks) != rank:
-        raise DimensionMismatch(f"weight length {rank} does not match the blocks")
-    perm = list(range(rank))
-    signs = [1] * rank
-    regular = True
-    for blk in blocks:
-        idx = blk.indices
-        signed = blk.kind != "A"
-        keys = [abs(gamma[i]) if signed else gamma[i] for i in idx]
-        order = sorted(range(blk.size), key=keys.__getitem__, reverse=True)
-        for slot, b in zip(idx, order):
-            perm[slot] = blk.start + b
-            if signed and gamma[perm[slot]] < 0:
-                signs[slot] = -1
-        if blk.kind == "D" and signs[idx.start:idx.stop].count(-1) % 2:
-            signs[idx[-1]] = -signs[idx[-1]]
-        if len(set(keys)) != len(keys) or (blk.kind in ("B", "C") and 0 in keys):
-            regular = False
-    return WeylElement(tuple(perm), tuple(signs)), regular
+def _chamber_block(kind: str, entries) -> tuple[list, list, int]:
+    """(keys, ranked, negatives) for the entries of one block: the sort keys
+    (the entries in A, their absolute values in B, C and D), the dominant
+    representative's entries (the keys in descending order) and the count
+    of negative entries (0 in A).  D flips signs in pairs, so an odd count
+    negates the last slot, which is a no-op on a zero."""
+    if kind == "A":
+        return entries, sorted(entries, reverse=True), 0
+    keys = [abs(c) for c in entries]
+    ranked = sorted(keys, reverse=True)
+    negatives = sum(map(ne, entries, keys))  # c != |c| exactly when c < 0
+    if kind == "D" and negatives % 2:
+        ranked[-1] = -ranked[-1]
+    return keys, ranked, negatives
 
 
 def _signed_dominant(blocks: tuple[Block, ...], gamma: Weight) -> tuple[int, Weight] | None:
-    """(sign(x), x.gamma) for the x of ``dominate(blocks, gamma)``, or None
-    when gamma is singular for the roots of the blocks; the caller has
-    checked the length.
+    """(sign(x), x.gamma) for the x in the Weyl group of the blocks with
+    x.gamma dominant, or None when gamma is singular for the roots of the
+    blocks; the caller has checked the length.
 
-    Works blockwise on the entries, without building x.  A block sorts
-    its entries, or in B, C and D their absolute values, in descending
-    order; the sort keys must be distinct, and nonzero in B and C.  The
+    Works blockwise on the entries (`_chamber_block`), without building x.
+    The sort keys must be distinct, and nonzero in B and C.  The
     permutation's sign is (-1)^(inversions), the pairs of keys that stand
     in ascending order; B and C add one sign flip per negative entry.  D
-    flips signs in pairs, so its sign is the permutation's alone, and an
-    odd negative count negates the last slot.
+    flips signs in pairs, so its sign is the permutation's alone.
     """
     sign, out = 1, []
     for blk in blocks:
-        entries = gamma[blk.start:blk.start + blk.size]
         kind = blk.kind
-        keys = entries if kind == "A" else [abs(c) for c in entries]
-        ranked = sorted(keys, reverse=True)
-        if len(set(ranked)) < len(ranked) or (kind in ("B", "C") and ranked and not ranked[-1]):
+        keys, ranked, negatives = _chamber_block(kind, gamma[blk.start:blk.start + blk.size])
+        if len(set(keys)) < len(keys) or (kind in ("B", "C") and 0 in keys):
             return None
         flips = sum(b < a for i, a in enumerate(keys) for b in keys[:i])
-        if kind != "A":
-            negatives = sum(c < 0 for c in entries)
-            if kind != "D":
-                flips += negatives
-            elif negatives % 2:
-                ranked[-1] = -ranked[-1]
+        if kind in ("B", "C"):
+            flips += negatives
         if flips % 2:
             sign = -sign
         out += ranked

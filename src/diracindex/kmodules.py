@@ -10,6 +10,8 @@ contribute zero.  The allowed parameters form the coset Lambda + rho_g.
 
 Freudenthal's recursion visits only the dominant weights, found by
 positive-root steps that stay dominant, in descending order of |mu + rho|^2.
+It runs on integer numerators over one denominator, with the chamber
+kernel of `groups`, and returns integer forms and multiplicities.
 
 Modules and multisets store their weights as integer forms (see
 `groups`): `forms` maps (den, nums) to a coefficient or multiplicity, and
@@ -33,7 +35,8 @@ U(0) = prod alpha(y) takes r integer products.
 
 What depends only on the datum, or on the datum and a direction y, is
 built once in a module-level cache: the weights of V(highest) per
-(datum, highest), the signs and per-coordinate index maps of W_k per
+(datum, highest), whose Freudenthal recursion keeps no cache of its own,
+the signs and per-coordinate index maps of W_k per
 datum, the signed W_k-orbit of y read off them as coordinate columns,
 and U per (datum, y, g or k), stepped to the largest order asked so far;
 the two keyed by y keep DIRECTION_CACHE_SIZE entries at most.  The
@@ -58,6 +61,7 @@ from types import MappingProxyType
 from .errors import (
     DimensionMismatch,
     InternalInvariantError,
+    NonIntegralCoefficient,
     NotDominantIntegral,
     SingularDirection,
 )
@@ -65,13 +69,13 @@ from .groups import (
     IntWeight,
     RootDatum,
     Weight,
-    dominate,
-    from_int_form,
+    _chamber_block,
     idot,
     int_add,
     int_form,
     normalize_k_dominant,
     over,
+    reduced,
     reflection,
     simple_roots,
     weight_add,
@@ -96,8 +100,8 @@ class _OnForms:
 
     def _weights(self) -> Mapping[Weight, int]:
         if self._view is None:
-            self._view = MappingProxyType(
-                {from_int_form(*form): c for form, c in self.forms.items()})
+            self._view = MappingProxyType({tuple(Fraction(n, den) for n in nums): c
+                                           for (den, nums), c in self.forms.items()})
         return self._view
 
 
@@ -111,6 +115,8 @@ class VirtualKModule(_OnForms):
     def __init__(self, datum: RootDatum, coeffs: Mapping[Weight, int] | None = None):
         forms: dict[IntWeight, int] = {}
         for gamma, c in (coeffs or {}).items():
+            if int(c) != c:
+                raise NonIntegralCoefficient(f"coefficient {c} of {gamma} is not an integer")
             c = int(c)
             if c == 0:
                 continue
@@ -209,7 +215,11 @@ class WeightMultiset(_OnForms):
     def __init__(self, mults: Mapping[Weight, int] | None = None, *,
                  forms: Mapping[IntWeight, int] | None = None):
         if forms is None:
-            forms = {int_form(w): m for w, m in (mults or {}).items()}
+            forms = {}
+            for w, m in (mults or {}).items():
+                if int(m) != m:
+                    raise NonIntegralCoefficient(f"multiplicity {m} of {w} is not an integer")
+                forms[int_form(w)] = int(m)
         # dict() reads a read-only cache key by key; its copy() is the
         # wrapped dict's, in one step.
         self.forms = forms.copy() if isinstance(forms, MappingProxyType) else dict(forms)
@@ -218,20 +228,20 @@ class WeightMultiset(_OnForms):
             raise ValueError("multiplicities must be positive")
 
 
-def _dominant_rep_g(datum: RootDatum, mu: Weight) -> Weight:
-    """Dominant representative of mu, or of integer numerators, under the
-    full Weyl group."""
-    x, _ = dominate((datum.ambient,), mu)
-    return x.apply(mu)
+def _dominant_rep_g(datum: RootDatum, mu: tuple[int, ...]) -> tuple[int, ...]:
+    """Dominant representative of integer numerators under the full Weyl
+    group."""
+    return tuple(_chamber_block(datum.ambient.kind, mu)[1])
 
 
-@lru_cache(maxsize=None)
-def _dominant_character(datum: RootDatum, highest: Weight) -> tuple:
-    """Freudenthal multiplicities at the dominant weights of V(highest).
+def _dominant_character(datum: RootDatum, highest: Weight) -> dict[IntWeight, int]:
+    """Freudenthal multiplicities at the dominant weights of V(highest), on
+    their integer forms, in ascending order of the weights.
 
     Runs on the numerators of highest and rho_g over their common
     denominator D, with the roots scaled by D too, so every norm and
-    pairing is D^2 times the true one."""
+    pairing is D^2 times the true one.  A multiplicity that is not an
+    integer raises InternalInvariantError where it arises."""
     form = int_form(highest)
     den = lcm(form[0], datum.rho_g_form[0])
     top, rho = over(form, den), over(datum.rho_g_form, den)
@@ -262,14 +272,14 @@ def _dominant_character(datum: RootDatum, highest: Weight) -> tuple:
     # have larger |. + rho|^2 than mu, so descending order computes them first.
     dominants = sorted(seen, key=norm, reverse=True)
 
-    mult: dict[tuple[int, ...], Fraction] = {}
+    mult: dict[tuple[int, ...], int] = {}
 
     def mult_of(nu):
         return mult.get(_dominant_rep_g(datum, nu), 0)
 
     for mu in dominants:
         if mu == top:
-            mult[mu] = Fraction(1)
+            mult[mu] = 1
             continue
         mu_rho = [m + r for m, r in zip(mu, rho)]
         mu_norm = idot(mu_rho, mu_rho)
@@ -290,10 +300,12 @@ def _dominant_character(datum: RootDatum, highest: Weight) -> tuple:
                         acc += m * idot(nu, alpha)
                 k += 1
         # 2 sum m (nu, alpha) / (|highest + rho|^2 - |mu + rho|^2): D^2 cancels
-        value = Fraction(2 * acc, top_norm - mu_norm)
+        value, rest = divmod(2 * acc, top_norm - mu_norm)
+        if rest:
+            raise InternalInvariantError("non-integral weight multiplicity")
         if value:
             mult[mu] = value
-    return tuple(sorted((from_int_form(den, mu), m) for mu, m in mult.items()))
+    return {reduced(den, mu): mult[mu] for mu in sorted(mult)}
 
 
 def weyl_orbit(datum: RootDatum, mu: Weight) -> set[Weight]:
@@ -329,12 +341,9 @@ def _weight_forms(datum: RootDatum, highest: Weight) -> Mapping[IntWeight, int]:
                 f"<{alpha}, {highest}> = {Fraction(twice, scale)} is not a nonnegative integer"
             )
     forms: dict[IntWeight, int] = {}
-    for mu, m in _dominant_character(datum, highest):
-        if m.denominator != 1:
-            raise InternalInvariantError("non-integral weight multiplicity")
-        mu_den, mu_nums = int_form(mu)
-        for nu in weyl_orbit(datum, mu_nums):
-            forms[mu_den, nu] = int(m)
+    for (mu_den, mu), m in _dominant_character(datum, highest).items():
+        for nu in weyl_orbit(datum, mu):
+            forms[mu_den, nu] = m
     total = sum(forms.values())
     expected = weyl_dim_value_g(datum, weight_add(highest, datum.rho_g))
     if total != expected:

@@ -15,12 +15,14 @@ from diracindex import dirac
 from diracindex.asymptotics import leading_limit
 from diracindex.cli import main, parse_group
 from diracindex.emit import (
+    MAX_DIGITS,
     _SLICE,
     dumps,
     emit,
     factored_to_obj,
     frac_str,
     limit_report_to_obj,
+    parse_rational,
     poly_from_obj,
     poly_to_obj,
     springer_row_to_obj,
@@ -249,13 +251,52 @@ def test_cli_usage_error_exit_2():
     assert exc.value.code == 2
 
 
-@pytest.mark.parametrize("text", ["1/0,1", "a,1", "1,,2"])
+# Past MAX_DIGITS, a parameter is refused as it is parsed, before a power
+# of ten is built or a message prints it.
+@pytest.mark.parametrize(
+    "text", ["1/0,1", "a,1", "1,,2", "1e-5000,0", "1e3000000,0", "1" * 4001 + ",0"],
+    ids=lambda text: text if len(text) < 20 else "4001-digits",
+)
 def test_cli_bad_hc_param_is_usage_error(text, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["index-poly", "--group", "Sp(4,R)", "--hc-param", text])
     assert exc.value.code == 2
     err = capsys.readouterr().err
-    assert "--hc-param" in err and "Traceback" not in err
+    assert "Traceback" not in err
+    assert [line for line in err.splitlines() if "error:" in line] == [
+        f"diracindex index-poly: error: argument --hc-param: not comma-separated "
+        f"rationals of at most {MAX_DIGITS} digits: {text!r}"
+    ]
+
+
+@pytest.mark.parametrize(
+    "text, value",
+    [
+        ("1e3999", F(10) ** 3999),
+        ("-1E-3999", -F(1, 10**3999)),
+        ("1" * 4000, int("1" * 4000)),
+        ("1/" + "3" * 3999, F(1, int("3" * 3999))),
+        (" 2.5e+3_997 ", F(25) * 10**3996),
+        (10**3999, 10**3999),
+    ],
+    ids=["1e3999", "-1E-3999", "4000-digits", "1/(4000-digits)", "underscores", "int"],
+)
+def test_parse_rational_accepts_up_to_the_digit_bound(text, value):
+    parsed = parse_rational(text)
+    assert parsed == value
+    str(parsed)  # every value read prints
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["1e4000", "1e-4000", "12e3999", "1" * 4001, "1/" + "3" * 4000, "1e4_000",
+     "1e" + "9" * 4000, 10**4000],
+    ids=["1e4000", "1e-4000", "12e3999", "4001-digits", "1/(4001-digits)", "underscores",
+         "4000-digit-exponent", "int"],
+)
+def test_parse_rational_refuses_over_the_digit_bound(text):
+    with pytest.raises(ValueError, match=f"more than {MAX_DIGITS} digits"):
+        parse_rational(text)
 
 
 @pytest.mark.parametrize(
@@ -395,6 +436,18 @@ def test_cli_unknown_family_tag(capsys):
     assert "unknown family tag" in capsys.readouterr().err
 
 
+_OVERSIZED_COEFF = '{"type":"polynomial","vars":1,"terms":[{"exp":[1],"coeff":"1e5000"}]}'
+
+
+def _oversized_form():
+    """A factored polynomial whose one factor has the form entry "1e5000"."""
+    return {
+        "type": "polynomial", "vars": 1, "terms": [{"exp": [1], "coeff": "1"}],
+        "factors": [{"form": ["1e5000"], "mult": 1}],
+        "cofactor": {"vars": 1, "terms": [{"exp": [0], "coeff": "1"}]},
+    }
+
+
 @pytest.mark.parametrize(
     "argv, env, content",
     [
@@ -454,6 +507,9 @@ def test_cli_unknown_family_tag(capsys):
         (["char-poly", "--n", "12", "--i", "6"], None, None),
         (["gcd", "--n", "12", "--i", "6"], None, None),
         (["char-poly", "--n", "9", "--i", "1"], "8", None),
+        (["emit", "--input", "{path}"], None, _OVERSIZED_COEFF),
+        (["emit", "--input", "{path}"], None, _OVERSIZED_COEFF.replace('"1e5000"', "1" * 5000)),
+        (["emit", "--input", "{path}"], None, json.dumps(_oversized_form())),
     ],
     ids=[
         "missing-file",
@@ -482,6 +538,9 @@ def test_cli_unknown_family_tag(capsys):
         "char-poly-n-over-cap",
         "gcd-n-over-cap",
         "char-poly-n-over-env-cap",
+        "poly-coeff-over-digit-bound",
+        "poly-coeff-json-number-over-int-limit",
+        "factor-form-over-digit-bound",
     ],
 )
 def test_cli_bad_input_exits_2_with_one_error_line(

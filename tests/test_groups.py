@@ -20,7 +20,6 @@ from diracindex.groups import (
     WeylElement,
     build_root_datum,
     check_rank,
-    dominate,
     dot,
     int_add,
     normalize_k_dominant,
@@ -32,6 +31,7 @@ from diracindex.groups import (
     weyl_order,
 )
 from diracindex.cli import main
+from diracindex.kmodules import _dominant_rep_g
 from diracindex.springer import springer_row, table_groups
 from diracindex.suites import _small_groups
 
@@ -176,6 +176,48 @@ def test_enumeration_cap():
     d = build_root_datum(GroupId.sp_r(2))
     with pytest.raises(EnumerationCapExceeded):
         weyl_elements(d, "g", cap=7)
+
+
+def dominate(blocks, gamma):
+    """Reference chamber routine, held to the Weyl-group scan: (x, regular)
+    with x in the Weyl group of the blocks, x.gamma dominant, and whether
+    gamma is regular for the roots of the blocks.
+
+    Works blockwise.  An A block sorts its coordinates in descending order;
+    B, C and D blocks sort absolute values in descending order and make
+    every sign positive.  Sign flips come in pairs in a D block, so an odd
+    flip count flips the last slot back: a no-op on a zero coordinate,
+    otherwise the last coordinate of x.gamma ends up negative.  gamma is
+    regular when the sort keys are pairwise distinct and, in a B or C
+    block, none is zero; x is then the unique element with x.gamma dominant.
+    """
+    rank = len(gamma)
+    if sum(blk.size for blk in blocks) != rank:
+        raise DimensionMismatch(f"weight length {rank} does not match the blocks")
+    perm = list(range(rank))
+    signs = [1] * rank
+    regular = True
+    for blk in blocks:
+        idx = blk.indices
+        signed = blk.kind != "A"
+        keys = [abs(gamma[i]) if signed else gamma[i] for i in idx]
+        order = sorted(range(blk.size), key=keys.__getitem__, reverse=True)
+        for slot, b in zip(idx, order):
+            perm[slot] = blk.start + b
+            if signed and gamma[perm[slot]] < 0:
+                signs[slot] = -1
+        if blk.kind == "D" and signs[idx.start:idx.stop].count(-1) % 2:
+            signs[idx[-1]] = -signs[idx[-1]]
+        if len(set(keys)) != len(keys) or (blk.kind in ("B", "C") and 0 in keys):
+            regular = False
+    return WeylElement(tuple(perm), tuple(signs)), regular
+
+
+def dominant_rep_g(datum, mu):
+    """The W_g representative of a weight, or of integer numerators, by the
+    reference routine."""
+    x, _ = dominate((datum.ambient,), mu)
+    return x.apply(mu)
 
 
 def pairing(lam, alpha):
@@ -349,6 +391,23 @@ def test_dominate_matches_weyl_scan(case):
         assert normalize_k_dominant(d, gamma) == expected
 
 
+# Every ambient kind: A (SU), B (SOe(2p,2q+1)), C (Sp) and D (SOe(2p,2q),
+# SO*(2n)), with entries drawn from few values, so that repeats, zeros and
+# a D block with an odd count of negative entries are common.
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(CHAMBER_GROUPS), st.data())
+def test_dominant_rep_g_matches_reference(group, data):
+    """The W_g representative of the Freudenthal recursion, singular
+    weights included, on half-integral weights and on integer numerators."""
+    d = build_root_datum(group)
+    nums = tuple(data.draw(st.lists(st.integers(-3, 3), min_size=d.rank, max_size=d.rank)))
+    halves = tuple(F(n, 2) for n in nums)
+    for gamma in (nums, halves):
+        rep = _dominant_rep_g(d, gamma)
+        assert type(rep) is tuple
+        assert rep == dominant_rep_g(d, gamma)
+
+
 def test_one_group_builds_one_root_datum():
     """springer_row and weyl_elements ask for the datum under one cache key."""
     for cached in (groups._root_datum, groups._weyl_elements_cached, springer_row):
@@ -381,7 +440,7 @@ def test_ind_eq_char_suite_builds_one_root_datum_per_group(capsys):
     assert info.currsize == info.misses == len(touched)
 
 
-# -- the K-type normalization kernel against dominate ---------------------
+# -- the K-type normalization kernel against the reference dominate ------
 
 ORACLE_GROUPS = [g for g in table_groups(5) if g.rank <= 5]
 

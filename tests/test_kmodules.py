@@ -10,6 +10,7 @@ from diracindex import kmodules
 from diracindex.errors import (
     DimensionMismatch,
     InternalInvariantError,
+    NonIntegralCoefficient,
     NotDominantIntegral,
 )
 from diracindex.groups import (
@@ -26,7 +27,6 @@ from diracindex.groups import (
 from diracindex.kmodules import (
     VirtualKModule,
     _dominant_character,
-    _dominant_rep_g,
     _weight_forms,
     WeightMultiset,
     dim_virtual,
@@ -40,7 +40,7 @@ from diracindex.kmodules import (
 from diracindex.series import TruncatedSeries
 from diracindex.springer import table_groups
 from diracindex.weylaction import weyl_dim_value
-from test_groups import pairing
+from test_groups import dominant_rep_g, pairing
 
 
 def W(*coords):
@@ -574,14 +574,39 @@ def test_k_type_sum_checks_every_parameter_length():
         k_type_sum(d, [(d.rho_g, 1), (W(1, 0), 0)])
 
 
-def test_weight_multiset_non_integral_multiplicity_is_internal(monkeypatch):
-    _weight_forms.cache_clear()
-    monkeypatch.setattr(
-        "diracindex.kmodules._dominant_character",
-        lambda datum, highest: ((highest, F(1, 2)),),
-    )
-    with pytest.raises(InternalInvariantError, match="non-integral"):
-        weight_multiset(W(1, 0, 0), build_root_datum(GroupId.su(2, 1)))
+@pytest.mark.parametrize("value", [F(3, 2), 2.7, 0.5, F(-1, 3)])
+def test_virtual_k_module_refuses_non_integral_coefficients(value):
+    d = build_root_datum(GroupId.su(2, 1))
+    with pytest.raises(NonIntegralCoefficient):
+        VirtualKModule(d, {d.rho_g: value})
+
+
+@pytest.mark.parametrize("value", [F(3, 2), 2.7, 0.5])
+def test_weight_multiset_refuses_non_integral_multiplicities(value):
+    with pytest.raises(NonIntegralCoefficient):
+        WeightMultiset({W(1, 0): 1, W(0, 1): value})
+
+
+def test_validated_constructors_store_integral_values_as_int():
+    d = build_root_datum(GroupId.su(2, 1))
+    module = VirtualKModule(d, {d.rho_g: F(2), W(F(5, 2), F(1, 2), F(-3, 2)): 0.0})
+    assert module.forms == {int_form(d.rho_g): 2}
+    assert type(module.forms[int_form(d.rho_g)]) is int
+    multiset = WeightMultiset({W(1, 0): F(2), W(0, 1): 3.0})
+    assert multiset.mults == {W(1, 0): 2, W(0, 1): 3}
+    assert all(type(m) is int for m in multiset.forms.values())
+
+
+def test_weight_multiset_non_integral_multiplicity_is_internal():
+    """With rho_g doubled, Freudenthal's quotient at the zero weight of the
+    adjoint module of SU(2,1) is not an integer; the recursion raises where
+    it arises."""
+    datum = build_root_datum(GroupId.su(2, 1))
+    doubled = datum.replace(rho_g=tuple(2 * c for c in datum.rho_g))
+    with pytest.raises(InternalInvariantError, match="non-integral weight multiplicity"):
+        _dominant_character(doubled, W(1, 0, -1))
+    with pytest.raises(InternalInvariantError, match="non-integral weight multiplicity"):
+        weight_multiset(W(1, 0, -1), doubled)
 
 
 def test_dim_virtual_non_integral_total_is_internal(monkeypatch):
@@ -636,54 +661,71 @@ def _solve_linear(rows, rhs):
 def _dominant_character_by_norm_ball(datum, highest):
     """Reference Freudenthal multiplicities: every lattice point of the ball
     |mu + rho|^2 <= |highest + rho|^2 reached by simple-root steps, filtered
-    to the dominant ones and ordered by height in the simple-root basis."""
-    rho = datum.rho_g
-    pos = datum.positive_roots
+    to the dominant ones by the reference chamber routine and ordered by
+    height in the simple-root basis; {integer form: multiplicity}, in
+    ascending order of the weights.
+
+    Runs on the numerators of the weights over the common denominator D of
+    highest and rho_g, with the roots scaled by D too, so every norm and
+    pairing is D^2 times the true one, and the height functional is scaled
+    to integers."""
+    den = math.lcm(*(c.denominator for c in highest + datum.rho_g))
+
+    def scaled(w):
+        return tuple(int(c * den) for c in w)
+
+    def idot(a, b):
+        return sum(x * y for x, y in zip(a, b, strict=True))
+
+    top, rho = scaled(highest), scaled(datum.rho_g)
+    pos = [scaled(alpha) for alpha in datum.positive_roots]
     simples = simple_roots(datum)
-    top_norm = dot(weight_add(highest, rho), weight_add(highest, rho))
-    seen = {highest}
-    frontier = [highest]
+
+    def norm(mu):
+        shifted = [m + r for m, r in zip(mu, rho)]
+        return idot(shifted, shifted)
+
+    top_norm = norm(top)
+    seen = {top}
+    frontier = [top]
     while frontier:
         nxt = []
         for mu in frontier:
-            for alpha in simples:
-                child = weight_sub(mu, alpha)
-                if child in seen:
-                    continue
-                cr = weight_add(child, rho)
-                if dot(cr, cr) <= top_norm:
+            for alpha in map(scaled, simples):
+                child = tuple(m - a for m, a in zip(mu, alpha))
+                if child not in seen and norm(child) <= top_norm:
                     seen.add(child)
                     nxt.append(child)
         frontier = nxt
-    dominants = [mu for mu in seen if _dominant_rep_g(datum, mu) == mu]
-    height = tuple(_solve_linear(simples, [F(1)] * len(simples)))
-    dominants.sort(key=lambda mu: dot(weight_sub(highest, mu), height))
+    dominants = [mu for mu in seen if dominant_rep_g(datum, mu) == mu]
+    height = _solve_linear(simples, [F(1)] * len(simples))
+    height = [int(h * math.lcm(*(h.denominator for h in height))) for h in height]
+    dominants.sort(key=lambda mu: idot(weight_sub(top, mu), height))
     mult = {}
     for mu in dominants:
-        if mu == highest:
-            mult[mu] = F(1)
+        if mu == top:
+            mult[mu] = 1
             continue
-        mu_rho = weight_add(mu, rho)
-        denom = top_norm - dot(mu_rho, mu_rho)
-        acc = F(0)
+        mu_rho = [m + r for m, r in zip(mu, rho)]
+        mu_norm = idot(mu_rho, mu_rho)
+        acc = 0
         for alpha in pos:
-            norm2 = dot(alpha, alpha)
+            norm2 = idot(alpha, alpha)
             k = 1
             while True:
-                nu = weight_add(mu, tuple(k * a for a in alpha))
-                nr = weight_add(nu, rho)
-                if dot(nr, nr) > top_norm:
-                    if k * norm2 > -dot(mu_rho, alpha):
+                nu = tuple(m + k * a for m, a in zip(mu, alpha))
+                if norm(nu) > top_norm:
+                    if k * norm2 > -idot(mu_rho, alpha):
                         break
                 else:
-                    m = mult.get(_dominant_rep_g(datum, nu), F(0))
+                    m = mult.get(dominant_rep_g(datum, nu), 0)
                     if m:
-                        acc += m * dot(nu, alpha)
+                        acc += m * idot(nu, alpha)
                 k += 1
-        value = 2 * acc / denom
+        value = F(2 * acc, top_norm - mu_norm)
         if value:
-            mult[mu] = value
-    return tuple(sorted(mult.items()))
+            mult[mu] = int(value) if value.denominator == 1 else value
+    return {int_form(tuple(F(n, den) for n in mu)): mult[mu] for mu in sorted(mult)}
 
 
 # The recursion sees only the ambient block, so Sp(p,q) stops at rank 3:
@@ -709,7 +751,7 @@ def dominant_integral_weights(draw):
     half = datum.ambient.kind != "C" and draw(st.booleans())
     top = 5 - datum.rank  # keeps the reference's norm ball small in rank 4
     coords = draw(st.lists(st.integers(-top, top), min_size=datum.rank, max_size=datum.rank))
-    highest = _dominant_rep_g(datum, W(*(c + F(1, 2) * half for c in coords)))
+    highest = dominant_rep_g(datum, W(*(c + F(1, 2) * half for c in coords)))
     for alpha in datum.positive_roots:
         p = pairing(highest, alpha)
         assume(p >= 0 and p.denominator == 1)
@@ -725,7 +767,9 @@ def dominant_integral_weights(draw):
 def test_dominant_character_matches_norm_ball(case):
     datum, highest = case
     expected = _dominant_character_by_norm_ball(datum, highest)
-    assert _dominant_character.__wrapped__(datum, highest) == expected
+    got = _dominant_character(datum, highest)
+    assert list(got.items()) == list(expected.items())
+    assert all(type(m) is int for m in got.values())
 
 
 def test_weight_multiset_sp10_standard():

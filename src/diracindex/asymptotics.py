@@ -12,13 +12,15 @@ are exact equalities.
 
 The order contract: `character_series(..., order)` returns order + 1
 coefficients from the lowest power of t, as integer numerators over one
-denominator.  The numerator's integer moments are kept per (family
-coefficients, lam, y) in a bounded module-level cache, stepped from its
-valuation only as far as an order asks, and each call divides them by U,
-shared per (datum, y), both at `order`.  leading_limit asks for order 0,
-the only coefficient a limit reads.  The base point is not in the key:
-the coset and length checks run on every call, and the singular direction
-check runs in the builder, whose exceptions are never cached.
+denominator.  The series is built once per (family coefficients, lam, y,
+order) in a bounded module-level cache: the numerator's integer moments
+from its valuation to valuation + order, divided by U at `order`, which
+is shared per (datum, y, order).  Each call wraps the cached integers in
+a new series.  leading_limit asks for order 0, the only coefficient a
+limit reads, so the limits of one point share one entry.  The base point
+is not in the key: the coset and length checks run on every call, and the
+singular direction check runs in the builder, whose exceptions are never
+cached.
 """
 
 from __future__ import annotations
@@ -32,9 +34,9 @@ from .groups import IntWeight, RootDatum, Weight, WeylElement, idot, int_form
 from .kmodules import (
     _check_regular,
     _k_type_sum,
-    _Moments,
     _numerator_frequencies,
     _weyl_denominator,
+    frequencies_to_series,
 )
 from .series import TruncatedSeries, _check_order
 from .value import Value
@@ -97,19 +99,19 @@ def root_ratio(datum: RootDatum, y: Weight) -> Fraction:
 
 
 @lru_cache(maxsize=SERIES_CACHE_SIZE)
-def _character_entry(
-    datum: RootDatum, coeffs: tuple[tuple[WeylElement, int], ...], lam: IntWeight, y: IntWeight
-) -> _Moments | None:
-    """The moments of sum_w a_w N_{w lam} at exp(t y), None when the
-    numerator vanishes; y is checked regular first."""
+def _character_entry(datum: RootDatum, coeffs: tuple[tuple[WeylElement, int], ...],
+                     lam: IntWeight, y: IntWeight, order: int) -> LaurentSeries:
+    """The Laurent series of sum_w a_w N_{w lam} / d_g at exp(t y) to the
+    given order; y is checked regular first."""
     _check_regular(datum, y)
     module = _k_type_sum(datum, _index_terms(coeffs, lam))
     if module.is_zero():
-        return None
+        return LaurentSeries.zero(order)
     den, freqs = _numerator_frequencies(module, y)
     if not freqs:
-        return None
-    return _Moments(freqs, den, None)
+        return LaurentSeries.zero(order)
+    v, numerator = frequencies_to_series(freqs, den, order, None)
+    return LaurentSeries(v - datum.r_g, numerator.divide(_weyl_denominator(datum, y, "g", order)))
 
 
 def character_series(
@@ -120,10 +122,9 @@ def character_series(
 
     The numerator sum_w a_w N_{w lam} is assembled from the normalized
     index (so off-lattice or compactly singular translates drop out the
-    same way they do in evaluation).  Its moments, kept per (family
-    coefficients, lam, y), run from the valuation val to val + order and
-    no further, and are divided by d_g, with its zero of order r_g at
-    t = 0 factored analytically, both at `order`.
+    same way they do in evaluation).  Its moments run from the valuation
+    val to val + order and no further, and are divided by d_g, with its
+    zero of order r_g at t = 0 factored analytically, both at `order`.
     """
     _check_order(order)
     datum = fam.datum
@@ -131,11 +132,9 @@ def character_series(
     if len(lam) != datum.rank:
         raise DimensionMismatch("parameter length must equal the rank")
     lam_form = _on_coset(fam, int_form(lam))
-    numerator = _character_entry(datum, tuple(fam.coeffs.items()), lam_form, y_form)
-    if numerator is None:
-        return LaurentSeries.zero(order)
-    u = _weyl_denominator(datum, y_form, "g")
-    return LaurentSeries(numerator.v - u.v, numerator.series(order).divide(u.series(order)))
+    entry = _character_entry(datum, tuple(fam.coeffs.items()), lam_form, y_form, order)
+    series = entry.series
+    return LaurentSeries(entry.low, TruncatedSeries._from_ints(series.nums, series.den))
 
 
 def leading_limit(fam: IndexFamily, lam: Weight, y: Weight, d: int) -> LimitReport:

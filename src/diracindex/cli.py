@@ -20,7 +20,7 @@ import sys
 from fractions import Fraction
 
 from .dirac import discrete_series_family, index_polynomial
-from .emit import MAX_DIGITS, dumps, emit, factored_to_obj, parse_rational
+from .emit import MAX_DIGITS, _echo, dumps, emit, factored_to_obj, parse_rational
 from .errors import ClaimMismatch, DiracIndexError, InternalInvariantError, InvalidInput
 from .fixtures import su_n1_ds_family
 from .groups import Family, GroupId, build_root_datum, check_rank
@@ -35,13 +35,13 @@ def parse_group(text: str) -> GroupId:
     """Parse labels like SU(2,1), SOe(4,5), Sp(4,R), Sp(1,2), SO*(6)."""
     m = _GROUP_RE.match(text.strip())
     if not m:
-        raise argparse.ArgumentTypeError(f"cannot parse group {text!r}")
+        raise argparse.ArgumentTypeError(f"cannot parse group {_echo(text)}")
     head, args = m.groups()
     parts = args.split(",")
     arity = 1 if head == "SO*" else 2
     if len(parts) != arity:
         raise argparse.ArgumentTypeError(
-            f"cannot parse group {text!r}: {head} takes {arity} argument(s)"
+            f"cannot parse group {_echo(text)}: {head} takes {arity} argument(s)"
         )
     try:
         if head == "SU":
@@ -68,8 +68,8 @@ def parse_group(text: str) -> GroupId:
             p, q = int(parts[0]), int(parts[1])
             return GroupId.sp_pq(p, q)
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"cannot parse group {text!r}: {exc}")
-    raise argparse.ArgumentTypeError(f"cannot parse group {text!r}")
+        raise argparse.ArgumentTypeError(f"cannot parse group {_echo(text)}: {exc}")
+    raise argparse.ArgumentTypeError(f"cannot parse group {_echo(text)}")
 
 
 def parse_weight(text: str) -> tuple[Fraction, ...]:
@@ -77,8 +77,8 @@ def parse_weight(text: str) -> tuple[Fraction, ...]:
     try:
         return tuple(parse_rational(part) for part in text.split(","))
     except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(
-            f"not comma-separated rationals of at most {MAX_DIGITS} digits: {text!r}") from None
+        raise argparse.ArgumentTypeError(f"not comma-separated rationals of at most "
+                                         f"{MAX_DIGITS} digits: {_echo(text)}") from None
 
 
 def _max_param(value: int) -> int:

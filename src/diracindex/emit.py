@@ -59,6 +59,17 @@ def poly_to_obj(poly: MultiPoly) -> dict:
     }
 
 
+# Refused input, such as an unknown "type" value or a malformed coefficient,
+# is echoed in at most this many characters.
+_ECHO_LIMIT = 40
+
+
+def _echo(value: object) -> str:
+    """repr(value) as an error line shows it: cut to _ECHO_LIMIT characters."""
+    shown = repr(value)
+    return shown if len(shown) <= _ECHO_LIMIT else shown[:_ECHO_LIMIT - 3] + "..."
+
+
 def _is_a(value: object, types) -> bool:
     """isinstance(value, types), except that JSON true and false are not ints."""
     if type(value) is bool:
@@ -84,13 +95,15 @@ def poly_from_obj(obj: dict, where: str = "polynomial") -> MultiPoly:
         exp = _field(term, "exp", list, f"{where} term")
         coeff = _field(term, "coeff", (str, int), f"{where} term")
         if not all(type(e) is int and e >= 0 for e in exp):
-            raise InvalidInput(f"{where} term has a malformed 'exp' {exp}")
+            raise InvalidInput(f"{where} term has a malformed 'exp' {_echo(exp)}")
+        if len(exp) != arity:
+            raise InvalidInput(f"{where} term has {len(exp)} 'exp' entries, not {arity}")
         if tuple(exp) in terms:
-            raise InvalidInput(f"{where} has a repeated 'exp' {exp}")
+            raise InvalidInput(f"{where} has a repeated 'exp' {_echo(exp)}")
         try:
             terms[tuple(exp)] = parse_rational(coeff)
         except (ValueError, ZeroDivisionError):
-            msg = f"{where} term has a malformed 'coeff' {coeff!r}"
+            msg = f"{where} term has a malformed 'coeff' {_echo(coeff)}"
             raise InvalidInput(msg) from None
     return MultiPoly(arity, terms)
 
@@ -124,7 +137,7 @@ def factored_from_obj(obj: dict) -> tuple[MultiPoly, list[tuple[LinearForm, int]
             coeffs = [c.numerator if c.denominator == 1 else c for c in coeffs]
             factors.append((LinearForm(tuple(coeffs)), mult))
         except (ValueError, ZeroDivisionError):
-            raise InvalidInput(f"factor has a malformed 'form' {form!r}") from None
+            raise InvalidInput(f"factor has a malformed 'form' {_echo(form)}") from None
         if mult < 1:
             raise InvalidInput(f"factor has a malformed 'mult' {mult}")
     cofactor = poly_from_obj(_field(obj, "cofactor", dict, "polynomial"), "cofactor")
@@ -158,7 +171,7 @@ def _check_shape(obj: object, shape: dict, where: str) -> None:
                 if isinstance(want[0], dict):
                     _check_shape(item, want[0], f"{where}.{key}[]")
                 elif not _is_a(item, want[0]):
-                    raise InvalidInput(f"{where} has a malformed {key!r} item {item!r}")
+                    raise InvalidInput(f"{where} has a malformed {key!r} item {_echo(item)}")
         else:
             _field(obj, key, want, where)
 
@@ -318,9 +331,6 @@ _FORMATS = {
 }
 # `verify --format json` prints a suite report without a "type" tag.
 _SUITE_REPORT_KEYS = {"suite", "cases", "all_pass"}
-# A refused kind, such as an unknown "type" value, is echoed in at most
-# this many characters.
-_ECHO_LIMIT = 40
 
 
 def emit(obj: object, fmt: str) -> str:
@@ -341,10 +351,7 @@ def emit(obj: object, fmt: str) -> str:
     else:
         kind = type(obj)
     if not (isinstance(kind, str) and fmt in _FORMATS.get(kind, ())):
-        shown = repr(kind)
-        if len(shown) > _ECHO_LIMIT:
-            shown = shown[:_ECHO_LIMIT - 3] + "..."
-        raise UnsupportedFormat(f"cannot emit {shown} as {fmt}")
+        raise UnsupportedFormat(f"cannot emit {_echo(kind)} as {fmt}")
     if isinstance(obj, MultiPoly):
         return dumps({"type": "polynomial", **poly_to_obj(obj)})
     if isinstance(obj, LimitReport):

@@ -32,7 +32,7 @@ def sl2_weight(n: int) -> Weight:
     return (Fraction(n), Fraction(0))
 
 
-def _sl2_s() -> WeylElement:
+def sl2_simple_reflection() -> WeylElement:
     return WeylElement((1, 0), (1, 1))
 
 
@@ -76,25 +76,18 @@ SL2 = SL2Fixture(
 )
 
 
-def sl2_families(n0: int | None = None) -> dict[str, IndexFamily]:
-    """Index families of the four irreducibles at base parameter n0 > 0."""
-    n0 = SL2.base_parameter if n0 is None else n0
-    if n0 <= 0:
-        raise ValueError("base parameter must be a positive integer")
+def sl2_families() -> dict[str, IndexFamily]:
+    """Index families of the four irreducibles at SL2.base_parameter."""
     datum = sl2_datum()
-    base = sl2_weight(n0)
+    base = sl2_weight(SL2.base_parameter)
     e = WeylElement.identity(2)
-    s = _sl2_s()
+    s = sl2_simple_reflection()
     return {
         "F": IndexFamily(datum, base, {e: -1, s: 1}, gk_dim=SL2.gk_dims["F"], name="F"),
         "D+": IndexFamily(datum, base, {e: 1}, gk_dim=SL2.gk_dims["D+"], name="D+"),
         "D-": IndexFamily(datum, base, {s: -1}, gk_dim=SL2.gk_dims["D-"], name="D-"),
         "P": IndexFamily(datum, base, {}, gk_dim=SL2.gk_dims["P"], name="P"),
     }
-
-
-def sl2_simple_reflection() -> WeylElement:
-    return _sl2_s()
 
 
 # -- SU(n,1) discrete series -------------------------------------------

@@ -22,30 +22,31 @@ numerators and builds its module through the trusted constructor, since
 normalization already guarantees what the public constructor checks.
 Where the lattice question is decided once for many terms, the terms
 skip the test: tensor_virtual tests each weight of the multiset once,
-and verify_translation each family term once.  frequencies_to_series
-builds an exponential sum from integer rates over one denominator.  It
-divides out a known power of t exactly, or finds the valuation by
-stepping the integer moments, and builds only the coefficients it
-returns, as integer numerators over one denominator.  The spin series
-and the Weyl numerators form their rates from coordinate columns, one
-map per nonzero coordinate.  The Weyl denominator d(exp ty) =
-t^r U(t) is never multiplied out into one sum: U is built from its r
-root factors by a binomial recurrence on integers (`_RootProduct`), and
-U(0) = prod alpha(y) takes r integer products.
+and verify_translation each family term once.  frequencies_to_series,
+the one routine that turns a sum of exponentials into a series, takes
+integer rates over one denominator.  It divides out a known power of t
+exactly, or finds the valuation by stepping the integer moments, builds
+only the coefficients it returns, as integer numerators over one
+denominator, and keeps nothing.  The spin series and the Weyl numerators
+form their rates from coordinate columns, one map per nonzero
+coordinate.  The Weyl denominator d(exp ty) = t^r U(t) is never
+multiplied out into one sum: U is built at the order asked from its r
+root factors by a binomial recurrence on integers (`_weyl_denominator`),
+and U(0) = prod alpha(y) takes r integer products.
 
 What depends only on the datum, or on the datum and a direction y, is
 built once in a module-level cache: the weights of V(highest) per
 (datum, highest), whose Freudenthal recursion keeps no cache of its own,
-the signs and per-coordinate index maps of W_k per
-datum, the signed W_k-orbit of y read off them as coordinate columns,
-and U per (datum, y, g or k), stepped to the largest order asked so far;
-the two keyed by y keep DIRECTION_CACHE_SIZE entries at most.  The
-dominant representative and sign of each K-type parameter are kept per
-(datum, numerators), K_TYPE_CACHE_SIZE entries at most.  A cache never
-keeps an exception: a wrong length or a highest weight that is not
-dominant integral raises on every call.  Every call gets new objects: a
-module and a multiset of its own, the multiset's dict copied in one step
-from the read-only cache, and a series sliced from the cached integers.
+the signs and per-coordinate index maps of W_k per datum, the signed
+W_k-orbit of y read off them as coordinate columns, and U per (datum,
+y, g or k, order); the two keyed by y keep DIRECTION_CACHE_SIZE entries
+at most.  The dominant representative and sign of each K-type parameter
+are kept per (datum, numerators), K_TYPE_CACHE_SIZE entries at most.  A
+cache never keeps an exception: a wrong length or a highest weight that
+is not dominant integral raises on every call.  Every call gets new
+objects: a module and a multiset of its own, the multiset's dict copied
+in one step from the read-only cache, and a series wrapped around the
+cached integers.
 """
 
 from __future__ import annotations
@@ -85,7 +86,9 @@ from .series import TruncatedSeries, _check_order
 from .weylaction import _weyl_product, weyl_dim_value_g
 
 # Entries of each cache keyed by a direction y: a round of the `character`
-# benchmark asks for at most 18 Weyl denominators and 6 orbits.
+# benchmark asks for at most 18 Weyl denominators (per group, one order-0 U
+# for its limits and a g and a k U at order 12 for its spin check) and 6
+# orbits.
 DIRECTION_CACHE_SIZE = 64
 # Entries of the K-type normalization cache: a seed-1 pass of the
 # `character` benchmark normalizes 656 distinct parameters.
@@ -459,72 +462,46 @@ def _numerator_frequencies(module: VirtualKModule, y: IntWeight) -> tuple[int, d
     return den, {f: c for f, c in freqs.items() if c}
 
 
-class _Moments:
-    """sum c * e^{(f / den) t} over the pairs (f, c) of freqs, as t^v S(t).
+def frequencies_to_series(
+    freqs: Mapping[int, int], den: int, order: int, start: int | None = 0
+) -> tuple[int, TruncatedSeries]:
+    """(v, S) with sum c * e^{(f / den) t} = t^v * S(t) over the pairs (f, c)
+    of freqs, and S to the given order, as integer numerators over one
+    denominator; nothing is kept.
 
     The t^k coefficient of the sum is the integer moment M_k = sum c f^k
     over den^k k!.  With an integer start, v is start and the moments
     below it must vanish (ValueError otherwise).  With start None, v is
     the valuation: the first nonzero moment, which a sum of n
     exponentials with distinct rates and nonzero coefficients has among
-    its first n (Vandermonde).  The moments from v on are stepped only as
-    far as an order asks, and kept: `series(order)` extends them when it
-    asks for more than any call before, and otherwise slices the series
-    of the largest order built so far, whose one denominator serves every
-    shorter prefix.
-    """
-
-    __slots__ = ("v", "_den", "_rates", "_powers", "_moments", "_nums", "_scale")
-
-    def __init__(self, freqs: Mapping[int, int], den: int, start: int | None):
-        rates, powers = list(freqs), list(freqs.values())
-        k, total = 0, sum(powers)
-        while not (total if start is None else k >= start):
-            if total:
-                raise ValueError(f"sum of exponentials is not divisible by t^{start}")
-            if start is None and k + 1 >= len(rates):
-                raise InternalInvariantError(
-                    f"no nonzero moment among the first {len(rates)} of a sum of exponentials"
-                )
-            k += 1
-            powers = [p * f for p, f in zip(powers, rates)]
-            total = sum(powers)
-        self.v, self._den, self._rates, self._powers = k, den, rates, powers
-        self._moments = [total]  # M_v, M_(v+1), ...
-        self._nums: tuple[int, ...] = ()
-        self._scale = 1
-
-    def series(self, order: int) -> TruncatedSeries:
-        """S to the given order; M_(v+j) / (den^(v+j) (v+j)!) is
-        M_(v+j) den^(N-j) (v+N)! / (v+j)! over den^(v+N) (v+N)!."""
-        if order >= len(self._nums):
-            moments, rates, powers = self._moments, self._rates, self._powers
-            while len(moments) <= order:
-                powers = [p * f for p, f in zip(powers, rates)]
-                moments.append(sum(powers))
-            self._powers = powers
-            den, v = self._den, self.v
-            nums, mult = [0] * (order + 1), 1
-            for j in range(order, -1, -1):
-                nums[j] = moments[j] * mult
-                if j:
-                    mult *= den * (v + j)
-            # mult is now den^N (v+N)! / v!
-            self._nums, self._scale = tuple(nums), mult * den**v * factorial(v)
-        return TruncatedSeries._from_ints(self._nums[: order + 1], self._scale)
-
-
-def frequencies_to_series(
-    freqs: Mapping[int, int], den: int, order: int, start: int | None = 0
-) -> tuple[int, TruncatedSeries]:
-    """(v, S) with sum c * e^{(f / den) t} = t^v * S(t) over the pairs (f, c)
-    of freqs, and S to the given order, as integer numerators over one
-    denominator (see `_Moments` for v and start).  Only the moments
-    0 .. v + order are built.
+    its first n (Vandermonde).  Only the moments 0 .. v + order are built,
+    and M_(v+j) / (den^(v+j) (v+j)!) is M_(v+j) den^(N-j) (v+N)! / (v+j)!
+    over den^(v+N) (v+N)!.
     """
     _check_order(order)
-    moments = _Moments(freqs, den, start)
-    return moments.v, moments.series(order)
+    rates, powers = list(freqs), list(freqs.values())
+    v, total = 0, sum(powers)
+    while not (total if start is None else v >= start):
+        if total:
+            raise ValueError(f"sum of exponentials is not divisible by t^{start}")
+        if start is None and v + 1 >= len(rates):
+            raise InternalInvariantError(
+                f"no nonzero moment among the first {len(rates)} of a sum of exponentials"
+            )
+        v += 1
+        powers = [p * f for p, f in zip(powers, rates)]
+        total = sum(powers)
+    moments = [total]  # M_v .. M_(v+order)
+    for _ in range(order):
+        powers = [p * f for p, f in zip(powers, rates)]
+        moments.append(sum(powers))
+    nums, mult = [0] * (order + 1), 1
+    for j in range(order, -1, -1):
+        nums[j] = moments[j] * mult
+        if j:
+            mult *= den * (v + j)
+    # mult is now den^N (v+N)! / v!
+    return v, TruncatedSeries._from_ints(tuple(nums), mult * den**v * factorial(v))
 
 
 @lru_cache(maxsize=None)
@@ -533,9 +510,9 @@ def _binomials(n: int, e: int) -> tuple[int, ...]:
     return tuple(comb(n, i) for i in range(e, n + 1, 2))
 
 
-def _factor_coefficients(factor: tuple[int, ...], top: int) -> tuple[int, list[int]]:
-    """(e, [c_0 .. c_top]): sinh(k s) for factor (k,), or sinh(a s) sinh(b s)
-    = (cosh((a+b) s) - cosh((a-b) s)) / 2 for factor (a, b), is
+def _factor_coefficients(factor: list[int], top: int) -> tuple[int, list[int]]:
+    """(e, [c_0 .. c_top]): sinh(k s) for factor [k], or sinh(a s) sinh(b s)
+    = (cosh((a+b) s) - cosh((a-b) s)) / 2 for factor [a, b], is
     sum_i c_i s^(e+2i) / (e+2i)! with c_i = k^(2i+1), or
     c_i = ((a+b)^(2i+2) - (a-b)^(2i+2)) / 2."""
     if len(factor) == 1:
@@ -553,85 +530,46 @@ def _factor_coefficients(factor: tuple[int, ...], top: int) -> tuple[int, list[i
     return 2, coeffs
 
 
-class _RootProduct:
-    """prod_k (e^{k t / 2D} - e^{-k t / 2D}) over the integer rates k, as
-    t^v U(t) with v the number of rates.
+@lru_cache(maxsize=DIRECTION_CACHE_SIZE)
+def _weyl_denominator(datum: RootDatum, y: IntWeight, which: str, order: int) -> TruncatedSeries:
+    """U to the given order, where d(exp ty) = t^v U(t) over the v positive
+    roots of g or k: the product of the root factors e^{k t / 2D} -
+    e^{-k t / 2D} on the integer rates k = (alpha, y_nums) over D = y_den.
 
-    With s = t / 2D a factor is 2 sinh(k s), so U is even in t.  The
-    factors are taken two at a time, one left over when v is odd (see
-    `_factor_coefficients`).  If those so far, of degree m in s, multiply
-    to sum_j N_j s^(m+2j) / (m+2j)!, one more factor of degree e gives the
+    With s = t / 2D a factor is 2 sinh(k s), so U is even in t, and below
+    order 2 it is U(0) = prod k / D^v, which takes v integer products.
+    Above that the factors are taken two at a time, one left over when v
+    is odd (see `_factor_coefficients`).  If those so far, of degree m in
+    s, multiply to sum_j N_j s^(m+2j) / (m+2j)!, starting from the empty
+    product N = [1, 0, ..., 0], one more factor of degree e gives the
     integers
 
         N'_j = sum_(i <= j) C(m + e + 2j, e + 2i) c_i N_(j-i),
 
     and with the 2^v of the factors the t^2j coefficient of U is
-    N_j / ((v + 2j)! 4^j D^(v+2j)); U(0) = prod k / D^v, and a zero rate
-    zeroes every row from its factor on.  The rows N after each factor
-    are kept up to the largest j asked so far, so `series(order)` steps
-    them on only when it asks for more than any call before, and
-    otherwise slices the series of the largest order built so far.
-    """
-
-    __slots__ = ("v", "_den", "_rates", "_rows", "_nums", "_scale")
-
-    def __init__(self, rates: list[int], den: int):
-        self.v, self._den, self._rates = len(rates), den, rates
-        # The empty product, read only when there is no factor, then one
-        # row per factor.
-        self._rows: list[list[int]] = [[1]] + [[] for _ in range((len(rates) + 1) // 2)]
-        self._nums: tuple[int, ...] = ()
-        self._scale = 1
-
-    def _step(self, top: int) -> None:
-        """Extend every row to N_0 .. N_top."""
-        rows, rates = self._rows, self._rates
-        have = len(rows[-1])
-        if have > top:
-            return
-        rows[0] += [0] * (top + 1 - len(rows[0]))
-        factors = list(zip(rates[::2], rates[1::2]))
-        if len(rates) % 2:
-            factors.append((rates[-1],))
-        m = 0
-        for f, (factor, prev, row) in enumerate(zip(factors, rows, rows[1:])):
-            e, coeffs = _factor_coefficients(factor, top)
-            m += e
-            if not f:  # one factor times the empty product: N_j = c_j
-                row += coeffs[have:]
-                continue
-            for j in range(have, top + 1):
-                terms = map(mul, _binomials(m + 2 * j, e), coeffs)
-                row.append(sum(map(mul, prev[j::-1], terms)))
-
-    def series(self, order: int) -> TruncatedSeries:
-        """U to the given order; N_j / ((v+2j)! 4^j D^(v+2j)) is
-        N_j (4 D^2)^(J-j) (v+2J)! / (v+2j)! over (v+2J)! 4^J D^(v+2J)."""
-        if not self._nums:
-            # U(0) = prod k / D^v, with no row built
-            self._nums, self._scale = (prod(self._rates),), self._den**self.v
-        if order >= len(self._nums):
-            top = order // 2
-            self._step(top)
-            row, v, square = self._rows[-1], self.v, 4 * self._den**2
-            nums, mult = [0] * (order + 1), 1
-            for j in range(top, -1, -1):
-                nums[2 * j] = row[j] * mult
-                if j:
-                    mult *= square * (v + 2 * j) * (v + 2 * j - 1)
-            # mult is now 4^J D^2J (v+2J)! / v!
-            self._nums, self._scale = tuple(nums), mult * factorial(v) * self._den**v
-        return TruncatedSeries._from_ints(self._nums[: order + 1], self._scale)
-
-
-@lru_cache(maxsize=DIRECTION_CACHE_SIZE)
-def _weyl_denominator(datum: RootDatum, y: IntWeight, which: str) -> _RootProduct:
-    """d(exp ty) over the positive roots of g or k, as the product of its
-    root factors e^{a t/2} - e^{-a t/2}, a = alpha(y): on the integer rates
-    (alpha, y_nums) over y_den."""
+    N_j / ((v + 2j)! 4^j D^(v+2j)), that is N_j (4 D^2)^(J-j) (v+2J)! /
+    (v+2j)! over (v+2J)! 4^J D^(v+2J); a zero rate zeroes every row from
+    its factor on."""
     y_den, y_nums = y
     roots = datum.positive_roots if which == "g" else datum.compact_positive_roots
-    return _RootProduct([idot(alpha, y_nums) for alpha in roots], y_den)
+    rates = [idot(alpha, y_nums) for alpha in roots]
+    v = len(rates)
+    if order < 2:
+        return TruncatedSeries._from_ints((prod(rates),) + (0,) * order, y_den**v)
+    top = order // 2
+    row, m = [1] + [0] * top, 0
+    for factor in (rates[i:i + 2] for i in range(0, v, 2)):
+        e, coeffs = _factor_coefficients(factor, top)
+        m += e
+        row = [sum(map(mul, row[j::-1], map(mul, _binomials(m + 2 * j, e), coeffs)))
+               for j in range(top + 1)]
+    square = 4 * y_den**2
+    nums, mult = [0] * (order + 1), 1
+    for j in range(top, -1, -1):
+        nums[2 * j] = row[j] * mult
+        if j:
+            mult *= square * (v + 2 * j) * (v + 2 * j - 1)
+    return TruncatedSeries._from_ints(tuple(nums), mult * factorial(v) * y_den**v)
 
 
 def weyl_denominator_factored(
@@ -640,10 +578,10 @@ def weyl_denominator_factored(
     """d(exp ty) = t^r * U(t) with U(0) = prod alpha(y) != 0; returns (r, U).
 
     U is built from the r root factors of d, not from their product
-    multiplied out, once per (datum, y, which), to the largest order
-    asked so far, and each call gets a new series of its order."""
+    multiplied out, once per (datum, y, which, order), and each call gets
+    a new series."""
     _check_order(order)
     if which not in ("g", "k"):
         raise ValueError("which must be 'g' or 'k'")
-    u = _weyl_denominator(datum, datum.form(y), which)
-    return u.v, u.series(order)
+    u = _weyl_denominator(datum, datum.form(y), which, order)
+    return datum.r_g if which == "g" else datum.r_k, TruncatedSeries._from_ints(u.nums, u.den)

@@ -86,7 +86,7 @@ def test_criterion_4_su_n1_claims():
 
 
 def test_criterion_5_index_equals_character_asymptotics():
-    report = ind_eq_char_suite(trials=20)
+    report = ind_eq_char_suite()
     _report(5, f"exact compact-Cartan limits, failures={_failures(report)}",
             report.all_pass)
 

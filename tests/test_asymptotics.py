@@ -141,21 +141,11 @@ class _CountingRate(int):
         return other * int(self)
 
 
-class _Recorded:
-    """Moments whose series calls are logged by order."""
-
-    def __init__(self, moments, log):
-        self.moments, self.log, self.v = moments, log, moments.v
-
-    def series(self, n):
-        self.log.append(n)
-        return self.moments.series(n)
-
-
 def _record_builds(monkeypatch):
     """Clear the series cache, then log what its builder asks for: the
-    numerator's moments (start, valuation, orders, products per frequency),
-    the orders asked of U, and the orders of both division operands."""
+    numerator's moments (start, valuation, frequencies; the order in
+    calls["orders"]; products per frequency), the orders asked of U, and
+    the orders of both division operands."""
     asymptotics._character_entry.cache_clear()
     calls = {"numerator": [], "orders": [], "denominator": [], "divide": []}
 
@@ -166,15 +156,17 @@ def _record_builds(monkeypatch):
         _CountingRate.products = 0
         return den, {_CountingRate(f): c for f, c in freqs.items()}
 
-    def numerator(freqs, den, start):
-        moments = kmodules._Moments(freqs, den, start)
-        calls["numerator"].append((start, moments.v, len(freqs)))
-        return _Recorded(moments, calls["orders"])
+    def numerator(freqs, den, order, start):
+        v, series = frequencies_to_series(freqs, den, order, start)
+        calls["numerator"].append((start, v, len(freqs)))
+        calls["orders"].append(order)
+        return v, series
 
     real_denominator = asymptotics._weyl_denominator
 
-    def denominator(datum, y, which):
-        return _Recorded(real_denominator(datum, y, which), calls["denominator"])
+    def denominator(datum, y, which, order):
+        calls["denominator"].append(order)
+        return real_denominator(datum, y, which, order)
 
     real_divide = TruncatedSeries.divide
 
@@ -183,7 +175,7 @@ def _record_builds(monkeypatch):
         return real_divide(self, other)
 
     monkeypatch.setattr(asymptotics, "_numerator_frequencies", frequencies)
-    monkeypatch.setattr(asymptotics, "_Moments", numerator)
+    monkeypatch.setattr(asymptotics, "frequencies_to_series", numerator)
     monkeypatch.setattr(asymptotics, "_weyl_denominator", denominator)
     monkeypatch.setattr(TruncatedSeries, "divide", divide)
     return calls
@@ -214,26 +206,64 @@ def test_character_series_builds_only_to_order(monkeypatch, order):
     assert series.series.order == order
 
 
-def test_character_series_extends_to_a_larger_order_only(monkeypatch):
+def test_character_series_builds_each_order_once(monkeypatch):
     """An order-8 call, then an order-12 call on the same (family, lam, y):
-    the moments are stepped on from val + 8 to val + 12 and no further, U
-    is asked for 8 then 12, and each call divides at its order; a third
-    call at order 10 divides again at 10 but steps no moment."""
+    each builds its own moments to val + order, asks U for its order and
+    divides at it; asked again, neither builds anything.  A new order 10
+    is built afresh and equals a cold call."""
     fam, (lam, y) = SP13_FAMILY, SP13_POINT
     calls = _record_builds(monkeypatch)
-    character_series(fam, lam, y, 8)
+    first = character_series(fam, lam, y, 8)
     series = character_series(fam, lam, y, 12)
-    [(_, val, n_freqs)] = calls["numerator"]
-    assert calls["orders"] == [8, 12]
+    [(_, val, n_freqs), again] = calls["numerator"]
+    assert again == (None, val, n_freqs) and calls["orders"] == [8, 12]
     assert _CountingRate.products // n_freqs == val + 12
     assert calls["denominator"] == [8, 12]
     assert calls["divide"] == [(8, 8), (12, 12)]
     assert series.series.order == 12
-    products = _CountingRate.products
-    assert character_series(fam, lam, y, 10).series.order == 10
-    assert len(calls["numerator"]) == 1 and _CountingRate.products == products
+    built, products = {key: list(log) for key, log in calls.items()}, _CountingRate.products
+    assert character_series(fam, lam, y, 8) == first
+    assert character_series(fam, lam, y, 12) == series
+    assert calls == built and _CountingRate.products == products
+    ten = character_series(fam, lam, y, 10)
     assert calls["orders"] == [8, 12, 10] and calls["denominator"] == [8, 12, 10]
     assert calls["divide"] == [(8, 8), (12, 12), (10, 10)]
+    asymptotics._character_entry.cache_clear()
+    kmodules._weyl_denominator.cache_clear()
+    assert ten == character_series(fam, lam, y, 10) and ten.series.order == 10
+
+
+def test_a_repeated_order_steps_no_moment_asks_nothing_of_u_and_divides_nothing(monkeypatch):
+    """A second order-8 call on a cached point builds nothing and returns
+    an equal, new series."""
+    fam, (lam, y) = SP13_FAMILY, SP13_POINT
+    asymptotics._character_entry.cache_clear()
+    first = character_series(fam, lam, y, 8)
+    log = []
+    real_frequencies, real_denominator = (
+        asymptotics._numerator_frequencies, asymptotics._weyl_denominator)
+    real_divide = TruncatedSeries.divide
+
+    def frequencies(module, y):
+        log.append("frequencies")
+        den, freqs = real_frequencies(module, y)
+        return den, {_CountingRate(f): c for f, c in freqs.items()}
+
+    def denominator(*args):
+        log.append("denominator")
+        return real_denominator(*args)
+
+    def divide(self, other):
+        log.append("divide")
+        return real_divide(self, other)
+
+    monkeypatch.setattr(asymptotics, "_numerator_frequencies", frequencies)
+    monkeypatch.setattr(asymptotics, "_weyl_denominator", denominator)
+    monkeypatch.setattr(TruncatedSeries, "divide", divide)
+    _CountingRate.products = 0
+    second = character_series(fam, lam, y, 8)
+    assert log == [] and _CountingRate.products == 0
+    assert second == first and second.series is not first.series
 
 
 @pytest.mark.parametrize("offset", [-1, 0, 1, 2])
@@ -488,18 +518,18 @@ def test_a_first_limit_on_a_new_direction_expands_no_sum_and_signs_nothing(monke
     gap = fam.datum.r_g - fam.datum.r_k
     assert leading_limit(fam, lam, y, gap).match
     starts, signs = [], []
-    real_moments, real_sign = kmodules._Moments, WeylElement.sign
+    real_moments, real_sign = kmodules.frequencies_to_series, WeylElement.sign
 
-    def moments(freqs, den, start):
+    def moments(freqs, den, order, start=0):
         starts.append(start)
-        return real_moments(freqs, den, start)
+        return real_moments(freqs, den, order, start)
 
     def sign(self):
         signs.append(self)
         return real_sign(self)
 
     for module in (kmodules, asymptotics):
-        monkeypatch.setattr(module, "_Moments", moments)
+        monkeypatch.setattr(module, "frequencies_to_series", moments)
     monkeypatch.setattr(WeylElement, "sign", sign)
     new_y = W(3, -7, 2, 11)
     for cache in (kmodules._weyl_denominator, kmodules._signed_orbit):

@@ -263,10 +263,49 @@ def test_cli_bad_hc_param_is_usage_error(text, capsys):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err
+    shown = repr(text) if len(repr(text)) <= 40 else repr(text)[:37] + "..."
     assert [line for line in err.splitlines() if "error:" in line] == [
         f"diracindex index-poly: error: argument --hc-param: not comma-separated "
-        f"rationals of at most {MAX_DIGITS} digits: {text!r}"
+        f"rationals of at most {MAX_DIGITS} digits: {shown}"
     ]
+
+
+# A refused text is echoed in at most 40 characters, however long it is.
+LONG_TEXT = "1" * 100_000 + "x"
+_LONG_POLY = {"type": "polynomial", "vars": 1, "terms": [{"exp": [0], "coeff": "1"}]}
+
+
+@pytest.mark.parametrize(
+    "obj, field",
+    [
+        ({**_LONG_POLY, "terms": [{"exp": [0], "coeff": LONG_TEXT}]},
+         "polynomial term has a malformed 'coeff' '1111"),
+        ({**_LONG_POLY, "terms": [{"exp": [1] * 50_000, "coeff": "1"}]},
+         "polynomial term has 50000 'exp' entries, not 1"),
+        ({**_LONG_POLY, "terms": [{"exp": [-1] * 50_000, "coeff": "1"}]},
+         "polynomial term has a malformed 'exp' [-1, "),
+        ({**_LONG_POLY, "factors": [{"form": [LONG_TEXT], "mult": 1}],
+          "cofactor": {"vars": 1, "terms": []}},
+         "factor has a malformed 'form' ['1111"),
+    ],
+    ids=["coeff", "exp-length", "exp-entries", "form"],
+)
+def test_cli_emit_cuts_the_echo_of_a_long_refused_field(obj, field, tmp_path, capsys):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(obj))
+    assert main(["emit", "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith(f"error: {field}") and len(line) < 100
+
+
+def test_cli_cuts_the_echo_of_a_long_hc_param(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["index-poly", "--group", "Sp(4,R)", "--hc-param", LONG_TEXT])
+    assert exc.value.code == 2
+    [line] = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    assert line.endswith(f"digits: '{'1' * 36}...") and len(line) < 160
 
 
 @pytest.mark.parametrize(

@@ -20,8 +20,8 @@ import sys
 from fractions import Fraction
 
 from .dirac import discrete_series_family, index_polynomial
-from .emit import MAX_DIGITS, _echo, dumps, emit, factored_to_obj, parse_rational
-from .errors import ClaimMismatch, DiracIndexError, InternalInvariantError, InvalidInput
+from .emit import MAX_DIGITS, dumps, emit, factored_to_obj, parse_rational
+from .errors import ClaimMismatch, DiracIndexError, InternalInvariantError, InvalidInput, _echo
 from .fixtures import su_n1_ds_family
 from .groups import Family, GroupId, build_root_datum, check_rank
 from .springer import springer_table

@@ -20,7 +20,7 @@ import re
 from fractions import Fraction
 
 from .asymptotics import LimitReport
-from .errors import InvalidInput, UnsupportedFormat
+from .errors import InvalidInput, UnsupportedFormat, _echo
 from .groups import _family_layout
 from .polynomials import LinearForm, MultiPoly
 from .springer import Bipartition, SpringerRow
@@ -49,7 +49,9 @@ def frac_str(x: int | Fraction) -> str:
 
 
 def poly_to_obj(poly: MultiPoly) -> dict:
-    """The polynomial object, read from the packed numerator: each distinct
+    """The polynomial object, read from `MultiPoly.graded_rows`: from the
+    packed numerator, or from signed permutations for a described alternant
+    such as +-D_k, whose numerator is then never built.  Each distinct
     numerator is printed once, and no `Fraction` view is built."""
     den, rows = poly.den, poly.graded_rows()
     coeff = {c: frac_str(Fraction(c, den)) for c in {c for _, c in rows}}
@@ -57,17 +59,6 @@ def poly_to_obj(poly: MultiPoly) -> dict:
         "vars": poly.arity,
         "terms": [{"exp": exp, "coeff": coeff[c]} for exp, c in rows],
     }
-
-
-# Refused input, such as an unknown "type" value or a malformed coefficient,
-# is echoed in at most this many characters.
-_ECHO_LIMIT = 40
-
-
-def _echo(value: object) -> str:
-    """repr(value) as an error line shows it: cut to _ECHO_LIMIT characters."""
-    shown = repr(value)
-    return shown if len(shown) <= _ECHO_LIMIT else shown[:_ECHO_LIMIT - 3] + "..."
 
 
 def _is_a(value: object, types) -> bool:

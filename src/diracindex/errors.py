@@ -5,7 +5,20 @@ self-check of the package raises InternalInvariantError instead, which is
 a bug rather than a bad input and so is not a DiracIndexError.  A paper
 claim that the computation does not confirm raises ClaimMismatch, a
 verification failure that is neither.
+
+An error line that echoes refused input shows it through `_echo`, cut to
+_ECHO_LIMIT characters, so that no input can make the line long.
 """
+
+# Refused input, such as an unknown "type" value, a malformed coefficient or
+# an unparsable DIRAC_MAX_RANK, is echoed in at most this many characters.
+_ECHO_LIMIT = 40
+
+
+def _echo(value: object) -> str:
+    """repr(value) as an error line shows it: cut to _ECHO_LIMIT characters."""
+    shown = repr(value)
+    return shown if len(shown) <= _ECHO_LIMIT else shown[:_ECHO_LIMIT - 3] + "..."
 
 
 class DiracIndexError(Exception):

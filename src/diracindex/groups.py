@@ -58,6 +58,7 @@ from .errors import (
     InternalInvariantError,
     InvalidInput,
     RankCapExceeded,
+    _echo,
 )
 from .value import Value
 
@@ -375,7 +376,7 @@ def check_rank(label: str, rank: int, cap: int | None = None) -> None:
         try:
             cap = int(value) if value else DEFAULT_RANK_CAP
         except ValueError:
-            raise InvalidInput(f"DIRAC_MAX_RANK must be an integer, got {value!r}") from None
+            raise InvalidInput(f"DIRAC_MAX_RANK must be an integer, got {_echo(value)}") from None
         advice = "; set DIRAC_MAX_RANK to raise it"
     if rank > cap:
         raise RankCapExceeded(f"{label} {rank} exceeds cap {cap}{advice}")

@@ -10,6 +10,10 @@ nonzero Fraction}, built on first read and cached; `MultiPoly(arity,
 terms)` validates its Fraction terms, packs them at once and keeps them as
 that view, and `den` reads the denominator.  The form is unique, so `==`
 and the hash compare (den, width, num) whichever way a value was built.
+A block-diagonal alternant (below) also holds its description, the blocks
+and the signed scale numerator, in the slot `_leibniz`; its `_num` is then
+a memo that the first read fills through `_alternant`, shared by the
+values that share the description, so every kernel reads one integer form.
 Every ring operation, product of linear forms, alternant, restriction and
 quotient works on packed keys, without a `Fraction` per term, and
 normalizes through `MultiPoly._from_ints`, which may keep the dict it is
@@ -39,7 +43,8 @@ packed numerator, every key unpacked at once, and emission prints from it
 without building the `Fraction` view.  Index polynomials, determinants
 and cofactors are homogeneous, so their order is lex order, and the
 alternants below and what is built from them iterate in it already: the
-sort is one linear run.
+sort is one linear run.  A described alternant lists its rows from signed
+permutations instead, with no key packed or unpacked (`_leibniz_rows`).
 
 A `LinearForm` keeps its coefficients as given: the package builds every
 form from ints, and only parsed input (`emit.factored_from_obj`) holds a
@@ -70,6 +75,17 @@ exponents, and by induction on the rows the terms are written in
 descending lex order, the order emission wants; block-diagonal input,
 blocks contiguous and ascending, gives the product of the block
 alternants, left block outermost.
+
+`alternant` keeps a block-diagonal matrix as its blocks: each column's
+support is exactly its block's rows, the variables ascend and the
+exponents fall strictly within each block, as for D_k (`weylaction`), the
+gcd of `sun1` and the Vandermonde on ascending indices.  By Leibniz each
+block's terms are its permutations, with no cancellation, so the
+description gives the rows in emission order and the numerator alike.
+-P, P * +-1 and the identity `permute` keep the description, so an index
+polynomial +-D_k is printed without its numerator being built; any other
+operation reads `_num`.  Every other matrix, such as the SU(n,1) character
+determinant, is expanded at once.
 
 Restriction, divisibility, exact division and factor extraction share
 one Horner pass on P = N / D, run by methods of the form from the split
@@ -109,7 +125,7 @@ from collections import defaultdict
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from functools import reduce
 from fractions import Fraction
-from itertools import repeat, zip_longest
+from itertools import chain, permutations, repeat, zip_longest
 from operator import add, itemgetter, lshift, neg
 from types import MappingProxyType
 
@@ -158,7 +174,7 @@ def _move_fields(width: int, new: int, perm: Sequence[int], signs: Sequence[int]
 
 
 class MultiPoly:
-    __slots__ = ("arity", "_terms", "_den", "_width", "_num")
+    __slots__ = ("arity", "_terms", "_den", "_width", "_num", "_leibniz")
 
     def __init__(self, arity: int, terms: dict[Exponent, Fraction] | None = None):
         self.arity = int(arity)
@@ -182,14 +198,44 @@ class MultiPoly:
             sum(map(lshift, exp, shifts)): c.numerator * (den // c.denominator)
             for exp, c in clean.items()
         }
+        self._leibniz = None
 
     @classmethod
     def _packed(cls, arity: int, den: int, width: int, num: IntTerms) -> "MultiPoly":
         """Wrap an integer form that is already normalized (module docstring)."""
         poly = object.__new__(cls)
-        poly.arity, poly._terms = arity, None
+        poly.arity, poly._terms, poly._leibniz = arity, None, None
         poly._den, poly._width, poly._num = den, width, num
         return poly
+
+    @classmethod
+    def _described(cls, arity: int, den: int, width: int, leibniz: tuple) -> "MultiPoly":
+        """p / den times the block-diagonal alternant of the blocks, kept as
+        its description leibniz = (blocks, p, memo): blocks as
+        `_leibniz_blocks` gives them, and memo a list that holds the packed
+        numerator once a first read of `_num` has built it.  Values that
+        share the description share that memo."""
+        poly = object.__new__(cls)
+        poly.arity, poly._terms, poly._leibniz = arity, None, leibniz
+        poly._den, poly._width = den, width
+        return poly
+
+    def __getattr__(self, name: str):
+        # Only a slot never set gets here: `_num` of a described alternant
+        # before its first read fills it through `_alternant`, once.
+        if name != "_num" or self._leibniz is None:
+            raise AttributeError(f"'MultiPoly' object has no attribute {name!r}")
+        blocks, p, memo = self._leibniz
+        if not memo:
+            variables, exponents, support = [], [], []
+            for block_vars, block_exps in blocks:
+                support += [((1 << len(block_vars)) - 1) << len(variables)] * len(block_vars)
+                variables += block_vars
+                exponents += block_exps
+            num = _alternant(self._width, variables, exponents, support)
+            memo.append(num if p == 1 else {key: c * p for key, c in num.items()})
+        self._num = memo[0]
+        return self._num
 
     @classmethod
     def _from_ints(cls, arity, width, num, scale=Fraction(1), degree=None) -> "MultiPoly":
@@ -264,6 +310,9 @@ class MultiPoly:
         return self + (-other)
 
     def __neg__(self):
+        if self._leibniz is not None:
+            blocks, p, _ = self._leibniz
+            return MultiPoly._described(self.arity, self._den, self._width, (blocks, -p, []))
         num = {key: -c for key, c in self._num.items()}
         return MultiPoly._packed(self.arity, self._den, self._width, num)
 
@@ -330,7 +379,11 @@ class MultiPoly:
         """(exponent list, numerator over den) of every term, by ascending
         total degree, then descending lex order on the exponents; zero has
         none, whatever its arity.  The sort is right for any numerator, and
-        one linear run on one that iterates in descending lex order."""
+        one linear run on one that iterates in descending lex order.  A
+        described alternant lists its rows from its blocks instead
+        (`_leibniz_rows`), with no key packed or unpacked."""
+        if self._leibniz is not None:
+            return _leibniz_rows(self.arity, *self._leibniz[:2])
         arity, width, num = self.arity, self._width, self._num
         if not arity or not num:
             return [([], c) for c in num.values()]
@@ -405,10 +458,14 @@ class MultiPoly:
     def permute(self, perm: Sequence[int], signs: Sequence[int]) -> "MultiPoly":
         """P with each X_{perm[k]} replaced by signs[k] X_k, for a signed
         permutation: it keeps the degree and the content, so the result is
-        normalized; it shares P's numerator when nothing moves or flips."""
+        normalized; it shares P's numerator when nothing moves or flips, and
+        a described alternant's description then."""
         if len(perm) != self.arity or len(signs) != self.arity:
             raise DimensionMismatch(
                 f"signed permutation of length {len(perm)} for arity {self.arity}")
+        if (self._leibniz is not None and tuple(perm) == tuple(range(self.arity))
+                and all(s > 0 for s in signs)):
+            return MultiPoly._described(self.arity, self._den, self._width, self._leibniz)
         num = _move_fields(self._width, self._width, perm, signs, self._num)
         return MultiPoly._packed(self.arity, self._den, self._width, num)
 
@@ -585,16 +642,88 @@ def _alternant(
     return dict(zip(keys, signs))
 
 
+def _leibniz_blocks(
+    arity: int, variables: Sequence[int], exponents: Sequence[int], support: Sequence[int]
+) -> tuple | None:
+    """The blocks ((variables, exponents), ...) of M as in `_alternant` when
+    M is block-diagonal with the variables ascending below arity: the
+    columns of each block, as many as its rows, reach exactly those rows,
+    and their exponents fall strictly; else None."""
+    n = len(variables)
+    if len(exponents) != n or any(a >= b for a, b in zip(variables, variables[1:])) or (
+            n and not 0 <= variables[0] <= variables[-1] < arity):
+        return None
+    support = support or [(1 << n) - 1] * n
+    blocks, row = [], 0
+    while row < n:
+        rows = support[row]
+        size = rows.bit_length() - row
+        block_exps = tuple(exponents[row:row + size])
+        if (not 1 <= size <= n - row or rows != ((1 << size) - 1) << row
+                or any(s != rows for s in support[row:row + size])
+                or any(a <= b for a, b in zip(block_exps, block_exps[1:]))):
+            return None
+        blocks.append((tuple(variables[row:row + size]), block_exps))
+        row += size
+    return tuple(blocks)
+
+
+def _leibniz_rows(arity: int, blocks: tuple, p: int) -> list[tuple[list[int], int]]:
+    """`graded_rows` of p / den times the alternant of the blocks (see
+    `_leibniz_blocks`), straight from signed permutations.  By Leibniz a
+    block's terms are sgn(pi) x^{pi.e}, one per permutation pi and distinct,
+    and `permutations` of its falling exponents e lists them in descending
+    lex order.  The parities of the k! permutations of k items in lex order
+    are p_k: p_1 = 0, and p_k is p_{k-1} and its complement, alternating, k
+    times, since putting the j-th item first takes j transpositions; the
+    coefficients follow them as lists of p and -p.  Blocks are chained with
+    the left block outermost, their signs multiplied, and the variables
+    outside every block stay at zero: the rows of the ascending blocks are
+    then in descending lex order too."""
+    rows = coeffs = None
+    at = 0
+    for variables, exponents in blocks:
+        even, odd = [p], [-p]
+        for k in range(2, len(exponents) + 1):
+            runs = [even, odd] * k
+            even, odd = (list(chain.from_iterable(runs[start:start + k])) for start in (0, 1))
+        terms = permutations(exponents)
+        if variables != tuple(range(at, at + len(variables))):
+            # zeros before the block and between its variables
+            slot = {v - at: k for k, v in enumerate(variables)}
+            pick = itemgetter(*[slot.get(j, len(variables)) for j in range(variables[-1] + 1 - at)])
+            terms = map(pick, map(add, terms, repeat((0,))))
+        if rows is None:
+            rows, coeffs = terms, even
+        else:
+            terms = list(terms)
+            rows = [row + term for row in rows for term in terms]
+            coeffs = list(chain.from_iterable(even if c == p else odd for c in coeffs))
+        at = variables[-1] + 1
+    if rows is None:
+        rows, coeffs = [()], [p]
+    tail = [0] * (arity - at)
+    exps = ([*row, *tail] for row in rows) if tail else map(list, rows)
+    return list(zip(exps, coeffs))
+
+
 def alternant(
     arity: int, variables: Sequence[int], exponents: Sequence[int],
     support: Sequence[int] = (), scale: int | Fraction = 1,
 ) -> MultiPoly:
     """scale * det(M) in arity variables, M as in `_alternant`: a term takes
-    one entry of each column, so its degree is the sum of the exponents."""
+    one entry of each column, so its degree is the sum of the exponents.
+    A block-diagonal M (`_leibniz_blocks`) with a nonzero scale is kept as
+    its blocks (`MultiPoly._described`) and expanded on first read; any
+    other M is expanded at once."""
     degree = sum(exponents)
     width = max(degree, 1).bit_length()
+    scale = Fraction(scale)
+    blocks = _leibniz_blocks(arity, variables, exponents, support) if scale else None
+    if blocks is not None:
+        return MultiPoly._described(arity, scale.denominator, width, (blocks, scale.numerator, []))
     num = _alternant(width, variables, exponents, support)
-    return MultiPoly._from_ints(arity, width, num, Fraction(scale), degree)
+    return MultiPoly._from_ints(arity, width, num, scale, degree)
 
 
 def linear_combination(arity: int, terms: Iterable[tuple[MultiPoly, int]]) -> MultiPoly:

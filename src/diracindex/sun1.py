@@ -125,8 +125,9 @@ def index_poly_restricted(n: int) -> MultiPoly:
 def gcd_with_index(n: int, i: int) -> MultiPoly:
     """Greatest common linear-divisor product of the character determinant
     and the index polynomial: the Vandermonde of {1..n-i} times that of
-    {n-i+1..n}, expanded as one block-diagonal alternant, each block's
-    columns on its own rows (`polynomials.alternant`).  Every root form
+    {n-i+1..n}, one block-diagonal alternant, each block's columns on its
+    own rows, which `polynomials.alternant` keeps as its two blocks until a
+    kernel reads its numerator.  Every root form
     divides the index polynomial, a multiple of the Vandermonde, exactly
     once, so the claim is checked by factor extraction from the
     determinant alone: the root forms dividing it must be those of the

@@ -57,14 +57,17 @@ def weyl_dim_poly(datum: RootDatum) -> MultiPoly:
 
     These exponents are `groups.Block.exponents`.  The blocks have
     disjoint variables, so D_k is one block-diagonal alternant, each
-    block's columns on its rows only, expanded by one
-    `polynomials.alternant` call, whose blocks, contiguous and ascending,
-    write D_k in emission order (see `polynomials`).  The scale is one
-    integer quotient: with rho_k = nums / den and N compact positive roots,
+    block's columns on its rows only, made by one `polynomials.alternant`
+    call, which keeps it as its blocks: they are contiguous and ascending,
+    so signed permutations list D_k in emission order (see `polynomials`).
+    The scale is one integer quotient, from the roots alone: with rho_k =
+    nums / den and N compact positive roots,
 
         D_k = prod gcd(alpha) den^N / prod (nums, alpha) * alternant.
 
-    D_k is built once per datum; a `MultiPoly` is never changed in place.
+    D_k is built once per datum.  Its packed numerator is a memo, filled
+    once by the first kernel that reads it, such as a Weyl translate or an
+    evaluation; emitting +-D_k does not build it.
     """
     roots = datum.compact_positive_roots
     blocks = datum.compact_blocks

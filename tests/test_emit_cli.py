@@ -415,6 +415,16 @@ def test_cli_verify_honours_dirac_max_rank(env, suite, monkeypatch, capsys):
     assert "DIRAC_MAX_RANK" in captured.err
 
 
+def test_cli_cuts_the_echo_of_a_long_dirac_max_rank(monkeypatch, capsys):
+    monkeypatch.setenv("DIRAC_MAX_RANK", LONG_TEXT)
+    assert main(["index-poly", "--group", "Sp(4,R)", "--hc-param", "2,1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line == f"error: DIRAC_MAX_RANK must be an integer, got '{'1' * 36}..."
+    assert len(line) < 100
+
+
 def test_console_script_entry():
     result = subprocess.run(
         [sys.executable, "-m", "diracindex.cli", "verify", "--suite", "sl2"],

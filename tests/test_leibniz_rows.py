@@ -1,0 +1,196 @@
+"""Block-diagonal alternants kept as their blocks (`MultiPoly._described`).
+
+The oracle throughout is the expanded twin: the same value as a packed
+numerator from `polynomials._alternant`, whose `graded_rows` unpack keys.
+"""
+
+import copy
+import pickle
+import random
+from fractions import Fraction as F
+from itertools import combinations
+
+import pytest
+
+from diracindex import springer
+from diracindex.cli import parse_group
+from diracindex.dirac import IndexFamily, index_polynomial
+from diracindex.emit import emit, poly_to_obj
+from diracindex.groups import WeylElement, build_root_datum, reflection, simple_roots
+from diracindex.polynomials import MultiPoly, _alternant, alternant, linear_combination
+from diracindex.sun1 import char_poly_det, gcd_with_index, vandermonde
+from diracindex.weylaction import act, weyl_dim_poly
+
+RANK7_GROUPS = [g for g in springer.table_groups(7) if g.rank <= 7]
+
+
+def _twin(poly: MultiPoly) -> MultiPoly:
+    """poly as a packed numerator alone, so its rows are unpacked keys."""
+    twin = MultiPoly._packed(poly.arity, poly.den, poly._width, dict(poly._num))
+    assert twin._leibniz is None
+    return twin
+
+
+def _unbuilt(poly: MultiPoly) -> bool:
+    """True while no packed numerator has been built for the description."""
+    try:
+        object.__getattribute__(poly, "_num")
+    except AttributeError:
+        return not poly._leibniz[2]
+    return False
+
+
+def _check_rows(poly: MultiPoly) -> None:
+    """The rows of P and -P from the description equal the twin's, and
+    listing them builds no numerator."""
+    for signed in (poly, -poly):
+        assert signed._leibniz is not None
+        fresh = -(-signed)
+        rows = fresh.graded_rows()
+        assert _unbuilt(fresh)
+        assert rows == _twin(signed).graded_rows()
+
+
+@pytest.mark.parametrize("group", RANK7_GROUPS, ids=lambda g: g.label())
+def test_rows_of_plus_and_minus_dk_match_the_expanded_twin(group):
+    _check_rows(weyl_dim_poly(build_root_datum(group)))
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_rows_of_gcd_with_index_match_the_expanded_twin(n):
+    for i in range(1, n):
+        _check_rows(gcd_with_index(n, i))
+
+
+@pytest.mark.parametrize("n_vars", range(0, 7))
+def test_rows_of_vandermonde_on_ascending_indices_match_the_expanded_twin(n_vars):
+    for k in range(n_vars + 1):
+        for indices in combinations(range(1, n_vars + 1), k):
+            _check_rows(vandermonde(n_vars, list(indices)))
+
+
+def test_vandermonde_on_unsorted_indices_is_expanded_at_once():
+    assert vandermonde(6, [6, 2, 5, 1])._leibniz is None
+    assert vandermonde(5, [3, 1, 4])._leibniz is None
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+def test_char_poly_det_takes_the_eager_path(n):
+    for i in range(1, n):
+        assert char_poly_det(n, i)._leibniz is None
+
+
+@pytest.mark.parametrize(
+    "variables, exponents, support, scale",
+    [
+        ([1, 0], [1, 0], (), 1),               # variables not ascending
+        ([0, 1], [0, 1], (), 1),               # exponents rising
+        ([0, 1, 2], [0, 1, 0], [3, 3, 4], 1),  # exponents rising in a block
+        ([0, 1, 2], [1, 0, 0], [7, 3, 4], 1),  # a column beyond its block
+        ([0, 1, 2], [2, 1, 0], [3, 3, 6], 1),  # blocks sharing a row
+        ([0, 1], [1, 0], [7, 7], 1),           # a block wider than the rows
+        ([0, 1, 2], [2, 1], (), 1),            # more rows than columns
+        ([0, 1], [1, 0], (), 0),               # zero scale
+    ],
+)
+def test_other_alternants_are_expanded_at_once(variables, exponents, support, scale):
+    poly = alternant(3, variables, exponents, support, scale)
+    assert poly._leibniz is None
+
+
+def _cases():
+    """(arity, variables, exponents, support, scale) of described alternants:
+    one block, two blocks, a gap before and inside a block, a scale."""
+    return [
+        (3, [0, 1, 2], [2, 1, 0], (), 1),
+        (4, [0, 1, 2, 3], [3, 1, 1, 0], [3, 3, 12, 12], F(-5, 3)),
+        (6, [1, 3, 4], [5, 2, 0], (), F(7, 2)),
+        (5, [0, 1, 2, 4], [2, 0, 4, 1], [3, 3, 12, 12], -2),
+        (4, [], [], (), F(3, 4)),
+    ]
+
+
+def _eager(arity, variables, exponents, support, scale) -> MultiPoly:
+    degree = sum(exponents)
+    width = max(degree, 1).bit_length()
+    num = _alternant(width, variables, exponents, support)
+    return MultiPoly._from_ints(arity, width, num, F(scale), degree)
+
+
+@pytest.mark.parametrize("case", _cases(), ids=range(len(_cases())))
+def test_a_described_value_agrees_with_its_expanded_twin(case):
+    twin = _eager(*case)
+    assert twin._leibniz is None
+
+    def fresh() -> MultiPoly:
+        poly = alternant(*case)
+        assert poly._leibniz is not None and _unbuilt(poly)
+        return poly
+
+    assert fresh().graded_rows() == twin.graded_rows()
+    assert fresh() == twin and twin == fresh() and fresh() != -twin
+    assert hash(fresh()) == hash(twin)
+    assert repr(fresh()) == repr(twin)
+    assert fresh().den == twin.den
+    assert fresh()._int_form() == twin._int_form()
+    assert fresh().terms == twin.terms
+    assert fresh().total_degree() == twin.total_degree()
+    assert fresh().is_homogeneous() and fresh().is_zero() is False
+    assert poly_to_obj(fresh()) == poly_to_obj(twin)
+    rng = random.Random(len(case[1]))
+    for _ in range(3):
+        point = [F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(case[0])]
+        assert fresh().evaluate(point) == twin.evaluate(point)
+    for copied in (copy.copy(fresh()), copy.deepcopy(fresh()),
+                   pickle.loads(pickle.dumps(fresh()))):
+        assert copied == twin and copied.graded_rows() == twin.graded_rows()
+    # the ring operations, each from an unbuilt description
+    assert fresh() + fresh() == twin + twin
+    assert (fresh() - twin).is_zero() and (twin - fresh()).is_zero()
+    assert fresh() * fresh() == twin * twin
+    assert fresh() * 3 == twin * 3 and fresh() * F(2, 7) == twin * F(2, 7)
+    assert (fresh() * 0).is_zero()
+    assert fresh() * -1 == -twin and -fresh() == -twin
+    assert linear_combination(case[0], [(fresh(), 2), (twin, -1)]) == twin
+    for i in range(case[0]):
+        assert fresh().derivative(i) == twin.derivative(i)
+    perm = list(range(case[0]))[::-1]
+    signs = [(-1) ** k for k in range(case[0])]
+    assert fresh().permute(perm, signs) == twin.permute(perm, signs)
+
+
+def test_unit_scalars_and_the_identity_keep_the_description():
+    poly = alternant(4, [0, 1, 2, 3], [3, 1, 1, 0], [3, 3, 12, 12], F(-5, 3))
+    blocks, p, memo = poly._leibniz
+    assert (poly * 1) is poly
+    same = poly.permute((0, 1, 2, 3), (1, 1, 1, 1))
+    assert same is not poly and same._leibniz is poly._leibniz
+    for negated in (-poly, poly * -1, poly * F(-1)):
+        assert negated._leibniz[:2] == (blocks, -p) and negated._leibniz[2] is not memo
+        assert _unbuilt(negated)
+    # values that share a description share its numerator, built once
+    assert same._int_form()[2] is poly._int_form()[2] is memo[0]
+    assert (-poly)._leibniz[2] == []
+
+
+@pytest.mark.parametrize("label", ["Sp(14,R)", "SO*(14)", "SU(2,5)", "SOe(4,3)", "Sp(1,3)"])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_emitting_a_discrete_series_index_polynomial_builds_no_numerator(label, sign):
+    datum = build_root_datum(parse_group(label))
+    weyl_dim_poly.cache_clear()
+    fam = IndexFamily(datum, datum.rho_g, {WeylElement.identity(datum.rank): sign})
+    poly = index_polynomial(fam)
+    text = emit(poly, "json")
+    assert _unbuilt(poly) and poly._terms is None
+    assert _unbuilt(weyl_dim_poly(datum))
+    assert text == emit(_twin(poly), "json")
+
+
+def test_a_multi_term_index_polynomial_is_expanded():
+    datum = build_root_datum(parse_group("Sp(4,R)"))
+    s = reflection(simple_roots(datum)[0])
+    fam = IndexFamily(datum, datum.rho_g, {WeylElement.identity(datum.rank): 1, s: -1})
+    poly = index_polynomial(fam)
+    assert poly._leibniz is None
+    dk = weyl_dim_poly(datum)
+    assert poly == dk - act(s.inverse(), dk)

@@ -57,6 +57,7 @@ from .errors import (
     IllegalParams,
     InternalInvariantError,
     InvalidInput,
+    OffLattice,
     RankCapExceeded,
     _echo,
 )
@@ -255,13 +256,20 @@ class RootDatum(Value):
     # whether the weight nums / den is in the lattice Lambda.  Lambda must
     # be a W_g-stable subgroup: kmodules and dirac decide whether gamma + mu
     # lies on Lambda + rho_g by testing gamma and mu apart, and w(lam + mu)
-    # by testing w lam and mu.  The package's lattices also hold every root,
-    # so Lambda + rho_g is W_g-stable; on one that holds none, k_type_sum can
-    # return dominant representatives off Lambda + rho_g.
+    # by testing w lam and mu.  The lattice of a finite cover holds the root
+    # lattice, so Lambda + rho_g is W_g-stable and k_type_sum's dominant
+    # representatives stay on it; a predicate that rejects a positive root
+    # is refused when the datum is built.
     _fields = (
         "group", "rank", "pos_roots", "rho_g", "rho_k", "ambient", "compact_blocks", "lattice"
     )
     _compare = _fields[:-1]
+
+    def __init__(self, group, rank, pos_roots, rho_g, rho_k, ambient, compact_blocks, lattice):
+        for root, _ in pos_roots:
+            if not lattice(1, root):
+                raise OffLattice(f"the lattice must hold every root; it rejects {root}")
+        super().__init__(group, rank, pos_roots, rho_g, rho_k, ambient, compact_blocks, lattice)
 
     def __hash__(self) -> int:
         return hash(self.group)

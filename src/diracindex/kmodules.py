@@ -371,9 +371,7 @@ def tensor_virtual(module: VirtualKModule, delta: WeightMultiset) -> VirtualKMod
     The module's parameters lie on Lambda + rho_g, and Lambda is a group,
     so gamma + mu lies on it exactly when mu lies in Lambda: one test per
     weight of delta decides every term, and the weights off Lambda drop
-    out.  A module that k_type_sum built on a lattice holding no root is
-    outside this contract: its dominant representatives need not lie on
-    Lambda + rho_g (see RootDatum.lattice)."""
+    out."""
     datum = module.datum
     rank, lattice = datum.rank, datum.lattice
     weights = []

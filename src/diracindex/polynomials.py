@@ -713,13 +713,15 @@ def alternant(
 ) -> MultiPoly:
     """scale * det(M) in arity variables, M as in `_alternant`: a term takes
     one entry of each column, so its degree is the sum of the exponents.
-    A block-diagonal M (`_leibniz_blocks`) with a nonzero scale is kept as
-    its blocks (`MultiPoly._described`) and expanded on first read; any
-    other M is expanded at once."""
+    A zero scale gives the zero polynomial.  A block-diagonal M
+    (`_leibniz_blocks`) is kept as its blocks (`MultiPoly._described`) and
+    expanded on first read; any other M is expanded at once."""
+    scale = Fraction(scale)
+    if not scale:
+        return MultiPoly.zero(arity)
     degree = sum(exponents)
     width = max(degree, 1).bit_length()
-    scale = Fraction(scale)
-    blocks = _leibniz_blocks(arity, variables, exponents, support) if scale else None
+    blocks = _leibniz_blocks(arity, variables, exponents, support)
     if blocks is not None:
         return MultiPoly._described(arity, scale.denominator, width, (blocks, scale.numerator, []))
     num = _alternant(width, variables, exponents, support)

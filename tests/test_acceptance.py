@@ -37,7 +37,7 @@ from diracindex.suites import (
     translation_suite,
 )
 from diracindex.weylaction import orbit_span
-from test_springer import generator_forms
+from reference import divides, generator_forms, partitions_of, valid_nilpotent
 
 
 def _report(number: int, label: str, passed: bool, elapsed: float | None = None):
@@ -106,54 +106,11 @@ def test_criterion_7_index_polynomial_properties():
 # -- criterion 8: oracle equivalences -------------------------------------
 
 
-def _univariate_division_oracle(p: MultiPoly, form: LinearForm) -> bool:
-    arity = p.arity
-    j = form._pivot
-    slots = {}
-    nxt = 1
-    for i in range(arity):
-        if i != j:
-            slots[i] = nxt
-            nxt += 1
-    images = []
-    for i in range(arity):
-        if i == j:
-            coeffs = [F(0)] * arity
-            coeffs[0] = F(1) / form.coeffs[j]
-            for k in range(arity):
-                if k != j:
-                    coeffs[slots[k]] = -form.coeffs[k] / form.coeffs[j]
-            images.append(MultiPoly.from_linear(coeffs))
-        else:
-            images.append(MultiPoly.variable(arity, slots[i]))
-    transformed = MultiPoly.zero(arity)
-    for exp, c in p.terms.items():
-        term = MultiPoly.const(arity, c)
-        for i, e in enumerate(exp):
-            for _ in range(e):
-                term = term * images[i]
-        transformed = transformed + term
-    remainder = MultiPoly(
-        arity, {e: c for e, c in transformed.terms.items() if e[0] == 0}
-    )
-    return remainder.is_zero()
-
-
-def _partitions_of(n, cap=None):
-    cap = n if cap is None else cap
-    if n == 0:
-        yield ()
-        return
-    for first in range(min(n, cap), 0, -1):
-        for rest in _partitions_of(n - first, first):
-            yield (first,) + rest
-
-
 def test_criterion_8_oracle_equivalences():
     rng = random.Random(777)
     ok = True
 
-    # (a) linear divisibility vs the univariate long-division oracle
+    # (a) linear divisibility vs the Fraction Horner pass
     for trial in range(20):
         arity = rng.randint(2, 4)
         coeffs = [F(0)] * arity
@@ -168,33 +125,18 @@ def test_criterion_8_oracle_equivalences():
             poly = poly * MultiPoly(arity, {exp: F(rng.randint(1, 3))})
         if trial % 3 == 0:
             poly = poly + MultiPoly.const(arity, 1)
-        ok = ok and divides_linear_form(poly, form) == _univariate_division_oracle(
-            poly, form
-        )
+        ok = ok and divides_linear_form(poly, form) == divides(poly, form)
 
-    # (b) parity validity vs brute-force enumeration, N <= 14
-    from collections import Counter
-
+    # (b) parity validity vs the parity-rule reference, N <= 14
     for total in range(1, 15):
-        for p in _partitions_of(total):
-            counts = Counter(p)
+        for p in partitions_of(total):
             for kind in ("A", "B", "C", "D"):
-                if kind == "A":
-                    expected = True
-                elif kind == "C":
-                    expected = all(
-                        c % 2 == 0 for x, c in counts.items() if x % 2 == 1
-                    )
-                else:
-                    expected = all(
-                        c % 2 == 0 for x, c in counts.items() if x % 2 == 0
-                    )
-                if _valid_nilpotent(p, kind, total) != expected:
+                if _valid_nilpotent(p, kind, total) != valid_nilpotent(p, kind, total):
                     ok = False
 
     # (c) dual-partition involution, N <= 20
     for total in range(1, 21):
-        parts = list(_partitions_of(total))
+        parts = list(partitions_of(total))
         sample = parts if len(parts) <= 25 else rng.sample(parts, 25)
         for p in sample:
             if _dual(_dual(p)) != p:

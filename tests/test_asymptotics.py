@@ -45,10 +45,8 @@ from diracindex.kmodules import (
 )
 from diracindex.series import TruncatedSeries
 from diracindex.springer import table_groups
+from reference import W
 
-
-def W(*coords):
-    return tuple(F(c) for c in coords)
 
 
 def test_sl2_dplus_series():

@@ -1,6 +1,5 @@
 import random
 from fractions import Fraction as F
-from itertools import combinations
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -43,15 +42,12 @@ from diracindex.kmodules import (
     weight_multiset,
     weyl_denominator_factored,
 )
-from diracindex.polynomials import MultiPoly, _move_fields, is_harmonic
+from diracindex.polynomials import MultiPoly, is_harmonic
 from diracindex.series import TruncatedSeries
 from diracindex.springer import table_groups
 from diracindex.weylaction import act, orbit_span, weyl_dim_poly
-from test_kmodules import _solve_linear, weight_sub
-
-
-def W(*coords):
-    return tuple(F(c) for c in coords)
+import reference as ref
+from reference import W, solve_linear, sub
 
 
 # -- spin weights --------------------------------------------------------
@@ -76,31 +72,11 @@ def test_spin_weights_su21_count():
     assert _mass(sw.plus) == _mass(sw.minus) == 2
 
 
-def _spin_weights_by_subsets(d):
-    """Reference (plus, minus): every subset of the noncompact roots summed
-    separately and bucketed by parity (the body spin_weights had before
-    the one-pass subset sum)."""
-    noncompact = d.noncompact_positive_roots
-    base = weight_sub(d.rho_k, d.rho_g)
-    expected_plus = {}
-    expected_minus = {}
-    flip = len(noncompact) % 2 == 1
-    for size in range(len(noncompact) + 1):
-        # odd noncompact count: flip the naive parity labels
-        bucket = expected_plus if (size % 2 == 0) != flip else expected_minus
-        for subset in combinations(noncompact, size):
-            w = base
-            for beta in subset:
-                w = weight_add(w, beta)
-            bucket[w] = bucket.get(w, 0) + 1
-    return expected_plus, expected_minus
-
-
 def test_spin_weights_sp4():
     """Oracle: enumerate subset sums directly and check the parity split."""
     d = build_root_datum(GroupId.sp_r(2))
     assert len(d.noncompact_positive_roots) == 3
-    expected_plus, expected_minus = _spin_weights_by_subsets(d)
+    expected_plus, expected_minus = ref.spin_weights(d)
     sw = spin_weights(d)
     assert dict(sw.plus.mults) == expected_plus
     assert dict(sw.minus.mults) == expected_minus
@@ -131,7 +107,7 @@ RANK_LE_4 = [
 @pytest.mark.parametrize("group", RANK_LE_4, ids=lambda g: g.label())
 def test_spin_weights_match_subset_enumeration(group):
     d = build_root_datum(group)
-    expected_plus, expected_minus = _spin_weights_by_subsets(d)
+    expected_plus, expected_minus = ref.spin_weights(d)
     sw = spin_weights(d)
     assert dict(sw.plus.mults) == expected_plus
     assert dict(sw.minus.mults) == expected_minus
@@ -211,7 +187,7 @@ def test_evaluate_all_terms_singular():
     fam = su21_ds_families()[0]
     # force the compact coordinates equal: each translate is singular
     lam = W(2, 2, 1)
-    assert weight_sub(lam, fam.base)[0].denominator == 1
+    assert sub(lam, fam.base)[0].denominator == 1
     assert evaluate_index(fam, lam).is_zero()
 
 
@@ -398,20 +374,20 @@ def test_chamber_sign_matches_extreme_weight_models(n):
 
     datum = su_n1_datum(n)
     q = datum.r_g - datum.r_k
-    rho_n = weight_sub(datum.rho_g, datum.rho_k)
+    rho_n = sub(datum.rho_g, datum.rho_k)
 
     # lowest-weight extreme (chamber 0): model sign +1
     lam = su_n1_chamber_base(n, 0)
     lkt = tuple(l + g - 2 * k for l, g, k in zip(lam, datum.rho_g, datum.rho_k))
-    assert weight_sub(lkt, rho_n) == weight_sub(lam, datum.rho_k)
+    assert sub(lkt, rho_n) == sub(lam, datum.rho_k)
     assert _ds_sign(lam, datum) == 1
 
     # highest-weight extreme (chamber n): model sign (-1)^q
     lam = su_n1_chamber_base(n, n)
     # rho of the opposite-noncompact system is rho_k - rho_n
-    rho_opp = weight_sub(datum.rho_k, rho_n)
+    rho_opp = sub(datum.rho_k, rho_n)
     lkt = tuple(l + g - 2 * k for l, g, k in zip(lam, rho_opp, datum.rho_k))
-    assert weight_add(lkt, rho_n) == weight_sub(lam, datum.rho_k)
+    assert weight_add(lkt, rho_n) == sub(lam, datum.rho_k)
     model_sign = (-1) ** q
     assert _ds_sign(lam, datum) == model_sign
     # the evaluated index is exactly that sign on the normalized type
@@ -479,10 +455,10 @@ def test_index_family_refuses_a_rational_coefficient():
 def _integral_by_solver(w, base, datum):
     """Reference root-lattice test: solve for base - w(base) over the simple
     roots and ask for integral coefficients."""
-    diff = weight_sub(base, w.apply(base))
+    diff = sub(base, w.apply(base))
     simples = simple_roots(datum)
     rows = [[alpha[i] for alpha in simples] for i in range(datum.rank)]
-    sol = _solve_linear(rows, list(diff))
+    sol = solve_linear(rows, list(diff))
     return sol is not None and all(c.denominator == 1 for c in sol)
 
 
@@ -525,48 +501,6 @@ SO_STAR_2 = build_root_datum(GroupId.so_star(1))
 def test_is_integral_weyl_matches_solver(case):
     w, base, datum = case
     assert is_integral_weyl(w, base, datum) == _integral_by_solver(w, base, datum)
-
-
-def _fraction_act(w, poly):
-    """The Fraction Weyl action term by term, flipping the sign once per
-    odd exponent on a negated coordinate; the reference for act."""
-    inv = w.inverse()
-    out = {}
-    for exp, coeff in poly.terms.items():
-        negate = False
-        for s, e in zip(inv.signs, exp):
-            if s < 0 and e % 2 == 1:
-                negate = not negate
-        out[tuple(exp[p] for p in w.perm)] = -coeff if negate else coeff
-    return MultiPoly(poly.arity, out)
-
-
-def _index_polynomial_by_fractions(fam):
-    """sum_w a_w (w^{-1}.D_k) with one Fraction product and sum per term."""
-    dk = weyl_dim_poly(fam.datum)
-    acc = {}
-    for w, a in fam.coeffs.items():
-        for exp, c in _fraction_act(w.inverse(), dk).terms.items():
-            acc[exp] = acc.get(exp, 0) + a * c
-    return MultiPoly(fam.datum.rank, acc)
-
-
-def _act_packed(w, width, num):
-    """The integer numerator of w.P from that of P, by the field-moving kernel."""
-    return _move_fields(width, width, w.perm, w.signs, num)
-
-
-def _index_polynomial_by_accumulation(fam):
-    """index_polynomial as it summed every translate of the integer D_k
-    into one dict and dropped the zeros, one coefficient or many."""
-    den, width, dk = weyl_dim_poly(fam.datum)._int_form()
-    acc = {}
-    for w, a in fam.coeffs.items():
-        for key, c in _act_packed(w.inverse(), width, dk).items():
-            acc[key] = acc.get(key, 0) + a * c
-    acc = {key: c for key, c in acc.items() if c}
-    degree = len(fam.datum.compact_positive_roots)
-    return MultiPoly._from_ints(fam.datum.rank, width, acc, F(1, den), degree)
 
 
 # Every group of the six families up to rank 4, the rootless SO*(2) included.
@@ -613,15 +547,14 @@ def test_index_polynomial_matches_fraction_oracle(recipe):
     den, width, num = weyl_dim_poly(datum)._int_form()
     before = (den, width, dict(num))
     q = index_polynomial(fam)
-    assert q == _index_polynomial_by_fractions(fam)
-    assert q == _index_polynomial_by_accumulation(fam)
+    assert q == ref.index_polynomial(fam) and q._int_form() == ref.index_polynomial(fam)._int_form()
     # the cached D_k, which a one-term Q may share, is unchanged
     den, width, num = weyl_dim_poly(datum)._int_form()
     assert (den, width, num) == before
     assert all(type(c) is F for c in q.terms.values())
     dk = weyl_dim_poly(datum)
     for w in fam.coeffs:
-        assert act(w, dk) == _fraction_act(w, dk)
+        assert act(w, dk) == ref.act(w, dk)
 
 
 @settings(max_examples=100, deadline=None)
@@ -706,25 +639,6 @@ def test_evaluate_q_matches_expanded_q_on_discrete_series(datum):
     assert evaluate_q(fam, datum.rho_g) == dim_virtual(evaluate_index(fam, datum.rho_g))
 
 
-def _index_polynomial_packed(fam):
-    """index_polynomial as it summed raw packed dicts: the first translate
-    seeds the sum, and a one-term family with coefficient 1 keeps the
-    numerator of its translate."""
-    if not fam.coeffs:
-        return MultiPoly.zero(fam.datum.rank)
-    den, width, dk = weyl_dim_poly(fam.datum)._int_form()
-    (w, a), *rest = fam.coeffs.items()
-    first = _act_packed(w.inverse(), width, dk)
-    acc = first if a == 1 and not rest else {key: a * c for key, c in first.items()}
-    for w, a in rest:
-        for key, c in _act_packed(w.inverse(), width, dk).items():
-            acc[key] = acc.get(key, 0) + a * c
-    if rest:
-        acc = {key: c for key, c in acc.items() if c}
-    degree = len(fam.datum.compact_positive_roots)
-    return MultiPoly._from_ints(fam.datum.rank, width, acc, F(1, den), degree)
-
-
 RANK3_DATA = [build_root_datum(g) for g in table_groups(3) if g.rank <= 3]
 
 
@@ -740,9 +654,9 @@ def integer_families(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(integer_families())
-def test_index_polynomial_matches_packed_dict_oracle(fam):
+def test_index_polynomial_of_integer_families_matches_fraction_oracle(fam):
     q = index_polynomial(fam)
-    assert q._int_form() == _index_polynomial_packed(fam)._int_form()
+    assert q._int_form() == ref.index_polynomial(fam)._int_form()
 
 
 @st.composite
@@ -759,10 +673,10 @@ def multi_term_families(draw):
 @settings(max_examples=200, deadline=None)
 @given(multi_term_families())
 def test_multi_term_index_polynomial_sums_once(fam):
-    """The one-normalization sum equals the raw-dict oracle and the sum of
-    normalized translates, integer form and all."""
+    """The one-normalization sum equals the Fraction reference and the sum
+    of normalized translates, integer form and all."""
     q = index_polynomial(fam)
-    assert q._int_form() == _index_polynomial_packed(fam)._int_form()
+    assert q._int_form() == ref.index_polynomial(fam)._int_form()
     dk = weyl_dim_poly(fam.datum)
     ring_sum = sum((act(w.inverse(), dk) * a for w, a in fam.coeffs.items()),
                    MultiPoly.zero(fam.datum.rank))
@@ -776,7 +690,7 @@ def test_one_term_index_polynomial_is_its_translate(datum):
         for a in (1, -1, 3):
             fam = IndexFamily(datum, datum.rho_g, {w: a})
             q = index_polynomial(fam)
-            assert q._int_form() == _index_polynomial_packed(fam)._int_form()
+            assert q._int_form() == ref.index_polynomial(fam)._int_form()
             assert q == act(w.inverse(), dk) * a
     # a discrete-series family with sign +1 keeps the numerator of D_k
     q = index_polynomial(IndexFamily(datum, datum.rho_g, {WeylElement.identity(datum.rank): 1}))

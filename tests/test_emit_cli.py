@@ -468,6 +468,9 @@ def test_suites_deterministic_across_runs():
         (["verify", "--suite", "springer", "--max", "0"], "at least 1"),
         (["springer-table", "--max", "-1"], "at least 1"),
         (["springer-table", "--max", "0", "--format", "csv"], "at least 1"),
+        (["springer-table", "--max", "41"], "at most 40"),
+        (["springer-table", "--max", "400", "--format", "csv"], "at most 40"),
+        (["verify", "--suite", "springer", "--max", "41"], "at most 40"),
     ],
 )
 def test_cli_misused_max_is_usage_error(argv, message, capsys):

@@ -34,6 +34,7 @@ from diracindex.cli import main
 from diracindex.kmodules import _dominant_rep_g
 from diracindex.springer import springer_row, table_groups
 from diracindex.suites import _small_groups
+from reference import dominant_rep_g, dominate, pairing
 
 SMALL_GROUPS = [
     GroupId.su(1, 1),
@@ -176,53 +177,6 @@ def test_enumeration_cap():
     d = build_root_datum(GroupId.sp_r(2))
     with pytest.raises(EnumerationCapExceeded):
         weyl_elements(d, "g", cap=7)
-
-
-def dominate(blocks, gamma):
-    """Reference chamber routine, held to the Weyl-group scan: (x, regular)
-    with x in the Weyl group of the blocks, x.gamma dominant, and whether
-    gamma is regular for the roots of the blocks.
-
-    Works blockwise.  An A block sorts its coordinates in descending order;
-    B, C and D blocks sort absolute values in descending order and make
-    every sign positive.  Sign flips come in pairs in a D block, so an odd
-    flip count flips the last slot back: a no-op on a zero coordinate,
-    otherwise the last coordinate of x.gamma ends up negative.  gamma is
-    regular when the sort keys are pairwise distinct and, in a B or C
-    block, none is zero; x is then the unique element with x.gamma dominant.
-    """
-    rank = len(gamma)
-    if sum(blk.size for blk in blocks) != rank:
-        raise DimensionMismatch(f"weight length {rank} does not match the blocks")
-    perm = list(range(rank))
-    signs = [1] * rank
-    regular = True
-    for blk in blocks:
-        idx = blk.indices
-        signed = blk.kind != "A"
-        keys = [abs(gamma[i]) if signed else gamma[i] for i in idx]
-        order = sorted(range(blk.size), key=keys.__getitem__, reverse=True)
-        for slot, b in zip(idx, order):
-            perm[slot] = blk.start + b
-            if signed and gamma[perm[slot]] < 0:
-                signs[slot] = -1
-        if blk.kind == "D" and signs[idx.start:idx.stop].count(-1) % 2:
-            signs[idx[-1]] = -signs[idx[-1]]
-        if len(set(keys)) != len(keys) or (blk.kind in ("B", "C") and 0 in keys):
-            regular = False
-    return WeylElement(tuple(perm), tuple(signs)), regular
-
-
-def dominant_rep_g(datum, mu):
-    """The W_g representative of a weight, or of integer numerators, by the
-    reference routine."""
-    x, _ = dominate((datum.ambient,), mu)
-    return x.apply(mu)
-
-
-def pairing(lam, alpha):
-    """The coroot pairing <alpha^vee, lam> = 2(lam, alpha)/(alpha, alpha)."""
-    return 2 * dot(lam, alpha) / dot(alpha, alpha)
 
 
 def test_pairing_examples():

@@ -1,236 +1,30 @@
-"""Integer character series against the Fraction code they replaced.
+"""Integer character series against the Fraction references.
 
-The oracles below are the Fraction implementations that `series`,
-`kmodules` and `asymptotics` had before series were stored as integer
-numerators over one denominator and before U, the signed W_k-orbit of y
-and the spin and module weights were cached: the Fraction long division,
-`frequencies_to_series`, the uncached `weyl_denominator_factored`,
-`numerator_frequencies`, `character_series` and `leading_limit`, copied
-as they were (the class renamed `FractionSeries`, and the view-based
-`MultiPoly.evaluate` as a function).  The package must agree with them on
-random groups of rank <= 4, directions with denominators 1-6 and every d
-from gap - 1 to gap + 2, also when the orders come out of sequence, so
-that a cached U is both sliced and extended.
+`series`, `kmodules` and `asymptotics` store series as integer numerators
+over one denominator and cache U, the signed W_k-orbit of y and the spin
+and module weights.  The package must agree with the Fraction references
+of `reference` (series arithmetic, sums of exponentials, the Weyl
+denominator, the character series and its limits) on random groups of
+rank <= 4, directions with denominators 1-6 and every d from gap - 1 to
+gap + 2, also when the orders come out of sequence, so that a cached U is
+both sliced and extended.
 """
 
-from __future__ import annotations
-
-import math
-from dataclasses import dataclass
-from fractions import Fraction
 from fractions import Fraction as F
-from math import lcm
-from typing import Mapping
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from diracindex import kmodules
-from diracindex.asymptotics import (
-    LaurentSeries,
-    LimitReport,
-    character_series,
-    leading_limit,
-    root_ratio,
-)
-from diracindex.dirac import (
-    IndexFamily,
-    discrete_series_family,
-    evaluate_index,
-    index_polynomial,
-    spin_weights,
-)
-from diracindex.errors import DimensionMismatch, InternalInvariantError
-from diracindex.groups import GroupId, RootDatum, Weight, build_root_datum, idot, weyl_elements
-from diracindex.kmodules import (
-    VirtualKModule,
-    _check_regular,
-    frequencies_to_series,
-    weight_multiset,
-    weyl_denominator_factored,
-)
+from diracindex.asymptotics import character_series, leading_limit
+from diracindex.dirac import discrete_series_family, spin_weights
+from diracindex.errors import InternalInvariantError
+from diracindex.groups import GroupId, build_root_datum, weyl_elements
+from diracindex.kmodules import frequencies_to_series, weight_multiset, weyl_denominator_factored
 from diracindex.series import TruncatedSeries
 from diracindex.suites import _small_groups
-
-# -- the Fraction code that the integer series replaced -------------------------
-
-
-@dataclass(frozen=True)
-class FractionSeries:
-    """Coefficients c_0 .. c_N of powers of t."""
-
-    coeffs: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "coeffs", tuple(Fraction(c) for c in self.coeffs)
-        )
-        if not self.coeffs:
-            raise ValueError("a series needs at least the constant coefficient")
-
-    @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
-
-    @classmethod
-    def zero(cls, order: int) -> "FractionSeries":
-        return cls((Fraction(0),) * (order + 1))
-
-    @classmethod
-    def exponential(cls, rate, order: int) -> "FractionSeries":
-        """e^{rate * t} truncated at the given order."""
-        rate = Fraction(rate)
-        coeffs = [Fraction(1)]
-        for k in range(1, order + 1):
-            coeffs.append(coeffs[-1] * rate / k)
-        return cls(tuple(coeffs))
-
-    def _matched(self, other: "FractionSeries") -> int:
-        return min(self.order, other.order)
-
-    def __mul__(self, other: "FractionSeries") -> "FractionSeries":
-        n = self._matched(other)
-        out = [Fraction(0)] * (n + 1)
-        for i, a in enumerate(self.coeffs[: n + 1]):
-            if a == 0:
-                continue
-            for j in range(n + 1 - i):
-                b = other.coeffs[j]
-                if b:
-                    out[i + j] += a * b
-        return FractionSeries(tuple(out))
-
-    def divide(self, other: "FractionSeries") -> "FractionSeries":
-        """Series division; the divisor must have a nonzero constant term."""
-        if other.coeffs[0] == 0:
-            raise ZeroDivisionError("divisor has zero constant term")
-        n = self._matched(other)
-        inv0 = Fraction(1) / other.coeffs[0]
-        out = [Fraction(0)] * (n + 1)
-        for k in range(n + 1):
-            acc = self.coeffs[k]
-            for j in range(1, k + 1):
-                if other.coeffs[j]:
-                    acc -= other.coeffs[j] * out[k - j]
-            out[k] = acc * inv0
-        return FractionSeries(tuple(out))
-
-    def valuation(self) -> int | None:
-        """Index of the first nonzero coefficient, None if all stored are zero."""
-        for k, c in enumerate(self.coeffs):
-            if c != 0:
-                return k
-        return None
-
-    def coeff(self, k: int) -> Fraction:
-        if k < 0:
-            return Fraction(0)
-        if k > self.order:
-            raise ValueError(f"coefficient {k} beyond truncation order {self.order}")
-        return self.coeffs[k]
-
-
-def oracle_evaluate(poly, point) -> Fraction:
-    pt = [Fraction(x) for x in point]
-    return sum(
-        (c * math.prod(x**e for x, e in zip(pt, exp) if e) for exp, c in poly.terms.items()),
-        Fraction(0),
-    )
-
-
-def oracle_numerator_frequencies(module: VirtualKModule, y: Weight) -> tuple[int, dict[int, int]]:
-    datum = module.datum
-    y_den, y_nums = datum.form(y)
-    orbit = [(w.sign(), w.apply(y_nums)) for w in weyl_elements(datum, "k")]
-    den = y_den * lcm(*(form[0] for form in module.forms))
-    freqs: dict[int, int] = {}
-    for (gamma_den, gamma), c in module.forms.items():
-        scale = den // (gamma_den * y_den)
-        for sign, wy in orbit:
-            f = idot(gamma, wy) * scale
-            freqs[f] = freqs.get(f, 0) + sign * c
-    return den, {f: c for f, c in freqs.items() if c}
-
-
-def oracle_frequencies_to_series(
-    freqs: Mapping[int, int], den: int, order: int, start: int | None = 0
-) -> tuple[int, FractionSeries]:
-    nums = list(freqs)
-    moments = list(freqs.values())
-    scale = 1
-    v = start
-    coeffs = []
-    k = 0
-    while True:
-        total = sum(moments)
-        if v is None and total:
-            v = k
-        if v is not None and k >= v:
-            coeffs.append(Fraction(total, scale))
-            if k == v + order:
-                return v, FractionSeries(tuple(coeffs))
-        elif total:
-            raise ValueError(f"sum of exponentials is not divisible by t^{start}")
-        elif v is None and k + 1 >= len(nums):
-            raise InternalInvariantError(
-                f"no nonzero moment among the first {len(nums)} of a sum of exponentials"
-            )
-        k += 1
-        moments = [m * n for m, n in zip(moments, nums)]
-        scale *= den * k
-
-
-def oracle_weyl_denominator_factored(
-    datum: RootDatum, y: Weight, which: str, order: int
-) -> tuple[int, FractionSeries]:
-    if which not in ("g", "k"):
-        raise ValueError("which must be 'g' or 'k'")
-    y_den, y_nums = datum.form(y)
-    roots = datum.positive_roots if which == "g" else datum.compact_positive_roots
-    freqs = {0: 1}
-    for alpha in roots:
-        k = idot(alpha, y_nums)
-        expanded = {f + k: c for f, c in freqs.items()}
-        for f, c in freqs.items():
-            expanded[f - k] = expanded.get(f - k, 0) - c
-        freqs = {f: c for f, c in expanded.items() if c}
-    return oracle_frequencies_to_series(freqs, 2 * y_den, order, len(roots))
-
-
-def oracle_character_series(
-    fam: IndexFamily, lam: Weight, y: Weight, order: int = 8
-) -> LaurentSeries:
-    datum = fam.datum
-    _check_regular(datum, datum.form(y))
-    if len(lam) != datum.rank:
-        raise DimensionMismatch("parameter length must equal the rank")
-    module = evaluate_index(fam, lam)
-    if module.is_zero():
-        return LaurentSeries.zero(order)
-    den, freqs = oracle_numerator_frequencies(module, y)
-    if not freqs:
-        return LaurentSeries.zero(order)
-    val, numerator = oracle_frequencies_to_series(freqs, den, order, start=None)
-    r_g, u = oracle_weyl_denominator_factored(datum, y, "g", order)
-    return LaurentSeries(val - r_g, numerator.divide(u))
-
-
-def oracle_leading_limit(fam: IndexFamily, lam: Weight, y: Weight, d: int) -> LimitReport:
-    datum = fam.datum
-    gap = datum.r_g - datum.r_k
-    series = oracle_character_series(fam, lam, y, order=max(8, d + 2))
-    if d < series.pole_order:
-        return LimitReport(d=d, value=None, expected=None, match=False, underflow=True)
-    value = series.coeff(-d)
-    if d > gap:
-        expected: Fraction | None = Fraction(0)
-    elif d == gap:
-        expected = root_ratio(datum, y) * oracle_evaluate(index_polynomial(fam), lam)
-    else:
-        expected = None
-    match = expected is not None and value == expected
-    return LimitReport(d=d, value=value, expected=expected, match=match)
-
+import reference as ref
+from reference import FractionSeries, directions
 
 # -- inputs ----------------------------------------------------------------------
 
@@ -247,16 +41,6 @@ def fraction_series(draw, order, unit=False):
     if unit and coeffs[0] == 0:
         coeffs[0] = draw(st.sampled_from([F(-3, 2), F(1), F(5, 4)]))
     return FractionSeries(tuple(coeffs))
-
-
-@st.composite
-def directions(draw, datum):
-    """Distinct nonzero magnitudes over a denominator 1-6, in any order and
-    with any signs: regular for every root of every family."""
-    den = draw(st.integers(1, 6))
-    mags = draw(st.lists(st.integers(1, 12), min_size=datum.rank, max_size=datum.rank,
-                         unique=True))
-    return tuple(F(m * draw(st.sampled_from([1, -1])), den) for m in mags)
 
 
 @st.composite
@@ -277,12 +61,6 @@ def assert_same_series(series: TruncatedSeries, oracle: FractionSeries):
     assert series.valuation() == oracle.valuation()
     assert [series.coeff(k) for k in range(-1, series.order + 1)] == \
         [oracle.coeff(k) for k in range(-1, oracle.order + 1)]
-
-
-def assert_same_laurent(series: LaurentSeries, oracle: LaurentSeries):
-    assert series.low == oracle.low
-    assert series.pole_order == oracle.pole_order
-    assert_same_series(series.series, oracle.series)
 
 
 # -- the arithmetic -----------------------------------------------------------------
@@ -325,15 +103,21 @@ def test_division_by_zero_constant_term():
 @example({1: 1, -1: -1}, 2, 3, None)
 @example({1: 1, -1: 1, 0: -2}, 1, 2, 1)
 def test_frequencies_to_series_matches_fraction_oracle(freqs, den, order, start):
-    try:
-        expected = oracle_frequencies_to_series(freqs, den, order, start)
-    except (ValueError, InternalInvariantError) as exc:
-        with pytest.raises(type(exc)):
+    """The coefficients from t^v, v the valuation or the start given; a
+    start above the valuation, or no valuation, is refused."""
+    rates = {F(f, den): c for f, c in freqs.items()}
+    v = ref.exponential_valuation(rates) if start is None else start
+    if v is None:
+        with pytest.raises(InternalInvariantError):
             frequencies_to_series(freqs, den, order, start)
         return
-    v, series = frequencies_to_series(freqs, den, order, start)
-    assert v == expected[0]
-    assert_same_series(series, expected[1])
+    if v and any(ref.exponential_sum(rates, v - 1).coeffs):
+        with pytest.raises(ValueError):
+            frequencies_to_series(freqs, den, order, start)
+        return
+    got, series = frequencies_to_series(freqs, den, order, start)
+    assert got == v
+    assert_same_series(series, ref.exponential_sum(rates, order, start=v))
 
 
 # -- the character series, the cached U and the limits ------------------------------
@@ -351,9 +135,8 @@ def test_weyl_denominator_matches_uncached_oracle_in_any_order(data):
     for order in orders:
         for which in ("g", "k"):
             r, u = weyl_denominator_factored(datum, y, which, order)
-            r0, u0 = oracle_weyl_denominator_factored(datum, y, which, order)
-            assert r == r0
-            assert_same_series(u, u0)
+            assert (r, u) == ref.weyl_denominator_factored(datum, y, which, order)
+            assert u.order == order
     info = kmodules._weyl_denominator.cache_info()
     misses = 2 * len(set(orders))
     assert (info.misses, info.hits) == (misses, 2 * len(orders) - misses)
@@ -366,8 +149,8 @@ def test_character_series_matches_fraction_oracle_in_any_order(case, orders):
     kmodules._weyl_denominator.cache_clear()
     for order in orders:
         series = character_series(fam, lam, y, order)
-        oracle = oracle_character_series(fam, lam, y, order)
-        assert_same_laurent(series, oracle)
+        oracle = ref.character_series(fam, lam, y, order)
+        assert series == oracle and series.pole_order == oracle.pole_order
 
 
 @settings(max_examples=60, deadline=None)
@@ -379,7 +162,7 @@ def test_leading_limits_match_fraction_oracle(case, offsets):
     kmodules._weyl_denominator.cache_clear()
     for offset in offsets:
         d = gap + offset
-        assert leading_limit(fam, lam, y, d) == oracle_leading_limit(fam, lam, y, d)
+        assert leading_limit(fam, lam, y, d) == ref.leading_limit(fam, lam, y, d)
 
 
 # -- what the caches hand out ---------------------------------------------------------

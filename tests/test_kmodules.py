@@ -18,8 +18,6 @@ from diracindex.groups import (
     build_root_datum,
     dot,
     int_form,
-    normalize_k_dominant,
-    simple_roots,
     weight_add,
     weyl_elements,
     weyl_order,
@@ -40,15 +38,8 @@ from diracindex.kmodules import (
 from diracindex.series import TruncatedSeries
 from diracindex.springer import table_groups
 from diracindex.weylaction import weyl_dim_value
-from test_groups import dominant_rep_g, pairing
-
-
-def W(*coords):
-    return tuple(F(c) for c in coords)
-
-
-def weight_sub(a, b):
-    return tuple(x - y for x, y in zip(a, b, strict=True))
+import reference as ref
+from reference import W, dominant_rep_g, pairing
 
 
 def test_virtual_k_type_normalization():
@@ -250,12 +241,14 @@ def test_tensor_bilinear():
 
 def test_custom_lattice_predicate():
     d = build_root_datum(GroupId.sp_r(2))
-    # restrict to the even sublattice: parameters off it become zero
-    # the predicate reads the weight's integer form nums / den
-    even = d.replace(lattice=lambda den, nums: all(n % (2 * den) == 0 for n in nums))
-    gamma = weight_add(even.rho_g, W(1, 1))  # (3, 2): shift (1, 1) is odd
+    # restrict to the weights of even coordinate sum, which hold every root
+    # of type C: parameters off it become zero; the predicate reads the
+    # weight's integer form nums / den
+    even = d.replace(
+        lattice=lambda den, nums: all(n % den == 0 for n in nums) and sum(nums) % (2 * den) == 0)
+    gamma = weight_add(even.rho_g, W(1, 0))  # (3, 1): shift (1, 0) has an odd sum
     assert k_type_sum(even, [(gamma, 1)]).is_zero()
-    assert not k_type_sum(even, [(weight_add(even.rho_g, W(2, 0)), 1)]).is_zero()
+    assert not k_type_sum(even, [(weight_add(even.rho_g, W(1, 1)), 1)]).is_zero()
 
 
 def test_weyl_orbit_matches_enumerated_group():
@@ -263,30 +256,6 @@ def test_weyl_orbit_matches_enumerated_group():
     mu = W(3, 1)
     enumerated = {w.apply(mu) for w in weyl_elements(d, "g")}
     assert weyl_orbit(d, mu) == enumerated
-
-
-def _k_type_by_fold(gamma, datum):
-    """Reference E(gamma) as {parameter: coefficient}, normalized one
-    parameter at a time, as before sums collected in one dict."""
-    if len(gamma) != datum.rank:
-        raise DimensionMismatch("parameter length must equal the rank")
-    if not datum.on_shifted_lattice_form(int_form(gamma)):
-        return {}
-    normalized = normalize_k_dominant(datum, gamma)
-    if normalized is None:
-        return {}
-    sign, dom = normalized
-    return {dom: sign}
-
-
-def _series_by_exponential_fold(freqs, order):
-    """Reference sum c * e^{rate t}: one truncated exponential per rate,
-    added coefficient by coefficient."""
-    total = [F(0)] * (order + 1)
-    for rate, c in freqs.items():
-        exp = TruncatedSeries.exponential(rate, order).coeffs
-        total = [t + c * e for t, e in zip(total, exp)]
-    return TruncatedSeries(tuple(total))
 
 
 rates = st.builds(F, st.integers(-12, 12), st.integers(1, 4))
@@ -304,7 +273,7 @@ def test_frequencies_to_series_matches_exponential_fold(pairs, order):
     den = math.lcm(*(rate.denominator for rate in freqs))
     v, series = frequencies_to_series({int(rate * den): c for rate, c in freqs.items()}, den, order)
     assert v == 0
-    assert series == _series_by_exponential_fold(freqs, order)
+    assert series.coeffs == ref.exponential_sum(freqs, order).coeffs
     assert series.order == order
     assert all(type(c) is F for c in series.coeffs)
 
@@ -322,7 +291,7 @@ def test_frequencies_to_series_from_the_valuation(pairs, order):
     assume(freqs)
     den = math.lcm(*(rate.denominator for rate in freqs))
     nums = {int(rate * den): c for rate, c in freqs.items()}
-    fold = _series_by_exponential_fold(freqs, len(freqs) + order)
+    fold = ref.exponential_sum(freqs, len(freqs) + order)
     val = fold.valuation()
     assert val is not None and val < len(freqs)
     v, series = frequencies_to_series(nums, den, order, start=None)
@@ -365,23 +334,6 @@ def test_frequencies_to_series_zero_sum_has_no_valuation():
             frequencies_to_series(freqs, 1, 3, start=None)
 
 
-def _denominator_by_root_product(datum, y, which, order):
-    """Reference (r, U): one 2*sinh(a t/2)/t series per positive root,
-    multiplied as truncated series (the body weyl_denominator_factored had
-    before the product became one exponential sum)."""
-    roots = (
-        datum.positive_roots if which == "g" else datum.compact_positive_roots
-    )
-    u = TruncatedSeries((F(1),) + (F(0),) * order)
-    for alpha in roots:
-        half = F(dot(alpha, y), 2)
-        freqs = {half.numerator: 1, -half.numerator: -1} if half else {}
-        _, sinh = frequencies_to_series(freqs, half.denominator, order + 1)
-        assert sinh.coeffs[0] == 0
-        u = u * TruncatedSeries(sinh.coeffs[1:])
-    return len(roots), u
-
-
 DENOMINATOR_GROUPS = [g for g in table_groups(4) if g.rank <= 4]
 # thirds, quarters and sixths as well as half-integers
 magnitudes = st.builds(F, st.integers(1, 12), st.sampled_from([1, 2, 3, 4, 6]))
@@ -406,7 +358,7 @@ def test_weyl_denominator_matches_root_product(case, which, order):
     datum, y = case
     assert all(dot(alpha, y) != 0 for alpha in datum.positive_roots)
     r, u = weyl_denominator_factored(datum, y, which, order)
-    assert (r, u) == _denominator_by_root_product(datum, y, which, order)
+    assert (r, u) == ref.weyl_denominator_factored(datum, y, which, order)
     assert u.order == order and all(type(c) is F for c in u.coeffs)
     roots = datum.positive_roots if which == "g" else datum.compact_positive_roots
     u0 = 1
@@ -432,30 +384,13 @@ def test_weyl_denominator_singular_direction_is_zero(group, y, order):
     for which in ("g", "k"):
         roots = d.positive_roots if which == "g" else d.compact_positive_roots
         r, u = weyl_denominator_factored(d, y, which, order)
-        assert (r, u) == _denominator_by_root_product(d, y, which, order)
+        assert (r, u) == ref.weyl_denominator_factored(d, y, which, order)
         assert r == len(roots) and u.order == order
         assert (u.valuation() is None) == any(dot(alpha, y) == 0 for alpha in roots)
     assert weyl_denominator_factored(d, y, "g", order) == (
         len(d.positive_roots),
         TruncatedSeries.zero(order),
     )
-
-
-def _expanded_weyl_denominator(datum, y, which, order):
-    """(r, U) as U was built before it came from its root factors: the r
-    factors e^{a t/2} - e^{-a t/2} multiplied out as one sum of
-    exponentials on the integer rates alpha(y) * y_den over 2 * y_den,
-    and the moments of that sum from t^r to t^(r + order)."""
-    y_den, y_nums = datum.form(y)
-    roots = datum.positive_roots if which == "g" else datum.compact_positive_roots
-    freqs = {0: 1}
-    for alpha in roots:
-        k = sum(a * c for a, c in zip(alpha, y_nums))
-        expanded = {f + k: c for f, c in freqs.items()}
-        for f, c in freqs.items():
-            expanded[f - k] = expanded.get(f - k, 0) - c
-        freqs = {f: c for f, c in expanded.items() if c}
-    return frequencies_to_series(freqs, 2 * y_den, order, len(roots))
 
 
 # Small entries with repeats and zeros: many of these directions are singular.
@@ -482,7 +417,7 @@ def test_weyl_denominator_matches_the_expanded_sum_in_any_order(group, data):
         singular = any(dot(alpha, y) == 0 for alpha in roots)
         for order in orders:
             r, u = weyl_denominator_factored(datum, y, which, order)
-            assert (r, u) == _expanded_weyl_denominator(datum, y, which, order)
+            assert (r, u) == ref.weyl_denominator_factored(datum, y, which, order)
             assert r == len(roots)
             assert (u == TruncatedSeries.zero(order)) == singular
     assert kmodules._weyl_denominator.cache_info().misses == 2 * len(set(orders))
@@ -560,11 +495,7 @@ def k_type_terms(draw):
 @given(k_type_terms())
 def test_k_type_sum_matches_fold(case):
     datum, terms = case
-    expected = {}
-    for gamma, c in terms:
-        for dom, sign in _k_type_by_fold(gamma, datum).items():
-            expected[dom] = expected.get(dom, 0) + sign * c
-    assert k_type_sum(datum, terms) == VirtualKModule(datum, expected)
+    assert k_type_sum(datum, terms) == VirtualKModule(datum, ref.k_type_sum(datum, terms))
 
 
 def test_k_type_sum_checks_every_parameter_length():
@@ -624,109 +555,6 @@ def test_weight_multiset_mass_mismatch_is_internal(monkeypatch):
         weight_multiset(W(1, 0, 0), build_root_datum(GroupId.su(2, 1)))
 
 
-def _solve_linear(rows, rhs):
-    """Reference exact solver: one solution x of rows x = rhs with free
-    variables set to zero, or None if the system is inconsistent."""
-    m = len(rows)
-    if m == 0:
-        return []
-    n = len(rows[0])
-    a = [[F(v) for v in row] + [F(rhs[i])] for i, row in enumerate(rows)]
-    pivots = []
-    row = 0
-    for col in range(n):
-        sel = next((r for r in range(row, m) if a[r][col] != 0), None)
-        if sel is None:
-            continue
-        a[row], a[sel] = a[sel], a[row]
-        pv = a[row][col]
-        a[row] = [v / pv for v in a[row]]
-        for r in range(m):
-            if r != row and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [v - f * w for v, w in zip(a[r], a[row])]
-        pivots.append((row, col))
-        row += 1
-        if row == m:
-            break
-    if any(a[r][n] != 0 for r in range(row, m)):
-        return None
-    x = [F(0)] * n
-    for r, c in pivots:
-        x[c] = a[r][n]
-    return x
-
-
-def _dominant_character_by_norm_ball(datum, highest):
-    """Reference Freudenthal multiplicities: every lattice point of the ball
-    |mu + rho|^2 <= |highest + rho|^2 reached by simple-root steps, filtered
-    to the dominant ones by the reference chamber routine and ordered by
-    height in the simple-root basis; {integer form: multiplicity}, in
-    ascending order of the weights.
-
-    Runs on the numerators of the weights over the common denominator D of
-    highest and rho_g, with the roots scaled by D too, so every norm and
-    pairing is D^2 times the true one, and the height functional is scaled
-    to integers."""
-    den = math.lcm(*(c.denominator for c in highest + datum.rho_g))
-
-    def scaled(w):
-        return tuple(int(c * den) for c in w)
-
-    def idot(a, b):
-        return sum(x * y for x, y in zip(a, b, strict=True))
-
-    top, rho = scaled(highest), scaled(datum.rho_g)
-    pos = [scaled(alpha) for alpha in datum.positive_roots]
-    simples = simple_roots(datum)
-
-    def norm(mu):
-        shifted = [m + r for m, r in zip(mu, rho)]
-        return idot(shifted, shifted)
-
-    top_norm = norm(top)
-    seen = {top}
-    frontier = [top]
-    while frontier:
-        nxt = []
-        for mu in frontier:
-            for alpha in map(scaled, simples):
-                child = tuple(m - a for m, a in zip(mu, alpha))
-                if child not in seen and norm(child) <= top_norm:
-                    seen.add(child)
-                    nxt.append(child)
-        frontier = nxt
-    dominants = [mu for mu in seen if dominant_rep_g(datum, mu) == mu]
-    height = _solve_linear(simples, [F(1)] * len(simples))
-    height = [int(h * math.lcm(*(h.denominator for h in height))) for h in height]
-    dominants.sort(key=lambda mu: idot(weight_sub(top, mu), height))
-    mult = {}
-    for mu in dominants:
-        if mu == top:
-            mult[mu] = 1
-            continue
-        mu_rho = [m + r for m, r in zip(mu, rho)]
-        mu_norm = idot(mu_rho, mu_rho)
-        acc = 0
-        for alpha in pos:
-            norm2 = idot(alpha, alpha)
-            k = 1
-            while True:
-                nu = tuple(m + k * a for m, a in zip(mu, alpha))
-                if norm(nu) > top_norm:
-                    if k * norm2 > -idot(mu_rho, alpha):
-                        break
-                else:
-                    m = mult.get(dominant_rep_g(datum, nu), 0)
-                    if m:
-                        acc += m * idot(nu, alpha)
-                k += 1
-        value = F(2 * acc, top_norm - mu_norm)
-        if value:
-            mult[mu] = int(value) if value.denominator == 1 else value
-    return {int_form(tuple(F(n, den) for n in mu)): mult[mu] for mu in sorted(mult)}
-
-
 # The recursion sees only the ambient block, so Sp(p,q) stops at rank 3:
 # Sp(8,R) covers C_4, where each reference call takes about a second.
 # SO*(2) is left out: its D_1 block has no roots, and the reference height
@@ -765,7 +593,7 @@ def dominant_integral_weights(draw):
 @example((build_root_datum(GroupId.su(2, 2)), W(1, 1, -1, -1)))
 def test_dominant_character_matches_norm_ball(case):
     datum, highest = case
-    expected = _dominant_character_by_norm_ball(datum, highest)
+    expected = ref.dominant_character(datum, highest)
     got = _dominant_character(datum, highest)
     assert list(got.items()) == list(expected.items())
     assert all(type(m) is int for m in got.values())

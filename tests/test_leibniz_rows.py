@@ -91,11 +91,15 @@ def test_char_poly_det_takes_the_eager_path(n):
         ([0, 1], [1, 0], [7, 7], 1),           # a block wider than the rows
         ([0, 1, 2], [2, 1], (), 1),            # more rows than columns
         ([0, 1], [1, 0], (), 0),               # zero scale
+        ([0, 1, 2], [2, 1, 0], (), 0),         # zero scale, block-diagonal
     ],
 )
 def test_other_alternants_are_expanded_at_once(variables, exponents, support, scale):
     poly = alternant(3, variables, exponents, support, scale)
     assert poly._leibniz is None
+    if not scale:
+        zero = MultiPoly.zero(3)
+        assert poly.is_zero() and poly == zero and poly_to_obj(poly) == poly_to_obj(zero)
 
 
 def _cases():

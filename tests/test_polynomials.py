@@ -4,8 +4,6 @@ import json
 import math
 import random
 from fractions import Fraction as F
-from itertools import permutations
-from operator import itemgetter
 from pathlib import Path
 
 import pytest
@@ -33,11 +31,27 @@ from diracindex.polynomials import (
     poly_det,
     restrict_to_hyperplane,
 )
-
-
-def _gl_key(exp):
-    """Graded-lex order: ascending total degree, then descending lex."""
-    return (sum(exp), tuple(-e for e in exp))
+from reference import (
+    act_on_keys,
+    alternant_terms,
+    divides,
+    evaluate,
+    fraction_add,
+    fraction_derivative,
+    fraction_extract,
+    fraction_horner,
+    fraction_mul,
+    fraction_pow,
+    form_content,
+    gl_key,
+    graded_rows_by_sorting,
+    leibniz_det,
+    power_sum_image,
+    primitive,
+    repack_keys,
+    restrict,
+    view_repr,
+)
 
 
 def V(*names):
@@ -65,13 +79,18 @@ def polys(draw, arity=3, max_degree=3, max_terms=5):
 
 
 @settings(max_examples=100, deadline=None)
-@given(polys(), polys(), st.lists(coeffs, min_size=3, max_size=3))
-def test_ring_axioms_and_eval_homomorphism(p, q, point):
-    assert (p + q) - q == p
-    assert p * q == q * p
+@given(polys(), polys(), st.lists(coeffs, min_size=3, max_size=3), coeffs)
+def test_ring_axioms_and_eval_homomorphism(p, q, point, c):
+    """The ring axioms, evaluation as a ring homomorphism, and every kernel
+    result in the normalized form."""
+    assert (p + q) - q == p, "additive inverse"
+    assert p * q == q * p, "commutative product"
     pt = tuple(point)
-    assert (p + q).evaluate(pt) == p.evaluate(pt) + q.evaluate(pt)
-    assert (p * q).evaluate(pt) == p.evaluate(pt) * q.evaluate(pt)
+    assert (p + q).evaluate(pt) == p.evaluate(pt) + q.evaluate(pt), "value of a sum"
+    assert (p * q).evaluate(pt) == p.evaluate(pt) * q.evaluate(pt), "value of a product"
+    for result in (p + q, p - q, p + (-p), -p, p * q, p * c, p * 0, p.derivative(1)):
+        assert_normalized(result, 3)
+    assert (p + (-p)).terms == {}, "p - p is zero"
 
 
 @settings(max_examples=200, deadline=None)
@@ -125,38 +144,6 @@ def test_linear_combination_refuses_non_integer_coefficients():
     assert hash(combined) == hash(x * 2 + y)
 
 
-def _repack_oracle(arity, width, new, num):
-    """The width change as a separate routine moved every field on its own."""
-    if new == width:
-        return num
-    mask = (1 << width) - 1
-    pairs = [(width * i, new * i) for i in range(arity)]
-    return {sum((key >> s & mask) << t for s, t in pairs): c for key, c in num.items()}
-
-
-def _act_oracle(perm, signs, width, num):
-    """The signed permutation as a separate routine on one width: fields
-    grouped by distance under masks, num itself when nothing moves."""
-    field = (1 << width) - 1
-    moves = {}
-    for k, p in enumerate(perm):
-        moves[k - p] = moves.get(k - p, 0) | field << (p * width)
-    left = [(d * width, mask) for d, mask in moves.items() if d >= 0]
-    right = [(-d * width, mask) for d, mask in moves.items() if d < 0]
-    odd = sum(1 << (p * width) for p, s in zip(perm, signs) if s < 0)
-    if not odd and moves.keys() <= {0}:
-        return num
-    out = {}
-    for key, c in num.items():
-        new = 0
-        for shift, mask in left:
-            new |= (key & mask) << shift
-        for shift, mask in right:
-            new |= (key & mask) >> shift
-        out[new] = -c if (key & odd).bit_count() & 1 else c
-    return out
-
-
 @st.composite
 def packed_numerators(draw):
     """(arity, width, new, perm, signs, num): arity 0-7, widths 1-6 with a
@@ -189,11 +176,11 @@ def test_move_fields_matches_the_repack_and_action_oracles(case):
     arity, width, new, perm, signs, num = case
     ids = range(arity)
     repacked = _move_fields(width, new, ids, (), num)
-    assert list(repacked.items()) == list(_repack_oracle(arity, width, new, num).items())
+    assert list(repacked.items()) == list(repack_keys(arity, width, new, num).items())
     acted = _move_fields(width, width, perm, signs, num)
-    assert list(acted.items()) == list(_act_oracle(perm, signs, width, num).items())
+    assert list(acted.items()) == list(act_on_keys(perm, signs, width, num).items())
     both = _move_fields(width, new, perm, signs, num)
-    expected = _repack_oracle(arity, width, new, _act_oracle(perm, signs, width, num))
+    expected = repack_keys(arity, width, new, act_on_keys(perm, signs, width, num))
     assert list(both.items()) == list(expected.items())
     # a repack moves field k by k * (new - width) bits: field 0 stays
     identity, same_width = perm == tuple(ids) and -1 not in signs, width == new or arity <= 1
@@ -275,15 +262,6 @@ def test_eval_examples():
         x1.evaluate((1, 2, 3))
 
 
-def _view_evaluate(poly: MultiPoly, point) -> F:
-    """The evaluate that read the Fraction view, before the integer one."""
-    pt = [F(x) for x in point]
-    return sum(
-        (c * math.prod(x**e for x, e in zip(pt, exp) if e) for exp, c in poly.terms.items()),
-        F(0),
-    )
-
-
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_integer_evaluate_matches_view_oracle(data):
@@ -296,7 +274,7 @@ def test_integer_evaluate_matches_view_oracle(data):
     kernel = extract_linear_factors(poly, [])[1]
     value = kernel.evaluate(point)
     assert kernel._terms is None
-    assert type(value) is F and value == _view_evaluate(poly, point)
+    assert type(value) is F and value == evaluate(poly, point)
     with pytest.raises(DimensionMismatch):
         kernel.evaluate(point + (1,))
 
@@ -326,18 +304,6 @@ def test_graded_rows_graded_lex():
     assert repr(p) == "MultiPoly(7 + 1*X1 + -1*X2)"
 
 
-def _graded_rows_two_sorts(poly):
-    """graded_rows as it unpacked each key into its own list and sorted
-    twice, by exponents and then by degree; the reference for the
-    column-wise pass."""
-    _, width, num = poly._int_form()
-    mask, shifts = (1 << width) - 1, range(0, poly.arity * width, width)
-    rows = [([key >> s & mask for s in shifts], c) for key, c in num.items()]
-    rows.sort(key=itemgetter(0), reverse=True)
-    rows.sort(key=lambda row: sum(row[0]))
-    return rows
-
-
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 4).flatmap(lambda n: polys(arity=n, max_degree=4, max_terms=12)))
 @example(MultiPoly(3, {(0, 0, 0): 1, (0, 0, 2): 2, (1, 1, 0): 3, (2, 0, 0): 4, (0, 1, 0): 5}))
@@ -346,9 +312,9 @@ def _graded_rows_two_sorts(poly):
 @example(MultiPoly.zero(0))
 @example(MultiPoly.zero(3))
 def test_graded_rows_matches_gl_key_sort(poly):
-    expected = sorted(poly.terms.items(), key=lambda t: _gl_key(t[0]))
+    expected = sorted(poly.terms.items(), key=lambda t: gl_key(t[0]))
     assert graded_terms(poly) == expected
-    assert poly.graded_rows() == _graded_rows_two_sorts(poly)
+    assert poly.graded_rows() == graded_rows_by_sorting(poly)
 
 
 # Total degrees at the edges of one, two, three and five bytes a field, and
@@ -382,17 +348,6 @@ def wide_polys(draw):
     return MultiPoly(arity, terms)
 
 
-def _view_repr(poly):
-    """repr built from the Fraction view in graded-lex order."""
-    if not poly.terms:
-        return "MultiPoly(0)"
-    bits = []
-    for exp, c in sorted(poly.terms.items(), key=lambda t: _gl_key(t[0])):
-        mono = "*".join(f"X{i + 1}" + (f"^{e}" if e > 1 else "") for i, e in enumerate(exp) if e)
-        bits.append(f"{c}" + (f"*{mono}" if mono else ""))
-    return "MultiPoly(" + " + ".join(bits) + ")"
-
-
 @settings(max_examples=150, deadline=None)
 @given(wide_polys())
 @example(MultiPoly(1, {(255,): 1}))
@@ -407,10 +362,10 @@ def _view_repr(poly):
 @example(MultiPoly(3, {(i, 70000 - 2 * i, i % 3): F(1, i + 1) for i in range(150)}))
 def test_graded_rows_wide_fields_match_oracle_and_round_trip(poly):
     assert poly._width >= 8
-    assert poly.graded_rows() == _graded_rows_two_sorts(poly)
-    assert graded_terms(poly) == sorted(poly.terms.items(), key=lambda t: _gl_key(t[0]))
+    assert poly.graded_rows() == graded_rows_by_sorting(poly)
+    assert graded_terms(poly) == sorted(poly.terms.items(), key=lambda t: gl_key(t[0]))
     assert poly_from_obj(json.loads(dumps(poly_to_obj(poly)))) == poly
-    assert repr(poly) == _view_repr(poly)
+    assert repr(poly) == view_repr(poly)
 
 
 @settings(max_examples=100, deadline=None)
@@ -420,33 +375,6 @@ def test_graded_rows_wide_fields_match_oracle_and_round_trip(poly):
 @example(MultiPoly(2, {(3, 0): 1, (1, 1): 1}))
 def test_is_homogeneous_matches_view(poly):
     assert poly.is_homogeneous() == (len({sum(e) for e in poly.terms}) <= 1)
-
-
-def _sign(perm):
-    inversions = sum(a > b for i, a in enumerate(perm) for b in perm[i + 1 :])
-    return -1 if inversions % 2 else 1
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.integers(0, 5).flatmap(lambda m: st.tuples(
-    st.permutations(range(5)).map(lambda v: v[:m]),
-    st.lists(st.integers(0, 6), min_size=m, max_size=m, unique=True),
-)))
-def test_alternant_matches_leibniz_expansion(case):
-    variables, exponents = case
-    m = len(exponents)
-    x = [MultiPoly.variable(5, i) for i in range(5)]
-    leibniz = MultiPoly.zero(5)
-    for perm in permutations(range(m)):
-        term = MultiPoly.const(5, _sign(perm))
-        for row, col in enumerate(perm):
-            term = term * x[variables[row]] ** exponents[col]
-        leibniz = leibniz + term
-    degree = sum(exponents)
-    width = max(degree, 1).bit_length()
-    num = _alternant(width, variables, exponents)
-    assert len(num) == math.factorial(m) and set(num.values()) <= {1, -1}
-    assert MultiPoly._from_ints(5, width, num, degree=degree) == leibniz
 
 
 @st.composite
@@ -464,27 +392,6 @@ def supported_alternants(draw):
     return variables, exponents, support
 
 
-@settings(max_examples=200, deadline=None)
-@given(supported_alternants())
-@example(([0, 1, 2, 3], [2, 1, 0, 0], [15, 15, 3, 12]))
-def test_alternant_with_zero_entries_matches_leibniz_sum(case):
-    variables, exponents, support = case
-    m = len(exponents)
-    x = [MultiPoly.variable(5, i) for i in range(5)]
-    leibniz, nonzero = MultiPoly.zero(5), 0
-    for perm in permutations(range(m)):
-        if all(support[col] >> row & 1 for row, col in enumerate(perm)):
-            term = MultiPoly.const(5, _sign(perm))
-            for row, col in enumerate(perm):
-                term = term * x[variables[row]] ** exponents[col]
-            leibniz, nonzero = leibniz + term, nonzero + 1
-    width = max(sum(exponents), 1).bit_length()
-    num = _alternant(width, variables, exponents, support)
-    # one term per nonzero permutation: no two of them merge or cancel
-    assert len(num) == nonzero and set(num.values()) <= {1, -1}
-    assert MultiPoly._from_ints(5, width, num) == leibniz
-
-
 @pytest.mark.parametrize(
     "exponents,support",
     [([1, 1], ()), ([0, 2, 0], [0b011, 0b111, 0b110]), ([3, 0, 3], [0b100, 0b011, 0b101])],
@@ -494,35 +401,12 @@ def test_alternant_rejects_equal_exponents_on_a_shared_row(exponents, support):
         _alternant(2, range(len(exponents)), exponents, support)
 
 
-def _alternant_last_row(width, variables, exponents, support=()):
-    """_alternant as it expanded along the last row, adding rows from the
-    first to the last with the column loop inside: the oracle for the
-    first-row expansion, which writes the same terms in another order."""
-    support = support or [(1 << len(variables)) - 1] * len(exponents)
-    minors = {0: {0: 1}}
-    for row, v in enumerate(variables):
-        shift, grown = v * width, {}
-        for cols, minor in minors.items():
-            for c, (e, rows) in enumerate(zip(exponents, support)):
-                bit = 1 << c
-                if cols & bit or not rows >> row & 1:
-                    continue
-                step = e << shift
-                sign = -1 if (row + (cols & (bit - 1)).bit_count()) & 1 else 1
-                grown.setdefault(cols | bit, {}).update(
-                    {key + step: sign * k for key, k in minor.items()}
-                )
-        minors = grown
-    return minors.get((1 << len(exponents)) - 1, {})
-
-
 @st.composite
-def alternant_cases(draw, masked, ordered=False):
+def alternant_cases(draw, masked):
     """(variables, exponents, support, width) in 5 variables: masked, as
     `supported_alternants` draws them, or with no support and distinct
-    exponents.  Ordered cases have ascending variables and non-increasing
-    exponents, each support moved with its column; the field width fits
-    the total degree, with up to 2 spare bits."""
+    exponents; the field width fits the total degree, with up to 2 spare
+    bits."""
     if masked:
         variables, exponents, support = draw(supported_alternants())
     else:
@@ -530,36 +414,39 @@ def alternant_cases(draw, masked, ordered=False):
         variables = draw(st.permutations(range(5)))[:m]
         exponents = draw(st.lists(st.integers(0, 6), min_size=m, max_size=m, unique=True))
         support = []
-    if ordered:
-        order = sorted(range(len(exponents)), key=lambda c: -exponents[c])
-        variables = sorted(variables)
-        exponents = [exponents[c] for c in order]
-        support = [support[c] for c in order] if support else support
     width = max(sum(exponents), 1).bit_length() + draw(st.integers(0, 2))
     return variables, exponents, support, width
 
 
+def _packed(width, terms):
+    return {sum(e << (i * width) for i, e in enumerate(exp)): c for exp, c in terms.items()}
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(alternant_cases(masked=False), alternant_cases(masked=True)))
-def test_alternant_matches_last_row_expansion(case):
-    variables, exponents, support, width = case
-    assert _alternant(width, variables, exponents, support) == _alternant_last_row(
-        width, variables, exponents, support
-    )
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.one_of(
-    alternant_cases(masked=False, ordered=True), alternant_cases(masked=True, ordered=True)
-))
 @example(([0, 1, 2], [2, 1, 0], [], 2))
 @example(([0, 1, 2, 3], [2, 1, 0, 0], [15, 15, 3, 12], 3))
-def test_alternant_of_ordered_input_iterates_in_descending_lex_order(case):
+def test_alternant_matches_leibniz_expansion(case):
+    """The packed numerator is the Leibniz sum, one +-1 term per nonzero
+    permutation.  Reordered to ascending variables and non-increasing
+    exponents, each support moved with its column, it is the Leibniz sum
+    again and iterates in descending lex order of the exponents."""
     variables, exponents, support, width = case
     num = _alternant(width, variables, exponents, support)
+    expected = alternant_terms(5, variables, exponents, support)
+    assert num == _packed(width, expected), "the Leibniz sum"
+    assert set(num.values()) <= {1, -1}, "no two permutations merge or cancel"
+    assert MultiPoly._from_ints(5, width, num) == MultiPoly(5, expected), "the value"
+    order = sorted(range(len(exponents)), key=lambda c: -exponents[c])
+    variables = sorted(variables)
+    exponents = [exponents[c] for c in order]
+    support = [support[c] for c in order] if support else support
+    num = _alternant(width, variables, exponents, support)
+    assert num == _packed(width, alternant_terms(5, variables, exponents, support)), \
+        "the Leibniz sum of the ordered input"
     mask = (1 << width) - 1
     exps = [tuple(key >> s & mask for s in range(0, 5 * width, width)) for key in num]
-    assert all(a > b for a, b in zip(exps, exps[1:]))
+    assert all(a > b for a, b in zip(exps, exps[1:])), "descending lex order"
 
 
 def test_linear_form_product_examples():
@@ -608,25 +495,21 @@ def form_products(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(form_products())
-def test_linear_form_product_matches_naive_fold(case):
+@given(form_products(), st.data())
+def test_linear_form_product_matches_naive_fold(case, data):
+    """The product is the ring product of the forms, term for term and
+    normalized, whatever the order of the forms."""
     arity, forms = case
     naive = functools.reduce(
         MultiPoly.__mul__, (f.to_poly() for f in forms), MultiPoly.const(arity, 1)
     )
     product = linear_form_product(arity, forms)
-    assert product == naive
-    assert graded_terms(product) == graded_terms(naive)
+    assert product == naive, "the ring product"
+    assert graded_terms(product) == graded_terms(naive), "its rows"
     assert_normalized(product, arity)
-
-
-@settings(max_examples=100, deadline=None)
-@given(form_products(), st.data())
-def test_linear_form_product_ignores_form_order(case, data):
-    arity, forms = case
     shuffled = data.draw(st.permutations(forms))
-    expected = graded_terms(linear_form_product(arity, forms))
-    assert graded_terms(linear_form_product(arity, shuffled)) == expected
+    assert graded_terms(linear_form_product(arity, shuffled)) == graded_terms(product), \
+        "the order of the forms"
 
 
 def test_linear_form_product_cancels():
@@ -642,56 +525,10 @@ def test_linear_form_product_cancels():
     )
 
 
-@settings(max_examples=100, deadline=None)
-@given(polys(), polys(), coeffs)
-def test_kernel_results_stay_normalized(p, q, c):
-    for result in (p + q, p - q, p + (-p), -p, p * q, p * c, p * 0, p.derivative(1)):
-        assert_normalized(result, 3)
-    assert (p + (-p)).terms == {}
-
-
-# The Fraction-dict ring operations that the packed ones replaced, kept
-# verbatim as the reference: every operation must agree with them by `==`,
-# by hash and term for term.  `==` compares (den, width, num) with a value
-# the public constructor packed, so agreement also means the kernel result
-# is normalized.
-
-
-def _fraction_add(p: MultiPoly, q: MultiPoly) -> MultiPoly:
-    terms = dict(p.terms)
-    for exp, c in q.terms.items():
-        total = terms.get(exp, 0) + c
-        if total:
-            terms[exp] = total
-        else:
-            del terms[exp]
-    return MultiPoly(p.arity, terms)
-
-
-def _fraction_mul(p: MultiPoly, other) -> MultiPoly:
-    if not isinstance(other, MultiPoly):
-        scalar = F(other)
-        if not scalar:
-            return MultiPoly.zero(p.arity)
-        return MultiPoly(p.arity, {e: c * scalar for e, c in p.terms.items()})
-    out = {}
-    for e1, c1 in p.terms.items():
-        for e2, c2 in other.terms.items():
-            exp = tuple(a + b for a, b in zip(e1, e2))
-            out[exp] = out.get(exp, 0) + c1 * c2
-    return MultiPoly(p.arity, {e: c for e, c in out.items() if c})
-
-
-def _fraction_derivative(p: MultiPoly, i: int, k: int) -> MultiPoly:
-    out = {}
-    for exp, coeff in p.terms.items():
-        if exp[i] >= k:
-            out[exp[:i] + (exp[i] - k,) + exp[i + 1 :]] = coeff * math.perm(exp[i], k)
-    return MultiPoly(p.arity, out)
-
-
-def _fraction_pow(p: MultiPoly, n: int) -> MultiPoly:
-    return functools.reduce(_fraction_mul, [p] * n, MultiPoly.const(p.arity, 1))
+# The ring operations agree with the Fraction-dict ring of `reference` by
+# `==`, by hash and term for term.  `==` compares (den, width, num) with a
+# value the public constructor packed, so agreement also means the kernel
+# result is normalized.
 
 
 @st.composite
@@ -727,22 +564,22 @@ def test_ring_operations_match_fraction_dict_oracle(case, c, n, i, k):
     assert all(x._terms is None for x in kernel)
     for p, q in (public, kernel):
         arity = p.arity
-        minus_q = _fraction_mul(q, -1)
-        _assert_same(p + q, _fraction_add(p, q))
-        _assert_same(p - q, _fraction_add(p, minus_q))
+        minus_q = fraction_mul(q, -1)
+        _assert_same(p + q, fraction_add(p, q))
+        _assert_same(p - q, fraction_add(p, minus_q))
         _assert_same(-q, minus_q)
-        _assert_same(p + c, _fraction_add(p, MultiPoly.const(arity, c)))
-        _assert_same(p * q, _fraction_mul(p, q))
-        _assert_same(p * c, _fraction_mul(p, c))
-        _assert_same(c * p, _fraction_mul(p, c))
-        _assert_same(p * 0, _fraction_mul(p, 0))
+        _assert_same(p + c, fraction_add(p, MultiPoly.const(arity, c)))
+        _assert_same(p * q, fraction_mul(p, q))
+        _assert_same(p * c, fraction_mul(p, c))
+        _assert_same(c * p, fraction_mul(p, c))
+        _assert_same(p * 0, fraction_mul(p, 0))
         _assert_same(0 * p, MultiPoly.zero(arity))
-        _assert_same(p**n, _fraction_pow(p, n))
+        _assert_same(p**n, fraction_pow(p, n))
         # a cancellation down to q, whose fields may be narrower
         _assert_same((p + q) - p, case[1])
         if arity:
             j = i % arity
-            _assert_same(p.derivative(j, k), _fraction_derivative(p, j, k))
+            _assert_same(p.derivative(j, k), fraction_derivative(p, j, k))
         with pytest.raises(IndexError):
             p.derivative(arity)
 
@@ -773,30 +610,6 @@ def test_restrict_kills_products():
         assert restrict_to_hyperplane(p * form.to_poly(), form).is_zero()
 
 
-def _restrict_by_substitution(poly: MultiPoly, form: LinearForm) -> MultiPoly:
-    """Reference restriction: multiply every term by the matching power of
-    the substitution S = -sum_{i != j} (c_i / c_j) X_i, memoized."""
-    j = form._pivot
-    cj = form.coeffs[j]
-    new_arity = poly.arity - 1
-    sub_coeffs = [-form.coeffs[i] / cj for i in range(poly.arity) if i != j]
-    substitution = MultiPoly.from_linear(sub_coeffs)
-    sub_powers = {0: MultiPoly.const(new_arity, 1)}
-
-    def power(d):
-        if d not in sub_powers:
-            sub_powers[d] = power(d - 1) * substitution
-        return sub_powers[d]
-
-    acc = {}
-    for exp, coeff in poly.terms.items():
-        rest = tuple(e for i, e in enumerate(exp) if i != j)
-        for sexp, scoeff in power(exp[j]).terms.items():
-            key = tuple(a + b for a, b in zip(sexp, rest))
-            acc[key] = acc.get(key, F(0)) + coeff * scoeff
-    return MultiPoly(new_arity, acc)
-
-
 @pytest.mark.parametrize("kernel", [
     restrict_to_hyperplane,
     divides_linear_form,
@@ -823,10 +636,13 @@ def polys_and_forms(draw):
 @settings(max_examples=200, deadline=None)
 @given(polys_and_forms())
 def test_horner_pass_matches_substitution_and_division(case):
+    """Restriction is the substitution of the hyperplane, as the reference
+    Horner pass computes it; what it leaves out is divisible, and divides
+    back out exactly."""
     poly, form = case
     arity, j = poly.arity, form._pivot
     rest = restrict_to_hyperplane(poly, form)
-    assert rest == _restrict_by_substitution(poly, form)
+    assert rest == restrict(poly, form)
     assert_normalized(rest, arity - 1)
     assert divides_linear_form(poly, form) == rest.is_zero()
     if not rest.is_zero():
@@ -842,44 +658,9 @@ def test_horner_pass_matches_substitution_and_division(case):
     assert cofactor + lifted == poly
 
 
-def _univariate_division_oracle(p: MultiPoly, form: LinearForm) -> bool:
-    """Divisibility via a full linear change of coordinates: map the form
-    to the first new variable and check the univariate remainder there."""
-    arity = p.arity
-    j = form._pivot
-    # old X_j = (Y_1 - sum_{i != j} c_i Y_slot(i)) / c_j; old X_i = Y_slot(i)
-    slots = {}
-    nxt = 1
-    for i in range(arity):
-        if i != j:
-            slots[i] = nxt
-            nxt += 1
-    images = []
-    for i in range(arity):
-        if i == j:
-            coeffs_ = [F(0)] * arity
-            coeffs_[0] = F(1) / form.coeffs[j]
-            for k in range(arity):
-                if k != j:
-                    coeffs_[slots[k]] = -form.coeffs[k] / form.coeffs[j]
-            images.append(MultiPoly.from_linear(coeffs_))
-        else:
-            images.append(MultiPoly.variable(arity, slots[i]))
-    transformed = MultiPoly.zero(arity)
-    for exp, c in p.terms.items():
-        term = MultiPoly.const(arity, c)
-        for i, e in enumerate(exp):
-            for _ in range(e):
-                term = term * images[i]
-        transformed = transformed + term
-    # remainder modulo Y_1: drop every monomial with positive Y_1 exponent
-    remainder = MultiPoly(
-        arity, {e: c for e, c in transformed.terms.items() if e[0] == 0}
-    )
-    return remainder.is_zero()
-
-
 def test_divides_agrees_with_univariate_oracle():
+    """The reference divides as a polynomial in the pivot variable alone,
+    by synthetic division (the Horner pass)."""
     rng = random.Random(321)
     for trial in range(20):
         arity = rng.randint(2, 4)
@@ -900,9 +681,7 @@ def test_divides_agrees_with_univariate_oracle():
         )
         if trial % 3 == 0:
             poly = poly + extra
-        assert divides_linear_form(poly, form) == _univariate_division_oracle(
-            poly, form
-        )
+        assert divides_linear_form(poly, form) == divides(poly, form)
 
 
 def test_divide_by_linear_form_roundtrip():
@@ -945,67 +724,6 @@ def test_extract_linear_factors():
     assert cofactor == x2 + x3
 
 
-# The Fraction Horner pass that the integer pass replaced, kept verbatim as
-# the reference: restriction, divisibility, division and factor extraction
-# must agree with it term for term.
-
-
-def _fraction_horner(poly: MultiPoly, form: LinearForm) -> list[dict]:
-    """[H_0, ..., H_top] of the Horner pass (module docstring) as term
-    dicts over the variables other than the pivot, renumbered in order."""
-    if poly.arity != form.arity:
-        raise DimensionMismatch("polynomial and form arities differ")
-    j = form._pivot
-    cj = form.coeffs[j]
-    # X_i with i > j is variable i - 1 of H; every c_i with i < j is zero.
-    steps = [(k, -c / cj) for k, c in enumerate(form.coeffs[j + 1 :], j) if c]
-    layers: dict[int, dict] = {}
-    for exp, coeff in poly.terms.items():
-        layers.setdefault(exp[j], {})[exp[:j] + exp[j + 1 :]] = coeff
-    top = max(layers, default=0)
-    hs = [layers.get(top, {})]
-    for d in range(top - 1, -1, -1):
-        acc = layers.pop(d, {})
-        for exp, c in hs[-1].items():
-            for k, s in steps:
-                key = exp[:k] + (exp[k] + 1,) + exp[k + 1 :]
-                term = c * s
-                acc[key] = acc[key] + term if key in acc else term
-        hs.append({e: c for e, c in acc.items() if c})
-    hs.reverse()
-    return hs
-
-
-def _fraction_quotient(poly: MultiPoly, form: LinearForm, hs: list[dict]) -> MultiPoly:
-    """poly / form assembled from the Horner layers hs[1:]."""
-    j = form._pivot
-    inv = 1 / form.coeffs[j]
-    return MultiPoly(
-        poly.arity,
-        {
-            exp[:j] + (d,) + exp[j:]: c * inv
-            for d, layer in enumerate(hs[1:])
-            for exp, c in layer.items()
-        },
-    )
-
-
-def _fraction_extract(poly: MultiPoly, candidates):
-    factors = []
-    current = poly
-    for form in candidates:
-        mult = 0
-        while not current.is_zero():
-            hs = _fraction_horner(current, form)
-            if hs[0]:
-                break
-            current = _fraction_quotient(current, form, hs)
-            mult += 1
-        if mult:
-            factors.append((form, mult))
-    return factors, current
-
-
 @st.composite
 def kernel_cases(draw):
     """A polynomial with rational coefficients, possibly zero, times some
@@ -1025,165 +743,78 @@ def kernel_cases(draw):
     return poly, forms
 
 
+def _fraction_horner_results(poly, forms):
+    """([(restriction, divisible)] per form, (factors, cofactor)) by the
+    reference Horner pass."""
+    layers = [fraction_horner(poly, form)[0] for form in forms]
+    return ([(MultiPoly(poly.arity - 1, h0), not h0) for h0 in layers],
+            fraction_extract(poly, forms))
+
+
+def _assert_kernels_match_fraction_horner(poly, forms, expected):
+    """Restriction, divisibility and extraction agree with the reference
+    results, in value and in emission order, and stay normalized."""
+    per_form, (expected_factors, expected_cofactor) = expected
+    for form, (expected_rest, divisible) in zip(forms, per_form):
+        rest = restrict_to_hyperplane(poly, form)
+        assert rest == expected_rest, "restriction"
+        assert graded_terms(rest) == graded_terms(expected_rest), "restriction's rows"
+        assert_normalized(rest, poly.arity - 1)
+        assert divides_linear_form(poly, form) == divisible, "divisibility"
+    factors, cofactor = extract_linear_factors(poly, forms)
+    assert factors == expected_factors, "extracted factors"
+    assert cofactor == expected_cofactor, "cofactor"
+    assert graded_terms(cofactor) == graded_terms(expected_cofactor), "cofactor's rows"
+    assert_normalized(cofactor, poly.arity)
+
+
 @settings(max_examples=300, deadline=None)
-@given(kernel_cases())
-@example((MultiPoly(2, {}), [LinearForm((F(-3), F(2)))]))
+@given(kernel_cases(), st.randoms(use_true_random=False))
+@example((MultiPoly(2, {}), [LinearForm((F(-3), F(2)))]), random.Random(0))
 @example(
     (
         MultiPoly(3, {(0, 2, 1): F(-6, 5), (0, 1, 2): F(4, 5), (1, 0, 0): F(1, 2)})
         * LinearForm((F(0), F(-3), F(2))).to_poly(),
         [LinearForm((F(0), F(-3), F(2))), LinearForm((F(0), F(6), F(-4)))],
-    )
+    ),
+    random.Random(0),
 )
 # a duplicate candidate, and a proportional one after a squared factor
-@example((MultiPoly.variable(1, 0), [LinearForm((F(1),)), LinearForm((F(1),))]))
+@example((MultiPoly.variable(1, 0), [LinearForm((F(1),)), LinearForm((F(1),))]), random.Random(0))
 @example(
     (
         linear_form_product(2, [LinearForm((F(2), F(-3)))] * 2 + [LinearForm((F(0), F(1)))]),
         [LinearForm((F(0), F(1))), LinearForm((F(2), F(-3))), LinearForm((F(-4), F(6)))],
-    )
+    ),
+    random.Random(0),
 )
-def test_integer_horner_matches_fraction_oracle(case):
-    poly, forms = case
-    for form in forms:
-        hs = _fraction_horner(poly, form)
-        rest = restrict_to_hyperplane(poly, form)
-        assert rest == MultiPoly(poly.arity - 1, hs[0])
-        assert_normalized(rest, poly.arity - 1)
-        assert divides_linear_form(poly, form) == (not hs[0])
-    factors, cofactor = extract_linear_factors(poly, forms)
-    assert (factors, cofactor) == _fraction_extract(poly, forms)
-    assert_normalized(cofactor, poly.arity)
-
-
-@settings(max_examples=200, deadline=None)
-@given(kernel_cases(), st.randoms(use_true_random=False))
-def test_extraction_ignores_the_order_of_distinct_candidates(case, rng):
-    poly, forms = case
-    distinct = list({primitive(form).coeffs: form for form in forms}.values())
-    factors, cofactor = extract_linear_factors(poly, distinct)
-    shuffled = rng.sample(distinct, len(distinct))
-    got, got_cofactor = extract_linear_factors(poly, shuffled)
-    assert dict(got) == dict(factors) and got_cofactor == cofactor
-    # the factors come back in candidate order
-    assert [form for form, _ in got] == [form for form in shuffled if form in dict(got)]
-
-
-# The tuple-key integer Horner pass that the packed pass replaced, kept
-# verbatim as a second reference: it took the integer numerator apart into
-# exponent tuples on every call and built a new tuple per term and step.
-
-
-def _numerator(poly: MultiPoly):
-    """(D, N) with poly = N / D and N an int-valued dict on exponent tuples."""
-    den = math.lcm(*(c.denominator for c in poly.terms.values()))
-    return den, {e: c.numerator * (den // c.denominator) for e, c in poly.terms.items()}
-
-
-class _TuplePivot:
-    def __init__(self, arity, form):
-        (p, q), ints = form._scale, form._ints
-        self.content = F(p, q)
-        self.j = j = form._pivot
-        self.a = ints[j]
-        self.steps = [(k, -c) for k, c in enumerate(ints[j + 1 :], j) if c]
-
-    def horner(self, num):
-        j, a, steps = self.j, self.a, self.steps
-        layers = {}
-        for exp, coeff in num.items():
-            layers.setdefault(exp[j], {})[exp[:j] + exp[j + 1 :]] = coeff
-        top = max(layers, default=0)
-        hs = [layers.get(top, {})]
-        for d in range(top - 1, -1, -1):
-            acc = layers.pop(d, {})
-            if a != 1:
-                power = a ** (top - d)
-                acc = {e: c * power for e, c in acc.items()}
-            for exp, c in hs[-1].items():
-                for k, s in steps:
-                    key = exp[:k] + (exp[k] + 1,) + exp[k + 1 :]
-                    term = c * s
-                    acc[key] = acc[key] + term if key in acc else term
-            hs.append({e: c for e, c in acc.items() if c})
-        hs.reverse()
-        return hs
-
-    def quotient(self, hs):
-        j, top = self.j, len(hs) - 1
-        powers = [self.a ** (top - d) for d in range(top)]
-        return {
-            exp[:j] + (d,) + exp[j:]: c // powers[d]
-            for d, layer in enumerate(hs[1:])
-            for exp, c in layer.items()
-        }
-
-
-def _tuple_restrict(poly, form):
-    pivot = _TuplePivot(poly.arity, form)
-    den, num = _numerator(poly)
-    hs = pivot.horner(num)
-    scale = F(1, pivot.a ** (len(hs) - 1) * den)
-    return MultiPoly(poly.arity - 1, {e: c * scale for e, c in hs[0].items()})
-
-
-def _tuple_divides(poly, form):
-    return not _TuplePivot(poly.arity, form).horner(_numerator(poly)[1])[0]
-
-
-def _tuple_extract(poly, candidates):
-    factors = []
-    den, num = _numerator(poly)
-    scale = F(1, den)
-    for form in candidates:
-        pivot = _TuplePivot(poly.arity, form)
-        mult = 0
-        while num:
-            hs = pivot.horner(num)
-            if hs[0]:
-                break
-            num = pivot.quotient(hs)
-            scale /= pivot.content
-            mult += 1
-        if mult:
-            factors.append((form, mult))
-    return factors, MultiPoly(poly.arity, {e: c * scale for e, c in num.items()})
-
-
-def _assert_same_kernel_results(poly, forms):
-    for form in forms:
-        rest = restrict_to_hyperplane(poly, form)
-        expected = _tuple_restrict(poly, form)
-        assert rest == expected and graded_terms(rest) == graded_terms(expected)
-        assert_normalized(rest, poly.arity - 1)
-        assert divides_linear_form(poly, form) == _tuple_divides(poly, form)
-    factors, cofactor = extract_linear_factors(poly, forms)
-    expected_factors, expected_cofactor = _tuple_extract(poly, forms)
-    assert factors == expected_factors
-    assert cofactor == expected_cofactor
-    assert graded_terms(cofactor) == graded_terms(expected_cofactor)
-    assert_normalized(cofactor, poly.arity)
-
-
-@settings(max_examples=300, deadline=None)
-@given(kernel_cases())
-@example((MultiPoly(1, {(3,): F(2, 3)}), [LinearForm((F(-2),))]))
+@example((MultiPoly(1, {(3,): F(2, 3)}), [LinearForm((F(-2),))]), random.Random(0))
 # Degree 8 drops to 7 on division, so the cofactor's fields narrow.
 @example((
     linear_form_product(2, [LinearForm((F(1), F(-1)))] * 8),
     [LinearForm((F(1), F(-1))), LinearForm((F(2), F(3)))],
-))
-def test_packed_horner_matches_tuple_key_oracle(case):
+), random.Random(0))
+def test_integer_horner_matches_fraction_oracle(case, rng):
+    """The kernels against the reference Horner pass on the public value
+    and on the same value built in the integer form, with no Fraction view;
+    extraction by distinct candidates ignores their order."""
     poly, forms = case
-    _assert_same_kernel_results(poly, forms)
-    # the same value as a kernel result, built in the integer form
+    expected = _fraction_horner_results(poly, forms)
+    _assert_kernels_match_fraction_horner(poly, forms, expected)
     kernel = extract_linear_factors(poly, [])[1]
-    assert kernel._terms is None and kernel == poly
-    _assert_same_kernel_results(kernel, forms)
+    assert kernel._terms is None and kernel == poly, "a kernel result without a view"
+    _assert_kernels_match_fraction_horner(kernel, forms, expected)
+    distinct = list({primitive(form).coeffs: form for form in forms}.values())
+    factors, cofactor = extract_linear_factors(poly, distinct)
+    shuffled = rng.sample(distinct, len(distinct))
+    got, got_cofactor = extract_linear_factors(poly, shuffled)
+    assert dict(got) == dict(factors) and got_cofactor == cofactor, "candidate order"
+    assert [form for form, _ in got] == [form for form in shuffled if form in dict(got)], \
+        "factors in candidate order"
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
-def test_char_poly_det_kernels_match_tuple_key_oracle(n):
+def test_char_poly_det_kernels_match_fraction_horner(n):
     from diracindex.sun1 import _root_forms, char_poly_det
 
     forms = list(_root_forms(n).values())
@@ -1192,10 +823,16 @@ def test_char_poly_det_kernels_match_tuple_key_oracle(n):
         # the same value through the public constructor
         fractions = MultiPoly(n, dict(det.terms))
         assert det == fractions and hash(det) == hash(fractions)
-        _assert_same_kernel_results(det, forms)
+        _assert_kernels_match_fraction_horner(det, forms, _fraction_horner_results(det, forms))
 
 
 # -- the eq/hash contract between kernel results and the constructor -------
+
+
+def _numerator(poly: MultiPoly):
+    """(D, N) with poly = N / D and N an int-valued dict on exponent tuples."""
+    den = math.lcm(*(c.denominator for c in poly.terms.values()))
+    return den, {e: c.numerator * (den // c.denominator) for e, c in poly.terms.items()}
 
 
 @st.composite
@@ -1246,12 +883,6 @@ def test_forms_of_different_values_differ():
     assert len({kernel, x1 - x2, -(x2 - x1)}) == 1
 
 
-def primitive(form):
-    """form divided by the content of its coefficients, its pivot made
-    positive."""
-    return LinearForm(form._ints)
-
-
 def test_primitive_forms():
     f = LinearForm((F(2), F(0)))
     assert primitive(f) == LinearForm((F(1), F(0)))
@@ -1260,19 +891,6 @@ def test_primitive_forms():
 
 
 # -- the integer data of a form, and restriction by substitution -----------
-
-
-def _fraction_content(form):
-    """The Fraction `_content` and `pivot` that the stored integer data
-    replaced, kept verbatim as the reference: (c, ints, pivot)."""
-    coeffs = tuple(F(c) for c in form.coeffs)
-    pivot = next(i for i, c in enumerate(coeffs) if c != 0)
-    lcm = math.lcm(*(c.denominator for c in coeffs))
-    ints = [c.numerator * (lcm // c.denominator) for c in coeffs]
-    g = math.gcd(*ints)
-    if ints[pivot] < 0:
-        g = -g
-    return F(g, lcm), [k // g for k in ints], pivot
 
 
 @st.composite
@@ -1295,7 +913,7 @@ def form_values(draw):
 @example([F(1, 2), F(-1, 2)])
 def test_stored_form_data_matches_fraction_oracle(values):
     form = LinearForm(tuple(values))
-    content, ints, pivot = _fraction_content(form)
+    content, ints, pivot = form_content(form)
     assert form._scale == (content.numerator, content.denominator)
     assert form._ints == tuple(ints)
     assert form._pivot == pivot and form._lead == ints[pivot] > 0
@@ -1317,22 +935,6 @@ def test_int_and_fraction_forms_agree(values):
     assert [frac_str(c) for c in ints.coeffs] == [frac_str(c) for c in fractions.coeffs]
     assert ints._scale == fractions._scale and ints._ints == fractions._ints
     assert ints._pivot == fractions._pivot
-
-
-def _horner_restrict(poly, form):
-    """The Horner-only restriction that substitution shortcuts, kept
-    verbatim as the reference."""
-    den, width, num = poly._int_form()
-    hs = form._horner(width, num)
-    low, high = (1 << (form._pivot * width)) - 1, (form._pivot + 1) * width
-    rest = {key & low | key >> high << (high - width): c for key, c in hs[0].items()}
-    scale = F(1, form._lead ** (len(hs) - 1) * den)
-    return MultiPoly._from_ints(poly.arity - 1, width, rest, scale)
-
-
-def _horner_divides(poly, form):
-    _, width, num = poly._int_form()
-    return not form._horner(width, num)[0]
 
 
 @st.composite
@@ -1360,26 +962,17 @@ def unit_form_cases(draw):
 @example((MultiPoly(2, {}), LinearForm((1, 1))))
 @example((MultiPoly.const(3, F(2, 3)), LinearForm((0, F(1, 2), F(-1, 2)))))
 def test_substitution_matches_horner_oracle(case):
+    """A unit form takes the substitution branch, which runs no Horner pass
+    of the kernel, and agrees with the reference Horner pass."""
     poly, form = case
-    expected, expected_divides = _horner_restrict(poly, form), _horner_divides(poly, form)
+    expected = restrict(poly, form)
     with pytest.MonkeyPatch.context() as patch:
-        # the substitution branch runs no Horner pass
         patch.setattr(LinearForm, "_horner", None)
         rest = restrict_to_hyperplane(poly, form)
-        divides = divides_linear_form(poly, form)
-    assert rest == expected and rest._int_form() == expected._int_form()
+        divisible = divides_linear_form(poly, form)
+    assert rest == expected and rest._int_form() == expected._int_form(), "restriction"
     assert_normalized(rest, poly.arity - 1)
-    assert divides == expected_divides == rest.is_zero()
-
-
-def _apply_power_sum(poly, k):
-    out = MultiPoly.zero(poly.arity)
-    for i in range(poly.arity):
-        p = poly
-        for _ in range(k):
-            p = p.derivative(i)
-        out = out + p
-    return out
+    assert divisible == divides(poly, form) == rest.is_zero(), "divisibility"
 
 
 def test_harmonic_examples():
@@ -1387,7 +980,7 @@ def test_harmonic_examples():
     x1, x2 = V("x1", "x2")
     assert is_harmonic(x1 - x2, d2)
     sq = (x1 - x2) * (x1 - x2)
-    assert _apply_power_sum(sq, 2) == MultiPoly.const(2, 4)
+    assert power_sum_image(sq, 2) == MultiPoly.const(2, 4)
     assert not is_harmonic(sq, d2)
 
 
@@ -1399,7 +992,7 @@ def test_vandermonde_harmonic_type_a(n):
     vdm = vandermonde(n)
     datum = build_root_datum(GroupId.su(1, n - 1)) if n > 1 else None
     for k in range(1, n + 1):
-        assert _apply_power_sum(vdm, k).is_zero()
+        assert power_sum_image(vdm, k).is_zero()
     assert is_harmonic(vdm, datum)
 
 
@@ -1433,30 +1026,6 @@ def test_harmonicity_weyl_invariant():
         assert len(flags) == 1
 
 
-def _det_permutation_oracle(rows):
-    n = len(rows)
-    arity = rows[0][0].arity
-    total = MultiPoly.zero(arity)
-    for perm in permutations(range(n)):
-        sign = 1
-        seen = [False] * n
-        for i in range(n):
-            if seen[i]:
-                continue
-            j, length = i, 0
-            while not seen[j]:
-                seen[j] = True
-                j = perm[j]
-                length += 1
-            if length % 2 == 0:
-                sign = -sign
-        term = MultiPoly.const(arity, sign)
-        for i in range(n):
-            term = term * rows[i][perm[i]]
-        total = total + term
-    return total
-
-
 def test_poly_det_matches_permutation_expansion():
     rng = random.Random(15)
     for _ in range(5):
@@ -1475,7 +1044,7 @@ def test_poly_det_matches_permutation_expansion():
             ]
             for _ in range(n)
         ]
-        assert poly_det(rows) == _det_permutation_oracle(rows)
+        assert poly_det(rows) == leibniz_det(rows)
 
 
 def test_negative_exponent_rejected():

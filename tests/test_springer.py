@@ -3,8 +3,6 @@ import time
 from collections import Counter
 from collections.abc import Sequence
 from fractions import Fraction as F
-from functools import lru_cache
-from math import gcd
 from types import SimpleNamespace
 
 import pytest
@@ -13,7 +11,7 @@ from diracindex import springer as springer_module
 from diracindex.emit import generator_text
 from diracindex.errors import InternalInvariantError, InvalidPartition
 from diracindex.fixtures import reference_table_row
-from diracindex.groups import Family, GroupId, RootDatum, _family_layout, _root_datum, build_root_datum
+from diracindex.groups import Family, GroupId, _family_layout, _root_datum, build_root_datum
 from diracindex.polynomials import LinearForm, linear_form_product
 from diracindex.springer import (
     Bipartition,
@@ -37,24 +35,7 @@ from diracindex.springer import (
 )
 from diracindex.suites import springer_suite
 from diracindex.weylaction import orbit_span
-from test_polynomials import primitive
-
-
-# -- the generator as factored root forms, the oracle of the block layout --
-
-
-@lru_cache(maxsize=None)
-def generator_forms(datum: RootDatum) -> tuple[LinearForm, ...]:
-    """Primitive linear forms of the compact positive roots, built once
-    per datum: each integer root divided by its content, signed so that
-    its first nonzero coefficient, the pivot, is positive."""
-    forms = []
-    for alpha in datum.compact_positive_roots:
-        g = gcd(*alpha)
-        if next(c for c in alpha if c) < 0:
-            g = -g
-        forms.append(LinearForm(tuple(c // g for c in alpha)))
-    return tuple(forms)
+from reference import generator_forms, partitions_of, primitive, valid_nilpotent
 
 
 def _merge_quadratic_factors(forms: Sequence[LinearForm]) -> list[tuple[str, tuple]]:
@@ -164,37 +145,11 @@ def test_symbol_validation():
 # -- partitions -----------------------------------------------------------
 
 
-def _partitions_of(n, cap=None):
-    cap = n if cap is None else cap
-    if n == 0:
-        yield ()
-        return
-    for first in range(min(n, cap), 0, -1):
-        for rest in _partitions_of(n - first, first):
-            yield (first,) + rest
-
-
-def _validity_oracle(p, kind, total):
-    """Direct filter by the parity rules, written independently."""
-    if sum(p) != total:
-        return False
-    if kind == "A":
-        return True
-    counts = Counter(p)
-    if kind == "C":
-        bad = [x for x in counts if x % 2 == 1 and counts[x] % 2 == 1]
-    else:
-        bad = [x for x in counts if x % 2 == 0 and counts[x] % 2 == 1]
-    return not bad
-
-
 @pytest.mark.parametrize("kind", ["A", "B", "C", "D"])
 def test_validity_matches_enumeration_oracle(kind):
     for total in range(1, 15):
-        for p in _partitions_of(total):
-            assert _valid_nilpotent(p, kind, total) == _validity_oracle(
-                p, kind, total
-            )
+        for p in partitions_of(total):
+            assert _valid_nilpotent(p, kind, total) == valid_nilpotent(p, kind, total)
 
 
 def test_validity_examples():
@@ -215,7 +170,7 @@ def _dual_oracle(p):
 def test_dual_partition_involution_and_oracle():
     rng = random.Random(4)
     for total in range(1, 21):
-        parts = list(_partitions_of(total))
+        parts = list(partitions_of(total))
         sample = parts if len(parts) <= 30 else rng.sample(parts, 30)
         for p in sample:
             assert _dual(p) == _dual_oracle(p)

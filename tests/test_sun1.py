@@ -38,10 +38,8 @@ from diracindex.sun1 import (
     vandermonde,
 )
 from diracindex.weylaction import weyl_dim_poly
+from reference import W
 
-
-def W(*coords):
-    return tuple(F(c) for c in coords)
 
 
 def test_chamber_of():

@@ -1,28 +1,22 @@
-"""Translation checks, tensoring and spin series against the loops they
-replaced, and the contracts of the K-type normalization cache.
+"""Translation checks, tensoring and spin series against the Fraction
+references, and the contracts of the K-type normalization cache.
 
-The oracles are the code that `kmodules` and `dirac` ran before a lattice
-test was made once per weight or family term and each parameter was
-normalized once per datum: a lattice test and an uncached
-`normalize_k_dominant` per term, and one `idot` per spin weight or per
-(K-type, W_k element).  They run on random groups of rank <= 4, on
-multi-term families, and on a datum restricted to the even sublattice,
-where some module weights leave Lambda, with modules of several K-types.
+They run on random groups of rank <= 4, on multi-term families, and on
+type C and D data restricted to the weights of even coordinate sum, a
+lattice that holds every root but not the weights of the standard
+module, with modules of several K-types.
 """
 
 from fractions import Fraction as F
-from math import lcm
 from types import MappingProxyType
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from diracindex import dirac, kmodules
 from diracindex.dirac import (
     IndexFamily,
-    _index_terms,
-    _on_coset,
     act_on_family,
     discrete_series_family,
     family_combination,
@@ -31,107 +25,33 @@ from diracindex.dirac import (
     verify_translation,
 )
 from diracindex.errors import DimensionMismatch, OffLattice
-from diracindex.groups import (
-    GroupId,
-    build_root_datum,
-    idot,
-    int_add,
-    normalize_k_dominant,
-    weyl_elements,
-)
+from diracindex.groups import GroupId, build_root_datum, normalize_k_dominant, weyl_elements
 from diracindex.kmodules import (
     K_TYPE_CACHE_SIZE,
-    VirtualKModule,
     WeightMultiset,
     _k_dominant,
     _numerator_frequencies,
     _weight_forms,
-    frequencies_to_series,
     k_type_sum,
     tensor_virtual,
     weight_multiset,
 )
 from diracindex.suites import _small_groups
-from test_int_weights import _highest, parameters
+import reference as ref
+from reference import add, highest_weight, parameters
 
 SMALL_DATA = [build_root_datum(g) for g in _small_groups(4)]
+EVEN_DATA = [d for d in SMALL_DATA if d.ambient.kind in ("C", "D")]
 SP4 = build_root_datum(GroupId.sp_r(2))
 SU21 = build_root_datum(GroupId.su(2, 1))
 
 
 def _even(datum):
-    """The datum with Lambda restricted to its even sublattice 2Z^n: a
-    W-stable group that holds neither every root nor every weight of the
-    standard module."""
-    return datum.replace(lattice=lambda den, nums: all(n % (2 * den) == 0 for n in nums))
-
-
-def _add(a, b):
-    return tuple(x + y for x, y in zip(a, b, strict=True))
-
-
-# -- the oracles -------------------------------------------------------------
-
-
-def per_term_k_type_sum(datum, terms):
-    """The former kmodules._k_type_sum: normalize, then test the lattice,
-    per term."""
-    acc = {}
-    for form, c in terms:
-        normalized = normalize_k_dominant(datum, form[1])
-        if normalized is not None and datum.on_shifted_lattice_form(form):
-            sign, dom = normalized
-            key = (form[0], dom)
-            acc[key] = acc.get(key, 0) + sign * c
-    return VirtualKModule._trusted(datum, {key: c for key, c in acc.items() if c})
-
-
-def per_term_tensor_virtual(module, delta):
-    shifted = [(int_add(gamma, mu), c * m)
-               for gamma, c in module.forms.items() for mu, m in delta.forms.items()]
-    return per_term_k_type_sum(module.datum, shifted)
-
-
-def per_term_verify_translation(fam, f_highest, lam):
-    """(holds, left side) of the former verify_translation."""
-    delta = weight_multiset(f_highest, fam.datum)
-    lam = _on_coset(fam, fam.datum.form(lam))
-    for mu in delta.forms:
-        if not fam.datum.lattice(*mu):
-            _on_coset(fam, int_add(lam, mu))
-    coeffs = fam.coeffs.items()
-    module = per_term_k_type_sum(fam.datum, _index_terms(coeffs, lam))
-    left = per_term_tensor_virtual(module, delta)
-    right = [term for mu, m in delta.forms.items()
-             for term in _index_terms(coeffs, int_add(lam, mu), m)]
-    return left == per_term_k_type_sum(fam.datum, right), left
-
-
-def oracle_spin_character_series(datum, y, order):
-    """The former spin_character_series: one idot per spin weight."""
-    y_den, y_nums = datum.form(y)
-    sw = spin_weights(datum)
-    freqs = {}
-    for sign, weights in ((1, sw.plus), (-1, sw.minus)):
-        for (w_den, w), m in weights.forms.items():
-            f = idot(w, y_nums) * (2 // w_den)
-            freqs[f] = freqs.get(f, 0) + sign * m
-    return frequencies_to_series(freqs, 2 * y_den, order)[1]
-
-
-def oracle_numerator_frequencies(module, y):
-    """The former _numerator_frequencies: one idot per (K-type, W_k
-    element), on the integer form of y."""
-    y_den, y_nums = y
-    orbit = [(w.sign(), w.apply(y_nums)) for w in weyl_elements(module.datum, "k")]
-    den = y_den * lcm(*(form[0] for form in module.forms))
-    freqs = {}
-    for (gamma_den, gamma), c in module.forms.items():
-        scale = den // (gamma_den * y_den)
-        for sign, wy in orbit:
-            f = idot(gamma, wy) * scale
-            freqs[f] = freqs.get(f, 0) + sign * c
-    return den, {f: c for f, c in freqs.items() if c}
+    """The datum with Lambda restricted to the integral weights of even
+    coordinate sum: on a type C or D datum a W-stable group that holds
+    every root but no weight of the standard module."""
+    return datum.replace(
+        lattice=lambda den, nums: all(n % den == 0 for n in nums) and sum(nums) % (2 * den) == 0)
 
 
 # -- inputs --------------------------------------------------------------------
@@ -157,22 +77,20 @@ def families(draw, datum):
 def translation_cases(draw):
     """(family, highest weight, lam): a family on a group of rank <= 4,
     sometimes with its base moved off Lambda + rho_g, translated by the
-    trivial, standard or adjoint module at a point of its base coset; or
-    on the even sublattice by a module with a weight off it, which the
-    check refuses."""
+    trivial, standard or adjoint module at a point of its base coset; on
+    a type C or D datum sometimes restricted to even coordinate sums, where
+    the check refuses the standard module, whose weights leave Lambda."""
     datum = draw(st.sampled_from(SMALL_DATA))
     fam = draw(families(datum))
     module = draw(st.sampled_from(["trivial", "standard", "adjoint"]))
-    highest = (F(0),) * datum.rank if module == "trivial" else _highest(datum, module)
-    even = module != "trivial" and draw(st.booleans())
+    highest = (F(0),) * datum.rank if module == "trivial" else highest_weight(datum, module)
+    even = datum in EVEN_DATA and draw(st.booleans())
     if even:
         fam = fam.replace(datum=_even(datum))
-        # Sp(2,R) has only even adjoint weights; see the trivial-module test.
-        assume(not all(fam.datum.lattice(*mu) for mu in weight_multiset(highest, datum).forms))
     if draw(st.booleans()):
-        fam = fam.replace(base=_add(fam.base, (F(1, 2),) + (F(0),) * (datum.rank - 1)))
+        fam = fam.replace(base=add(fam.base, (F(1, 2),) + (F(0),) * (datum.rank - 1)))
     step = 2 if even else 1
-    lam = _add(fam.base, tuple(F(step * draw(st.integers(-2, 2))) for _ in range(datum.rank)))
+    lam = add(fam.base, tuple(F(step * draw(st.integers(-2, 2))) for _ in range(datum.rank)))
     return fam, highest, lam
 
 
@@ -180,7 +98,7 @@ def even_parameters(datum):
     """rho_g + 2v for an integer vector v: a parameter on the even
     sublattice's Lambda + rho_g."""
     steps = st.lists(st.integers(-2, 2), min_size=datum.rank, max_size=datum.rank)
-    return steps.map(lambda v: _add(datum.rho_g, tuple(F(2 * c) for c in v)))
+    return steps.map(lambda v: add(datum.rho_g, tuple(F(2 * c) for c in v)))
 
 
 def _run_with_tensor_spy(fam, highest, lam):
@@ -198,104 +116,102 @@ def _run_with_tensor_spy(fam, highest, lam):
     return holds, seen
 
 
-# -- oracle properties -------------------------------------------------------------
+# -- reference properties -----------------------------------------------------------
 
 
 @settings(max_examples=120, deadline=None)
 @given(translation_cases())
 def test_translation_matches_per_term_oracle(case):
-    """The result, the raised OffLattice and its text, and the left side
-    I(X_lam) (x) F all match the per-term oracle; when no w lam lies on
-    Lambda + rho_g nothing is tensored and the oracle's left side is zero."""
+    """The result, the raised OffLattice and the point it names, and the
+    left side I(X_lam) (x) F all match the reference, which tests the
+    lattice and normalizes per term; when no w lam lies on Lambda + rho_g
+    nothing is tensored and the reference's left side is zero."""
     fam, highest, lam = case
-    try:
-        holds, left = per_term_verify_translation(fam, highest, lam)
-    except OffLattice as exc:
+    off = ref.off_coset_points(fam, highest, lam)
+    if off:
         with pytest.raises(OffLattice) as info:
             verify_translation(fam, highest, lam)
-        assert str(info.value) == str(exc)
+        # lam is checked before any lam + mu
+        named = [lam] if lam in off else off
+        assert str(info.value) in {f"{p} is not in base + Lambda" for p in named}
         return
+    holds, left = ref.verify_translation(fam, highest, lam)
     got, seen = _run_with_tensor_spy(fam, highest, lam)
     assert got == holds
     assert len(seen) <= 1
     if seen:
-        assert seen[0].forms == left.forms
+        assert seen[0].coeffs == left
     else:
-        assert left.is_zero()
+        assert not left
 
 
 @settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_tensor_on_the_even_sublattice_matches_per_term_oracle(data):
-    """Modules of several K-types on the even sublattice, by the trivial,
-    standard and adjoint modules: the weights off Lambda drop out exactly
-    as the per-term lattice test dropped their terms.  (On the package's
-    own lattices test_int_weights checks tensoring against its oracle.)"""
-    datum = _even(data.draw(st.sampled_from(SMALL_DATA)))
+    """Modules of several K-types on the even-sum lattice of a type C or D
+    datum, by the trivial, standard and adjoint modules: the weights off
+    Lambda drop out exactly as the reference's per-term lattice test drops
+    their terms.  (On the package's own lattices test_int_weights checks
+    tensoring against the reference.)"""
+    datum = _even(data.draw(st.sampled_from(EVEN_DATA)))
     terms = [(data.draw(even_parameters(datum)), data.draw(st.integers(-3, 3)))
              for _ in range(data.draw(st.integers(2, 6)))]
     module = k_type_sum(datum, terms)
-    # tensor_virtual takes parameters on Lambda + rho_g; on a lattice that
-    # holds no root a dominant representative need not be on it.
-    module = VirtualKModule._trusted(datum, {
-        form: c for form, c in module.forms.items() if datum.on_shifted_lattice_form(form)})
+    assert module.coeffs == ref.k_type_sum(datum, terms)
     module_name = data.draw(st.sampled_from(["trivial", "standard", "adjoint"]))
-    highest = (F(0),) * datum.rank if module_name == "trivial" else _highest(datum, module_name)
+    highest = (F(0),) * datum.rank if module_name == "trivial" else \
+        highest_weight(datum, module_name)
     delta = weight_multiset(highest, datum)
     tensored = tensor_virtual(module, delta)
-    assert tensored.forms == per_term_tensor_virtual(module, delta).forms
+    assert tensored.coeffs == ref.tensor_virtual(datum, module.coeffs, delta.mults)
 
 
 def test_even_sublattice_drops_weights_and_refuses_translation():
-    """On the even sublattice of Sp(4,R) the adjoint weights +-2 e_i and 0
-    stay and +-e_1 +-e_2 drop out; every standard weight drops out, and the
-    translation check names the first point off the coset."""
+    """On the even-sum lattice of Sp(4,R) every adjoint weight stays, as
+    the roots and 0 do, and every standard weight +-e_i drops out; the
+    translation by the adjoint module holds, and by the standard module
+    the check names the first point off the coset."""
     even = _even(SP4)
-    module = k_type_sum(even, [(_add(even.rho_g, (F(2), F(0))), 1), (even.rho_g, 2)])
+    module = k_type_sum(even, [(add(even.rho_g, (F(2), F(0))), 1), (even.rho_g, 2)])
     assert len(module.forms) == 2
     adjoint = weight_multiset((F(2), F(0)), even)
-    kept = [mu for mu in adjoint.forms if even.lattice(*mu)]
-    assert sorted(kept) == [(1, (-2, 0)), (1, (0, -2)), (1, (0, 0)), (1, (0, 2)), (1, (2, 0))]
+    assert all(even.lattice(*mu) for mu in adjoint.forms)
     tensored = tensor_virtual(module, adjoint)
-    assert tensored.forms == per_term_tensor_virtual(module, adjoint).forms
+    assert tensored.coeffs == ref.tensor_virtual(even, module.coeffs, adjoint.mults)
     assert not tensored.is_zero()
-    assert tensor_virtual(module, weight_multiset((F(1), F(0)), even)).is_zero()
+    standard = weight_multiset((F(1), F(0)), even)
+    assert not any(even.lattice(*mu) for mu in standard.forms)
+    assert tensor_virtual(module, standard).is_zero()
     fam = discrete_series_family(even.rho_g, even)
-    for highest in ((F(2), F(0)), (F(1), F(0))):
-        with pytest.raises(OffLattice, match="is not in base"):
-            verify_translation(fam, highest, even.rho_g)
+    assert verify_translation(fam, (F(2), F(0)), even.rho_g)
+    with pytest.raises(OffLattice, match="is not in base"):
+        verify_translation(fam, (F(1), F(0)), even.rho_g)
 
 
-def test_translation_by_the_trivial_module_holds_off_a_root_lattice():
-    """On the even sublattice of SU(1,2), which holds no root, lam = (1, 0, 1)
-    is on Lambda + rho_g and its dominant representative (1, 1, 0) is not.
-    The per-term oracle tested the lattice again after normalizing, so it
-    found I(X_lam) (x) 1 = 0 against I(X_lam) != 0 and the identity false.
-    Each term is now tested once, as E(gamma) is defined, before
-    normalization, and I(X_lam) (x) 1 is I(X_lam)."""
-    even = _even(build_root_datum(GroupId.su(1, 2)))
-    fam = discrete_series_family(even.rho_g, even)
-    lam, trivial = (F(1), F(0), F(1)), (F(0), F(0), F(0))
-    holds, left = per_term_verify_translation(fam, trivial, lam)
-    assert not holds and left.is_zero()
-    got, seen = _run_with_tensor_spy(fam, trivial, lam)
-    index = dirac.evaluate_index(fam, lam)
-    assert got and seen == [index] and index.forms == {(1, (1, 1, 0)): -1}
+def test_a_lattice_that_holds_no_root_is_refused():
+    """Lambda holds the root lattice of every cover.  The even sublattice
+    2Z^n of SU(1,2) holds no root, and on it a dominant representative
+    could leave Lambda + rho_g: (1, 0, 1) normalizes to (1, 1, 0).  The
+    datum is refused when it is built, naming the first positive root
+    the predicate rejects."""
+    su12 = build_root_datum(GroupId.su(1, 2))
+    with pytest.raises(OffLattice, match=r"\(1, -1, 0\)"):
+        su12.replace(lattice=lambda den, nums: all(n % (2 * den) == 0 for n in nums))
 
 
 @pytest.mark.parametrize("datum", [SU21, SP4, build_root_datum(GroupId.sp_pq(1, 3))],
                          ids=lambda d: d.group.label())
 def test_base_off_the_shifted_lattice_holds_without_building_a_side(datum):
     """A family whose base is off Lambda + rho_g has zero on both sides:
-    the check holds, as the oracle's does, and normalizes nothing."""
+    the check holds, as the reference's does, and normalizes nothing."""
     half = (F(1, 2),) + (F(0),) * (datum.rank - 1)
-    base = _add(datum.rho_g, half)
+    base = add(datum.rho_g, half)
     elements = weyl_elements(datum, "g")
     fam = IndexFamily(datum, base, {elements[0]: 1, elements[-1]: -2})
-    lam = _add(base, (F(1),) * datum.rank)
-    highest = _highest(datum, "adjoint")
-    holds, left = per_term_verify_translation(fam, highest, lam)
-    assert holds and left.is_zero()
+    lam = add(base, (F(1),) * datum.rank)
+    highest = highest_weight(datum, "adjoint")
+    holds, left = ref.verify_translation(fam, highest, lam)
+    assert holds and not left
     with mock.patch.object(dirac, "_sum_on_lattice", side_effect=AssertionError):
         assert verify_translation(fam, highest, lam)
 
@@ -309,7 +225,7 @@ def test_spin_series_matches_idot_oracle(data):
     den = data.draw(st.integers(1, 6))
     y = tuple(F(data.draw(st.integers(-9, 9)), den) for _ in range(datum.rank))
     order = data.draw(st.integers(0, 12))
-    assert spin_character_series(datum, y, order) == oracle_spin_character_series(datum, y, order)
+    assert spin_character_series(datum, y, order) == ref.spin_character_series(datum, y, order)
 
 
 @pytest.mark.parametrize("datum", SMALL_DATA, ids=lambda d: d.group.label())
@@ -318,7 +234,7 @@ def test_spin_series_matches_idot_oracle_on_every_small_group(datum):
     for y in ys:
         for order in (0, 12):
             assert spin_character_series(datum, y, order) == \
-                oracle_spin_character_series(datum, y, order)
+                ref.spin_character_series(datum, y, order)
 
 
 @settings(max_examples=80, deadline=None)
@@ -331,8 +247,10 @@ def test_numerator_frequencies_match_idot_oracle(data):
              for _ in range(data.draw(st.integers(1, 5)))]
     module = k_type_sum(datum, terms)
     y_den = data.draw(st.integers(1, 6))
-    y = datum.form(tuple(F(data.draw(st.integers(-9, 9)), y_den) for _ in range(datum.rank)))
-    assert _numerator_frequencies(module, y) == oracle_numerator_frequencies(module, y)
+    y = tuple(F(data.draw(st.integers(-9, 9)), y_den) for _ in range(datum.rank))
+    den, freqs = _numerator_frequencies(module, datum.form(y))
+    assert {F(f, den): c for f, c in freqs.items()} == \
+        ref.numerator_frequencies(datum, module.coeffs, y)
 
 
 # -- the normalization cache and the copies ---------------------------------------------
@@ -352,7 +270,7 @@ def test_k_type_cache_stays_bounded_over_a_sweep():
     eviction, equals the uncached one."""
     bound = K_TYPE_CACHE_SIZE
     rho = SU21.rho_g
-    gammas = [_add(rho, (F(i), F(j), F(0))) for i in range(bound // 64 + 2) for j in range(64)]
+    gammas = [add(rho, (F(i), F(j), F(0))) for i in range(bound // 64 + 2) for j in range(64)]
     assert len(gammas) > bound
     _k_dominant.cache_clear()
     swept = [k_type_sum(SU21, [(gamma, 1)]) for gamma in gammas]
@@ -360,7 +278,7 @@ def test_k_type_cache_stays_bounded_over_a_sweep():
     assert info.maxsize == bound and info.currsize <= bound
     assert info.misses == len(gammas)
     for gamma, module in zip(gammas, swept):
-        assert module.forms == per_term_k_type_sum(SU21, [(SU21.form(gamma), 1)]).forms
+        assert module.coeffs == ref.k_type_sum(SU21, [(gamma, 1)])
     # evicted and cached parameters again, warm
     assert [k_type_sum(SU21, [(g, 1)]) for g in gammas[:50] + gammas[-50:]] == \
         swept[:50] + swept[-50:]

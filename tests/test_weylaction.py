@@ -26,7 +26,7 @@ from diracindex.weylaction import (
     weyl_dim_poly,
     weyl_dim_value,
 )
-from test_polynomials import _gl_key
+from reference import act_on_keys, gl_key
 
 
 def _rank_oracle(polys):
@@ -54,7 +54,7 @@ def _rank_oracle(polys):
 
 
 def _oracle_leading(poly):
-    return min(poly.terms, key=_gl_key) if poly.terms else ()
+    return min(poly.terms, key=gl_key) if poly.terms else ()
 
 
 def _oracle_reduce(poly, echelon):
@@ -80,7 +80,7 @@ def oracle_echelonize(polys):
             r = r * (F(1) / r.terms[lead])
             basis = [b - r * b.terms.get(lead, F(0)) for b in basis]
             basis.append(r)
-            basis.sort(key=lambda b: _gl_key(_oracle_leading(b)))
+            basis.sort(key=lambda b: gl_key(_oracle_leading(b)))
     return basis
 
 
@@ -335,28 +335,6 @@ def test_weyl_dim_poly_matches_product_of_root_forms(group):
     assert dk.evaluate(d.rho_k) == 1
 
 
-def _act_packed_by_masks(w, width, num):
-    """The Weyl action on packed keys as it ran every element through the
-    field masks, the identity included; the reference for the identity
-    shortcut of `polynomials._move_fields`."""
-    field = (1 << width) - 1
-    moves = {}
-    for k, p in enumerate(w.perm):
-        moves[k - p] = moves.get(k - p, 0) | field << (p * width)
-    left = [(d * width, mask) for d, mask in moves.items() if d >= 0]
-    right = [(-d * width, mask) for d, mask in moves.items() if d < 0]
-    odd = sum(1 << (p * width) for p, s in zip(w.perm, w.signs) if s < 0)
-    out = {}
-    for key, c in num.items():
-        new = 0
-        for shift, mask in left:
-            new |= (key & mask) << shift
-        for shift, mask in right:
-            new |= (key & mask) >> shift
-        out[new] = -c if (key & odd).bit_count() & 1 else c
-    return out
-
-
 @pytest.mark.parametrize(
     "group", [GroupId.so_star(1), GroupId.su(2, 1), GroupId.sp_r(3)], ids=lambda g: g.label()
 )
@@ -366,7 +344,7 @@ def test_act_packed_matches_mask_pass_and_returns_num_at_identity(group):
     identity = WeylElement.identity(d.rank)
     for w in weyl_elements(d, "g"):
         out = polynomials._move_fields(width, width, w.perm, w.signs, num)
-        assert out == _act_packed_by_masks(w, width, num)
+        assert out == act_on_keys(w.perm, w.signs, width, num)
         assert (out is num) == (w == identity)
 
 

@@ -14,13 +14,12 @@ The order contract: `character_series(..., order)` returns order + 1
 coefficients from the lowest power of t, as integer numerators over one
 denominator.  The series is built once per (family coefficients, lam, y,
 order) in a bounded module-level cache: the numerator's integer moments
-from its valuation to valuation + order, divided by U at `order`, which
-is shared per (datum, y, order).  Each call wraps the cached integers in
-a new series.  leading_limit asks for order 0, the only coefficient a
-limit reads, so the limits of one point share one entry.  The base point
-is not in the key: the coset and length checks run on every call, and the
-singular direction check runs in the builder, whose exceptions are never
-cached.
+from its valuation to valuation + order, divided by U at `order`.  Each
+call wraps the cached integers in a new series.  leading_limit asks for
+order 0, the only coefficient a limit reads, so the limits of one point
+share one entry.  The base point is not in the key: the coset and
+length checks run on every call, and the singular direction check runs
+in the builder, whose exceptions are never cached.
 """
 
 from __future__ import annotations

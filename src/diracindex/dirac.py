@@ -69,14 +69,12 @@ class SpinWeights(Value):
     __slots__ = _fields = ("plus", "minus")
 
 
-def spin_weights(datum: RootDatum, cap: int = SPIN_SUBSET_CAP) -> SpinWeights:
+def spin_weights(datum: RootDatum) -> SpinWeights:
     """The 2^(r_g - r_k) spin weights -rho_g + rho_k + (subset sums),
     split by subset parity, with the parity labels chosen so that
-    ch(S+ - S-) = d_g/d_k holds exactly.  The weights are built once per
-    datum, and each call gets new multisets."""
-    q = len(datum.noncompact_positive_roots)
-    if q > cap:
-        raise CapExceeded(f"{q} noncompact roots exceeds the subset cap {cap}")
+    ch(S+ - S-) = d_g/d_k holds exactly.  A datum with more than
+    SPIN_SUBSET_CAP noncompact positive roots raises CapExceeded.  The
+    weights are built once per datum, and each call gets new multisets."""
     plus, minus = _spin_forms(datum)
     return SpinWeights(WeightMultiset(forms=plus), WeightMultiset(forms=minus))
 
@@ -85,8 +83,12 @@ def spin_weights(datum: RootDatum, cap: int = SPIN_SUBSET_CAP) -> SpinWeights:
 def _spin_forms(datum: RootDatum) -> tuple[Mapping[IntWeight, int], Mapping[IntWeight, int]]:
     """The integer forms of the S+ and S- weights with their
     multiplicities; read-only.  Each noncompact root carries the even
-    subset sums into odd ones and back; equal weights merge."""
+    subset sums into odd ones and back; equal weights merge.  A datum past
+    SPIN_SUBSET_CAP raises CapExceeded, uncached, on every call."""
     noncompact = datum.noncompact_positive_roots
+    if len(noncompact) > SPIN_SUBSET_CAP:
+        raise CapExceeded(
+            f"{len(noncompact)} noncompact roots exceeds the subset cap {SPIN_SUBSET_CAP}")
     # Numerators over 2: every spin weight is rho_k - rho_g plus a root sum.
     start = tuple(k - g for k, g in zip(over(datum.rho_k_form, 2), over(datum.rho_g_form, 2)))
     even: dict[tuple[int, ...], int] = {start: 1}
@@ -132,7 +134,6 @@ def spin_character_series(
     coordinate of y."""
     _check_order(order)
     y_den, y_nums = datum.form(y)
-    spin_weights(datum)  # refuses a datum past the subset cap
     columns, mults = _spin_columns(datum)
     freqs: dict[int, int] = {}
     get = freqs.get
@@ -310,12 +311,8 @@ def is_integral_weyl(w: WeylElement, base: Weight, datum: RootDatum) -> bool:
     return kind == "B" or sum(diff) % 2 == 0
 
 
-def act_on_family(
-    w: WeylElement, fam: IndexFamily, validate: bool = False
-) -> IndexFamily:
+def act_on_family(w: WeylElement, fam: IndexFamily) -> IndexFamily:
     """Coherent-continuation action: the family of w.X evaluates at lam to
     the original family at w^{-1} lam, i.e. coefficients a'_u = a_{uw}."""
-    if validate and not is_integral_weyl(w, fam.base, fam.datum):
-        raise ValueError("Weyl element is not integral for the base parameter")
     coeffs = {u.compose(w.inverse()): a for u, a in fam.coeffs.items()}
     return fam.replace(coeffs=coeffs)

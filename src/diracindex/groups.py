@@ -526,13 +526,11 @@ def weyl_order(datum: RootDatum, which: str = "g") -> int:
 
 
 @lru_cache(maxsize=None)
-def _weyl_elements_cached(
-    group: GroupId, which: str, cap: int
-) -> tuple[WeylElement, ...]:
+def _weyl_elements_cached(group: GroupId, which: str) -> tuple[WeylElement, ...]:
     datum = _root_datum(group)
     order = weyl_order(datum, which)
-    if order > cap:
-        raise EnumerationCapExceeded(f"|W| = {order} exceeds cap {cap}")
+    if order > DEFAULT_WEYL_CAP:
+        raise EnumerationCapExceeded(f"|W| = {order} exceeds cap {DEFAULT_WEYL_CAP}")
     blocks = (datum.ambient,) if which == "g" else datum.compact_blocks
     elems = [WeylElement.identity(datum.rank)]
     for blk in blocks:
@@ -545,11 +543,11 @@ def _weyl_elements_cached(
     return tuple(elems)
 
 
-def weyl_elements(
-    datum: RootDatum, which: str = "g", cap: int = DEFAULT_WEYL_CAP
-) -> tuple[WeylElement, ...]:
-    """Complete, duplicate-free list of W_g or W_k as signed permutations."""
-    return _weyl_elements_cached(datum.group, which, cap)
+def weyl_elements(datum: RootDatum, which: str = "g") -> tuple[WeylElement, ...]:
+    """Complete, duplicate-free list of W_g or W_k as signed permutations;
+    a group past DEFAULT_WEYL_CAP elements raises EnumerationCapExceeded
+    before any is built."""
+    return _weyl_elements_cached(datum.group, which)
 
 
 @lru_cache(maxsize=None)

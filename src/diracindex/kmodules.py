@@ -34,19 +34,18 @@ multiplied out into one sum: U is built at the order asked from its r
 root factors by a binomial recurrence on integers (`_weyl_denominator`),
 and U(0) = prod alpha(y) takes r integer products.
 
-What depends only on the datum, or on the datum and a direction y, is
-built once in a module-level cache: the weights of V(highest) per
-(datum, highest), whose Freudenthal recursion keeps no cache of its own,
-the signs and per-coordinate index maps of W_k per datum, the signed
-W_k-orbit of y read off them as coordinate columns, and U per (datum,
-y, g or k, order); the two keyed by y keep DIRECTION_CACHE_SIZE entries
-at most.  The dominant representative and sign of each K-type parameter
-are kept per (datum, numerators), K_TYPE_CACHE_SIZE entries at most.  A
-cache never keeps an exception: a wrong length or a highest weight that
-is not dominant integral raises on every call.  Every call gets new
-objects: a module and a multiset of its own, the multiset's dict copied
-in one step from the read-only cache, and a series wrapped around the
-cached integers.
+What depends only on the datum is built once in a module-level cache:
+the weights of V(highest) per (datum, highest), whose Freudenthal
+recursion keeps no cache of its own, and the signs and per-coordinate
+index maps of W_k per datum, from which each call reads the signed
+W_k-orbit of y as coordinate columns.  Nothing here is kept per
+direction y: U and the orbit columns are rebuilt on every call, since
+few calls repeat a direction.  The dominant representative and sign of each K-type
+parameter are kept per (datum, numerators), K_TYPE_CACHE_SIZE entries at
+most.  A cache never keeps an exception: a wrong length or a highest
+weight that is not dominant integral raises on every call.  Every call
+gets new objects: a module and a multiset of its own, the multiset's dict
+copied in one step from the read-only cache, and a new series.
 """
 
 from __future__ import annotations
@@ -85,11 +84,6 @@ from .groups import (
 from .series import TruncatedSeries, _check_order
 from .weylaction import _weyl_product, weyl_dim_value_g
 
-# Entries of each cache keyed by a direction y: a round of the `character`
-# benchmark asks for at most 18 Weyl denominators (per group, one order-0 U
-# for its limits and a g and a k U at order 12 for its spin check) and 6
-# orbits.
-DIRECTION_CACHE_SIZE = 64
 # Entries of the K-type normalization cache: a seed-1 pass of the
 # `character` benchmark normalizes 656 distinct parameters.
 K_TYPE_CACHE_SIZE = 4096
@@ -412,18 +406,6 @@ def _signed_k_getters(datum: RootDatum) -> tuple[tuple[int, ...], tuple[itemgett
     return tuple(w.sign() for w in elements), gets
 
 
-@lru_cache(maxsize=DIRECTION_CACHE_SIZE)
-def _signed_orbit(
-    datum: RootDatum, y_nums: tuple[int, ...]
-) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
-    """(signs, columns): sgn w over W_k, and column i the entries (w y)_i
-    in the same order, on the numerators of y, read off the getters of the
-    datum."""
-    both = y_nums + tuple(-c for c in y_nums)
-    signs, gets = _signed_k_getters(datum)
-    return signs, tuple(get(both) for get in gets)
-
-
 def _column_rates(coords: Iterable[int], columns: tuple[tuple[int, ...], ...], size: int):
     """sum_i coords[i] * columns[i], entrywise, as an iterator of size
     integers: one map per nonzero coordinate."""
@@ -442,11 +424,14 @@ def _numerator_frequencies(module: VirtualKModule, y: IntWeight) -> tuple[int, d
     frequencies.
 
     (w gamma)(y) = gamma(w^-1 y), so the signed W_k-orbit of y is read
-    from a cache per (datum, y), as coordinate columns: each K-type's
-    rates take one map per nonzero coordinate."""
+    off the getters of the datum as coordinate columns, column i the
+    entries (w y)_i in the order of the signs: each K-type's rates take
+    one map per nonzero coordinate."""
     datum = module.datum
     y_den, y_nums = y
-    signs, columns = _signed_orbit(datum, y_nums)
+    signs, gets = _signed_k_getters(datum)
+    both = y_nums + tuple(-c for c in y_nums)
+    columns = tuple(get(both) for get in gets)
     size = len(signs)
     den = y_den * lcm(*(form[0] for form in module.forms))
     freqs: dict[int, int] = {}
@@ -528,7 +513,6 @@ def _factor_coefficients(factor: list[int], top: int) -> tuple[int, list[int]]:
     return 2, coeffs
 
 
-@lru_cache(maxsize=DIRECTION_CACHE_SIZE)
 def _weyl_denominator(datum: RootDatum, y: IntWeight, which: str, order: int) -> TruncatedSeries:
     """U to the given order, where d(exp ty) = t^v U(t) over the v positive
     roots of g or k: the product of the root factors e^{k t / 2D} -
@@ -576,10 +560,9 @@ def weyl_denominator_factored(
     """d(exp ty) = t^r * U(t) with U(0) = prod alpha(y) != 0; returns (r, U).
 
     U is built from the r root factors of d, not from their product
-    multiplied out, once per (datum, y, which, order), and each call gets
-    a new series."""
+    multiplied out, on every call."""
     _check_order(order)
     if which not in ("g", "k"):
         raise ValueError("which must be 'g' or 'k'")
     u = _weyl_denominator(datum, datum.form(y), which, order)
-    return datum.r_g if which == "g" else datum.r_k, TruncatedSeries._from_ints(u.nums, u.den)
+    return datum.r_g if which == "g" else datum.r_k, u

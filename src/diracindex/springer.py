@@ -29,7 +29,6 @@ row reads its label once, merges it into a partition once, and lets
 
 from __future__ import annotations
 
-from functools import lru_cache
 from math import comb, factorial
 
 from .errors import (
@@ -288,7 +287,6 @@ class SpringerRow(Value):
     _defaults = {"two_orbits": False}
 
 
-@lru_cache(maxsize=None)
 def springer_row(group: GroupId) -> SpringerRow:
     """One classification row: label -> symbol -> partition -> validity ->
     dimension, with the structural consistency checks along the way.  The

@@ -29,13 +29,14 @@ def act(w: WeylElement, poly: MultiPoly) -> MultiPoly:
     return poly.permute(w.perm, w.signs)
 
 
-def orbit_span(poly: MultiPoly, datum: RootDatum, cap: int = SPAN_COLUMN_CAP) -> PolySpan:
+def orbit_span(poly: MultiPoly, datum: RootDatum) -> PolySpan:
     """The span of {w.P : w in W_g}, exactly: the span of P closed under the
-    simple reflections, which generate W_g (`invariant_span`, capped)."""
+    simple reflections, which generate W_g (`invariant_span`, capped at
+    SPAN_COLUMN_CAP)."""
     if poly.arity != datum.rank:
         raise DimensionMismatch("polynomial arity must match the root datum")
     gens = [reflection(alpha) for alpha in simple_roots(datum)]
-    return invariant_span(poly, [(s.perm, s.signs) for s in gens], cap)
+    return invariant_span(poly, [(s.perm, s.signs) for s in gens], SPAN_COLUMN_CAP)
 
 
 @lru_cache(maxsize=None)

@@ -227,7 +227,6 @@ def test_character_series_builds_each_order_once(monkeypatch):
     assert calls["orders"] == [8, 12, 10] and calls["denominator"] == [8, 12, 10]
     assert calls["divide"] == [(8, 8), (12, 12), (10, 10)]
     asymptotics._character_entry.cache_clear()
-    kmodules._weyl_denominator.cache_clear()
     assert ten == character_series(fam, lam, y, 10) and ten.series.order == 10
 
 
@@ -530,33 +529,25 @@ def test_a_first_limit_on_a_new_direction_expands_no_sum_and_signs_nothing(monke
         monkeypatch.setattr(module, "frequencies_to_series", moments)
     monkeypatch.setattr(WeylElement, "sign", sign)
     new_y = W(3, -7, 2, 11)
-    for cache in (kmodules._weyl_denominator, kmodules._signed_orbit):
-        cache.cache_clear()
     assert leading_limit(fam, lam, new_y, gap).match
-    assert kmodules._weyl_denominator.cache_info().misses == 1
-    assert kmodules._signed_orbit.cache_info().misses == 1
     assert starts == [None] and signs == []
 
 
 def test_direction_caches_stay_bounded_over_a_sweep():
-    """Eight more directions than the bound: U and the signed W_k-orbit are
-    cached per direction, both caches end at or below the bound, and every
-    limit of the sweep, some taken after an eviction, equals a cold one."""
+    """Eight more directions than the bound of the series cache, the one
+    cache keyed by a direction: it ends at the bound, and every limit of
+    the sweep, some taken after an eviction, equals a cold one."""
     fam, lam, _ = CACHE_CASES["su21-D0"]
     gap = fam.datum.r_g - fam.datum.r_k
-    bound = kmodules.DIRECTION_CACHE_SIZE
-    caches = [kmodules._weyl_denominator, kmodules._signed_orbit, asymptotics._character_entry]
-    for cache in caches:
-        cache.cache_clear()
+    bound = asymptotics.SERIES_CACHE_SIZE
+    cache = asymptotics._character_entry
+    cache.cache_clear()
     ys = [W(k, 0, -k) for k in range(1, bound + 9)]
     swept = [leading_limit(fam, lam, y, gap) for y in ys]
-    for cache in caches[:2]:
-        info = cache.cache_info()
-        assert info.maxsize == bound and info.currsize <= bound
-        assert info.misses == len(ys)
+    info = cache.cache_info()
+    assert info.maxsize == info.currsize == bound and info.misses == len(ys)
     for y, report in zip(ys, swept):
-        for cache in caches:
-            cache.cache_clear()
+        cache.cache_clear()
         assert report.match and leading_limit(fam, lam, y, gap) == report
 
 

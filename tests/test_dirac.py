@@ -5,7 +5,9 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from diracindex.dirac import (
+    SPIN_SUBSET_CAP,
     IndexFamily,
+    _spin_forms,
     act_on_family,
     discrete_series_family,
     evaluate_index,
@@ -84,9 +86,17 @@ def test_spin_weights_sp4():
 
 
 def test_spin_cap():
-    d = build_root_datum(GroupId.so_even_odd(2, 2))
-    with pytest.raises(CapExceeded):
-        spin_weights(d, cap=5)
+    """Sp(12,R) has 21 noncompact positive roots, one past SPIN_SUBSET_CAP:
+    both entry points refuse it on every call, and no refusal is cached."""
+    d = build_root_datum(GroupId.sp_r(6))
+    assert len(d.noncompact_positive_roots) == SPIN_SUBSET_CAP + 1 == 21
+    _spin_forms.cache_clear()
+    for _ in range(2):
+        with pytest.raises(CapExceeded, match="21 noncompact roots exceeds the subset cap 20"):
+            spin_weights(d)
+        with pytest.raises(CapExceeded, match="subset cap 20"):
+            spin_character_series(d, tuple(F(c) for c in range(6, 0, -1)), 2)
+    assert _spin_forms.cache_info().currsize == 0
 
 
 RANK_LE_4 = [
@@ -300,8 +310,6 @@ def test_is_integral_weyl():
     # a base with fractional difference is not moved by an integral element
     d = fams["D+"].datum
     assert not is_integral_weyl(s, (F(1, 3), F(0)), d)
-    with pytest.raises(ValueError):
-        act_on_family(s, IndexFamily(d, (F(1, 3), F(0)), {s: 1}), validate=True)
 
 
 def test_canonical_coset_folding():

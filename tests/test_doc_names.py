@@ -48,7 +48,7 @@ def _resolve(name):
 def test_the_documents_name_package_objects():
     """The pattern finds the module-qualified names the docs use."""
     assert len(NAMES) >= 19
-    assert "kmodules.DIRECTION_CACHE_SIZE" in NAMES and "diracindex.series" in NAMES
+    assert "kmodules.dim_virtual" in NAMES and "diracindex.series" in NAMES
 
 
 @pytest.mark.parametrize("name", sorted(NAMES))

@@ -173,10 +173,18 @@ def test_weyl_orders():
     assert len(weyl_elements(d, "k")) == 4 * 8  # |W(D_2)| * |W(B_2)|
 
 
-def test_enumeration_cap():
-    d = build_root_datum(GroupId.sp_r(2))
-    with pytest.raises(EnumerationCapExceeded):
-        weyl_elements(d, "g", cap=7)
+def test_enumeration_cap(monkeypatch):
+    """|W(C_7)| = 2^7 7! = 645,120 is past DEFAULT_WEYL_CAP: Sp(14,R) is
+    refused before any element is built."""
+    d = build_root_datum(GroupId.sp_r(7))
+    assert weyl_order(d, "g") == 645_120 > groups.DEFAULT_WEYL_CAP
+
+    def enumerated(*args):
+        raise AssertionError("enumerated past the cap")
+
+    monkeypatch.setattr(groups, "_block_elements", enumerated)
+    with pytest.raises(EnumerationCapExceeded, match="645120 exceeds cap 100000"):
+        weyl_elements(d, "g")
 
 
 def test_pairing_examples():
@@ -363,8 +371,9 @@ def test_dominant_rep_g_matches_reference(group, data):
 
 
 def test_one_group_builds_one_root_datum():
-    """springer_row and weyl_elements ask for the datum under one cache key."""
-    for cached in (groups._root_datum, groups._weyl_elements_cached, springer_row):
+    """springer_row builds no datum, and weyl_elements asks for it under
+    the cache key of build_root_datum."""
+    for cached in (groups._root_datum, groups._weyl_elements_cached):
         cached.cache_clear()
     group = GroupId.sp_r(3)
     springer_row(group)

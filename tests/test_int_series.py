@@ -1,13 +1,12 @@
 """Integer character series against the Fraction references.
 
 `series`, `kmodules` and `asymptotics` store series as integer numerators
-over one denominator and cache U, the signed W_k-orbit of y and the spin
-and module weights.  The package must agree with the Fraction references
-of `reference` (series arithmetic, sums of exponentials, the Weyl
-denominator, the character series and its limits) on random groups of
-rank <= 4, directions with denominators 1-6 and every d from gap - 1 to
-gap + 2, also when the orders come out of sequence, so that a cached U is
-both sliced and extended.
+over one denominator and cache the character series, the W_k getters and
+the spin and module weights.  The package must agree with the Fraction
+references of `reference` (series arithmetic, sums of exponentials, the
+Weyl denominator, the character series and its limits) on random groups
+of rank <= 4, directions with denominators 1-6 and every d from gap - 1
+to gap + 2, also when the orders come out of sequence.
 """
 
 from fractions import Fraction as F
@@ -15,7 +14,6 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from diracindex import kmodules
 from diracindex.asymptotics import character_series, leading_limit
 from diracindex.dirac import discrete_series_family, spin_weights
 from diracindex.errors import InternalInvariantError
@@ -120,15 +118,13 @@ def test_frequencies_to_series_matches_fraction_oracle(freqs, den, order, start)
     assert_same_series(series, ref.exponential_sum(rates, order, start=v))
 
 
-# -- the character series, the cached U and the limits ------------------------------
+# -- the character series, U and the limits ------------------------------------------
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_weyl_denominator_matches_uncached_oracle_in_any_order(data):
-    """Each distinct (order, which) builds U once, and a repeated one is a
-    cache hit; every order equals the uncached oracle."""
-    kmodules._weyl_denominator.cache_clear()
+    """Every order, repeated ones included, equals the oracle."""
     datum = build_root_datum(data.draw(st.sampled_from(SMALL_GROUPS)))
     y = data.draw(directions(datum))
     orders = data.draw(st.lists(st.integers(0, 14), min_size=2, max_size=4))
@@ -137,16 +133,12 @@ def test_weyl_denominator_matches_uncached_oracle_in_any_order(data):
             r, u = weyl_denominator_factored(datum, y, which, order)
             assert (r, u) == ref.weyl_denominator_factored(datum, y, which, order)
             assert u.order == order
-    info = kmodules._weyl_denominator.cache_info()
-    misses = 2 * len(set(orders))
-    assert (info.misses, info.hits) == (misses, 2 * len(orders) - misses)
 
 
 @settings(max_examples=60, deadline=None)
 @given(family_points(), st.lists(st.integers(0, 14), min_size=2, max_size=3))
 def test_character_series_matches_fraction_oracle_in_any_order(case, orders):
     fam, lam, y = case
-    kmodules._weyl_denominator.cache_clear()
     for order in orders:
         series = character_series(fam, lam, y, order)
         oracle = ref.character_series(fam, lam, y, order)
@@ -159,7 +151,6 @@ def test_leading_limits_match_fraction_oracle(case, offsets):
     """Every d from gap - 1 to gap + 2, asked in any order."""
     fam, lam, y = case
     gap = fam.datum.r_g - fam.datum.r_k
-    kmodules._weyl_denominator.cache_clear()
     for offset in offsets:
         d = gap + offset
         assert leading_limit(fam, lam, y, d) == ref.leading_limit(fam, lam, y, d)

@@ -401,9 +401,9 @@ small_entries = st.builds(F, st.integers(-4, 4), st.sampled_from([1, 2, 3]))
 @settings(max_examples=8, deadline=None)
 @given(data=st.data())
 def test_weyl_denominator_matches_the_expanded_sum_in_any_order(group, data):
-    """Orders 0-40 in random sequence, one cached U per (y, which, order):
-    the series from the root factors equals the expanded sum's, with v = r,
-    and is the zero series exactly when some root vanishes on y."""
+    """Orders 0-40 in random sequence: the series from the root factors
+    equals the expanded sum's, with v = r, and is the zero series exactly
+    when some root vanishes on y."""
     datum = build_root_datum(group)
     n = datum.rank
     y = data.draw(st.one_of(
@@ -411,7 +411,6 @@ def test_weyl_denominator_matches_the_expanded_sum_in_any_order(group, data):
         st.lists(magnitudes, min_size=n, max_size=n, unique=True),
     ).map(tuple))
     orders = data.draw(st.lists(st.integers(0, 40), min_size=1, max_size=6))
-    kmodules._weyl_denominator.cache_clear()
     for which in ("g", "k"):
         roots = datum.positive_roots if which == "g" else datum.compact_positive_roots
         singular = any(dot(alpha, y) == 0 for alpha in roots)
@@ -420,12 +419,12 @@ def test_weyl_denominator_matches_the_expanded_sum_in_any_order(group, data):
             assert (r, u) == ref.weyl_denominator_factored(datum, y, which, order)
             assert r == len(roots)
             assert (u == TruncatedSeries.zero(order)) == singular
-    assert kmodules._weyl_denominator.cache_info().misses == 2 * len(set(orders))
 
 
 @pytest.mark.parametrize("group", DENOMINATOR_GROUPS, ids=lambda g: g.label())
 def test_signed_orbit_matches_the_weyl_group(group):
-    """The orbit read off the cached picks, rebuilt from its signs and
+    """The orbit read off the getters cached per datum, as
+    `_numerator_frequencies` reads it, rebuilt from its signs and
     coordinate columns, is the multiset of (sgn w, w y) over W_k, also for
     repeated and zero entries; the 30 groups include rank 1 and the
     rootless SO*(2)."""
@@ -437,7 +436,8 @@ def test_signed_orbit_matches_the_weyl_group(group):
     ]
     for nums in directions:
         expected = Counter((w.sign(), w.apply(nums)) for w in weyl_elements(datum, "k"))
-        signs, columns = kmodules._signed_orbit.__wrapped__(datum, nums)
+        signs, gets = kmodules._signed_k_getters(datum)
+        columns = tuple(get(nums + tuple(-c for c in nums)) for get in gets)
         assert len(columns) == n
         assert all(len(column) == len(signs) == weyl_order(datum, "k") for column in columns)
         assert Counter(zip(signs, zip(*columns))) == expected

@@ -331,7 +331,6 @@ def test_springer_table_deterministic_order():
 
 def test_springer_suite_to_parameter_8_within_bound():
     """Rows up to rank 16 stay cheap because no row expands its generator."""
-    springer_row.cache_clear()
     t0 = time.time()
     report = springer_suite(max_param=8)
     elapsed = time.time() - t0
@@ -421,23 +420,23 @@ def test_symbol_partition_roundtrip_on_valid_partitions(p, kind):
 def test_springer_row_orbit_dimension_is_internal(monkeypatch):
     monkeypatch.setattr("diracindex.springer.orbit_dim", lambda partition, kind, total: -1)
     with pytest.raises(InternalInvariantError, match="orbit dimension"):
-        springer_row.__wrapped__(GroupId.sp_r(2))
+        springer_row(GroupId.sp_r(2))
 
 
 def test_springer_row_symbol_collision_is_internal(monkeypatch):
     monkeypatch.setattr("diracindex.springer.partition_of_symbol", lambda sym: None)
     with pytest.raises(InternalInvariantError, match="symbol merge collided"):
-        springer_row.__wrapped__(GroupId.sp_r(2))
+        springer_row(GroupId.sp_r(2))
 
 
 def test_springer_row_checks_the_label_kind(monkeypatch):
     """A type A label must be a partition, any other a bipartition."""
     monkeypatch.setattr("diracindex.springer.sigma_k_bipartition", lambda g: Bipartition((1,), ()))
     with pytest.raises(InternalInvariantError, match="type A label"):
-        springer_row.__wrapped__(GroupId.su(1, 1))
+        springer_row(GroupId.su(1, 1))
     monkeypatch.setattr("diracindex.springer.sigma_k_bipartition", lambda g: (1, 1))
     with pytest.raises(InternalInvariantError, match="type C label"):
-        springer_row.__wrapped__(GroupId.sp_r(2))
+        springer_row(GroupId.sp_r(2))
 
 
 def _ambient_algebra_by_family(group):
@@ -476,7 +475,7 @@ def test_springer_row_reads_its_label_once(monkeypatch):
         counted(name, getattr(springer_module, name))
     for group in table_groups(3):
         calls.clear()
-        springer_row.__wrapped__(group)
+        springer_row(group)
         # orbit_dim applies the parity rules once, through the module global
         assert calls == {"sigma_k_bipartition": 1, "orbit_dim": 1, "_valid_nilpotent": 1}
 

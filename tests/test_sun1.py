@@ -15,7 +15,6 @@ from diracindex.errors import (
 from diracindex.groups import DEFAULT_RANK_CAP
 from diracindex.polynomials import (
     MultiPoly,
-    _packed_product,
     divides_linear_form,
     extract_linear_factors,
     linear_form_product,
@@ -350,56 +349,13 @@ def _explicit_char_matrix(n, i):
     return rows
 
 
-def _laplace_char_poly_det(n: int, i: int) -> MultiPoly:
-    """Exact expansion of the n x n character determinant in lam_1..lam_n.
-
-    Rows are the power rows lam^(n-2), ..., lam^1 followed by the two
-    indicator rows of the split {1..n-i} | {n-i+1..n}.  Laplace expansion
-    along the indicator rows keeps only the column pairs j < n-i <= k
-    (0-based), whose 2 x 2 indicator minor is 1; the complementary power
-    minor is the monomial prod_{l != j,k} lam_l times a Vandermonde, so
-
-        det = sum_{j < n-i <= k} (-1)^(j+k+1) (prod_{l != j,k} lam_l)
-                  prod_{a < b; a,b not in {j,k}} (lam_a - lam_b).
-
-    The sum runs on packed integer keys (see `polynomials`), with the
-    field width of the total degree n - 2 + C(n-2, 2) = C(n-1, 2).
-    """
-    if n < 2 or not 1 <= i <= n - 1:
-        raise IndexOutOfRange(f"need n >= 2 and 1 <= i <= n-1, got n={n}, i={i}")
-    degree = comb(n - 1, 2)
-    width = max(degree, 1).bit_length()
-    total: dict[int, int] = {}
-    for j in range(n - i):
-        for k in range(n - i, n):
-            rest = [l for l in range(n) if l != j and l != k]
-            monomial = sum(1 << (width * l) for l in rest)
-            rows = []
-            for pos, a in enumerate(rest):
-                for b in rest[pos + 1 :]:
-                    row = [0] * n
-                    row[a], row[b] = 1, -1
-                    rows.append(row)
-            start = {monomial: -1 if (j + k) % 2 == 0 else 1}
-            for key, c in _packed_product(start, rows, width).items():
-                total[key] = total.get(key, 0) + c
-    total = {key: c for key, c in total.items() if c}
-    return MultiPoly._from_ints(n, width, total, degree=degree)
-
-
 @pytest.mark.parametrize("n", range(2, 9))
-def test_alternant_det_matches_laplace_sum_oracle(n):
-    # The Laplace sum over indicator column pairs that the alternant replaced.
+def test_char_poly_det_matches_poly_det_of_explicit_matrix(n):
+    # i(n-i) indicator column pairs, each with an (n-2)! term Vandermonde.
     for i in range(1, n):
         det = char_poly_det.__wrapped__(n, i)
-        assert det == _laplace_char_poly_det(n, i)
+        assert det == poly_det(_explicit_char_matrix(n, i))
         assert len(det._int_form()[2]) == i * (n - i) * factorial(n - 2)
-
-
-def test_laplace_det_matches_poly_det_of_explicit_matrix():
-    for n in range(2, 9):
-        for i in range(1, n):
-            assert char_poly_det.__wrapped__(n, i) == poly_det(_explicit_char_matrix(n, i))
 
 
 def test_failed_gcd_claim_is_claim_mismatch(monkeypatch):

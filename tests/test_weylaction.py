@@ -1,24 +1,22 @@
 import math
 import random
 from fractions import Fraction as F
-from functools import reduce
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from diracindex import polynomials, springer
+from diracindex import polynomials, springer, weylaction
 from diracindex.dirac import IndexFamily, index_polynomial
 from diracindex.errors import CapExceeded
 from diracindex.groups import (
     GroupId,
-    idot,
     WeylElement,
     build_root_datum,
     dot,
     reflection,
     weyl_elements,
 )
-from diracindex.polynomials import LinearForm, MultiPoly, _alternant, linear_form_product
+from diracindex.polynomials import LinearForm, MultiPoly, linear_form_product
 from diracindex.sun1 import char_poly_det
 from diracindex.weylaction import (
     act,
@@ -159,16 +157,19 @@ def test_orbit_span_refuses_before_translating(monkeypatch):
         raise AssertionError("an image built before the check of P's row")
 
     monkeypatch.setattr(polynomials, "_move_fields", no_move)
+    monkeypatch.setattr(weylaction, "SPAN_COLUMN_CAP", 1)
     with pytest.raises(CapExceeded, match=r"^2 columns x 1 rows .* cap 1$"):
-        orbit_span(p, sp4, cap=1)
+        orbit_span(p, sp4)
 
 
-def test_orbit_span_refuses_on_exact_column_count():
+def test_orbit_span_refuses_on_exact_column_count(monkeypatch):
     # X1 has one term, but the span of its images +-X1, +-X2 has two columns.
     sp4 = build_root_datum(GroupId.sp_r(2))
+    monkeypatch.setattr(weylaction, "SPAN_COLUMN_CAP", 1)
     with pytest.raises(CapExceeded, match=r"^2 columns x 2 rows .* cap 1$"):
-        orbit_span(MultiPoly.variable(2, 0), sp4, cap=1)
-    assert orbit_span(MultiPoly.variable(2, 0), sp4, cap=2).dim == 2
+        orbit_span(MultiPoly.variable(2, 0), sp4)
+    monkeypatch.setattr(weylaction, "SPAN_COLUMN_CAP", 2)
+    assert orbit_span(MultiPoly.variable(2, 0), sp4).dim == 2
 
 
 def test_orbit_span_conjugation_invariant():
@@ -274,38 +275,45 @@ def test_weyl_dim_poly_su31_proportional_to_vandermonde():
     assert dk.evaluate(d.rho_k) == 1
 
 
-def _disjoint_product(left, right):
-    """Product of integer numerators in disjoint variables: no two pairs of
-    terms give the same key."""
-    return {k1 + k2: c1 * c2 for k1, c1 in left.items() for k2, c2 in right.items()}
-
-
-def _dim_poly_by_block_products(datum):
-    """weyl_dim_poly as it expanded one alternant per compact block and
-    multiplied them, left block outermost: the oracle of the one
-    block-diagonal alternant, dict order included."""
-    roots = datum.compact_positive_roots
-    degree = len(roots)
-    width = max(degree, 1).bit_length()
-    alternants = [_alternant(width, b.indices, b.exponents) for b in datum.compact_blocks]
-    num = reduce(_disjoint_product, alternants)
-    den, nums = datum.rho_k_form
-    scale = F(
-        math.prod(math.gcd(*alpha) for alpha in roots) * den**degree,
-        math.prod(idot(nums, alpha) for alpha in roots),
-    )
-    return MultiPoly._from_ints(datum.rank, width, num, scale, degree)
+def _parity(arrangement, order):
+    """+1 or -1: the sign of the permutation that arranges order as
+    arrangement, (-1)^(m - number of cycles)."""
+    pos = [order.index(e) for e in arrangement]
+    cycles = 0
+    for start in range(len(pos)):
+        if pos[start] is not None:
+            cycles += 1
+            i = start
+            while pos[i] is not None:
+                pos[i], i = None, pos[i]
+    return -1 if (len(pos) - cycles) % 2 else 1
 
 
 @pytest.mark.parametrize(
     "group", [g for g in springer.table_groups(8) if g.rank <= 8], ids=lambda g: g.label()
 )
 def test_weyl_dim_poly_is_the_product_of_block_alternants_in_order(group):
+    """By Leibniz, the product of the block alternants det(x_i^{e_j}) has
+    one term per choice of an arrangement of each block's exponents, signed
+    by their parities: D_k's numerator is one scale times that, pinned by
+    D_k(rho_k) = 1, and iterates in descending lex order, left block
+    outermost."""
     datum = build_root_datum(group)
-    dk, oracle = weyl_dim_poly.__wrapped__(datum), _dim_poly_by_block_products(datum)
-    (den, width, num), (o_den, o_width, o_num) = dk._int_form(), oracle._int_form()
-    assert (den, width) == (o_den, o_width)
-    assert list(num.items()) == list(o_num.items())
+    dk = weyl_dim_poly.__wrapped__(datum)
+    _, width, num = dk._int_form()
+    assert width == max(datum.r_k, 1).bit_length()
+    blocks = datum.compact_blocks
+    rows = _dict_order_exponents(dk)
+    by_block = [tuple(tuple(row[i] for i in b.indices) for b in blocks) for row in rows]
+    assert by_block == sorted(set(by_block), reverse=True)
+    assert len(by_block) == math.prod(math.factorial(b.size) for b in blocks)
+    signs = []
+    for row, arrangements in zip(rows, by_block):
+        assert sum(row) == sum(map(sum, arrangements)) == datum.r_k
+        signs.append(math.prod(_parity(e, b.exponents) for e, b in zip(arrangements, blocks)))
+    scale = next(iter(num.values())) * signs[0]
+    assert [c * sign for c, sign in zip(num.values(), signs)] == [scale] * len(signs)
+    assert dk.evaluate(datum.rho_k) == 1
 
 
 def _product_form_dim_poly(datum):

@@ -68,11 +68,13 @@ ALLOWED = {
     "polynomials.MultiPoly.terms": "bench/run.py reads len(result.terms); item 9",
     "dirac.index_discrete_series": "paper object no suite checks yet; item 3",
     "dirac.is_integral_weyl": "paper object no suite checks yet; item 3",
-    "springer.normalize_symbol": "Springer-label computation; item 3",
-    "springer.symbols_equivalent": "Springer-label computation; item 3",
-    "springer.bipartition_dim": "label dimension check; item 3",
-    "springer.standard_tableaux_count": "label dimension check; item 3",
-    "springer.hook_product": "label dimension check; item 3",
+    "dirac.spin_weights":
+        "public multisets of S+ and S-; the spin-ratio suite reads their cached columns",
+    "springer.normalize_symbol": "Springer-label computation; item 15",
+    "springer.symbols_equivalent": "Springer-label computation; item 15",
+    "springer.bipartition_dim": "label dimension check; item 15",
+    "springer.standard_tableaux_count": "label dimension check; item 15",
+    "springer.hook_product": "label dimension check; item 15",
     "polynomials.PolySpan.dim": "span dimension of the irreducibility check; item 17",
     "groups.RootDatum.is_g_regular":
         "only bench jobs and the unreached index_discrete_series call it; item 9",

@@ -20,7 +20,7 @@ import sys
 from fractions import Fraction
 
 from .dirac import discrete_series_family, index_polynomial
-from .emit import MAX_DIGITS, dumps, emit, factored_to_obj, parse_rational
+from .emit import MAX_DIGITS, dumps, emit, factored_to_obj, parse_rational, poly_json_chunks
 from .errors import ClaimMismatch, DiracIndexError, InternalInvariantError, InvalidInput, _echo
 from .fixtures import su_n1_ds_family
 from .groups import Family, GroupId, build_root_datum, check_rank
@@ -120,7 +120,8 @@ def _cmd_index_poly(args) -> int:
         fam = su_n1_ds_family(group.p, args.chamber)
     else:
         fam = discrete_series_family(args.hc_param, build_root_datum(group))
-    sys.stdout.write(emit(index_polynomial(fam), "json"))
+    for chunk in poly_json_chunks(index_polynomial(fam)):
+        sys.stdout.write(chunk)
     return 0
 
 

@@ -74,17 +74,17 @@ def spin_weights(datum: RootDatum) -> SpinWeights:
     split by subset parity, with the parity labels chosen so that
     ch(S+ - S-) = d_g/d_k holds exactly.  A datum with more than
     SPIN_SUBSET_CAP noncompact positive roots raises CapExceeded.  The
-    weights are built once per datum, and each call gets new multisets."""
+    weights are built on each call."""
     plus, minus = _spin_forms(datum)
     return SpinWeights(WeightMultiset(forms=plus), WeightMultiset(forms=minus))
 
 
-@lru_cache(maxsize=None)
 def _spin_forms(datum: RootDatum) -> tuple[Mapping[IntWeight, int], Mapping[IntWeight, int]]:
     """The integer forms of the S+ and S- weights with their
     multiplicities; read-only.  Each noncompact root carries the even
     subset sums into odd ones and back; equal weights merge.  A datum past
-    SPIN_SUBSET_CAP raises CapExceeded, uncached, on every call."""
+    SPIN_SUBSET_CAP raises CapExceeded.  Not cached: the traffic reads
+    them once per datum, through the cached `_spin_columns`."""
     noncompact = datum.noncompact_positive_roots
     if len(noncompact) > SPIN_SUBSET_CAP:
         raise CapExceeded(

@@ -17,7 +17,9 @@ import csv
 import io
 import json
 import re
+from collections.abc import Iterator
 from fractions import Fraction
+from itertools import chain, islice
 
 from .asymptotics import LimitReport
 from .errors import InvalidInput, UnsupportedFormat, _echo
@@ -49,16 +51,49 @@ def frac_str(x: int | Fraction) -> str:
 
 
 def poly_to_obj(poly: MultiPoly) -> dict:
-    """The polynomial object, read from `MultiPoly.graded_rows`: from the
-    packed numerator, or from signed permutations for a described alternant
-    such as +-D_k, whose numerator is then never built.  Each distinct
-    numerator is printed once, and no `Fraction` view is built."""
-    den, rows = poly.den, poly.graded_rows()
-    coeff = {c: frac_str(Fraction(c, den)) for c in {c for _, c in rows}}
-    return {
-        "vars": poly.arity,
-        "terms": [{"exp": exp, "coeff": coeff[c]} for exp, c in rows],
-    }
+    """The polynomial object.  A described alternant such as +-D_k gives its
+    term dicts straight from `MultiPoly.described_terms`, whose two values
+    are the coefficient strings, so no row list is built; any other
+    polynomial is read from `MultiPoly.graded_rows` of its packed numerator,
+    each distinct numerator printed once.  No `Fraction` view is built."""
+    den = poly.den
+    described = poly.described_terms(lambda c: frac_str(Fraction(c, den)))
+    if described is not None:
+        terms = [{"exp": exp, "coeff": coeff} for exp, coeff in zip(*described)]
+    else:
+        rows = poly.graded_rows()
+        coeff = {c: frac_str(Fraction(c, den)) for c in {c for _, c in rows}}
+        terms = [{"exp": exp, "coeff": coeff[c]} for exp, c in rows]
+    return {"vars": poly.arity, "terms": terms}
+
+
+# Terms of a described polynomial written per chunk of poly_json_chunks.
+_CHUNK_TERMS = 4096
+# The text between the exponents of two terms starts with the first term's
+# coefficient and ends with this opening of the next term.
+_NEXT_TERM = ',{"exp":['
+
+
+def poly_json_chunks(poly: MultiPoly) -> Iterator[str]:
+    """The text of `dumps({"type": "polynomial", **poly_to_obj(poly)})`, in
+    chunks.  A described alternant is written from `described_terms`
+    with no term dict and no row alive: each term's exponents are joined
+    from a table of their strings, and its sign picks the text that closes
+    it with its coefficient and opens the next term, _CHUNK_TERMS terms a
+    chunk; the last chunk drops the opening of a next term.  Any other
+    polynomial is one chunk."""
+    den = poly.den
+    described = poly.described_terms(
+        lambda c: f'],"coeff":"{frac_str(Fraction(c, den))}"}}' + _NEXT_TERM, str, ",".join)
+    if described is None:
+        yield dumps({"type": "polynomial", **poly_to_obj(poly)})
+        return
+    text = chain.from_iterable(zip(*described))
+    chunk = f'{{"type":"polynomial","vars":{poly.arity},"terms":[{{"exp":['
+    while more := "".join(islice(text, 2 * _CHUNK_TERMS)):
+        yield chunk
+        chunk = more
+    yield chunk[:-len(_NEXT_TERM)] + "]}\n"
 
 
 def _is_a(value: object, types) -> bool:
@@ -344,7 +379,7 @@ def emit(obj: object, fmt: str) -> str:
     if not (isinstance(kind, str) and fmt in _FORMATS.get(kind, ())):
         raise UnsupportedFormat(f"cannot emit {_echo(kind)} as {fmt}")
     if isinstance(obj, MultiPoly):
-        return dumps({"type": "polynomial", **poly_to_obj(obj)})
+        return "".join(poly_json_chunks(obj))
     if isinstance(obj, LimitReport):
         return dumps({"type": "limit_report", **limit_report_to_obj(obj)})
     if kind == "polynomial":

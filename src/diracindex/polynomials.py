@@ -43,8 +43,11 @@ packed numerator, every key unpacked at once, and emission prints from it
 without building the `Fraction` view.  Index polynomials, determinants
 and cofactors are homogeneous, so their order is lex order, and the
 alternants below and what is built from them iterate in it already: the
-sort is one linear run.  A described alternant lists its rows from signed
-permutations instead, with no key packed or unpacked (`_leibniz_rows`).
+sort is one linear run.  A described alternant lists its terms from
+signed permutations instead, with no key packed or unpacked: one stream
+(`MultiPoly.described_terms`) yields each term's exponents alongside a
+value that its sign picks, ints for `graded_rows` and coefficient text
+for emission, so no row list is built on the way to term dicts or text.
 
 A `LinearForm` keeps its coefficients as given: the package builds every
 form from ints, and only parsed input (`emit.factored_from_obj`) holds a
@@ -122,10 +125,10 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from functools import reduce
 from fractions import Fraction
-from itertools import chain, permutations, repeat, zip_longest
+from itertools import chain, permutations, product, repeat, zip_longest
 from operator import add, itemgetter, lshift, neg
 from types import MappingProxyType
 
@@ -375,15 +378,28 @@ class MultiPoly:
     def is_homogeneous(self) -> bool:
         return len(set(_degrees(self.arity, self._width, self._num))) <= 1
 
+    def described_terms(self, value: Callable[[int], object], spell: Callable = int,
+                        shape: Callable = list) -> tuple[Iterator, Iterator] | None:
+        """For a described alternant, its terms in `graded_rows` order from
+        signed permutations (`_leibniz_terms`), with no key packed or
+        unpacked: two parallel iterators, shape(exponents) of each term,
+        the exponents spelled by spell, and value(c) for its coefficient
+        c / den, value being called once for each of the two signs.  None
+        for any other polynomial."""
+        if self._leibniz is None:
+            return None
+        blocks, p, _ = self._leibniz
+        return _leibniz_terms(self.arity, blocks, value(p), value(-p), spell, shape)
+
     def graded_rows(self) -> list[tuple[list[int], int]]:
         """(exponent list, numerator over den) of every term, by ascending
         total degree, then descending lex order on the exponents; zero has
         none, whatever its arity.  The sort is right for any numerator, and
         one linear run on one that iterates in descending lex order.  A
-        described alternant lists its rows from its blocks instead
-        (`_leibniz_rows`), with no key packed or unpacked."""
+        described alternant lists its rows from `described_terms` instead,
+        the numerator of each term as its value."""
         if self._leibniz is not None:
-            return _leibniz_rows(self.arity, *self._leibniz[:2])
+            return list(zip(*self.described_terms(int)))
         arity, width, num = self.arity, self._width, self._num
         if not arity or not num:
             return [([], c) for c in num.values()]
@@ -668,43 +684,82 @@ def _leibniz_blocks(
     return tuple(blocks)
 
 
-def _leibniz_rows(arity: int, blocks: tuple, p: int) -> list[tuple[list[int], int]]:
-    """`graded_rows` of p / den times the alternant of the blocks (see
-    `_leibniz_blocks`), straight from signed permutations.  By Leibniz a
-    block's terms are sgn(pi) x^{pi.e}, one per permutation pi and distinct,
-    and `permutations` of its falling exponents e lists them in descending
-    lex order.  The parities of the k! permutations of k items in lex order
-    are p_k: p_1 = 0, and p_k is p_{k-1} and its complement, alternating, k
-    times, since putting the j-th item first takes j transpositions; the
-    coefficients follow them as lists of p and -p.  Blocks are chained with
-    the left block outermost, their signs multiplied, and the variables
-    outside every block stay at zero: the rows of the ascending blocks are
-    then in descending lex order too."""
-    rows = coeffs = None
-    at = 0
+# Permutations of at most this many items take their values from runs
+# listed in full, 2 x 7! entries; longer ones chain those runs lazily.
+_RUN_ITEMS = 7
+
+
+def _parities(k: int, even, odd) -> Callable[[int], Iterator]:
+    """A function of a start parity s whose value iterates over even or odd
+    for each of the k! permutations of k items in lex order, by its parity
+    plus s.  The parities of that order are p_k: p_1 = 0, and p_k is
+    p_{k-1} and its complement, alternating, k times, since putting the
+    j-th item first takes j transpositions.  The runs p_m and their
+    complements, m = min(k, _RUN_ITEMS), are listed with the reader's two
+    values; above m each choice of the first k - m items picks a run by
+    the parity of its indices, so no list of k! entries is kept."""
+    m = min(k, _RUN_ITEMS)
+    p, q = [even], [odd]
+    for j in range(2, m + 1):
+        p, q = (p + q) * (j // 2) + p * (j % 2), (q + p) * (j // 2) + q * (j % 2)
+    runs = (p, q)
+    choices = [range(i) for i in range(k, m, -1)]
+
+    def values(s: int) -> Iterator:
+        if not choices:
+            return iter(runs[s])
+        return chain.from_iterable(runs[s ^ sum(t) & 1] for t in product(*choices))
+    return values
+
+
+def _leibniz_terms(arity: int, blocks: tuple, even, odd, spell: Callable,
+                   shape: Callable) -> tuple[Iterator, Iterator]:
+    """The terms of the alternant of the blocks (see `_leibniz_blocks`),
+    from signed permutations, as two parallel iterators: shape(exponents)
+    of each term, the exponents spelled by spell, and even or odd by the
+    term's sign.  By Leibniz a block's terms are sgn(pi) x^{pi.e}, one per
+    permutation pi and distinct, and `permutations` of its falling
+    exponents e lists them in descending lex order, signed as `_parities`
+    gives.  Blocks are chained with the left block outermost, their signs
+    multiplied, and the variables outside every block stay at zero: the
+    terms of the ascending blocks are then in descending lex order too.
+    The last block is permuted afresh under each term of the others, so
+    nothing grows with its k! terms."""
+    zero, at, layouts = spell(0), 0, []
     for variables, exponents in blocks:
-        even, odd = [p], [-p]
-        for k in range(2, len(exponents) + 1):
-            runs = [even, odd] * k
-            even, odd = (list(chain.from_iterable(runs[start:start + k])) for start in (0, 1))
-        terms = permutations(exponents)
+        gaps = None
         if variables != tuple(range(at, at + len(variables))):
             # zeros before the block and between its variables
             slot = {v - at: k for k, v in enumerate(variables)}
-            pick = itemgetter(*[slot.get(j, len(variables)) for j in range(variables[-1] + 1 - at)])
-            terms = map(pick, map(add, terms, repeat((0,))))
-        if rows is None:
-            rows, coeffs = terms, even
-        else:
-            terms = list(terms)
-            rows = [row + term for row in rows for term in terms]
-            coeffs = list(chain.from_iterable(even if c == p else odd for c in coeffs))
+            gaps = itemgetter(*[slot.get(j, len(variables)) for j in range(variables[-1] + 1 - at)])
+        layouts.append((tuple(map(spell, exponents)), gaps))
         at = variables[-1] + 1
-    if rows is None:
-        rows, coeffs = [()], [p]
-    tail = [0] * (arity - at)
-    exps = ([*row, *tail] for row in rows) if tail else map(list, rows)
-    return list(zip(exps, coeffs))
+    tail = (zero,) * (arity - at)
+    if not layouts:
+        return iter([shape(tail)]), iter([even])
+
+    def permuted(spelled: tuple, gaps) -> Iterator[tuple]:
+        terms = permutations(spelled)
+        return terms if gaps is None else map(gaps, map(add, terms, repeat((zero,))))
+
+    *outer, (last, last_gaps) = layouts
+    heads = [((), 0)]
+    for spelled, gaps in outer:
+        signs = list(_parities(len(spelled), 0, 1)(0))
+        terms = list(permuted(spelled, gaps))
+        heads = [(head + term, s ^ t) for head, s in heads for term, t in zip(terms, signs)]
+
+    def rows(head: tuple) -> Iterator[tuple]:
+        terms = permuted(last, last_gaps)
+        if head:
+            terms = map(add, repeat(head), terms)
+        return map(add, terms, repeat(tail)) if tail else terms
+
+    values = _parities(len(last), even, odd)
+    if not outer:
+        return map(shape, rows(())), values(0)
+    return (map(shape, chain.from_iterable(rows(head) for head, _ in heads)),
+            chain.from_iterable(values(s) for _, s in heads))
 
 
 def alternant(

@@ -7,7 +7,6 @@ from hypothesis import assume, example, given, settings, strategies as st
 from diracindex.dirac import (
     SPIN_SUBSET_CAP,
     IndexFamily,
-    _spin_forms,
     act_on_family,
     discrete_series_family,
     evaluate_index,
@@ -87,16 +86,14 @@ def test_spin_weights_sp4():
 
 def test_spin_cap():
     """Sp(12,R) has 21 noncompact positive roots, one past SPIN_SUBSET_CAP:
-    both entry points refuse it on every call, and no refusal is cached."""
+    both entry points refuse it on every call."""
     d = build_root_datum(GroupId.sp_r(6))
     assert len(d.noncompact_positive_roots) == SPIN_SUBSET_CAP + 1 == 21
-    _spin_forms.cache_clear()
     for _ in range(2):
         with pytest.raises(CapExceeded, match="21 noncompact roots exceeds the subset cap 20"):
             spin_weights(d)
         with pytest.raises(CapExceeded, match="subset cap 20"):
             spin_character_series(d, tuple(F(c) for c in range(6, 0, -1)), 2)
-    assert _spin_forms.cache_info().currsize == 0
 
 
 RANK_LE_4 = [

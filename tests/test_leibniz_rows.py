@@ -1,22 +1,28 @@
 """Block-diagonal alternants kept as their blocks (`MultiPoly._described`).
 
 The oracle throughout is the expanded twin: the same value as a packed
-numerator from `polynomials._alternant`, whose `graded_rows` unpack keys.
+numerator from `polynomials._alternant`, whose `graded_rows` unpack keys
+and whose text comes from the JSON encoder.
 """
 
 import copy
+import io
+import math
 import pickle
 import random
+from contextlib import redirect_stdout
 from fractions import Fraction as F
 from itertools import combinations
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from diracindex import springer
-from diracindex.cli import parse_group
-from diracindex.dirac import IndexFamily, index_polynomial
-from diracindex.emit import emit, poly_to_obj
-from diracindex.groups import WeylElement, build_root_datum, reflection, simple_roots
+from diracindex import emit as emit_module, polynomials, springer
+from diracindex.cli import main, parse_group
+from diracindex.dirac import IndexFamily, discrete_series_family, index_polynomial
+from diracindex.emit import dumps, emit, poly_json_chunks, poly_to_obj
+from diracindex.groups import Family, WeylElement, build_root_datum, reflection, simple_roots
 from diracindex.polynomials import MultiPoly, _alternant, alternant, linear_combination
 from diracindex.sun1 import char_poly_det, gcd_with_index, vandermonde
 from diracindex.weylaction import act, weyl_dim_poly
@@ -198,3 +204,84 @@ def test_a_multi_term_index_polynomial_is_expanded():
     assert poly._leibniz is None
     dk = weyl_dim_poly(datum)
     assert poly == dk - act(s.inverse(), dk)
+
+
+@st.composite
+def block_layouts(draw):
+    """(arity, variables, exponents, support, scale) of a block-diagonal
+    alternant: 1-3 blocks of 1-4 variables and at most 288 terms, with
+    gaps before and between the variables, trailing zero variables, either
+    sign and a denominator up to 6."""
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3).filter(
+        lambda sizes: math.prod(map(math.factorial, sizes)) <= 288))
+    variables, exponents, support, at = [], [], [], -1
+    for size in sizes:
+        for _ in range(size):
+            at += 1 + draw(st.integers(0, 2))
+            variables.append(at)
+        exps = draw(st.lists(st.integers(0, 6), min_size=size, max_size=size, unique=True))
+        exponents += sorted(exps, reverse=True)
+        support += [((1 << size) - 1) << len(support)] * size
+    arity = at + 1 + draw(st.integers(0, 2))
+    scale = F(draw(st.integers(1, 9)) * draw(st.sampled_from([1, -1])), draw(st.integers(1, 6)))
+    return arity, variables, exponents, support, scale
+
+
+@settings(max_examples=150, deadline=None)
+@given(block_layouts(), st.integers(1, 4), st.integers(1, 40))
+def test_streamed_terms_of_any_block_layout_match_the_packed_twin(case, run_items, chunk_terms):
+    """The term dicts and the chunked text of a described alternant equal
+    those of its packed twin, whatever parity runs are listed in full and
+    however many terms a chunk holds."""
+    with mock.patch.object(polynomials, "_RUN_ITEMS", run_items), \
+            mock.patch.object(emit_module, "_CHUNK_TERMS", chunk_terms):
+        poly = alternant(*case)
+        assert poly._leibniz is not None
+        obj = poly_to_obj(poly)
+        chunks = list(poly_json_chunks(poly))
+        assert _unbuilt(poly)
+        twin = _twin(poly)
+        assert obj == poly_to_obj(twin)
+        assert poly.graded_rows() == twin.graded_rows()
+        assert "".join(chunks) == dumps({"type": "polynomial", **obj}) == emit(twin, "json")
+        assert len(chunks) == 1 + -(-len(obj["terms"]) // chunk_terms)
+
+
+RANK6_GROUPS = [g for g in springer.table_groups(6) if g.rank <= 6]
+
+
+@st.composite
+def chamber_parameters(draw):
+    """(group, parameter): a table group of rank <= 6 and rho_g plus a
+    weakly decreasing shift of nonnegative integers (and, for SU, of a
+    trace shift), carried to a random chamber by a permutation and, off
+    type A, signs: regular and on the shifted lattice."""
+    group = draw(st.sampled_from(RANK6_GROUPS))
+    datum = build_root_datum(group)
+    steps = draw(st.lists(st.integers(0, 2), min_size=group.rank, max_size=group.rank))
+    point = [rho + sum(steps[i:]) for i, rho in enumerate(datum.rho_g)]
+    if group.family == Family.SU:
+        t = F(draw(st.integers(-5, 5)), draw(st.integers(1, 6)))
+        point = [c + t for c in point]
+    order = draw(st.permutations(range(group.rank)))
+    signs = [1] * group.rank
+    if datum.ambient.kind != "A":
+        signs = draw(st.lists(st.sampled_from([1, -1]), min_size=group.rank,
+                              max_size=group.rank))
+    return group, tuple(s * point[i] for s, i in zip(signs, order))
+
+
+@settings(max_examples=100, deadline=None)
+@given(chamber_parameters())
+def test_index_poly_writes_what_emit_writes_in_any_chamber(case):
+    """`index-poly` streams +-D_k to stdout; its bytes equal `emit` of the
+    index polynomial and the encoder's text of the packed twin."""
+    group, lam = case
+    poly = index_polynomial(discrete_series_family(lam, build_root_datum(group)))
+    assert poly._leibniz is not None
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = main(["index-poly", "--group", group.label(),
+                     "--hc-param=" + ",".join(map(str, lam))])
+    assert code == 0
+    assert out.getvalue() == emit(poly, "json") == emit(_twin(poly), "json")

@@ -27,7 +27,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .dirac import IndexFamily, _index_terms, _on_coset, evaluate_q
+from .dirac import IndexFamily, _evaluate_q_form, _index_terms, _on_coset
 from .errors import DimensionMismatch
 from .groups import IntWeight, RootDatum, Weight, WeylElement, idot, int_form
 from .kmodules import (
@@ -85,7 +85,12 @@ def root_ratio(datum: RootDatum, y: Weight) -> Fraction:
     once the compact product shows that no compact alpha(y) is zero; a
     zero product is the one sign of a singular y, and only then is the
     root found and named."""
-    y_den, y_nums = y_form = datum.form(y)
+    return _root_ratio_form(datum, datum.form(y))
+
+
+def _root_ratio_form(datum: RootDatum, y_form: IntWeight) -> Fraction:
+    """root_ratio on the integer form of y."""
+    y_den, y_nums = y_form
     compact = 1
     for alpha in datum.compact_positive_roots:
         compact *= idot(alpha, y_nums)
@@ -126,12 +131,23 @@ def character_series(
     zero of order r_g at t = 0 factored analytically, both at `order`.
     """
     _check_order(order)
+    return _character_series_forms(fam, *_checked_forms(fam, lam, y), order)
+
+
+def _checked_forms(fam: IndexFamily, lam: Weight, y: Weight) -> tuple[IntWeight, IntWeight]:
+    """The integer forms of lam and y, y's length checked first, and lam
+    checked to lie on the base coset."""
     datum = fam.datum
     y_form = datum.form(y)
     if len(lam) != datum.rank:
         raise DimensionMismatch("parameter length must equal the rank")
-    lam_form = _on_coset(fam, int_form(lam))
-    entry = _character_entry(datum, tuple(fam.coeffs.items()), lam_form, y_form, order)
+    return _on_coset(fam, int_form(lam)), y_form
+
+
+def _character_series_forms(fam: IndexFamily, lam: IntWeight, y: IntWeight,
+                            order: int) -> LaurentSeries:
+    """character_series on the checked integer forms of lam and y."""
+    entry = _character_entry(fam.datum, tuple(fam.coeffs.items()), lam, y, order)
     series = entry.series
     return LaurentSeries(entry.low, TruncatedSeries._from_ints(series.nums, series.den))
 
@@ -155,15 +171,15 @@ def leading_limit(fam: IndexFamily, lam: Weight, y: Weight, d: int) -> LimitRepo
     """
     datum = fam.datum
     gap = datum.r_g - datum.r_k
-    series = character_series(fam, lam, y, order=0)
+    lam_form, y_form = _checked_forms(fam, lam, y)
+    series = _character_series_forms(fam, lam_form, y_form, 0)
     if d < series.pole_order:
-        return LimitReport(d=d, value=None, expected=None, match=False, underflow=True)
+        return LimitReport(d, None, None, False, True)
     value = series.coeff(-d)
     if d > gap:
         expected: Fraction | None = Fraction(0)
     elif d == gap:
-        expected = root_ratio(datum, y) * evaluate_q(fam, lam)
+        expected = _root_ratio_form(datum, y_form) * _evaluate_q_form(fam, lam_form)
     else:
         expected = None
-    match = expected is not None and value == expected
-    return LimitReport(d=d, value=value, expected=expected, match=match)
+    return LimitReport(d, value, expected, expected is not None and value == expected, False)

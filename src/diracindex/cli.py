@@ -1,9 +1,11 @@
 """Command-line front end.
 
 Exit codes: 0 success / all cases pass, 1 verification failure (a
-failed suite case, or a ClaimMismatch printed as one `error:` line),
-2 usage error (an argparse error, or a DiracIndexError printed as one
-`error:` line), 3 internal error (an InternalInvariantError, printed as
+failed suite case, or a ClaimMismatch printed as one `error:` line) or
+a standard output closed before all of the output was written (one
+`error:` line, never exit 0 with the output cut), 2 usage error (an
+argparse error, or a DiracIndexError printed as one `error:` line), 3
+internal error (an InternalInvariantError, printed as
 one `internal error:` line; a bug in the package, please report it).
 Only long option names exist.  Every command that builds a root datum
 honours the rank cap of `groups.check_rank` (DIRAC_MAX_RANK, default 8),
@@ -14,7 +16,9 @@ from `--hc-param` or emit's input spells at most `emit.MAX_DIGITS` digits.
 from __future__ import annotations
 
 import argparse
+import io
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -241,11 +245,47 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _checked_stdout():
+    """sys.stdout, or a buffered text stream on its descriptor when its
+    binary layer is unbuffered (PYTHONUNBUFFERED or -u): the unbuffered
+    text layer drops the rest of a partial write, so a reader that closes
+    the pipe would cut the output with no error.  A buffered writer writes
+    everything or raises BrokenPipeError."""
+    out = sys.stdout
+    if not isinstance(getattr(out, "buffer", None), io.RawIOBase):
+        return out
+    out.flush()
+    return open(out.fileno(), "w", buffering=1 if out.line_buffering else -1,
+                encoding=out.encoding, errors=out.errors, closefd=False)
+
+
+def _closed_stdout() -> None:
+    """Point the descriptor of a stdout whose reader is gone at devnull, so
+    that no later flush, at exit either, meets the closed pipe again (the
+    note on SIGPIPE in the documentation of the signal module)."""
+    try:
+        fd = sys.stdout.fileno()
+    except OSError:
+        return  # not a file: nothing flushes it to the pipe
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    saved = sys.stdout
+    sys.stdout = _checked_stdout()
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe must fail here, not at exit
+        return code
+    except BrokenPipeError:
+        _closed_stdout()
+        print("error: standard output was closed before all of the output was written",
+              file=sys.stderr)
+        return 1
     except DiracIndexError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -255,6 +295,10 @@ def main(argv: list[str] | None = None) -> int:
     except InternalInvariantError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
+    finally:
+        if sys.stdout is not saved:
+            sys.stdout.close()
+            sys.stdout = saved
 
 
 if __name__ == "__main__":

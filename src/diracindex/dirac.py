@@ -27,6 +27,8 @@ import math
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import repeat
+from operator import add, gt, mul, sub
 from types import MappingProxyType
 
 from .errors import (
@@ -41,7 +43,6 @@ from .groups import (
     RootDatum,
     Weight,
     WeylElement,
-    idot,
     int_add,
     int_form,
     over,
@@ -90,15 +91,17 @@ def _spin_forms(datum: RootDatum) -> tuple[Mapping[IntWeight, int], Mapping[IntW
         raise CapExceeded(
             f"{len(noncompact)} noncompact roots exceeds the subset cap {SPIN_SUBSET_CAP}")
     # Numerators over 2: every spin weight is rho_k - rho_g plus a root sum.
-    start = tuple(k - g for k, g in zip(over(datum.rho_k_form, 2), over(datum.rho_g_form, 2)))
+    start = tuple(map(sub, over(datum.rho_k_form, 2), over(datum.rho_g_form, 2)))
     even: dict[tuple[int, ...], int] = {start: 1}
     odd: dict[tuple[int, ...], int] = {}
     for beta in noncompact:
+        twice = tuple(map(mul, beta, repeat(2)))
         new_even, new_odd = dict(even), dict(odd)
         for source, target in ((odd, new_even), (even, new_odd)):
+            get = target.get
             for w, m in source.items():
-                w = tuple(c + 2 * b for c, b in zip(w, beta))
-                target[w] = target.get(w, 0) + m
+                w = tuple(map(add, w, twice))
+                target[w] = get(w, 0) + m
         even, odd = new_even, new_odd
     plus, minus = (odd, even) if len(noncompact) % 2 == 1 else (even, odd)
     return (
@@ -144,16 +147,22 @@ def spin_character_series(
 
 def _chamber_sign(datum: RootDatum, lam: IntWeight) -> int:
     """(-1)^(number of positive noncompact roots made negative by lam), on
-    the integer form of lam."""
-    flips = sum(1 for beta in datum.noncompact_positive_roots if idot(lam[1], beta) < 0)
-    return -1 if flips % 2 else 1
+    the integer form of lam, or 0 when lam is singular: one pass over the
+    root pairings decides both."""
+    nums = lam[1]
+    noncompact = [sum(map(mul, nums, beta)) for beta in datum.noncompact_positive_roots]
+    if 0 in noncompact or 0 in [sum(map(mul, nums, alpha))
+                                for alpha in datum.compact_positive_roots]:
+        return 0
+    return -1 if sum(map(gt, repeat(0), noncompact)) % 2 else 1
 
 
 def index_discrete_series(lam: Weight, datum: RootDatum) -> VirtualKModule:
     """Dirac index of the discrete series with Harish-Chandra parameter lam."""
-    if not datum.is_g_regular(lam):
+    sign = _chamber_sign(datum, datum.form(lam))
+    if not sign:
         raise SingularParameter(f"{lam} is singular")
-    return k_type_sum(datum, [(lam, _chamber_sign(datum, datum.form(lam)))])
+    return k_type_sum(datum, [(lam, sign)])
 
 
 class IndexFamily(Value):
@@ -192,11 +201,13 @@ def discrete_series_family(
     if not datum.on_shifted_lattice_form(form):
         text = ",".join(str(Fraction(c)) for c in lam0)
         raise OffLattice(f"({text}) is not on the shifted lattice Lambda + rho_g")
-    if not datum.is_g_regular_form(form):
+    sign = _chamber_sign(datum, form)
+    if not sign:
         text = ",".join(str(Fraction(c)) for c in lam0)
         raise SingularParameter(f"({text}) is singular")
-    e = WeylElement.identity(datum.rank)
-    return IndexFamily(datum, lam0, {e: _chamber_sign(datum, form)}, gk_dim=gk_dim, name=name)
+    fam = IndexFamily(datum, lam0, {WeylElement.identity(datum.rank): sign}, gk_dim, name)
+    fam.__dict__["base_form"] = form  # the cached property, read by _on_coset
+    return fam
 
 
 def family_combination(
@@ -257,8 +268,13 @@ def evaluate_q(fam: IndexFamily, lam: Weight) -> Fraction:
     """Q(lam) = sum_w a_w D_k(w lam) at one point, from the root products of
     D_k on the integer forms w lam, with no polynomial built: the value of
     index_polynomial(fam) at lam, at any lam of length the rank."""
+    return _evaluate_q_form(fam, fam.datum.form(lam))
+
+
+def _evaluate_q_form(fam: IndexFamily, lam: IntWeight) -> Fraction:
+    """evaluate_q on the integer form of lam."""
     datum = fam.datum
-    den, nums = datum.form(lam)
+    den, nums = lam
     return _weyl_product(datum.compact_positive_roots, datum.rho_k_form, den,
                          [(w.apply(nums), a) for w, a in fam.coeffs.items()])
 

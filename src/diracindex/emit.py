@@ -231,15 +231,16 @@ def generator_text(row: SpringerRow) -> str:
     block's alternant has a = 2; the blocks are contiguous and ascending, so
     the pairs come in ascending order.  Then it prints Xi for each index i
     of a block with b = 1 (`groups.Block.ALTERNANT`); the empty product is
-    1.  Indices print from 1."""
+    1.  Indices print from 1; the pairs of one leading index are one join."""
     pairs, singles = [], []
     for block in _family_layout(row.group)[1]:
         a, b = block.ALTERNANT[block.kind]
-        idx = block.indices
         sq = "^2" if a == 2 else ""
-        pairs += [f"(X{i + 1}{sq}-X{j + 1}{sq})" for n, i in enumerate(idx) for j in idx[n + 1:]]
+        names = [f"X{i + 1}{sq}" for i in block.indices]
+        for n, lead in enumerate(names[:-1]):
+            pairs.append(f"({lead}-" + f")({lead}-".join(names[n + 1:]) + ")")
         if b:
-            singles += [f"X{i + 1}" for i in idx]
+            singles += [f"X{i + 1}" for i in block.indices]
     return "".join(pairs + singles) or "1"
 
 

@@ -48,8 +48,8 @@ from collections.abc import Iterable
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import permutations, product
-from operator import mul, ne
+from itertools import permutations, product, repeat
+from operator import add, attrgetter, floordiv, lt, mod, mul, ne, sub
 
 from .errors import (
     DimensionMismatch,
@@ -83,21 +83,29 @@ def dot(a: Weight, b: Weight) -> Fraction:
     return Fraction(sum(map(mul, a, b)))
 
 
+# The integer-form kernels build their tuples with map over operator
+# functions, so the per-entry work runs in C, with no Python frame.
+_numerator, _denominator = attrgetter("numerator"), attrgetter("denominator")
+
+
 def int_form(w: Weight) -> IntWeight:
     """(den, nums) with w = nums / den and den the lcm of the denominators;
     an entry that is not an int or a Fraction raises InvalidInput."""
     try:
-        den = math.lcm(*(c.denominator for c in w))
+        den = math.lcm(*map(_denominator, w))
     except AttributeError:
         bad = next(c for c in w if not hasattr(c, "denominator"))
         raise InvalidInput(f"weight entry {bad!r} is not an integer or a fraction") from None
-    return den, tuple(c.numerator * (den // c.denominator) for c in w)
+    if den == 1:
+        return 1, tuple(map(_numerator, w))
+    scales = map(floordiv, repeat(den), map(_denominator, w))
+    return den, tuple(map(mul, map(_numerator, w), scales))
 
 
 def reduced(den: int, nums: tuple[int, ...]) -> IntWeight:
     """The integer form of the weight nums / den."""
     g = math.gcd(den, *nums)
-    return (den, nums) if g == 1 else (den // g, tuple(n // g for n in nums))
+    return (den, nums) if g == 1 else (den // g, tuple(map(floordiv, nums, repeat(g))))
 
 
 def int_add(a: IntWeight, b: IntWeight) -> IntWeight:
@@ -107,18 +115,18 @@ def int_add(a: IntWeight, b: IntWeight) -> IntWeight:
         raise DimensionMismatch(f"weight lengths {len(na)} != {len(nb)}")
     # Adding multiples of d to numerators over d keeps their gcd with d at 1.
     if db == 1:
-        return da, tuple(x + y * da for x, y in zip(na, nb))
+        return da, tuple(map(add, na, nb if da == 1 else map(mul, nb, repeat(da))))
     if da == 1:
-        return db, tuple(x * db + y for x, y in zip(na, nb))
+        return db, tuple(map(add, map(mul, na, repeat(db)), nb))
     den = math.lcm(da, db)
-    sa, sb = den // da, den // db
-    return reduced(den, tuple(x * sa + y * sb for x, y in zip(na, nb)))
+    return reduced(den, tuple(map(add, map(mul, na, repeat(den // da)),
+                                  map(mul, nb, repeat(den // db)))))
 
 
 def over(form: IntWeight, den: int) -> tuple[int, ...]:
     """The numerators of a weight over den, a multiple of its denominator."""
     scale = den // form[0]
-    return tuple(n * scale for n in form[1])
+    return form[1] if scale == 1 else tuple(map(mul, form[1], repeat(scale)))
 
 
 def idot(a: tuple[int, ...], b: tuple[int, ...]) -> int:
@@ -133,6 +141,10 @@ class Family(Enum):
     SP_PQ = "SpPQ"
     SO_EVEN_EVEN = "SOe_even_even"
     SO_STAR = "SOstar"
+
+    # The members are singletons that compare by identity, so they hash by
+    # it too, in C, where Enum.__hash__ hashes the name in Python.
+    __hash__ = object.__hash__
 
 
 class GroupId(Value):
@@ -241,11 +253,11 @@ class Block(Value):
 
 # Lattice predicates on integer forms; den need not be the least one.
 def _lattice_integral(den: int, nums: tuple[int, ...]) -> bool:
-    return all(n % den == 0 for n in nums)
+    return den == 1 or not any(map(mod, nums, repeat(den)))
 
 
 def _lattice_integral_differences(den: int, nums: tuple[int, ...]) -> bool:
-    return all((n - nums[0]) % den == 0 for n in nums)
+    return den == 1 or not nums or not any(map(mod, map(sub, nums, repeat(nums[0])), repeat(den)))
 
 
 class RootDatum(Value):
@@ -313,15 +325,12 @@ class RootDatum(Value):
         an integer form of length the rank."""
         (form_den, nums), (rho_den, rho_nums) = form, self.rho_g_form
         den = math.lcm(form_den, rho_den)
-        a, b = den // form_den, den // rho_den
-        return self.lattice(den, tuple(a * n - b * r for n, r in zip(nums, rho_nums)))
+        return self.lattice(den, tuple(map(sub, map(mul, nums, repeat(den // form_den)),
+                                           map(mul, rho_nums, repeat(den // rho_den)))))
 
     def is_g_regular(self, lam: Weight) -> bool:
-        return self.is_g_regular_form(self.form(lam))
-
-    def is_g_regular_form(self, form: IntWeight) -> bool:
-        """is_g_regular on an integer form of length the rank."""
-        return all(idot(form[1], a) for a in self.positive_roots)
+        nums = self.form(lam)[1]
+        return all(idot(nums, a) for a in self.positive_roots)
 
     def is_k_regular(self, lam: Weight) -> bool:
         nums = self.form(lam)[1]
@@ -437,7 +446,7 @@ class WeylElement(Value):
     def apply(self, w: Weight) -> Weight:
         if len(w) != len(self.perm):
             raise DimensionMismatch("weight length does not match Weyl element")
-        return tuple(s * w[p] for p, s in zip(self.perm, self.signs))
+        return tuple(map(mul, self.signs, map(w.__getitem__, self.perm)))
 
     def compose(self, other: "WeylElement") -> "WeylElement":
         """self o other: apply ``other`` first, then ``self``."""
@@ -591,7 +600,7 @@ def _signed_dominant(blocks: tuple[Block, ...], gamma: Weight) -> tuple[int, Wei
         keys, ranked, negatives = _chamber_block(kind, gamma[blk.start:blk.start + blk.size])
         if len(set(keys)) < len(keys) or (kind in ("B", "C") and 0 in keys):
             return None
-        flips = sum(b < a for i, a in enumerate(keys) for b in keys[:i])
+        flips = sum([sum(map(lt, keys[:i], repeat(a))) for i, a in enumerate(keys)])
         if kind in ("B", "C"):
             flips += negatives
         if flips % 2:

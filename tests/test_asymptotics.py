@@ -265,19 +265,20 @@ def test_a_repeated_order_steps_no_moment_asks_nothing_of_u_and_divides_nothing(
 
 @pytest.mark.parametrize("offset", [-1, 0, 1, 2])
 def test_leading_limit_reads_the_series_at_order_zero(monkeypatch, offset):
-    """On Sp(1,3), a limit below, at and above the gap asks character_series
-    for order 0 only, which steps the numerator to its valuation, asks U for
-    order 0 and divides at (0, 0)."""
+    """On Sp(1,3), a limit below, at and above the gap asks the series core
+    of character_series for order 0 only, which steps the numerator to its
+    valuation, asks U for order 0 and divides at (0, 0)."""
     fam, (lam, y) = SP13_FAMILY, SP13_POINT
     gap = fam.datum.r_g - fam.datum.r_k
     calls = _record_builds(monkeypatch)
     orders = []
+    real_series = asymptotics._character_series_forms
 
-    def series(fam, lam, y, order=8):
+    def series(fam, lam, y, order):
         orders.append(order)
-        return character_series(fam, lam, y, order)
+        return real_series(fam, lam, y, order)
 
-    monkeypatch.setattr(asymptotics, "character_series", series)
+    monkeypatch.setattr(asymptotics, "_character_series_forms", series)
     report = leading_limit(fam, lam, y, gap + offset)
     assert report.underflow == (offset < 0) and report.match == (offset >= 0)
     [(start, val, n_freqs)] = calls["numerator"]

@@ -32,6 +32,7 @@ from diracindex.groups import (
     WeylElement,
     build_root_datum,
     dot,
+    int_form,
     simple_roots,
     weight_add,
     weyl_elements,
@@ -700,3 +701,45 @@ def test_one_term_index_polynomial_is_its_translate(datum):
     # a discrete-series family with sign +1 keeps the numerator of D_k
     q = index_polynomial(IndexFamily(datum, datum.rho_g, {WeylElement.identity(datum.rank): 1}))
     assert q._int_form()[2] is dk._int_form()[2]
+
+
+def _family_points(datum, rng):
+    """rho_g plus small integer shifts, many of them singular; an SU trace
+    shift or, for B and D ambients, a half-integer shift moves some off
+    the shifted lattice."""
+    points = []
+    for _ in range(40):
+        shift = [F(rng.randint(-2, 2)) for _ in range(datum.rank)]
+        if rng.random() < 0.3:
+            t = F(1, 2) if datum.ambient.kind != "A" else F(rng.randint(1, 5), rng.randint(2, 6))
+            shift = [c + t for c in shift]
+        points.append(weight_add(datum.rho_g, tuple(shift)))
+    return points
+
+
+@pytest.mark.parametrize("datum", INDEX_DATA, ids=lambda d: d.group.label())
+def test_family_sign_and_refusals_match_the_two_pass_definition(datum):
+    """discrete_series_family decides regularity and the chamber sign in
+    one pass; the refusals keep their texts, and the sign is that of the
+    definition: -1 to the number of positive noncompact roots that lam
+    makes negative, counted apart from the regularity test."""
+    for lam in _family_points(datum, random.Random(datum.group.label())):
+        text = ",".join(str(F(c)) for c in lam)
+        if not ref.on_lattice(datum, sub(lam, datum.rho_g)):
+            with pytest.raises(OffLattice) as off:
+                discrete_series_family(lam, datum)
+            assert str(off.value) == f"({text}) is not on the shifted lattice Lambda + rho_g"
+            continue
+        if any(dot(lam, alpha) == 0 for alpha in datum.positive_roots):
+            with pytest.raises(SingularParameter) as singular:
+                discrete_series_family(lam, datum)
+            assert str(singular.value) == f"({text}) is singular"
+            with pytest.raises(SingularParameter) as singular:
+                index_discrete_series(lam, datum)
+            assert str(singular.value) == f"{lam} is singular"
+            continue
+        flips = sum(1 for beta in datum.noncompact_positive_roots if dot(lam, beta) < 0)
+        fam = discrete_series_family(lam, datum)
+        assert fam.coeffs == {WeylElement.identity(datum.rank): (-1) ** flips}
+        assert fam.base_form == int_form(lam)
+        assert index_discrete_series(lam, datum) == evaluate_index(fam, lam)

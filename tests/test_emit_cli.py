@@ -1,5 +1,6 @@
 import io
 import json
+import os
 import random
 import subprocess
 import sys
@@ -433,6 +434,30 @@ def test_console_script_entry():
     )
     assert result.returncode == 0
     assert "all passed" in result.stdout
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [
+    # one write of 228 KB, and 229 KB written in chunks
+    ["springer-table", "--max", "12", "--format", "csv"],
+    ["index-poly", "--group", "Sp(14,R)", "--hc-param", "7,6,5,4,3,2,1"],
+], ids=lambda argv: argv[0])
+def test_a_reader_that_closes_early_gets_exit_1_and_one_error_line(argv, unbuffered):
+    """Both outputs outgrow a pipe, so the command is still writing when
+    the reader closes after 20 bytes: it must exit 1 with one `error:`
+    line, never 0 with its output cut, and print no traceback."""
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(dirac.__file__).resolve().parents[1])
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    child = subprocess.Popen([sys.executable, "-m", "diracindex.cli", *argv], env=env,
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert len(child.stdout.read(20)) == 20
+    child.stdout.close()
+    err = child.stderr.read().decode()
+    assert child.wait(timeout=60) == 1, err
+    [line] = err.splitlines()
+    assert line.startswith("error: standard output was closed")
 
 
 def test_lattice_offsets_return_at_rank_one():

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 from fractions import Fraction as F
 
@@ -22,7 +24,9 @@ from diracindex.groups import (
     check_rank,
     dot,
     int_add,
+    int_form,
     normalize_k_dominant,
+    over,
     reduced,
     reflection,
     simple_roots,
@@ -34,7 +38,7 @@ from diracindex.cli import main
 from diracindex.kmodules import _dominant_rep_g
 from diracindex.springer import springer_row, table_groups
 from diracindex.suites import _small_groups
-from reference import dominant_rep_g, dominate, pairing
+from reference import add, dominant_rep_g, dominate, pairing
 
 SMALL_GROUPS = [
     GroupId.su(1, 1),
@@ -476,3 +480,81 @@ def test_int_add_examples(a, b, total):
     assert int_add(a, b) == total
     with pytest.raises(DimensionMismatch):
         int_add(a, (1, (0,) * (len(a[1]) + 1)))
+
+
+@st.composite
+def fractional_weights(draw, length):
+    """A weight whose first coordinate is never integral, so its integer
+    form has a denominator above 1; denominators up to 6."""
+    first = F(2 * draw(st.integers(-15, 15)) + 1, draw(st.sampled_from([2, 4, 6])))
+    rest = [F(draw(st.integers(-30, 30)), draw(st.sampled_from([1, 2, 3, 4, 6])))
+            for _ in range(length - 1)]
+    return (first, *rest)
+
+
+def _fractions(form):
+    den, nums = form
+    return tuple(F(n, den) for n in nums)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda n: st.tuples(
+    fractional_weights(n), fractional_weights(n), st.permutations(range(n)),
+    st.lists(st.sampled_from([1, -1]), min_size=n, max_size=n), st.integers(1, 4))))
+def test_map_kernels_match_the_fraction_references(case):
+    """int_form, reduced, int_add, over and WeylElement.apply, with
+    denominators above 1 on both operands, against Fraction arithmetic."""
+    a, b, perm, signs, k = case
+    forms = int_form(a), int_form(b)
+    for w, (den, nums) in zip((a, b), forms):
+        assert den > 1 and den == math.lcm(*(c.denominator for c in w))
+        assert math.gcd(den, *nums) == 1 and _fractions((den, nums)) == w
+        assert reduced(k * den, tuple(k * n for n in nums)) == (den, nums)
+        assert _fractions((k * den, over((den, nums), k * den))) == w
+    assert int_add(*forms) == int_add(*forms[::-1]) == int_form(add(a, b))
+    assert _fractions(int_add(*forms)) == add(a, b)
+    x = WeylElement(tuple(perm), tuple(signs))
+    image = tuple(s * a[p] for p, s in zip(perm, signs))
+    assert x.apply(a) == image and (forms[0][0], x.apply(forms[0][1])) == int_form(image)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6), st.lists(st.integers(-20, 20), min_size=0, max_size=5))
+def test_lattice_predicates_match_the_fraction_references(den, nums):
+    """den need not be the least denominator of nums / den."""
+    w = tuple(F(n, den) for n in nums)
+    assert groups._lattice_integral(den, tuple(nums)) is all(c.denominator == 1 for c in w)
+    assert groups._lattice_integral_differences(den, tuple(nums)) is all(
+        (c - w[0]).denominator == 1 for c in w)
+
+
+def test_map_kernels_refuse_a_wrong_length_and_name_a_bad_entry():
+    for a, b in [((2, (1, 3)), (3, (1, 1, 1))), ((1, (1,)), (1, (1, 2))),
+                 ((1, (1, 2)), (2, (1,))), ((2, (1, 1)), (1, (0,)))]:
+        with pytest.raises(DimensionMismatch):
+            int_add(a, b)
+    with pytest.raises(DimensionMismatch):
+        WeylElement((1, 0), (1, -1)).apply((F(1),))
+    for bad in ("x", 1.5, None, (1, 2)):
+        with pytest.raises(InvalidInput) as refused:
+            int_form((F(1, 2), bad, F(3)))
+        assert str(refused.value) == f"weight entry {bad!r} is not an integer or a fraction"
+
+
+ROUND_TRIPS = [lambda obj: pickle.loads(pickle.dumps(obj)), copy.copy, copy.deepcopy]
+
+
+@pytest.mark.parametrize("trip", ROUND_TRIPS, ids=["pickle", "copy", "deepcopy"])
+def test_group_and_datum_keep_equality_hash_and_lookups_across_copies(trip):
+    """Family hashes by identity, and its members come back as themselves,
+    so a copied GroupId or RootDatum finds the entries of the original."""
+    for group in SMALL_GROUPS:
+        datum = build_root_datum(group)
+        group2, datum2, family2 = trip(group), trip(datum), trip(group.family)
+        assert family2 is group.family and hash(family2) == hash(group.family)
+        assert group2 == group and hash(group2) == hash(group)
+        assert datum2 == datum and hash(datum2) == hash(datum)
+        table = {group: "group", datum: "datum", group.family: "family"}
+        assert table[group2] == "group" and table[datum2] == "datum"
+        assert table[family2] == "family"
+        assert {group2: 1, datum2: 2} == {group: 1, datum: 2}

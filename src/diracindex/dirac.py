@@ -168,7 +168,7 @@ def index_discrete_series(lam: Weight, datum: RootDatum) -> VirtualKModule:
 class IndexFamily(Value):
     """Index data of one coherent family: I(X_lam) = sum_w a_w E(w lam)."""
 
-    _fields = ("datum", "base", "coeffs", "gk_dim", "name")
+    _fields = ("datum", "base", "coeffs", "gk_dim")
 
     def __init__(
         self,
@@ -176,14 +176,13 @@ class IndexFamily(Value):
         base: Weight,
         coeffs: Mapping[WeylElement, int],
         gk_dim: int | None = None,
-        name: str = "",
     ):
         for w, a in coeffs.items():
             if int(a) != a:
                 raise NonIntegralCoefficient(f"coefficient {a} of {w} is not an integer")
         if len(base) != datum.rank:
             raise DimensionMismatch("base length must equal the rank")
-        super().__init__(datum, base, {w: int(a) for w, a in coeffs.items() if a}, gk_dim, name)
+        super().__init__(datum, base, {w: int(a) for w, a in coeffs.items() if a}, gk_dim)
 
     @cached_property
     def base_form(self) -> IntWeight:
@@ -191,7 +190,7 @@ class IndexFamily(Value):
 
 
 def discrete_series_family(
-    lam0: Weight, datum: RootDatum, gk_dim: int | None = None, name: str = ""
+    lam0: Weight, datum: RootDatum, gk_dim: int | None = None
 ) -> IndexFamily:
     """The index family through a discrete series at regular parameter lam0,
     which must lie on the shifted lattice Lambda + rho_g."""
@@ -205,7 +204,7 @@ def discrete_series_family(
     if not sign:
         text = ",".join(str(Fraction(c)) for c in lam0)
         raise SingularParameter(f"({text}) is singular")
-    fam = IndexFamily(datum, lam0, {WeylElement.identity(datum.rank): sign}, gk_dim, name)
+    fam = IndexFamily(datum, lam0, {WeylElement.identity(datum.rank): sign}, gk_dim)
     fam.__dict__["base_form"] = form  # the cached property, read by _on_coset
     return fam
 
@@ -214,7 +213,7 @@ def family_combination(
     fam: IndexFamily, other: IndexFamily, c1: int = 1, c2: int = 1
 ) -> IndexFamily:
     """c1 * fam + c2 * other, over a common base."""
-    if fam.datum.group != other.datum.group or fam.base != other.base:
+    if fam.datum != other.datum or fam.base != other.base:
         raise ValueError("families must share a datum and base point")
     coeffs = {w: c1 * a for w, a in fam.coeffs.items()}
     for w, a in other.coeffs.items():

@@ -83,10 +83,10 @@ def sl2_families() -> dict[str, IndexFamily]:
     e = WeylElement.identity(2)
     s = sl2_simple_reflection()
     return {
-        "F": IndexFamily(datum, base, {e: -1, s: 1}, gk_dim=SL2.gk_dims["F"], name="F"),
-        "D+": IndexFamily(datum, base, {e: 1}, gk_dim=SL2.gk_dims["D+"], name="D+"),
-        "D-": IndexFamily(datum, base, {s: -1}, gk_dim=SL2.gk_dims["D-"], name="D-"),
-        "P": IndexFamily(datum, base, {}, gk_dim=SL2.gk_dims["P"], name="P"),
+        "F": IndexFamily(datum, base, {e: -1, s: 1}, gk_dim=SL2.gk_dims["F"]),
+        "D+": IndexFamily(datum, base, {e: 1}, gk_dim=SL2.gk_dims["D+"]),
+        "D-": IndexFamily(datum, base, {s: -1}, gk_dim=SL2.gk_dims["D-"]),
+        "P": IndexFamily(datum, base, {}, gk_dim=SL2.gk_dims["P"]),
     }
 
 
@@ -104,13 +104,12 @@ def su_n1_chamber_base(n: int, i: int) -> Weight:
     return tuple(coords)
 
 
-def su_n1_ds_family(n: int, i: int, name: str | None = None) -> IndexFamily:
+def su_n1_ds_family(n: int, i: int) -> IndexFamily:
     if not 0 <= i <= n:
         raise IndexOutOfRange(f"chamber index {i} out of range for SU({n},1)")
     datum = su_n1_datum(n)
     base = su_n1_chamber_base(n, i)
-    label = name if name is not None else f"SU({n},1) DS chamber {i}"
-    return discrete_series_family(base, datum, gk_dim=2 * n - 1, name=label)
+    return discrete_series_family(base, datum, gk_dim=2 * n - 1)
 
 
 def su21_ds_families() -> dict[int, IndexFamily]:

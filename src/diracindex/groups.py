@@ -261,8 +261,9 @@ def _lattice_integral_differences(den: int, nums: tuple[int, ...]) -> bool:
 
 
 class RootDatum(Value):
-    """The roots of G and K in the ambient coordinates; equal data are
-    equal whatever their lattice predicate, and hash as their group."""
+    """The roots of G and K in the ambient coordinates and the lattice
+    predicate; data are equal when all of these are, and hash as their
+    group."""
 
     # pos_roots holds (root, compact?) pairs; lattice(den, nums) tells
     # whether the weight nums / den is in the lattice Lambda.  Lambda must
@@ -275,7 +276,6 @@ class RootDatum(Value):
     _fields = (
         "group", "rank", "pos_roots", "rho_g", "rho_k", "ambient", "compact_blocks", "lattice"
     )
-    _compare = _fields[:-1]
 
     def __init__(self, group, rank, pos_roots, rho_g, rho_k, ambient, compact_blocks, lattice):
         for root, _ in pos_roots:

@@ -139,7 +139,7 @@ class VirtualKModule(_OnForms):
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, VirtualKModule)
-            and self.datum.group == other.datum.group
+            and self.datum == other.datum
             and self.forms == other.forms
         )
 

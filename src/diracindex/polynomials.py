@@ -10,10 +10,11 @@ nonzero Fraction}, built on first read and cached; `MultiPoly(arity,
 terms)` validates its Fraction terms, packs them at once and keeps them as
 that view, and `den` reads the denominator.  The form is unique, so `==`
 and the hash compare (den, width, num) whichever way a value was built.
-A block-diagonal alternant (below) also holds its description, the blocks
-and the signed scale numerator, in the slot `_leibniz`; its `_num` is then
-a memo that the first read fills through `_alternant`, shared by the
-values that share the description, so every kernel reads one integer form.
+A block-diagonal alternant (below) also holds its description, the
+exponents of its blocks and the signed scale numerator, in the slot
+`_leibniz`; its `_num` is then a memo that the first read fills through
+`_alternant`, shared by the values that share the description, so every
+kernel reads one integer form.
 Every ring operation, product of linear forms, alternant, restriction and
 quotient works on packed keys, without a `Fraction` per term, and
 normalizes through `MultiPoly._from_ints`, which may keep the dict it is
@@ -70,25 +71,21 @@ by `_alternant`: det(X_{v_i}^{e_j}) has one term of coefficient +-1 per
 permutation, with no cancellation, and a Laplace expansion along the
 first row, rows added from the last to the first, writes each term once.
 Entries may be zero, by one row bitmask per column, if columns of equal
-exponent cover disjoint rows: the SU(n,1) character determinant and the
-block-diagonal D_k of `weylaction` are such alternants.  When the
-variables ascend and the exponents do not increase, as every caller
-passes them, the columns that reach a row have strictly falling
-exponents, and by induction on the rows the terms are written in
-descending lex order, the order emission wants; block-diagonal input,
-blocks contiguous and ascending, gives the product of the block
-alternants, left block outermost.
+exponent cover disjoint rows, as in the SU(n,1) character determinant
+(`masked_alternant`, expanded at once).  When the variables ascend and
+the exponents do not increase, the columns that reach a row have
+strictly falling exponents, and by induction on the rows the terms are
+written in descending lex order, the order emission wants.
 
-`alternant` keeps a block-diagonal matrix as its blocks: each column's
-support is exactly its block's rows, the variables ascend and the
-exponents fall strictly within each block, as for D_k (`weylaction`), the
-gcd of `sun1` and the Vandermonde on ascending indices.  By Leibniz each
-block's terms are its permutations, with no cancellation, so the
-description gives the rows in emission order and the numerator alike.
+`alternant` takes a block-diagonal alternant as its blocks, the falling
+exponents of each, on consecutive variables that together are all of
+them: D_k (`weylaction`), the gcd of `sun1` and the Vandermonde.  By
+Leibniz each block's terms are its permutations, with no cancellation,
+so the blocks give the rows in emission order, left block outermost,
+and `_alternant` on the masks of the blocks gives the numerator alike.
 -P, P * +-1 and the identity `permute` keep the description, so an index
 polynomial +-D_k is printed without its numerator being built; any other
-operation reads `_num`.  Every other matrix, such as the SU(n,1) character
-determinant, is expanded at once.
+operation reads `_num`.
 
 Restriction, divisibility, exact division and factor extraction share
 one Horner pass on P = N / D, run by methods of the form from the split
@@ -214,10 +211,10 @@ class MultiPoly:
     @classmethod
     def _described(cls, arity: int, den: int, width: int, leibniz: tuple) -> "MultiPoly":
         """p / den times the block-diagonal alternant of the blocks, kept as
-        its description leibniz = (blocks, p, memo): blocks as
-        `_leibniz_blocks` gives them, and memo a list that holds the packed
-        numerator once a first read of `_num` has built it.  Values that
-        share the description share that memo."""
+        its description leibniz = (blocks, p, memo): blocks as `alternant`
+        takes them, a tuple of exponent tuples, and memo a list that holds
+        the packed numerator once a first read of `_num` has built it.
+        Values that share the description share that memo."""
         poly = object.__new__(cls)
         poly.arity, poly._terms, poly._leibniz = arity, None, leibniz
         poly._den, poly._width = den, width
@@ -230,12 +227,11 @@ class MultiPoly:
             raise AttributeError(f"'MultiPoly' object has no attribute {name!r}")
         blocks, p, memo = self._leibniz
         if not memo:
-            variables, exponents, support = [], [], []
-            for block_vars, block_exps in blocks:
-                support += [((1 << len(block_vars)) - 1) << len(variables)] * len(block_vars)
-                variables += block_vars
-                exponents += block_exps
-            num = _alternant(self._width, variables, exponents, support)
+            exponents, support = [], []
+            for block in blocks:
+                support += [((1 << len(block)) - 1) << len(support)] * len(block)
+                exponents += block
+            num = _alternant(self._width, range(self.arity), exponents, support)
             memo.append(num if p == 1 else {key: c * p for key, c in num.items()})
         self._num = memo[0]
         return self._num
@@ -389,7 +385,7 @@ class MultiPoly:
         if self._leibniz is None:
             return None
         blocks, p, _ = self._leibniz
-        return _leibniz_terms(self.arity, blocks, value(p), value(-p), spell, shape)
+        return _leibniz_terms(blocks, value(p), value(-p), spell, shape)
 
     def graded_rows(self) -> list[tuple[list[int], int]]:
         """(exponent list, numerator over den) of every term, by ascending
@@ -658,32 +654,6 @@ def _alternant(
     return dict(zip(keys, signs))
 
 
-def _leibniz_blocks(
-    arity: int, variables: Sequence[int], exponents: Sequence[int], support: Sequence[int]
-) -> tuple | None:
-    """The blocks ((variables, exponents), ...) of M as in `_alternant` when
-    M is block-diagonal with the variables ascending below arity: the
-    columns of each block, as many as its rows, reach exactly those rows,
-    and their exponents fall strictly; else None."""
-    n = len(variables)
-    if len(exponents) != n or any(a >= b for a, b in zip(variables, variables[1:])) or (
-            n and not 0 <= variables[0] <= variables[-1] < arity):
-        return None
-    support = support or [(1 << n) - 1] * n
-    blocks, row = [], 0
-    while row < n:
-        rows = support[row]
-        size = rows.bit_length() - row
-        block_exps = tuple(exponents[row:row + size])
-        if (not 1 <= size <= n - row or rows != ((1 << size) - 1) << row
-                or any(s != rows for s in support[row:row + size])
-                or any(a <= b for a, b in zip(block_exps, block_exps[1:]))):
-            return None
-        blocks.append((tuple(variables[row:row + size]), block_exps))
-        row += size
-    return tuple(blocks)
-
-
 # Permutations of at most this many items take their values from runs
 # listed in full, 2 x 7! entries; longer ones chain those runs lazily.
 _RUN_ITEMS = 7
@@ -712,75 +682,62 @@ def _parities(k: int, even, odd) -> Callable[[int], Iterator]:
     return values
 
 
-def _leibniz_terms(arity: int, blocks: tuple, even, odd, spell: Callable,
+def _leibniz_terms(blocks: tuple, even, odd, spell: Callable,
                    shape: Callable) -> tuple[Iterator, Iterator]:
-    """The terms of the alternant of the blocks (see `_leibniz_blocks`),
-    from signed permutations, as two parallel iterators: shape(exponents)
-    of each term, the exponents spelled by spell, and even or odd by the
+    """The terms of the alternant of the blocks (see `alternant`), from
+    signed permutations, as two parallel iterators: shape(exponents) of
+    each term, the exponents spelled by spell, and even or odd by the
     term's sign.  By Leibniz a block's terms are sgn(pi) x^{pi.e}, one per
     permutation pi and distinct, and `permutations` of its falling
     exponents e lists them in descending lex order, signed as `_parities`
-    gives.  Blocks are chained with the left block outermost, their signs
-    multiplied, and the variables outside every block stay at zero: the
-    terms of the ascending blocks are then in descending lex order too.
-    The last block is permuted afresh under each term of the others, so
+    gives.  Blocks are chained with the left block outermost and their
+    signs multiplied, so the terms are in descending lex order too; no
+    block at all acts as one empty block, whose one term is empty.  The
+    last block is permuted afresh under each term of the others, so
     nothing grows with its k! terms."""
-    zero, at, layouts = spell(0), 0, []
-    for variables, exponents in blocks:
-        gaps = None
-        if variables != tuple(range(at, at + len(variables))):
-            # zeros before the block and between its variables
-            slot = {v - at: k for k, v in enumerate(variables)}
-            gaps = itemgetter(*[slot.get(j, len(variables)) for j in range(variables[-1] + 1 - at)])
-        layouts.append((tuple(map(spell, exponents)), gaps))
-        at = variables[-1] + 1
-    tail = (zero,) * (arity - at)
-    if not layouts:
-        return iter([shape(tail)]), iter([even])
-
-    def permuted(spelled: tuple, gaps) -> Iterator[tuple]:
-        terms = permutations(spelled)
-        return terms if gaps is None else map(gaps, map(add, terms, repeat((zero,))))
-
-    *outer, (last, last_gaps) = layouts
+    *outer, last = [tuple(map(spell, exponents)) for exponents in blocks] or [()]
     heads = [((), 0)]
-    for spelled, gaps in outer:
+    for spelled in outer:
         signs = list(_parities(len(spelled), 0, 1)(0))
-        terms = list(permuted(spelled, gaps))
+        terms = list(permutations(spelled))
         heads = [(head + term, s ^ t) for head, s in heads for term, t in zip(terms, signs)]
-
-    def rows(head: tuple) -> Iterator[tuple]:
-        terms = permuted(last, last_gaps)
-        if head:
-            terms = map(add, repeat(head), terms)
-        return map(add, terms, repeat(tail)) if tail else terms
-
     values = _parities(len(last), even, odd)
     if not outer:
-        return map(shape, rows(())), values(0)
-    return (map(shape, chain.from_iterable(rows(head) for head, _ in heads)),
+        return map(shape, permutations(last)), values(0)
+    return (map(shape, chain.from_iterable(
+                map(add, repeat(head), permutations(last)) for head, _ in heads)),
             chain.from_iterable(values(s) for _, s in heads))
 
 
-def alternant(
-    arity: int, variables: Sequence[int], exponents: Sequence[int],
-    support: Sequence[int] = (), scale: int | Fraction = 1,
-) -> MultiPoly:
-    """scale * det(M) in arity variables, M as in `_alternant`: a term takes
-    one entry of each column, so its degree is the sum of the exponents.
-    A zero scale gives the zero polynomial.  A block-diagonal M
-    (`_leibniz_blocks`) is kept as its blocks (`MultiPoly._described`) and
-    expanded on first read; any other M is expanded at once."""
-    scale = Fraction(scale)
+def alternant(blocks: Iterable[Sequence[int]], scale: int | Fraction = 1) -> MultiPoly:
+    """scale times the block-diagonal alternant of the blocks, each the
+    column exponents e_j of det(X_{v_i}^{e_j}) on the next variables in
+    order: the blocks cover every variable, so the arity is the sum of
+    their sizes, and a term takes one entry of each column, so the degree
+    is the sum of the exponents.  Within a block the exponents fall
+    strictly to a last one of at least 0.  A zero scale gives the zero
+    polynomial; any other value is kept as its blocks
+    (`MultiPoly._described`) and expanded on first read."""
+    blocks = tuple(map(tuple, blocks))
+    for exponents in blocks:
+        # strictly falling, and above -1 at the end
+        if any(a <= b for a, b in zip(exponents, exponents[1:] + (-1,))):
+            raise InternalInvariantError(f"block exponents {exponents} do not fall strictly to >= 0")
+    arity, scale = sum(map(len, blocks)), Fraction(scale)
     if not scale:
         return MultiPoly.zero(arity)
+    width = max(sum(map(sum, blocks)), 1).bit_length()
+    return MultiPoly._described(arity, scale.denominator, width, (blocks, scale.numerator, []))
+
+
+def masked_alternant(arity: int, exponents: Sequence[int], support: Sequence[int]) -> MultiPoly:
+    """det(M) on the rows X_0..X_{arity-1}, M as in `_alternant`, expanded
+    at once: a term takes one entry of each column, so its degree is the
+    sum of the exponents."""
     degree = sum(exponents)
     width = max(degree, 1).bit_length()
-    blocks = _leibniz_blocks(arity, variables, exponents, support)
-    if blocks is not None:
-        return MultiPoly._described(arity, scale.denominator, width, (blocks, scale.numerator, []))
-    num = _alternant(width, variables, exponents, support)
-    return MultiPoly._from_ints(arity, width, num, scale, degree)
+    num = _alternant(width, range(arity), exponents, support)
+    return MultiPoly._from_ints(arity, width, num, degree=degree)
 
 
 def linear_combination(arity: int, terms: Iterable[tuple[MultiPoly, int]]) -> MultiPoly:

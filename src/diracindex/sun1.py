@@ -10,7 +10,10 @@ antiholomorphic one (lam_{n+1} >= lam_1).
 
 The index polynomial is D_k for K = U(n), the Vandermonde of lam_1..lam_n
 over a constant, so every root form lam_p - lam_q divides it exactly once;
-only the character determinant goes through factor extraction.
+only the character determinant goes through factor extraction.  The
+Vandermonde and the gcd are alternants of blocks that cover the variables
+in order (`polynomials.alternant`); the determinant has zero entries off
+any such layout and is expanded at once (`polynomials.masked_alternant`).
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from .polynomials import (
     MultiPoly,
     alternant,
     extract_linear_factors,
+    masked_alternant,
     # Unused here: bench/tests names sun1.poly_det; tools/census.py allows it, ROADMAP item 9
     poly_det,
 )
@@ -69,16 +73,17 @@ def char_poly_det(n: int, i: int) -> MultiPoly:
 
     Rows are the power rows lam^(n-2), ..., lam^1 followed by the two
     indicator rows of the split {1..n-i} | {n-i+1..n}.  Its transpose is
-    one alternant with zero entries (`polynomials.alternant`), lam_l on
-    row l: columns of exponents n-2, ..., 1 on every row, then two of
-    exponent 0 on the disjoint rows {1..n-i} and {n-i+1..n}.  Each of its
-    i (n-i) (n-2)! terms has coefficient +-1, and its degree is C(n-1, 2).
+    one alternant with zero entries (`polynomials.masked_alternant`),
+    lam_l on row l: columns of exponents n-2, ..., 1 on every row, then
+    two of exponent 0 on the disjoint rows {1..n-i} and {n-i+1..n}.  Each
+    of its i (n-i) (n-2)! terms has coefficient +-1, and its degree is
+    C(n-1, 2).
     """
     if n < 2 or not 1 <= i <= n - 1:
         raise IndexOutOfRange(f"need n >= 2 and 1 <= i <= n-1, got n={n}, i={i}")
     every, low = (1 << n) - 1, (1 << (n - i)) - 1
     exponents = [*range(n - 2, 0, -1), 0, 0]
-    return alternant(n, range(n), exponents, [every] * (n - 2) + [low, every ^ low])
+    return masked_alternant(n, exponents, [every] * (n - 2) + [low, every ^ low])
 
 
 @lru_cache(maxsize=None)
@@ -90,13 +95,10 @@ def _root_forms(n: int) -> Mapping[tuple[int, int], LinearForm]:
     )
 
 
-def vandermonde(n_vars: int, indices: list[int] | None = None) -> MultiPoly:
-    """prod_{p before q} (lam_p - lam_q) over the given distinct 1-based
-    indices: the type-A alternant det(lam_{idx_a}^{m-1-b}), m = len(idx)."""
-    idx = indices if indices is not None else list(range(1, n_vars + 1))
-    if len(set(idx)) != len(idx) or not set(idx) <= set(range(1, n_vars + 1)):
-        raise IndexOutOfRange(f"need distinct indices in 1..{n_vars}, got {idx}")
-    return alternant(n_vars, [p - 1 for p in idx], range(len(idx) - 1, -1, -1))
+def vandermonde(n_vars: int) -> MultiPoly:
+    """prod_{p<q} (lam_p - lam_q) over lam_1..lam_{n_vars}: the type-A
+    alternant det(lam_a^{n_vars-b}), one block."""
+    return alternant([range(n_vars - 1, -1, -1)])
 
 
 def gcd_factor_pairs(n: int, i: int) -> list[tuple[int, int]]:
@@ -125,22 +127,19 @@ def index_poly_restricted(n: int) -> MultiPoly:
 def gcd_with_index(n: int, i: int) -> MultiPoly:
     """Greatest common linear-divisor product of the character determinant
     and the index polynomial: the Vandermonde of {1..n-i} times that of
-    {n-i+1..n}, one block-diagonal alternant, each block's columns on its
-    own rows, which `polynomials.alternant` keeps as its two blocks until a
-    kernel reads its numerator.  Every root form
-    divides the index polynomial, a multiple of the Vandermonde, exactly
-    once, so the claim is checked by factor extraction from the
-    determinant alone: the root forms dividing it must be those of the
-    pairs of `gcd_factor_pairs`."""
+    {n-i+1..n}, the block-diagonal alternant of the two, which
+    `polynomials.alternant` keeps as its blocks until a kernel reads its
+    numerator.  Every root form divides the index polynomial, a multiple
+    of the Vandermonde, exactly once, so the claim is checked by factor
+    extraction from the determinant alone: the root forms dividing it
+    must be those of the pairs of `gcd_factor_pairs`."""
     if n < 2:
         raise IndexOutOfRange("n must be at least 2")
     forms = _root_forms(n)
     found = {form for form, _ in extract_det_factors(n, i)[0]}
     if found != {forms[p] for p in gcd_factor_pairs(n, i)}:
         raise ClaimMismatch("extracted common factor disagrees with the closed form")
-    low = (1 << (n - i)) - 1
-    exponents = [*range(n - i - 1, -1, -1), *range(i - 1, -1, -1)]
-    return alternant(n, range(n), exponents, [low] * (n - i) + [low ^ ((1 << n) - 1)] * i)
+    return alternant([range(n - i - 1, -1, -1), range(i - 1, -1, -1)])
 
 
 def extract_det_factors(

@@ -1,12 +1,12 @@
 """The base class of the package's immutable value types.
 
-A subclass names its constructor arguments, in order, in ``_fields``, the
-values of trailing ones that may be left out in ``_defaults``, and in
-``_compare`` the fields that equality and the hash read, when those are
-fewer.  ``Value.__init__`` binds its arguments to ``_fields`` as a plain
-signature would, positionally or by keyword, and stores them, since
-assignment is refused; a subclass that checks or normalizes its arguments
-ends its own ``__init__`` in ``super().__init__``.  It declares
+A subclass names its constructor arguments, in order, in ``_fields``, and
+the values of trailing ones that may be left out in ``_defaults``;
+equality reads every field, and so does the hash unless the subclass
+defines its own.  ``Value.__init__`` binds its arguments to ``_fields``
+as a plain signature would, positionally or by keyword, and stores them,
+since assignment is refused; a subclass that checks or normalizes its
+arguments ends its own ``__init__`` in ``super().__init__``.  It declares
 ``__slots__`` unless it caches properties in its ``__dict__``.
 """
 
@@ -16,10 +16,10 @@ from operator import attrgetter
 
 
 class Value:
-    """Equal when of one class with equal compared fields; hashed as the
-    tuple of those fields; shown as ``Name(field=value, ...)``; rebuilt
-    through ``__init__`` by ``replace``, and restored as it was by pickling
-    and ``copy``."""
+    """Equal when of one class with equal fields; hashed as the tuple of
+    the fields; shown as ``Name(field=value, ...)``; rebuilt through
+    ``__init__`` by ``replace``, and restored as it was by pickling and
+    ``copy``."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
@@ -27,10 +27,9 @@ class Value:
 
     def __init_subclass__(cls):
         super().__init_subclass__()
-        compare = cls.__dict__.get("_compare", cls._fields)
-        get = attrgetter(*compare)
+        get = attrgetter(*cls._fields)
         # A one-field key is a 1-tuple, so every key hashes as a tuple.
-        cls._key = staticmethod(get if len(compare) > 1 else lambda obj: (get(obj),))
+        cls._key = staticmethod(get if len(cls._fields) > 1 else lambda obj: (get(obj),))
 
     def __init__(self, *args, **kwargs):
         fields = self._fields

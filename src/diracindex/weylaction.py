@@ -6,8 +6,10 @@ span is `polynomials.invariant_span` under the simple reflections: a span
 that holds P and is stable under generators of W is the orbit span.  This
 module only maps W to signed permutations; it knows no packed layout.
 
-Weyl dimension products at points have one kernel, `_weyl_product`,
-which `dirac.evaluate_q` and `kmodules.dim_virtual` read too.
+D_k is built from the exponents of the compact blocks alone
+(`polynomials.alternant`).  Weyl dimension products at points have one
+kernel, `_weyl_product`, which `dirac.evaluate_q` and
+`kmodules.dim_virtual` read too.
 """
 
 from __future__ import annotations
@@ -56,11 +58,11 @@ def weyl_dim_poly(datum: RootDatum) -> MultiPoly:
         type D      prod_{i<j} (x_i^2 - x_j^2)              e_j = 2(m - j)
         types B, C  prod_i x_i prod_{i<j} (x_i^2 - x_j^2)   e_j = 2(m - j) + 1
 
-    These exponents are `groups.Block.exponents`.  The blocks have
-    disjoint variables, so D_k is one block-diagonal alternant, each
-    block's columns on its rows only, made by one `polynomials.alternant`
-    call, which keeps it as its blocks: they are contiguous and ascending,
-    so signed permutations list D_k in emission order (see `polynomials`).
+    These exponents are `groups.Block.exponents`.  The compact blocks
+    cover the coordinates in order, so D_k is the block-diagonal
+    alternant of their exponents, made by one `polynomials.alternant`
+    call, which keeps it as its blocks: signed permutations list D_k in
+    emission order (see `polynomials`).
     The scale is one integer quotient, from the roots alone: with rho_k =
     nums / den and N compact positive roots,
 
@@ -71,19 +73,12 @@ def weyl_dim_poly(datum: RootDatum) -> MultiPoly:
     evaluation; emitting +-D_k does not build it.
     """
     roots = datum.compact_positive_roots
-    blocks = datum.compact_blocks
     den, nums = datum.rho_k_form
     scale = Fraction(
         math.prod(math.gcd(*alpha) for alpha in roots) * den ** len(roots),
         math.prod(idot(nums, alpha) for alpha in roots),
     )
-    return alternant(
-        datum.rank,
-        [i for b in blocks for i in b.indices],
-        [e for b in blocks for e in b.exponents],
-        [((1 << b.size) - 1) << b.start for b in blocks for _ in range(b.size)],
-        scale,
-    )
+    return alternant([b.exponents for b in datum.compact_blocks], scale)
 
 
 def _weyl_product(roots, rho: IntWeight, den: int, terms) -> Fraction:

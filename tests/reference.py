@@ -10,7 +10,8 @@ way, and on `Fraction` values where the kernel runs on integers:
   one pass of field masks;
 - restriction to a hyperplane, divisibility, exact division and factor
   extraction by a linear form: the Horner pass on `Fraction` terms;
-- alternants and determinants: the Leibniz sum over permutations;
+- alternants and determinants: the Leibniz sum over permutations, and
+  the Vandermonde of any indices as the product of their differences;
 - the chamber routine `dominate`, which test_groups holds to a scan of the
   Weyl group;
 - Freudenthal's multiplicities over the lattice points of the norm ball;
@@ -436,6 +437,19 @@ def alternant_terms(arity, variables, exponents, support=()):
             key = tuple(exp)
             terms[key] = terms.get(key, 0) + perm_sign(perm)
     return {e: c for e, c in terms.items() if c}
+
+
+@lru_cache(maxsize=None)
+def vandermonde_on(arity, indices):
+    """prod (X_p - X_q) over the pairs p before q of the given 1-based
+    indices (a tuple), in arity variables: the product of the differences
+    on `Fraction` terms."""
+    total = MultiPoly.const(arity, 1)
+    for p, q in combinations(indices, 2):
+        diff = {tuple(int(k == p - 1) for k in range(arity)): F(1),
+                tuple(int(k == q - 1) for k in range(arity)): F(-1)}
+        total = fraction_mul(total, MultiPoly(arity, diff))
+    return total
 
 
 # -- the chamber routine ---------------------------------------------------------

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from diracindex import asymptotics, dirac, kmodules
+from diracindex import asymptotics, dirac, groups, kmodules
 from diracindex.asymptotics import (
     LaurentSeries,
     LimitReport,
@@ -447,6 +447,34 @@ def test_off_coset_is_refused_with_the_series_cached():
         with pytest.raises(OffLattice):
             leading_limit(off, lam, y, 3)
     assert asymptotics._character_entry.cache_info().currsize == 1
+
+
+def test_data_on_different_lattices_share_no_cached_series():
+    """A datum whose lattice alone differs is another datum: the series of
+    its family, cold or after the same call on the first datum, is its
+    own.  With half-integral differences in Lambda, b = rho_g + (1/2, 0, 0)
+    lies on Lambda + rho_g and the identity family's numerator at b is not
+    zero; on the integral lattice it is."""
+    d = build_root_datum(GroupId.su(2, 1))
+
+    def half_differences(den, nums):
+        return groups._lattice_integral_differences(den, tuple(2 * n for n in nums))
+
+    half = d.replace(lattice=half_differences)
+    assert half != d and hash(half) == hash(d)
+    b = weight_add(d.rho_g, W(F(1, 2), 0, 0))
+    y = W(1, 3, -4)
+
+    def numerators(datum):
+        fam = IndexFamily(datum, b, {WeylElement.identity(3): 1})
+        return character_series(fam, b, y, order=1).series.nums
+
+    asymptotics._character_entry.cache_clear()
+    cold = numerators(half)
+    assert cold == (1680, 11760)
+    asymptotics._character_entry.cache_clear()
+    assert numerators(d) == (0, 0)
+    assert numerators(half) == cold
 
 
 def test_singular_direction_raises_on_every_call():

@@ -450,12 +450,13 @@ def test_a_reader_that_closes_early_gets_exit_1_and_one_error_line(argv, unbuffe
     env["PYTHONPATH"] = str(Path(dirac.__file__).resolve().parents[1])
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
-    child = subprocess.Popen([sys.executable, "-m", "diracindex.cli", *argv], env=env,
-                             stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-    assert len(child.stdout.read(20)) == 20
-    child.stdout.close()
-    err = child.stderr.read().decode()
-    assert child.wait(timeout=60) == 1, err
+    # leaving the block closes both pipes and waits for the child
+    with subprocess.Popen([sys.executable, "-m", "diracindex.cli", *argv], env=env,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as child:
+        assert len(child.stdout.read(20)) == 20
+        child.stdout.close()
+        err = child.stderr.read().decode()
+        assert child.wait(timeout=60) == 1, err
     [line] = err.splitlines()
     assert line.startswith("error: standard output was closed")
 

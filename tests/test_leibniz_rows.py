@@ -2,7 +2,8 @@
 
 The oracle throughout is the expanded twin: the same value as a packed
 numerator from `polynomials._alternant`, whose `graded_rows` unpack keys
-and whose text comes from the JSON encoder.
+and whose text comes from the JSON encoder.  A described value is also
+held to the Leibniz sum of `reference.alternant_terms`.
 """
 
 import copy
@@ -23,9 +24,11 @@ from diracindex.cli import main, parse_group
 from diracindex.dirac import IndexFamily, discrete_series_family, index_polynomial
 from diracindex.emit import dumps, emit, poly_json_chunks, poly_to_obj
 from diracindex.groups import Family, WeylElement, build_root_datum, reflection, simple_roots
-from diracindex.polynomials import MultiPoly, _alternant, alternant, linear_combination
+from diracindex.errors import InternalInvariantError
+from diracindex.polynomials import MultiPoly, alternant, linear_combination, masked_alternant
 from diracindex.sun1 import char_poly_det, gcd_with_index, vandermonde
 from diracindex.weylaction import act, weyl_dim_poly
+from reference import alternant_terms
 
 RANK7_GROUPS = [g for g in springer.table_groups(7) if g.rank <= 7]
 
@@ -70,14 +73,14 @@ def test_rows_of_gcd_with_index_match_the_expanded_twin(n):
 
 @pytest.mark.parametrize("n_vars", range(0, 7))
 def test_rows_of_vandermonde_on_ascending_indices_match_the_expanded_twin(n_vars):
-    for k in range(n_vars + 1):
-        for indices in combinations(range(1, n_vars + 1), k):
-            _check_rows(vandermonde(n_vars, list(indices)))
-
-
-def test_vandermonde_on_unsorted_indices_is_expanded_at_once():
-    assert vandermonde(6, [6, 2, 5, 1])._leibniz is None
-    assert vandermonde(5, [3, 1, 4])._leibniz is None
+    """The Vandermonde of n_vars variables, and the products of the
+    Vandermondes on the runs of every split of 1..n_vars into ascending
+    runs of indices."""
+    _check_rows(vandermonde(n_vars))
+    for k in range(n_vars):
+        for cuts in combinations(range(1, n_vars), k):
+            sizes = [b - a for a, b in zip((0, *cuts), (*cuts, n_vars))]
+            _check_rows(alternant([range(size - 1, -1, -1) for size in sizes]))
 
 
 @pytest.mark.parametrize("n", range(3, 8))
@@ -86,51 +89,66 @@ def test_char_poly_det_takes_the_eager_path(n):
         assert char_poly_det(n, i)._leibniz is None
 
 
-@pytest.mark.parametrize(
-    "variables, exponents, support, scale",
-    [
-        ([1, 0], [1, 0], (), 1),               # variables not ascending
-        ([0, 1], [0, 1], (), 1),               # exponents rising
-        ([0, 1, 2], [0, 1, 0], [3, 3, 4], 1),  # exponents rising in a block
-        ([0, 1, 2], [1, 0, 0], [7, 3, 4], 1),  # a column beyond its block
-        ([0, 1, 2], [2, 1, 0], [3, 3, 6], 1),  # blocks sharing a row
-        ([0, 1], [1, 0], [7, 7], 1),           # a block wider than the rows
-        ([0, 1, 2], [2, 1], (), 1),            # more rows than columns
-        ([0, 1], [1, 0], (), 0),               # zero scale
-        ([0, 1, 2], [2, 1, 0], (), 0),         # zero scale, block-diagonal
-    ],
-)
-def test_other_alternants_are_expanded_at_once(variables, exponents, support, scale):
-    poly = alternant(3, variables, exponents, support, scale)
+@pytest.mark.parametrize("blocks", [
+    [[0, 1]],
+    [[0, 1], [0]],
+    [[2, 1], [0, 1]],
+    [[3, 2, 2]],
+    [[1, -1]],
+], ids=["rising", "rising-in-a-block", "rising-in-a-later-block", "repeated", "negative"])
+def test_alternant_refuses_non_falling_exponents(blocks):
+    with pytest.raises(InternalInvariantError, match="do not fall strictly"):
+        alternant(blocks)
+
+
+@pytest.mark.parametrize("blocks", [[[1, 0]], [[2, 1, 0]], [[2, 1, 0], [0]]],
+                         ids=["two-variables", "three-variables", "two-blocks"])
+def test_a_zero_scale_gives_the_plain_zero(blocks):
+    poly = alternant(blocks, 0)
+    zero = MultiPoly.zero(sum(map(len, blocks)))
     assert poly._leibniz is None
-    if not scale:
-        zero = MultiPoly.zero(3)
-        assert poly.is_zero() and poly == zero and poly_to_obj(poly) == poly_to_obj(zero)
+    assert poly.is_zero() and poly == zero and poly_to_obj(poly) == poly_to_obj(zero)
+
+
+@pytest.mark.parametrize("exponents, support", [
+    ([1, 0, 0], [7, 3, 4]),
+    ([2, 1, 0], [3, 3, 6]),
+    ([1, 0, 0], [7, 1, 6]),
+], ids=["column-beyond-its-block", "blocks-sharing-a-row", "char-poly-det-layout"])
+def test_masked_alternants_are_expanded_at_once(exponents, support):
+    poly = masked_alternant(3, exponents, support)
+    assert poly._leibniz is None
+    assert poly == MultiPoly(3, alternant_terms(3, range(3), exponents, support))
 
 
 def _cases():
-    """(arity, variables, exponents, support, scale) of described alternants:
-    one block, two blocks, a gap before and inside a block, a scale."""
+    """(blocks, scale) of described alternants: one block, two blocks,
+    three with a block of one variable, a negative scale, no block."""
     return [
-        (3, [0, 1, 2], [2, 1, 0], (), 1),
-        (4, [0, 1, 2, 3], [3, 1, 1, 0], [3, 3, 12, 12], F(-5, 3)),
-        (6, [1, 3, 4], [5, 2, 0], (), F(7, 2)),
-        (5, [0, 1, 2, 4], [2, 0, 4, 1], [3, 3, 12, 12], -2),
-        (4, [], [], (), F(3, 4)),
+        ([[2, 1, 0]], 1),
+        ([[3, 1], [1, 0]], F(-5, 3)),
+        ([[5, 2, 0], [4], [2, 1]], F(7, 2)),
+        ([[2, 0], [4, 1]], -2),
+        ([], F(3, 4)),
     ]
 
 
-def _eager(arity, variables, exponents, support, scale) -> MultiPoly:
-    degree = sum(exponents)
-    width = max(degree, 1).bit_length()
-    num = _alternant(width, variables, exponents, support)
-    return MultiPoly._from_ints(arity, width, num, F(scale), degree)
+def _leibniz_sum(blocks, scale) -> MultiPoly:
+    """scale times the Leibniz sum of the block-diagonal matrix, each
+    block's columns on its own rows."""
+    exponents, support = [], []
+    for block in blocks:
+        support += [((1 << len(block)) - 1) << len(support)] * len(block)
+        exponents += block
+    terms = alternant_terms(len(exponents), range(len(exponents)), exponents, support)
+    return MultiPoly(len(exponents), {exp: c * F(scale) for exp, c in terms.items()})
 
 
 @pytest.mark.parametrize("case", _cases(), ids=range(len(_cases())))
 def test_a_described_value_agrees_with_its_expanded_twin(case):
-    twin = _eager(*case)
+    twin = _leibniz_sum(*case)
     assert twin._leibniz is None
+    arity = twin.arity
 
     def fresh() -> MultiPoly:
         poly = alternant(*case)
@@ -147,9 +165,9 @@ def test_a_described_value_agrees_with_its_expanded_twin(case):
     assert fresh().total_degree() == twin.total_degree()
     assert fresh().is_homogeneous() and fresh().is_zero() is False
     assert poly_to_obj(fresh()) == poly_to_obj(twin)
-    rng = random.Random(len(case[1]))
+    rng = random.Random(arity)
     for _ in range(3):
-        point = [F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(case[0])]
+        point = [F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(arity)]
         assert fresh().evaluate(point) == twin.evaluate(point)
     for copied in (copy.copy(fresh()), copy.deepcopy(fresh()),
                    pickle.loads(pickle.dumps(fresh()))):
@@ -161,17 +179,18 @@ def test_a_described_value_agrees_with_its_expanded_twin(case):
     assert fresh() * 3 == twin * 3 and fresh() * F(2, 7) == twin * F(2, 7)
     assert (fresh() * 0).is_zero()
     assert fresh() * -1 == -twin and -fresh() == -twin
-    assert linear_combination(case[0], [(fresh(), 2), (twin, -1)]) == twin
-    for i in range(case[0]):
+    assert linear_combination(arity, [(fresh(), 2), (twin, -1)]) == twin
+    for i in range(arity):
         assert fresh().derivative(i) == twin.derivative(i)
-    perm = list(range(case[0]))[::-1]
-    signs = [(-1) ** k for k in range(case[0])]
+    perm = list(range(arity))[::-1]
+    signs = [(-1) ** k for k in range(arity)]
     assert fresh().permute(perm, signs) == twin.permute(perm, signs)
 
 
 def test_unit_scalars_and_the_identity_keep_the_description():
-    poly = alternant(4, [0, 1, 2, 3], [3, 1, 1, 0], [3, 3, 12, 12], F(-5, 3))
+    poly = alternant([[3, 1], [1, 0]], F(-5, 3))
     blocks, p, memo = poly._leibniz
+    assert blocks == ((3, 1), (1, 0)) and p == -5 and poly.den == 3
     assert (poly * 1) is poly
     same = poly.permute((0, 1, 2, 3), (1, 1, 1, 1))
     assert same is not poly and same._leibniz is poly._leibniz
@@ -208,23 +227,18 @@ def test_a_multi_term_index_polynomial_is_expanded():
 
 @st.composite
 def block_layouts(draw):
-    """(arity, variables, exponents, support, scale) of a block-diagonal
-    alternant: 1-3 blocks of 1-4 variables and at most 288 terms, with
-    gaps before and between the variables, trailing zero variables, either
-    sign and a denominator up to 6."""
+    """(blocks, scale) of a block-diagonal alternant: 1-3 blocks of 1-4
+    variables and at most 288 terms, either sign and a denominator up to
+    6."""
     sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3).filter(
         lambda sizes: math.prod(map(math.factorial, sizes)) <= 288))
-    variables, exponents, support, at = [], [], [], -1
-    for size in sizes:
-        for _ in range(size):
-            at += 1 + draw(st.integers(0, 2))
-            variables.append(at)
-        exps = draw(st.lists(st.integers(0, 6), min_size=size, max_size=size, unique=True))
-        exponents += sorted(exps, reverse=True)
-        support += [((1 << size) - 1) << len(support)] * size
-    arity = at + 1 + draw(st.integers(0, 2))
+    blocks = [
+        sorted(draw(st.lists(st.integers(0, 6), min_size=size, max_size=size, unique=True)),
+               reverse=True)
+        for size in sizes
+    ]
     scale = F(draw(st.integers(1, 9)) * draw(st.sampled_from([1, -1])), draw(st.integers(1, 6)))
-    return arity, variables, exponents, support, scale
+    return blocks, scale
 
 
 @settings(max_examples=150, deadline=None)

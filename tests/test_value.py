@@ -75,7 +75,7 @@ class RootDatum:
     rho_k: tuple
     ambient: groups.Block
     compact_blocks: tuple
-    lattice: Callable[[int, tuple[int, ...]], bool] = field(compare=False)
+    lattice: Callable[[int, tuple[int, ...]], bool]
 
     def __hash__(self) -> int:
         return hash(self.group)
@@ -123,7 +123,6 @@ class IndexFamily:
     base: tuple
     coeffs: Mapping[groups.WeylElement, int]
     gk_dim: int | None = None
-    name: str = ""
 
     def __post_init__(self):
         for w, a in self.coeffs.items():
@@ -274,8 +273,7 @@ CLASSES = [
         st.lists(rationals, min_size=1, max_size=3).map(tuple),
         st.dictionaries(st.sampled_from(WEYL), small | rationals, max_size=3),
         maybe,
-        text,
-    ), 2),
+    ), 1),
     (asymptotics.LaurentSeries, LaurentSeries, st.tuples(small, series()), 0),
     (asymptotics.LimitReport, LimitReport,
      st.tuples(small, st.none() | rationals, st.none() | rationals, flag, flag), 1),

@@ -51,6 +51,7 @@ from .polynomials import (
     divides_linear_form,
     extract_linear_factors,
     is_harmonic,
+    linear_divisors,
     linear_form_product,
     poly_det,
     restrict_to_hyperplane,

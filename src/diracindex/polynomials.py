@@ -60,7 +60,8 @@ signed like the pivot coefficient, the content is the pair (p, q) and the
 primitive tuple is q c_i / p, with gcd 1 and a positive pivot.  This is
 exact, term by term, and p/q is reduced: a prime dividing q divides the
 denominator of some c_i to the full power it has in q, so q c_i is prime
-to it.  Pivot and pivot coefficient are stored with them.
+to it.  When every coefficient is an int, q = 1 and no lcm or `Fraction`
+arithmetic is done.  Pivot and pivot coefficient are stored with them.
 
 `linear_form_product` scales each form to a primitive integer form and
 expands their product on packed keys, rows in order of their last nonzero
@@ -87,21 +88,26 @@ and `_alternant` on the masks of the blocks gives the numerator alike.
 polynomial +-D_k is printed without its numerator being built; any other
 operation reads `_num`.
 
-Restriction, divisibility, exact division and factor extraction share
-one Horner pass on P = N / D, run by methods of the form from the split
-it stores.  Write a form as L = c * L' with
+Restriction, divisibility, exact division and the divisor sweeps share
+one Horner pass on P = N / D, `LinearForm._horner`, run from the split the
+form stores.  Write a form as L = c * L' with
 L' = a X_j + sum_{i > j} a_i X_i primitive, X_j its pivot and a > 0, split
 N = sum_d N_d X_j^d and set
 
     H'_top = N_top,   H'_d = a^(top-d) N_d - (sum_{i > j} a_i X_i) H'_{d+1}
 
-down to d = 0, on packed keys with the pivot field at zero: multiplying
-by X_i adds 1 << (i*w).  H'_d is a^(top-d) D times the rational Horner
-layer of the substitution X_j = -sum (a_i / a) X_i, so H'_0 / (a^top D),
-its pivot field dropped by shifts and masks, is the restriction to L = 0,
-and L divides P exactly when H'_0 is empty.  Then N = L' * Q with Q
-integral (Gauss's lemma), the X_j^d layer of Q is H'_{d+1} // a^(top-d)
-and P / L = Q / (c D).
+down to d = 0.  H'_d is a^(top-d) D times the rational Horner layer of
+the substitution X_j = -sum (a_i / a) X_i, so H'_0 / (a^top D), its pivot
+field dropped by shifts and masks, is the restriction to L = 0, and L
+divides P exactly when H'_0 is empty.  Then N = L' * Q with Q integral
+(Gauss's lemma), the X_j^d layer of Q is H'_{d+1} // a^(top-d) and
+P / L = Q / (c D).  The pass stores the terms of N_d, and so each layer
+H'_d, on keys one pivot unit low, key - (1 << j*w): a step of the carry
+multiplies by X_i / X_j, adding (1 << i*w) - (1 << j*w), and H'_{d+1}
+lands on the keys of the X_j^d layer of Q.  Each layer is cleared of
+zero values when it is finished, before it is carried down, and Q is the
+union of the layers H'_1 .. H'_top, built only when H'_0 is empty and
+each layer divided by its power of a only when a > 1.
 
 When L' = X_j - s X_q with s = +-1, so a = 1 and there is one step,
 restriction and divisibility substitute instead: each key moves its
@@ -109,13 +115,18 @@ field j into field q, negated when s = -1 and e_j is odd, and the terms
 merge.  That is exact: with a = 1 the recursion is H'_d = N_d + s X_q
 H'_{d+1}, so H'_0 = sum_d N_d (s X_q)^d = N(X_j = s X_q) and no power of
 a scales it.  No field overflows, because the width holds the total
-degree and the new exponent of X_q is at most that.  Factor extraction
-keeps the Horner pass, which gives the quotient.
+degree and the new exponent of X_q is at most that.  Division keeps the
+Horner pass, which gives the quotient.
 
-Factor extraction runs in sweeps: each probes every live candidate once,
-on the quotient so far, dividing on success, and only the candidates
-that divided stay live.  A form that does not divide N divides no
-quotient of N, and the probes for a second power run on the cofactor.
+`linear_divisors` runs one sweep of divisions: each candidate, less those
+proportional to an earlier one, is probed once on the quotient so far
+and divided out when it divides.  As Q[X] is a UFD, a form that divides
+N and is not proportional to an earlier divisor divides their quotient
+too, so the sweep finds every divisor, with no multiplicity and no
+cofactor.  `extract_linear_factors` runs the sweep again on the forms
+that divided until none does: a form that does not divide N divides no
+quotient of N, and the probes for a second power run on the cofactor,
+which is normalized once.
 """
 
 from __future__ import annotations
@@ -509,15 +520,18 @@ class LinearForm(Value):
 
     def __init__(self, coeffs: Iterable[int | Fraction]):
         coeffs = tuple(coeffs)
-        den = math.lcm(*(c.denominator for c in coeffs))
-        ints = [c.numerator * (den // c.denominator) for c in coeffs]
+        if all(type(c) is int for c in coeffs):
+            den, ints = 1, coeffs
+        else:
+            den = math.lcm(*(c.denominator for c in coeffs))
+            ints = tuple([c.numerator * (den // c.denominator) for c in coeffs])
         g = math.gcd(*ints)
         if not g:
             raise ZeroForm("linear form is identically zero")
         j = next(i for i, k in enumerate(ints) if k)
         if ints[j] < 0:
             g = -g
-        prim = tuple(k // g for k in ints)
+        prim = ints if g == 1 else tuple(k // g for k in ints)
         object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "_ints", prim)
         object.__setattr__(self, "_scale", (g, den))
@@ -531,42 +545,55 @@ class LinearForm(Value):
     def to_poly(self) -> MultiPoly:
         return MultiPoly.from_linear(self.coeffs)
 
-    def _horner(self, width: int, num: IntTerms) -> list[IntTerms]:
-        """[H'_0, ..., H'_top] of the integer Horner pass (module docstring)
-        on keys of the given width; only H'_0 is cleared of zero values."""
+    def _horner(self, width: int, num: IntTerms) -> tuple[IntTerms, IntTerms | None, int]:
+        """(H'_0, Q, top) of the integer Horner pass (module docstring) on
+        keys of the given width: each layer H'_d is cleared of zero values
+        and stored one pivot unit low, so H'_{d+1} sits on the keys of
+        layer d of Q.  Q is the integer numerator N / L' when H'_0 is
+        empty, and None otherwise."""
         j, a = self._pivot, self._lead
-        shift, mask = j * width, (1 << width) - 1
-        # every a_i with i < j is zero
-        steps = [(1 << (i * width), -c) for i, c in enumerate(self._ints[j + 1 :], j + 1) if c]
+        shift, unit, mask = j * width, 1 << (j * width), (1 << width) - 1
+        # every a_i with i < j is zero; a step multiplies by X_i / X_j
+        steps = [((1 << (i * width)) - unit, -c)
+                 for i, c in enumerate(self._ints[j + 1 :], j + 1) if c]
         layers: dict[int, IntTerms] = defaultdict(dict)
         for key, c in num.items():
-            d = key >> shift & mask
-            layers[d][key - (d << shift)] = c
+            layers[key >> shift & mask][key - unit] = c
         top = max(layers, default=0)
-        hs = [layers.pop(top, {})]
+        h = layers.pop(top, {})
+        done = []
         for d in range(top - 1, -1, -1):
+            done.append(h)
             acc = layers.pop(d, {})
             if a != 1:
                 power = a ** (top - d)
                 acc = {key: c * power for key, c in acc.items()}
+            get = acc.get
             for step, s in steps:
-                for key, c in hs[-1].items():
+                for key, c in h.items():
                     key += step
-                    acc[key] = acc.get(key, 0) + c * s
-            hs.append(acc)
-        hs[-1] = {key: c for key, c in hs[-1].items() if c}
-        hs.reverse()
-        return hs
+                    acc[key] = get(key, 0) + c * s
+            h = {key: c for key, c in acc.items() if c}
+        if h:
+            return h, None, top
+        quotient: IntTerms = {}
+        for d, layer in enumerate(reversed(done)):
+            if a != 1:
+                power = a ** (top - d)
+                layer = {key: c // power for key, c in layer.items()}
+            quotient.update(layer)
+        return h, quotient, top
 
     def _restriction(self, width: int, num: IntTerms) -> tuple[IntTerms, int]:
         """(H'_0, a^top), H'_0 cleared of zero values.  For L' = X_j - s X_q,
         s = +-1, H'_0 is N(X_j = s X_q), by substitution (module
-        docstring); otherwise it comes from the Horner pass."""
+        docstring); otherwise it is the remainder of the Horner pass."""
         j = self._pivot
         rest = [(i, c) for i, c in enumerate(self._ints[j + 1 :], j + 1) if c]
         if self._lead != 1 or len(rest) != 1 or abs(rest[0][1]) != 1:
-            hs = self._horner(width, num)
-            return hs[0], self._lead ** (len(hs) - 1)
+            h, _, top = self._horner(width, num)
+            unit = 1 << (j * width)
+            return {key + unit: c for key, c in h.items()}, self._lead ** top
         ((q, minus_s),) = rest
         shift, mask = j * width, (1 << width) - 1
         spread = (1 << ((q - j) * width)) - 1
@@ -579,17 +606,6 @@ class LinearForm(Value):
                     c = -c
             out[key] = out.get(key, 0) + c
         return {key: c for key, c in out.items() if c}, 1
-
-    def _quotient(self, width: int, hs: list[IntTerms]) -> IntTerms:
-        """The integer numerator Q = N / L' from the layers hs[1:]."""
-        unit, top = 1 << (self._pivot * width), len(hs) - 1
-        powers = [self._lead ** (top - d) for d in range(top)]
-        return {
-            key + d * unit: c // powers[d]
-            for d, layer in enumerate(hs[1:])
-            for key, c in layer.items()
-            if c
-        }
 
 
 def _packed_product(
@@ -864,36 +880,62 @@ def divides_linear_form(poly: MultiPoly, form: LinearForm) -> bool:
     return not form._restriction(width, num)[0]
 
 
+def _distinct(poly: MultiPoly, candidates: Iterable[LinearForm]) -> list[LinearForm]:
+    """The candidates, in order, less each one proportional to an earlier
+    one; every form must have the arity of poly."""
+    distinct: dict[tuple, LinearForm] = {}
+    for form in candidates:
+        _check_arity(poly, form)
+        # proportional forms share their primitive form
+        distinct.setdefault(form._ints, form)
+    return list(distinct.values())
+
+
+def _sweep(width: int, num: IntTerms, forms: list[LinearForm]) -> tuple[IntTerms, list[LinearForm]]:
+    """(quotient, divisors): each form probed once, in order, on the
+    quotient so far, and divided out where it divides."""
+    divisors = []
+    for form in forms:
+        quotient = form._horner(width, num)[1]
+        if quotient is not None:
+            num = quotient
+            divisors.append(form)
+    return num, divisors
+
+
+def linear_divisors(poly: MultiPoly, candidates: Iterable[LinearForm]) -> list[LinearForm]:
+    """The candidates that divide poly, in candidate order, skipping one
+    proportional to an earlier candidate: one sweep of divisions on the
+    running quotient, with no multiplicity and no cofactor.  As Q[X] is a
+    UFD, a form that divides poly and is not proportional to an earlier
+    divisor divides their quotient too, so one probe per form decides.
+    Every form divides the zero polynomial."""
+    _, width, num = poly._int_form()
+    return _sweep(width, num, _distinct(poly, candidates))[1]
+
+
 def extract_linear_factors(
-    poly: MultiPoly, candidates: Sequence[LinearForm]
+    poly: MultiPoly, candidates: Iterable[LinearForm]
 ) -> tuple[list[tuple[LinearForm, int]], MultiPoly]:
     """Peel off every candidate linear factor, with multiplicity.
 
     Returns the factors in candidate order and the remaining cofactor,
-    skipping a candidate proportional to an earlier one: sweeps of integer
-    Horner passes (module docstring), the cofactor normalized once.  As Q[X]
-    is a UFD, the order changes neither the multiplicities nor the cofactor.
+    skipping a candidate proportional to an earlier one: the sweep of
+    `linear_divisors`, run again on the forms that divided until none
+    does, the cofactor normalized once.  As Q[X] is a UFD, the order
+    changes neither the multiplicities nor the cofactor.  The zero
+    polynomial has no factors.
     """
     den, width, num = poly._int_form()
+    mult = dict.fromkeys(_distinct(poly, candidates), 0)
     p, q = 1, den  # the scale p/q of the cofactor's numerator
-    distinct: dict[tuple, list] = {}  # [form, multiplicity]
-    for form in candidates:
-        _check_arity(poly, form)
-        # proportional forms share their primitive form
-        distinct.setdefault(form._ints, [form, 0])
-    live = list(distinct.values()) if num else []
+    live = list(mult) if num else []
     while live:
-        divided = []
-        for entry in live:
-            form = entry[0]
-            hs = form._horner(width, num)
-            if not hs[0]:
-                num = form._quotient(width, hs)
-                p, q = p * form._scale[1], q * form._scale[0]
-                entry[1] += 1
-                divided.append(entry)
-        live = divided
-    factors = [(form, mult) for form, mult in distinct.values() if mult]
+        num, live = _sweep(width, num, live)
+        for form in live:
+            mult[form] += 1
+            p, q = p * form._scale[1], q * form._scale[0]
+    factors = [(form, m) for form, m in mult.items() if m]
     return factors, MultiPoly._from_ints(poly.arity, width, num, Fraction(p, q))
 
 

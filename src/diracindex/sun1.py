@@ -10,7 +10,10 @@ antiholomorphic one (lam_{n+1} >= lam_1).
 
 The index polynomial is D_k for K = U(n), the Vandermonde of lam_1..lam_n
 over a constant, so every root form lam_p - lam_q divides it exactly once;
-only the character determinant goes through factor extraction.  The
+only the character determinant is divided.  The gcd claim runs one sweep
+of divisions by the root forms (`polynomials.linear_divisors`), with no
+multiplicity and no cofactor, and `extract_det_factors` runs factor
+extraction; both probe in the order of `_probe_order`.  The
 Vandermonde and the gcd are alternants of blocks that cover the variables
 in order (`polynomials.alternant`); the determinant has zero entries off
 any such layout and is expanded at once (`polynomials.masked_alternant`).
@@ -32,6 +35,7 @@ from .polynomials import (
     MultiPoly,
     alternant,
     extract_linear_factors,
+    linear_divisors,
     masked_alternant,
     # Unused here: bench/tests names sun1.poly_det; tools/census.py allows it, ROADMAP item 9
     poly_det,
@@ -123,6 +127,23 @@ def index_poly_restricted(n: int) -> MultiPoly:
     return vandermonde(n) * Fraction(1, prod(factorial(k) for k in range(n)))
 
 
+def _probe_order(n: int, i: int) -> list[LinearForm]:
+    """The root forms in the order the determinant's divisors are probed:
+    the in-block forms of `gcd_factor_pairs` first, so that the others
+    meet a small quotient, and those of the larger block {1..n-i} or
+    {n-i+1..n} before those of the other, as each division then leaves
+    fewer terms for the next; a tie keeps {1..n-i} first."""
+    forms = _root_forms(n)
+    first = set(gcd_factor_pairs(n, i))
+
+    def probe_rank(pair: tuple[int, int]) -> tuple[int, int]:
+        if pair not in first:
+            return (1, 0)
+        return (0, -(n - i) if pair[1] <= n - i else -i)
+
+    return [forms[pair] for pair in sorted(forms, key=probe_rank)]
+
+
 @lru_cache(maxsize=None)
 def gcd_with_index(n: int, i: int) -> MultiPoly:
     """Greatest common linear-divisor product of the character determinant
@@ -130,14 +151,16 @@ def gcd_with_index(n: int, i: int) -> MultiPoly:
     {n-i+1..n}, the block-diagonal alternant of the two, which
     `polynomials.alternant` keeps as its blocks until a kernel reads its
     numerator.  Every root form divides the index polynomial, a multiple
-    of the Vandermonde, exactly once, so the claim is checked by factor
-    extraction from the determinant alone: the root forms dividing it
-    must be those of the pairs of `gcd_factor_pairs`."""
+    of the Vandermonde, exactly once, so the claim is checked on the
+    determinant alone: the root forms dividing it, found by one sweep of
+    divisions (`polynomials.linear_divisors`) in the probe order, must be
+    those of the pairs of `gcd_factor_pairs`, which that order puts
+    first."""
     if n < 2:
         raise IndexOutOfRange("n must be at least 2")
-    forms = _root_forms(n)
-    found = {form for form, _ in extract_det_factors(n, i)[0]}
-    if found != {forms[p] for p in gcd_factor_pairs(n, i)}:
+    order = _probe_order(n, i)
+    # the probe order lists the claimed divisors first, each form once
+    if linear_divisors(char_poly_det(n, i), order) != order[: len(gcd_factor_pairs(n, i))]:
         raise ClaimMismatch("extracted common factor disagrees with the closed form")
     return alternant([range(n - i - 1, -1, -1), range(i - 1, -1, -1)])
 
@@ -146,26 +169,12 @@ def extract_det_factors(
     n: int, i: int
 ) -> tuple[list[tuple[LinearForm, int]], MultiPoly]:
     """Linear root-form factors of the character determinant, in `_root_forms`
-    order, plus cofactor.  The in-block forms of `gcd_factor_pairs` are
-    probed first, so that the others meet a small cofactor, and those of
-    the larger block {1..n-i} or {n-i+1..n} before those of the other, as
-    each division then leaves fewer terms for the next.  The factors are
-    reported in `_root_forms` order and the cofactor is unique, so the
-    order changes only the cost."""
-    det = char_poly_det(n, i)
-    forms = _root_forms(n)
-    first = set(gcd_factor_pairs(n, i))
-
-    def probe_rank(pair: tuple[int, int]) -> tuple[int, int]:
-        # in-block pairs by descending block size; a tie keeps {1..n-i} first
-        if pair not in first:
-            return (1, 0)
-        return (0, -(n - i) if pair[1] <= n - i else -i)
-
-    order = sorted(forms, key=probe_rank)
-    factors, cofactor = extract_linear_factors(det, [forms[pair] for pair in order])
+    order, plus cofactor, extracted in the probe order of `_probe_order`.
+    The factors are reported in `_root_forms` order and the cofactor is
+    unique, so that order changes only the cost."""
+    factors, cofactor = extract_linear_factors(char_poly_det(n, i), _probe_order(n, i))
     mult = dict(factors)
-    return [(form, mult[form]) for form in forms.values() if form in mult], cofactor
+    return [(form, mult[form]) for form in _root_forms(n).values() if form in mult], cofactor
 
 
 def tau_invariant(n: int, i: int) -> tuple[Weight, ...]:

@@ -88,6 +88,10 @@ COMMANDS = [
     "char-poly --n 7 --i 5 --factor",
     "char-poly --n 6 --i 4 --factor",
     "char-poly --n 8 --i 6 --factor",
+    # the n = 8 middle chamber: the most divisions and failed probes
+    "char-poly --n 8 --i 4 --factor",
+    # fifteen successive divisions down to a constant cofactor
+    "gcd --n 7 --i 1",
 ]
 
 

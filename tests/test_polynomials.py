@@ -27,6 +27,7 @@ from diracindex.polynomials import (
     invariant_operator_images,
     is_harmonic,
     linear_combination,
+    linear_divisors,
     linear_form_product,
     poly_det,
     restrict_to_hyperplane,
@@ -41,6 +42,7 @@ from reference import (
     fraction_extract,
     fraction_horner,
     fraction_mul,
+    fraction_quotient,
     fraction_pow,
     form_content,
     gl_key,
@@ -826,6 +828,82 @@ def test_char_poly_det_kernels_match_fraction_horner(n):
         _assert_kernels_match_fraction_horner(det, forms, _fraction_horner_results(det, forms))
 
 
+@st.composite
+def divisor_cases(draw):
+    """A polynomial, possibly zero, times some of up to three forms, some
+    of them more than once, and those forms as candidates with forms
+    proportional to them mixed in, in any order.  Pivots range over +-1/3
+    .. +-7 and may follow leading zero coefficients."""
+    arity = draw(st.integers(1, 4))
+    forms = []
+    for _ in range(draw(st.integers(1, 3))):
+        pivot = draw(st.integers(0, arity - 1))
+        lead = draw(st.fractions(min_value=-7, max_value=7, max_denominator=3).filter(bool))
+        tail = draw(st.lists(form_coeffs, min_size=arity - pivot - 1, max_size=arity - pivot - 1))
+        forms.append(LinearForm((F(0),) * pivot + (lead,) + tuple(tail)))
+    poly = draw(polys(arity=arity, max_degree=2, max_terms=4))
+    for k in draw(st.lists(st.integers(0, len(forms) - 1), max_size=4)):
+        poly = poly * forms[k].to_poly()
+    for k in draw(st.lists(st.integers(0, len(forms) - 1), max_size=2)):
+        scale = draw(st.sampled_from([F(1), F(-1), F(2), F(-3, 2)]))
+        forms.append(LinearForm(tuple(c * scale for c in forms[k].coeffs)))
+    return poly, draw(st.permutations(forms))
+
+
+def _ratios(form):
+    """The coefficients over the first nonzero one: equal exactly for
+    proportional forms."""
+    lead = next(F(c) for c in form.coeffs if c)
+    return tuple(F(c) / lead for c in form.coeffs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(divisor_cases())
+# pivot coefficient 3/2 after a zero, four nonzero coefficients, a square
+@example((
+    MultiPoly(4, {(1, 0, 2, 0): F(2, 3), (0, 1, 0, 1): F(-1)})
+    * linear_form_product(4, [LinearForm((F(0), F(3, 2), F(-1, 2), F(2)))] * 2),
+    [LinearForm((1, 1, -1, 0)), LinearForm((F(0), F(3, 2), F(-1, 2), F(2)))],
+))
+# proportional duplicates, each before and after the first divisor
+@example((
+    linear_form_product(3, [LinearForm((2, -3, 1)), LinearForm((0, 1, 1))]),
+    [LinearForm((-4, 6, -2)), LinearForm((0, 1, 1)), LinearForm((2, -3, 1)),
+     LinearForm((0, F(-1, 2), F(-1, 2)))],
+))
+# the zero polynomial, which every form divides
+@example((MultiPoly.zero(2), [LinearForm((F(-3), F(2))), LinearForm((6, -4)), LinearForm((0, 1))]))
+def test_linear_divisors_match_extraction_and_the_fraction_quotients(case):
+    """One sweep finds the distinct candidates that divide, in candidate
+    order: those that `extract_linear_factors` finds with multiplicity,
+    and those that `divides_linear_form` accepts.  Each running quotient
+    of the sweep is the reference Horner quotient, normalized."""
+    poly, candidates = case
+    distinct: dict = {}
+    for form in candidates:
+        distinct.setdefault(_ratios(form), form)
+    distinct = list(distinct.values())
+    divisors = linear_divisors(poly, candidates)
+    assert divisors == [form for form in distinct if divides_linear_form(poly, form)]
+    factors, _ = extract_linear_factors(poly, candidates)
+    if poly.is_zero():
+        assert divisors == distinct and factors == [], "zero: every form divides, none is a factor"
+    else:
+        assert divisors == [form for form, mult in factors if mult >= 1]
+    den, width, num = poly._int_form()
+    current, scale = poly, F(1, den)
+    for form in distinct:
+        hs = fraction_horner(current, form)
+        quotient = form._horner(width, num)[1]
+        assert (quotient is None) == bool(hs[0]), "divisibility of the running quotient"
+        if quotient is not None:
+            current = fraction_quotient(current, form, hs)
+            num, scale = quotient, scale * F(form._scale[1], form._scale[0])
+            kernel = MultiPoly._from_ints(poly.arity, width, num, scale)
+            assert kernel == current, "the running quotient"
+            assert_normalized(kernel, poly.arity)
+
+
 # -- the eq/hash contract between kernel results and the constructor -------
 
 
@@ -911,6 +989,9 @@ def form_values(draw):
 @example([F(-2), 0, F(2)])
 @example([3, 0, -6])
 @example([F(1, 2), F(-1, 2)])
+# all ints: primitive as given, and with a negative pivot
+@example([0, 2, -3])
+@example([-1, 0, 1])
 def test_stored_form_data_matches_fraction_oracle(values):
     form = LinearForm(tuple(values))
     content, ints, pivot = form_content(form)

@@ -17,6 +17,7 @@ from diracindex.polynomials import (
     MultiPoly,
     divides_linear_form,
     extract_linear_factors,
+    linear_divisors,
     linear_form_product,
     poly_det,
     restrict_to_hyperplane,
@@ -143,17 +144,18 @@ def test_gcd_closed_forms():
 
 def test_gcd_is_the_product_of_the_block_vandermondes(monkeypatch):
     """The one block-diagonal alternant has the integer form of the product
-    of the two Vandermondes for every n <= 8 and every i.  The factor
-    extraction (4-5 s per request at n = 7, checked by the tests above)
-    is replaced by the factors it finds."""
-    def found(n, i):
-        return [(sun1._root_forms(n)[pair], 1) for pair in gcd_factor_pairs(n, i)], None
-
-    monkeypatch.setattr(sun1, "extract_det_factors", found)
+    of the two Vandermondes for every n <= 8 and every i.  The sweep of
+    divisions (checked by the tests above and below) is replaced by the
+    divisors it finds."""
+    claimed = []
+    monkeypatch.setattr(
+        sun1, "linear_divisors", lambda poly, candidates: [f for f in candidates if f in claimed]
+    )
     gcd_with_index.cache_clear()
     try:
         for n in range(2, 9):
             for i in range(1, n):
+                claimed[:] = [sun1._root_forms(n)[pair] for pair in gcd_factor_pairs(n, i)]
                 low, high = tuple(range(1, n - i + 1)), tuple(range(n - i + 1, n + 1))
                 product = vandermonde_on(n, low) * vandermonde_on(n, high)
                 assert gcd_with_index(n, i)._int_form() == product._int_form()
@@ -276,14 +278,20 @@ def test_det_factors_match_extraction_in_root_form_order(n):
 
 @pytest.mark.parametrize("n, i", [(7, 5), (7, 2), (6, 3), (8, 6)])
 def test_det_factors_probe_the_larger_block_first(n, i, monkeypatch):
-    seen = []
+    seen, probed = [], []
 
     def spy(poly, candidates):
         seen.extend(candidates)
         return extract_linear_factors(poly, candidates)
 
+    def divisor_spy(poly, candidates):
+        probed.extend(candidates)
+        return linear_divisors(poly, candidates)
+
     monkeypatch.setattr("diracindex.sun1.extract_linear_factors", spy)
+    monkeypatch.setattr("diracindex.sun1.linear_divisors", divisor_spy)
     extract_det_factors(n, i)
+    gcd_with_index.__wrapped__(n, i)
     forms = _root_forms(n)
     low = [forms[pair] for pair in combinations(range(1, n - i + 1), 2)]
     high = [forms[pair] for pair in combinations(range(n - i + 1, n + 1), 2)]
@@ -291,6 +299,7 @@ def test_det_factors_probe_the_larger_block_first(n, i, monkeypatch):
     first = high + low if i > n - i else low + high
     assert seen[:len(first)] == first
     assert sorted(seen, key=list(forms.values()).index) == list(forms.values())
+    assert probed == seen, "the gcd claim probes in the extraction's order"
 
 
 def _det_oracle_4x4(i):
@@ -367,13 +376,32 @@ def test_failed_gcd_claim_is_claim_mismatch(monkeypatch):
         degree_report(4, 2)
 
 
+def _misreported_divisors(monkeypatch, edit):
+    """Patch the sweep that `gcd_with_index` runs so that it reports
+    edit(divisors) instead of the divisors it finds."""
+    divisors = sun1.linear_divisors
+    monkeypatch.setattr(
+        "diracindex.sun1.linear_divisors", lambda poly, candidates: edit(divisors(poly, candidates))
+    )
+    gcd_with_index.cache_clear()
+
+
 def test_extra_det_factor_is_claim_mismatch(monkeypatch):
-    # one crossing form reported as a determinant factor breaks the claim
-    factors, cofactor = extract_det_factors(4, 2)
-    extra = factors + [(difference_form(4, 1, 3), 1)]
-    monkeypatch.setattr("diracindex.sun1.extract_det_factors", lambda n, i: (extra, cofactor))
+    # one crossing form reported as a determinant divisor breaks the claim
+    _misreported_divisors(monkeypatch, lambda found: found + [difference_form(4, 1, 3)])
     with pytest.raises(ClaimMismatch, match="closed form"):
-        gcd_with_index.__wrapped__(4, 2)
+        gcd_with_index(4, 2)
+    with pytest.raises(ClaimMismatch, match="closed form"):
+        degree_report(4, 2)
+
+
+def test_missing_det_factor_is_claim_mismatch(monkeypatch):
+    # one in-block divisor gone missing breaks the claim too
+    _misreported_divisors(monkeypatch, lambda found: found[:-1])
+    with pytest.raises(ClaimMismatch, match="closed form"):
+        gcd_with_index(5, 2)
+    with pytest.raises(ClaimMismatch, match="closed form"):
+        degree_report(5, 2)
 
 
 def test_failed_degree_claim_is_claim_mismatch(monkeypatch):

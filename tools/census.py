@@ -73,11 +73,13 @@ ALLOWED = {
     "polynomials.MultiPoly.terms": "bench/run.py reads len(result.terms); item 9",
     "asymptotics.character_series":
         "public series; leading_limit calls its form-taking core; bench/run.py counts it by name",
-    "asymptotics.root_ratio": "public ratio; leading_limit calls its form-taking core",
+    "asymptotics.root_ratio":
+        "public, exported and tested; leading_limit calls its form-taking core (README)",
     "dirac.index_discrete_series": "paper object no suite checks yet; item 3",
     "dirac.is_integral_weyl": "paper object no suite checks yet; item 3",
     "dirac.spin_weights":
-        "public multisets of S+ and S-; the spin-ratio suite reads their cached columns",
+        "public, exported and tested; the spin-ratio suite reaches its core through "
+        "cached columns (README)",
     "springer.normalize_symbol": "Springer-label computation; item 15",
     "springer.symbols_equivalent": "Springer-label computation; item 15",
     "springer.bipartition_dim": "label dimension check; item 15",

@@ -105,11 +105,14 @@ def su_n1_chamber_base(n: int, i: int) -> Weight:
 
 
 def su_n1_ds_family(n: int, i: int) -> IndexFamily:
+    """The discrete series of chamber D_i with its GK dimension: n for the
+    holomorphic D_0 and antiholomorphic D_n, whose associated variety is
+    p+ or p-, and 2n - 1 for the chambers between."""
     if not 0 <= i <= n:
         raise IndexOutOfRange(f"chamber index {i} out of range for SU({n},1)")
     datum = su_n1_datum(n)
     base = su_n1_chamber_base(n, i)
-    return discrete_series_family(base, datum, gk_dim=2 * n - 1)
+    return discrete_series_family(base, datum, gk_dim=n if i in (0, n) else 2 * n - 1)
 
 
 def su21_ds_families() -> dict[int, IndexFamily]:

@@ -20,7 +20,10 @@ six supported families and their compact/noncompact splits:
 * ``SO*(2n)``        -- type D_n; compact part {e_i - e_j} (K = U(n)).
 
 Weyl group elements are signed permutations: all signs +1 in type A, an
-even number of -1 signs in type D.  One chamber kernel,
+even number of -1 signs in type D.  The blocks of a layout cover the
+coordinates in order, so ``weyl_elements`` builds each element of W_g or
+W_k as one move of each block, its permutation and signs on the block's
+own coordinates (``_block_moves``), laid side by side.  One chamber kernel,
 ``_chamber_block``, sorts the entries of one block into its dominant
 chamber, singular weights included; it acts alike on a weight and on the
 numerators of its integer form.  ``_signed_dominant(blocks, gamma)`` runs
@@ -44,12 +47,11 @@ from __future__ import annotations
 
 import math
 import os
-from collections.abc import Iterable
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import permutations, product, repeat
-from operator import add, attrgetter, floordiv, lt, mod, mul, ne, sub
+from operator import add, attrgetter, floordiv, gt, lt, mod, mul, ne, sub
 
 from .errors import (
     DimensionMismatch,
@@ -464,24 +466,10 @@ class WeylElement(Value):
         return WeylElement(tuple(inv_perm), tuple(inv_signs))
 
     def sign(self) -> int:
-        return _perm_parity(self.perm) * math.prod(self.signs)
-
-
-def _perm_parity(perm: tuple[int, ...]) -> int:
-    seen = [False] * len(perm)
-    parity = 1
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        j = i
-        length = 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            parity = -parity
-    return parity
+        """(-1)^(inversions of perm) times the product of the signs."""
+        perm = self.perm
+        inversions = sum([sum(map(gt, perm[:i], repeat(a))) for i, a in enumerate(perm)])
+        return (-1) ** inversions * math.prod(self.signs)
 
 
 def reflection(alpha: Weight) -> WeylElement:
@@ -502,29 +490,16 @@ def reflection(alpha: Weight) -> WeylElement:
     return WeylElement(tuple(perm), tuple(signs))
 
 
-def _block_elements(block: Block, rank: int) -> list[WeylElement]:
-    idx = list(block.indices)
-    m = len(idx)
-    out: list[WeylElement] = []
-    sign_choices: Iterable[tuple[int, ...]]
-    if block.kind == "A" or m == 0:
-        sign_choices = [(1,) * m]
-    elif block.kind in ("B", "C"):
-        sign_choices = product((1, -1), repeat=m)
-    else:  # D: even number of -1s
-        sign_choices = (
-            s for s in product((1, -1), repeat=m) if s.count(-1) % 2 == 0
-        )
-    sign_choices = list(sign_choices)
-    for sigma in permutations(range(m)):
-        for sgns in sign_choices:
-            perm = list(range(rank))
-            signs = [1] * rank
-            for a in range(m):
-                perm[idx[a]] = idx[sigma[a]]
-                signs[idx[a]] = sgns[a]
-            out.append(WeylElement(tuple(perm), tuple(signs)))
-    return out
+def _block_moves(block: Block) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The (images, signs) pairs of the block's Weyl group on its own
+    coordinates, as ambient indices: every permutation, each with no sign
+    change in type A, every sign pattern in B and C, and an even number of
+    -1 in D."""
+    m = block.size
+    patterns = [(1,) * m] if block.kind == "A" else list(product((1, -1), repeat=m))
+    if block.kind == "D":
+        patterns = [s for s in patterns if s.count(-1) % 2 == 0]
+    return [(images, signs) for images in permutations(block.indices) for signs in patterns]
 
 
 def weyl_order(datum: RootDatum, which: str = "g") -> int:
@@ -534,29 +509,23 @@ def weyl_order(datum: RootDatum, which: str = "g") -> int:
     return math.prod(b.weyl_order() for b in blocks)
 
 
-@lru_cache(maxsize=None)
-def _weyl_elements_cached(group: GroupId, which: str) -> tuple[WeylElement, ...]:
-    datum = _root_datum(group)
+def weyl_elements(datum: RootDatum, which: str = "g") -> tuple[WeylElement, ...]:
+    """Complete, duplicate-free list of W_g or W_k as signed permutations,
+    the first block's moves outermost; a group past DEFAULT_WEYL_CAP
+    elements raises EnumerationCapExceeded before any is built."""
     order = weyl_order(datum, which)
     if order > DEFAULT_WEYL_CAP:
         raise EnumerationCapExceeded(f"|W| = {order} exceeds cap {DEFAULT_WEYL_CAP}")
     blocks = (datum.ambient,) if which == "g" else datum.compact_blocks
-    elems = [WeylElement.identity(datum.rank)]
-    for blk in blocks:
-        blk_elems = _block_elements(blk, datum.rank)
-        elems = [e.compose(b) for e in elems for b in blk_elems]
+    elems = []
+    for moves in product(*map(_block_moves, blocks)):
+        images, signs = zip(*moves)
+        elems.append(WeylElement(sum(images, ()), sum(signs, ())))
     if len(set(elems)) != order:
         raise InternalInvariantError(
             f"enumerated {len(set(elems))} distinct Weyl elements, expected {order}"
         )
     return tuple(elems)
-
-
-def weyl_elements(datum: RootDatum, which: str = "g") -> tuple[WeylElement, ...]:
-    """Complete, duplicate-free list of W_g or W_k as signed permutations;
-    a group past DEFAULT_WEYL_CAP elements raises EnumerationCapExceeded
-    before any is built."""
-    return _weyl_elements_cached(datum.group, which)
 
 
 @lru_cache(maxsize=None)

@@ -372,9 +372,9 @@ def fixture_families() -> dict[str, IndexFamily]:
         out[f"su21/D{i}"] = fam
     # extra coverage for C and B types
     sp4 = build_root_datum(GroupId.sp_r(2))
-    out["sp4/hol"] = discrete_series_family((Fraction(2), Fraction(1)), sp4, gk_dim=None)
+    out["sp4/hol"] = discrete_series_family((Fraction(2), Fraction(1)), sp4)
     so23 = build_root_datum(GroupId.so_even_odd(1, 1))
-    out["so23/hol"] = discrete_series_family(so23.rho_g, so23, gk_dim=None)
+    out["so23/hol"] = discrete_series_family(so23.rho_g, so23)
     return out
 
 

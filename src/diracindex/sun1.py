@@ -197,25 +197,17 @@ def tau_invariant(n: int, i: int) -> tuple[Weight, ...]:
 
 
 def tau_generated_pairs(n: int, i: int) -> list[tuple[int, int]]:
-    """Pairs (p,q) of the positive roots generated by the tau-invariant."""
-    blocks: list[list[int]] = []
-    current = [1]
-    tau_positions = {j for j in range(1, n) if j != n - i}
+    """Pairs (p,q) of the positive roots generated by the tau-invariant:
+    each simple root e_j - e_{j+1} of ``tau_invariant`` links j and j+1
+    (counted from 1), and p < q pair up when links join them."""
+    linked = {alpha.index(1) + 1 for alpha in tau_invariant(n, i)}
+    runs = [[1]]
     for j in range(1, n):
-        if j in tau_positions:
-            current.append(j + 1)
+        if j in linked:
+            runs[-1].append(j + 1)
         else:
-            blocks.append(current)
-            current = [j + 1]
-    blocks.append(current)
-    pairs = []
-    for block in blocks:
-        pairs += [
-            (block[a], block[b])
-            for a in range(len(block))
-            for b in range(a + 1, len(block))
-        ]
-    return pairs
+            runs.append([j + 1])
+    return [pair for run in runs for pair in combinations(run, 2)]
 
 
 def degree_report(n: int, i: int) -> dict[str, int]:

@@ -45,6 +45,7 @@ from diracindex.kmodules import (
 )
 from diracindex.series import TruncatedSeries
 from diracindex.springer import table_groups
+import reference as ref
 from reference import W
 
 
@@ -90,6 +91,18 @@ def test_su21_pole_order_and_value():
     rep = leading_limit(fam, fam.base, y, 2)
     q = index_polynomial(fam).evaluate(fam.base)
     assert rep.match and rep.value == root_ratio(fam.datum, y) * q
+
+
+def test_character_series_keeps_the_sign_of_a_d_block():
+    """SOe(4,3) has compact blocks D_2 x B_1, and lam has one negative
+    entry in the D block, so its K-type keeps one: (5/2,-3/2,1/2).  The
+    limit at the gap reads D_k, which is even in each coordinate of a D
+    block; the higher terms of the series are not."""
+    datum = build_root_datum(GroupId.so_even_odd(2, 1))
+    fam = discrete_series_family(datum.rho_g, datum)
+    lam, y = W(F(-3, 2), F(5, 2), F(1, 2)), W(5, 2, 1)
+    assert character_series(fam, lam, y, 6) == ref.character_series(fam, lam, y, 6)
+    assert list(dirac.evaluate_index(fam, lam).coeffs) == [W(F(5, 2), F(-3, 2), F(1, 2))]
 
 
 def test_singular_direction_rejected():

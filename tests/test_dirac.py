@@ -199,6 +199,20 @@ def test_evaluate_all_terms_singular():
     assert evaluate_index(fam, lam).is_zero()
 
 
+def test_evaluate_index_keeps_the_sign_of_a_d_block():
+    """SOe(4,4) has compact blocks D_2 x D_2.  lam has one negative entry
+    in the first block, so its K-type keeps one, (5,-2) and not (5,2),
+    and two in the second, so its K-type has none.  The dimension
+    identity cannot tell these apart: D_k is even in each coordinate of a
+    D block."""
+    datum = build_root_datum(GroupId.so_even_even(2, 2))
+    fam = discrete_series_family(datum.rho_g, datum)
+    lam = W(-2, 5, -1, -3)
+    got = evaluate_index(fam, lam).coeffs
+    assert got == ref.evaluate_index(fam, lam)
+    assert list(got) == [W(5, -2, 3, 1)]
+
+
 def test_evaluate_off_lattice():
     fams = sl2_families()
     with pytest.raises(OffLattice):

@@ -177,6 +177,65 @@ def test_weyl_orders():
     assert len(weyl_elements(d, "k")) == 4 * 8  # |W(D_2)| * |W(B_2)|
 
 
+def test_weyl_elements_order_is_pinned():
+    """The first block's moves outermost; within a block the permutations
+    in lexicographic order, each with its sign patterns in product order.
+    kmodules lays out the columns of its W_k getters in this order."""
+    su21 = weyl_elements(build_root_datum(GroupId.su(2, 1)), "g")
+    assert [(w.perm, w.signs) for w in su21] == [
+        ((0, 1, 2), (1, 1, 1)),
+        ((0, 2, 1), (1, 1, 1)),
+        ((1, 0, 2), (1, 1, 1)),
+        ((1, 2, 0), (1, 1, 1)),
+        ((2, 0, 1), (1, 1, 1)),
+        ((2, 1, 0), (1, 1, 1)),
+    ]
+    # W_k of SOe(4,3): a D_2 block, then a B_1 block.
+    so43 = weyl_elements(build_root_datum(GroupId.so_even_odd(2, 1)), "k")
+    assert [(w.perm, w.signs) for w in so43] == [
+        ((0, 1, 2), (1, 1, 1)),
+        ((0, 1, 2), (1, 1, -1)),
+        ((0, 1, 2), (-1, -1, 1)),
+        ((0, 1, 2), (-1, -1, -1)),
+        ((1, 0, 2), (1, 1, 1)),
+        ((1, 0, 2), (1, 1, -1)),
+        ((1, 0, 2), (-1, -1, 1)),
+        ((1, 0, 2), (-1, -1, -1)),
+    ]
+
+
+def _reflection_closure(roots, rank):
+    """{w: (-1)^(length of a word for w)} over the group generated by the
+    reflections of roots, found breadth first from the identity."""
+    gens = [reflection(alpha) for alpha in roots]
+    signs = {WeylElement.identity(rank): 1}
+    frontier = list(signs)
+    while frontier:
+        found = []
+        for w in frontier:
+            for s in gens:
+                x = w.compose(s)
+                if x not in signs:
+                    signs[x] = -signs[w]
+                    found.append(x)
+        frontier = found
+    return signs
+
+
+@pytest.mark.parametrize(
+    "group", [g for g in table_groups(4) if g.rank <= 4], ids=lambda g: g.label())
+def test_weyl_elements_are_the_reflection_closure(group):
+    """W_g is generated by the simple reflections and W_k by the compact
+    ones, and an element's sign is (-1)^(length of any word for it)."""
+    d = build_root_datum(group)
+    for which, roots in (("g", simple_roots(d)), ("k", d.compact_positive_roots)):
+        elements = weyl_elements(d, which)
+        assert len(elements) == weyl_order(d, which)
+        closure = _reflection_closure(roots, d.rank)
+        assert set(elements) == set(closure)
+        assert [w.sign() for w in elements] == [closure[w] for w in elements]
+
+
 def test_enumeration_cap(monkeypatch):
     """|W(C_7)| = 2^7 7! = 645,120 is past DEFAULT_WEYL_CAP: Sp(14,R) is
     refused before any element is built."""
@@ -186,7 +245,7 @@ def test_enumeration_cap(monkeypatch):
     def enumerated(*args):
         raise AssertionError("enumerated past the cap")
 
-    monkeypatch.setattr(groups, "_block_elements", enumerated)
+    monkeypatch.setattr(groups, "_block_moves", enumerated)
     with pytest.raises(EnumerationCapExceeded, match="645120 exceeds cap 100000"):
         weyl_elements(d, "g")
 
@@ -375,10 +434,9 @@ def test_dominant_rep_g_matches_reference(group, data):
 
 
 def test_one_group_builds_one_root_datum():
-    """springer_row builds no datum, and weyl_elements asks for it under
-    the cache key of build_root_datum."""
-    for cached in (groups._root_datum, groups._weyl_elements_cached):
-        cached.cache_clear()
+    """springer_row builds no datum, and weyl_elements builds none either:
+    it reads the blocks of the datum it is given."""
+    groups._root_datum.cache_clear()
     group = GroupId.sp_r(3)
     springer_row(group)
     datum = build_root_datum(group, max_rank=max(DEFAULT_RANK_CAP, group.rank))

@@ -348,6 +348,21 @@ def test_degree_report_consistent_with_gk_dimension():
         assert degree_report(n, 2)["deg_P"] == r_g - fam.gk_dim
 
 
+@pytest.mark.parametrize("n", range(1, 7))
+def test_holomorphic_chambers_have_half_the_dimension_of_g_over_k(n):
+    """D_0 and D_n have associated variety p+ or p-, of dimension n; the
+    chambers between have GK dimension 2n - 1.  Each is at least the gap
+    r_g - r_k = n, where the index need not vanish."""
+    from diracindex.fixtures import su_n1_ds_family
+
+    datum = su_n1_datum(n)
+    assert datum.r_g - datum.r_k == n
+    for i in range(n + 1):
+        gk = su_n1_ds_family(n, i).gk_dim
+        assert gk == (n if i in (0, n) else 2 * n - 1), (n, i)
+        assert gk >= datum.r_g - datum.r_k
+
+
 def _explicit_char_matrix(n, i):
     """Power rows lam^(n-2), ..., lam^1, then the two indicator rows."""
     rows = [[L(n, j) ** power for j in range(n)] for power in range(n - 2, 0, -1)]

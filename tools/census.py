@@ -87,7 +87,6 @@ ALLOWED = {
     "springer.hook_product": "label dimension check; item 15",
     "polynomials.PolySpan.dim": "span dimension of the irreducibility check; item 17",
     "groups.RootDatum.is_g_regular": "only bench jobs call it; item 9",
-    "sun1.tau_invariant": "paper object no suite checks yet; item 4",
     "sun1.chamber_of": "paper object no suite checks yet; item 4",
     "polynomials.MultiPoly.__hash__": "eq/hash contract of a value type",
     "series.TruncatedSeries.__hash__": "eq/hash contract of a value type",

@@ -52,6 +52,7 @@ from .kmodules import (
     VirtualKModule,
     WeightMultiset,
     _column_rates,
+    _k_type_sum,
     _sum_on_lattice,
     frequencies_to_series,
     k_type_sum,
@@ -159,39 +160,34 @@ def _chamber_sign(datum: RootDatum, lam: IntWeight) -> int:
 
 def index_discrete_series(lam: Weight, datum: RootDatum) -> VirtualKModule:
     """Dirac index of the discrete series with Harish-Chandra parameter lam."""
-    sign = _chamber_sign(datum, datum.form(lam))
+    form = datum.form(lam)
+    sign = _chamber_sign(datum, form)
     if not sign:
         raise SingularParameter(f"{lam} is singular")
-    return k_type_sum(datum, [(lam, sign)])
+    return _k_type_sum(datum, [(form, sign)])
 
 
 class IndexFamily(Value):
     """Index data of one coherent family: I(X_lam) = sum_w a_w E(w lam)."""
 
-    _fields = ("datum", "base", "coeffs", "gk_dim")
+    _fields = ("datum", "base", "coeffs")
 
-    def __init__(
-        self,
-        datum: RootDatum,
-        base: Weight,
-        coeffs: Mapping[WeylElement, int],
-        gk_dim: int | None = None,
-    ):
+    def __init__(self, datum: RootDatum, base: Weight, coeffs: Mapping[WeylElement, int]):
         for w, a in coeffs.items():
             if int(a) != a:
                 raise NonIntegralCoefficient(f"coefficient {a} of {w} is not an integer")
+            if len(w.perm) != datum.rank:
+                raise DimensionMismatch("Weyl element length must equal the rank")
         if len(base) != datum.rank:
             raise DimensionMismatch("base length must equal the rank")
-        super().__init__(datum, base, {w: int(a) for w, a in coeffs.items() if a}, gk_dim)
+        super().__init__(datum, base, {w: int(a) for w, a in coeffs.items() if a})
 
     @cached_property
     def base_form(self) -> IntWeight:
         return int_form(self.base)
 
 
-def discrete_series_family(
-    lam0: Weight, datum: RootDatum, gk_dim: int | None = None
-) -> IndexFamily:
+def discrete_series_family(lam0: Weight, datum: RootDatum) -> IndexFamily:
     """The index family through a discrete series at regular parameter lam0,
     which must lie on the shifted lattice Lambda + rho_g."""
     if len(lam0) != datum.rank:
@@ -204,7 +200,7 @@ def discrete_series_family(
     if not sign:
         text = ",".join(str(Fraction(c)) for c in lam0)
         raise SingularParameter(f"({text}) is singular")
-    fam = IndexFamily(datum, lam0, {WeylElement.identity(datum.rank): sign}, gk_dim)
+    fam = IndexFamily(datum, lam0, {WeylElement.identity(datum.rank): sign})
     fam.__dict__["base_form"] = form  # the cached property, read by _on_coset
     return fam
 
@@ -329,5 +325,7 @@ def is_integral_weyl(w: WeylElement, base: Weight, datum: RootDatum) -> bool:
 def act_on_family(w: WeylElement, fam: IndexFamily) -> IndexFamily:
     """Coherent-continuation action: the family of w.X evaluates at lam to
     the original family at w^{-1} lam, i.e. coefficients a'_u = a_{uw}."""
+    if len(w.perm) != fam.datum.rank:
+        raise DimensionMismatch("Weyl element length must equal the rank")
     coeffs = {u.compose(w.inverse()): a for u, a in fam.coeffs.items()}
     return fam.replace(coeffs=coeffs)

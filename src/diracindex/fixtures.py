@@ -83,10 +83,10 @@ def sl2_families() -> dict[str, IndexFamily]:
     e = WeylElement.identity(2)
     s = sl2_simple_reflection()
     return {
-        "F": IndexFamily(datum, base, {e: -1, s: 1}, gk_dim=SL2.gk_dims["F"]),
-        "D+": IndexFamily(datum, base, {e: 1}, gk_dim=SL2.gk_dims["D+"]),
-        "D-": IndexFamily(datum, base, {s: -1}, gk_dim=SL2.gk_dims["D-"]),
-        "P": IndexFamily(datum, base, {}, gk_dim=SL2.gk_dims["P"]),
+        "F": IndexFamily(datum, base, {e: -1, s: 1}),
+        "D+": IndexFamily(datum, base, {e: 1}),
+        "D-": IndexFamily(datum, base, {s: -1}),
+        "P": IndexFamily(datum, base, {}),
     }
 
 
@@ -105,14 +105,17 @@ def su_n1_chamber_base(n: int, i: int) -> Weight:
 
 
 def su_n1_ds_family(n: int, i: int) -> IndexFamily:
-    """The discrete series of chamber D_i with its GK dimension: n for the
-    holomorphic D_0 and antiholomorphic D_n, whose associated variety is
-    p+ or p-, and 2n - 1 for the chambers between."""
+    """The index family of the discrete series of chamber D_i."""
     if not 0 <= i <= n:
         raise IndexOutOfRange(f"chamber index {i} out of range for SU({n},1)")
-    datum = su_n1_datum(n)
-    base = su_n1_chamber_base(n, i)
-    return discrete_series_family(base, datum, gk_dim=n if i in (0, n) else 2 * n - 1)
+    return discrete_series_family(su_n1_chamber_base(n, i), su_n1_datum(n))
+
+
+def su_n1_gk_dim(n: int, i: int) -> int:
+    """Recorded GK dimension of the discrete series of chamber D_i: n for
+    the holomorphic D_0 and antiholomorphic D_n, whose associated variety
+    is p+ or p-, and 2n - 1 for the chambers between."""
+    return n if i in (0, n) else 2 * n - 1
 
 
 def su21_ds_families() -> dict[int, IndexFamily]:

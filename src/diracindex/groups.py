@@ -452,6 +452,8 @@ class WeylElement(Value):
 
     def compose(self, other: "WeylElement") -> "WeylElement":
         """self o other: apply ``other`` first, then ``self``."""
+        if len(other.perm) != len(self.perm):
+            raise DimensionMismatch("Weyl elements of different lengths do not compose")
         perm = tuple(other.perm[p] for p in self.perm)
         signs = tuple(s * other.signs[p] for p, s in zip(self.perm, self.signs))
         return WeylElement(perm, signs)

@@ -2,13 +2,16 @@
 
 Each suite returns a SuiteReport whose cases are deterministic (seeded
 randomness only) and order-independent.  The same functions back the
-acceptance tests.
+acceptance tests.  The translation, ind-eq-char and harmonic suites read
+their families from one table, ``fixture_families``; ``run_suite`` reads
+one registry of runners, whose names are SUITE_NAMES.
 """
 
 from __future__ import annotations
 
 import random
 import zlib
+from collections.abc import Mapping
 from fractions import Fraction
 
 from .asymptotics import leading_limit
@@ -32,10 +35,12 @@ from .fixtures import (
     sl2_simple_reflection,
     su21_ds_families,
     su_n1_ds_family,
+    su_n1_gk_dim,
 )
 from .groups import (
     Family,
     GroupId,
+    WeylElement,
     build_root_datum,
     dot,
     weight_add,
@@ -74,7 +79,6 @@ from .sun1 import (
 from .value import Value
 from .weylaction import act, orbit_span, weyl_dim_poly, weyl_dim_value
 
-SUITE_NAMES = ("sl2", "translation", "ind-eq-char", "harmonic", "su-n1", "springer")
 # Lattice points per translation case, and (lam, y) pairs per family of the
 # ind-eq-char suite, whose draws start from IND_EQ_CHAR_SEED.
 TRANSLATION_POINTS = 10
@@ -121,6 +125,22 @@ class SuiteReport(Value):
         }
 
 
+# -- fixture families ------------------------------------------------------
+
+
+def fixture_families() -> dict[str, IndexFamily]:
+    """The families the fixture suites check, by name: SL(2,R) and SU(2,1)
+    of type A, and one holomorphic discrete series of types C and B."""
+    out = {f"sl2/{k}": v for k, v in sl2_families().items()}
+    for i, fam in su21_ds_families().items():
+        out[f"su21/D{i}"] = fam
+    sp4 = build_root_datum(GroupId.sp_r(2))
+    out["sp4/hol"] = discrete_series_family((Fraction(2), Fraction(1)), sp4)
+    so23 = build_root_datum(GroupId.so_even_odd(1, 1))
+    out["so23/hol"] = discrete_series_family(so23.rho_g, so23)
+    return out
+
+
 # -- rank one -----------------------------------------------------------
 
 
@@ -139,41 +159,28 @@ def sl2_suite() -> SuiteReport:
             f"Q_{name} = {q!r}",
         )
 
-    # The reflection action on index families matches the recorded matrix.
+    # The reflection action on index families matches the recorded matrix,
+    # whose column j expresses s.names[j] in the basis names.
     matrix = SL2.s_matrix
-    for j, name in enumerate(names):
-        acted = act_on_family(s, fams[name])
-        combo = None
-        for i, basis_name in enumerate(names):
-            c = matrix[j][i]
-            if c == 0:
-                continue
-            scaled = IndexFamily(
-                fams[basis_name].datum,
-                fams[basis_name].base,
-                {w: c * a for w, a in fams[basis_name].coeffs.items()},
-            )
-            combo = scaled if combo is None else family_combination(combo, scaled)
-        if combo is None:
-            combo = IndexFamily(fams[name].datum, fams[name].base, {})
+    for name, column in zip(names, matrix):
+        summed: dict[WeylElement, int] = {}
+        for c, basis_name in zip(column, names):
+            for w, a in fams[basis_name].coeffs.items():
+                summed[w] = summed.get(w, 0) + c * a
+        combo = {w: a for w, a in summed.items() if a}
+        acted = act_on_family(s, fams[name]).coeffs
         report.add(
             f"s-action/{name}",
-            dict(acted.coeffs) == dict(combo.coeffs),
+            acted == combo,
             f"s.{name}: {sorted_coeff_str(acted)} vs {sorted_coeff_str(combo)}",
         )
 
     # Involution and content of the coherent continuation representation:
     # three trivial summands and one sign summand.
-    m = [list(col) for col in matrix]  # m[j][i]: column j expresses s.names[j]
-    square = [
-        [
-            sum(m[j][k] * m[k][i] for k in range(4))
-            for i in range(4)
-        ]
-        for j in range(4)
-    ]
-    identity = [[1 if i == j else 0 for i in range(4)] for j in range(4)]
-    report.add("s-action/involution", square == identity)
+    report.add(
+        "s-action/involution",
+        all(act_on_family(s, act_on_family(s, fam)) == fam for fam in fams.values()),
+    )
     trace = sum(matrix[j][j] for j in range(4))
     trivial = (4 + trace) // 2
     sign_count = 4 - trivial
@@ -233,12 +240,8 @@ def _formal_sum(a: tuple[int, int], b: tuple[int, int]):
     return {w: c for w, c in out.items() if c != 0}
 
 
-def sorted_coeff_str(fam: IndexFamily) -> str:
-    return str(
-        sorted(
-            ((w.perm, w.signs, a) for w, a in fam.coeffs.items()),
-        )
-    )
+def sorted_coeff_str(coeffs: Mapping[WeylElement, int]) -> str:
+    return str(sorted((w.perm, w.signs, a) for w, a in coeffs.items()))
 
 
 # -- translation --------------------------------------------------------
@@ -258,25 +261,20 @@ def _lattice_offsets_rank(rank: int) -> list[tuple[int, ...]]:
 
 
 def translation_suite() -> SuiteReport:
+    """Type-A fixture families tensored with the adjoint e_1 - e_r and standard e_1."""
     report = SuiteReport("translation")
-    sl2 = sl2_families()
-    su21 = su21_ds_families()
-    jobs: list[tuple[str, IndexFamily, tuple]] = []
-    for name, fam in sl2.items():
-        jobs.append((f"sl2/{name}/adjoint", fam, (1, -1)))
-        jobs.append((f"sl2/{name}/standard", fam, (1, 0)))
-    for i, fam in su21.items():
-        jobs.append((f"su21/D{i}/adjoint", fam, (1, 0, -1)))
-        jobs.append((f"su21/D{i}/standard", fam, (1, 0, 0)))
-    for case_id, fam, highest in jobs:
+    for name, fam in fixture_families().items():
+        if fam.datum.ambient.kind != "A":
+            continue
+        standard = (Fraction(1),) + (Fraction(0),) * (fam.datum.rank - 1)
+        adjoint = standard[:-1] + (Fraction(-1),)
         offsets = _lattice_offsets_rank(fam.datum.rank)
-        ok = True
-        for off in offsets:
-            lam = weight_add(fam.base, tuple(Fraction(x) for x in off))
-            if not verify_translation(fam, tuple(Fraction(x) for x in highest), lam):
-                ok = False
-                break
-        report.add(case_id, ok, f"{len(offsets)} lattice points")
+        for label, highest in (("adjoint", adjoint), ("standard", standard)):
+            ok = all(
+                verify_translation(fam, highest, weight_add(fam.base, tuple(map(Fraction, off))))
+                for off in offsets
+            )
+            report.add(f"{name}/{label}", ok, f"{len(offsets)} lattice points")
     return report
 
 
@@ -301,21 +299,12 @@ def _random_regular_direction(datum, rng: random.Random):
 
 def ind_eq_char_suite() -> SuiteReport:
     report = SuiteReport("ind-eq-char")
-    sl2 = sl2_families()
-    families = {
-        "sl2/D+": sl2["D+"],
-        "sl2/D-": sl2["D-"],
-        "sl2/F": sl2["F"],
-    }
-    for i, fam in su21_ds_families().items():
-        families[f"su21/D{i}"] = fam
-    for name, fam in families.items():
+    fixtures = fixture_families()
+    for name in ("sl2/D+", "sl2/D-", "sl2/F", "su21/D0", "su21/D1", "su21/D2"):
+        fam = fixtures[name]
         datum = fam.datum
         gap = datum.r_g - datum.r_k
         rng = random.Random(IND_EQ_CHAR_SEED + _stable_seed(name))
-        ok = True
-        detail = ""
-        last_report = None
         for _ in range(IND_EQ_CHAR_TRIALS):
             off = tuple(Fraction(rng.randint(-4, 4)) for _ in range(datum.rank))
             lam = weight_add(fam.base, off)
@@ -323,14 +312,12 @@ def ind_eq_char_suite() -> SuiteReport:
             at_gap = leading_limit(fam, lam, y, gap)
             above1 = leading_limit(fam, lam, y, gap + 1)
             above2 = leading_limit(fam, lam, y, gap + 2)
-            last_report = at_gap
             if not (at_gap.match and above1.value == 0 and above2.value == 0):
-                ok = False
-                detail = f"failed at lam={lam}, y={y}: {_limit_json(at_gap)}"
+                report.add(name, False, f"failed at lam={lam}, y={y}: {_limit_json(at_gap)}")
                 break
-        if not detail:
-            detail = f"{IND_EQ_CHAR_TRIALS} random (lam, y) pairs; last {_limit_json(last_report)}"
-        report.add(name, ok, detail)
+        else:
+            report.add(name, True,
+                       f"{IND_EQ_CHAR_TRIALS} random (lam, y) pairs; last {_limit_json(at_gap)}")
 
     # Spin parity convention: ch(S+ - S-) equals the Weyl denominator
     # quotient as an exact series, for every family of rank <= 4.
@@ -355,31 +342,16 @@ def ind_eq_char_suite() -> SuiteReport:
 
 
 def _small_groups(max_rank: int = 4) -> list[GroupId]:
-    groups = []
-    for g in table_groups(max_param=max_rank):
-        if g.rank <= max_rank:
-            groups.append(g)
-    return groups
+    return [g for g in table_groups(max_param=max_rank) if g.rank <= max_rank]
 
 
 # -- harmonic / property suite ------------------------------------------
 
 
-def fixture_families() -> dict[str, IndexFamily]:
-    out = dict(sl2_families())
-    out = {f"sl2/{k}": v for k, v in out.items()}
-    for i, fam in su21_ds_families().items():
-        out[f"su21/D{i}"] = fam
-    # extra coverage for C and B types
-    sp4 = build_root_datum(GroupId.sp_r(2))
-    out["sp4/hol"] = discrete_series_family((Fraction(2), Fraction(1)), sp4)
-    so23 = build_root_datum(GroupId.so_even_odd(1, 1))
-    out["so23/hol"] = discrete_series_family(so23.rho_g, so23)
-    return out
-
-
 def harmonic_suite() -> SuiteReport:
     report = SuiteReport("harmonic")
+    recorded_gk = {f"sl2/{name}": gk for name, gk in SL2.gk_dims.items()}
+    recorded_gk.update({f"su21/D{i}": su_n1_gk_dim(2, i) for i in range(3)})
     for name, fam in fixture_families().items():
         datum = fam.datum
         q = index_polynomial(fam)
@@ -390,25 +362,18 @@ def harmonic_suite() -> SuiteReport:
         report.add(f"{name}/degree", hom_ok, f"deg {q.total_degree()}")
         span = orbit_span(weyl_dim_poly(datum), datum)
         report.add(f"{name}/span-membership", span.contains(q))
-        equi_ok = True
-        for w in weyl_elements(datum, "g"):
-            lhs = index_polynomial(act_on_family(w, fam))
-            rhs = act(w, q)
-            if lhs != rhs:
-                equi_ok = False
-                break
+        equi_ok = all(index_polynomial(act_on_family(w, fam)) == act(w, q)
+                      for w in weyl_elements(datum, "g"))
         report.add(f"{name}/equivariance", equi_ok)
-        if fam.gk_dim is not None and fam.gk_dim < datum.r_g - datum.r_k:
-            report.add(f"{name}/vanishing", q.is_zero(), f"GK dim {fam.gk_dim}")
+        gk = recorded_gk.get(name)
+        if gk is not None and gk < datum.r_g - datum.r_k:
+            report.add(f"{name}/vanishing", q.is_zero(), f"GK dim {gk}")
         # dimension identity on 200 lattice points
         rng = random.Random(_stable_seed(name))
-        dim_ok = True
-        for _ in range(200):
-            off = tuple(Fraction(rng.randint(-5, 5)) for _ in range(datum.rank))
-            lam = weight_add(fam.base, off)
-            if q.evaluate(lam) != dim_virtual(evaluate_index(fam, lam)):
-                dim_ok = False
-                break
+        offsets = (tuple(Fraction(rng.randint(-5, 5)) for _ in range(datum.rank))
+                   for _ in range(200))
+        dim_ok = all(q.evaluate(lam) == dim_virtual(evaluate_index(fam, lam))
+                     for lam in (weight_add(fam.base, off) for off in offsets))
         report.add(f"{name}/dimension-identity", dim_ok, "200 lattice points")
     return report
 
@@ -554,15 +519,18 @@ def springer_suite(max_param: int = 5) -> SuiteReport:
     return report
 
 
+_RUNNERS = {
+    "sl2": sl2_suite,
+    "translation": translation_suite,
+    "ind-eq-char": ind_eq_char_suite,
+    "harmonic": harmonic_suite,
+    "su-n1": su_n1_suite,
+    "springer": springer_suite,
+}
+SUITE_NAMES = tuple(_RUNNERS)
+
+
 def run_suite(name: str, **kwargs) -> SuiteReport:
-    runners = {
-        "sl2": sl2_suite,
-        "translation": translation_suite,
-        "ind-eq-char": ind_eq_char_suite,
-        "harmonic": harmonic_suite,
-        "su-n1": su_n1_suite,
-        "springer": springer_suite,
-    }
-    if name not in runners:
+    if name not in _RUNNERS:
         raise UnknownSuite(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
-    return runners[name](**kwargs)
+    return _RUNNERS[name](**kwargs)

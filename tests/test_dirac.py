@@ -21,12 +21,13 @@ from diracindex.dirac import (
 )
 from diracindex.errors import (
     CapExceeded,
+    DimensionMismatch,
     DiracIndexError,
     NonIntegralCoefficient,
     OffLattice,
     SingularParameter,
 )
-from diracindex.fixtures import sl2_families, sl2_weight, su21_ds_families
+from diracindex.fixtures import SL2, sl2_families, sl2_weight, su21_ds_families
 from diracindex.groups import (
     GroupId,
     WeylElement,
@@ -370,10 +371,33 @@ def test_vanishing_for_small_gk_dimension():
     fams = sl2_families()
     for name, fam in fams.items():
         gap = fam.datum.r_g - fam.datum.r_k
-        if fam.gk_dim is not None and fam.gk_dim < gap:
+        if SL2.gk_dims[name] < gap:
             assert index_polynomial(fam).is_zero()
     # the finite-dimensional family is the case that actually triggers
-    assert fams["F"].gk_dim == 0 < 1
+    assert SL2.gk_dims["F"] == 0 < 1
+
+
+def test_family_equality_reads_only_datum_base_and_coefficients():
+    fams = sl2_families()
+    assert IndexFamily._fields == ("datum", "base", "coeffs")
+    # P has no coefficients, so F + P is F
+    assert family_combination(fams["F"], fams["P"]) == fams["F"]
+    assert family_combination(fams["D+"], fams["D-"], 1, 0) == fams["D+"]
+    assert family_combination(fams["D+"], fams["D-"]) != fams["D+"]
+
+
+def test_weyl_elements_of_another_length_are_refused():
+    fams = sl2_families()
+    w = WeylElement((2, 0, 1), (1, 1, 1))
+    with pytest.raises(DimensionMismatch):
+        act_on_family(w, fams["D+"])
+    for name in ("F", "P"):
+        with pytest.raises(DimensionMismatch):
+            act_on_family(WeylElement((0,), (-1,)), fams[name])
+    with pytest.raises(DimensionMismatch, match="Weyl element length must equal the rank"):
+        IndexFamily(fams["D+"].datum, fams["D+"].base, {w: 1})
+    with pytest.raises(DimensionMismatch):
+        w.compose(WeylElement.identity(2))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

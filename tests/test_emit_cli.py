@@ -29,7 +29,7 @@ from diracindex.emit import (
     springer_row_to_obj,
     springer_rows_to_csv,
 )
-from diracindex.errors import InternalInvariantError, UnsupportedFormat
+from diracindex.errors import InternalInvariantError, UnknownSuite, UnsupportedFormat
 from diracindex.fixtures import sl2_families
 from diracindex.groups import GroupId, build_root_datum
 from diracindex.polynomials import (
@@ -40,7 +40,7 @@ from diracindex.polynomials import (
 )
 from diracindex.springer import springer_row, table_groups
 from diracindex.sun1 import char_poly_det, extract_det_factors
-from diracindex.suites import run_suite
+from diracindex.suites import SUITE_NAMES, run_suite
 
 
 def test_poly_json_matches_schema_example():
@@ -484,6 +484,16 @@ def test_suites_deterministic_across_runs():
     second = run_suite("ind-eq-char").to_obj()
     assert first == second
     assert run_suite("translation").to_obj() == run_suite("translation").to_obj()
+
+
+def test_run_suite_names_the_registered_suites():
+    assert SUITE_NAMES == ("sl2", "translation", "ind-eq-char", "harmonic", "su-n1", "springer")
+    with pytest.raises(UnknownSuite) as caught:
+        run_suite("nope")
+    assert str(caught.value) == (
+        "unknown suite 'nope'; choose from "
+        "('sl2', 'translation', 'ind-eq-char', 'harmonic', 'su-n1', 'springer')"
+    )
 
 
 @pytest.mark.parametrize(

@@ -50,6 +50,8 @@ COMMANDS = [
         f"verify --suite {suite} --format json"
         for suite in ("sl2", "translation", "ind-eq-char", "harmonic", "su-n1", "springer")
     ),
+    # the text reports of the suites built on the fixture families
+    *(f"verify --suite {suite}" for suite in ("translation", "ind-eq-char", "harmonic")),
     # larger kernels
     "index-poly --group 'Sp(14,R)' --hc-param 7,6,5,4,3,2,1",
     # chamber sign -1: the index polynomial is -D_k

@@ -339,13 +339,13 @@ def test_det_matches_cofactor_oracle(i):
 
 def test_degree_report_consistent_with_gk_dimension():
     # deg P = (number of positive roots) - (GK dimension 2n - 1)
-    from diracindex.fixtures import su_n1_ds_family
+    from diracindex.fixtures import su_n1_gk_dim
 
     for n in (4, 5, 6):
-        fam = su_n1_ds_family(n, 2)
-        assert fam.gk_dim == 2 * n - 1
+        gk = su_n1_gk_dim(n, 2)
+        assert gk == 2 * n - 1
         r_g = comb(n + 1, 2)
-        assert degree_report(n, 2)["deg_P"] == r_g - fam.gk_dim
+        assert degree_report(n, 2)["deg_P"] == r_g - gk
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -353,12 +353,12 @@ def test_holomorphic_chambers_have_half_the_dimension_of_g_over_k(n):
     """D_0 and D_n have associated variety p+ or p-, of dimension n; the
     chambers between have GK dimension 2n - 1.  Each is at least the gap
     r_g - r_k = n, where the index need not vanish."""
-    from diracindex.fixtures import su_n1_ds_family
+    from diracindex.fixtures import su_n1_gk_dim
 
     datum = su_n1_datum(n)
     assert datum.r_g - datum.r_k == n
     for i in range(n + 1):
-        gk = su_n1_ds_family(n, i).gk_dim
+        gk = su_n1_gk_dim(n, i)
         assert gk == (n if i in (0, n) else 2 * n - 1), (n, i)
         assert gk >= datum.r_g - datum.r_k
 

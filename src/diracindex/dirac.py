@@ -29,7 +29,6 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import repeat
 from operator import add, gt, mul, sub
-from types import MappingProxyType
 
 from .errors import (
     CapExceeded,
@@ -55,7 +54,6 @@ from .kmodules import (
     _k_type_sum,
     _sum_on_lattice,
     frequencies_to_series,
-    k_type_sum,
     tensor_virtual,
     weight_multiset,
 )
@@ -71,28 +69,26 @@ class SpinWeights(Value):
     __slots__ = _fields = ("plus", "minus")
 
 
+def _spin_start(datum: RootDatum) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """(start, noncompact): the numerators over 2 of rho_k - rho_g, which
+    every spin weight is plus a sum of noncompact positive roots, and those
+    roots; a datum with more of them than SPIN_SUBSET_CAP raises
+    CapExceeded."""
+    noncompact = datum.noncompact_positive_roots
+    if len(noncompact) > SPIN_SUBSET_CAP:
+        raise CapExceeded(
+            f"{len(noncompact)} noncompact roots exceeds the subset cap {SPIN_SUBSET_CAP}")
+    return tuple(map(sub, over(datum.rho_k_form, 2), over(datum.rho_g_form, 2))), noncompact
+
+
 def spin_weights(datum: RootDatum) -> SpinWeights:
     """The 2^(r_g - r_k) spin weights -rho_g + rho_k + (subset sums),
     split by subset parity, with the parity labels chosen so that
     ch(S+ - S-) = d_g/d_k holds exactly.  A datum with more than
     SPIN_SUBSET_CAP noncompact positive roots raises CapExceeded.  The
-    weights are built on each call."""
-    plus, minus = _spin_forms(datum)
-    return SpinWeights(WeightMultiset(forms=plus), WeightMultiset(forms=minus))
-
-
-def _spin_forms(datum: RootDatum) -> tuple[Mapping[IntWeight, int], Mapping[IntWeight, int]]:
-    """The integer forms of the S+ and S- weights with their
-    multiplicities; read-only.  Each noncompact root carries the even
-    subset sums into odd ones and back; equal weights merge.  A datum past
-    SPIN_SUBSET_CAP raises CapExceeded.  Not cached: the traffic reads
-    them once per datum, through the cached `_spin_columns`."""
-    noncompact = datum.noncompact_positive_roots
-    if len(noncompact) > SPIN_SUBSET_CAP:
-        raise CapExceeded(
-            f"{len(noncompact)} noncompact roots exceeds the subset cap {SPIN_SUBSET_CAP}")
-    # Numerators over 2: every spin weight is rho_k - rho_g plus a root sum.
-    start = tuple(map(sub, over(datum.rho_k_form, 2), over(datum.rho_g_form, 2)))
+    weights are built on each call: each noncompact root carries the even
+    subset sums into odd ones and back, and equal weights merge."""
+    start, noncompact = _spin_start(datum)
     even: dict[tuple[int, ...], int] = {start: 1}
     odd: dict[tuple[int, ...], int] = {}
     for beta in noncompact:
@@ -105,10 +101,8 @@ def _spin_forms(datum: RootDatum) -> tuple[Mapping[IntWeight, int], Mapping[IntW
                 target[w] = get(w, 0) + m
         even, odd = new_even, new_odd
     plus, minus = (odd, even) if len(noncompact) % 2 == 1 else (even, odd)
-    return (
-        MappingProxyType({reduced(2, w): m for w, m in plus.items()}),
-        MappingProxyType({reduced(2, w): m for w, m in minus.items()}),
-    )
+    return SpinWeights(WeightMultiset(forms={reduced(2, w): m for w, m in plus.items()}),
+                       WeightMultiset(forms={reduced(2, w): m for w, m in minus.items()}))
 
 
 @lru_cache(maxsize=None)
@@ -116,15 +110,28 @@ def _spin_columns(datum: RootDatum) -> tuple[tuple[tuple[int, ...], ...], tuple[
     """(columns, mults): the weights of S+ - S-, equal ones merged with
     their signs, as numerator-over-2 coordinate columns (column i holds
     twice coordinate i of every weight) and their signed multiplicities,
-    in one order."""
-    plus, minus = _spin_forms(datum)
-    signed: dict[tuple[int, ...], int] = {}
-    for sign, forms in ((1, plus), (-1, minus)):
-        for form, m in forms.items():
-            nums = over(form, 2)
-            signed[nums] = signed.get(nums, 0) + sign * m
-    signed = {nums: m for nums, m in signed.items() if m}
-    return tuple(zip(*signed)), tuple(signed.values())
+    in one order.  A datum past SPIN_SUBSET_CAP raises CapExceeded.
+
+    A subset S of the n noncompact roots labels S+ when n - |S| is even
+    (see `spin_weights`), so ch(S+ - S-) = e^(rho_k - rho_g) times the
+    product of (e^beta - 1) over the noncompact roots beta: one signed
+    product, on numerators over 2, whose terms that cancel are dropped as
+    they arise."""
+    start, noncompact = _spin_start(datum)
+    acc = {start: 1}
+    for beta in noncompact:
+        twice = tuple(map(mul, beta, repeat(2)))
+        nxt = {w: -m for w, m in acc.items()}
+        get = nxt.get
+        for w, m in acc.items():
+            w = tuple(map(add, w, twice))
+            m += get(w, 0)
+            if m:
+                nxt[w] = m
+            else:
+                del nxt[w]
+        acc = nxt
+    return tuple(zip(*acc)), tuple(acc.values())
 
 
 def spin_character_series(
@@ -236,9 +243,11 @@ def _index_terms(
 
 
 def evaluate_index(fam: IndexFamily, lam: Weight) -> VirtualKModule:
-    """I(X_lam) = sum_w a_w E(w lam); lam must lie on the base coset."""
-    _on_coset(fam, fam.datum.form(lam))
-    return k_type_sum(fam.datum, ((w.apply(lam), a) for w, a in fam.coeffs.items()))
+    """I(X_lam) = sum_w a_w E(w lam); lam must lie on the base coset.  The
+    terms are the integer forms w lam, each tested once against the
+    lattice (`kmodules._k_type_sum`)."""
+    lam = _on_coset(fam, fam.datum.form(lam))
+    return _k_type_sum(fam.datum, _index_terms(fam.coeffs.items(), lam))
 
 
 def index_polynomial(fam: IndexFamily) -> MultiPoly:

@@ -30,8 +30,8 @@ numerators of its integer form.  ``_signed_dominant(blocks, gamma)`` runs
 it on each of the blocks and returns (sign(x), x.gamma) for the x with
 x.gamma dominant, or None when gamma is singular, without building x:
 pass ``datum.compact_blocks`` for W_k, as ``normalize_k_dominant`` and
-through it every K-type sum do.  The Freudenthal recursion of `kmodules`
-runs it on ``datum.ambient`` for the W_g representative.
+through it every K-type sum do.  ``simple_roots`` keeps the positive
+roots whose coroots pair to 1 with rho_g.
 SU(p,q) weights are *not* quotiented by the trace line; every quantity
 computed downstream is invariant under adding a multiple of (1,...,1),
 and the SU lattice accordingly contains all vectors with pairwise
@@ -511,13 +511,20 @@ def weyl_order(datum: RootDatum, which: str = "g") -> int:
     return math.prod(b.weyl_order() for b in blocks)
 
 
+def _enumerable_order(datum: RootDatum, which: str = "g") -> int:
+    """weyl_order(datum, which), for a group to be listed element by
+    element: past DEFAULT_WEYL_CAP it raises EnumerationCapExceeded."""
+    order = weyl_order(datum, which)
+    if order > DEFAULT_WEYL_CAP:
+        raise EnumerationCapExceeded(f"|W| = {order} exceeds cap {DEFAULT_WEYL_CAP}")
+    return order
+
+
 def weyl_elements(datum: RootDatum, which: str = "g") -> tuple[WeylElement, ...]:
     """Complete, duplicate-free list of W_g or W_k as signed permutations,
     the first block's moves outermost; a group past DEFAULT_WEYL_CAP
     elements raises EnumerationCapExceeded before any is built."""
-    order = weyl_order(datum, which)
-    if order > DEFAULT_WEYL_CAP:
-        raise EnumerationCapExceeded(f"|W| = {order} exceeds cap {DEFAULT_WEYL_CAP}")
+    order = _enumerable_order(datum, which)
     blocks = (datum.ambient,) if which == "g" else datum.compact_blocks
     elems = []
     for moves in product(*map(_block_moves, blocks)):
@@ -531,11 +538,15 @@ def weyl_elements(datum: RootDatum, which: str = "g") -> tuple[WeylElement, ...]
 
 
 @lru_cache(maxsize=None)
-def simple_roots(datum: RootDatum) -> tuple[Weight, ...]:
-    """Positive roots not expressible as a sum of two positive roots."""
-    pos = set(datum.positive_roots)
-    sums = {weight_add(a, b) for a in pos for b in pos}
-    return tuple(r for r in datum.positive_roots if r not in sums)
+def simple_roots(datum: RootDatum) -> tuple[Root, ...]:
+    """The positive roots alpha with <rho_g, alpha^vee> = 1, in the order of
+    the positive roots: a positive root is simple exactly when its coroot
+    pairs to 1 with rho_g (Humphreys, Introduction to Lie Algebras and
+    Representation Theory, 10.2 and 13.3).  With rho_g = nums / den that
+    is 2 (nums, alpha) = den (alpha, alpha), one integer test per root."""
+    den, rho = datum.rho_g_form
+    return tuple(alpha for alpha in datum.positive_roots
+                 if 2 * idot(rho, alpha) == den * idot(alpha, alpha))
 
 
 def _chamber_block(kind: str, entries) -> tuple[list, list, int]:

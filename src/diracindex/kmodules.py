@@ -10,8 +10,12 @@ contribute zero.  The allowed parameters form the coset Lambda + rho_g.
 
 Freudenthal's recursion visits only the dominant weights, found by
 positive-root steps that stay dominant, in descending order of |mu + rho|^2.
-It runs on integer numerators over one denominator, with the chamber
-kernel of `groups`, and returns integer forms and multiplicities.
+It runs on integer numerators over one denominator, reads dominance off
+the entries, and gives each multiplicity to the whole W_g-orbit of its
+weight as soon as it is known, so the weights above a later one are read
+with one dict lookup each.  The orbits are found under the simple
+reflections as index maps on plain tuples (`weyl_orbit`), and the result
+is every weight as an integer form with its multiplicity.
 
 Modules and multisets store their weights as integer forms (see
 `groups`): `forms` maps (den, nums) to a coefficient or multiplicity, and
@@ -53,9 +57,9 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from functools import lru_cache
-from itertools import repeat
+from itertools import chain, combinations, repeat, starmap
 from math import comb, factorial, lcm, prod
-from operator import add, itemgetter, mul
+from operator import add, ge, gt, itemgetter, mul, sub
 from types import MappingProxyType
 
 from .errors import (
@@ -69,7 +73,8 @@ from .groups import (
     IntWeight,
     RootDatum,
     Weight,
-    _chamber_block,
+    _block_moves,
+    _enumerable_order,
     idot,
     int_add,
     int_form,
@@ -79,7 +84,6 @@ from .groups import (
     reflection,
     simple_roots,
     weight_add,
-    weyl_elements,
 )
 from .series import TruncatedSeries, _check_order
 from .weylaction import _weyl_product, weyl_dim_value_g
@@ -225,15 +229,11 @@ class WeightMultiset(_OnForms):
             raise ValueError("multiplicities must be positive")
 
 
-def _dominant_rep_g(datum: RootDatum, mu: tuple[int, ...]) -> tuple[int, ...]:
-    """Dominant representative of integer numerators under the full Weyl
-    group."""
-    return tuple(_chamber_block(datum.ambient.kind, mu)[1])
-
-
 def _dominant_character(datum: RootDatum, highest: Weight) -> dict[IntWeight, int]:
-    """Freudenthal multiplicities at the dominant weights of V(highest), on
-    their integer forms, in ascending order of the weights.
+    """The weights of V(highest) with their multiplicities, on integer
+    forms: Freudenthal's multiplicity at each dominant weight, given to its
+    whole W_g-orbit as soon as it is known.  The orbits follow in
+    ascending order of their dominant weights.
 
     Runs on the numerators of highest and rho_g over their common
     denominator D, with the roots scaled by D too, so every norm and
@@ -242,80 +242,112 @@ def _dominant_character(datum: RootDatum, highest: Weight) -> dict[IntWeight, in
     form = int_form(highest)
     den = lcm(form[0], datum.rho_g_form[0])
     top, rho = over(form, den), over(datum.rho_g_form, den)
-    pos = [tuple(den * c for c in alpha) for alpha in datum.positive_roots]
+    pos = [(alpha, sum(map(mul, alpha, alpha)))
+           for alpha in (tuple(map(mul, root, repeat(den))) for root in datum.positive_roots)]
 
     def norm(mu):
-        shifted = [m + r for m, r in zip(mu, rho)]
-        return idot(shifted, shifted)
+        shifted = tuple(map(add, mu, rho))
+        return sum(map(mul, shifted, shifted))
 
     top_norm = norm(top)
 
     # Each dominant weight of V below highest is a positive root below another
     # (Stembridge, "The partial order of dominant weights", Adv. Math. 1998),
-    # so positive-root steps that stay dominant find them all.
+    # so positive-root steps that stay dominant find them all.  In the
+    # ambient coordinates nu is dominant when its entries do not increase,
+    # the last one nonnegative in B and C, and in D the last two summing to
+    # at least 0.
+    kind = datum.ambient.kind
+    tail = (0,) if kind in ("B", "C") else ()
     seen = {top}
     frontier = [top]
     while frontier:
         nxt = []
         for mu in frontier:
-            for alpha in pos:
-                child = tuple(m - a for m, a in zip(mu, alpha))
-                if child not in seen and _dominant_rep_g(datum, child) == child:
+            for alpha, _ in pos:
+                child = tuple(map(sub, mu, alpha))
+                if (child not in seen and all(map(ge, child, child[1:] + tail))
+                        and (kind != "D" or child[-2] + child[-1] >= 0)):
                     seen.add(child)
                     nxt.append(child)
         frontier = nxt
 
     # For alpha > 0 and k >= 1, mu + k alpha and its dominant representative
-    # have larger |. + rho|^2 than mu, so descending order computes them first.
-    dominants = sorted(seen, key=norm, reverse=True)
-
+    # have larger |. + rho|^2 than mu, so descending order computes them
+    # first, and each has its orbit in mult when mu is reached.
     mult: dict[tuple[int, ...], int] = {}
-
-    def mult_of(nu):
-        return mult.get(_dominant_rep_g(datum, nu), 0)
-
-    for mu in dominants:
+    get = mult.get
+    orbits: dict[tuple[int, ...], tuple[int, set, int]] = {}
+    for mu in sorted(seen, key=norm, reverse=True):
         if mu == top:
-            mult[mu] = 1
-            continue
-        mu_rho = [m + r for m, r in zip(mu, rho)]
-        mu_norm = idot(mu_rho, mu_rho)
-        acc = 0
-        for alpha in pos:
-            norm2 = idot(alpha, alpha)
-            mu_alpha = idot(mu_rho, alpha)
-            k = 1
-            while True:
-                nu = tuple(m + k * a for m, a in zip(mu, alpha))
-                if mu_norm + 2 * k * mu_alpha + k * k * norm2 > top_norm:
-                    # Past the vertex of the norm parabola the bound is final.
-                    if k * norm2 > -mu_alpha:
-                        break
-                else:
-                    m = mult_of(nu)
-                    if m:
-                        acc += m * idot(nu, alpha)
-                k += 1
-        # 2 sum m (nu, alpha) / (|highest + rho|^2 - |mu + rho|^2): D^2 cancels
-        value, rest = divmod(2 * acc, top_norm - mu_norm)
-        if rest:
-            raise InternalInvariantError("non-integral weight multiplicity")
-        if value:
-            mult[mu] = value
-    return {reduced(den, mu): mult[mu] for mu in sorted(mult)}
+            value = 1
+        else:
+            mu_rho = tuple(map(add, mu, rho))
+            mu_norm = sum(map(mul, mu_rho, mu_rho))
+            acc = 0
+            for alpha, norm2 in pos:
+                mu_alpha = sum(map(mul, mu_rho, alpha))
+                nu, k = mu, 1
+                while True:
+                    nu = tuple(map(add, nu, alpha))
+                    if mu_norm + 2 * k * mu_alpha + k * k * norm2 > top_norm:
+                        # Past the vertex of the norm parabola the bound is final.
+                        if k * norm2 > -mu_alpha:
+                            break
+                    else:
+                        m = get(nu)
+                        if m:
+                            acc += m * sum(map(mul, nu, alpha))
+                    k += 1
+            # 2 sum m (nu, alpha) / (|highest + rho|^2 - |mu + rho|^2): D^2 cancels
+            value, rest = divmod(2 * acc, top_norm - mu_norm)
+            if rest:
+                raise InternalInvariantError("non-integral weight multiplicity")
+            if not value:
+                continue
+        # The orbit is found on the canonical form's numerators nums / d;
+        # numerators over D are g times them.
+        d, nums = reduced(den, mu)
+        orbit = weyl_orbit(datum, nums)
+        orbits[mu] = d, orbit, value
+        g = den // d
+        scaled = orbit if g == 1 else [tuple(map(mul, nu, repeat(g))) for nu in orbit]
+        mult.update(dict.fromkeys(scaled, value))
+    forms: dict[IntWeight, int] = {}
+    for mu in sorted(orbits):
+        d, orbit, value = orbits[mu]
+        forms.update(dict.fromkeys(zip(repeat(d), orbit), value))
+    return forms
+
+
+@lru_cache(maxsize=None)
+def _simple_moves(datum: RootDatum) -> tuple[tuple[itemgetter, tuple[int, ...] | None], ...]:
+    """(get, signs) per simple reflection s, once per datum: s nu is
+    get(nu), its entries times signs unless s only permutes."""
+    moves = []
+    for alpha in simple_roots(datum):
+        s = reflection(alpha)
+        # itemgetter of one index returns the entry, not a 1-tuple
+        get = itemgetter(*s.perm) if datum.rank > 1 else itemgetter(slice(0, 1))
+        moves.append((get, None if -1 not in s.signs else s.signs))
+    return tuple(moves)
 
 
 def weyl_orbit(datum: RootDatum, mu: Weight) -> set[Weight]:
-    """Full Weyl group orbit of mu, generated by simple reflections; mu may
-    also be the numerators of an integer form."""
-    gens = [reflection(alpha) for alpha in simple_roots(datum)]
+    """Full Weyl group orbit of mu, breadth first under the simple
+    reflections; mu may also be the numerators of an integer form.  Each
+    reflection is an index map on plain tuples (`_simple_moves`), so the
+    cost grows with the orbit and the rank, not with |W_g|."""
+    if len(mu) != datum.rank:
+        raise DimensionMismatch(f"weight length {len(mu)} != rank {datum.rank}")
+    moves = _simple_moves(datum)
     orbit = {mu}
     frontier = [mu]
     while frontier:
         nxt = []
         for nu in frontier:
-            for s in gens:
-                im = s.apply(nu)
+            for get, signs in moves:
+                im = get(nu) if signs is None else tuple(map(mul, signs, get(nu)))
                 if im not in orbit:
                     orbit.add(im)
                     nxt.append(im)
@@ -326,7 +358,7 @@ def weyl_orbit(datum: RootDatum, mu: Weight) -> set[Weight]:
 @lru_cache(maxsize=None)
 def _weight_forms(datum: RootDatum, highest: Weight) -> Mapping[IntWeight, int]:
     """The weights of V(highest) with their multiplicities, on integer
-    forms: the W-orbits of the dominant weights, checked integral and
+    forms, as `_dominant_character` finds them, checked integral and
     against the Weyl dimension; read-only.  A highest weight that is not
     dominant integral raises NotDominantIntegral, uncached, on every call."""
     den, top = int_form(highest)
@@ -337,10 +369,7 @@ def _weight_forms(datum: RootDatum, highest: Weight) -> Mapping[IntWeight, int]:
             raise NotDominantIntegral(
                 f"<{alpha}, {highest}> = {Fraction(twice, scale)} is not a nonnegative integer"
             )
-    forms: dict[IntWeight, int] = {}
-    for (mu_den, mu), m in _dominant_character(datum, highest).items():
-        for nu in weyl_orbit(datum, mu):
-            forms[mu_den, nu] = m
+    forms = _dominant_character(datum, highest)
     total = sum(forms.values())
     expected = weyl_dim_value_g(datum, weight_add(highest, datum.rho_g))
     if total != expected:
@@ -395,15 +424,32 @@ def _signed_k_getters(datum: RootDatum) -> tuple[tuple[int, ...], tuple[itemgett
     """(signs, gets), once per datum: sgn w over W_k, and per coordinate i
     a getter with gets[i](y + (-y)) = ((w y)_i over W_k), in the order of
     signs.  (w y)_i = signs[i] y[perm[i]] is entry perm[i] of y followed
-    by -y, or entry perm[i] + rank when signs[i] = -1."""
+    by -y, or entry perm[i] + rank when signs[i] = -1.
+
+    The elements are the products of one move of each compact block, the
+    first block's moves outermost, as `weyl_elements(datum, "k")` lists
+    them.  The blocks are contiguous, so no inversion crosses two of them
+    and sgn w is the product of its moves' signs; a block's column is
+    each of its entries repeated once per move of the later blocks, and
+    the whole tiled once per move of the earlier ones."""
     rank = datum.rank
-    elements = weyl_elements(datum, "k")
-    picks = [[p if s > 0 else p + rank for p, s in zip(w.perm, w.signs)] for w in elements]
+    order = _enumerable_order(datum, "k")
+    signs, columns, inner = [1], [], order
+    for blk in datum.compact_blocks:
+        moves = _block_moves(blk)
+        inner //= len(moves)
+        outer = order // (inner * len(moves))
+        for j in range(blk.size):
+            column = [images[j] + rank if pattern[j] < 0 else images[j]
+                      for images, pattern in moves]
+            columns.append(list(chain.from_iterable(map(repeat, column, repeat(inner)))) * outer)
+        block_signs = [(-1) ** sum(starmap(gt, combinations(images, 2))) * prod(pattern)
+                       for images, pattern in moves]
+        signs = [a * b for a in signs for b in block_signs]
     # itemgetter of one index returns the entry, not a 1-tuple
-    gets = tuple(
-        itemgetter(*column) if len(elements) > 1 else itemgetter(slice(column[0], column[0] + 1))
-        for column in zip(*picks))
-    return tuple(w.sign() for w in elements), gets
+    gets = tuple(itemgetter(*column) if order > 1 else itemgetter(slice(column[0], column[0] + 1))
+                 for column in columns)
+    return tuple(signs), gets
 
 
 def _column_rates(coords: Iterable[int], columns: tuple[tuple[int, ...], ...], size: int):

@@ -227,15 +227,17 @@ def sl2_suite() -> SuiteReport:
     )
     report.add(
         "ps-example/nonadditive",
-        ip == iv0 and ip != _formal_sum(iv0, ivm2),
+        ip == iv0 and _formal_sum(ip) != _formal_sum(iv0, ivm2),
         "I(P) = I(V_0) while I(V_0) + I(V_-2) differs",
     )
     return report
 
 
-def _formal_sum(a: tuple[int, int], b: tuple[int, int]):
+def _formal_sum(*constants: tuple[int, int]) -> dict[int, int]:
+    """{weight: coefficient} of the sum of the (coefficient, weight) pairs,
+    zeros dropped."""
     out: dict[int, int] = {}
-    for coeff, weight in (a, b):
+    for coeff, weight in constants:
         out[weight] = out.get(weight, 0) + coeff
     return {w: c for w, c in out.items() if c != 0}
 

@@ -14,12 +14,15 @@ way, and on `Fraction` values where the kernel runs on integers:
   the Vandermonde of any indices as the product of their differences;
 - the chamber routine `dominate`, which test_groups holds to a scan of the
   Weyl group;
+- simple roots as the positive roots that are no sum of two positive
+  roots, W_g-orbits breadth first under their reflections, and the
+  signed W_k-orbit element by element from `weyl_elements`;
 - Freudenthal's multiplicities over the lattice points of the norm ball;
 - the Weyl action and the index polynomial on `Fraction` terms;
 - sums of K-types, tensoring, evaluation of a family, the translation
-  identity, spin weights by subset sums, sums of exponentials, the Weyl
-  denominator, the character series and its limits, all on `Fraction`
-  weights.
+  identity, spin weights by subset sums and S+ - S- from them, sums of
+  exponentials, the Weyl denominator, the character series and its
+  limits, all on `Fraction` weights.
 
 Test modules take references and shared inputs from here and from no
 other test module; test_reference_guard checks it.
@@ -40,7 +43,7 @@ from diracindex import groups
 from diracindex.asymptotics import LaurentSeries, LimitReport
 from diracindex.errors import DimensionMismatch
 from diracindex.groups import (
-    Family, RootDatum, WeylElement, dot, int_form, simple_roots, weyl_elements,
+    Family, RootDatum, WeylElement, dot, int_form, reflection, weyl_elements,
 )
 from diracindex.polynomials import LinearForm, MultiPoly
 from diracindex.series import TruncatedSeries
@@ -496,6 +499,34 @@ def dominant_rep_g(datum, mu):
     return x.apply(mu)
 
 
+# -- simple roots and Weyl orbits --------------------------------------------------
+
+
+def simple_roots_by_sums(datum):
+    """The positive roots that are not a sum of two positive roots, in the
+    order of the positive roots."""
+    pos = set(datum.positive_roots)
+    sums = {add(a, b) for a in pos for b in pos}
+    return tuple(r for r in datum.positive_roots if r not in sums)
+
+
+def reflection_orbit(datum, mu):
+    """The W_g-orbit of mu, breadth first under the reflections of the
+    simple roots, applied as Weyl elements."""
+    gens = [reflection(alpha) for alpha in simple_roots_by_sums(datum)]
+    orbit, frontier = {tuple(mu)}, [tuple(mu)]
+    while frontier:
+        found = [s.apply(nu) for nu in frontier for s in gens]
+        frontier = [nu for nu in dict.fromkeys(found) if nu not in orbit]
+        orbit.update(frontier)
+    return orbit
+
+
+def signed_k_orbit(datum, y):
+    """[(sgn w, w y)] over `weyl_elements(datum, "k")`, in its order."""
+    return [(w.sign(), w.apply(y)) for w in weyl_elements(datum, "k")]
+
+
 # -- Freudenthal over the norm ball ----------------------------------------------
 
 
@@ -511,7 +542,7 @@ def dominant_character(datum, highest):
     highest and rho_g, with the roots scaled by D too, so every norm and
     pairing is D^2 times the true one, and the height functional is scaled
     to integers."""
-    simples = simple_roots(datum)
+    simples = simple_roots_by_sums(datum)
     if not simples:
         return {int_form(highest): 1}
     den = math.lcm(*(c.denominator for c in highest + datum.rho_g))
@@ -687,6 +718,15 @@ def spin_weights(datum):
             w = reduce(add, subset, base)
             bucket[w] = bucket.get(w, 0) + 1
     return plus, minus
+
+
+def signed_spin_weights(datum):
+    """{weight: its multiplicity in S+ minus that in S-}, zeros dropped."""
+    plus, minus = spin_weights(datum)
+    out = dict(plus)
+    for w, m in minus.items():
+        out[w] = out.get(w, 0) - m
+    return {w: m for w, m in out.items() if m}
 
 
 # -- sums of exponentials and the character ------------------------------------------

@@ -48,6 +48,7 @@ from diracindex.kmodules import (
 from diracindex.polynomials import MultiPoly, is_harmonic
 from diracindex.series import TruncatedSeries
 from diracindex.springer import table_groups
+from diracindex.suites import sl2_suite
 from diracindex.weylaction import act, orbit_span, weyl_dim_poly
 import reference as ref
 from reference import W, solve_linear, sub
@@ -375,6 +376,18 @@ def test_vanishing_for_small_gk_dimension():
             assert index_polynomial(fam).is_zero()
     # the finite-dimensional family is the case that actually triggers
     assert SL2.gk_dims["F"] == 0 < 1
+
+
+def test_sl2_nonadditive_case_fails_on_an_additive_record(monkeypatch):
+    """The case passes on the record; with I(V_-2) given coefficient 0,
+    I(V_0) + I(V_-2) is I(P) as a formal sum, and the case fails."""
+
+    def nonadditive_passes():
+        return {c.id: c.passed for c in sl2_suite().cases}["ps-example/nonadditive"]
+
+    assert nonadditive_passes()
+    monkeypatch.setitem(SL2.ps_index_constants, "V-2", (0, -1))
+    assert not nonadditive_passes()
 
 
 def test_family_equality_reads_only_datum_base_and_coefficients():

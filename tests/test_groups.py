@@ -20,6 +20,7 @@ from diracindex.groups import (
     Family,
     GroupId,
     WeylElement,
+    _chamber_block,
     build_root_datum,
     check_rank,
     dot,
@@ -35,10 +36,9 @@ from diracindex.groups import (
     weyl_order,
 )
 from diracindex.cli import main
-from diracindex.kmodules import _dominant_rep_g
 from diracindex.springer import springer_row, table_groups
 from diracindex.suites import _small_groups
-from reference import add, dominant_rep_g, dominate, pairing
+from reference import add, dominant_rep_g, dominate, pairing, simple_roots_by_sums
 
 SMALL_GROUPS = [
     GroupId.su(1, 1),
@@ -328,6 +328,16 @@ def test_simple_roots():
 
 
 @pytest.mark.parametrize(
+    "group", [g for g in table_groups(6) if g.rank <= 6], ids=lambda g: g.label())
+def test_simple_roots_are_no_sum_of_two_positive_roots(group):
+    """<rho_g, alpha^vee> = 1 picks the positive roots that no two positive
+    roots sum to, in the order of the positive roots, on every table group
+    of rank <= 6."""
+    d = build_root_datum(group)
+    assert simple_roots(d) == simple_roots_by_sums(d)
+
+
+@pytest.mark.parametrize(
     "group",
     [GroupId.su(2, 1), GroupId.sp_r(2), GroupId.so_even_odd(1, 1),
      GroupId.so_even_even(1, 2), GroupId.sp_pq(1, 1), GroupId.so_star(3)],
@@ -422,15 +432,14 @@ def test_dominate_matches_weyl_scan(case):
 @settings(max_examples=400, deadline=None)
 @given(st.sampled_from(CHAMBER_GROUPS), st.data())
 def test_dominant_rep_g_matches_reference(group, data):
-    """The W_g representative of the Freudenthal recursion, singular
-    weights included, on half-integral weights and on integer numerators."""
+    """The W_g representative the chamber kernel ranks on the ambient
+    block, singular weights included, on half-integral weights and on
+    integer numerators."""
     d = build_root_datum(group)
     nums = tuple(data.draw(st.lists(st.integers(-3, 3), min_size=d.rank, max_size=d.rank)))
     halves = tuple(F(n, 2) for n in nums)
     for gamma in (nums, halves):
-        rep = _dominant_rep_g(d, gamma)
-        assert type(rep) is tuple
-        assert rep == dominant_rep_g(d, gamma)
+        assert tuple(_chamber_block(d.ambient.kind, gamma)[1]) == dominant_rep_g(d, gamma)
 
 
 def test_one_group_builds_one_root_datum():

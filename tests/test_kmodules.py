@@ -1,6 +1,5 @@
 import math
 import random
-from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -9,6 +8,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from diracindex import kmodules
 from diracindex.errors import (
     DimensionMismatch,
+    EnumerationCapExceeded,
     InternalInvariantError,
     NonIntegralCoefficient,
     NotDominantIntegral,
@@ -196,6 +196,9 @@ def test_weyl_orbit():
     d = build_root_datum(GroupId.sp_r(2))
     orbit = weyl_orbit(d, W(1, 0))
     assert orbit == {W(1, 0), W(-1, 0), W(0, 1), W(0, -1)}
+    for wrong in (W(1), W(1, 0, 0)):
+        with pytest.raises(DimensionMismatch, match="weight length"):
+            weyl_orbit(d, wrong)
 
 
 def test_tensor_examples():
@@ -425,9 +428,9 @@ def test_weyl_denominator_matches_the_expanded_sum_in_any_order(group, data):
 def test_signed_orbit_matches_the_weyl_group(group):
     """The orbit read off the getters cached per datum, as
     `_numerator_frequencies` reads it, rebuilt from its signs and
-    coordinate columns, is the multiset of (sgn w, w y) over W_k, also for
-    repeated and zero entries; the 30 groups include rank 1 and the
-    rootless SO*(2)."""
+    coordinate columns, is (sgn w, w y) over `weyl_elements(datum, "k")`
+    in its order, also for repeated and zero entries; the 30 groups
+    include rank 1 and the rootless SO*(2)."""
     datum = build_root_datum(group)
     rng = random.Random(group.label())
     n = datum.rank
@@ -435,12 +438,38 @@ def test_signed_orbit_matches_the_weyl_group(group):
         tuple(rng.randint(-9, 9) for _ in range(n)) for _ in range(4)
     ]
     for nums in directions:
-        expected = Counter((w.sign(), w.apply(nums)) for w in weyl_elements(datum, "k"))
         signs, gets = kmodules._signed_k_getters(datum)
         columns = tuple(get(nums + tuple(-c for c in nums)) for get in gets)
         assert len(columns) == n
         assert all(len(column) == len(signs) == weyl_order(datum, "k") for column in columns)
-        assert Counter(zip(signs, zip(*columns))) == expected
+        assert list(zip(signs, zip(*columns))) == ref.signed_k_orbit(datum, nums)
+
+
+@pytest.mark.parametrize("group", DENOMINATOR_GROUPS, ids=lambda g: g.label())
+def test_weyl_orbit_matches_reflection_orbit(group):
+    """The orbit by index maps is the orbit by Weyl elements, on regular,
+    singular and zero weights, on integer numerators and Fraction weights,
+    on every table group of rank <= 4."""
+    datum = build_root_datum(group)
+    rng = random.Random(group.label())
+    n = datum.rank
+    weights = [tuple(range(n, 0, -1)), (1,) + (0,) * (n - 1), (0,) * n, (2,) * n]
+    weights += [tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(3)]
+    for mu in weights + [tuple(F(2 * c - 1, 2) for c in mu) for mu in weights]:
+        assert weyl_orbit(datum, mu) == ref.reflection_orbit(datum, mu)
+
+
+def test_signed_k_getters_refuse_a_compact_weyl_group_past_the_cap(monkeypatch):
+    """|W_k| of Sp(4,4) is (2^4 4!)^2 = 147,456, past DEFAULT_WEYL_CAP: the
+    getters are refused before any block's moves are listed."""
+    datum = build_root_datum(GroupId.sp_pq(4, 4))
+
+    def listed(*args):
+        raise AssertionError("listed moves past the cap")
+
+    monkeypatch.setattr(kmodules, "_block_moves", listed)
+    with pytest.raises(EnumerationCapExceeded, match="147456 exceeds cap 100000"):
+        kmodules._signed_k_getters(datum)
 
 
 def test_unknown_which_is_rejected():
@@ -592,10 +621,14 @@ def dominant_integral_weights(draw):
 @example((build_root_datum(GroupId.so_even_even(2, 2)), W(F(3, 2), F(1, 2), F(1, 2), F(-1, 2))))
 @example((build_root_datum(GroupId.su(2, 2)), W(1, 1, -1, -1)))
 def test_dominant_character_matches_norm_ball(case):
+    """Every weight with its multiplicity, the reference's W_g-orbits of
+    its dominant ones; the dominant weights in ascending order."""
     datum, highest = case
     expected = ref.dominant_character(datum, highest)
     got = _dominant_character(datum, highest)
-    assert list(got.items()) == list(expected.items())
+    assert [(form, m) for form, m in got.items() if form in expected] == list(expected.items())
+    weights = ref.weight_multiset(highest, datum)
+    assert got == {int_form(w): m for w, m in weights.items()}
     assert all(type(m) is int for m in got.values())
 
 

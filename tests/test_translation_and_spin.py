@@ -36,6 +36,7 @@ from diracindex.kmodules import (
     tensor_virtual,
     weight_multiset,
 )
+from diracindex.springer import table_groups
 from diracindex.suites import _small_groups
 import reference as ref
 from reference import add, highest_weight, parameters
@@ -235,6 +236,17 @@ def test_spin_series_matches_idot_oracle_on_every_small_group(datum):
         for order in (0, 12):
             assert spin_character_series(datum, y, order) == \
                 ref.spin_character_series(datum, y, order)
+
+
+@pytest.mark.parametrize(
+    "group", [g for g in table_groups(4) if g.rank <= 4], ids=lambda g: g.label())
+def test_spin_columns_are_s_plus_minus_s_minus(group):
+    """The signed product over the noncompact roots is the subset sums of
+    S+ minus those of S-, on every table group of rank <= 4."""
+    datum = build_root_datum(group)
+    columns, mults = dirac._spin_columns(datum)
+    got = {tuple(F(c, 2) for c in nums): m for nums, m in zip(zip(*columns), mults)}
+    assert got == ref.signed_spin_weights(datum)
 
 
 @settings(max_examples=80, deadline=None)

@@ -75,6 +75,12 @@ ALLOWED = {
         "public series; leading_limit calls its form-taking core; bench/run.py counts it by name",
     "asymptotics.root_ratio":
         "public, exported and tested; leading_limit calls its form-taking core (README)",
+    "groups.WeylElement.sign":
+        "public method of an exported value type; the references read W_k signs from it, "
+        "and _signed_k_getters multiplies its blocks' parities (README)",
+    "kmodules.k_type_sum":
+        "public, exported and tested; evaluate_index and index_discrete_series call its "
+        "form-taking core (README)",
     "dirac.index_discrete_series": "paper object no suite checks yet; item 3",
     "dirac.is_integral_weyl": "paper object no suite checks yet; item 3",
     "dirac.spin_weights":

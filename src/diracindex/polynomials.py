@@ -120,13 +120,22 @@ Horner pass, which gives the quotient.
 
 `linear_divisors` runs one sweep of divisions: each candidate, less those
 proportional to an earlier one, is probed once on the quotient so far
-and divided out when it divides.  As Q[X] is a UFD, a form that divides
-N and is not proportional to an earlier divisor divides their quotient
-too, so the sweep finds every divisor, with no multiplicity and no
-cofactor.  `extract_linear_factors` runs the sweep again on the forms
-that divided until none does: a form that does not divide N divides no
-quotient of N, and the probes for a second power run on the cofactor,
-which is normalized once.
+and divided out when it divides.  A probe first refuses a form when some
+term of the numerator has no variable of the form's support: if L
+divides N, each term of N = L * Q is a term of L times a term of Q, and
+cancellation only removes terms, so every term of N has a variable of
+supp(L).  On packed keys that is one scan, each key masked by the fields
+of the nonzero coefficients of L; the zero polynomial has no terms, so
+every form still divides it.  Only a form that meets every term runs the
+Horner pass.  `divides_linear_form` refuses by the same scan before it
+restricts, and `restrict_to_hyperplane` runs the full pass (or the
+substitution), as it needs the true remainder.  As Q[X] is a UFD, a
+form that divides N and is not proportional to an earlier divisor
+divides their quotient too, so the sweep finds every divisor, with no
+multiplicity and no cofactor.  `extract_linear_factors` runs the sweep
+again on the forms that divided until none does: a form that does not
+divide N divides no quotient of N, and the probes for a second power run
+on the cofactor, which is normalized once.
 """
 
 from __future__ import annotations
@@ -137,7 +146,7 @@ from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from functools import reduce
 from fractions import Fraction
 from itertools import chain, permutations, product, repeat, zip_longest
-from operator import add, itemgetter, lshift, neg
+from operator import add, and_, itemgetter, lshift, neg
 from types import MappingProxyType
 
 from .errors import (CapExceeded, DimensionMismatch, InternalInvariantError,
@@ -873,11 +882,19 @@ def restrict_to_hyperplane(poly: MultiPoly, form: LinearForm) -> MultiPoly:
     return MultiPoly._from_ints(poly.arity - 1, width, rest, Fraction(1, power * den))
 
 
+def _misses_support(form: LinearForm, width: int, num: IntTerms) -> bool:
+    """True when some key of num has no variable of the form's support,
+    which proves that the form does not divide it (module docstring)."""
+    field = (1 << width) - 1
+    mask = sum(field << (i * width) for i, c in enumerate(form._ints) if c)
+    return not all(map(and_, num, repeat(mask)))
+
+
 def divides_linear_form(poly: MultiPoly, form: LinearForm) -> bool:
     """True iff the linear form divides the polynomial exactly."""
     _check_arity(poly, form)
     _, width, num = poly._int_form()
-    return not form._restriction(width, num)[0]
+    return not _misses_support(form, width, num) and not form._restriction(width, num)[0]
 
 
 def _distinct(poly: MultiPoly, candidates: Iterable[LinearForm]) -> list[LinearForm]:
@@ -893,9 +910,12 @@ def _distinct(poly: MultiPoly, candidates: Iterable[LinearForm]) -> list[LinearF
 
 def _sweep(width: int, num: IntTerms, forms: list[LinearForm]) -> tuple[IntTerms, list[LinearForm]]:
     """(quotient, divisors): each form probed once, in order, on the
-    quotient so far, and divided out where it divides."""
+    quotient so far, and divided out where it divides.  A form that misses
+    a term is refused before its Horner pass."""
     divisors = []
     for form in forms:
+        if _misses_support(form, width, num):
+            continue
         quotient = form._horner(width, num)[1]
         if quotient is not None:
             num = quotient

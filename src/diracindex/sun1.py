@@ -13,7 +13,12 @@ over a constant, so every root form lam_p - lam_q divides it exactly once;
 only the character determinant is divided.  The gcd claim runs one sweep
 of divisions by the root forms (`polynomials.linear_divisors`), with no
 multiplicity and no cofactor, and `extract_det_factors` runs factor
-extraction; both probe in the order of `_probe_order`.  The
+extraction; both probe in the order of `_probe_order`.  Each term of the
+determinant misses one variable of each block, and a probe refuses a
+form that misses a term before its Horner pass (`polynomials`), so a
+crossing form, and an in-block form probed again on the cofactor, costs
+one scan of the keys: the Horner passes are the C(n-i, 2) + C(i, 2)
+divisions, none leaving a remainder.  The
 Vandermonde and the gcd are alternants of blocks that cover the variables
 in order (`polynomials.alternant`); the determinant has zero entries off
 any such layout and is expanded at once (`polynomials.masked_alternant`).
@@ -155,7 +160,10 @@ def gcd_with_index(n: int, i: int) -> MultiPoly:
     determinant alone: the root forms dividing it, found by one sweep of
     divisions (`polynomials.linear_divisors`) in the probe order, must be
     those of the pairs of `gcd_factor_pairs`, which that order puts
-    first."""
+    first.  A crossing form misses a term of the running quotient, which
+    proves that it does not divide, so the sweep refuses it before any
+    Horner pass and runs the pass only on the in-block forms, each one a
+    division."""
     if n < 2:
         raise IndexOutOfRange("n must be at least 2")
     order = _probe_order(n, i)

@@ -726,6 +726,52 @@ def test_extract_linear_factors():
     assert cofactor == x2 + x3
 
 
+def _support_cases():
+    x1, x2, x3 = V("x1", "x2", "x3")
+    # (poly, form, the Horner methods the three kernels run, in order)
+    return [
+        # X3 misses the support {X1, X2}
+        (x1 * x2 + x3, LinearForm((1, -1, 0)), ()),
+        # a constant misses every support
+        (MultiPoly.const(3, F(2, 3)), LinearForm((1, 1, 1)), ()),
+        # pivot after a zero and Fraction coefficients: X1^2 misses {X2, X3}
+        (x1 * x1 * F(1, 2) - x2 * x3, LinearForm((F(0), F(3, 2), F(-1, 2))), ()),
+        # every term meets {X1, X3}, and the Horner pass refuses the form
+        (x1 * x2 + x2 * x3, LinearForm((1, 0, -1)), ("_horner", "_horner", "_restriction")),
+        # the zero polynomial has no term to miss, and every form divides it;
+        # restriction by a form that is not X_p +- X_q runs a Horner pass
+        (MultiPoly.zero(3), LinearForm((2, 0, -3)), ("_horner", "_restriction", "_horner")),
+    ]
+
+
+@pytest.mark.parametrize("poly, form, passes", _support_cases())
+def test_a_form_that_misses_a_term_is_refused_before_the_horner_pass(poly, form, passes,
+                                                                     monkeypatch):
+    """If L divides N, every term of N = L * Q has a variable of supp(L), so
+    a term without one refuses L with no Horner pass; the sweeps and
+    `divides_linear_form` run the pass only on a form that meets every
+    term."""
+    ran = []
+
+    def spied(name):
+        method = getattr(LinearForm, name)
+
+        def run(self, width, num):
+            if not passes:
+                raise AssertionError(f"{name} ran on a form that misses a term")
+            ran.append(name)
+            return method(self, width, num)
+        return run
+
+    monkeypatch.setattr(LinearForm, "_horner", spied("_horner"))
+    monkeypatch.setattr(LinearForm, "_restriction", spied("_restriction"))
+    zero = poly.is_zero()
+    assert linear_divisors(poly, [form]) == ([form] if zero else [])
+    assert extract_linear_factors(poly, [form]) == ([], poly)
+    assert divides_linear_form(poly, form) == zero == divides(poly, form)
+    assert tuple(ran) == passes
+
+
 @st.composite
 def kernel_cases(draw):
     """A polynomial with rational coefficients, possibly zero, times some

@@ -14,6 +14,7 @@ from diracindex.errors import (
 )
 from diracindex.groups import DEFAULT_RANK_CAP
 from diracindex.polynomials import (
+    LinearForm,
     MultiPoly,
     divides_linear_form,
     extract_linear_factors,
@@ -300,6 +301,30 @@ def test_det_factors_probe_the_larger_block_first(n, i, monkeypatch):
     assert seen[:len(first)] == first
     assert sorted(seen, key=list(forms.values()).index) == list(forms.values())
     assert probed == seen, "the gcd claim probes in the extraction's order"
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_det_sweeps_run_horner_only_on_divisors(n, monkeypatch):
+    """Each term of the determinant misses one variable of each block, so a
+    crossing form, and an in-block form on the cofactor, misses a term and
+    is refused before its Horner pass: the passes are the C(n-i, 2) +
+    C(i, 2) divisions by the in-block forms, none leaving a remainder."""
+    expected = {(run, i): run(n, i)
+                for run in (extract_det_factors, gcd_with_index) for i in range(1, n)}
+    horner, passes = LinearForm._horner, []
+
+    def counted(self, width, num):
+        result = horner(self, width, num)
+        passes.append(result[1] is not None)
+        return result
+
+    monkeypatch.setattr(LinearForm, "_horner", counted)
+    for (run, i), result in expected.items():
+        char_poly_det.cache_clear()
+        gcd_with_index.cache_clear()
+        passes.clear()
+        assert run(n, i) == result
+        assert passes == [True] * (comb(n - i, 2) + comb(i, 2)), (run.__name__, i)
 
 
 def _det_oracle_4x4(i):
